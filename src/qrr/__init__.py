@@ -6,7 +6,6 @@ identity description language with a shipped corpus, machine-checked
 derivation chains, and brute-force oracles for testing.
 """
 
-from ._backend import available_backends, current_backend, set_backend
 from .errors import (
     DivergentEmbedding,
     DivergentProduct,
@@ -45,9 +44,6 @@ from .zseries import ZSeries, euler_z_inverse, euler_z_product, theta_z
 __version__ = "1.0.0"
 
 __all__ = [
-    "available_backends",
-    "current_backend",
-    "set_backend",
     "QrrError",
     "NonUnitConstantTerm",
     "DivergentProduct",

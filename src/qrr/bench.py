@@ -1,8 +1,8 @@
-"""Benchmark the pure-Python kernels against the compiled extension.
+"""Time the convolution kernel and one end-to-end verification.
 
-Run as `python -m qrr.bench`.  Times raw convolution at several sizes and one
-end-to-end identity verification per backend; with only the pure backend
-built, reports that and times it alone.
+Run as `python -m qrr.bench`.  Times `conv_real` and `conv_complex` on random
+small-coefficient inputs at several lengths, then `verify` of
+double_mod10_2_8 at VERIFY_ORDER.
 """
 
 from __future__ import annotations
@@ -11,14 +11,15 @@ import random
 import time
 from fractions import Fraction
 
-from . import _backend, corpus
+from . import _kernel_py, corpus
 from .identity import verify
 
 SIZES = (64, 256, 1024, 4096)
 REPEATS = 5
+VERIFY_ORDER = Fraction(120)
 
 
-def _time(fn, repeats=REPEATS) -> float:
+def _time(fn, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -29,40 +30,26 @@ def _time(fn, repeats=REPEATS) -> float:
 
 def bench_kernels(out=print):
     rng = random.Random(12345)
-    out("convolution kernels (best of %d, seconds)" % REPEATS)
-    header = "%8s" % "n"
-    for name in _backend.available_backends():
-        header += "  %12s-real  %12s-cplx" % (name, name)
-    out(header)
+    out("convolution kernel (best of %d, seconds)" % REPEATS)
+    out("%8s  %12s  %12s" % ("n", "real", "complex"))
     for n in SIZES:
         a = [rng.randint(-9, 9) for _ in range(n)]
         b = [rng.randint(-9, 9) for _ in range(n)]
-        line = "%8d" % n
-        for name in _backend.available_backends():
-            _backend.set_backend(name)
-            tr = _time(lambda: _backend.conv_real(a, b, 2 * n - 1))
-            tc = _time(lambda: _backend.conv_complex(a, b, b, a, 2 * n - 1))
-            line += "  %17.6f  %17.6f" % (tr, tc)
-        out(line)
+        tr = _time(lambda: _kernel_py.conv_real(a, b, 2 * n - 1), REPEATS)
+        tc = _time(lambda: _kernel_py.conv_complex(a, b, b, a, 2 * n - 1), REPEATS)
+        out("%8d  %12.6f  %12.6f" % (n, tr, tc))
 
 
-def bench_verify(out=print, order=Fraction(120)):
+def bench_verify(out=print):
     spec = corpus.load("double_mod10_2_8")
     out("")
-    out("end-to-end verify of %s at order %s (best of 3, seconds)" % (spec.name, order))
-    for name in _backend.available_backends():
-        _backend.set_backend(name)
-        t = _time(lambda: verify(spec, order), repeats=3)
-        out("%10s  %10.3f" % (name, t))
+    out("end-to-end verify of %s at order %s (best of 3, seconds)" % (spec.name, VERIFY_ORDER))
+    out("%10.3f" % _time(lambda: verify(spec, VERIFY_ORDER), 3))
 
 
-def main():
-    default = _backend.BACKEND
-    try:
-        bench_kernels()
-        bench_verify()
-    finally:
-        _backend.set_backend(default)
+def main(out=print):
+    bench_kernels(out)
+    bench_verify(out)
 
 
 if __name__ == "__main__":

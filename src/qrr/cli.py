@@ -2,8 +2,9 @@
 
 Orders on the command line are rationals in q-units (e.g. 100 or 7/2).  Exit
 codes: 0 all good, 1 mismatch or failing step, 2 bad input (I/O, parse,
-semantic, unknown id, non-positive-definite matrix), 3 internal invariant
-violation (a claimed match carrying a fractional or imaginary residue).
+semantic, unknown id, non-positive-definite matrix, or another QrrError), 3
+internal invariant violation (a claimed match carrying a fractional or
+imaginary residue) or engine fault (any other exception from verify).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -137,8 +139,13 @@ def cmd_verify(args, out) -> int:
     except (OSError, ParseError, SemanticError) as ex:
         print("error: %s" % ex, file=sys.stderr)
         return EXIT_BAD_INPUT
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        reports = list(pool.map(lambda s: verify(s, args.order), specs))
+    try:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            reports = list(pool.map(lambda s: verify(s, args.order), specs))
+    except Exception as ex:  # verify reports every QrrError, so this is an engine fault
+        traceback.print_exc(file=sys.stderr)
+        print("internal error: %s: %s" % (type(ex).__name__, ex), file=sys.stderr)
+        return EXIT_INVARIANT
     if args.format == "json":
         json.dump([r.to_json() for r in reports], out, indent=2)
         out.write("\n")
@@ -216,7 +223,11 @@ def cmd_replay(args, out) -> int:
             file=sys.stderr,
         )
         return EXIT_BAD_INPUT
-    steps = fn(args.order)
+    try:
+        steps = fn(args.order)
+    except QrrError as ex:
+        print("error: %s" % ex, file=sys.stderr)
+        return EXIT_BAD_INPUT
     if args.format == "json":
         json.dump([s.to_json() for s in steps], out, indent=2)
         out.write("\n")

@@ -20,6 +20,7 @@ from typing import Dict, Optional, Tuple
 from .errors import (
     NegativeExponent,
     NotPositiveDefinite,
+    QrrError,
     SemanticError,
     UnboundedEnumeration,
 )
@@ -363,7 +364,7 @@ def verify(spec: IdentitySpec, order) -> VerifyReport:
     try:
         lhs = eval_sum(spec, order)
         rhs = eval_product(spec, order)
-    except Exception as ex:  # engine errors become report status, not crashes
+    except QrrError as ex:  # rejected input is a report status; engine faults propagate
         return VerifyReport(
             name=spec.name,
             status="error",

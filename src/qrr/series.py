@@ -8,9 +8,9 @@ mathematical value.  Negative q-exponents are a hard error; nothing in this
 engine is Laurent in q (the auxiliary variable z is handled separately).
 
 Binary operations unify denominators through the lcm and truncate to the
-smaller order.  Multiplication routes dense operands through the convolution
-kernel backend (compiled or pure, see qrr._backend) and keeps genuinely sparse
-operands on a direct product loop.
+smaller order.  Multiplication routes dense operands through the
+Kronecker-substitution convolution kernel (qrr._kernel_py) and keeps genuinely
+sparse operands on a direct product loop.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterator, Optional
 
-from . import _backend
+from . import _kernel_py
 from .errors import DivergentProduct, NegativeExponent, NonUnitConstantTerm
 from .gaussian import ONE, UNITS, ZERO, GaussianInt, is_unit, unit_pow
 
@@ -242,18 +242,6 @@ class QSeries:
             raise ValueError("cannot raise the truncation order")
         return QSeries(self.den, n, {e: c for e, c in self.coeffs.items() if e <= n}, _canonical=True)
 
-    def with_order(self, order) -> "QSeries":
-        """Re-declare the truncation order (q-units).
-
-        Lowering truncates.  Raising is caller-asserted: use it only when the
-        construction guarantees exactness beyond the conservatively tracked
-        bound (e.g. a product computed through order-e and then shifted by e).
-        """
-        n = _as_order(order, self.den)
-        if n <= self.order:
-            return self.truncate(order)
-        return QSeries(self.den, n, self.coeffs, _canonical=True)
-
     def mul(self, other: "QSeries", bound=None) -> "QSeries":
         """Product, exact through min(orders) or the tighter q-unit `bound`."""
         den, order, ca, cb = self._unify(self, other)
@@ -408,16 +396,16 @@ def _mul_coeffs(ca: dict, cb: dict, n_max: int) -> dict:
     ar, ai, a_real = _densify(ca, va, va + nout - 1)
     br, bi, b_real = _densify(cb, vb, vb + nout - 1)
     if a_real and b_real:
-        cr = _backend.conv_real(ar, br, nout)
+        cr = _kernel_py.conv_real(ar, br, nout)
         ci = None
     elif a_real:
-        cr = _backend.conv_real(ar, br, nout)
-        ci = _backend.conv_real(ar, bi, nout)
+        cr = _kernel_py.conv_real(ar, br, nout)
+        ci = _kernel_py.conv_real(ar, bi, nout)
     elif b_real:
-        cr = _backend.conv_real(br, ar, nout)
-        ci = _backend.conv_real(br, ai, nout)
+        cr = _kernel_py.conv_real(br, ar, nout)
+        ci = _kernel_py.conv_real(br, ai, nout)
     else:
-        cr, ci = _backend.conv_complex(ar, ai, br, bi, nout)
+        cr, ci = _kernel_py.conv_complex(ar, ai, br, bi, nout)
     base = va + vb
     if ci is None:
         return {base + k: GaussianInt(cr[k], 0) for k in range(nout) if cr[k]}

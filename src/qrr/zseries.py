@@ -25,46 +25,47 @@ from .gaussian import ONE, GaussianInt, binom2, is_unit, unit_pow
 from .series import Monomial, QSeries, _as_order, inv_poch_table
 
 
+def _fit(s: QSeries, den: int, order: int) -> QSeries:
+    """s on grid `den` (a multiple of s.den), truncated to scaled `order`."""
+    s = s.rescale(den)
+    if s.order == order:
+        return s
+    return QSeries(den, order, {e: c for e, c in s.coeffs.items() if e <= order}, _canonical=True)
+
+
+def _min_order(a, b):
+    """(den, order): the lcm grid of a and b and the lower of their orders on it."""
+    den = lcm(a.den, b.den)
+    return den, min(a.order * (den // a.den), b.order * (den // b.den))
+
+
 class ZSeries:
     __slots__ = ("den", "order", "qshift", "coeff")
 
-    def __init__(self, coeff: Dict[int, QSeries], qshift=Fraction(0), _canonical=False):
+    def __init__(self, coeff: Dict[int, QSeries], qshift=Fraction(0)):
+        """Put the slices on one grid and truncate them to the lowest order
+        among them.  A zero slice's order counts like any other's; zero slices
+        are then dropped."""
         qshift = Fraction(qshift)
-        if not _canonical:
-            live = {k: s for k, s in coeff.items() if not s.is_zero()}
-            if live:
-                den = lcm(*(s.den for s in live.values()), qshift.denominator)
-                order = min(s.rescale(den).order for s in live.values())
-                coeff = {
-                    k: QSeries(
-                        den,
-                        order,
-                        {e: c for e, c in s.rescale(den).coeffs.items() if e <= order},
-                        _canonical=True,
-                    )
-                    for k, s in live.items()
-                }
-                coeff = {k: s for k, s in coeff.items() if not s.is_zero()}
-            else:
-                coeff = {}
-        self.coeff = coeff
+        den = lcm(qshift.denominator, *(s.den for s in coeff.values()))
+        order = min((s.order * (den // s.den) for s in coeff.values()), default=0)
+        self.coeff = {k: t for k, s in coeff.items() if not (t := _fit(s, den, order)).is_zero()}
         self.qshift = qshift
-        if coeff:
-            any_s = next(iter(coeff.values()))
-            self.den = any_s.den
-            self.order = any_s.order
-        else:
-            self.den = max(1, qshift.denominator)
-            self.order = 0
+        self.den = den
+        self.order = order
+
+    @classmethod
+    def _of(cls, coeff: Dict[int, QSeries], qshift, den: int, order: int) -> "ZSeries":
+        """Wrap nonzero slices that are already on grid `den` at `order`."""
+        z = cls.__new__(cls)
+        z.coeff, z.qshift, z.den, z.order = coeff, qshift, den, order
+        return z
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, order, den: int = 1) -> "ZSeries":
-        z = cls({}, _canonical=True)
-        z.den = den
-        z.order = _as_order(order, den)
-        return z
+        return cls._of({}, Fraction(0), den, _as_order(order, den))
 
     @classmethod
     def embed(cls, s: QSeries) -> "ZSeries":
@@ -114,26 +115,37 @@ class ZSeries:
             return self
         if delta < 0:
             raise ValueError("can only lower the global q-shift")
-        return ZSeries({k: s.shift(delta) for k, s in self.coeff.items()}, Fraction(target))
+        den = lcm(self.den, delta.denominator)
+        order = self.order * (den // self.den) + int(delta * den)
+        return ZSeries({k: s.shift(delta) for k, s in self.coeff.items()}, Fraction(target))._cap(den, order)
 
     @staticmethod
     def _align(a: "ZSeries", b: "ZSeries"):
         shift = min(a.qshift, b.qshift)
         return a._with_shift(shift), b._with_shift(shift)
 
+    def _cap(self, den: int, order: int) -> "ZSeries":
+        """This series exact through at most scaled `order` on grid `den`.
+
+        An empty series has no slice to carry an order, so it takes the cap:
+        callers pass the lowest order among the operands it was built from."""
+        d = lcm(self.den, den)
+        order *= d // den
+        if not self.coeff:
+            return ZSeries._of({}, self.qshift, d, order)
+        if self.order * (d // self.den) <= order:
+            return self
+        return ZSeries({k: _fit(s, d, order) for k, s in self.coeff.items()}, self.qshift)
+
     def __add__(self, other: "ZSeries") -> "ZSeries":
         a, b = self._align(self, other)
         out = dict(a.coeff)
         for k, s in b.coeff.items():
             out[k] = out[k] + s if k in out else s
-        z = ZSeries(out, a.qshift)
-        if not z.coeff:
-            z.den = lcm(a.den, b.den)
-            z.order = min(a.order * (z.den // a.den), b.order * (z.den // b.den))
-        return z
+        return ZSeries(out, a.qshift)._cap(*_min_order(a, b))
 
     def __neg__(self) -> "ZSeries":
-        return ZSeries({k: -s for k, s in self.coeff.items()}, self.qshift, _canonical=True)
+        return ZSeries._of({k: -s for k, s in self.coeff.items()}, self.qshift, self.den, self.order)
 
     def __sub__(self, other: "ZSeries") -> "ZSeries":
         return self + (-other)
@@ -145,32 +157,26 @@ class ZSeries:
                 p = si.mul(sj)
                 k = i + j
                 out[k] = out[k] + p if k in out else p
-        z = ZSeries(out, self.qshift + other.qshift)
-        if not z.coeff:
-            z.den = lcm(self.den, other.den)
-            z.order = min(
-                self.order * (z.den // self.den), other.order * (z.den // other.den)
-            )
-        return z
+        return ZSeries(out, self.qshift + other.qshift)._cap(*_min_order(self, other))
 
     def scale_series(self, s: QSeries) -> "ZSeries":
-        return ZSeries({k: c.mul(s) for k, c in self.coeff.items()}, self.qshift)
+        return ZSeries({k: c.mul(s) for k, c in self.coeff.items()}, self.qshift)._cap(*_min_order(self, s))
 
     def scale_unit(self, u: GaussianInt) -> "ZSeries":
-        return ZSeries({k: c.scale(u) for k, c in self.coeff.items()}, self.qshift, _canonical=True)
+        return ZSeries._of({k: c.scale(u) for k, c in self.coeff.items()}, self.qshift, self.den, self.order)
 
     def zshift(self, j: int) -> "ZSeries":
-        return ZSeries({k + j: s for k, s in self.coeff.items()}, self.qshift, _canonical=True)
+        return ZSeries._of({k + j: s for k, s in self.coeff.items()}, self.qshift, self.den, self.order)
 
     def reflect(self) -> "ZSeries":
         """z -> 1/z."""
-        return ZSeries({-k: s for k, s in self.coeff.items()}, self.qshift, _canonical=True)
+        return ZSeries._of({-k: s for k, s in self.coeff.items()}, self.qshift, self.den, self.order)
 
     def zstretch(self, j: int) -> "ZSeries":
         """z -> z**j for nonzero j (window dilation)."""
         if j == 0:
             raise ValueError("stretch factor must be nonzero")
-        return ZSeries({k * j: s for k, s in self.coeff.items()}, self.qshift, _canonical=True)
+        return ZSeries._of({k * j: s for k, s in self.coeff.items()}, self.qshift, self.den, self.order)
 
     def specialize(self, t: Monomial) -> QSeries:
         """Substitute z := t (a monomial in q) and sum the window."""

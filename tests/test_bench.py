@@ -1,0 +1,15 @@
+from fractions import Fraction
+
+from qrr import bench
+
+
+def test_bench_runs_at_small_sizes(monkeypatch):
+    monkeypatch.setattr(bench, "SIZES", (3, 8))
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    monkeypatch.setattr(bench, "VERIFY_ORDER", Fraction(6))
+    lines = []
+    bench.main(out=lines.append)
+    text = "\n".join(lines)
+    assert "convolution kernel" in text
+    assert "double-mod10-2-8 at order 6" in text
+    assert len(lines) == 7

@@ -4,15 +4,19 @@ import json
 
 import jsonschema
 import pytest
+import qrr.cli
+import qrr.identity
 from qrr import corpus
 from qrr.cli import (
     EXIT_BAD_INPUT,
+    EXIT_INVARIANT,
     EXIT_MISMATCH,
     EXIT_OK,
     REPORT_SCHEMA,
     STEP_SCHEMA,
     main,
 )
+from qrr.errors import QrrError
 
 
 def run(argv):
@@ -155,3 +159,31 @@ def test_format_never_affects_exit_code():
     args = ["verify", corpus_path("rogers_mod5_2_3"), "--order", "25"]
     codes = {run(args + ["--format", f])[0] for f in ("text", "json")}
     assert codes == {EXIT_OK}
+
+
+def _raise(exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    return fail
+
+
+def test_engine_fault_exits_invariant(monkeypatch, capsys):
+    monkeypatch.setattr(qrr.identity, "eval_product", _raise(TypeError("engine bug")))
+    code, _ = run(["verify", corpus_path("rogers_mod5_1_4"), "--order", "10"])
+    assert code == EXIT_INVARIANT
+    assert "TypeError: engine bug" in capsys.readouterr().err
+
+
+def test_rejected_input_is_error_status(monkeypatch):
+    monkeypatch.setattr(qrr.identity, "eval_product", _raise(QrrError("bad")))
+    code, text = run(["verify", corpus_path("rogers_mod5_1_4"), "--order", "10", "--format", "json"])
+    assert code == EXIT_BAD_INPUT
+    assert json.loads(text)[0]["status"] == "error"
+
+
+def test_replay_rejected_input_exits_bad_input(monkeypatch, capsys):
+    monkeypatch.setitem(qrr.cli.REPLAYS, "1.5", _raise(QrrError("bad order")))
+    code, _ = run(["replay", "1.5", "--order", "10"])
+    assert code == EXIT_BAD_INPUT
+    assert "bad order" in capsys.readouterr().err

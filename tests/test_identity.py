@@ -2,6 +2,7 @@ import json
 from fractions import Fraction as F
 
 import pytest
+import qrr.identity
 from qrr import corpus
 from qrr.errors import SemanticError, UnboundedEnumeration
 from qrr.gaussian import GaussianInt, MINUS_ONE, ONE
@@ -160,6 +161,15 @@ def test_error_status_on_engine_failure():
     rep = verify(parse(text), 20)
     assert rep.status == "error"
     assert "NegativeExponent" in rep.error
+
+
+def test_engine_fault_propagates(monkeypatch):
+    def boom(spec, order):
+        raise TypeError("engine bug")
+
+    monkeypatch.setattr(qrr.identity, "eval_product", boom)
+    with pytest.raises(TypeError):
+        verify(corpus.load("rogers_mod5_1_4"), 10)
 
 
 def test_off_grid_exponent_is_semantic_error():

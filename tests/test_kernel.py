@@ -1,0 +1,100 @@
+"""The Kronecker-substitution kernel against the schoolbook oracle, exactly."""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from qrr._kernel_py import conv_complex, conv_real
+from qrr.gaussian import ZERO, GaussianInt
+from qrr.oracle import dense_mul
+
+BITS = (1, 64, 300)
+LENGTHS = (0, 1, 2, 17, 40)
+
+
+def _truncated(a, b, nout, zero=0):
+    full = dense_mul(a, b)
+    return (full + [zero] * nout)[:nout]
+
+
+def _nouts(la, lb):
+    """Below, at and above the full product length la + lb - 1."""
+    full = max(la + lb - 1, 0)
+    return sorted({0, 1, max(full - 1, 0), full, full + 3})
+
+
+def _vec(rng, n, bits, kind):
+    m = 1 << bits
+    if kind == "random":
+        return [rng.randint(-m, m) for _ in range(n)]
+    if kind == "extreme":  # every coefficient at the bound, so outputs reach it
+        return [-m] * n
+    if kind == "strided":  # support on every third exponent
+        return [rng.randint(-m, m) if i % 3 == 0 else 0 for i in range(n)]
+    return [0] * n
+
+
+@pytest.mark.parametrize("bits_a", BITS)
+@pytest.mark.parametrize("bits_b", BITS)
+def test_conv_real_matches_oracle(bits_a, bits_b):
+    rng = random.Random(bits_a * 1000 + bits_b)
+    for la in LENGTHS:
+        for lb in LENGTHS:
+            for kind in ("random", "extreme", "strided", "zero"):
+                a = _vec(rng, la, bits_a, kind)
+                b = _vec(rng, lb, bits_b, "random" if kind == "zero" else kind)
+                for nout in _nouts(la, lb):
+                    assert conv_real(a, b, nout) == _truncated(a, b, nout), (la, lb, kind, nout)
+                    assert conv_real(b, a, nout) == _truncated(b, a, nout), (lb, la, kind, nout)
+
+
+def _gauss(re, im):
+    return [GaussianInt(x, y) for x, y in zip(re, im)]
+
+
+@pytest.mark.parametrize("bits", BITS)
+@pytest.mark.parametrize("zero_part", [None, "a.re", "a.im", "b.re", "b.im"])
+def test_conv_complex_matches_oracle(bits, zero_part):
+    rng = random.Random(bits)
+    for la in LENGTHS:
+        for lb in LENGTHS:
+            parts = {
+                name: _vec(rng, n, bits, "zero" if name == zero_part else "random")
+                for name, n in (("a.re", la), ("a.im", la), ("b.re", lb), ("b.im", lb))
+            }
+            a = _gauss(parts["a.re"], parts["a.im"])
+            b = _gauss(parts["b.re"], parts["b.im"])
+            for nout in _nouts(la, lb):
+                cr, ci = conv_complex(parts["a.re"], parts["a.im"], parts["b.re"], parts["b.im"], nout)
+                assert _gauss(cr, ci) == _truncated(a, b, nout, ZERO), (la, lb, nout)
+
+
+def test_all_zero_inputs():
+    assert conv_real([0, 0], [1, 2], 3) == [0, 0, 0]
+    assert conv_real([], [], 2) == [0, 0]
+    assert conv_complex([0], [0], [5, 1], [2, 0], 3) == ([0, 0, 0], [0, 0, 0])
+    # (i + q)(i + q) = -1 + 2iq + q^2
+    assert conv_complex([0, 1], [1, 0], [0, 1], [1, 0], 3) == ([-1, 0, 1], [0, 2, 0])
+
+
+ints = st.integers(-(1 << 300), 1 << 300) | st.integers(-9, 9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(ints, max_size=24), st.lists(ints, max_size=24), st.integers(0, 50))
+def test_conv_real_property(a, b, nout):
+    assert conv_real(a, b, nout) == _truncated(a, b, nout)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.tuples(ints, ints), max_size=16),
+    st.lists(st.tuples(ints, ints), max_size=16),
+    st.integers(0, 34),
+)
+def test_conv_complex_property(a, b, nout):
+    ar, ai = [x for x, _ in a], [y for _, y in a]
+    br, bi = [x for x, _ in b], [y for _, y in b]
+    cr, ci = conv_complex(ar, ai, br, bi, nout)
+    assert _gauss(cr, ci) == _truncated(_gauss(ar, ai), _gauss(br, bi), nout, ZERO)

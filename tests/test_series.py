@@ -69,7 +69,7 @@ def test_shift_moves_order():
         s.shift(-1)  # valuation 0 cannot absorb a negative shift
 
 
-def test_truncate_and_with_order():
+def test_truncate():
     s = QSeries.term(ONE, 0, 10) + QSeries.term(ONE, 7, 10)
     t = s.truncate(5)
     assert t.order_q == 5
@@ -77,7 +77,6 @@ def test_truncate_and_with_order():
         t.coeff(7)
     with pytest.raises(ValueError):
         t.truncate(8)
-    assert t.with_order(9).order_q == 9
 
 
 def test_mul_bound_then_shift_is_exact():

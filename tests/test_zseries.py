@@ -119,3 +119,19 @@ def test_first_difference_localizes():
     k, e = a.first_difference(b)
     assert k == 1 and e == 2
     assert a.same_through(b, F(1))
+
+
+def test_add_and_mul_keep_the_lower_order():
+    low = ZSeries.zero(10)
+    high = ZSeries.embed(QSeries.one(100))
+    for z in (low + high, high + low, low * high, high * low, high - low, low.scale_series(QSeries.one(100))):
+        assert z.order_q == 10
+    # a zero slice carries its order like any other slice
+    assert ZSeries({0: QSeries.one(100), 1: QSeries.zero(10)}).order_q == 10
+    assert (-low).order_q == 10
+    # on the lcm grid: the result keeps exactness through 5/2, not 2 or 3
+    quarter = ZSeries.zero(F(5, 2), den=2)
+    z = ZSeries.embed(QSeries.one(100, den=3)) * quarter
+    assert z.order_q == F(5, 2) and z.den == 6
+    # the operand of higher order is truncated, not just relabelled
+    assert (ZSeries.embed(QSeries.term(ONE, 50, 100)) + low).is_zero()
