@@ -25,7 +25,7 @@ from .errors import (
     UnboundedEnumeration,
 )
 from .gaussian import MINUS_ONE, ONE, GaussianInt, i_pow, sign_binom2
-from .quadform import certified_min_eigenvalue, enumeration_radius, is_positive_definite
+from .quadform import index_bounds, is_positive_definite
 from .series import Monomial, QSeries, div_binomial, inv_poch_table, mul_binomial, poch_finite
 
 
@@ -268,17 +268,14 @@ def auto_bounds(spec: IdentitySpec, order) -> Tuple[int, ...]:
     """Per-index bounds so every excluded lattice point has exponent > order."""
     order = Fraction(order)
     mat = spec.exponent.quadratic_matrix(spec.indices)
+    lin = spec.exponent.linear_vector(spec.indices)
     target = order - spec.exponent.const
     if is_positive_definite(mat):
-        lam = certified_min_eigenvalue(mat)
-        lin = sum(abs(c) for c in spec.exponent.linear_vector(spec.indices))
-        radius = enumeration_radius(lam, lin, target)
-        return tuple(radius for _ in spec.indices)
+        return index_bounds(mat, lin, target)
     if spec._orthant_coercive(mat):
-        # value >= Q_ii/2 * n_i**2 for each coordinate on the orthant
+        # value >= Q_ii/2 * n_i**2 + b_i * n_i for each coordinate on the orthant
         return tuple(
-            enumeration_radius(mat[i][i], Fraction(0), target)
-            for i in range(len(spec.indices))
+            index_bounds([[mat[i][i]]], [lin[i]], target)[0] for i in range(len(mat))
         )
     raise NotPositiveDefinite(
         "%s: quadratic form admits no finite enumeration" % spec.name

@@ -1,17 +1,16 @@
-"""Positive-definiteness checks and certified enumeration bounds.
+"""Positive-definiteness checks and exact enumeration bounds.
 
-All certification is exact rational arithmetic (Sylvester leading minors).
-Floating point (numpy) is used only to *guess* an eigenvalue lower bound,
-which is then verified by checking that A - lambda*I is positive definite
-with Fractions; a failed guess is halved until it certifies.
+Everything is exact rational arithmetic: Sylvester's leading minors decide
+positive definiteness, and the bounding box of an ellipsoid
+1/2 n.Q.n + b.n <= target comes from the cofactor inverse of Q and an integer
+square root, corrected by exact comparisons.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import floor, isqrt
 from typing import Sequence
-
-import numpy as np
 
 from .errors import NotPositiveDefinite
 
@@ -64,49 +63,42 @@ def is_positive_definite(a: Matrix) -> bool:
     return all(m > 0 for m in leading_minors(a))
 
 
-def certified_min_eigenvalue(a: Matrix) -> Fraction:
-    """A positive rational lambda with A - lambda*I positive definite.
-
-    Numerically estimated, then certified exactly; raises NotPositiveDefinite
-    if A is not positive definite.
-    """
-    a = as_matrix(a)
-    if not is_positive_definite(a):
-        raise NotPositiveDefinite("matrix fails Sylvester's criterion")
+def _inverse(a) -> list:
+    """Exact inverse by cofactors: inv[i][j] = (-1)**(i+j) * minor(j, i) / det."""
     n = len(a)
-    est = float(np.linalg.eigvalsh(np.array(a, dtype=float)).min())
-    cand = Fraction(max(est, 1e-9) * 0.9).limit_denominator(1 << 20)
-    while cand > 0:
-        shifted = [
-            [a[i][j] - (cand if i == j else 0) for j in range(n)] for i in range(n)
-        ]
-        if is_positive_definite(shifted):
-            return cand
-        cand /= 2
-    raise NotPositiveDefinite("could not certify a positive eigenvalue bound")
+    det = _det(a)
+
+    def minor(i, j):
+        return [row[:j] + row[j + 1 :] for k, row in enumerate(a) if k != i]
+
+    return [[(-1) ** (i + j) * _det(minor(j, i)) / det for j in range(n)] for i in range(n)]
 
 
-def enumeration_radius(lam: Fraction, lin_bound: Fraction, order: Fraction) -> int:
-    """Smallest box radius R so that any lattice point with a coordinate > R
-    has quadratic-form value above `order`.
+def _floor_plus_sqrt(c: Fraction, s: Fraction) -> int:
+    """floor(c + sqrt(s)) for rationals c and s >= 0."""
+    # t = floor(sqrt(s)) exactly, so the answer is floor(c) + t or one more
+    k = floor(c) + isqrt(s.numerator * s.denominator) // s.denominator + 1
+    # k - c > t >= 0, so k <= c + sqrt(s) exactly when (k - c)**2 <= s
+    return k if (k - c) ** 2 <= s else k - 1
 
-    Uses the lower bound value(n) >= lam/2 * |n|^2 - lin_bound * |n| and the
-    fact that this is increasing beyond its vertex; the defining inequality is
-    re-checked with exact rationals.
+
+def index_bounds(q: Matrix, b: Sequence, target) -> tuple:
+    """Per-index upper bounds of the ellipsoid 1/2 n.Q.n + b.n <= target.
+
+    With centre c = -Q^-1 b and R = target + 1/2 b.Q^-1.b the ellipsoid is
+    1/2 (n-c).Q.(n-c) <= R, and bound_i = floor(c_i + sqrt(2R (Q^-1)_ii)) is
+    the largest integer in its bounding box along index i: every point with
+    value <= target has n_i <= bound_i.  An empty ellipsoid (R < 0) gives -1
+    for every index.  Raises NotPositiveDefinite unless Q is positive definite.
     """
-    lam = Fraction(lam)
-    lin_bound = Fraction(lin_bound)
-    order = Fraction(order)
-    if lam <= 0:
-        raise NotPositiveDefinite("nonpositive eigenvalue bound")
-    vertex = lin_bound / lam
-    disc = lin_bound * lin_bound + 2 * lam * max(order, Fraction(0))
-    r = max(0, int((float(lin_bound) + float(disc) ** 0.5) / float(lam)))
-
-    def excluded(rr):
-        v = Fraction(rr)
-        return v >= vertex and lam / 2 * v * v - lin_bound * v > order
-
-    while not excluded(r + 1):
-        r += 1
-    return r
+    q = as_matrix(q)
+    if not is_positive_definite(q):
+        raise NotPositiveDefinite("matrix fails Sylvester's criterion")
+    n = len(q)
+    b = [Fraction(x) for x in b]
+    inv = _inverse(q)
+    c = [-sum(inv[i][j] * b[j] for j in range(n)) for i in range(n)]
+    r = Fraction(target) - sum(b[i] * c[i] for i in range(n)) / 2
+    if r < 0:
+        return (-1,) * n
+    return tuple(_floor_plus_sqrt(c[i], 2 * r * inv[i][i]) for i in range(n))

@@ -393,8 +393,9 @@ def _mul_coeffs(ca: dict, cb: dict, n_max: int) -> dict:
     if va + vb > n_max:
         return {}
     nout = n_max - va - vb + 1
-    ar, ai, a_real = _densify(ca, va, va + nout - 1)
-    br, bi, b_real = _densify(cb, vb, vb + nout - 1)
+    # each operand only up to its own top term: the kernel takes inputs shorter than nout
+    ar, ai, a_real = _densify(ca, va, min(max(ca), va + nout - 1))
+    br, bi, b_real = _densify(cb, vb, min(max(cb), vb + nout - 1))
     if a_real and b_real:
         cr = _kernel_py.conv_real(ar, br, nout)
         ci = None

@@ -5,19 +5,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iproduct
 from math import lcm
 from typing import Callable, NamedTuple, Optional
 
-from .errors import NegativeExponent, NotPositiveDefinite
+from .errors import NotPositiveDefinite
 from .gaussian import MINUS_ONE, ONE, GaussianInt
-from .quadform import (
-    as_matrix,
-    certified_min_eigenvalue,
-    enumeration_radius,
-    is_positive_definite,
-    is_symmetric,
-)
+from .identity import ExponentPoly, IdentitySpec, eval_sum
+from .quadform import as_matrix, is_positive_definite, is_symmetric
 from .series import (
     Monomial,
     QSeries,
@@ -144,35 +138,33 @@ class NahmData:
         )
         return quad / 2 + sum(self.b[i] * n[i] for i in range(r)) + self.c
 
+    def sum_spec(self) -> IdentitySpec:
+        """The Nahm sum as the sum side of an identity with no product factors.
+
+        A_ii/2 n^2 + B_i n = A_ii binom(n, 2) + (A_ii/2 + B_i) n, so every
+        exponent lies on the grid lcm(den A_ij, den(A_ii/2 + B_i), den C).
+        """
+        r = self.rank
+        names = tuple("n%d" % i for i in range(r))
+        quad = {
+            (names[i], names[j]): self.a[i][j] / (2 if i == j else 1)
+            for i in range(r)
+            for j in range(i, r)
+        }
+        den = lcm(
+            self.c.denominator,
+            *(x.denominator for row in self.a for x in row),
+            *((self.a[i][i] / 2 + self.b[i]).denominator for i in range(r)),
+        )
+        exponent = ExponentPoly.make(quad, dict(zip(names, self.b)), self.c)
+        denoms = tuple((x, qmono(1)) for x in names)
+        return IdentitySpec("nahm", den, names, (), exponent, denoms, ())
+
 
 def nahm_series(data: NahmData, order) -> QSeries:
     """The Nahm sum q^(n.A.n/2 + n.B + C) / prod (q;q)_{n_i}, exact through
     `order`, including the global q^C prefactor."""
-    order = Fraction(order)
-    lam = certified_min_eigenvalue(data.a)
-    lin = sum(abs(x) for x in data.b)
-    radius = enumeration_radius(lam, lin, order - data.c)
-    points = []
-    den = order.denominator
-    for n in iproduct(range(radius + 1), repeat=data.rank):
-        e = data.exponent(n)
-        if e > order:
-            continue
-        if e < 0:
-            raise NegativeExponent(
-                "Nahm exponent %s at lattice point %s" % (e, n)
-            )
-        points.append((n, e))
-        den = lcm(den, e.denominator)
-    q = qmono(1)
-    table = inv_poch_table(q, radius, order, den)
-    acc = QSeries.zero(order, den)
-    for n, e in points:
-        term = table[n[0]]
-        for j in range(1, data.rank):
-            term = term.mul(table[n[j]], bound=order - e)
-        acc = acc + term.shift(e).truncate(order)
-    return acc
+    return eval_sum(data.sum_spec(), order)
 
 
 def hypergeometric_sum(

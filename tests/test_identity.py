@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from itertools import product as iproduct
 
 import pytest
 import qrr.identity
@@ -51,7 +52,11 @@ def test_auto_bounds_covers_all_contributing_points():
     assert radius >= 7
     spec2 = corpus.load("double_mod10_2_8")
     b = auto_bounds(spec2, 30)
-    assert len(b) == 2 and all(r * r * F(3, 4) > 30 or r > 6 for r in b)
+    assert len(b) == 2
+    # every point of a wider box with exponent <= 30 lies inside the bounds
+    for m, n in iproduct(range(20), repeat=2):
+        if spec2.exponent.eval({"m": m, "n": n}) <= 30:
+            assert m <= b[0] and n <= b[1], (m, n, b)
 
 
 def test_orthant_route_handles_singular_forms():

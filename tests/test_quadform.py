@@ -1,11 +1,11 @@
 from fractions import Fraction as F
+from itertools import product as iproduct
 
 import pytest
 from qrr.errors import NotPositiveDefinite
 from qrr.quadform import (
     as_matrix,
-    certified_min_eigenvalue,
-    enumeration_radius,
+    index_bounds,
     is_positive_definite,
     is_symmetric,
     leading_minors,
@@ -34,27 +34,58 @@ def test_positive_definite():
     assert not is_positive_definite(as_matrix([[-1]]))
 
 
-def test_certified_min_eigenvalue_is_safe_lower_bound():
-    m = as_matrix([[2, 1], [1, 2]])  # true eigenvalues 1 and 3
-    lam = certified_min_eigenvalue(m)
-    assert 0 < lam <= 1
-    # certificate: m - lam*I stays positive definite at the returned value
-    shifted = [
-        [m[i][j] - (lam if i == j else 0) for j in range(2)] for i in range(2)
+def _twice_value(q, b, n):
+    k = len(n)
+    return sum(q[i][j] * n[i] * n[j] for i in range(k) for j in range(k)) + 2 * sum(
+        b[i] * n[i] for i in range(k)
+    )
+
+
+def _lattice_maxima(q, b, target, radius):
+    """Per-index maxima of the points in [-radius, radius]^k with value <= target."""
+    pts = [
+        n
+        for n in iproduct(range(-radius, radius + 1), repeat=len(q))
+        if _twice_value(q, b, n) <= 2 * target
     ]
-    # lam is a strict lower bound, so the shifted matrix is PD or PSD boundary
-    assert all(x >= 0 for x in leading_minors(as_matrix(shifted)))
-    with pytest.raises(NotPositiveDefinite):
-        certified_min_eigenvalue(as_matrix([[0]]))
+    return tuple(max(n[i] for n in pts) for i in range(len(q)))
 
 
-def test_enumeration_radius_excludes_everything_beyond():
-    lam, lin, order = F(1), F(2), F(40)
-    r = enumeration_radius(lam, lin, order)
-    # any radius beyond r has quadratic value above order even after the
-    # worst-case linear pull
-    for extra in (1, 2, 10):
-        rr = r + extra
-        assert lam / 2 * rr * rr - lin * rr > order
-    # the radius covers everything needed: r itself is not excludable at r-1
-    assert not (lam / 2 * (r - 1) ** 2 - lin * (r - 1) > order) or r == 0
+def test_index_bounds_rank1_negative_linear_term():
+    # n^2 - 3n <= 4 exactly for -1 <= n <= 4; the centre is 3/2
+    assert index_bounds([[2]], [-3], 4) == (4,)
+    assert _lattice_maxima([[2]], [-3], 4, 10) == (4,)
+    # the minimum -9/4 lies between the lattice points 1 and 2, both at -2
+    assert index_bounds([[2]], [-3], -2) == (2,)
+    assert index_bounds([[2]], [-3], F(-9, 4)) == (1,)  # the real box is {3/2}
+
+
+def test_index_bounds_target_below_minimum_is_empty():
+    assert index_bounds([[2]], [-3], -3) == (-1,)
+    assert index_bounds(as_matrix([[2, 1], [1, 2]]), [0, 0], F(-1, 7)) == (-1, -1)
+
+
+def test_index_bounds_rational_entry_form():
+    # andrews-uncu-mod6: i^2 + 3ij + 9/2 j^2 + i + 5/2 j
+    q, b = as_matrix([[2, 3], [3, 9]]), [F(1), F(5, 2)]
+    assert index_bounds(q, b, 60) == (10, 4)
+    assert index_bounds(q, b, 240) == (21, 10)
+    for target in (0, 7, 60):
+        got = index_bounds(q, b, target)
+        maxima = _lattice_maxima(q, b, target, 25)
+        assert all(m <= g for m, g in zip(maxima, got))
+    # double-mod10-2-8: 3/4 m^2 + 1/2 mn + 3/4 n^2; (6, 0) has exponent 27
+    assert index_bounds(as_matrix([[F(3, 2), F(1, 2)], [F(1, 2), F(3, 2)]]), [0, 0], 30) == (6, 6)
+
+
+def test_index_bounds_a3_form_is_tight():
+    a3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+    # (Q^-1)_ii = 3/4, 1, 3/4: floor(sqrt(90)) = 9 and floor(sqrt(120)) = 10
+    assert index_bounds(a3, [0, 0, 0], 60) == (9, 10, 9)
+    assert _lattice_maxima(a3, [0, 0, 0], 60, 11) == (9, 10, 9)
+
+
+def test_index_bounds_rejects_non_positive_definite():
+    for q in ([[0]], [[-1]], [[1, 1], [1, 1]], [[1, 2], [0, 1]]):
+        with pytest.raises(NotPositiveDefinite):
+            index_bounds(q, [0] * len(q), 10)

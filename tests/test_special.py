@@ -1,7 +1,13 @@
 from fractions import Fraction as F
+from itertools import product as iproduct
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from qrr.errors import NegativeExponent, NotPositiveDefinite
+from qrr.oracle import unpruned_sum
+from qrr.quadform import index_bounds
 from qrr.gaussian import MINUS_ONE, ONE
 from qrr.series import Monomial, QSeries, poch_finite, qmono
 from qrr.special import (
@@ -143,6 +149,46 @@ def test_nahm_negative_constant_is_an_error():
     data = NahmData(a=((F(2),),), b=(F(0),), c=F(-1, 60))
     with pytest.raises(NegativeExponent):
         nahm_series(data, 10)
+
+
+@st.composite
+def nahm_data(draw):
+    """Diagonally dominant PD A (eigenvalues >= 1), B in halves >= 0, C >= 0."""
+    rank = draw(st.integers(1, 3))
+    a = [[F(0)] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            a[i][j] = a[j][i] = F(draw(st.integers(-2, 2)), 2)
+    for i in range(rank):
+        a[i][i] = sum(abs(x) for x in a[i]) + F(draw(st.integers(2, 6)), 2)
+    b = tuple(F(draw(st.integers(0, 2)), 2) for _ in range(rank))
+    return NahmData(a=tuple(map(tuple, a)), b=b, c=F(draw(st.integers(0, 4)), 4))
+
+
+@settings(max_examples=25, deadline=None)
+@given(nahm_data(), st.integers(0, 12))
+def test_nahm_matches_unpruned_oracle_property(data, order):
+    # eigenvalues >= 1 and B, C >= 0 put every point with exponent <= order
+    # inside the cube of side isqrt(2*order) + 1
+    cube = list(iproduct(range(isqrt(2 * order) + 2), repeat=data.rank))
+    spec = data.sum_spec()
+    for n in cube:
+        assert spec.exponent.eval(dict(zip(spec.indices, n))) == data.exponent(n)
+    box = [0] * data.rank
+    for n in cube:
+        if data.exponent(n) <= order:
+            box = [max(x, y) for x, y in zip(box, n)]
+    assert nahm_series(data, order) == unpruned_sum(spec, box, order)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nahm_data(), st.integers(0, 12))
+def test_index_bounds_cover_every_point_property(data, order):
+    bounds = index_bounds(data.a, data.b, order - data.c)
+    r = isqrt(2 * order) + 1
+    for n in iproduct(range(-r, r + 1), repeat=data.rank):
+        if data.exponent(n) <= order:
+            assert all(x <= g for x, g in zip(n, bounds)), (n, bounds)
 
 
 def test_hypergeometric_sum_stops_correctly():
