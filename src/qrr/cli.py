@@ -15,6 +15,7 @@ import json
 import sys
 import traceback
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -164,10 +165,10 @@ def cmd_verify(args, out) -> int:
 def _table_rows(spec: IdentitySpec, order: Fraction):
     lhs = eval_sum(spec, order)
     rhs = eval_product(spec, order)
-    den = lhs.den
-    rhs = rhs.rescale(den) if rhs.den != den else rhs
-    top = min(lhs.order, int(order * den))
-    for k in range(top + 1):
+    den = lcm(lhs.den, rhs.den)
+    lhs = lhs.rescale(den)
+    rhs = rhs.rescale(den)
+    for k in range(min(lhs.order, rhs.order) + 1):
         e = Fraction(k, den)
         a = lhs.coeff(e)
         b = rhs.coeff(e)

@@ -369,6 +369,15 @@ def verify(spec: IdentitySpec, order) -> VerifyReport:
             elapsed_ms=(time.perf_counter() - t0) * 1000,
             error="%s: %s" % (type(ex).__name__, ex),
         )
+    report = compare(spec, order, lhs, rhs)
+    report.elapsed_ms = (time.perf_counter() - t0) * 1000
+    return report
+
+
+def compare(spec: IdentitySpec, order, lhs: QSeries, rhs: QSeries) -> VerifyReport:
+    """The verify report of the evaluated sum side `lhs` and product side
+    `rhs` of `spec` through `order` (elapsed_ms is left 0)."""
+    order = Fraction(order)
     d = lhs.first_difference(rhs, order)
     frac = [e for e in lhs.fractional_support() if e <= order]
     imag = sorted(
@@ -380,7 +389,6 @@ def verify(spec: IdentitySpec, order) -> VerifyReport:
         order=order,
         fractional_residue=frac,
         imaginary_residue=imag,
-        elapsed_ms=(time.perf_counter() - t0) * 1000,
     )
     if d is not None:
         report.first_mismatch = (d, lhs.coeff(d), rhs.coeff(d))

@@ -154,5 +154,4 @@ def unpruned_sum(spec: IdentitySpec, box: Sequence[int], order) -> QSeries:
             if t > n_scaled or c.is_zero():
                 continue
             coeffs[t] = coeffs.get(t, ZERO) + c * sign
-    coeffs = {e: c for e, c in coeffs.items() if not c.is_zero()}
-    return QSeries(den, n_scaled, coeffs, _canonical=True)
+    return QSeries(den, n_scaled, coeffs)

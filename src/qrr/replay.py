@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional
 
 from . import corpus
 from .gaussian import I, MINUS_I, MINUS_ONE, ONE, unit_pow
-from .identity import LinForm, SignAtom, eval_product, eval_sum, verify
+from .identity import LinForm, SignAtom, compare, eval_product, eval_sum
 from .parser import parse_poly
 from .series import Monomial, QSeries, inv_poch_table, poch_finite, qmono
 from .special import gaussian_binomial, hypergeometric_sum, rs_at
@@ -95,60 +95,33 @@ def chain_passes(steps: List[StepReport]) -> bool:
 # -- shared pieces ----------------------------------------------------------
 
 
-def _closure_by_substitution(
-    chain: _Chain, classical_name: str, single: QSeries, product: QSeries
-):
-    """Close a quarter-exponent chain: verify the classical identity at half
-    order, substitute q -> q^2 into both of its sides, and match them against
-    the reduced single sum and the target product."""
-    half = chain.order / 2
-    rep = verify(corpus.load(classical_name), half)
+def _closure(chain: _Chain, classical_name: str, power: int, single: QSeries, product: QSeries):
+    """Close a chain through a classical identity: verify it at order/power,
+    substitute q -> q^power into both of its sides, and match them against
+    the reduced single sum and the target product.  Power 2 closes the
+    quarter-exponent chains, power 1 the integer-exponent ones."""
+    order = chain.order / power
     base = corpus.load(classical_name)
+    lhs = eval_sum(base, order)
+    rhs = eval_product(base, order)
+    status = compare(base, order, lhs, rhs).status
     div = None
-    if rep.status != "match":
-        div = "classical base %s: %s" % (classical_name, rep.status)
+    if status != "match":
+        div = "classical base %s: %s" % (classical_name, status)
     else:
-        d = eval_sum(base, half).substitute_power(2).first_difference(single, chain.order)
-        if d is not None:
-            div = ("sum", d)
-        else:
-            d = (
-                eval_product(base, half)
-                .substitute_power(2)
-                .first_difference(product, chain.order)
-            )
+        for side, got, want in (("sum", lhs, single), ("product", rhs, product)):
+            d = got.substitute_power(power).first_difference(want, chain.order)
             if d is not None:
-                div = ("product", d)
-    chain.claim(
-        "closure: %s verified, then q -> q^2 matches the reduced sum and the product side"
-        % classical_name,
-        div is None,
-        div,
-    )
-
-
-def _closure_direct(chain: _Chain, classical_name: str, single: QSeries, product: QSeries):
-    """Close an integer-exponent chain: the reduced single sum and the target
-    product are the two sides of a classical identity verified directly."""
-    base = corpus.load(classical_name)
-    rep = verify(base, chain.order)
-    div = None
-    if rep.status != "match":
-        div = "classical base %s: %s" % (classical_name, rep.status)
+                div = (side, d)
+                break
+    if power == 1:
+        description = "closure: reduced sum and product side are the verified identity %s" % classical_name
     else:
-        d = eval_sum(base, chain.order).first_difference(single, chain.order)
-        if d is not None:
-            div = ("sum", d)
-        else:
-            d = eval_product(base, chain.order).first_difference(product, chain.order)
-            if d is not None:
-                div = ("product", d)
-    chain.claim(
-        "closure: reduced sum and product side are the verified identity %s"
-        % classical_name,
-        div is None,
-        div,
-    )
+        description = (
+            "closure: %s verified, then q -> q^%d matches the reduced sum and the product side"
+            % (classical_name, power)
+        )
+    chain.claim(description, div is None, div)
 
 
 def _quarter_chain(
@@ -189,7 +162,8 @@ def _quarter_chain(
     z_plus = euler_z_product(Monomial(I, lin_coeff), q, order, den=4)
     z_minus = euler_z_product(Monomial(MINUS_I, lin_coeff), q, order, den=4)
     theta = theta_z(Fraction(1, 2), 0, MINUS_ONE, -1, order, den=4)
-    extracted = (z_plus * z_minus * theta).ct()
+    pair = z_plus * z_minus
+    extracted = (pair * theta).ct()
     chain.series(
         "constant-term form: double sum equals ct of the two Euler factors times theta",
         signed,
@@ -200,7 +174,7 @@ def _quarter_chain(
     paired = euler_z_product(qmono(2 * lin_coeff), qmono(2), order, den=4).zstretch(2)
     chain.zobjects(
         "Euler pairing: the two factors multiply to the z^2 Euler product with base q^2",
-        z_plus * z_minus,
+        pair,
         paired,
     )
 
@@ -214,7 +188,7 @@ def _quarter_chain(
     )
 
     # step 6: closure through the classical identity under q -> q^2
-    _closure_by_substitution(chain, classical_name, single, eval_product(spec, order))
+    _closure(chain, classical_name, 2, single, eval_product(spec, order))
     return chain.steps
 
 
@@ -286,7 +260,7 @@ def replay_1_7(order) -> List[StepReport]:
     )
 
     # step 3: closure through the classical identity
-    _closure_direct(chain, "rogers_mod4_1_4", single, eval_product(spec, order))
+    _closure(chain, "rogers_mod4_1_4", 1, single, eval_product(spec, order))
     return chain.steps
 
 
@@ -324,20 +298,21 @@ def replay_1_8(order) -> List[StepReport]:
     z_plus = euler_z_inverse(Monomial(I, Fraction(3, 2)), q2, head, den=4)
     z_minus = euler_z_inverse(Monomial(MINUS_I, Fraction(3, 2)), q2, head, den=4)
     theta = theta_z(Fraction(1, 2), Fraction(-1, 4), I, -1, head, den=4)
+    pair = z_plus * z_minus
     chain.series(
         "constant-term form: rewritten sum equals ct of the two inverse Euler"
         " factors times the i-signed theta",
         rewritten,
-        (z_plus * z_minus * theta).ct().truncate(order),
+        (pair * theta).ct().truncate(order),
     )
 
     # step 3: the inverse Euler factors collapse in z^2
     collapsed = euler_z_inverse(Monomial(MINUS_ONE, 3), q4, head, den=4).zstretch(2)
-    chain.claim(
+    chain.zobjects(
         "Euler collapse: the paired factors equal the z^2 inverse Euler product"
         " with base q^4",
-        (z_plus * z_minus).same_through(collapsed, order),
-        (z_plus * z_minus).first_difference(collapsed, order),
+        pair,
+        collapsed,
     )
 
     # step 4: extract the constant term of the collapsed form
@@ -349,7 +324,7 @@ def replay_1_8(order) -> List[StepReport]:
     )
 
     # step 5: closure through the classical identity
-    _closure_direct(chain, "rogers_mod4_2_3", single, eval_product(spec, order))
+    _closure(chain, "rogers_mod4_2_3", 1, single, eval_product(spec, order))
     return chain.steps
 
 

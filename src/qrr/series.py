@@ -1,16 +1,22 @@
 """Truncated formal power series in q**(1/D) with exact Gaussian-integer
 coefficients.
 
-A QSeries stores a sparse map from scaled exponents e (meaning q**(e/den)) to
-nonzero coefficients, together with an inclusive truncation bound `order` in
-the same scaled units: every coefficient at e <= order is exactly the
-mathematical value.  Negative q-exponents are a hard error; nothing in this
-engine is Laurent in q (the auxiliary variable z is handled separately).
+A QSeries stores its coefficients densely: the real parts `re` and the
+imaginary parts `im` (None for a real series) are lists of ints, and entry k
+is the coefficient of q**((val + k)/den).  An inclusive truncation bound
+`order`, in the same scaled units, goes with them: every coefficient at
+e <= order is exactly the mathematical value.  Negative q-exponents are a hard
+error; nothing in this engine is Laurent in q (the auxiliary variable z is
+handled separately).
+
+The lists are kept in one normal form, so equality is equality of the stored
+fields: no zero coefficient at either end, empty lists for the zero series
+(with val 0), im None exactly when every imaginary part is 0, and nothing
+stored beyond `order`.  Lists are never mutated once a series holds them.
 
 Binary operations unify denominators through the lcm and truncate to the
-smaller order.  Multiplication routes dense operands through the
-Kronecker-substitution convolution kernel (qrr._kernel_py) and keeps genuinely
-sparse operands on a direct product loop.
+smaller order.  Every product goes through the Kronecker-substitution
+convolution kernel (qrr._kernel_py).
 """
 
 from __future__ import annotations
@@ -18,15 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Iterator, Optional
 
 from . import _kernel_py
 from .errors import DivergentProduct, NegativeExponent, NonUnitConstantTerm
-from .gaussian import ONE, UNITS, ZERO, GaussianInt, is_unit, unit_pow
-
-# below this many stored terms on either side, multiplication skips the dense
-# kernel and uses the direct sparse product
-_SPARSE_CUTOFF = 12
+from .gaussian import ONE, ZERO, GaussianInt, is_unit, unit_pow
 
 
 @dataclass(frozen=True)
@@ -65,38 +68,109 @@ def _as_order(order, den: int) -> int:
     return int(scaled) if scaled.denominator == 1 else int(scaled.numerator // scaled.denominator)
 
 
-class QSeries:
-    __slots__ = ("den", "order", "coeffs")
+def _normal(order: int, val: int, re: list, im: Optional[list]):
+    """(val, re, im) in normal form, without the terms beyond scaled `order`."""
+    n = order - val + 1
+    if len(re) > n:
+        re = re[: max(n, 0)]
+        im = None if im is None else im[: max(n, 0)]
+    if im is not None and not any(im):
+        im = None
+    hi = len(re)
+    lo = 0
+    if im is None:
+        while hi and not re[hi - 1]:
+            hi -= 1
+        while lo < hi and not re[lo]:
+            lo += 1
+    else:
+        while hi and not (re[hi - 1] or im[hi - 1]):
+            hi -= 1
+        while lo < hi and not (re[lo] or im[lo]):
+            lo += 1
+    if not hi:
+        return 0, [], None
+    if lo or hi < len(re):
+        re = re[lo:hi]
+        im = None if im is None else im[lo:hi]
+    return val + lo, re, im
 
-    def __init__(self, den: int, order: int, coeffs: dict, _canonical: bool = False):
+
+def _spread(x: list, f: int) -> list:
+    """x with f - 1 zeros between consecutive entries."""
+    out = [0] * (f * (len(x) - 1) + 1)
+    out[::f] = x
+    return out
+
+
+def _lay(n: int, parts) -> list:
+    """A length-n list summing each list x placed at offset o, for (o, x) in
+    parts; x is None for zeros, and entries past n are dropped."""
+    out = [0] * n
+    for o, x in parts:
+        if x is not None and o < n:
+            out[o : o + len(x)] = map(add, out[o : o + len(x)], x)
+    return out
+
+
+def _times(re: list, im: Optional[list], cr: int, ci: int):
+    """(re + i*im) * (cr + i*ci) as a pair of lists; an im of None is zero,
+    and the result's im is None when it is zero."""
+    if im is None:
+        return [x * cr for x in re], ([x * ci for x in re] if ci else None)
+    if not ci:
+        return [x * cr for x in re], [y * cr for y in im]
+    return [x * cr - y * ci for x, y in zip(re, im)], [x * ci + y * cr for x, y in zip(re, im)]
+
+
+class QSeries:
+    __slots__ = ("den", "order", "val", "re", "im")
+
+    def __init__(self, den: int, order: int, coeffs: dict):
+        """The series sum coeffs[e] * q**(e/den), exact through scaled `order`.
+
+        Terms beyond `order` are dropped; a negative exponent raises."""
         if den <= 0:
             raise ValueError("denominator must be positive")
         if order < 0:
             raise ValueError("scaled order must be nonnegative")
-        if not _canonical:
-            clean = {}
-            for e, c in coeffs.items():
-                if not isinstance(c, GaussianInt):
-                    c = GaussianInt(*c)
-                if c.is_zero() or e > order:
-                    continue
-                if e < 0:
-                    raise NegativeExponent("exponent %s/%s" % (e, den))
-                clean[e] = c
-            coeffs = clean
+        terms = {}
+        for e, c in coeffs.items():
+            if not isinstance(c, GaussianInt):
+                c = GaussianInt(*c)
+            if c.is_zero() or e > order:
+                continue
+            if e < 0:
+                raise NegativeExponent("exponent %s/%s" % (e, den))
+            terms[e] = c
+        lo = min(terms, default=0)
+        re = [0] * (max(terms, default=-1) - lo + 1)
+        im = re[:]
+        for e, c in terms.items():
+            re[e - lo], im[e - lo] = c
         self.den = den
         self.order = order
-        self.coeffs = coeffs
+        self.val, self.re, self.im = _normal(order, lo, re, im)
+
+    @classmethod
+    def _of(cls, den: int, order: int, val: int, re: list, im: Optional[list] = None) -> "QSeries":
+        """The series sum_k (re[k] + i*im[k]) * q**((val + k)/den), exact through
+        scaled `order`; the lists are brought to normal form."""
+        s = cls.__new__(cls)
+        s.den = den
+        s.order = order
+        s.val, s.re, s.im = _normal(order, val, re, im)
+        return s
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, order, den: int = 1) -> "QSeries":
-        return cls(den, _as_order(order, den), {}, _canonical=True)
+        return cls._of(den, _as_order(order, den), 0, [])
 
     @classmethod
     def one(cls, order, den: int = 1) -> "QSeries":
-        return cls(den, _as_order(order, den), {0: ONE}, _canonical=True)
+        return cls._of(den, _as_order(order, den), 0, [1])
 
     @classmethod
     def term(cls, coeff: GaussianInt, exp, order, den: Optional[int] = None) -> "QSeries":
@@ -113,40 +187,51 @@ class QSeries:
         return Fraction(self.order, self.den)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.re
 
     def is_real(self) -> bool:
-        return all(c.im == 0 for c in self.coeffs.values())
+        return self.im is None
+
+    def _support(self) -> Iterator[int]:
+        """Positions k of the nonzero coefficients."""
+        im = self.im
+        return (k for k, x in enumerate(self.re) if x or (im is not None and im[k]))
 
     def terms(self) -> Iterator[tuple]:
         """Sorted (exponent: Fraction, coefficient) pairs."""
-        for e in sorted(self.coeffs):
-            yield Fraction(e, self.den), self.coeffs[e]
+        for k in self._support():
+            yield Fraction(self.val + k, self.den), self._at(k)
+
+    def _at(self, k: int) -> GaussianInt:
+        return GaussianInt(self.re[k], 0 if self.im is None else self.im[k])
 
     def coeff(self, exp) -> GaussianInt:
         exp = Fraction(exp)
         if exp > self.order_q:
             raise ValueError("exponent %s beyond truncation order %s" % (exp, self.order_q))
         scaled = exp * self.den
-        if scaled.denominator != 1:
+        k = int(scaled) - self.val
+        if scaled.denominator != 1 or not 0 <= k < len(self.re):
             return ZERO
-        return self.coeffs.get(int(scaled), ZERO)
+        return self._at(k)
 
     def valuation(self) -> Optional[Fraction]:
-        if not self.coeffs:
+        if not self.re:
             return None
-        return Fraction(min(self.coeffs), self.den)
+        return Fraction(self.val, self.den)
 
     def fractional_support(self) -> list:
         """Exponents with nonzero coefficient that are not integers."""
-        return sorted(
-            Fraction(e, self.den) for e in self.coeffs if e % self.den != 0
-        )
+        return [
+            Fraction(self.val + k, self.den)
+            for k in self._support()
+            if (self.val + k) % self.den
+        ]
 
     def imaginary_support(self) -> list:
-        return sorted(
-            Fraction(e, self.den) for e, c in self.coeffs.items() if c.im != 0
-        )
+        if self.im is None:
+            return []
+        return [Fraction(self.val + k, self.den) for k, y in enumerate(self.im) if y]
 
     # -- denominator plumbing ----------------------------------------------
 
@@ -157,50 +242,42 @@ class QSeries:
         if den % self.den:
             raise ValueError("new denominator must be a multiple")
         f = den // self.den
-        return QSeries(
-            den, self.order * f, {e * f: c for e, c in self.coeffs.items()}, _canonical=True
-        )
+        im = None if self.im is None else _spread(self.im, f)
+        return QSeries._of(den, self.order * f, self.val * f, _spread(self.re, f), im)
 
     def reduce(self) -> "QSeries":
         """Shrink the denominator by the gcd of the support (display helper)."""
-        g = self.den
-        for e in self.coeffs:
-            g = gcd(g, e)
-            if g == 1:
-                return self
-        if g == 1 or g == 0:
+        g = gcd(self.den, self.val, *self._support())
+        if g == 1:
             return self
-        return QSeries(
-            self.den // g,
-            self.order // g,
-            {e // g: c for e, c in self.coeffs.items()},
-            _canonical=True,
-        )
+        im = None if self.im is None else self.im[::g]
+        return QSeries._of(self.den // g, self.order // g, self.val // g, self.re[::g], im)
 
     @staticmethod
     def _unify(a: "QSeries", b: "QSeries"):
         den = lcm(a.den, b.den)
         a = a.rescale(den)
         b = b.rescale(den)
-        order = min(a.order, b.order)
-        return den, order, a.coeffs, b.coeffs
+        return den, min(a.order, b.order), a, b
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "QSeries") -> "QSeries":
-        den, order, ca, cb = self._unify(self, other)
-        out = dict(ca)
-        for e, c in cb.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-        return QSeries(den, order, {e: c for e, c in out.items() if e <= order}, _canonical=True)
+        den, order, a, b = self._unify(self, other)
+        if not b.re:
+            return QSeries._of(den, order, a.val, a.re, a.im)
+        if not a.re:
+            return QSeries._of(den, order, b.val, b.re, b.im)
+        lo = min(a.val, b.val)
+        n = min(max(a.val + len(a.re), b.val + len(b.re)), order + 1) - lo
+        re = _lay(n, ((a.val - lo, a.re), (b.val - lo, b.re)))
+        im = None
+        if a.im is not None or b.im is not None:
+            im = _lay(n, ((a.val - lo, a.im), (b.val - lo, b.im)))
+        return QSeries._of(den, order, lo, re, im)
 
     def __neg__(self) -> "QSeries":
-        return QSeries(self.den, self.order, {e: -c for e, c in self.coeffs.items()}, _canonical=True)
+        return QSeries._of(self.den, self.order, self.val, *_times(self.re, self.im, -1, 0))
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         return self + (-other)
@@ -208,11 +285,9 @@ class QSeries:
     def scale(self, c: GaussianInt) -> "QSeries":
         if not isinstance(c, GaussianInt):
             c = GaussianInt(*c)
-        if c.is_zero():
-            return QSeries(self.den, self.order, {}, _canonical=True)
-        return QSeries(
-            self.den, self.order, {e: v * c for e, v in self.coeffs.items()}, _canonical=True
-        )
+        if c == ONE:
+            return self
+        return QSeries._of(self.den, self.order, self.val, *_times(self.re, self.im, *c))
 
     def shift(self, exp) -> "QSeries":
         """Multiply by q**exp; the truncation order moves with the shift.
@@ -227,27 +302,23 @@ class QSeries:
         order = s.order + k
         if order < 0:
             raise NegativeExponent("shift by %s empties the series window" % exp)
-        out = {}
-        for e, c in s.coeffs.items():
-            t = e + k
-            if t < 0:
-                raise NegativeExponent("q^%s after shift by %s" % (Fraction(e, den), exp))
-            out[t] = c
-        return QSeries(den, order, out, _canonical=True)
+        if s.re and s.val + k < 0:
+            raise NegativeExponent("q^%s after shift by %s" % (Fraction(s.val, den), exp))
+        return QSeries._of(den, order, s.val + k, s.re, s.im)
 
     def truncate(self, order) -> "QSeries":
         """Lower the truncation order (q-units)."""
         n = _as_order(order, self.den)
         if n > self.order:
             raise ValueError("cannot raise the truncation order")
-        return QSeries(self.den, n, {e: c for e, c in self.coeffs.items() if e <= n}, _canonical=True)
+        return QSeries._of(self.den, n, self.val, self.re, self.im)
 
     def mul(self, other: "QSeries", bound=None) -> "QSeries":
         """Product, exact through min(orders) or the tighter q-unit `bound`."""
-        den, order, ca, cb = self._unify(self, other)
+        den, order, a, b = self._unify(self, other)
         if bound is not None:
             order = min(order, _as_order(bound, den))
-        return QSeries(den, order, _mul_coeffs(ca, cb, order), _canonical=True)
+        return QSeries._of(den, order, *_mul_coeffs(a, b, order))
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         return self.mul(other)
@@ -257,19 +328,14 @@ class QSeries:
 
         The constant term must be a unit of Z[i].
         """
-        c0 = self.coeffs.get(0)
-        if c0 is None or not is_unit(c0):
-            raise NonUnitConstantTerm(
-                "constant term %s is not a unit of Z[i]" % (c0 if c0 else "0",)
-            )
+        c0 = self.coeff(0)
+        if not is_unit(c0):
+            raise NonUnitConstantTerm("constant term %s is not a unit of Z[i]" % (c0,))
         n_max = self.order
-        ar = [0] * (n_max + 1)
-        ai = [0] * (n_max + 1)
-        for e, c in self.coeffs.items():
-            ar[e] = c.re
-            ai[e] = c.im
-        support = sorted(e for e in self.coeffs if e > 0)
-        ur, ui = c0.conj()  # inverse of a unit is its conjugate
+        ar = self.re
+        ai = self.im or [0] * len(ar)
+        support = [k for k in self._support() if k]
+        ur, ui = c0.re, -c0.im  # inverse of a unit is its conjugate
         br = [0] * (n_max + 1)
         bi = [0] * (n_max + 1)
         br[0], bi[0] = ur, ui
@@ -284,24 +350,17 @@ class QSeries:
                 si += xr * yi + xi * yr
             br[n] = -(ur * sr - ui * si)
             bi[n] = -(ur * si + ui * sr)
-        out = {
-            e: GaussianInt(br[e], bi[e])
-            for e in range(n_max + 1)
-            if br[e] or bi[e]
-        }
-        return QSeries(self.den, n_max, out, _canonical=True)
+        return QSeries._of(self.den, n_max, 0, br, bi)
 
     def substitute_power(self, r) -> "QSeries":
         """q -> q**r for a positive rational r (exponent dilation)."""
         r = Fraction(r)
         if r <= 0:
             raise ValueError("substitution power must be positive")
-        den = self.den * r.denominator
-        return QSeries(
-            den,
-            self.order * r.numerator,
-            {e * r.numerator: c for e, c in self.coeffs.items()},
-            _canonical=True,
+        p = r.numerator
+        im = None if self.im is None else _spread(self.im, p)
+        return QSeries._of(
+            self.den * r.denominator, self.order * p, self.val * p, _spread(self.re, p), im
         )
 
     # -- comparison --------------------------------------------------------
@@ -311,28 +370,31 @@ class QSeries:
 
     def first_difference(self, other: "QSeries", order=None) -> Optional[Fraction]:
         """Smallest exponent where the two series differ, through min(orders)."""
-        den, n, ca, cb = self._unify(self, other)
+        den, n, a, b = self._unify(self, other)
         if order is not None:
             n = min(n, _as_order(order, den))
-        diffs = [
-            e
-            for e in set(ca) | set(cb)
-            if e <= n and ca.get(e, ZERO) != cb.get(e, ZERO)
-        ]
-        return Fraction(min(diffs), den) if diffs else None
+        a = QSeries._of(den, n, a.val, a.re, a.im)
+        b = QSeries._of(den, n, b.val, b.re, b.im)
+        if a._same(b):
+            return None
+        return Fraction((a - b).val, den)
+
+    def _same(self, other: "QSeries") -> bool:
+        """Equal coefficients (both in normal form on one grid)."""
+        return self.val == other.val and self.re == other.re and self.im == other.im
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
         if self.order_q != other.order_q:
             return False
-        _, _, ca, cb = self._unify(self, other)
-        return ca == cb
+        _, _, a, b = self._unify(self, other)
+        return a._same(b)
 
     __hash__ = None
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.re:
             return "0 + O(q^%s)" % (self.order_q + Fraction(1, self.den))
         parts = []
         for e, c in self.terms():
@@ -352,7 +414,7 @@ class QSeries:
         return {
             "den": self.den,
             "order": self.order,
-            "terms": [[e, self.coeffs[e].re, self.coeffs[e].im] for e in sorted(self.coeffs)],
+            "terms": [[self.val + k, *self._at(k)] for k in self._support()],
         }
 
     @classmethod
@@ -364,70 +426,21 @@ class QSeries:
         )
 
 
-def _mul_coeffs(ca: dict, cb: dict, n_max: int) -> dict:
-    """Truncated Cauchy product of two canonical coefficient maps."""
-    if not ca or not cb:
-        return {}
-    if len(ca) > len(cb):
-        ca, cb = cb, ca
-    if len(ca) <= _SPARSE_CUTOFF:
-        out = {}
-        for e1, c1 in ca.items():
-            if e1 > n_max:
-                continue
-            for e2, c2 in cb.items():
-                e = e1 + e2
-                if e > n_max:
-                    continue
-                p = c1 * c2
-                s = out.get(e)
-                s = p if s is None else s + p
-                if s.is_zero():
-                    out.pop(e, None)
-                else:
-                    out[e] = s
-        return out
-
-    va = min(ca)
-    vb = min(cb)
-    if va + vb > n_max:
-        return {}
-    nout = n_max - va - vb + 1
-    # each operand only up to its own top term: the kernel takes inputs shorter than nout
-    ar, ai, a_real = _densify(ca, va, min(max(ca), va + nout - 1))
-    br, bi, b_real = _densify(cb, vb, min(max(cb), vb + nout - 1))
-    if a_real and b_real:
-        cr = _kernel_py.conv_real(ar, br, nout)
-        ci = None
-    elif a_real:
-        cr = _kernel_py.conv_real(ar, br, nout)
-        ci = _kernel_py.conv_real(ar, bi, nout)
-    elif b_real:
-        cr = _kernel_py.conv_real(br, ar, nout)
-        ci = _kernel_py.conv_real(br, ai, nout)
-    else:
-        cr, ci = _kernel_py.conv_complex(ar, ai, br, bi, nout)
-    base = va + vb
-    if ci is None:
-        return {base + k: GaussianInt(cr[k], 0) for k in range(nout) if cr[k]}
-    return {
-        base + k: GaussianInt(cr[k], ci[k])
-        for k in range(nout)
-        if cr[k] or ci[k]
-    }
-
-
-def _densify(coeffs: dict, lo: int, hi: int):
-    re = [0] * (hi - lo + 1)
-    im = [0] * (hi - lo + 1)
-    real = True
-    for e, c in coeffs.items():
-        if lo <= e <= hi:
-            re[e - lo] = c.re
-            im[e - lo] = c.im
-            if c.im:
-                real = False
-    return re, im, real
+def _mul_coeffs(a: QSeries, b: QSeries, n_max: int):
+    """(val, re, im) of the product of two series on one grid, through scaled
+    exponent n_max."""
+    val = a.val + b.val
+    nout = min(n_max - val + 1, len(a.re) + len(b.re) - 1)
+    if not a.re or not b.re or nout <= 0:
+        return 0, [], None
+    conv = _kernel_py.conv_real
+    if a.im is None and b.im is None:
+        return val, conv(a.re, b.re, nout), None
+    if a.im is None:
+        return val, conv(a.re, b.re, nout), conv(a.re, b.im, nout)
+    if b.im is None:
+        return val, conv(b.re, a.re, nout), conv(b.re, a.im, nout)
+    return (val, *_kernel_py.conv_complex(a.re, a.im, b.re, b.im, nout))
 
 
 # -- binomial-factor helpers (O(order) each) --------------------------------
@@ -441,17 +454,12 @@ def mul_binomial(s: QSeries, unit: GaussianInt, exp) -> QSeries:
     den = lcm(s.den, exp.denominator)
     s = s.rescale(den)
     k = int(exp * den)
-    out = dict(s.coeffs)
-    for e, c in s.coeffs.items():
-        t = e + k
-        if t > s.order:
-            continue
-        v = out.get(t, ZERO) - c * unit
-        if v.is_zero():
-            out.pop(t, None)
-        else:
-            out[t] = v
-    return QSeries(den, s.order, out, _canonical=True)
+    n = min(len(s.re) + k, s.order - s.val + 1)
+    ur, ui = unit
+    tr, ti = _times(s.re, s.im, -ur, -ui)
+    re = _lay(n, ((0, s.re), (k, tr)))
+    im = None if s.im is None and ti is None else _lay(n, ((0, s.im), (k, ti)))
+    return QSeries._of(den, s.order, s.val, re, im)
 
 
 def div_binomial(s: QSeries, unit: GaussianInt, exp) -> QSeries:
@@ -462,22 +470,21 @@ def div_binomial(s: QSeries, unit: GaussianInt, exp) -> QSeries:
     den = lcm(s.den, exp.denominator)
     s = s.rescale(den)
     k = int(exp * den)
-    if k > s.order:
+    if k > s.order or not s.re:
         return s
-    n_max = s.order
-    cr = [0] * (n_max + 1)
-    ci = [0] * (n_max + 1)
-    for e, c in s.coeffs.items():
-        cr[e] = c.re
-        ci[e] = c.im
+    n = s.order - s.val + 1
     ur, ui = unit
-    for e in range(k, n_max + 1):
+    cr = s.re + [0] * (n - len(s.re))
+    if s.im is None and not ui:
+        for e in range(k, n):
+            cr[e] += ur * cr[e - k]
+        return QSeries._of(den, s.order, s.val, cr)
+    ci = (s.im or [0] * len(s.re)) + [0] * (n - len(s.re))
+    for e in range(k, n):
         xr, xi = cr[e - k], ci[e - k]
-        if xr or xi:
-            cr[e] += ur * xr - ui * xi
-            ci[e] += ur * xi + ui * xr
-    out = {e: GaussianInt(cr[e], ci[e]) for e in range(n_max + 1) if cr[e] or ci[e]}
-    return QSeries(den, n_max, out, _canonical=True)
+        cr[e] += ur * xr - ui * xi
+        ci[e] += ur * xi + ui * xr
+    return QSeries._of(den, s.order, s.val, cr, ci)
 
 
 # -- Pochhammer builders ----------------------------------------------------

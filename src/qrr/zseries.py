@@ -28,9 +28,7 @@ from .series import Monomial, QSeries, _as_order, inv_poch_table
 def _fit(s: QSeries, den: int, order: int) -> QSeries:
     """s on grid `den` (a multiple of s.den), truncated to scaled `order`."""
     s = s.rescale(den)
-    if s.order == order:
-        return s
-    return QSeries(den, order, {e: c for e, c in s.coeffs.items() if e <= order}, _canonical=True)
+    return s if s.order == order else s.truncate(Fraction(order, den))
 
 
 def _min_order(a, b):
@@ -99,7 +97,7 @@ class ZSeries:
         return s.shift(self.qshift) if self.qshift else s
 
     def _zero_slice(self) -> QSeries:
-        return QSeries(self.den, self.order, {}, _canonical=True)
+        return QSeries.zero(Fraction(self.order, self.den), self.den)
 
     def ct(self) -> QSeries:
         """The constant term CT_z: the z**0 coefficient."""

@@ -118,6 +118,20 @@ def test_table_json_round_trip():
     assert [r[1] for r in doc["rows"]] == [1, 1, 1, 1, 2, 2, 3]
 
 
+def test_table_puts_both_sides_on_the_finer_grid(tmp_path):
+    # the sum side lives on den 1, the product side on den 2
+    p = tmp_path / "half.id"
+    p.write_text(
+        'identity "half" {\n  den 1;\n  sum { indices n; exponent n^2; denoms (q; n); }\n'
+        "  product { 1/poch(q^1/2, q) }\n}\n"
+    )
+    code, text = run(["table", str(p), "--order", "2", "--format", "csv"])
+    assert code == EXIT_OK
+    rows = list(csv.reader(io.StringIO(text)))[1:]
+    assert [r[0] for r in rows] == ["0", "1/2", "1", "3/2", "2"]
+    assert rows[1] == ["1/2", "0", "0", "1", "0"]
+
+
 def test_replay_pass_and_step_schema():
     code, text = run(["replay", "1.5", "--order", "20", "--format", "json"])
     assert code == EXIT_OK

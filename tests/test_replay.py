@@ -1,11 +1,14 @@
 from fractions import Fraction as F
+from importlib import import_module
 
 import pytest
 from qrr import corpus
-from qrr.gaussian import I, MINUS_I, MINUS_ONE, i_pow, sign_binom2, unit_pow
-from qrr.identity import LinForm, SignAtom, eval_sum
+from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, i_pow, sign_binom2, unit_pow
+from qrr.identity import LinForm, SignAtom, eval_product, eval_sum
 from qrr.replay import (
     REPLAYS,
+    _Chain,
+    _closure,
     chain_passes,
     replay,
     replay_1_5,
@@ -13,8 +16,11 @@ from qrr.replay import (
     replay_1_7,
     replay_1_8,
 )
-from qrr.series import qmono
+from qrr.series import QSeries, qmono
 from qrr.zseries import euler_z_product, theta_z
+
+# the package exports the function replay() under the module's name
+replay_module = import_module("qrr.replay")
 
 
 @pytest.mark.parametrize("theorem", sorted(REPLAYS))
@@ -88,3 +94,38 @@ def test_monotone_in_order():
     # passing at order N implies passing at any smaller order
     assert chain_passes(replay_1_8(30))
     assert chain_passes(replay_1_8(12))
+
+
+@pytest.mark.parametrize("name, power", [("rogers_mod4_1_4", 1), ("rogers_mod5_1_4", 2)])
+def test_closure_evaluates_each_classical_side_once(monkeypatch, name, power):
+    order = F(24)
+    base = corpus.load(name)
+    single = eval_sum(base, order / power).substitute_power(power)
+    product = eval_product(base, order / power).substitute_power(power)
+    bump = QSeries.term(ONE, 5, order)
+    calls = []
+
+    def counted(fn, extra=None):
+        def run(spec, o):
+            calls.append(fn.__name__)
+            out = fn(spec, o)
+            return out if extra is None else out + extra
+
+        return run
+
+    monkeypatch.setattr(replay_module, "eval_sum", counted(eval_sum))
+    monkeypatch.setattr(replay_module, "eval_product", counted(eval_product))
+    chain = _Chain("t", order)
+    _closure(chain, name, power, single, product)
+    _closure(chain, name, power, single + bump, product)
+    _closure(chain, name, power, single, product + bump)
+    # a classical identity that does not verify fails the closure
+    monkeypatch.setattr(replay_module, "eval_product", counted(eval_product, QSeries.term(ONE, 3, order)))
+    _closure(chain, name, power, single, product)
+    assert calls == ["eval_sum", "eval_product"] * 4
+    assert [s.first_divergence for s in chain.steps] == [
+        None,
+        ("sum", 5),
+        ("product", 5),
+        "classical base %s: mismatch" % name,
+    ]

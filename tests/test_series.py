@@ -1,11 +1,13 @@
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrr.errors import DivergentProduct, NegativeExponent
-from qrr.gaussian import I, MINUS_ONE, ONE, GaussianInt, binom2
+from qrr.gaussian import I, MINUS_ONE, ONE, UNITS, ZERO, GaussianInt, binom2
+from qrr.oracle import dense_mul
 from qrr.series import (
     Monomial,
     QSeries,
@@ -206,6 +208,148 @@ def test_invert_roundtrip(a):
 def test_add_coefficientwise(a, n):
     b = QSeries.term(I, F(n, 4), a.order_q, den=4)
     assert (a + b).coeff(F(n, 4)) == a.coeff(F(n, 4)) + I
+
+
+# ---------------------------------------------------------------------------
+# exact equality of the dense storage with the same operation on plain dicts
+
+
+@st.composite
+def plain(draw):
+    """(den, order, {scaled exponent: coefficient}), with zero coefficients,
+    terms beyond the order and a nonzero valuation all possible."""
+    den = draw(st.integers(1, 4))
+    order = draw(st.integers(0, 30))
+    lo = draw(st.integers(0, order))
+    im = st.just(0) if draw(st.booleans()) else st.integers(-9, 9)
+    c = st.builds(GaussianInt, st.integers(-9, 9), im)
+    size = draw(st.sampled_from([3, 40]))
+    return den, order, draw(st.dictionaries(st.integers(lo, order + 3), c, max_size=size))
+
+
+def clean(den, order, d):
+    """The plain dict as QSeries must hold it: no zeros, nothing beyond order."""
+    return den, order, {e: c for e, c in d.items() if e <= order and not c.is_zero()}
+
+
+def as_plain(s):
+    """(den, order, dict) of a series, after checking its normal form."""
+    if s.re:
+        assert s.val >= 0 and s.val + len(s.re) - 1 <= s.order
+        assert s.im is None or (len(s.im) == len(s.re) and any(s.im))
+        im = s.im or [0] * len(s.re)
+        assert (s.re[0] or im[0]) and (s.re[-1] or im[-1])
+    else:
+        assert s.val == 0 and s.im is None
+    return s.den, s.order, {int(e * s.den): c for e, c in s.terms()}
+
+
+def regrid(p, den):
+    d, order, c = p
+    f = den // d
+    return den, order * f, {e * f: v for e, v in c.items()}
+
+
+def unify(p, r):
+    den = lcm(p[0], r[0])
+    p, r = regrid(p, den), regrid(r, den)
+    return den, min(p[1], r[1]), p[2], r[2]
+
+
+def plain_add(p, r):
+    den, order, a, b = unify(clean(*p), clean(*r))
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, ZERO) + c
+    return clean(den, order, out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(plain(), plain())
+def test_storage_mul_matches_dense_oracle(p, r):
+    den, order, a, b = unify(clean(*p), clean(*r))
+    dense = dense_mul(*([c.get(e, ZERO) for e in range(order + 1)] for c in (a, b)))
+    want = clean(den, order, dict(enumerate(dense)))
+    assert as_plain(QSeries(*p).mul(QSeries(*r))) == want
+    assert as_plain(QSeries(*r) * QSeries(*p)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(plain(), plain(), st.sampled_from(UNITS + (GaussianInt(2, -3), ZERO)))
+def test_storage_linear_ops_match_plain_dicts(p, r, c):
+    a, b = QSeries(*p), QSeries(*r)
+    den, order, d = clean(*p)
+    assert as_plain(a + b) == plain_add(p, r)
+    assert as_plain(a - b) == plain_add(p, (r[0], r[1], {e: -v for e, v in r[2].items()}))
+    assert as_plain(-a) == (den, order, {e: -v for e, v in d.items()})
+    assert as_plain(a.scale(c)) == clean(den, order, {e: v * c for e, v in d.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(plain(), st.integers(0, 12), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3))
+def test_storage_grid_ops_match_plain_dicts(p, k, kden, f, rden):
+    a = QSeries(*p)
+    den, order, d = clean(*p)
+    # shift by k/kden, and back down to the valuation
+    exp = F(k, kden)
+    g = lcm(den, exp.denominator)
+    _, so, sc = regrid((den, order, d), g)
+    j = int(exp * g)
+    assert as_plain(a.shift(exp)) == (g, so + j, {e + j: v for e, v in sc.items()})
+    if d:
+        v = min(d)
+        assert as_plain(a.shift(F(-v, den))) == (den, order - v, {e - v: x for e, x in d.items()})
+    # truncate to a random point of the grid
+    n = k % (order + 1)
+    assert as_plain(a.truncate(F(n, den))) == clean(den, n, d)
+    assert as_plain(a.rescale(den * f)) == regrid((den, order, d), den * f)
+    # q -> q^(f/rden)
+    r = F(f, rden)
+    want = (den * r.denominator, order * r.numerator, {e * r.numerator: x for e, x in d.items()})
+    assert as_plain(a.substitute_power(r)) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(plain(), st.sampled_from(UNITS), st.integers(1, 8), st.integers(1, 3))
+def test_storage_binomials_match_two_term_products(p, u, k, kden):
+    a = QSeries(*p)
+    exp = F(k, kden)
+    g = lcm(a.den, exp.denominator)
+    two = QSeries.one(a.order_q, g) - QSeries.term(u, exp, a.order_q, g)
+    assert as_plain(mul_binomial(a, u, exp)) == as_plain(a.mul(two))
+    quotient = div_binomial(a, u, exp)
+    as_plain(quotient)  # checks its normal form
+    assert quotient.mul(two) == a.rescale(quotient.den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(plain(), st.sampled_from(UNITS))
+def test_storage_invert_unit_matches_long_division(p, u):
+    den, order, d = clean(*p)
+    d = {e + 1: c for e, c in d.items() if e < order}
+    d[0] = u
+    w = u.conj()
+    inv = [w]
+    for n in range(1, order + 1):
+        acc = ZERO
+        for j in range(1, n + 1):
+            acc = acc + d.get(j, ZERO) * inv[n - j]
+        inv.append(-(w * acc))
+    assert as_plain(QSeries(den, order, d).invert_unit()) == clean(den, order, dict(enumerate(inv)))
+
+
+def test_normal_form_cases():
+    a = QSeries(2, 9, {1: GaussianInt(3, -1), 4: MINUS_ONE, 8: I})
+    diff = a - a
+    assert diff == QSeries.zero(F(9, 2), 2) and diff.is_zero() and diff.valuation() is None
+    # (1 + i q)(1 - i q) = 1 + q^2: the imaginary part cancels
+    p = QSeries(1, 10, {0: ONE, 1: I}).mul(QSeries(1, 10, {0: ONE, 1: GaussianInt(0, -1)}))
+    assert p == QSeries(1, 10, {0: ONE, 2: ONE})
+    assert p.is_real() and p.imaginary_support() == []
+    # zero coefficients at either end and terms beyond the order are dropped
+    t = QSeries(1, 10, {0: ZERO, 3: ONE, 5: ZERO, 6: I, 9: ZERO, 12: ONE})
+    assert t == QSeries.term(ONE, 3, 10) + QSeries.term(I, 6, 10)
+    assert t.valuation() == 3 and as_plain(t) == (1, 10, {3: ONE, 6: I})
 
 
 def test_theta_exponent_decomposition():
