@@ -55,6 +55,22 @@ def conv_real(a: list, b: list, nout: int) -> list:
     return _unpack(_pack(a, wb) * _pack(b, wb), wb, nout)
 
 
+def conv_real_pair(a: list, b: list, c: list, nout: int) -> tuple:
+    """(conv_real(a, b, nout), conv_real(a, c, nout)) with a packed once: the
+    real times complex product a * (b + i*c)."""
+    a, b, c = a[:nout], b[:nout], c[:nout]
+    bc = b + c
+    if not a or not bc:
+        return [0] * nout, [0] * nout
+    amax = max(max(a), -min(a))
+    bmax = max(max(bc), -min(bc))
+    if not amax or not bmax:
+        return [0] * nout, [0] * nout
+    wb = _width(amax, bmax, min(len(a), max(len(b), len(c))))
+    x = _pack(a, wb)
+    return _unpack(x * _pack(b, wb), wb, nout), _unpack(x * _pack(c, wb), wb, nout)
+
+
 def conv_complex(ar: list, ai: list, br: list, bi: list, nout: int) -> tuple:
     """(ar + i*ai) * (br + i*bi) from three real products (Karatsuba)."""
     if len(ar) > nout:

@@ -1,7 +1,8 @@
-"""Time the convolution kernel and one end-to-end verification.
+"""Time the convolution kernel, the sum side and one end-to-end verification.
 
 Run as `python -m qrr.bench`.  Times `conv_real` and `conv_complex` on random
-small-coefficient inputs at several lengths, then `verify` of
+small-coefficient inputs at several lengths, `eval_sum` of cao_wang_1_2_3 at
+SUM_ORDER and of double_mod10_2_8 at VERIFY_ORDER, then `verify` of
 double_mod10_2_8 at VERIFY_ORDER.
 """
 
@@ -12,11 +13,13 @@ import time
 from fractions import Fraction
 
 from . import _kernel_py, corpus
-from .identity import verify
+from .identity import eval_sum, verify
 
 SIZES = (64, 256, 1024, 4096)
 REPEATS = 5
 VERIFY_ORDER = Fraction(120)
+# cao_wang's explicit bounds hold every contributing point only below q^78
+SUM_ORDER = Fraction(60)
 
 
 def _time(fn, repeats: int) -> float:
@@ -40,6 +43,14 @@ def bench_kernels(out=print):
         out("%8d  %12.6f  %12.6f" % (n, tr, tc))
 
 
+def bench_sum(out=print):
+    out("")
+    out("sum side eval_sum (best of 3, seconds)")
+    for name, order in (("cao_wang_1_2_3", SUM_ORDER), ("double_mod10_2_8", VERIFY_ORDER)):
+        spec = corpus.load(name)
+        out("%-18s  %6s  %10.3f" % (spec.name, order, _time(lambda: eval_sum(spec, order), 3)))
+
+
 def bench_verify(out=print):
     spec = corpus.load("double_mod10_2_8")
     out("")
@@ -49,6 +60,7 @@ def bench_verify(out=print):
 
 def main(out=print):
     bench_kernels(out)
+    bench_sum(out)
     bench_verify(out)
 
 

@@ -6,6 +6,12 @@ exponent polynomial, one Pochhammer denominator per index, and a list of
 infinite/finite product factors.  eval_sum and eval_product expand both sides
 exactly through a truncation order; verify compares them coefficient by
 coefficient.
+
+eval_sum evaluates the sum side as nested partial sums over the declared index
+order, one multiply by a 1/(b;b)_t table entry per non-empty prefix, with the
+exponent as an integer polynomial.  For each prefix the last index runs over
+the exact integer interval where the exponent is at most the order, cut at the
+enumeration box.
 """
 
 from __future__ import annotations
@@ -13,8 +19,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iproduct
-from math import lcm
+from math import floor, isqrt, lcm
+from operator import add, sub
 from typing import Dict, Optional, Tuple
 
 from .errors import (
@@ -24,7 +30,7 @@ from .errors import (
     SemanticError,
     UnboundedEnumeration,
 )
-from .gaussian import MINUS_ONE, ONE, GaussianInt, i_pow, sign_binom2
+from .gaussian import MINUS_ONE, ONE, UNITS, GaussianInt, i_pow, sign_binom2
 from .quadform import index_bounds, is_positive_definite
 from .series import Monomial, QSeries, div_binomial, inv_poch_table, mul_binomial, poch_finite
 
@@ -290,7 +296,18 @@ def _sum_den(spec: IdentitySpec, order: Fraction) -> int:
 
 
 def eval_sum(spec: IdentitySpec, order) -> QSeries:
-    """Exact truncated expansion of the sum side."""
+    """Exact truncated expansion of the sum side, as nested partial sums.
+
+    With T_d the table of 1/(b;b)_t for the d-th index in declared order,
+    level d of the nest is sum_t T_d[t] * level_{d+1}(prefix + t), so each
+    non-empty prefix costs one multiply.  The exponent E is evaluated as the
+    integer polynomial L*E, L the lcm of its coefficient denominators.  For
+    each prefix the last index visits only the exact integer interval where
+    E <= order (from the integer square root of the discriminant), cut at the
+    box, and each of its points adds its shifted table entry, times its unit
+    sign, into int lists.  The outer indices run over the whole box:
+    `bounds` when given, else auto_bounds.
+    """
     order = Fraction(order)
     if spec.bounds is not None:
         bounds = spec.bounds
@@ -306,27 +323,109 @@ def eval_sum(spec: IdentitySpec, order) -> QSeries:
         inv_poch_table(base_of[x], bound, order, den)
         for x, bound in zip(spec.indices, bounds)
     ]
-    names = list(spec.indices)
-    acc = QSeries.zero(order, den)
-    for point_vals in iproduct(*(range(b + 1) for b in bounds)):
-        point = dict(zip(names, point_vals))
-        e = spec.exponent.eval(point)
-        if e > order:
-            continue
-        if e < 0:
-            raise NegativeExponent(
-                "%s: exponent %s at %s" % (spec.name, e, point)
+    nest = _Nest(spec, order, den, bounds, tables)
+    out = nest.level(0, nest.const, nest.lin, ())
+    return QSeries.zero(order, den) if out is None else out
+
+
+def _interval(a: int, b: int, c: int) -> Tuple[int, int]:
+    """(lo, hi): the integers t with a*t*t + b*t + c <= 0 are lo..hi, a > 0
+    (lo > hi when there are none)."""
+    # 4a(a*t*t + b*t + c) = (2at + b)**2 - disc and 2at + b is an integer, so
+    # the condition is exactly |2at + b| <= isqrt(disc)
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return 1, 0
+    s = isqrt(disc)
+    return -((s + b) // (2 * a)), (s - b) // (2 * a)
+
+
+class _Nest:
+    """The nested partial sums of one eval_sum call.
+
+    L*E = 1/2 n.Q.n + lin.n + const in integers.  A prefix carries the value
+    of L*E on its indices (c) and the linear coefficients of the indices
+    still to come (lin)."""
+
+    def __init__(self, spec: IdentitySpec, order: Fraction, den: int, bounds, tables):
+        poly = spec.exponent
+        self.scale = lcm(
+            *(c.denominator for _, c in poly.quad),
+            *(c.denominator for _, c in poly.lin),
+            poly.const.denominator,
+        )
+        self.quad = [[int(x * self.scale) for x in row] for row in poly.quadratic_matrix(spec.indices)]
+        self.lin = [int(x * self.scale) for x in poly.linear_vector(spec.indices)]
+        self.const = int(poly.const * self.scale)
+        self.top = floor(order * self.scale)  # L*E <= top exactly when E <= order
+        self.spec = spec
+        self.den = den
+        self.n = int(order * den)
+        self.bounds = bounds
+        self.tables = tables
+
+    def level(self, d: int, c: int, lin: list, prefix: tuple) -> Optional[QSeries]:
+        """sum over t of T_d[t] * level_{d+1}(prefix + t); None when no
+        point below the prefix is kept."""
+        if d == len(self.bounds) - 1:
+            return self.last(c, lin[d], prefix)
+        row = self.quad[d]
+        half = row[d] // 2
+        acc = None
+        for t in range(self.bounds[d] + 1):
+            # entries of lin before d + 1 are never read again
+            inner = self.level(
+                d + 1, c + (half * t + lin[d]) * t, [x + q * t for x, q in zip(lin, row)], prefix + (t,)
             )
-        if (e * spec.den).denominator != 1:
-            raise SemanticError(
-                "%s: exponent %s at %s not representable with den %d"
-                % (spec.name, e, point, spec.den)
-            )
-        term = tables[0][point_vals[0]]
-        for j in range(1, len(tables)):
-            term = term.mul(tables[j][point_vals[j]], bound=order - e)
-        acc = acc + term.shift(e).truncate(order).scale(eval_sign(spec.sign, point))
-    return acc
+            if inner is None or inner.is_zero():
+                continue
+            term = self.tables[d][t].mul(inner)
+            acc = term if acc is None else acc + term
+        return acc
+
+    def last(self, c: int, b: int, prefix: tuple) -> Optional[QSeries]:
+        """sum over t of sign * q^E * T_last[t] at prefix + t, by shift-and-add."""
+        spec, scale = self.spec, self.scale
+        d = len(self.bounds) - 1
+        a = self.quad[d][d] // 2
+        if a > 0:
+            lo, hi = _interval(a, b, c - self.top)
+            ts = range(max(lo, 0), min(hi, self.bounds[d]) + 1)
+        else:
+            ts = range(self.bounds[d] + 1)
+        n = self.n + 1
+        re = [0] * n
+        im = None
+        kept = False
+        for t in ts:
+            v = (a * t + b) * t + c
+            if v > self.top:
+                continue
+            point = dict(zip(spec.indices, prefix + (t,)))
+            if v < 0:
+                raise NegativeExponent(
+                    "%s: exponent %s at %s" % (spec.name, Fraction(v, scale), point)
+                )
+            if v * spec.den % scale:
+                raise SemanticError(
+                    "%s: exponent %s at %s not representable with den %d"
+                    % (spec.name, Fraction(v, scale), point, spec.den)
+                )
+            kept = True
+            entry = self.tables[d][t]  # tables are real
+            o = v * self.den // scale + entry.val
+            u = UNITS.index(eval_sign(spec.sign, point))  # i**u
+            if u % 2:
+                if im is None:
+                    im = [0] * n
+                out = im
+            else:
+                out = re
+            # map stops at the shorter list, so nothing lands past index n - 1
+            out[o : o + len(entry.re)] = map(sub if u > 1 else add, out[o : o + len(entry.re)], entry.re)
+        if not kept:
+            return None
+        return QSeries._of(self.den, self.n, 0, re, im)
 
 
 def eval_product(spec: IdentitySpec, order) -> QSeries:

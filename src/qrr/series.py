@@ -433,13 +433,12 @@ def _mul_coeffs(a: QSeries, b: QSeries, n_max: int):
     nout = min(n_max - val + 1, len(a.re) + len(b.re) - 1)
     if not a.re or not b.re or nout <= 0:
         return 0, [], None
-    conv = _kernel_py.conv_real
     if a.im is None and b.im is None:
-        return val, conv(a.re, b.re, nout), None
+        return val, _kernel_py.conv_real(a.re, b.re, nout), None
     if a.im is None:
-        return val, conv(a.re, b.re, nout), conv(a.re, b.im, nout)
+        return (val, *_kernel_py.conv_real_pair(a.re, b.re, b.im, nout))
     if b.im is None:
-        return val, conv(b.re, a.re, nout), conv(b.re, a.im, nout)
+        return (val, *_kernel_py.conv_real_pair(b.re, a.re, a.im, nout))
     return (val, *_kernel_py.conv_complex(a.re, a.im, b.re, b.im, nout))
 
 

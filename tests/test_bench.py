@@ -7,9 +7,11 @@ def test_bench_runs_at_small_sizes(monkeypatch):
     monkeypatch.setattr(bench, "SIZES", (3, 8))
     monkeypatch.setattr(bench, "REPEATS", 1)
     monkeypatch.setattr(bench, "VERIFY_ORDER", Fraction(6))
+    monkeypatch.setattr(bench, "SUM_ORDER", Fraction(5))
     lines = []
     bench.main(out=lines.append)
     text = "\n".join(lines)
     assert "convolution kernel" in text
     assert "double-mod10-2-8 at order 6" in text
-    assert len(lines) == 7
+    assert "cao-wang-1-2-3" in text and "sum side" in text
+    assert len(lines) == 11

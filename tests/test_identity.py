@@ -1,13 +1,18 @@
+import hashlib
 import json
 from fractions import Fraction as F
 from itertools import product as iproduct
 
 import pytest
 import qrr.identity
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from qrr import corpus
-from qrr.errors import SemanticError, UnboundedEnumeration
+from qrr.errors import NegativeExponent, SemanticError, UnboundedEnumeration
 from qrr.gaussian import GaussianInt, MINUS_ONE, ONE
 from qrr.identity import (
+    ExponentPoly,
+    IdentitySpec,
     LinForm,
     SignAtom,
     auto_bounds,
@@ -15,8 +20,9 @@ from qrr.identity import (
     eval_sum,
     verify,
 )
+from qrr.oracle import unpruned_sum
 from qrr.parser import parse
-from qrr.series import QSeries
+from qrr.series import QSeries, qmono
 
 
 def test_corpus_loads_completely():
@@ -191,3 +197,120 @@ def test_off_grid_exponent_is_semantic_error():
     """
     rep = verify(parse(text), 10)
     assert rep.status == "error" and "SemanticError" in rep.error
+
+
+def _one_index(exponent, den=1, bounds=""):
+    return parse(
+        'identity "t" { den %d; sum { indices n; exponent %s; denoms (q; n); %s }'
+        " product { 1/poch(q, q) } }" % (den, exponent, bounds)
+    )
+
+
+def test_negative_exponent_names_the_point():
+    with pytest.raises(NegativeExponent, match=r"t: exponent -2 at \{'n': 1\}$"):
+        eval_sum(_one_index("n^2 - 3*n"), 5)
+    spec = parse(
+        'identity "t" { den 1; sum { indices m, n; exponent m^2 + n^2 - 3*n;'
+        " denoms (q; m), (q; n); } product { 1/poch(q, q) } }"
+    )
+    with pytest.raises(NegativeExponent, match=r"exponent -2 at \{'m': 0, 'n': 1\}$"):
+        eval_sum(spec, 5)
+
+
+def test_off_grid_exponent_names_the_point():
+    # no quadratic part: the last index runs over its whole box
+    with pytest.raises(SemanticError, match=r"exponent 1/2 at \{'n': 1\} not representable with den 1"):
+        eval_sum(_one_index("1/2*n", bounds="bounds 4;"), 5)
+    with pytest.raises(SemanticError, match=r"exponent 3/2 at \{'n': 1\} not representable"):
+        eval_sum(_one_index("n^2 + 1/2*n"), 5)
+
+
+def test_explicit_bounds_cut_the_last_index_interval():
+    # n^2 <= 30 up to n = 5, and m, n <= 4 hold the double sum's points at 20
+    for name, bounds, order in (("rogers_mod5_1_4", (3,), 30), ("double_mod10_2_8", (2, 3), 20)):
+        spec = corpus.load(name)
+        cut = eval_sum(spec.with_bounds(bounds), order)
+        assert cut == unpruned_sum(spec, bounds, order)
+        assert cut != eval_sum(spec, order)
+
+
+# sha256 of json.dumps(eval_sum(spec, order).to_json(), sort_keys=True), first
+# 16 hex digits, from the per-point evaluation that preceded the nested sums
+EVAL_SUM_DIGESTS = {
+    "andrews_uncu_mod6@240": "fa248861aad4fe40",
+    "andrews_uncu_mod6@60": "f3c30f47d3447f98",
+    "cao_wang_1_2_3@60": "7d4f9f3faf1ac90e",
+    "double_mod10_2_8@240": "148a8f392ee4da10",
+    "double_mod10_2_8@60": "acb23a217fb0b4d4",
+    "double_mod10_4_6@240": "5c66fbdcb99f7145",
+    "double_mod10_4_6@60": "7188c9b75acabe7f",
+    "double_mod5_1_4@240": "0d7dd1593e29c13f",
+    "double_mod5_1_4@60": "53aef64463217c3a",
+    "double_mod5_2_3@240": "38ca939b8227b2e3",
+    "double_mod5_2_3@60": "0ceaad6f27ed579b",
+    "rogers_mod4_1_4@240": "70d6ecfadacf5472",
+    "rogers_mod4_1_4@60": "8fa65c4824170b39",
+    "rogers_mod4_2_3@240": "dfd3ea24459f75ee",
+    "rogers_mod4_2_3@60": "e867fe009e19842f",
+    "rogers_mod5_1_4@240": "c57df7fd145c7ace",
+    "rogers_mod5_1_4@60": "846fbbd635c10aa1",
+    "rogers_mod5_2_3@240": "2cd56ac4f78567a9",
+    "rogers_mod5_2_3@60": "329427ecea08c399",
+}
+
+
+def test_eval_sum_json_is_unchanged_on_the_corpus():
+    for key, digest in EVAL_SUM_DIGESTS.items():
+        name, order = key.split("@")
+        doc = eval_sum(corpus.load(name), int(order)).to_json()
+        assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16] == digest, key
+
+
+NAMES = ("a", "b", "c")
+small = st.integers(-2, 2)
+
+
+@st.composite
+def sum_specs(draw):
+    """A random rank 1-3 sum side with every exponent on its den grid: a
+    diagonally dominant (so positive definite) form with auto bounds, or any
+    form, last diagonal 0 or negative included, with explicit bounds."""
+    rank = draw(st.integers(1, 3))
+    den = draw(st.sampled_from([1, 2, 4]))
+    names = NAMES[:rank]
+    explicit = draw(st.booleans())
+    off = {(x, y): draw(small) for i, x in enumerate(names) for y in names[i + 1 :]}
+    quad = {k: F(v, den) for k, v in off.items()}
+    for x in names:
+        row = sum(abs(v) for k, v in off.items() if x in k)
+        lo = -1 if explicit else row // 2 + 1
+        quad[(x, x)] = F(draw(st.integers(lo, row // 2 + 2)), den)
+    lin = {x: F(draw(st.integers(-2, 3)), den) for x in names}
+    exponent = ExponentPoly.make(quad, lin, F(draw(st.integers(0, 3)), den))
+    sign = tuple(
+        SignAtom(kind, LinForm.make({x: draw(small) for x in names}, draw(small)))
+        for kind in draw(st.lists(st.sampled_from(["neg1", "neg1_binom", "i"]), max_size=3))
+    )
+    denoms = tuple((x, qmono(F(draw(st.integers(1, 4)), 2))) for x in names)
+    bounds = tuple(draw(st.integers(0, 4)) for _ in names) if explicit else None
+    order = draw(st.integers(0, (16, 10, 5)[rank - 1])) + draw(st.sampled_from([0, F(1, 2)]))
+    return IdentitySpec("random", den, names, sign, exponent, denoms, (), bounds), order
+
+
+@settings(max_examples=60, deadline=None)
+@given(sum_specs())
+def test_eval_sum_matches_unpruned_oracle(case):
+    spec, order = case
+    # the oracle walks a box one wider than the enumerator's, or the same
+    # explicit box, and sums every point with no pruning
+    if spec.bounds is None:
+        box = [max(b, 0) + 1 for b in auto_bounds(spec, order)]
+    else:
+        box = list(spec.bounds)
+    try:
+        want = unpruned_sum(spec, box, order)
+    except NegativeExponent:
+        with pytest.raises(NegativeExponent):
+            eval_sum(spec, order)
+        return
+    assert eval_sum(spec, order) == want

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from qrr._kernel_py import conv_complex, conv_real
+from qrr._kernel_py import conv_complex, conv_real, conv_real_pair
 from qrr.gaussian import ZERO, GaussianInt
 from qrr.oracle import dense_mul
 
@@ -47,6 +47,20 @@ def test_conv_real_matches_oracle(bits_a, bits_b):
                 for nout in _nouts(la, lb):
                     assert conv_real(a, b, nout) == _truncated(a, b, nout), (la, lb, kind, nout)
                     assert conv_real(b, a, nout) == _truncated(b, a, nout), (lb, la, kind, nout)
+
+
+@pytest.mark.parametrize("bits", BITS)
+@pytest.mark.parametrize("zero", [None, "a", "b", "c", "b and c"])
+def test_conv_real_pair_matches_oracle(bits, zero):
+    rng = random.Random(bits)
+    for la in LENGTHS:
+        for lb in LENGTHS:
+            a = _vec(rng, la, bits, "zero" if zero == "a" else "random")
+            b = _vec(rng, lb, bits, "zero" if zero in ("b", "b and c") else "random")
+            c = _vec(rng, lb, bits, "zero" if zero in ("c", "b and c") else "extreme")
+            for nout in _nouts(la, lb):
+                want = (_truncated(a, b, nout), _truncated(a, c, nout))
+                assert conv_real_pair(a, b, c, nout) == want, (la, lb, nout)
 
 
 def _gauss(re, im):
@@ -98,3 +112,9 @@ def test_conv_complex_property(a, b, nout):
     br, bi = [x for x, _ in b], [y for _, y in b]
     cr, ci = conv_complex(ar, ai, br, bi, nout)
     assert _gauss(cr, ci) == _truncated(_gauss(ar, ai), _gauss(br, bi), nout, ZERO)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(ints, max_size=24), st.lists(ints, max_size=24), st.lists(ints, max_size=24), st.integers(0, 50))
+def test_conv_real_pair_property(a, b, c, nout):
+    assert conv_real_pair(a, b, c, nout) == (_truncated(a, b, nout), _truncated(a, c, nout))
