@@ -32,7 +32,6 @@ from .special import (
     JtpReport,
     NahmData,
     gaussian_binomial,
-    hypergeometric_sum,
     jtp_check,
     nahm_series,
     rogers_szego_bw,
@@ -71,7 +70,6 @@ __all__ = [
     "JtpReport",
     "NahmData",
     "nahm_series",
-    "hypergeometric_sum",
     "IdentitySpec",
     "VerifyReport",
     "eval_sum",

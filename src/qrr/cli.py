@@ -4,7 +4,7 @@ Orders on the command line are rationals in q-units (e.g. 100 or 7/2).  Exit
 codes: 0 all good, 1 mismatch or failing step, 2 bad input (I/O, parse,
 semantic, unknown id, non-positive-definite matrix, or another QrrError), 3
 internal invariant violation (a claimed match carrying a fractional or
-imaginary residue) or engine fault (any other exception from verify).
+imaginary residue) or engine fault (any other exception from any command).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from . import corpus
-from .errors import ParseError, QrrError, SemanticError
+from .errors import QrrError
 from .identity import IdentitySpec, VerifyReport, eval_product, eval_sum, verify
 from .parser import parse_file
 from .quadform import as_matrix
@@ -136,15 +136,10 @@ def _report_exit(reports: List[VerifyReport]) -> int:
 def cmd_verify(args, out) -> int:
     try:
         specs = _collect_specs(args.paths, args.bounds)
-    except (OSError, ParseError, SemanticError) as ex:
+    except OSError as ex:
         print("error: %s" % ex, file=sys.stderr)
         return EXIT_BAD_INPUT
-    try:
-        reports = [verify(s, args.order) for s in specs]
-    except Exception as ex:  # verify reports every QrrError, so this is an engine fault
-        traceback.print_exc(file=sys.stderr)
-        print("internal error: %s: %s" % (type(ex).__name__, ex), file=sys.stderr)
-        return EXIT_INVARIANT
+    reports = [verify(s, args.order) for s in specs]
     if args.format == "json":
         json.dump([r.to_json() for r in reports], out, indent=2)
         out.write("\n")
@@ -178,38 +173,34 @@ def _table_rows(spec: IdentitySpec, order: Fraction):
 def cmd_table(args, out) -> int:
     try:
         specs = _collect_specs(args.paths, args.bounds)
-    except (OSError, ParseError, SemanticError) as ex:
+    except OSError as ex:
         print("error: %s" % ex, file=sys.stderr)
         return EXIT_BAD_INPUT
-    try:
-        for spec in specs:
-            rows = list(_table_rows(spec, args.order))
-            if args.format == "csv":
-                w = csv.writer(out, lineterminator="\n")
-                w.writerow(["exponent", "lhs_re", "lhs_im", "rhs_re", "rhs_im"])
-                for e, a, b in rows:
-                    w.writerow([e, a.re, a.im, b.re, b.im])
-            elif args.format == "json":
-                json.dump(
-                    {
-                        "identity": spec.name,
-                        "order": str(args.order),
-                        "rows": [
-                            [str(e), a.re, a.im, b.re, b.im] for e, a, b in rows
-                        ],
-                    },
-                    out,
-                    indent=2,
-                )
-                out.write("\n")
-            else:
-                print("# %s" % spec.name, file=out)
-                print("%-10s %16s %16s" % ("exponent", "sum", "product"), file=out)
-                for e, a, b in rows:
-                    print("%-10s %16s %16s" % (e, a, b), file=out)
-    except QrrError as ex:
-        print("error: %s" % ex, file=sys.stderr)
-        return EXIT_BAD_INPUT
+    for spec in specs:
+        rows = list(_table_rows(spec, args.order))
+        if args.format == "csv":
+            w = csv.writer(out, lineterminator="\n")
+            w.writerow(["exponent", "lhs_re", "lhs_im", "rhs_re", "rhs_im"])
+            for e, a, b in rows:
+                w.writerow([e, a.re, a.im, b.re, b.im])
+        elif args.format == "json":
+            json.dump(
+                {
+                    "identity": spec.name,
+                    "order": str(args.order),
+                    "rows": [
+                        [str(e), a.re, a.im, b.re, b.im] for e, a, b in rows
+                    ],
+                },
+                out,
+                indent=2,
+            )
+            out.write("\n")
+        else:
+            print("# %s" % spec.name, file=out)
+            print("%-10s %16s %16s" % ("exponent", "sum", "product"), file=out)
+            for e, a, b in rows:
+                print("%-10s %16s %16s" % (e, a, b), file=out)
     return EXIT_OK
 
 
@@ -222,11 +213,7 @@ def cmd_replay(args, out) -> int:
             file=sys.stderr,
         )
         return EXIT_BAD_INPUT
-    try:
-        steps = fn(args.order)
-    except QrrError as ex:
-        print("error: %s" % ex, file=sys.stderr)
-        return EXIT_BAD_INPUT
+    steps = fn(args.order)
     if args.format == "json":
         json.dump([s.to_json() for s in steps], out, indent=2)
         out.write("\n")
@@ -250,10 +237,10 @@ def cmd_nahm(args, out) -> int:
         a = as_matrix(_parse_matrix(args.A))
         b = [Fraction(x) for x in args.B.split(",")] if args.B else [Fraction(0)] * len(a)
         data = NahmData(a=tuple(tuple(r) for r in a), b=tuple(b), c=Fraction(args.C))
-        series = nahm_series(data, args.order)
-    except (ValueError, ZeroDivisionError, QrrError) as ex:
+    except (ValueError, ZeroDivisionError) as ex:  # malformed --A/--B/--C
         print("error: %s" % ex, file=sys.stderr)
         return EXIT_BAD_INPUT
+    series = nahm_series(data, args.order)
     if args.format == "json":
         json.dump(series.to_json(), out, indent=2)
         out.write("\n")
@@ -302,7 +289,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args, out or sys.stdout)
+    try:
+        return args.fn(args, out or sys.stdout)
+    except QrrError as ex:
+        print("error: %s" % ex, file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except Exception as ex:  # every rejected input is a QrrError, so this is an engine fault
+        traceback.print_exc(file=sys.stderr)
+        print("internal error: %s: %s" % (type(ex).__name__, ex), file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

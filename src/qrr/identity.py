@@ -8,10 +8,11 @@ exactly through a truncation order; verify compares them coefficient by
 coefficient.
 
 eval_sum evaluates the sum side as nested partial sums over the declared index
-order, one multiply by a 1/(b;b)_t table entry per non-empty prefix, with the
-exponent as an integer polynomial.  For each prefix the last index runs over
-the exact integer interval where the exponent is at most the order, cut at the
-enumeration box.
+order, with the exponent as an integer polynomial and no series multiply.  For
+each prefix the last index runs over the exact integer interval where the
+exponent is at most the order, cut at the enumeration box, and adds shifted
+1/(b;b)_t table entries; each outer level folds its inner sums from the top
+with one binomial division per index value.
 """
 
 from __future__ import annotations
@@ -298,15 +299,17 @@ def _sum_den(spec: IdentitySpec, order: Fraction) -> int:
 def eval_sum(spec: IdentitySpec, order) -> QSeries:
     """Exact truncated expansion of the sum side, as nested partial sums.
 
-    With T_d the table of 1/(b;b)_t for the d-th index in declared order,
-    level d of the nest is sum_t T_d[t] * level_{d+1}(prefix + t), so each
-    non-empty prefix costs one multiply.  The exponent E is evaluated as the
-    integer polynomial L*E, L the lcm of its coefficient denominators.  For
-    each prefix the last index visits only the exact integer interval where
-    E <= order (from the integer square root of the discriminant), cut at the
-    box, and each of its points adds its shifted table entry, times its unit
-    sign, into int lists.  The outer indices run over the whole box:
-    `bounds` when given, else auto_bounds.
+    With b_d the Pochhammer base of the d-th index in declared order, level d
+    of the nest is X_0 + (X_1 + (X_2 + ...)/(1 - q^(2b_d)))/(1 - q^b_d), X_t
+    the level below at prefix + t, since 1/(b;b)_t = 1/(b;b)_(t-1) / (1 - q^(bt)).
+    Each outer index value thus costs one O(order) binomial division and one
+    add.  The exponent E is evaluated as the integer polynomial L*E, L the lcm
+    of its coefficient denominators.  For each prefix the last index visits
+    only the exact integer interval where E <= order (from the integer square
+    root of the discriminant), cut at the box, and each of its points adds its
+    shifted 1/(b;b)_t table entry, times its unit sign, into int lists.  The
+    outer indices run over the whole box: `bounds` when given, else
+    auto_bounds.
     """
     order = Fraction(order)
     if spec.bounds is not None:
@@ -316,16 +319,9 @@ def eval_sum(spec: IdentitySpec, order) -> QSeries:
             bounds = auto_bounds(spec, order)
         except NotPositiveDefinite as ex:
             raise UnboundedEnumeration(str(ex)) from ex
-    den = _sum_den(spec, order)
-    base_of = dict(spec.denoms)
-    # bounds are aligned with the declared index order
-    tables = [
-        inv_poch_table(base_of[x], bound, order, den)
-        for x, bound in zip(spec.indices, bounds)
-    ]
-    nest = _Nest(spec, order, den, bounds, tables)
+    nest = _Nest(spec, order, _sum_den(spec, order), bounds)
     out = nest.level(0, nest.const, nest.lin, ())
-    return QSeries.zero(order, den) if out is None else out
+    return QSeries.zero(order, nest.den) if out is None else out
 
 
 def _interval(a: int, b: int, c: int) -> Tuple[int, int]:
@@ -345,9 +341,9 @@ class _Nest:
 
     L*E = 1/2 n.Q.n + lin.n + const in integers.  A prefix carries the value
     of L*E on its indices (c) and the linear coefficients of the indices
-    still to come (lin)."""
+    still to come (lin).  Only the last index has a 1/(b;b)_t table."""
 
-    def __init__(self, spec: IdentitySpec, order: Fraction, den: int, bounds, tables):
+    def __init__(self, spec: IdentitySpec, order: Fraction, den: int, bounds):
         poly = spec.exponent
         self.scale = lcm(
             *(c.denominator for _, c in poly.quad),
@@ -362,29 +358,35 @@ class _Nest:
         self.den = den
         self.n = int(order * den)
         self.bounds = bounds
-        self.tables = tables
+        base_of = dict(spec.denoms)
+        self.bases = [base_of[x].exp for x in spec.indices]
+        self.table = inv_poch_table(base_of[spec.indices[-1]], bounds[-1], order, den)
 
     def level(self, d: int, c: int, lin: list, prefix: tuple) -> Optional[QSeries]:
-        """sum over t of T_d[t] * level_{d+1}(prefix + t); None when no
+        """sum over t of level_{d+1}(prefix + t) / (b_d; b_d)_t; None when no
         point below the prefix is kept."""
         if d == len(self.bounds) - 1:
             return self.last(c, lin[d], prefix)
         row = self.quad[d]
         half = row[d] // 2
-        acc = None
-        for t in range(self.bounds[d] + 1):
+        # ascending t, so the first bad point raised is the lexicographically first
+        inner = [
             # entries of lin before d + 1 are never read again
-            inner = self.level(
+            self.level(
                 d + 1, c + (half * t + lin[d]) * t, [x + q * t for x, q in zip(lin, row)], prefix + (t,)
             )
-            if inner is None or inner.is_zero():
-                continue
-            term = self.tables[d][t].mul(inner)
-            acc = term if acc is None else acc + term
+            for t in range(self.bounds[d] + 1)
+        ]
+        acc = None
+        for t in reversed(range(len(inner))):
+            if acc is not None:
+                acc = div_binomial(acc, ONE, (t + 1) * self.bases[d])
+            if inner[t] is not None:
+                acc = inner[t] if acc is None else acc + inner[t]
         return acc
 
     def last(self, c: int, b: int, prefix: tuple) -> Optional[QSeries]:
-        """sum over t of sign * q^E * T_last[t] at prefix + t, by shift-and-add."""
+        """sum over t of sign * q^E / (b;b)_t at prefix + t, by shift-and-add."""
         spec, scale = self.spec, self.scale
         d = len(self.bounds) - 1
         a = self.quad[d][d] // 2
@@ -412,7 +414,7 @@ class _Nest:
                     % (spec.name, Fraction(v, scale), point, spec.den)
                 )
             kept = True
-            entry = self.tables[d][t]  # tables are real
+            entry = self.table[t]  # the table is real
             o = v * self.den // scale + entry.val
             u = UNITS.index(eval_sign(spec.sign, point))  # i**u
             if u % 2:

@@ -25,10 +25,10 @@ from typing import Callable, Dict, List, Optional
 
 from . import corpus
 from .gaussian import I, MINUS_I, MINUS_ONE, ONE, unit_pow
-from .identity import LinForm, SignAtom, compare, eval_product, eval_sum
+from .identity import ExponentPoly, IdentitySpec, LinForm, SignAtom, compare, eval_product, eval_sum
 from .parser import parse_poly
 from .series import Monomial, QSeries, inv_poch_table, poch_finite, qmono
-from .special import gaussian_binomial, hypergeometric_sum, rs_at
+from .special import gaussian_binomial, rs_at
 from .zseries import ZSeries, euler_z_inverse, euler_z_product, theta_z
 
 
@@ -93,6 +93,15 @@ def chain_passes(steps: List[StepReport]) -> bool:
 
 
 # -- shared pieces ----------------------------------------------------------
+
+
+def _single_sum(quad, lin, base: Monomial, order) -> QSeries:
+    """sum_n q^(quad*n^2 + lin*n) / (base; base)_n through `order`, evaluated
+    as a rank-1 sum side; the exponent must be an integer at every n."""
+    spec = IdentitySpec(
+        "single", 1, ("n",), (), ExponentPoly.make({("n", "n"): quad}, {"n": lin}), (("n", base),), ()
+    )
+    return eval_sum(spec, order)
 
 
 def _closure(chain: _Chain, classical_name: str, power: int, single: QSeries, product: QSeries):
@@ -180,7 +189,7 @@ def _quarter_chain(
 
     # step 5: extract the constant term of the paired form
     lin = 2 * lin_coeff - Fraction(3, 2)  # 0 for 1.5, 2 for 1.6
-    single = hypergeometric_sum(lambda n: 2 * n * n + lin * n, qmono(2), order)
+    single = _single_sum(2, lin, qmono(2), order)
     chain.series(
         "constant-term extraction reduces to a single sum over (q^2;q^2)_n",
         (paired * theta).ct(),
@@ -247,7 +256,7 @@ def replay_1_7(order) -> List[StepReport]:
         if d is not None:
             div = (n, d)
             break
-    single = hypergeometric_sum(lambda n: n * n, q4, order)
+    single = _single_sum(1, 0, q4, order)
     if div is None:
         d = regrouped.first_difference(single, order)
         if d is not None:
@@ -316,7 +325,7 @@ def replay_1_8(order) -> List[StepReport]:
     )
 
     # step 4: extract the constant term of the collapsed form
-    single = hypergeometric_sum(lambda n: n * n + 2 * n, q4, order)
+    single = _single_sum(1, 2, q4, order)
     chain.series(
         "constant-term extraction reduces to a single sum over (q^4;q^4)_n",
         (collapsed * theta).ct().truncate(order),

@@ -29,7 +29,7 @@ from typing import Iterator, Optional
 
 from . import _kernel_py
 from .errors import DivergentProduct, NegativeExponent, NonUnitConstantTerm
-from .gaussian import ONE, ZERO, GaussianInt, is_unit, unit_pow
+from .gaussian import ONE, ZERO, GaussianInt, is_unit
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,6 @@ class Monomial:
             raise ValueError("monomial unit must be one of +-1, +-i")
         object.__setattr__(self, "exp", Fraction(self.exp))
 
-    def pow(self, k: int) -> "Monomial":
-        return Monomial(unit_pow(self.unit, k), self.exp * k)
-
     def __str__(self):
         u = {(1, 0): "", (-1, 0): "-", (0, 1): "i*", (0, -1): "-i*"}[self.unit]
         return "%sq^%s" % (u, self.exp)
@@ -54,9 +51,6 @@ class Monomial:
 
 def qmono(exp, unit: GaussianInt = ONE) -> Monomial:
     return Monomial(unit, Fraction(exp))
-
-
-Q = qmono(1)
 
 
 def _as_order(order, den: int) -> int:

@@ -6,17 +6,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import NotPositiveDefinite
-from .gaussian import MINUS_ONE, ONE, GaussianInt
+from .gaussian import MINUS_ONE, ONE
 from .identity import ExponentPoly, IdentitySpec, eval_sum
 from .quadform import as_matrix, is_positive_definite, is_symmetric
 from .series import (
     Monomial,
     QSeries,
     div_binomial,
-    inv_poch_table,
     mul_binomial,
     poch_infinite,
     qmono,
@@ -166,38 +165,3 @@ def nahm_series(data: NahmData, order) -> QSeries:
     `order`, including the global q^C prefactor."""
     return eval_sum(data.sum_spec(), order)
 
-
-def hypergeometric_sum(
-    exponent: Callable[[int], Fraction],
-    base: Monomial,
-    order,
-    den: Optional[int] = None,
-    unit: Callable[[int], GaussianInt] = lambda n: ONE,
-) -> QSeries:
-    """sum_n unit(n) q^exponent(n) / (base;base)_n through `order`.
-
-    The exponent must be eventually increasing (a quadratic with positive
-    leading coefficient in practice); summation stops at the first n past the
-    minimum whose exponent exceeds `order`.
-    """
-    order = Fraction(order)
-    exps = []
-    n = 0
-    prev = None
-    while True:
-        e = Fraction(exponent(n))
-        if e > order and (prev is None or e >= prev):
-            break
-        if e <= order:
-            exps.append((n, e))
-        prev = e
-        n += 1
-    d = den or 1
-    for _, e in exps:
-        d = lcm(d, e.denominator)
-    d = lcm(d, order.denominator, base.exp.denominator)
-    table = inv_poch_table(base, max((n for n, _ in exps), default=0), order, d)
-    acc = QSeries.zero(order, d)
-    for n, e in exps:
-        acc = acc + table[n].shift(e).scale(unit(n))
-    return acc

@@ -70,10 +70,6 @@ class ZSeries:
         """A z-free object: the series sits at z**0."""
         return cls({0: s})
 
-    @classmethod
-    def one(cls, order, den: int = 1) -> "ZSeries":
-        return cls.embed(QSeries.one(order, den))
-
     # -- views -------------------------------------------------------------
 
     @property
@@ -159,9 +155,6 @@ class ZSeries:
 
     def scale_series(self, s: QSeries) -> "ZSeries":
         return ZSeries({k: c.mul(s) for k, c in self.coeff.items()}, self.qshift)._cap(*_min_order(self, s))
-
-    def scale_unit(self, u: GaussianInt) -> "ZSeries":
-        return ZSeries._of({k: c.scale(u) for k, c in self.coeff.items()}, self.qshift, self.den, self.order)
 
     def zshift(self, j: int) -> "ZSeries":
         return ZSeries._of({k + j: s for k, s in self.coeff.items()}, self.qshift, self.den, self.order)

@@ -201,3 +201,29 @@ def test_replay_rejected_input_exits_bad_input(monkeypatch, capsys):
     code, _ = run(["replay", "1.5", "--order", "10"])
     assert code == EXIT_BAD_INPUT
     assert "bad order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "target, argv, exc",
+    [
+        ("REPLAYS", ["replay", "1.5", "--order", "10"], TypeError),
+        ("eval_product", ["table", corpus_path("rogers_mod5_1_4"), "--order", "6"], TypeError),
+        ("nahm_series", ["nahm", "--A", "2", "--order", "10"], TypeError),
+        # an engine ValueError is not a malformed --A/--B/--C
+        ("nahm_series", ["nahm", "--A", "2", "--order", "10"], ValueError),
+    ],
+)
+def test_engine_fault_exits_invariant_in_every_command(monkeypatch, capsys, target, argv, exc):
+    fault = _raise(exc("engine bug"))
+    if target == "REPLAYS":
+        monkeypatch.setitem(qrr.cli.REPLAYS, "1.5", fault)
+    else:
+        monkeypatch.setattr(qrr.cli, target, fault)
+    code, _ = run(argv)
+    assert code == EXIT_INVARIANT
+    assert "%s: engine bug" % exc.__name__ in capsys.readouterr().err
+
+
+def test_nahm_malformed_matrix_is_bad_input():
+    code, _ = run(["nahm", "--A", "1,x", "--order", "10"])
+    assert code == EXIT_BAD_INPUT

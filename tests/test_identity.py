@@ -4,6 +4,7 @@ from fractions import Fraction as F
 from itertools import product as iproduct
 
 import pytest
+import qrr._kernel_py
 import qrr.identity
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,6 +218,23 @@ def test_negative_exponent_names_the_point():
         eval_sum(spec, 5)
 
 
+def test_first_bad_point_is_named_across_outer_values():
+    # m = 0 keeps every point; m = 1 and m = 2 each have two bad points
+    spec = parse(
+        'identity "t" { den 1; sum { indices m, n; exponent m^2 - 3*m + n^2 - 3*n + 3;'
+        " denoms (q; m), (q; n); } product { 1/poch(q, q) } }"
+    )
+    with pytest.raises(NegativeExponent, match=r"exponent -1 at \{'m': 1, 'n': 1\}$"):
+        eval_sum(spec, 5)
+    # m*n/2 is off the den-1 grid exactly when m and n are both odd
+    spec = parse(
+        'identity "t" { den 1; sum { indices m, n; exponent m^2 + 1/2*m*n + n^2;'
+        " denoms (q; m), (q; n); } product { 1/poch(q, q) } }"
+    )
+    with pytest.raises(SemanticError, match=r"exponent 5/2 at \{'m': 1, 'n': 1\} not representable"):
+        eval_sum(spec, 12)
+
+
 def test_off_grid_exponent_names_the_point():
     # no quadratic part: the last index runs over its whole box
     with pytest.raises(SemanticError, match=r"exponent 1/2 at \{'n': 1\} not representable with den 1"):
@@ -264,6 +282,20 @@ def test_eval_sum_json_is_unchanged_on_the_corpus():
         name, order = key.split("@")
         doc = eval_sum(corpus.load(name), int(order)).to_json()
         assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16] == digest, key
+
+
+def test_eval_sum_makes_no_kernel_call(monkeypatch):
+    for name in ("conv_real", "conv_real_pair", "conv_complex"):
+        monkeypatch.setattr(qrr._kernel_py, name, _kernel_call)
+    for key, digest in EVAL_SUM_DIGESTS.items():
+        name, order = key.split("@")
+        if order == "60":
+            doc = eval_sum(corpus.load(name), 60).to_json()
+            assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16] == digest, key
+
+
+def _kernel_call(*args):
+    raise AssertionError("eval_sum called the convolution kernel")
 
 
 NAMES = ("a", "b", "c")

@@ -9,6 +9,7 @@ from qrr.replay import (
     REPLAYS,
     _Chain,
     _closure,
+    _single_sum,
     chain_passes,
     replay,
     replay_1_5,
@@ -129,3 +130,9 @@ def test_closure_evaluates_each_classical_side_once(monkeypatch, name, power):
         ("product", 5),
         "classical base %s: mismatch" % name,
     ]
+
+
+def test_single_sum_stops_correctly():
+    s = _single_sum(1, 2, qmono(4), 30)  # sum q^(n^2 + 2n) / (q^4;q^4)_n
+    assert s.coeff(0).re == 1 and s.coeff(3).re == 1  # n=1 term q^3/(q^4;q^4)_1
+    assert s.coeff(8).re == 1  # n=2 gives q^8

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from qrr.errors import NegativeExponent, NotPositiveDefinite
+from qrr.identity import ExponentPoly, IdentitySpec
 from qrr.oracle import unpruned_sum
 from qrr.quadform import index_bounds
 from qrr.gaussian import MINUS_ONE, ONE
@@ -14,7 +15,6 @@ from qrr.special import (
     JtpReport,
     NahmData,
     gaussian_binomial,
-    hypergeometric_sum,
     jtp_check,
     nahm_series,
     rogers_szego_bw,
@@ -102,10 +102,17 @@ def test_jtp_negative_control():
     assert d is not None and d[1] <= 2
 
 
+def _single_sum(quad, lin, box, order):
+    """sum_n q^(quad*n^2 + lin*n) / (q;q)_n over n <= box, by the oracle."""
+    exponent = ExponentPoly.make({("n", "n"): quad}, {"n": lin})
+    spec = IdentitySpec("single", 1, ("n",), (), exponent, (("n", qmono(1)),), ())
+    return unpruned_sum(spec, (box,), order)
+
+
 def test_nahm_rank1_matches_single_sum():
     data = NahmData(a=((F(2),),), b=(F(0),), c=F(0))
     s = nahm_series(data, 40)
-    direct = hypergeometric_sum(lambda n: n * n, qmono(1), 40)
+    direct = _single_sum(1, 0, 7, 40)
     assert s.same_through(direct, 40)
 
 
@@ -114,7 +121,7 @@ def test_nahm_half_integer_linear():
     s = nahm_series(data, 20)
     # n(n+1)/2 is always integral, so the scaled denominator reduces to 1
     assert s.den in (1, 2)
-    direct = hypergeometric_sum(lambda n: F(n * n, 2) + F(n, 2), qmono(1), 20)
+    direct = _single_sum(F(1, 2), F(1, 2), 6, 20)
     assert s.same_through(direct, 20)
 
 
@@ -189,9 +196,3 @@ def test_index_bounds_cover_every_point_property(data, order):
     for n in iproduct(range(-r, r + 1), repeat=data.rank):
         if data.exponent(n) <= order:
             assert all(x <= g for x, g in zip(n, bounds)), (n, bounds)
-
-
-def test_hypergeometric_sum_stops_correctly():
-    s = hypergeometric_sum(lambda n: n * n + 2 * n, qmono(4), 30)
-    assert s.coeff(0).re == 1 and s.coeff(3).re == 1  # n=1 term q^3/(q^4;q^4)_1
-    assert s.coeff(8).re == 1  # n=2 gives q^8
