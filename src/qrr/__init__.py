@@ -32,6 +32,7 @@ from .special import (
     JtpReport,
     NahmData,
     gaussian_binomial,
+    gaussian_binomial_row,
     jtp_check,
     nahm_series,
     rogers_szego_bw,
@@ -63,6 +64,7 @@ __all__ = [
     "euler_z_inverse",
     "euler_z_product",
     "gaussian_binomial",
+    "gaussian_binomial_row",
     "rogers_szego_def",
     "rogers_szego_bw",
     "rs_at",

@@ -1,9 +1,11 @@
-"""Time the convolution kernel, the sum side and one end-to-end verification.
+"""Time the convolution kernel, the sum side, one end-to-end verification and
+the z-product layer.
 
 Run as `python -m qrr.bench`.  Times `conv_real` and `conv_complex` on random
 small-coefficient inputs at several lengths, `eval_sum` of cao_wang_1_2_3 at
-SUM_ORDER and of double_mod10_2_8 at VERIFY_ORDER, then `verify` of
-double_mod10_2_8 at VERIFY_ORDER.
+SUM_ORDER and of double_mod10_2_8 at VERIFY_ORDER, `verify` of
+double_mod10_2_8 at VERIFY_ORDER, then the replay chains 1.5-1.8 at
+REPLAY_ORDER and `jtp_check` at JTP_ORDER.
 """
 
 from __future__ import annotations
@@ -14,12 +16,16 @@ from fractions import Fraction
 
 from . import _kernel_py, corpus
 from .identity import eval_sum, verify
+from .replay import REPLAYS
+from .special import jtp_check
 
 SIZES = (64, 256, 1024, 4096)
 REPEATS = 5
 VERIFY_ORDER = Fraction(120)
 # cao_wang's explicit bounds hold every contributing point only below q^78
 SUM_ORDER = Fraction(60)
+REPLAY_ORDER = Fraction(80)
+JTP_ORDER = Fraction(300)
 
 
 def _time(fn, repeats: int) -> float:
@@ -58,10 +64,22 @@ def bench_verify(out=print):
     out("%10.3f" % _time(lambda: verify(spec, VERIFY_ORDER), 3))
 
 
+def bench_zseries(out=print):
+    out("")
+    out(
+        "z-products: replay chains at order %s, jtp_check at order %s (best of 3, seconds)"
+        % (REPLAY_ORDER, JTP_ORDER)
+    )
+    for theorem, chain in sorted(REPLAYS.items()):
+        out("replay %-11s  %10.3f" % (theorem, _time(lambda: chain(REPLAY_ORDER), 3)))
+    out("jtp_check %8s  %10.3f" % (JTP_ORDER, _time(lambda: jtp_check(JTP_ORDER), 3)))
+
+
 def main(out=print):
     bench_kernels(out)
     bench_sum(out)
     bench_verify(out)
+    bench_zseries(out)
 
 
 if __name__ == "__main__":

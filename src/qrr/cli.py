@@ -4,7 +4,8 @@ Orders on the command line are rationals in q-units (e.g. 100 or 7/2).  Exit
 codes: 0 all good, 1 mismatch or failing step, 2 bad input (I/O, parse,
 semantic, unknown id, non-positive-definite matrix, or another QrrError), 3
 internal invariant violation (a claimed match carrying a fractional or
-imaginary residue) or engine fault (any other exception from any command).
+imaginary residue) or engine fault (any other exception from any command),
+141 when the reader closes standard output early (128 + SIGPIPE).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import traceback
 from fractions import Fraction
@@ -31,6 +33,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_BAD_INPUT = 2
 EXIT_INVARIANT = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: the reader closed standard output
 
 #: JSON schema (draft-07) of one verify report, as published.
 REPORT_SCHEMA = {
@@ -291,6 +294,11 @@ def main(argv=None, out=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args, out or sys.stdout)
+    except BrokenPipeError:
+        if out is None:
+            # the interpreter flushes stdout at exit; send that flush nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except QrrError as ex:
         print("error: %s" % ex, file=sys.stderr)
         return EXIT_BAD_INPUT

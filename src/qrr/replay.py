@@ -28,7 +28,7 @@ from .gaussian import I, MINUS_I, MINUS_ONE, ONE, unit_pow
 from .identity import ExponentPoly, IdentitySpec, LinForm, SignAtom, compare, eval_product, eval_sum
 from .parser import parse_poly
 from .series import Monomial, QSeries, inv_poch_table, poch_finite, qmono
-from .special import gaussian_binomial, rs_at
+from .special import gaussian_binomial_rows, rs_at
 from .zseries import ZSeries, euler_z_inverse, euler_z_product, theta_z
 
 
@@ -225,11 +225,10 @@ def replay_1_7(order) -> List[StepReport]:
     # step 1: regroup along N = m + n via Gaussian binomials
     regrouped = QSeries.zero(order, 4)
     inners = []
-    for n in range(n_max + 1):
+    for n, row in zip(range(n_max + 1), gaussian_binomial_rows(q2, order, 4)):
         e = Fraction(n * n, 4)
         inner = QSeries.zero(order, 4)
-        for m in range(n + 1):
-            gb = gaussian_binomial(n, m, q2, order, 4)
+        for m, gb in enumerate(row):
             inner = inner + (gb if m % 2 == 0 else -gb)
         inners.append(inner)
         regrouped = regrouped + inner.mul(table[n], bound=order - e).shift(e).truncate(order)

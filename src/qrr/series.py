@@ -15,8 +15,10 @@ fields: no zero coefficient at either end, empty lists for the zero series
 stored beyond `order`.  Lists are never mutated once a series holds them.
 
 Binary operations unify denominators through the lcm and truncate to the
-smaller order.  Every product goes through the Kronecker-substitution
-convolution kernel (qrr._kernel_py).
+smaller order.  A product with a one-term operand is a shift and scale of
+the other operand; every other product goes through the Kronecker-substitution
+convolution kernel (qrr._kernel_py), on every g-th entry when the nonzero
+coefficients of both operands sit on a common stride g from their valuations.
 """
 
 from __future__ import annotations
@@ -422,18 +424,70 @@ class QSeries:
 
 def _mul_coeffs(a: QSeries, b: QSeries, n_max: int):
     """(val, re, im) of the product of two series on one grid, through scaled
-    exponent n_max."""
+    exponent n_max.
+
+    A one-term operand c*q**v makes the product a scaled copy of the other
+    operand's lists.  Otherwise, when every nonzero coefficient of both
+    operands sits at an offset from its valuation that is a multiple of some
+    g > 1, the kernel convolves every g-th entry and the result is spread back
+    onto the grid."""
     val = a.val + b.val
     nout = min(n_max - val + 1, len(a.re) + len(b.re) - 1)
     if not a.re or not b.re or nout <= 0:
         return 0, [], None
-    if a.im is None and b.im is None:
-        return val, _kernel_py.conv_real(a.re, b.re, nout), None
-    if a.im is None:
-        return (val, *_kernel_py.conv_real_pair(a.re, b.re, b.im, nout))
-    if b.im is None:
-        return (val, *_kernel_py.conv_real_pair(b.re, a.re, a.im, nout))
-    return (val, *_kernel_py.conv_complex(a.re, a.im, b.re, b.im, nout))
+    if len(b.re) == 1:
+        a, b = b, a
+    if len(a.re) == 1:
+        re, im = b.re[:nout], None if b.im is None else b.im[:nout]
+        cr, ci = a.re[0], 0 if a.im is None else a.im[0]
+        if cr == 1 and not ci:
+            return val, re, im
+        return (val, *_times(re, im, cr, ci))
+    na, nb = min(len(a.re), nout), min(len(b.re), nout)
+    # g = 0: no nonzero offset inside the window, only the first terms meet
+    g = _stride(_stride(0, a.re, a.im, na), b.re, b.im, nb) or nout
+    if g == 1:
+        return (val, *_conv(a.re, a.im, b.re, b.im, nout))
+    ai = None if a.im is None else a.im[:na:g]
+    bi = None if b.im is None else b.im[:nb:g]
+    re, im = _conv(a.re[:na:g], ai, b.re[:nb:g], bi, (nout - 1) // g + 1)
+    return val, _spread(re, g), None if im is None else _spread(im, g)
+
+
+def _stride(g: int, re: list, im: Optional[list], n: int) -> int:
+    """The gcd of g and every offset 0 < k < n at which re[k] or im[k] is
+    nonzero (an im of None is zero); g = 0 stands for no offset yet.
+
+    The first nonzero offset below g (or n) is found by a short walk, so a
+    dense list returns at offset 1; the residues mod g are then checked one
+    slice at a time, and a nonzero residue j lowers g to gcd(g, j)."""
+    k = 1
+    top = min(g, n) if g else n
+    while k < top and not (re[k] or im is not None and im[k]):
+        k += 1
+    if k < top:
+        g = gcd(g, k)
+    j = 1
+    while j < g:
+        if any(re[j:n:g]) or im is not None and any(im[j:n:g]):
+            g = gcd(g, j)
+            j = 1
+        else:
+            j += 1
+    return g
+
+
+def _conv(ar: list, ai: Optional[list], br: list, bi: Optional[list], nout: int):
+    """(re, im) of the product (ar + i*ai) * (br + i*bi) through nout terms,
+    by the one kernel call that fits the operands; im is None for a real
+    product."""
+    if ai is None and bi is None:
+        return _kernel_py.conv_real(ar, br, nout), None
+    if ai is None:
+        return _kernel_py.conv_real_pair(ar, br, bi, nout)
+    if bi is None:
+        return _kernel_py.conv_real_pair(br, ar, ai, nout)
+    return _kernel_py.conv_complex(ar, ai, br, bi, nout)
 
 
 # -- binomial-factor helpers (O(order) each) --------------------------------

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import lcm
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import NotPositiveDefinite
-from .gaussian import MINUS_ONE, ONE
+from .gaussian import MINUS_ONE, unit_pow
 from .identity import ExponentPoly, IdentitySpec, eval_sum
 from .quadform import as_matrix, is_positive_definite, is_symmetric
 from .series import (
@@ -23,33 +24,63 @@ from .series import (
 from .zseries import ZSeries, euler_z_product, theta_z
 
 
+def _binomial_den(b: Monomial, order, den: Optional[int]) -> int:
+    return lcm(den or 1, b.exp.denominator, Fraction(order).denominator)
+
+
 def gaussian_binomial(n: int, k: int, b: Monomial, order, den: Optional[int] = None) -> QSeries:
     """The Gaussian binomial [n k] in base b, exact through `order`.
 
-    As a polynomial it has degree k*(n-k)*b.exp; with order at least that, the
-    result is the exact polynomial.  Zero for k outside 0..n.
+    As a polynomial in b it has degree k*(n-k); with order at least
+    k*(n-k)*b.exp, the result is the exact polynomial.  Zero for k outside
+    0..n.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    d = lcm(den or 1, b.exp.denominator, Fraction(order).denominator)
+    d = _binomial_den(b, order, den)
     if k < 0 or k > n:
         return QSeries.zero(order, d)
     out = QSeries.one(order, d)
     bound = out.order_q
     for j in range(n - k + 1, n + 1):
         if j * b.exp <= bound:
-            out = mul_binomial(out, b.unit, j * b.exp)
+            out = mul_binomial(out, unit_pow(b.unit, j), j * b.exp)
     for j in range(1, k + 1):
         if j * b.exp <= bound:
-            out = div_binomial(out, b.unit, j * b.exp)
+            out = div_binomial(out, unit_pow(b.unit, j), j * b.exp)
     return out
+
+
+def gaussian_binomial_rows(b: Monomial, order, den: Optional[int] = None) -> Iterator[list]:
+    """The rows [[n 0], ..., [n n]] in base b for n = 0, 1, 2, ..., exact
+    through `order`, each from the one before by the q-Pascal rule
+    [n k] = [n-1 k-1] + b**k * [n-1 k]: shifts, scales and adds only."""
+    one = QSeries.one(order, _binomial_den(b, order, den))
+    bound = one.order_q
+    row = [one]
+    while True:
+        yield row
+        nxt = [one]
+        for k in range(1, len(row)):
+            if k * b.exp <= bound:
+                nxt.append(row[k - 1] + row[k].shift(k * b.exp).scale(unit_pow(b.unit, k)))
+            else:
+                nxt.append(row[k - 1])  # b**k * [n-1 k] lies beyond the order
+        nxt.append(one)
+        row = nxt
+
+
+def gaussian_binomial_row(n: int, b: Monomial, order, den: Optional[int] = None) -> list:
+    """[[n 0], ..., [n n]] in base b, exact through `order`; entry k equals
+    gaussian_binomial(n, k, b, order, den)."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return next(islice(gaussian_binomial_rows(b, order, den), n, None))
 
 
 def rogers_szego_def(n: int, b: Monomial, order, den: Optional[int] = None) -> ZSeries:
     """H_n(t; b) by its defining sum over Gaussian binomials (t carried as z)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return ZSeries({j: gaussian_binomial(n, j, b, order, den) for j in range(n + 1)})
+    return ZSeries(dict(enumerate(gaussian_binomial_row(n, b, order, den))))
 
 
 def rogers_szego_bw(n: int, b: Monomial, order, den: Optional[int] = None) -> ZSeries:
@@ -61,21 +92,24 @@ def rogers_szego_bw(n: int, b: Monomial, order, den: Optional[int] = None) -> ZS
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    d = lcm(den or 1, b.exp.denominator, Fraction(order).denominator)
-    b_sq = Monomial(b.unit, 2 * b.exp)
+    d = _binomial_den(b, order, den)
+    u = b.unit
     one = QSeries.one(order, d)
     half = n // 2
     upper = (n + 1) // 2
+    binomials = gaussian_binomial_row(half, Monomial(unit_pow(u, 2), 2 * b.exp), order, d)
     acc = ZSeries.zero(order, d)
     for r in range(half + 1):
         part = ZSeries.embed(one).zshift(r)  # z**r
         for s in range(r):
             # (z + b**(1+2s))
-            part = part * ZSeries({1: one, 0: QSeries.term(b.unit, (1 + 2 * s) * b.exp, order, d)})
+            c = QSeries.term(unit_pow(u, 1 + 2 * s), (1 + 2 * s) * b.exp, order, d)
+            part = part * ZSeries({1: one, 0: c})
         for s in range(upper - r):
             # (1 + z * b**(2s))
-            part = part * ZSeries({0: one, 1: QSeries.term(ONE, 2 * s * b.exp, order, d)})
-        acc = acc + part.scale_series(gaussian_binomial(half, r, b_sq, order, d))
+            c = QSeries.term(unit_pow(u, 2 * s), 2 * s * b.exp, order, d)
+            part = part * ZSeries({0: one, 1: c})
+        acc = acc + part.scale_series(binomials[r])
     return acc
 
 

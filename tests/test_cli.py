@@ -9,6 +9,7 @@ import qrr.identity
 from qrr import corpus
 from qrr.cli import (
     EXIT_BAD_INPUT,
+    EXIT_BROKEN_PIPE,
     EXIT_INVARIANT,
     EXIT_MISMATCH,
     EXIT_OK,
@@ -227,3 +228,25 @@ def test_engine_fault_exits_invariant_in_every_command(monkeypatch, capsys, targ
 def test_nahm_malformed_matrix_is_bad_input():
     code, _ = run(["nahm", "--A", "1,x", "--order", "10"])
     assert code == EXIT_BAD_INPUT
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away: the first write raises."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", corpus_path("rogers_mod5_1_4"), "--order", "30"],
+        ["verify", corpus_path("rogers_mod5_1_4"), "--order", "10"],
+        ["nahm", "--A", "2", "--order", "10", "--format", "json"],
+    ],
+)
+def test_closed_stdout_is_not_an_engine_fault(capsys, argv):
+    assert EXIT_BROKEN_PIPE == 141
+    assert main(argv, out=_ClosedPipe()) == EXIT_BROKEN_PIPE
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "internal error" not in err

@@ -2,11 +2,12 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qrr import _kernel_py
 from qrr.errors import DivergentProduct, NegativeExponent
-from qrr.gaussian import I, MINUS_ONE, ONE, UNITS, ZERO, GaussianInt, binom2
+from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, UNITS, ZERO, GaussianInt, binom2
 from qrr.oracle import dense_mul
 from qrr.series import (
     Monomial,
@@ -336,6 +337,104 @@ def test_storage_invert_unit_matches_long_division(p, u):
             acc = acc + d.get(j, ZERO) * inv[n - j]
         inv.append(-(w * acc))
     assert as_plain(QSeries(den, order, d).invert_unit()) == clean(den, order, dict(enumerate(inv)))
+
+
+# ---------------------------------------------------------------------------
+# the one-term and common-stride paths of the product against the oracle
+
+
+@st.composite
+def strided(draw, g):
+    """(den, order, {scaled exponent: coefficient}) with every term at
+    val + g*k: real, complex, purely imaginary, or a single term (a unit or
+    any coefficient)."""
+    den = draw(st.integers(1, 4))
+    order = draw(st.integers(0, 90))
+    val = draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(["real", "complex", "imaginary", "unit", "term"]))
+    small = st.integers(-9, 9)
+    if kind == "unit":
+        return den, order, {val: draw(st.sampled_from(UNITS))}
+    if kind == "term":
+        return den, order, {val: draw(st.builds(GaussianInt, small, small))}
+    re = st.just(0) if kind == "imaginary" else small
+    im = st.just(0) if kind == "real" else small
+    cs = draw(st.lists(st.builds(GaussianInt, re, im), min_size=2, max_size=9))
+    return den, order, {val + g * k: c for k, c in enumerate(cs)}
+
+
+def oracle_product(p, r, bound):
+    """The product of two plain dicts as a plain dict: oracle.dense_mul on
+    the real and imaginary parts of the dense lists from each valuation."""
+    den, order, a, b = unify(clean(*p), clean(*r))
+    if bound is not None:
+        order = min(order, int(bound * den))
+    if not a or not b:
+        return den, order, {}
+    lo = min(a) + min(b)
+    dense = [[c.get(e, ZERO) for e in range(min(c), max(c) + 1)] for c in (a, b)]
+    (ar, ai), (br, bi) = ([[x.re for x in v], [x.im for x in v]] for v in dense)
+    rr, ii, ri, ir = dense_mul(ar, br), dense_mul(ai, bi), dense_mul(ar, bi), dense_mul(ai, br)
+    out = {lo + k: GaussianInt(rr[k] - ii[k], ri[k] + ir[k]) for k in range(len(rr))}
+    return clean(den, order, out)
+
+
+@st.composite
+def strided_pair(draw):
+    """Two strided operands, on one stride g or on two, and an optional
+    q-unit bound; orders and bounds fall anywhere relative to the stride."""
+    g = draw(st.integers(1, 12))
+    h = draw(st.sampled_from([g, 2 * g, draw(st.integers(1, 12))]))
+    bound = draw(st.none() | st.fractions(0, 40, max_denominator=4))
+    return draw(strided(g)), draw(strided(h)), bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(strided_pair())
+# stride 4 on den 1, nout - 1 = 38 is not a multiple of 4
+@example(((1, 38, {0: ONE, 4: I, 8: MINUS_ONE}), (1, 38, {2: ONE, 6: ONE, 30: MINUS_I}), None))
+# a purely imaginary operand times a one-term i
+@example(((2, 40, {1: I, 7: MINUS_I}), (2, 40, {3: I}), F(13, 4)))
+def test_mul_fast_paths_match_dense_oracle(case):
+    p, r, bound = case
+    want = oracle_product(p, r, bound)
+    assert as_plain(QSeries(*p).mul(QSeries(*r), bound)) == want
+    assert as_plain(QSeries(*r).mul(QSeries(*p), bound)) == want
+
+
+def test_one_term_operand_makes_no_kernel_call(monkeypatch):
+    def fail(*args):
+        raise AssertionError("kernel called")
+
+    s = poch_infinite(qmono(F(1, 2), I), qmono(1), 30, den=2)
+    real = poch_infinite(qmono(1), qmono(1), 30)
+    cs = UNITS + (GaussianInt(2, -3),)
+    terms = [QSeries.term(c, F(3, 2), 28, den=2) for c in cs]
+    want = [x.shift(F(3, 2)).scale(c).truncate(28) for x in (s, real) for c in cs]
+    for name in ("conv_real", "conv_real_pair", "conv_complex"):
+        monkeypatch.setattr(_kernel_py, name, fail)
+    assert [x.mul(t) for x in (s, real) for t in terms] == want
+    assert [t * x for x in (s, real) for t in terms] == want
+
+
+def test_common_stride_convolves_every_gth_entry(monkeypatch):
+    # 1/(q^2;q^2)_n on the den-4 grid: a nonzero at every 8th entry only
+    table = inv_poch_table(qmono(2), 12, 60, 4)
+    a, b = table[12], table[7].shift(F(1, 2)).truncate(60)
+    assert a.den == b.den == 4 and len(a.re) > 200
+    want = oracle_product(as_plain(a), as_plain(b), None)
+    calls = []
+
+    def spy(x, y, nout):
+        calls.append((len(x), len(y), nout))
+        return real_conv(x, y, nout)
+
+    real_conv = _kernel_py.conv_real
+    monkeypatch.setattr(_kernel_py, "conv_real", spy)
+    assert as_plain(a.mul(b)) == want
+    (la, lb, nout), = calls
+    assert la <= -(-len(a.re) // 8) and lb <= -(-len(b.re) // 8)
+    assert nout == (a.order - a.val - b.val) // 8 + 1
 
 
 def test_normal_form_cases():

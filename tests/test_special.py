@@ -9,12 +9,13 @@ from qrr.errors import NegativeExponent, NotPositiveDefinite
 from qrr.identity import ExponentPoly, IdentitySpec
 from qrr.oracle import unpruned_sum
 from qrr.quadform import index_bounds
-from qrr.gaussian import MINUS_ONE, ONE
+from qrr.gaussian import MINUS_ONE, ONE, UNITS, GaussianInt
 from qrr.series import Monomial, QSeries, poch_finite, qmono
 from qrr.special import (
     JtpReport,
     NahmData,
     gaussian_binomial,
+    gaussian_binomial_row,
     jtp_check,
     nahm_series,
     rogers_szego_bw,
@@ -49,10 +50,34 @@ def test_gaussian_binomial_pascal():
             assert lhs == rhs, (n, k)
 
 
+@pytest.mark.parametrize("unit", UNITS)
+@pytest.mark.parametrize("exp, den", [(F(1), 1), (F(2), 4), (F(1, 2), 2)])
+def test_gaussian_binomial_rows_match_gaussian_binomial(unit, exp, den):
+    b = Monomial(unit, exp)
+    # order 40 holds every polynomial through n = 8; order 5 cuts most of them
+    for order in (F(40), F(5)):
+        for n in range(9):
+            row = gaussian_binomial_row(n, b, order, den)
+            assert row == [gaussian_binomial(n, k, b, order, den) for k in range(n + 1)], (order, n)
+
+
+def test_gaussian_binomial_is_a_polynomial_in_the_base():
+    # [2 1]_b = 1 + b and [3 1]_b = 1 + b + b^2, for b = -q and b = i*q
+    for unit in (MINUS_ONE, GaussianInt(0, 1)):
+        b = Monomial(unit, F(1))
+        one, bq = QSeries.one(10), QSeries.term(unit, 1, 10)
+        b2 = QSeries.term(unit * unit, 2, 10)
+        assert gaussian_binomial(2, 1, b, 10) == one + bq
+        assert gaussian_binomial(3, 1, b, 10) == one + bq + b2
+        assert gaussian_binomial_row(3, b, 10)[2] == one + bq + b2
+
+
 def test_rogers_szego_representations_agree():
-    q = qmono(1)
-    for n in range(9):
-        assert rogers_szego_def(n, q, 60).same_through(rogers_szego_bw(n, q, 60))
+    # base q, and bases -q, i*q, -i*q whose powers carry powers of the unit
+    for unit in UNITS:
+        b = Monomial(unit, F(1))
+        for n in range(9):
+            assert rogers_szego_def(n, b, 60).same_through(rogers_szego_bw(n, b, 60)), (unit, n)
 
 
 def test_rogers_szego_recurrence():
