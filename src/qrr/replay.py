@@ -66,14 +66,16 @@ class _Chain:
         self.order = order
         self.steps: List[StepReport] = []
 
-    def series(self, description: str, lhs: QSeries, rhs: QSeries):
-        self._add(description, lhs.first_difference(rhs, self.order))
-
-    def zobjects(self, description: str, lhs: ZSeries, rhs: ZSeries):
+    def series(self, description: str, lhs, rhs):
+        """Compare two QSeries, or two ZSeries, through the chain's order."""
         self._add(description, lhs.first_difference(rhs, self.order))
 
     def claim(self, description: str, ok: bool, divergence=None):
-        self._add(description, None if ok else (divergence or "claim failed"))
+        if ok:
+            divergence = None
+        elif divergence is None:
+            divergence = "claim failed"
+        self._add(description, divergence)
 
     def _add(self, description: str, divergence):
         self.steps.append(
@@ -181,7 +183,7 @@ def _quarter_chain(
 
     # step 4: the Euler factors pair into a single product in z^2
     paired = euler_z_product(qmono(2 * lin_coeff), qmono(2), order, den=4).zstretch(2)
-    chain.zobjects(
+    chain.series(
         "Euler pairing: the two factors multiply to the z^2 Euler product with base q^2",
         pair,
         paired,
@@ -278,7 +280,14 @@ def replay_1_8(order) -> List[StepReport]:
     spec = corpus.load("double_mod5_2_3")
     chain = _Chain("1.8", order)
     q2, q4 = qmono(2), qmono(4)
-    head = order + 1  # co-factor headroom: the theta carries a negative q-shift
+    quarter = Fraction(1, 4)
+    head = order + quarter  # steps 2 and 4 compare q^(1/4) * X through here
+
+    def shifted(description: str, x: QSeries, ct: QSeries):
+        """Check q^(1/4) * x == ct through head; a divergence is reported at
+        x's own exponent."""
+        d = x.shift(quarter).first_difference(ct, head)
+        chain.claim(description, d is None, None if d is None else d - quarter)
 
     # step 1: termwise sign/exponent rewrite as a full-series equality
     n_max = 0
@@ -302,33 +311,39 @@ def replay_1_8(order) -> List[StepReport]:
         rewritten,
     )
 
-    # step 2: constant-term form with the shifted theta
+    # step 2: constant-term form.  The chain's theta
+    # sum_k i^k q^(k(k-2)/4) z^(-k) has its k = 1 term at q^(-1/4), which is
+    # no power series.  It enters as T = q^(1/4) * theta; with j = k - 1,
+    # T = sum_j i^(j+1) q^(j^2/4) z^(-j-1) = i z^(-1) * theta_z(1/2, 1/4, i, -1),
+    # and the rewritten sum X enters as q^(1/4) * X to match.
     z_plus = euler_z_inverse(Monomial(I, Fraction(3, 2)), q2, head, den=4)
     z_minus = euler_z_inverse(Monomial(MINUS_I, Fraction(3, 2)), q2, head, den=4)
-    theta = theta_z(Fraction(1, 2), Fraction(-1, 4), I, -1, head, den=4)
+    i_over_z = ZSeries({-1: QSeries.term(I, 0, head, den=4)})
+    theta = i_over_z * theta_z(Fraction(1, 2), quarter, I, -1, head, den=4)  # T
     pair = z_plus * z_minus
-    chain.series(
+    shifted(
         "constant-term form: rewritten sum equals ct of the two inverse Euler"
         " factors times the i-signed theta",
         rewritten,
-        (pair * theta).ct().truncate(order),
+        (pair * theta).ct(),
     )
 
     # step 3: the inverse Euler factors collapse in z^2
     collapsed = euler_z_inverse(Monomial(MINUS_ONE, 3), q4, head, den=4).zstretch(2)
-    chain.zobjects(
+    chain.series(
         "Euler collapse: the paired factors equal the z^2 inverse Euler product"
         " with base q^4",
         pair,
         collapsed,
     )
 
-    # step 4: extract the constant term of the collapsed form
+    # step 4: extract the constant term of the collapsed form (times q^(1/4),
+    # the shift theta carries)
     single = _single_sum(1, 2, q4, order)
-    chain.series(
+    shifted(
         "constant-term extraction reduces to a single sum over (q^4;q^4)_n",
-        (collapsed * theta).ct().truncate(order),
         single,
+        (collapsed * theta).ct(),
     )
 
     # step 5: closure through the classical identity

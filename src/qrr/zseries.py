@@ -1,14 +1,15 @@
-"""Finite-support Laurent objects in an auxiliary variable z over QSeries.
+"""Finite windows of power series in an auxiliary variable z.
 
 The carrier for the constant-term method and for Rogers-Szego polynomials
 (where z plays the role of t).  A ZSeries is
 
-    q**qshift * sum_{k in [zmin, zmax]} coeff[k] * z**k
+    sum_{k in [zmin, zmax]} coeff[k] * z**k
 
-with every coefficient series sharing one exponent denominator and one
-truncation order.  The global qshift absorbs the (bounded) negative minimal
-q-exponent of bilateral theta factors so that coefficient series themselves
-never go Laurent in q; it is zero everywhere else.
+with every coefficient a power series in q on one exponent denominator and
+at one truncation order.  Coefficients are never Laurent in q: every
+q-exponent is >= 0, and theta_z raises NegativeExponent for a term below 0
+(a factor such as q**(-1/4) * theta is carried as theta reindexed; see
+replay 1.8).
 
 The contour integral of the source material is replaced by exact coefficient
 extraction: ct() is literally the z**0 slice.
@@ -20,8 +21,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, Optional
 
-from .errors import DivergentEmbedding
-from .gaussian import ONE, GaussianInt, binom2, is_unit, unit_pow
+from .errors import DivergentEmbedding, NegativeExponent
+from .gaussian import GaussianInt, binom2, is_unit, unit_pow
 from .series import Monomial, QSeries, _as_order, inv_poch_table
 
 
@@ -38,32 +39,34 @@ def _min_order(a, b):
 
 
 class ZSeries:
-    __slots__ = ("den", "order", "qshift", "coeff")
+    __slots__ = ("den", "order", "coeff")
 
-    def __init__(self, coeff: Dict[int, QSeries], qshift=Fraction(0)):
+    def __init__(self, coeff: Dict[int, QSeries]):
         """Put the slices on one grid and truncate them to the lowest order
         among them.  A zero slice's order counts like any other's; zero slices
         are then dropped."""
-        qshift = Fraction(qshift)
-        den = lcm(qshift.denominator, *(s.den for s in coeff.values()))
+        den = lcm(*(s.den for s in coeff.values()))
         order = min((s.order * (den // s.den) for s in coeff.values()), default=0)
-        self.coeff = {k: t for k, s in coeff.items() if not (t := _fit(s, den, order)).is_zero()}
-        self.qshift = qshift
-        self.den = den
-        self.order = order
+        self._set(coeff, den, order)
 
     @classmethod
-    def _of(cls, coeff: Dict[int, QSeries], qshift, den: int, order: int) -> "ZSeries":
-        """Wrap nonzero slices that are already on grid `den` at `order`."""
+    def _fitted(cls, coeff: Dict[int, QSeries], den: int, order: int) -> "ZSeries":
+        """The slices on grid `den` at scaled `order`, which no slice's own
+        order may undercut.  An empty window still carries (den, order)."""
         z = cls.__new__(cls)
-        z.coeff, z.qshift, z.den, z.order = coeff, qshift, den, order
+        z._set(coeff, den, order)
         return z
+
+    def _set(self, coeff: Dict[int, QSeries], den: int, order: int) -> None:
+        self.coeff = {k: t for k, s in coeff.items() if not (t := _fit(s, den, order)).is_zero()}
+        self.den = den
+        self.order = order
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, order, den: int = 1) -> "ZSeries":
-        return cls._of({}, Fraction(0), den, _as_order(order, den))
+        return cls._fitted({}, den, _as_order(order, den))
 
     @classmethod
     def embed(cls, s: QSeries) -> "ZSeries":
@@ -86,14 +89,9 @@ class ZSeries:
         return not self.coeff
 
     def slice(self, k: int) -> QSeries:
-        """Coefficient of z**k including the global q-shift."""
+        """Coefficient of z**k."""
         s = self.coeff.get(k)
-        if s is None:
-            s = self._zero_slice()
-        return s.shift(self.qshift) if self.qshift else s
-
-    def _zero_slice(self) -> QSeries:
-        return QSeries.zero(Fraction(self.order, self.den), self.den)
+        return QSeries.zero(self.order_q, self.den) if s is None else s
 
     def ct(self) -> QSeries:
         """The constant term CT_z: the z**0 coefficient."""
@@ -101,45 +99,14 @@ class ZSeries:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _with_shift(self, target) -> "ZSeries":
-        """Rewrite with a smaller qshift by pushing the difference into the
-        coefficient series (lossless in content, conservative in order)."""
-        delta = self.qshift - Fraction(target)
-        if delta == 0:
-            return self
-        if delta < 0:
-            raise ValueError("can only lower the global q-shift")
-        den = lcm(self.den, delta.denominator)
-        order = self.order * (den // self.den) + int(delta * den)
-        return ZSeries({k: s.shift(delta) for k, s in self.coeff.items()}, Fraction(target))._cap(den, order)
-
-    @staticmethod
-    def _align(a: "ZSeries", b: "ZSeries"):
-        shift = min(a.qshift, b.qshift)
-        return a._with_shift(shift), b._with_shift(shift)
-
-    def _cap(self, den: int, order: int) -> "ZSeries":
-        """This series exact through at most scaled `order` on grid `den`.
-
-        An empty series has no slice to carry an order, so it takes the cap:
-        callers pass the lowest order among the operands it was built from."""
-        d = lcm(self.den, den)
-        order *= d // den
-        if not self.coeff:
-            return ZSeries._of({}, self.qshift, d, order)
-        if self.order * (d // self.den) <= order:
-            return self
-        return ZSeries({k: _fit(s, d, order) for k, s in self.coeff.items()}, self.qshift)
-
     def __add__(self, other: "ZSeries") -> "ZSeries":
-        a, b = self._align(self, other)
-        out = dict(a.coeff)
-        for k, s in b.coeff.items():
+        out = dict(self.coeff)
+        for k, s in other.coeff.items():
             out[k] = out[k] + s if k in out else s
-        return ZSeries(out, a.qshift)._cap(*_min_order(a, b))
+        return ZSeries._fitted(out, *_min_order(self, other))
 
     def __neg__(self) -> "ZSeries":
-        return ZSeries._of({k: -s for k, s in self.coeff.items()}, self.qshift, self.den, self.order)
+        return ZSeries._fitted({k: -s for k, s in self.coeff.items()}, self.den, self.order)
 
     def __sub__(self, other: "ZSeries") -> "ZSeries":
         return self + (-other)
@@ -151,41 +118,40 @@ class ZSeries:
                 p = si.mul(sj)
                 k = i + j
                 out[k] = out[k] + p if k in out else p
-        return ZSeries(out, self.qshift + other.qshift)._cap(*_min_order(self, other))
+        return ZSeries._fitted(out, *_min_order(self, other))
 
     def scale_series(self, s: QSeries) -> "ZSeries":
-        return ZSeries({k: c.mul(s) for k, c in self.coeff.items()}, self.qshift)._cap(*_min_order(self, s))
+        return ZSeries._fitted({k: c.mul(s) for k, c in self.coeff.items()}, *_min_order(self, s))
 
     def zshift(self, j: int) -> "ZSeries":
-        return ZSeries._of({k + j: s for k, s in self.coeff.items()}, self.qshift, self.den, self.order)
+        return ZSeries._fitted({k + j: s for k, s in self.coeff.items()}, self.den, self.order)
 
     def reflect(self) -> "ZSeries":
         """z -> 1/z."""
-        return ZSeries._of({-k: s for k, s in self.coeff.items()}, self.qshift, self.den, self.order)
+        return ZSeries._fitted({-k: s for k, s in self.coeff.items()}, self.den, self.order)
 
     def zstretch(self, j: int) -> "ZSeries":
         """z -> z**j for nonzero j (window dilation)."""
         if j == 0:
             raise ValueError("stretch factor must be nonzero")
-        return ZSeries._of({k * j: s for k, s in self.coeff.items()}, self.qshift, self.den, self.order)
+        return ZSeries._fitted({k * j: s for k, s in self.coeff.items()}, self.den, self.order)
 
     def specialize(self, t: Monomial) -> QSeries:
         """Substitute z := t (a monomial in q) and sum the window."""
-        acc = self._zero_slice()
+        acc = QSeries.zero(self.order_q, self.den)
         for k, s in self.coeff.items():
             acc = acc + s.scale(unit_pow(t.unit, k)).shift(k * t.exp)
-        return acc.shift(self.qshift) if self.qshift else acc
+        return acc
 
     # -- comparison --------------------------------------------------------
 
     def first_difference(self, other: "ZSeries", order=None):
         """Smallest (z-power, q-exponent) divergence, or None if equal."""
-        a, b = self._align(self, other)
-        lo = min(a.window[0], b.window[0])
-        hi = max(a.window[1], b.window[1])
+        lo = min(self.window[0], other.window[0])
+        hi = max(self.window[1], other.window[1])
         best = None
         for k in range(lo, hi + 1):
-            d = a.slice(k).first_difference(b.slice(k), order)
+            d = self.slice(k).first_difference(other.slice(k), order)
             if d is not None and (best is None or d < best[1]):
                 best = (k, d)
         return best
@@ -196,19 +162,16 @@ class ZSeries:
     def __eq__(self, other):
         if not isinstance(other, ZSeries):
             return NotImplemented
-        a, b = self._align(self, other)
-        if a.order_q != b.order_q or set(a.coeff) != set(b.coeff):
+        if self.order_q != other.order_q or set(self.coeff) != set(other.coeff):
             return False
-        return all(a.coeff[k] == b.coeff[k] for k in a.coeff)
+        return all(s == other.coeff[k] for k, s in self.coeff.items())
 
     __hash__ = None
 
     def __str__(self):
         if not self.coeff:
             return "0"
-        parts = ["(%s)*z^%d" % (s, k) for k, s in sorted(self.coeff.items())]
-        pre = "q^%s * " % self.qshift if self.qshift else ""
-        return pre + " + ".join(parts)
+        return " + ".join("(%s)*z^%d" % (s, k) for k, s in sorted(self.coeff.items()))
 
     __repr__ = __str__
 
@@ -221,7 +184,8 @@ def theta_z(alpha, beta, chi: GaussianInt, s: int, order, den: Optional[int] = N
 
     Includes exactly those k whose q-exponent stays within `order`; the first
     omitted term on either side exceeds it (exponents are quadratic in k with
-    positive leading coefficient alpha/2).
+    positive leading coefficient alpha/2).  Every included exponent must be
+    >= 0; a term below 0 raises NegativeExponent naming its k.
     """
     alpha = Fraction(alpha)
     beta = Fraction(beta)
@@ -248,50 +212,38 @@ def theta_z(alpha, beta, chi: GaussianInt, s: int, order, den: Optional[int] = N
         if f(k) <= order:
             ks.append(k)
         k -= 1
-    qshift = min(Fraction(0), min((f(k) for k in ks), default=Fraction(0)))
     d = lcm(den or 1, alpha.denominator, beta.denominator, order.denominator)
-    rel_order = _as_order(order - qshift, d)
+    n = _as_order(order, d)
     coeff: Dict[int, QSeries] = {}
     for k in ks:
-        e = f(k) - qshift
-        coeff[s * k] = QSeries(d, rel_order, {int(e * d): unit_pow(chi, k)})
-    z = ZSeries(coeff, qshift)
-    if not z.coeff:
-        z.den, z.order = d, rel_order
-    return z
+        if f(k) < 0:
+            raise NegativeExponent("theta term k = %d has q-exponent %s < 0" % (k, f(k)))
+        coeff[s * k] = QSeries(d, n, {int(f(k) * d): unit_pow(chi, k)})
+    return ZSeries._fitted(coeff, d, n)
 
 
-def euler_z_inverse(c: Monomial, b: Monomial, order, den: Optional[int] = None) -> "ZSeries":
-    """sum_n c**n z**n / (b;b)_n, the z-expansion of 1/(c*z; b)_inf."""
+def _euler_z(c: Monomial, b: Monomial, eps: int, order, den: Optional[int]) -> "ZSeries":
+    """sum_n c**n b**(eps*binom(n,2)) z**n / (b;b)_n through `order`, eps in {0, 1}."""
     order = Fraction(order)
     if c.exp <= 0:
         raise DivergentEmbedding("embedding monomial needs positive q-order, got %s" % c.exp)
-    n_max = int(order / c.exp)
-    d = lcm(den or 1, c.exp.denominator, b.exp.denominator, order.denominator)
-    table = inv_poch_table(b, n_max, order, d)
-    coeff = {
-        n: table[n].shift(n * c.exp).scale(unit_pow(c.unit, n))
-        for n in range(n_max + 1)
-    }
-    return ZSeries(coeff)
-
-
-def euler_z_product(c: Monomial, b: Monomial, order, den: Optional[int] = None) -> "ZSeries":
-    """sum_n c**n b**binom(n,2) z**n / (b;b)_n, the z-expansion of (-c*z; b)_inf."""
-    order = Fraction(order)
-    if c.exp <= 0:
-        raise DivergentEmbedding("embedding monomial needs positive q-order, got %s" % c.exp)
-    vals = []
+    if b.exp <= 0:
+        raise DivergentEmbedding("Euler base needs positive q-order, got %s" % b.exp)
+    vals = []  # q-exponents of c**n b**(eps*binom(n,2)) within the order
     n = 0
-    while True:
-        v = n * c.exp + binom2(n) * b.exp
-        if v > order:
-            break
+    while (v := n * c.exp + eps * binom2(n) * b.exp) <= order:
         vals.append(v)
         n += 1
     d = lcm(den or 1, c.exp.denominator, b.exp.denominator, order.denominator)
     table = inv_poch_table(b, len(vals) - 1, order, d)
-    coeff = {
-        n: table[n].shift(v).scale(unit_pow(c.unit, n)) for n, v in enumerate(vals)
-    }
-    return ZSeries(coeff)
+    return ZSeries({n: table[n].shift(v).scale(unit_pow(c.unit, n)) for n, v in enumerate(vals)})
+
+
+def euler_z_inverse(c: Monomial, b: Monomial, order, den: Optional[int] = None) -> "ZSeries":
+    """sum_n c**n z**n / (b;b)_n, the z-expansion of 1/(c*z; b)_inf."""
+    return _euler_z(c, b, 0, order, den)
+
+
+def euler_z_product(c: Monomial, b: Monomial, order, den: Optional[int] = None) -> "ZSeries":
+    """sum_n c**n b**binom(n,2) z**n / (b;b)_n, the z-expansion of (-c*z; b)_inf."""
+    return _euler_z(c, b, 1, order, den)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 from fractions import Fraction as F
 from importlib import import_module
 
@@ -18,6 +20,7 @@ from qrr.replay import (
     replay_1_8,
 )
 from qrr.series import QSeries, qmono
+from qrr.special import jtp_check
 from qrr.zseries import euler_z_product, theta_z
 
 # the package exports the function replay() under the module's name
@@ -66,7 +69,7 @@ def test_sign_rewrite_termwise_for_the_shifted_variant():
 
 
 def test_misconfigured_theta_is_detected():
-    # negative control: beta mis-set to 1 must break the constant-term form
+    # negative control: a mis-set beta must break the constant-term form
     order = F(20)
     spec = corpus.load("double_mod10_2_8")
     signed = eval_sum(
@@ -75,7 +78,8 @@ def test_misconfigured_theta_is_detected():
     q = qmono(1)
     z_plus = euler_z_product(qmono(F(3, 4), I), q, order, den=4)
     z_minus = euler_z_product(qmono(F(3, 4), MINUS_I), q, order, den=4)
-    wrong = theta_z(F(1, 2), 1, MINUS_ONE, -1, order, den=4)
+    # beta mis-set to 1/2: exponents k(k+1)/4 stay >= 0, so theta_z builds it
+    wrong = theta_z(F(1, 2), F(1, 2), MINUS_ONE, -1, order, den=4)
     d = signed.first_difference((z_plus * z_minus * wrong).ct(), order)
     assert d is not None and d <= 4
 
@@ -136,3 +140,51 @@ def test_single_sum_stops_correctly():
     s = _single_sum(1, 2, qmono(4), 30)  # sum q^(n^2 + 2n) / (q^4;q^4)_n
     assert s.coeff(0).re == 1 and s.coeff(3).re == 1  # n=1 term q^3/(q^4;q^4)_1
     assert s.coeff(8).re == 1  # n=2 gives q^8
+
+
+# sha256 of json.dumps([s.to_json() for s in replay(t, 80)], sort_keys=True)
+# and of repr(jtp_check(120)), first 16 hex digits, recorded while ZSeries
+# still carried a global q-shift
+REPLAY_DIGESTS = {
+    "1.5": "0a0dd6345587aab7",
+    "1.6": "69e4af85ad3289d4",
+    "1.7": "25e9b5af2015c0b0",
+    "1.8": "9409c21ad17da6b3",
+}
+JTP_DIGEST = "a92a9c50662b5a08"
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("theorem", sorted(REPLAY_DIGESTS))
+def test_replay_reports_match_recorded_digests(theorem):
+    doc = [s.to_json() for s in replay(theorem, 80)]
+    assert _digest(json.dumps(doc, sort_keys=True)) == REPLAY_DIGESTS[theorem]
+
+
+def test_jtp_report_matches_recorded_digest():
+    assert _digest(repr(jtp_check(120))) == JTP_DIGEST
+
+
+def test_claim_failing_at_exponent_zero_reports_it():
+    chain = _Chain("t", F(10))
+    chain.claim("fails at q^0", False, F(0))
+    chain.claim("fails without a place", False)
+    chain.claim("holds", True, F(3))
+    assert [s.to_json()["first_divergence"] for s in chain.steps] == ["0", "claim failed", None]
+    assert [s.status for s in chain.steps] == ["fail", "fail", "pass"]
+
+
+def test_wrong_theta_fails_chain_1_8_without_raising(monkeypatch):
+    # beta + 1/4 instead of the reindexed 1/4: exponents j(j+1)/4 stay >= 0,
+    # so the wrong theta builds, and both constant-term steps must fail
+    def wrong(alpha, beta, chi, s, order, den=None):
+        return theta_z(alpha, beta + F(1, 4), chi, s, order, den)
+
+    monkeypatch.setattr(replay_module, "theta_z", wrong)
+    steps = replay_1_8(20)
+    assert [s.status for s in steps] == ["pass", "fail", "pass", "fail", "pass"]
+    # ct gains a term at q^0, where q^(1/4) * X has none: X's own exponent -1/4
+    assert steps[1].first_divergence == steps[3].first_divergence == F(-1, 4)

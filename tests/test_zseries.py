@@ -1,8 +1,11 @@
+import hashlib
 import math
 from fractions import Fraction as F
 
 import pytest
-from qrr.errors import DivergentEmbedding
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from qrr.errors import DivergentEmbedding, NegativeExponent
 from qrr.gaussian import I, MINUS_ONE, ONE, GaussianInt, binom2, i_pow, unit_pow
 from qrr.series import Monomial, QSeries, poch_infinite, qmono
 from qrr.zseries import ZSeries, euler_z_inverse, euler_z_product, theta_z
@@ -47,15 +50,6 @@ def test_specialize_sums_window():
     assert s.coeff(7) == I * I  # z^2 -> i^2 q^6 times q
 
 
-def test_qshift_alignment_in_add_and_ct():
-    a = theta_z(F(1, 2), F(-1, 4), I, -1, 10, den=4)
-    assert a.qshift == F(-1, 4)
-    b = ZSeries.embed(QSeries.one(10, den=4))
-    tot = a + b
-    # the z^0 slice gains the embedded 1 on top of theta's k=0 term
-    assert tot.ct().coeff(0) == ONE + ONE
-
-
 def test_theta_window_bound():
     # for alpha = 1/2 the included |k| stays within 2*ceil(sqrt(2*order)) + 3
     for order in (10, 20, 50):
@@ -65,7 +59,7 @@ def test_theta_window_bound():
         assert -bound <= lo <= hi <= bound
         # every included exponent is within order, first omitted k exceeds it
         for k, s in th.coeff.items():
-            assert s.valuation() + th.qshift <= order
+            assert s.valuation() <= order
 
 
 def test_theta_terms_are_exact():
@@ -75,17 +69,27 @@ def test_theta_terms_are_exact():
         assert th.slice(k).coeff(e) == (MINUS_ONE if k % 2 else ONE)
 
 
-def test_theta_negative_exponent_goes_to_qshift():
-    from qrr.errors import NegativeExponent
+def test_theta_negative_exponent_raises():
+    # k = 1 has exponent binom(1,2)/2 - 1/4 = -1/4: no power series holds it
+    with pytest.raises(NegativeExponent, match="k = 1 "):
+        theta_z(F(1, 2), F(-1, 4), I, -1, 10, den=4)
 
-    th = theta_z(F(1, 2), F(-1, 4), I, -1, 10, den=4)
-    # k = 1 term has exponent -1/4 < 0, absorbed by the global shift
-    assert th.qshift == F(-1, 4)
-    assert th.coeff[-1].valuation() == 0  # stored relative to the shift
-    # a bare slice would go Laurent in q, which is a hard error by design;
-    # consumers multiply with co-factors of positive valuation before slicing
-    with pytest.raises(NegativeExponent):
-        th.slice(-1)
+
+@pytest.mark.parametrize("order", [0, F(1, 4), F(9, 4), 10, 33])
+def test_reindexed_theta_is_a_quarter_shift_of_the_laurent_theta(order):
+    # replay 1.8's T = q^(1/4) * sum_k i^k q^(k(k-2)/4) z^(-k), taken as
+    # i z^(-1) * theta_z(1/2, 1/4, i, -1), against the sum built term by term
+    t = ZSeries({-1: QSeries.term(I, 0, order, den=4)}) * theta_z(F(1, 2), F(1, 4), I, -1, order, den=4)
+    want = {}
+    reach = 2 * math.isqrt(int(order) + 1) + 2
+    for k in range(1 - reach, 2 + reach):
+        e = F(k * (k - 2), 4) + F(1, 4)
+        if e <= order:
+            want[-k] = QSeries.term(i_pow(k), e, order, den=4)
+    assert set(t.coeff) == set(want)
+    assert t.den == 4 and t.order_q == order
+    for k, s in want.items():
+        assert t.slice(k) == s, k
 
 
 def test_euler_z_inverse_is_geometric_inverse():
@@ -102,6 +106,12 @@ def test_euler_z_inverse_is_geometric_inverse():
 def test_euler_z_requires_positive_embedding():
     with pytest.raises(DivergentEmbedding):
         euler_z_inverse(qmono(0), qmono(1), 5)
+    # a base of nonpositive order has no q-expansion; the exponents
+    # n + binom(n,2)*(-1) would never pass the order
+    for build in (euler_z_inverse, euler_z_product):
+        for b in (qmono(0), qmono(-1)):
+            with pytest.raises(DivergentEmbedding):
+                build(qmono(1), b, 5)
 
 
 def test_jtp_z_slices():
@@ -134,3 +144,54 @@ def test_add_and_mul_keep_the_lower_order():
     assert z.order_q == F(5, 2) and z.den == 6
     # the operand of higher order is truncated, not just relabelled
     assert (ZSeries.embed(QSeries.term(ONE, 50, 100)) + low).is_zero()
+
+
+def test_triple_product_window_digest():
+    # sha256 of str() of jtp_check's product side at order 120, first 16
+    # hex digits, recorded while ZSeries still carried a global q-shift
+    half = Monomial(MINUS_ONE, F(1, 2))
+    q = qmono(1)
+    lhs = (
+        euler_z_product(half, q, 120, den=2)
+        * euler_z_product(half, q, 120, den=2).reflect()
+        * ZSeries.embed(poch_infinite(q, q, 120, den=2))
+    )
+    assert hashlib.sha256(str(lhs).encode()).hexdigest()[:16] == "6626ffc7092ba704"
+
+
+@st.composite
+def zseries(draw):
+    """A small ZSeries: up to three slices, each on its own den (1-4) at its
+    own order, real or complex, zero slices allowed; or an empty window."""
+    if draw(st.booleans()) and draw(st.booleans()):
+        return ZSeries.zero(F(draw(st.integers(0, 40)), 4), draw(st.integers(1, 4)))
+    coeff = {}
+    for _ in range(draw(st.integers(1, 3))):
+        den = draw(st.integers(1, 4))
+        order = draw(st.integers(0, 12))
+        im = st.just(0) if draw(st.booleans()) else st.integers(-3, 3)
+        c = st.builds(GaussianInt, st.integers(-3, 3), im)
+        coeff[draw(st.integers(-3, 3))] = QSeries(den, order, draw(st.dictionaries(st.integers(0, order), c, max_size=4)))
+    return ZSeries(coeff)
+
+
+def _assert_fitted(z, operands):
+    """Every slice of z sits on z's grid at z's order, which is the lowest
+    of the operands' orders on their lcm grid; an empty z carries it too."""
+    assert z.den == math.lcm(*(x.den for x in operands))
+    assert z.order_q == min(x.order_q for x in operands)
+    for s in z.coeff.values():
+        assert s.den == z.den and s.order == z.order and not s.is_zero()
+
+
+@settings(max_examples=200, deadline=None)
+@given(zseries(), zseries(), st.integers(-3, 3))
+def test_every_operation_fits_slices_to_one_grid_and_order(a, b, j):
+    _assert_fitted(a, [a])
+    for z in (a + b, a - b, a * b, b * a):
+        _assert_fitted(z, [a, b])
+    s = b.slice(b.window[0])
+    _assert_fitted(a.scale_series(s), [a, s])
+    _assert_fitted(a.zshift(j), [a])
+    _assert_fitted(a.reflect(), [a])
+    _assert_fitted(-a, [a])
