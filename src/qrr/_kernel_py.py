@@ -7,7 +7,13 @@ whole convolution, and the low `nout` digits of the product, read as signed
 digits, are c[k] = sum_{i+j=k} a[i]*b[j] for k < nout.
 
 Inputs are plain lists of Python ints of any size, and outputs are exact.
+
+`conv_rows` applies the same packing to products of two windows of lists
+(the z-slices of two z-series): each list is packed once per digit width,
+and every output row is one accumulated bignum, unpacked once.
 """
+
+from itertools import accumulate
 
 
 def _width(amax: int, bmax: int, n: int) -> int:
@@ -89,3 +95,103 @@ def conv_complex(ar: list, ai: list, br: list, bi: list, nout: int) -> tuple:
     rr = xr * yr
     ii = xi * yi
     return _unpack(rr - ii, wb, nout), _unpack((xr + xi) * (yr + yi) - rr - ii, wb, nout)
+
+
+def _peaks(re: list, im) -> list:
+    """Running maxima of |re[t]| and |im[t]| (an im of None is zero): entry n - 1
+    bounds every entry of the first n."""
+    m = map(abs, re) if im is None else map(max, map(abs, re), map(abs, im))
+    return list(accumulate(m, max))
+
+
+def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
+    """Rows of the product of two windows of coefficient lists.
+
+    a[i] = (v, re, im) holds re[t] + i*im[t] at position v + g*t, with im None
+    for a real list; b likewise.  For each k in rows, row k is the sum over the
+    pairs (i, j) in rows[k] of the products a[i]*b[j], through position `top`;
+    the positions v_a + v_b of the pairs in one row must agree mod g.  Returns
+    {k: (v, re, im)} on the same stride (im None for a row of real pairs),
+    without the rows that have no position <= top.
+
+    A pair reaches n = (top - v_a - v_b)//g + 1 digits.  Each row's digit
+    width holds its largest |a|*|b| over the digits the pairs reach, times the
+    number of products that land in one digit, doubled when a complex list
+    meets a complex list.  A list is packed once per width, as far as the pairs
+    of that width reach, and each operand longer than its pair's reach is
+    masked to n digits: that changes it by a multiple of 2**(w*n), which moves
+    only digits at or past the row's last.
+    """
+    plan, reach = _plan_rows(a, b, rows, top, g)
+    packs = {}
+    for (side, x, wb), n in reach.items():
+        _, re, im = (b if side else a)[x]
+        packs[side, x, wb] = (n, _pack(re[:n], wb), None if im is None else _pack(im[:n], wb))
+    out = {}
+    for k, base, nout, wb, complex_row, live in plan:
+        rr = ii = 0
+        for i, j, v, n, _, _ in live:
+            xr, xi = _reach(packs[0, i, wb], wb, n)
+            yr, yi = _reach(packs[1, j, wb], wb, n)
+            s = 8 * wb * ((v - base) // g)
+            if xi is not None and yi is not None:  # three products, as conv_complex
+                pr = xr * yr
+                pi = xi * yi
+                rr += (pr - pi) << s
+                ii += ((xr + xi) * (yr + yi) - pr - pi) << s
+                continue
+            rr += (xr * yr) << s
+            if xi is not None:
+                ii += (xi * yr) << s
+            if yi is not None:
+                ii += (xr * yi) << s
+        out[k] = base, _unpack(rr, wb, nout), _unpack(ii, wb, nout) if complex_row else None
+    return out
+
+
+def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
+    """conv_rows' plan: for each row with a position <= top, (k, base
+    position, digits out, width, complex?, [(i, j, v_a + v_b, n, digits of
+    a[i] used, digits of b[j] used)]); and the digits to pack for each
+    (side, index, width).  The running maxima are dropped on return."""
+    peak_a = {i: _peaks(re, im) for i, (_, re, im) in a.items()}
+    peak_b = {j: _peaks(re, im) for j, (_, re, im) in b.items()}
+    plan = []
+    reach = {}  # (side, index, width) -> digits to pack
+    for k, pairs in rows.items():
+        live = []
+        big = count = 0
+        doubled = complex_row = False
+        for i, j in pairs:
+            va, ar, ai = a[i]
+            vb, br, bi = b[j]
+            n = (top - va - vb) // g + 1
+            if n <= 0:
+                continue
+            la, lb = min(len(ar), n), min(len(br), n)
+            big = max(big, peak_a[i][la - 1] * peak_b[j][lb - 1])
+            count += min(la, lb)
+            doubled = doubled or (ai is not None and bi is not None)
+            complex_row = complex_row or ai is not None or bi is not None
+            live.append((i, j, va + vb, n, la, lb))
+        if not live:
+            continue
+        base = min(p[2] for p in live)
+        # the row ends at `top` or where its longest product ends
+        nout = min((top - base) // g + 1, max((p[2] - base) // g + p[4] + p[5] - 1 for p in live))
+        wb = _width(2 * big if doubled else big, 1, count)
+        for i, j, _, _, la, lb in live:
+            reach[0, i, wb] = max(reach.get((0, i, wb), 0), la)
+            reach[1, j, wb] = max(reach.get((1, j, wb), 0), lb)
+        plan.append((k, base, nout, wb, complex_row, live))
+    return plan, reach
+
+
+def _reach(pack: tuple, wb: int, n: int) -> tuple:
+    """The packed (re, im) of a list packed to pack[0] digits, masked to its
+    low n digits when it is longer."""
+    m, xr, xi = pack
+    if m <= n:
+        return xr, xi
+    mask = (1 << 8 * wb * n) - 1
+    return xr & mask, None if xi is None else xi & mask

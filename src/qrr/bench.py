@@ -6,11 +6,17 @@ small-coefficient inputs at several lengths, `eval_sum` of cao_wang_1_2_3 at
 SUM_ORDER and of double_mod10_2_8 at VERIFY_ORDER, `verify` of
 double_mod10_2_8 at VERIFY_ORDER, then the replay chains 1.5-1.8 at
 REPLAY_ORDER and `jtp_check` at JTP_ORDER.
+
+`python -m qrr.bench --json PATH` also writes the same rows to PATH as
+{section: {row: seconds}}.
 """
 
 from __future__ import annotations
 
+import argparse
+import json
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -37,50 +43,70 @@ def _time(fn, repeats: int) -> float:
     return best
 
 
-def bench_kernels(out=print):
+def bench_kernels(out, rows):
     rng = random.Random(12345)
     out("convolution kernel (best of %d, seconds)" % REPEATS)
     out("%8s  %12s  %12s" % ("n", "real", "complex"))
+    section = rows["kernel"] = {}
     for n in SIZES:
         a = [rng.randint(-9, 9) for _ in range(n)]
         b = [rng.randint(-9, 9) for _ in range(n)]
-        tr = _time(lambda: _kernel_py.conv_real(a, b, 2 * n - 1), REPEATS)
-        tc = _time(lambda: _kernel_py.conv_complex(a, b, b, a, 2 * n - 1), REPEATS)
+        tr = section["conv_real %d" % n] = _time(lambda: _kernel_py.conv_real(a, b, 2 * n - 1), REPEATS)
+        tc = section["conv_complex %d" % n] = _time(
+            lambda: _kernel_py.conv_complex(a, b, b, a, 2 * n - 1), REPEATS
+        )
         out("%8d  %12.6f  %12.6f" % (n, tr, tc))
 
 
-def bench_sum(out=print):
+def bench_sum(out, rows):
     out("")
     out("sum side eval_sum (best of 3, seconds)")
+    section = rows["sum"] = {}
     for name, order in (("cao_wang_1_2_3", SUM_ORDER), ("double_mod10_2_8", VERIFY_ORDER)):
         spec = corpus.load(name)
-        out("%-18s  %6s  %10.3f" % (spec.name, order, _time(lambda: eval_sum(spec, order), 3)))
+        t = section["%s @%s" % (spec.name, order)] = _time(lambda: eval_sum(spec, order), 3)
+        out("%-18s  %6s  %10.3f" % (spec.name, order, t))
 
 
-def bench_verify(out=print):
+def bench_verify(out, rows):
     spec = corpus.load("double_mod10_2_8")
     out("")
     out("end-to-end verify of %s at order %s (best of 3, seconds)" % (spec.name, VERIFY_ORDER))
-    out("%10.3f" % _time(lambda: verify(spec, VERIFY_ORDER), 3))
+    t = _time(lambda: verify(spec, VERIFY_ORDER), 3)
+    rows["verify"] = {"%s @%s" % (spec.name, VERIFY_ORDER): t}
+    out("%10.3f" % t)
 
 
-def bench_zseries(out=print):
+def bench_zseries(out, rows):
     out("")
     out(
         "z-products: replay chains at order %s, jtp_check at order %s (best of 3, seconds)"
         % (REPLAY_ORDER, JTP_ORDER)
     )
+    section = rows["zseries"] = {}
     for theorem, chain in sorted(REPLAYS.items()):
-        out("replay %-11s  %10.3f" % (theorem, _time(lambda: chain(REPLAY_ORDER), 3)))
-    out("jtp_check %8s  %10.3f" % (JTP_ORDER, _time(lambda: jtp_check(JTP_ORDER), 3)))
+        t = section["replay %s @%s" % (theorem, REPLAY_ORDER)] = _time(lambda: chain(REPLAY_ORDER), 3)
+        out("replay %-11s  %10.3f" % (theorem, t))
+    t = section["jtp_check @%s" % JTP_ORDER] = _time(lambda: jtp_check(JTP_ORDER), 3)
+    out("jtp_check %8s  %10.3f" % (JTP_ORDER, t))
 
 
-def main(out=print):
-    bench_kernels(out)
-    bench_sum(out)
-    bench_verify(out)
-    bench_zseries(out)
+def main(argv=(), out=print):
+    parser = argparse.ArgumentParser(
+        prog="python -m qrr.bench", description="Time the kernel, the sum side, verify and the z-products."
+    )
+    parser.add_argument("--json", metavar="PATH", help="also write the rows as {section: {row: seconds}}")
+    args = parser.parse_args(argv)
+    rows = {}
+    bench_kernels(out, rows)
+    bench_sum(out, rows)
+    bench_verify(out, rows)
+    bench_zseries(out, rows)
+    if args.json:
+        with open(args.json, "w") as f:
+            json.dump(rows, f, indent=1)
+            f.write("\n")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -174,7 +174,7 @@ def _quarter_chain(
     z_minus = euler_z_product(Monomial(MINUS_I, lin_coeff), q, order, den=4)
     theta = theta_z(Fraction(1, 2), 0, MINUS_ONE, -1, order, den=4)
     pair = z_plus * z_minus
-    extracted = (pair * theta).ct()
+    extracted = pair.ct_mul(theta)
     chain.series(
         "constant-term form: double sum equals ct of the two Euler factors times theta",
         signed,
@@ -194,7 +194,7 @@ def _quarter_chain(
     single = _single_sum(2, lin, qmono(2), order)
     chain.series(
         "constant-term extraction reduces to a single sum over (q^2;q^2)_n",
-        (paired * theta).ct(),
+        paired.ct_mul(theta),
         single,
     )
 
@@ -325,7 +325,7 @@ def replay_1_8(order) -> List[StepReport]:
         "constant-term form: rewritten sum equals ct of the two inverse Euler"
         " factors times the i-signed theta",
         rewritten,
-        (pair * theta).ct(),
+        pair.ct_mul(theta),
     )
 
     # step 3: the inverse Euler factors collapse in z^2
@@ -343,7 +343,7 @@ def replay_1_8(order) -> List[StepReport]:
     shifted(
         "constant-term extraction reduces to a single sum over (q^4;q^4)_n",
         single,
-        (collapsed * theta).ct(),
+        collapsed.ct_mul(theta),
     )
 
     # step 5: closure through the classical identity

@@ -31,7 +31,7 @@ from typing import Iterator, Optional
 
 from . import _kernel_py
 from .errors import DivergentProduct, NegativeExponent, NonUnitConstantTerm
-from .gaussian import ONE, ZERO, GaussianInt, is_unit
+from .gaussian import ONE, ZERO, GaussianInt, is_unit, unit_pow
 
 
 @dataclass(frozen=True)
@@ -578,9 +578,11 @@ def poch_infinite(x: Monomial, b: Monomial, order, den: Optional[int] = None) ->
 
 
 def inv_poch_table(b: Monomial, n_max: int, order, den: Optional[int] = None) -> list:
-    """[1/(b;b)_n for n = 0..n_max], built incrementally, exact through `order`."""
-    if b.exp <= 0 or b.unit != ONE:
-        raise ValueError("Pochhammer base must be a positive power of q with unit 1")
+    """[1/(b;b)_n for n = 0..n_max], built incrementally, exact through `order`.
+
+    The base b = u*q**e may carry any unit u: factor n is 1 - u**n q**(n*e)."""
+    if b.exp <= 0:
+        raise ValueError("Pochhammer base must be a positive power of q")
     d = _poch_den(b, b, order, den)
     out = [QSeries.one(order, d)]
     for n in range(1, n_max + 1):
@@ -588,5 +590,5 @@ def inv_poch_table(b: Monomial, n_max: int, order, den: Optional[int] = None) ->
         if e > out[-1].order_q:
             out.append(out[-1])  # the new factor is invisible through order
         else:
-            out.append(div_binomial(out[-1], ONE, e))
+            out.append(div_binomial(out[-1], unit_pow(b.unit, n), e))
     return out

@@ -114,8 +114,41 @@ def rogers_szego_bw(n: int, b: Monomial, order, den: Optional[int] = None) -> ZS
 
 
 def rs_at(n: int, t: Monomial, b: Monomial, order, den: Optional[int] = None) -> QSeries:
-    """H_n(t; b) with t specialized to a monomial."""
-    return rogers_szego_bw(n, b, order, den).specialize(t)
+    """H_n(t; b) with t specialized to a monomial: rogers_szego_bw's factored
+    sum with z := t substituted before multiplying, so each factor is a
+    two-term q-series.  A term with a zero factor (t = -b**(1+2s) or
+    t * b**(2s) = -1) is skipped."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    d = _binomial_den(b, order, den)
+    u = b.unit
+    half = n // 2
+    upper = (n + 1) // 2
+    binomials = gaussian_binomial_row(half, Monomial(unit_pow(u, 2), 2 * b.exp), order, d)
+    acc = QSeries.zero(order, d)
+    for r in range(half + 1):
+        part = QSeries.one(order, d).shift(r * t.exp).scale(unit_pow(t.unit, r))  # t**r
+        # (t + b**(1+2s)) for s < r, then (1 + t * b**(2s)) for s < upper - r
+        factors = [(t, Monomial(unit_pow(u, 1 + 2 * s), (1 + 2 * s) * b.exp)) for s in range(r)]
+        factors += [
+            (Monomial(), Monomial(t.unit * unit_pow(u, 2 * s), t.exp + 2 * s * b.exp))
+            for s in range(upper - r)
+        ]
+        for x, y in factors:
+            part = _times_sum(part, x, y)
+            if part.is_zero():
+                break
+        else:
+            acc = acc + part.mul(binomials[r])
+    return acc
+
+
+def _times_sum(s: QSeries, x: Monomial, y: Monomial) -> QSeries:
+    """s * (x + y): with x the lower power, x + y = x * (1 - (-y/x) q**(y.exp - x.exp)),
+    a shift, a scale and one mul_binomial."""
+    if y.exp < x.exp:
+        x, y = y, x
+    return mul_binomial(s.shift(x.exp).scale(x.unit), -(y.unit * x.unit.conj()), y.exp - x.exp)
 
 
 class JtpReport(NamedTuple):

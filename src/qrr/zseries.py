@@ -12,24 +12,42 @@ q-exponent is >= 0, and theta_z raises NegativeExponent for a term below 0
 replay 1.8).
 
 The contour integral of the source material is replaced by exact coefficient
-extraction: ct() is literally the z**0 slice.
+extraction: ct() is literally the z**0 slice, and a.ct_mul(b) is ct(a * b)
+formed from the pairs of slices that meet at z**0 alone.
+
+Products.  Both operands are fitted to one grid and order, and slices that
+fit to zero are dropped.  When every slice of one operand is a single term
+(theta windows, z-binomials, i*z**-1), each pair of slices is a shift and
+scale.  Otherwise the product is packed (qrr._kernel_py.conv_rows): every
+slice is packed into one int on the common stride of all slices, each output
+slice is the sum of its pairs' bignum products, each operand masked to the
+digits its pair can reach under the order and shifted by the pair's
+valuation, and it is unpacked once.  Packing a whole window into one int
+(two-level Kronecker substitution) was measured and rejected: CPython
+multiplies multi-megabit ints by Karatsuba, so it ran several times slower.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Dict, Optional
 
+from . import _kernel_py
 from .errors import DivergentEmbedding, NegativeExponent
 from .gaussian import GaussianInt, binom2, is_unit, unit_pow
-from .series import Monomial, QSeries, _as_order, inv_poch_table
+from .series import Monomial, QSeries, _as_order, _spread, _stride, inv_poch_table
 
 
 def _fit(s: QSeries, den: int, order: int) -> QSeries:
     """s on grid `den` (a multiple of s.den), truncated to scaled `order`."""
     s = s.rescale(den)
     return s if s.order == order else s.truncate(Fraction(order, den))
+
+
+def _fit_slices(coeff: Dict[int, QSeries], den: int, order: int) -> Dict[int, QSeries]:
+    """The slices on grid `den` at scaled `order`, without those that fit to zero."""
+    return {k: t for k, s in coeff.items() if not (t := _fit(s, den, order)).is_zero()}
 
 
 def _min_order(a, b):
@@ -58,7 +76,7 @@ class ZSeries:
         return z
 
     def _set(self, coeff: Dict[int, QSeries], den: int, order: int) -> None:
-        self.coeff = {k: t for k, s in coeff.items() if not (t := _fit(s, den, order)).is_zero()}
+        self.coeff = _fit_slices(coeff, den, order)
         self.den = den
         self.order = order
 
@@ -112,13 +130,11 @@ class ZSeries:
         return self + (-other)
 
     def __mul__(self, other: "ZSeries") -> "ZSeries":
-        out: Dict[int, QSeries] = {}
-        for i, si in self.coeff.items():
-            for j, sj in other.coeff.items():
-                p = si.mul(sj)
-                k = i + j
-                out[k] = out[k] + p if k in out else p
-        return ZSeries._fitted(out, *_min_order(self, other))
+        return _product(self, other, None)
+
+    def ct_mul(self, other: "ZSeries") -> QSeries:
+        """ct(self * other), forming only the z**0 row of the product."""
+        return _product(self, other, 0).ct()
 
     def scale_series(self, s: QSeries) -> "ZSeries":
         return ZSeries._fitted({k: c.mul(s) for k, c in self.coeff.items()}, *_min_order(self, s))
@@ -174,6 +190,55 @@ class ZSeries:
         return " + ".join("(%s)*z^%d" % (s, k) for k, s in sorted(self.coeff.items()))
 
     __repr__ = __str__
+
+
+def _product(x: ZSeries, y: ZSeries, row: Optional[int]) -> ZSeries:
+    """x * y, or only its z**row slice, on the operands' lcm grid at the lower
+    of their orders.
+
+    When every slice of one operand is a single term, each pair of slices is
+    a shift and scale (QSeries.mul).  Otherwise every row is one packed
+    accumulation in the kernel (conv_rows), on the stride g that divides every
+    slice's internal offsets and the differences of the pairs' valuations
+    within each row."""
+    den, order = _min_order(x, y)
+    # an operand already on (den, order) holds only fitted, nonzero slices
+    a, b = (
+        z.coeff if (z.den, z.order) == (den, order) else _fit_slices(z.coeff, den, order) for z in (x, y)
+    )
+    pairs = [(i, j) for i in a for j in (b if row is None else (row - i,)) if j in b]
+    if all(len(s.re) == 1 for s in a.values()) or all(len(s.re) == 1 for s in b.values()):
+        out: Dict[int, QSeries] = {}
+        for i, j in pairs:
+            p = a[i].mul(b[j])
+            k = i + j
+            out[k] = out[k] + p if k in out else p
+        return ZSeries._fitted(out, den, order)
+    rows: Dict[int, list] = {}
+    for pair in pairs:
+        rows.setdefault(pair[0] + pair[1], []).append(pair)
+    g = 0
+    for meet in rows.values():
+        v0 = a[meet[0][0]].val + b[meet[0][1]].val
+        for i, j in meet:
+            g = gcd(g, a[i].val + b[j].val - v0)
+    used_a = {i for i, _ in pairs}
+    used_b = {j for _, j in pairs}
+    for s in [a[i] for i in used_a] + [b[j] for j in used_b]:
+        g = _stride(g, s.re, s.im, len(s.re))
+    g = g or 1
+
+    def strided(s):
+        return s.val, s.re[::g], None if s.im is None else s.im[::g]
+
+    packed = _kernel_py.conv_rows(
+        {i: strided(a[i]) for i in used_a}, {j: strided(b[j]) for j in used_b}, rows, order, g
+    )
+    out = {
+        k: QSeries._of(den, order, v, _spread(re, g), None if im is None else _spread(im, g))
+        for k, (v, re, im) in packed.items()
+    }
+    return ZSeries._fitted(out, den, order)
 
 
 # -- builders ---------------------------------------------------------------
@@ -236,7 +301,12 @@ def _euler_z(c: Monomial, b: Monomial, eps: int, order, den: Optional[int]) -> "
         n += 1
     d = lcm(den or 1, c.exp.denominator, b.exp.denominator, order.denominator)
     table = inv_poch_table(b, len(vals) - 1, order, d)
-    return ZSeries({n: table[n].shift(v).scale(unit_pow(c.unit, n)) for n, v in enumerate(vals)})
+    return ZSeries(
+        {
+            n: table[n].shift(v).scale(unit_pow(c.unit, n) * unit_pow(b.unit, eps * binom2(n)))
+            for n, v in enumerate(vals)
+        }
+    )
 
 
 def euler_z_inverse(c: Monomial, b: Monomial, order, den: Optional[int] = None) -> "ZSeries":

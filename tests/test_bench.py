@@ -1,15 +1,21 @@
+import json
 from fractions import Fraction
 
+import pytest
 from qrr import bench
 
 
-def test_bench_runs_at_small_sizes(monkeypatch):
+@pytest.fixture
+def small(monkeypatch):
     monkeypatch.setattr(bench, "SIZES", (3, 8))
     monkeypatch.setattr(bench, "REPEATS", 1)
     monkeypatch.setattr(bench, "VERIFY_ORDER", Fraction(6))
     monkeypatch.setattr(bench, "SUM_ORDER", Fraction(5))
     monkeypatch.setattr(bench, "REPLAY_ORDER", Fraction(6))
     monkeypatch.setattr(bench, "JTP_ORDER", Fraction(8))
+
+
+def test_bench_runs_at_small_sizes(small):
     lines = []
     bench.main(out=lines.append)
     text = "\n".join(lines)
@@ -19,3 +25,19 @@ def test_bench_runs_at_small_sizes(monkeypatch):
     assert "z-products: replay chains at order 6, jtp_check at order 8" in text
     assert "replay 1.8" in text and "jtp_check" in text
     assert len(lines) == 18
+
+
+def test_bench_json_holds_the_printed_rows(small, tmp_path):
+    path = tmp_path / "bench.json"
+    lines = []
+    bench.main(["--json", str(path)], out=lines.append)
+    rows = json.loads(path.read_text())
+    assert list(rows) == ["kernel", "sum", "verify", "zseries"]
+    assert list(rows["kernel"]) == ["conv_real 3", "conv_complex 3", "conv_real 8", "conv_complex 8"]
+    assert list(rows["sum"]) == ["cao-wang-1-2-3 @5", "double-mod10-2-8 @6"]
+    assert list(rows["verify"]) == ["double-mod10-2-8 @6"]
+    assert list(rows["zseries"]) == ["replay %s @6" % t for t in ("1.5", "1.6", "1.7", "1.8")] + ["jtp_check @8"]
+    # every row is one printed figure, at the printed precision
+    assert "%10.3f" % rows["zseries"]["jtp_check @8"] in lines[-1]
+    assert "%12.6f" % rows["kernel"]["conv_complex 8"] in lines[3]
+    assert all(t >= 0 for section in rows.values() for t in section.values())

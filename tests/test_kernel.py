@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from qrr._kernel_py import conv_complex, conv_real, conv_real_pair
+from qrr._kernel_py import _pack, _reach, _unpack, conv_complex, conv_real, conv_real_pair
 from qrr.gaussian import ZERO, GaussianInt
 from qrr.oracle import dense_mul
 
@@ -118,3 +118,24 @@ def test_conv_complex_property(a, b, nout):
 @given(st.lists(ints, max_size=24), st.lists(ints, max_size=24), st.lists(ints, max_size=24), st.integers(0, 50))
 def test_conv_real_pair_property(a, b, c, nout):
     assert conv_real_pair(a, b, c, nout) == (_truncated(a, b, nout), _truncated(a, c, nout))
+
+
+def test_reach_cuts_an_operand_to_its_pairs_digits():
+    # conv_rows multiplies each packed list only as far as its pair can reach
+    # under the order: the low n digits, nonnegative and below 2**(w*n), equal
+    # to the packed list mod 2**(w*n)
+    rng = random.Random(7)
+    for wb in (1, 3, 11):
+        for length in (1, 2, 9):
+            m = 1 << (8 * wb - 2)
+            re = [rng.randint(-m, m) for _ in range(length)]
+            im = [-x for x in re]
+            x = _pack(re, wb)
+            for n in range(1, length + 3):
+                xr, xi = _reach((length, x, _pack(im, wb)), wb, n)
+                if n >= length:
+                    assert (xr, xi) == (x, _pack(im, wb))
+                    continue
+                for y, want in ((xr, re), (xi, im)):
+                    assert 0 <= y < 1 << 8 * wb * n
+                    assert _unpack(y, wb, n) == want[:n]

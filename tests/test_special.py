@@ -103,6 +103,20 @@ def test_rs_at_minus_one_closed_forms():
         assert rs_at(2 * n + 1, MINUS_ONE_T, q, 80).is_zero(), n
 
 
+@pytest.mark.parametrize("den", [1, 4])
+@pytest.mark.parametrize("b_exp", [1, 2])
+def test_rs_at_is_the_specialized_bw_polynomial(den, b_exp):
+    # z := t substituted before multiplying equals the factored polynomial
+    # specialized afterwards, for every unit of b and t and zero factors too
+    for n in range(13):
+        for bu in UNITS:
+            b = Monomial(bu, F(b_exp))
+            bw = rogers_szego_bw(n, b, 20, den)
+            for tu, te in iproduct(UNITS, (F(0), F(1, 2), F(1))):
+                t = Monomial(tu, te)
+                assert rs_at(n, t, b, 20, den) == bw.specialize(t), (n, b, t)
+
+
 def test_jtp_check_passes():
     rep = jtp_check(60)
     assert isinstance(rep, JtpReport)

@@ -3,10 +3,11 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from qrr.errors import DivergentEmbedding, NegativeExponent
-from qrr.gaussian import I, MINUS_ONE, ONE, GaussianInt, binom2, i_pow, unit_pow
+from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, ZERO, GaussianInt, binom2, i_pow, unit_pow
+from qrr.oracle import dense_mul
 from qrr.series import Monomial, QSeries, poch_infinite, qmono
 from qrr.zseries import ZSeries, euler_z_inverse, euler_z_product, theta_z
 
@@ -103,6 +104,17 @@ def test_euler_z_inverse_is_geometric_inverse():
         assert unit.slice(k).same_through(QSeries.zero(12), 12), k
 
 
+@pytest.mark.parametrize("unit", [ONE, MINUS_ONE, I, MINUS_I])
+@pytest.mark.parametrize("c", [qmono(1), Monomial(I, F(1, 2)), Monomial(MINUS_ONE, F(3, 4))])
+def test_euler_z_product_times_inverse_is_one_for_every_unit_base(unit, c):
+    # (-c z; b)_inf / (-c z; b)_inf for b = q, -q, i q, -i q: the Euler
+    # coefficients carry b's unit to the power binom(n, 2) and 1/(b;b)_n its
+    # powers u**k in each factor
+    b = Monomial(unit, F(1))
+    one = euler_z_product(c, b, 14) * euler_z_inverse(Monomial(-c.unit, c.exp), b, 14)
+    assert one == ZSeries.embed(QSeries.one(14))
+
+
 def test_euler_z_requires_positive_embedding():
     with pytest.raises(DivergentEmbedding):
         euler_z_inverse(qmono(0), qmono(1), 5)
@@ -159,19 +171,25 @@ def test_triple_product_window_digest():
     assert hashlib.sha256(str(lhs).encode()).hexdigest()[:16] == "6626ffc7092ba704"
 
 
+_COEFFS = st.one_of(st.integers(-3, 3), st.sampled_from([2**80, -(2**80)]), st.integers(-(2**80), 2**80))
+
+
 @st.composite
-def zseries(draw):
-    """A small ZSeries: up to three slices, each on its own den (1-4) at its
-    own order, real or complex, zero slices allowed; or an empty window."""
-    if draw(st.booleans()) and draw(st.booleans()):
+def windows(draw):
+    """A ZSeries whose slices are real, complex or purely imaginary, each on
+    its own den (1-4) at its own order, with coefficients up to 2**80, zero
+    slices and windows on either side of z**0; or an empty window."""
+    if draw(st.integers(0, 5)) == 0:
         return ZSeries.zero(F(draw(st.integers(0, 40)), 4), draw(st.integers(1, 4)))
     coeff = {}
-    for _ in range(draw(st.integers(1, 3))):
+    for k in draw(st.lists(st.integers(-4, 4), min_size=1, max_size=5, unique=True)):
         den = draw(st.integers(1, 4))
-        order = draw(st.integers(0, 12))
-        im = st.just(0) if draw(st.booleans()) else st.integers(-3, 3)
-        c = st.builds(GaussianInt, st.integers(-3, 3), im)
-        coeff[draw(st.integers(-3, 3))] = QSeries(den, order, draw(st.dictionaries(st.integers(0, order), c, max_size=4)))
+        order = draw(st.integers(0, 10 * den))
+        kind = draw(st.sampled_from(["real", "complex", "imaginary"]))
+        re = st.just(0) if kind == "imaginary" else _COEFFS
+        im = st.just(0) if kind == "real" else _COEFFS
+        c = st.builds(GaussianInt, re, im)
+        coeff[k] = QSeries(den, order, draw(st.dictionaries(st.integers(0, order), c, max_size=8)))
     return ZSeries(coeff)
 
 
@@ -185,7 +203,7 @@ def _assert_fitted(z, operands):
 
 
 @settings(max_examples=200, deadline=None)
-@given(zseries(), zseries(), st.integers(-3, 3))
+@given(windows(), windows(), st.integers(-3, 3))
 def test_every_operation_fits_slices_to_one_grid_and_order(a, b, j):
     _assert_fitted(a, [a])
     for z in (a + b, a - b, a * b, b * a):
@@ -195,3 +213,82 @@ def test_every_operation_fits_slices_to_one_grid_and_order(a, b, j):
     _assert_fitted(a.zshift(j), [a])
     _assert_fitted(a.reflect(), [a])
     _assert_fitted(-a, [a])
+
+
+# -- the packed product against slice-by-slice schoolbook products -----------
+
+
+def _dense(s: QSeries, den: int, order: int) -> list:
+    """Coefficients 0..order of s on grid den, as GaussianInts."""
+    out = [ZERO] * (order + 1)
+    for e, c in s.terms():
+        if e * den <= order:
+            out[int(e * den)] = c
+    return out
+
+
+def _reference(a: ZSeries, b: ZSeries) -> dict:
+    """{k: QSeries}: each z-slice of a * b as a sum of dense_mul products."""
+    den = math.lcm(a.den, b.den)
+    order = min(a.order * (den // a.den), b.order * (den // b.den))
+    rows = {}
+    for i, x in a.coeff.items():
+        for j, y in b.coeff.items():
+            p = dense_mul(_dense(x, den, order), _dense(y, den, order))[: order + 1]
+            row = rows.setdefault(i + j, [ZERO] * (order + 1))
+            rows[i + j] = [u + v for u, v in zip(row, p + [ZERO] * (order + 1 - len(p)))]
+    return {k: QSeries(den, order, dict(enumerate(row))) for k, row in rows.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(windows(), windows())
+@example(  # a slice above the other operand's order fits to zero and drops out
+    ZSeries({0: QSeries(1, 9, {0: (1, 0), 1: (2, 0)}), 1: QSeries(1, 9, {7: (3, 0), 8: (1, 1)})}),
+    ZSeries({0: QSeries(1, 5, {0: (1, 0), 2: (5, 0)}), -1: QSeries(1, 5, {1: (0, 1), 3: (2, 0)})}),
+)
+def test_packed_product_matches_slice_by_slice_oracle(a, b):
+    want = _reference(a, b)
+    for got in (a * b, b * a):
+        _assert_fitted(got, [a, b])
+        assert set(got.coeff) == {k for k, s in want.items() if not s.is_zero()}
+        for k, s in want.items():
+            assert got.slice(k) == s, k
+    zero = want.get(0, QSeries.zero(min(a.order_q, b.order_q), math.lcm(a.den, b.den)))
+    assert a.ct_mul(b) == zero
+    assert b.ct_mul(a) == zero
+
+
+@pytest.mark.parametrize(
+    "x, y, length",
+    [
+        (ONE, ONE, 16),
+        (ONE, GaussianInt(1, 1), 16),
+        (GaussianInt(1, 1), GaussianInt(1, -1), 8),
+    ],
+)
+def test_packed_product_at_the_width_bound(x, y, length):
+    # eight slices of `length` equal coefficients x*2**80 and y*2**80: in row
+    # z**7 eight pairs land length products each on one digit, and that digit
+    # reaches the width's bound |a|*|b|*count (doubled for complex x complex),
+    # 2**167 here, which needs every byte the width allows
+    big = 2**80
+    a = ZSeries({k: QSeries(1, 2 * length, {e: x * big for e in range(length)}) for k in range(8)})
+    b = ZSeries({k: QSeries(1, 2 * length, {e: y * big for e in range(length)}) for k in range(8)})
+    want = _reference(a, b)
+    assert max(abs(c) for c in (want[7].coeff(length - 1))) == 2**167
+    assert a * b == ZSeries(want)
+    assert b * a == ZSeries(want)
+    assert a.ct_mul(b) == want[0]
+
+
+def test_multi_term_windows_make_no_slice_multiply(monkeypatch):
+    a = euler_z_product(Monomial(I, F(3, 4)), qmono(1), 12, den=4)
+    b = euler_z_inverse(Monomial(MINUS_ONE, F(1, 2)), qmono(2), 10, den=4).reflect()
+    want = _reference(a, b)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("QSeries.mul called on a multi-term window")
+
+    monkeypatch.setattr(QSeries, "mul", refuse)
+    assert a * b == ZSeries(want)
+    assert a.ct_mul(b) == want[0]
