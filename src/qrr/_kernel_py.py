@@ -3,14 +3,17 @@
 A coefficient list a is packed into one Python int, a[0] + a[1]*2**w +
 a[2]*2**(2w) + ..., with a digit width w wide enough that every output
 coefficient fits in a signed w-bit digit.  One bignum multiply then does the
-whole convolution, and the low `nout` digits of the product, read as signed
-digits, are c[k] = sum_{i+j=k} a[i]*b[j] for k < nout.
+whole convolution, and the low digits of the product, read as signed digits,
+are c[k] = sum_{i+j=k} a[i]*b[j].
 
 Inputs are plain lists of Python ints of any size, and outputs are exact.
 
-`conv_rows` applies the same packing to products of two windows of lists
-(the z-slices of two z-series): each list is packed once per digit width,
-and every output row is one accumulated bignum, unpacked once.
+`conv_rows` is the one entry point.  It multiplies two windows of lists (the
+z-slices of two z-series; a single product is a window of one list on each
+side) and sums the products of given pairs into each output row: each list
+is packed once per digit width, and every row is one accumulated bignum,
+unpacked once.  Real and complex lists mix freely; a complex list times a
+complex list takes three real products (Karatsuba).
 """
 
 from itertools import accumulate
@@ -45,58 +48,6 @@ def _unpack(c: int, wb: int, nout: int) -> list:
     return [int.from_bytes(buf[i : i + wb], "little") - half for i in range(0, n, wb)]
 
 
-def conv_real(a: list, b: list, nout: int) -> list:
-    """c[k] = sum_{i+j=k} a[i]*b[j] for k < nout."""
-    if len(a) > nout:
-        a = a[:nout]
-    if len(b) > nout:
-        b = b[:nout]
-    if not a or not b:
-        return [0] * nout
-    amax = max(max(a), -min(a))
-    bmax = max(max(b), -min(b))
-    if not amax or not bmax:
-        return [0] * nout
-    wb = _width(amax, bmax, min(len(a), len(b)))
-    return _unpack(_pack(a, wb) * _pack(b, wb), wb, nout)
-
-
-def conv_real_pair(a: list, b: list, c: list, nout: int) -> tuple:
-    """(conv_real(a, b, nout), conv_real(a, c, nout)) with a packed once: the
-    real times complex product a * (b + i*c)."""
-    a, b, c = a[:nout], b[:nout], c[:nout]
-    bc = b + c
-    if not a or not bc:
-        return [0] * nout, [0] * nout
-    amax = max(max(a), -min(a))
-    bmax = max(max(bc), -min(bc))
-    if not amax or not bmax:
-        return [0] * nout, [0] * nout
-    wb = _width(amax, bmax, min(len(a), max(len(b), len(c))))
-    x = _pack(a, wb)
-    return _unpack(x * _pack(b, wb), wb, nout), _unpack(x * _pack(c, wb), wb, nout)
-
-
-def conv_complex(ar: list, ai: list, br: list, bi: list, nout: int) -> tuple:
-    """(ar + i*ai) * (br + i*bi) from three real products (Karatsuba)."""
-    if len(ar) > nout:
-        ar, ai = ar[:nout], ai[:nout]
-    if len(br) > nout:
-        br, bi = br[:nout], bi[:nout]
-    if not ar or not br:
-        return [0] * nout, [0] * nout
-    amax = max(max(ar), -min(ar), max(ai), -min(ai))
-    bmax = max(max(br), -min(br), max(bi), -min(bi))
-    if not amax or not bmax:
-        return [0] * nout, [0] * nout
-    # |re c[k]| and |im c[k]| are each at most two sums of n products
-    wb = _width(2 * amax, bmax, min(len(ar), len(br)))
-    xr, xi, yr, yi = (_pack(v, wb) for v in (ar, ai, br, bi))
-    rr = xr * yr
-    ii = xi * yi
-    return _unpack(rr - ii, wb, nout), _unpack((xr + xi) * (yr + yi) - rr - ii, wb, nout)
-
-
 def _peaks(re: list, im) -> list:
     """Running maxima of |re[t]| and |im[t]| (an im of None is zero): entry n - 1
     bounds every entry of the first n."""
@@ -114,13 +65,14 @@ def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
     {k: (v, re, im)} on the same stride (im None for a row of real pairs),
     without the rows that have no position <= top.
 
-    A pair reaches n = (top - v_a - v_b)//g + 1 digits.  Each row's digit
-    width holds its largest |a|*|b| over the digits the pairs reach, times the
-    number of products that land in one digit, doubled when a complex list
-    meets a complex list.  A list is packed once per width, as far as the pairs
-    of that width reach, and each operand longer than its pair's reach is
-    masked to n digits: that changes it by a multiple of 2**(w*n), which moves
-    only digits at or past the row's last.
+    A pair reaches n = (top - v_a - v_b)//g + 1 digits; a pair with n <= 0,
+    or with a list that is empty or zero through n digits, adds nothing.  Each
+    row's digit width holds its largest |a|*|b| over the digits the pairs
+    reach, times the number of products that land in one digit, doubled when
+    a complex list meets a complex list.  A list is packed once per width, as
+    far as the pairs of that width reach, and each operand longer than its
+    pair's reach is masked to n digits: that changes it by a multiple of
+    2**(w*n), which moves only digits at or past the row's last.
     """
     plan, reach = _plan_rows(a, b, rows, top, g)
     packs = {}
@@ -134,7 +86,7 @@ def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
             xr, xi = _reach(packs[0, i, wb], wb, n)
             yr, yi = _reach(packs[1, j, wb], wb, n)
             s = 8 * wb * ((v - base) // g)
-            if xi is not None and yi is not None:  # three products, as conv_complex
+            if xi is not None and yi is not None:  # three products
                 pr = xr * yr
                 pi = xi * yi
                 rr += (pr - pi) << s
@@ -149,13 +101,29 @@ def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
     return out
 
 
+def _peak(cache: dict, key: tuple, re: list, im, n: int) -> int:
+    """The largest |re[t]| or |im[t]| over t < n, for 0 < n <= len(re) (an im
+    of None is zero).  A whole list takes one max/min pass, a list cut shorter
+    its running maxima; either is built once per key and kept in `cache`."""
+    whole = n == len(re)
+    m = cache.get((key, whole))
+    if m is None:
+        if whole:
+            m = max(max(re), -min(re))
+            if im is not None:
+                m = max(m, max(im), -min(im))
+        else:
+            m = _peaks(re, im)
+        cache[key, whole] = m
+    return m if whole else m[n - 1]
+
+
 def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
     """conv_rows' plan: for each row with a position <= top, (k, base
     position, digits out, width, complex?, [(i, j, v_a + v_b, n, digits of
     a[i] used, digits of b[j] used)]); and the digits to pack for each
-    (side, index, width).  The running maxima are dropped on return."""
-    peak_a = {i: _peaks(re, im) for i, (_, re, im) in a.items()}
-    peak_b = {j: _peaks(re, im) for j, (_, re, im) in b.items()}
+    (side, index, width).  The peaks are dropped on return."""
+    peaks = {}  # ((side, index), whole?) -> _peak's maximum or running maxima
     plan = []
     reach = {}  # (side, index, width) -> digits to pack
     for k, pairs in rows.items():
@@ -166,10 +134,13 @@ def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
             va, ar, ai = a[i]
             vb, br, bi = b[j]
             n = (top - va - vb) // g + 1
-            if n <= 0:
-                continue
             la, lb = min(len(ar), n), min(len(br), n)
-            big = max(big, peak_a[i][la - 1] * peak_b[j][lb - 1])
+            if la <= 0 or lb <= 0:
+                continue
+            m = _peak(peaks, (0, i), ar, ai, la) * _peak(peaks, (1, j), br, bi, lb)
+            if not m:  # a list that is zero as far as the pair reaches
+                continue
+            big = max(big, m)
             count += min(la, lb)
             doubled = doubled or (ai is not None and bi is not None)
             complex_row = complex_row or ai is not None or bi is not None

@@ -1,8 +1,10 @@
 """Time the convolution kernel, the sum side, one end-to-end verification and
 the z-product layer.
 
-Run as `python -m qrr.bench`.  Times `conv_real` and `conv_complex` on random
-small-coefficient inputs at several lengths, `eval_sum` of cao_wang_1_2_3 at
+Run as `python -m qrr.bench`.  Times the kernel's one entry point,
+`conv_rows`, on a one-row, one-pair call of random small-coefficient lists at
+several lengths, real times real (rows `conv_real n`) and complex times
+complex (rows `conv_complex n`), then `eval_sum` of cao_wang_1_2_3 at
 SUM_ORDER and of double_mod10_2_8 at VERIFY_ORDER, `verify` of
 double_mod10_2_8 at VERIFY_ORDER, then the replay chains 1.5-1.8 at
 REPLAY_ORDER and `jtp_check` at JTP_ORDER.
@@ -43,6 +45,11 @@ def _time(fn, repeats: int) -> float:
     return best
 
 
+def _pair(x, y, n):
+    """The whole product of two length-n lists: one row of one pair."""
+    return _kernel_py.conv_rows({0: x}, {0: y}, {0: [(0, 0)]}, 2 * n - 2, 1)
+
+
 def bench_kernels(out, rows):
     rng = random.Random(12345)
     out("convolution kernel (best of %d, seconds)" % REPEATS)
@@ -51,10 +58,8 @@ def bench_kernels(out, rows):
     for n in SIZES:
         a = [rng.randint(-9, 9) for _ in range(n)]
         b = [rng.randint(-9, 9) for _ in range(n)]
-        tr = section["conv_real %d" % n] = _time(lambda: _kernel_py.conv_real(a, b, 2 * n - 1), REPEATS)
-        tc = section["conv_complex %d" % n] = _time(
-            lambda: _kernel_py.conv_complex(a, b, b, a, 2 * n - 1), REPEATS
-        )
+        tr = section["conv_real %d" % n] = _time(lambda: _pair((0, a, None), (0, b, None), n), REPEATS)
+        tc = section["conv_complex %d" % n] = _time(lambda: _pair((0, a, b), (0, b, a), n), REPEATS)
         out("%8d  %12.6f  %12.6f" % (n, tr, tc))
 
 

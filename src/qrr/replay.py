@@ -222,14 +222,17 @@ def replay_1_7(order) -> List[StepReport]:
     n_max = 2 * int(math.isqrt(int(order))) + 2
     while Fraction(n_max * n_max, 4) > order:
         n_max -= 1
-    table = inv_poch_table(q2, n_max, order, 4)
+    # the quarter grid refined to hold the order exactly, as the tables'
+    # grids do: on grid 4 an order of 1/3 would floor to 1/4, below theirs
+    den = math.lcm(4, order.denominator)
+    table = inv_poch_table(q2, n_max, order, den)
 
     # step 1: regroup along N = m + n via Gaussian binomials
-    regrouped = QSeries.zero(order, 4)
+    regrouped = QSeries.zero(order, den)
     inners = []
-    for n, row in zip(range(n_max + 1), gaussian_binomial_rows(q2, order, 4)):
+    for n, row in zip(range(n_max + 1), gaussian_binomial_rows(q2, order, den)):
         e = Fraction(n * n, 4)
-        inner = QSeries.zero(order, 4)
+        inner = QSeries.zero(order, den)
         for m, gb in enumerate(row):
             inner = inner + (gb if m % 2 == 0 else -gb)
         inners.append(inner)
@@ -247,11 +250,11 @@ def replay_1_7(order) -> List[StepReport]:
     div = None
     for n in range(n_max + 1):
         closed = (
-            QSeries.zero(order, 4)
+            QSeries.zero(order, den)
             if n % 2
-            else poch_finite(Monomial(ONE, 2), q4, n // 2, order, 4)
+            else poch_finite(Monomial(ONE, 2), q4, n // 2, order, den)
         )
-        d = inners[n].first_difference(rs_at(n, minus_one, q2, order, 4), order)
+        d = inners[n].first_difference(rs_at(n, minus_one, q2, order, den), order)
         if d is None:
             d = inners[n].first_difference(closed, order)
         if d is not None:

@@ -16,9 +16,13 @@ stored beyond `order`.  Lists are never mutated once a series holds them.
 
 Binary operations unify denominators through the lcm and truncate to the
 smaller order.  A product with a one-term operand is a shift and scale of
-the other operand; every other product goes through the Kronecker-substitution
-convolution kernel (qrr._kernel_py), on every g-th entry when the nonzero
-coefficients of both operands sit on a common stride g from their valuations.
+the other operand.  Every other product, here and in qrr.zseries, goes
+through `_rows`, which holds the one stride rule: it finds the largest g such
+that the nonzero coefficients of every operand sit on a stride g from their
+valuations, and the pairs summed into one row differ in valuation by
+multiples of g; it hands every g-th entry to the Kronecker-substitution
+kernel's one entry point (qrr._kernel_py.conv_rows) and spreads the rows back
+onto the grid.
 """
 
 from __future__ import annotations
@@ -94,6 +98,8 @@ def _normal(order: int, val: int, re: list, im: Optional[list]):
 
 def _spread(x: list, f: int) -> list:
     """x with f - 1 zeros between consecutive entries."""
+    if f == 1:
+        return x
     out = [0] * (f * (len(x) - 1) + 1)
     out[::f] = x
     return out
@@ -314,7 +320,7 @@ class QSeries:
         den, order, a, b = self._unify(self, other)
         if bound is not None:
             order = min(order, _as_order(bound, den))
-        return QSeries._of(den, order, *_mul_coeffs(a, b, order))
+        return _mul(a, b, order)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         return self.mul(other)
@@ -422,36 +428,56 @@ class QSeries:
         )
 
 
-def _mul_coeffs(a: QSeries, b: QSeries, n_max: int):
-    """(val, re, im) of the product of two series on one grid, through scaled
-    exponent n_max.
+def _mul(a: QSeries, b: QSeries, n_max: int) -> QSeries:
+    """The product of two series on one grid, through scaled exponent n_max.
 
     A one-term operand c*q**v makes the product a scaled copy of the other
-    operand's lists.  Otherwise, when every nonzero coefficient of both
-    operands sits at an offset from its valuation that is a multiple of some
-    g > 1, the kernel convolves every g-th entry and the result is spread back
-    onto the grid."""
+    operand's lists.  Every other product is the one-pair, one-row case of
+    `_rows`."""
     val = a.val + b.val
     nout = min(n_max - val + 1, len(a.re) + len(b.re) - 1)
     if not a.re or not b.re or nout <= 0:
-        return 0, [], None
+        return QSeries._of(a.den, n_max, 0, [])
     if len(b.re) == 1:
         a, b = b, a
     if len(a.re) == 1:
         re, im = b.re[:nout], None if b.im is None else b.im[:nout]
         cr, ci = a.re[0], 0 if a.im is None else a.im[0]
-        if cr == 1 and not ci:
-            return val, re, im
-        return (val, *_times(re, im, cr, ci))
-    na, nb = min(len(a.re), nout), min(len(b.re), nout)
-    # g = 0: no nonzero offset inside the window, only the first terms meet
-    g = _stride(_stride(0, a.re, a.im, na), b.re, b.im, nb) or nout
-    if g == 1:
-        return (val, *_conv(a.re, a.im, b.re, b.im, nout))
-    ai = None if a.im is None else a.im[:na:g]
-    bi = None if b.im is None else b.im[:nb:g]
-    re, im = _conv(a.re[:na:g], ai, b.re[:nb:g], bi, (nout - 1) // g + 1)
-    return val, _spread(re, g), None if im is None else _spread(im, g)
+        if cr != 1 or ci:
+            re, im = _times(re, im, cr, ci)
+        return QSeries._of(a.den, n_max, val, re, im)
+    return _rows({0: a}, {0: b}, {0: [(0, 0)]}, a.den, n_max)[0]
+
+
+def _rows(a: dict, b: dict, rows: dict, den: int, top: int) -> dict:
+    """{k: the sum of a[i] * b[j] over the pairs (i, j) in rows[k]}, for
+    series on grid `den`, each exact through scaled exponent `top`; a row
+    with no exponent <= top is left out.
+
+    Every row is one packed accumulation in the kernel
+    (qrr._kernel_py.conv_rows), on every g-th entry for the g that divides
+    each used series' offsets of nonzero coefficients from its valuation and
+    the differences of the pairs' valuations within each row; each row is
+    spread back onto the grid."""
+    g = 0
+    for pairs in rows.values():
+        v0 = a[pairs[0][0]].val + b[pairs[0][1]].val
+        for i, j in pairs:
+            g = gcd(g, a[i].val + b[j].val - v0)
+    used_a = {i: a[i] for pairs in rows.values() for i, _ in pairs}
+    used_b = {j: b[j] for pairs in rows.values() for _, j in pairs}
+    for s in (*used_a.values(), *used_b.values()):
+        g = _stride(g, s.re, s.im, len(s.re))
+    g = g or 1
+
+    def strided(used):
+        return {x: (s.val, s.re[::g], None if s.im is None else s.im[::g]) for x, s in used.items()}
+
+    packed = _kernel_py.conv_rows(strided(used_a), strided(used_b), rows, top, g)
+    return {
+        k: QSeries._of(den, top, v, _spread(re, g), None if im is None else _spread(im, g))
+        for k, (v, re, im) in packed.items()
+    }
 
 
 def _stride(g: int, re: list, im: Optional[list], n: int) -> int:
@@ -475,19 +501,6 @@ def _stride(g: int, re: list, im: Optional[list], n: int) -> int:
         else:
             j += 1
     return g
-
-
-def _conv(ar: list, ai: Optional[list], br: list, bi: Optional[list], nout: int):
-    """(re, im) of the product (ar + i*ai) * (br + i*bi) through nout terms,
-    by the one kernel call that fits the operands; im is None for a real
-    product."""
-    if ai is None and bi is None:
-        return _kernel_py.conv_real(ar, br, nout), None
-    if ai is None:
-        return _kernel_py.conv_real_pair(ar, br, bi, nout)
-    if bi is None:
-        return _kernel_py.conv_real_pair(br, ar, ai, nout)
-    return _kernel_py.conv_complex(ar, ai, br, bi, nout)
 
 
 # -- binomial-factor helpers (O(order) each) --------------------------------

@@ -18,11 +18,12 @@ formed from the pairs of slices that meet at z**0 alone.
 Products.  Both operands are fitted to one grid and order, and slices that
 fit to zero are dropped.  When every slice of one operand is a single term
 (theta windows, z-binomials, i*z**-1), each pair of slices is a shift and
-scale.  Otherwise the product is packed (qrr._kernel_py.conv_rows): every
-slice is packed into one int on the common stride of all slices, each output
-slice is the sum of its pairs' bignum products, each operand masked to the
-digits its pair can reach under the order and shifted by the pair's
-valuation, and it is unpacked once.  Packing a whole window into one int
+scale.  Otherwise it takes the packed path of every product (series._rows,
+then qrr._kernel_py.conv_rows), one row per output slice: every slice is
+packed into one int on the common stride of all slices, each output slice is
+the sum of its pairs' bignum products, each operand masked to the digits its
+pair can reach under the order and shifted by the pair's valuation, and it
+is unpacked once.  Packing a whole window into one int
 (two-level Kronecker substitution) was measured and rejected: CPython
 multiplies multi-megabit ints by Karatsuba, so it ran several times slower.
 """
@@ -30,13 +31,12 @@ multiplies multi-megabit ints by Karatsuba, so it ran several times slower.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Dict, Optional
 
-from . import _kernel_py
 from .errors import DivergentEmbedding, NegativeExponent
 from .gaussian import GaussianInt, binom2, is_unit, unit_pow
-from .series import Monomial, QSeries, _as_order, _spread, _stride, inv_poch_table
+from .series import Monomial, QSeries, _as_order, _rows, inv_poch_table
 
 
 def _fit(s: QSeries, den: int, order: int) -> QSeries:
@@ -197,10 +197,9 @@ def _product(x: ZSeries, y: ZSeries, row: Optional[int]) -> ZSeries:
     of their orders.
 
     When every slice of one operand is a single term, each pair of slices is
-    a shift and scale (QSeries.mul).  Otherwise every row is one packed
-    accumulation in the kernel (conv_rows), on the stride g that divides every
-    slice's internal offsets and the differences of the pairs' valuations
-    within each row."""
+    a shift and scale (QSeries.mul).  Otherwise the pairs are grouped by the
+    z-power they meet at and the rows come from series._rows, the one packed
+    path that QSeries.mul also takes."""
     den, order = _min_order(x, y)
     # an operand already on (den, order) holds only fitted, nonzero slices
     a, b = (
@@ -217,28 +216,7 @@ def _product(x: ZSeries, y: ZSeries, row: Optional[int]) -> ZSeries:
     rows: Dict[int, list] = {}
     for pair in pairs:
         rows.setdefault(pair[0] + pair[1], []).append(pair)
-    g = 0
-    for meet in rows.values():
-        v0 = a[meet[0][0]].val + b[meet[0][1]].val
-        for i, j in meet:
-            g = gcd(g, a[i].val + b[j].val - v0)
-    used_a = {i for i, _ in pairs}
-    used_b = {j for _, j in pairs}
-    for s in [a[i] for i in used_a] + [b[j] for j in used_b]:
-        g = _stride(g, s.re, s.im, len(s.re))
-    g = g or 1
-
-    def strided(s):
-        return s.val, s.re[::g], None if s.im is None else s.im[::g]
-
-    packed = _kernel_py.conv_rows(
-        {i: strided(a[i]) for i in used_a}, {j: strided(b[j]) for j in used_b}, rows, order, g
-    )
-    out = {
-        k: QSeries._of(den, order, v, _spread(re, g), None if im is None else _spread(im, g))
-        for k, (v, re, im) in packed.items()
-    }
-    return ZSeries._fitted(out, den, order)
+    return ZSeries._fitted(_rows(a, b, rows, den, order), den, order)
 
 
 # -- builders ---------------------------------------------------------------

@@ -1,11 +1,14 @@
-"""The Kronecker-substitution kernel against the schoolbook oracle, exactly."""
+"""The Kronecker-substitution kernel against the schoolbook oracle, exactly.
+
+Every oracle case goes through the kernel's one entry point, `conv_rows`, as
+a one-row, one-pair call."""
 
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from qrr._kernel_py import _pack, _reach, _unpack, conv_complex, conv_real, conv_real_pair
+from qrr._kernel_py import _pack, _plan_rows, _reach, _unpack, _width, conv_rows
 from qrr.gaussian import ZERO, GaussianInt
 from qrr.oracle import dense_mul
 
@@ -16,6 +19,36 @@ LENGTHS = (0, 1, 2, 17, 40)
 def _truncated(a, b, nout, zero=0):
     full = dense_mul(a, b)
     return (full + [zero] * nout)[:nout]
+
+
+def _conv(ar, br, nout, ai=None, bi=None):
+    """(re, im) of (ar + i*ai) * (br + i*bi) through nout terms, from the
+    one-row, one-pair conv_rows call with top nout - 1, padded with zeros to
+    nout entries; im is None for a real product."""
+    row = conv_rows({0: (0, ar, ai)}, {0: (0, br, bi)}, {0: [(0, 0)]}, nout - 1, 1).get(0)
+    real = ai is None and bi is None
+    if row is None:  # no digit through top, or an operand empty or zero
+        return [0] * nout, None if real else [0] * nout
+    v, re, im = row
+    assert v == 0 and len(re) <= nout and (im is None) == real
+    pad = [0] * (nout - len(re))
+    return re + pad, None if real else im + pad
+
+
+def conv_real(a, b, nout):
+    re, _ = _conv(a, b, nout)
+    return re
+
+
+def conv_real_pair(a, b, c, nout):
+    """a * (b + i*c): the real products a*b and a*c; b and c are padded to
+    one length, as the kernel's lists of one complex operand are."""
+    n = max(len(b), len(c))
+    return _conv(a, b + [0] * (n - len(b)), nout, bi=c + [0] * (n - len(c)))
+
+
+def conv_complex(ar, ai, br, bi, nout):
+    return _conv(ar, br, nout, ai, bi)
 
 
 def _nouts(la, lb):
@@ -118,6 +151,24 @@ def test_conv_complex_property(a, b, nout):
 @given(st.lists(ints, max_size=24), st.lists(ints, max_size=24), st.lists(ints, max_size=24), st.integers(0, 50))
 def test_conv_real_pair_property(a, b, c, nout):
     assert conv_real_pair(a, b, c, nout) == (_truncated(a, b, nout), _truncated(a, c, nout))
+
+
+@pytest.mark.parametrize("complex_a", [False, True])
+def test_width_bounds_only_the_digits_a_pair_reaches(complex_a):
+    # a list cut to the pair's reach takes its width from its running maxima
+    # there, not from the huge entry past it; a whole list from all of it
+    big = 1 << 200
+    a = [3, -5, 2, big]
+    ai = [0, 1, 0, -big] if complex_a else None
+    b = [7, 1, -1]
+    for top, la, lb, amax in ((1, 2, 2, 5), (2, 3, 3, 5), (5, 4, 3, big)):
+        plan, _ = _plan_rows({0: (0, a, ai)}, {0: (0, b, None)}, {0: [(0, 0)]}, top, 1)
+        ((_, _, _, wb, _, live),) = plan
+        assert live[0][4:] == (la, lb)
+        assert wb == _width(amax, 7, min(la, lb))
+        got = conv_complex(a, ai, b, None, top + 1) if complex_a else (conv_real(a, b, top + 1), None)
+        want = _truncated(a, b, top + 1), ai and _truncated(ai, b, top + 1)
+        assert got == want
 
 
 def test_reach_cuts_an_operand_to_its_pairs_digits():

@@ -1,10 +1,12 @@
 import hashlib
+import io
 import json
 from fractions import Fraction as F
 from importlib import import_module
 
 import pytest
 from qrr import corpus
+from qrr.cli import EXIT_OK, main
 from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, i_pow, sign_binom2, unit_pow
 from qrr.identity import LinForm, SignAtom, eval_product, eval_sum
 from qrr.replay import (
@@ -35,6 +37,16 @@ def test_chains_pass_at_order_40(theorem):
     ]
     assert [s.step for s in steps] == list(range(1, len(steps) + 1))
     assert all(s.theorem == theorem for s in steps)
+
+
+@pytest.mark.parametrize("order", ["1/3", "2/3", "7/6", "13/3", "1/8", "3/8"])
+def test_chains_pass_at_orders_off_the_quarter_grid(order):
+    # replay 1.7 builds its series on grid lcm(4, order's denominator); on
+    # grid 4 its tables kept a finer order than the sums they were added to
+    steps = replay_1_7(F(order))
+    assert chain_passes(steps), [(s.step, s.first_divergence) for s in steps if not s.ok]
+    for theorem in sorted(REPLAYS):
+        assert main(["replay", theorem, "--order", order], out=io.StringIO()) == EXIT_OK, theorem
 
 
 def test_step_counts():

@@ -411,8 +411,7 @@ def test_one_term_operand_makes_no_kernel_call(monkeypatch):
     cs = UNITS + (GaussianInt(2, -3),)
     terms = [QSeries.term(c, F(3, 2), 28, den=2) for c in cs]
     want = [x.shift(F(3, 2)).scale(c).truncate(28) for x in (s, real) for c in cs]
-    for name in ("conv_real", "conv_real_pair", "conv_complex"):
-        monkeypatch.setattr(_kernel_py, name, fail)
+    monkeypatch.setattr(_kernel_py, "conv_rows", fail)
     assert [x.mul(t) for x in (s, real) for t in terms] == want
     assert [t * x for x in (s, real) for t in terms] == want
 
@@ -425,16 +424,20 @@ def test_common_stride_convolves_every_gth_entry(monkeypatch):
     want = oracle_product(as_plain(a), as_plain(b), None)
     calls = []
 
-    def spy(x, y, nout):
-        calls.append((len(x), len(y), nout))
-        return real_conv(x, y, nout)
+    def spy(x, y, rows, top, g):
+        out = real_conv(x, y, rows, top, g)
+        calls.append((x, y, rows, top, g, out))
+        return out
 
-    real_conv = _kernel_py.conv_real
-    monkeypatch.setattr(_kernel_py, "conv_real", spy)
+    real_conv = _kernel_py.conv_rows
+    monkeypatch.setattr(_kernel_py, "conv_rows", spy)
     assert as_plain(a.mul(b)) == want
-    (la, lb, nout), = calls
-    assert la <= -(-len(a.re) // 8) and lb <= -(-len(b.re) // 8)
-    assert nout == (a.order - a.val - b.val) // 8 + 1
+    ((x, y, rows, top, g, out),) = calls
+    ((va, xr, _),), ((vb, yr, _),) = x.values(), y.values()
+    assert (g, rows, va, vb) == (8, {0: [(0, 0)]}, a.val, b.val)
+    assert len(xr) <= -(-len(a.re) // 8) and len(yr) <= -(-len(b.re) // 8)
+    # the one row ends at the last digit the pair reaches under the order
+    assert len(out[0][1]) == (top - va - vb) // g + 1 == (a.order - a.val - b.val) // 8 + 1
 
 
 def test_normal_form_cases():
