@@ -6,8 +6,10 @@ Run as `python -m qrr.bench`.  Times the kernel's one entry point,
 several lengths, real times real (rows `conv_real n`) and complex times
 complex (rows `conv_complex n`), then `eval_sum` of cao_wang_1_2_3 at
 SUM_ORDER and of double_mod10_2_8 at VERIFY_ORDER, `verify` of
-double_mod10_2_8 at VERIFY_ORDER, then the replay chains 1.5-1.8 at
-REPLAY_ORDER and `jtp_check` at JTP_ORDER.
+double_mod10_2_8 at VERIFY_ORDER, the single-factor updates
+(`rogers_szego_bw` with n = RS_N at RS_ORDER, `eval_product` of
+rogers_mod5_1_4 at PRODUCT_ORDER), the replay chains 1.5-1.8 at REPLAY_ORDER
+and `jtp_check` at JTP_ORDER.
 
 `python -m qrr.bench --json PATH` also writes the same rows to PATH as
 {section: {row: seconds}}.
@@ -23,15 +25,19 @@ import time
 from fractions import Fraction
 
 from . import _kernel_py, corpus
-from .identity import eval_sum, verify
+from .identity import eval_product, eval_sum, verify
 from .replay import REPLAYS
-from .special import jtp_check
+from .series import qmono
+from .special import jtp_check, rogers_szego_bw
 
 SIZES = (64, 256, 1024, 4096)
 REPEATS = 5
 VERIFY_ORDER = Fraction(120)
 # cao_wang's explicit bounds hold every contributing point only below q^78
 SUM_ORDER = Fraction(60)
+RS_N = 40
+RS_ORDER = Fraction(420)
+PRODUCT_ORDER = Fraction(2000)
 REPLAY_ORDER = Fraction(80)
 JTP_ORDER = Fraction(300)
 
@@ -82,6 +88,19 @@ def bench_verify(out, rows):
     out("%10.3f" % t)
 
 
+def bench_updates(out, rows):
+    spec = corpus.load("rogers_mod5_1_4")
+    out("")
+    out("single-factor updates (best of 3, seconds)")
+    section = rows["updates"] = {}
+    for label, order, fn in (
+        ("rogers_szego_bw %d" % RS_N, RS_ORDER, lambda: rogers_szego_bw(RS_N, qmono(1), RS_ORDER)),
+        ("eval_product " + spec.name, PRODUCT_ORDER, lambda: eval_product(spec, PRODUCT_ORDER)),
+    ):
+        t = section["%s @%s" % (label, order)] = _time(fn, 3)
+        out("%-28s  %6s  %10.3f" % (label, order, t))
+
+
 def bench_zseries(out, rows):
     out("")
     out(
@@ -98,7 +117,7 @@ def bench_zseries(out, rows):
 
 def main(argv=(), out=print):
     parser = argparse.ArgumentParser(
-        prog="python -m qrr.bench", description="Time the kernel, the sum side, verify and the z-products."
+        prog="python -m qrr.bench", description="Time the kernel, sum side, verify, binomial updates and z-products."
     )
     parser.add_argument("--json", metavar="PATH", help="also write the rows as {section: {row: seconds}}")
     args = parser.parse_args(argv)
@@ -106,6 +125,7 @@ def main(argv=(), out=print):
     bench_kernels(out, rows)
     bench_sum(out, rows)
     bench_verify(out, rows)
+    bench_updates(out, rows)
     bench_zseries(out, rows)
     if args.json:
         with open(args.json, "w") as f:

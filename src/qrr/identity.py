@@ -33,7 +33,7 @@ from .errors import (
 )
 from .gaussian import MINUS_ONE, ONE, UNITS, GaussianInt, i_pow, sign_binom2
 from .quadform import index_bounds, is_positive_definite
-from .series import Monomial, QSeries, div_binomial, inv_poch_table, mul_binomial, poch_finite
+from .series import Monomial, QSeries, _poch, div_binomial, inv_poch_table
 
 
 @dataclass(frozen=True)
@@ -431,28 +431,14 @@ class _Nest:
 
 
 def eval_product(spec: IdentitySpec, order) -> QSeries:
-    """Exact truncated expansion of the product side."""
+    """Exact truncated expansion of the product side: one O(order) binomial
+    update per factor 1 - x*b**k (qrr.series._poch), finite or infinite, and
+    no series multiply or inverse."""
     order = Fraction(order)
     den = lcm(spec.den, order.denominator)
     for f in spec.product:
         den = lcm(den, f.x.exp.denominator, f.base.exp.denominator)
-    out = QSeries.one(order, den)
-    for f in spec.product:
-        if f.finite is not None:
-            p = poch_finite(f.x, f.base, f.finite, order, den)
-            out = out.mul(p if f.power == 1 else p.invert_unit())
-            continue
-        k = 0
-        while True:
-            e = f.x.exp + k * f.base.exp
-            if e > order:
-                break
-            if f.power == 1:
-                out = mul_binomial(out, f.x.unit, e)
-            else:
-                out = div_binomial(out, f.x.unit, e)
-            k += 1
-    return out
+    return _poch(QSeries.one(order, den), ((f.x, f.base, f.finite, f.power) for f in spec.product))
 
 
 def verify(spec: IdentitySpec, order) -> VerifyReport:

@@ -18,13 +18,14 @@ The four chains carry the derivation ids "1.5" through "1.8":
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional
 
 from . import corpus
-from .gaussian import I, MINUS_I, MINUS_ONE, ONE, unit_pow
+from .gaussian import I, MINUS_I, MINUS_ONE, ONE
 from .identity import ExponentPoly, IdentitySpec, LinForm, SignAtom, compare, eval_product, eval_sum
 from .parser import parse_poly
 from .series import Monomial, QSeries, inv_poch_table, poch_finite, qmono
@@ -285,6 +286,8 @@ def replay_1_8(order) -> List[StepReport]:
     q2, q4 = qmono(2), qmono(4)
     quarter = Fraction(1, 4)
     head = order + quarter  # steps 2 and 4 compare q^(1/4) * X through here
+    # the quarter grid refined to hold the order exactly (see replay_1_7)
+    den = math.lcm(4, order.denominator)
 
     def shifted(description: str, x: QSeries, ct: QSeries):
         """Check q^(1/4) * x == ct through head; a divergence is reported at
@@ -293,20 +296,10 @@ def replay_1_8(order) -> List[StepReport]:
         chain.claim(description, d is None, None if d is None else d - quarter)
 
     # step 1: termwise sign/exponent rewrite as a full-series equality
-    n_max = 0
-    while Fraction((n_max + 1) ** 2, 4) + (n_max + 1) <= order:
-        n_max += 1
-    table = inv_poch_table(q2, n_max, order, 4)
-    rewritten = QSeries.zero(order, 4)
-    for total in range(n_max + 1):
-        e = Fraction(total * (total - 2), 4) + Fraction(3 * total, 2)
-        if e > order:
-            continue
-        for m in range(total + 1):
-            n = total - m
-            u = unit_pow(MINUS_I, n - m) * unit_pow(I, n + m)
-            term = table[m].mul(table[n], bound=order - e)
-            rewritten = rewritten + term.shift(e).truncate(order).scale(u)
+    # (-i)^(n-m) = i^(m-n)
+    sign = (SignAtom("i", LinForm.make({"m": 1, "n": -1})), SignAtom("i", LinForm.make({"n": 1, "m": 1})))
+    exponent = parse_poly("1/4*(m+n)*(m+n-2) + 3/2*(m+n)")
+    rewritten = eval_sum(dataclasses.replace(spec, sign=sign, exponent=exponent), order)
     chain.series(
         "rewrite: summand equals (-i)^(n-m) i^(n+m) q^((m+n)(m+n-2)/4 + 3(m+n)/2)"
         " over the same denominators",
@@ -319,10 +312,10 @@ def replay_1_8(order) -> List[StepReport]:
     # no power series.  It enters as T = q^(1/4) * theta; with j = k - 1,
     # T = sum_j i^(j+1) q^(j^2/4) z^(-j-1) = i z^(-1) * theta_z(1/2, 1/4, i, -1),
     # and the rewritten sum X enters as q^(1/4) * X to match.
-    z_plus = euler_z_inverse(Monomial(I, Fraction(3, 2)), q2, head, den=4)
-    z_minus = euler_z_inverse(Monomial(MINUS_I, Fraction(3, 2)), q2, head, den=4)
-    i_over_z = ZSeries({-1: QSeries.term(I, 0, head, den=4)})
-    theta = i_over_z * theta_z(Fraction(1, 2), quarter, I, -1, head, den=4)  # T
+    z_plus = euler_z_inverse(Monomial(I, Fraction(3, 2)), q2, head, den=den)
+    z_minus = euler_z_inverse(Monomial(MINUS_I, Fraction(3, 2)), q2, head, den=den)
+    i_over_z = ZSeries({-1: QSeries.term(I, 0, head, den=den)})
+    theta = i_over_z * theta_z(Fraction(1, 2), quarter, I, -1, head, den=den)  # T
     pair = z_plus * z_minus
     shifted(
         "constant-term form: rewritten sum equals ct of the two inverse Euler"
@@ -332,7 +325,7 @@ def replay_1_8(order) -> List[StepReport]:
     )
 
     # step 3: the inverse Euler factors collapse in z^2
-    collapsed = euler_z_inverse(Monomial(MINUS_ONE, 3), q4, head, den=4).zstretch(2)
+    collapsed = euler_z_inverse(Monomial(MINUS_ONE, 3), q4, head, den=den).zstretch(2)
     chain.series(
         "Euler collapse: the paired factors equal the z^2 inverse Euler product"
         " with base q^4",

@@ -560,16 +560,7 @@ def poch_finite(x: Monomial, b: Monomial, n: int, order, den: Optional[int] = No
         raise ValueError("finite Pochhammer length must be nonnegative")
     if b.exp <= 0 or b.unit != ONE:
         raise ValueError("Pochhammer base must be a positive power of q with unit 1")
-    d = _poch_den(x, b, order, den)
-    out = QSeries.one(order, d)
-    for k in range(n):
-        e = x.exp + k * b.exp
-        if e < 0:
-            raise NegativeExponent(str(e))
-        if e > out.order_q:
-            continue  # factor is 1 + O(beyond truncation)
-        out = mul_binomial(out, x.unit, e)
-    return out
+    return _poch(QSeries.one(order, _poch_den(x, b, order, den)), [(x, b, n, 1)])
 
 
 def poch_infinite(x: Monomial, b: Monomial, order, den: Optional[int] = None) -> QSeries:
@@ -578,16 +569,34 @@ def poch_infinite(x: Monomial, b: Monomial, order, den: Optional[int] = None) ->
         raise ValueError("Pochhammer base must be a positive power of q with unit 1")
     if x.exp <= 0:
         raise DivergentProduct("(x;b)_inf needs x of positive q-order, got %s" % x.exp)
-    d = _poch_den(x, b, order, den)
-    out = QSeries.one(order, d)
-    k = 0
-    while True:
-        e = x.exp + k * b.exp
-        if e > out.order_q:
-            break
-        out = mul_binomial(out, x.unit, e)
-        k += 1
-    return out
+    return _poch(QSeries.one(order, _poch_den(x, b, order, den)), [(x, b, None, 1)])
+
+
+def _poch(s: QSeries, factors) -> QSeries:
+    """s times (x; b)_n**power for each (x, b, n, power) in `factors` (power
+    +-1, n None for (x; b)_inf): each factor 1 - x*b**k up to s's order is one
+    O(order) mul_binomial or div_binomial, and only the running series is
+    held.  A factor at a negative exponent raises NegativeExponent; a divisor
+    at exponent 0 raises NonUnitConstantTerm, since 1 - unit is never a unit
+    of Z[i]."""
+    bound = s.order_q
+    for x, b, n, power in factors:
+        k = 0
+        while n is None or k < n:
+            e = x.exp + k * b.exp
+            if e < 0:
+                raise NegativeExponent(str(e))
+            if e > bound:
+                break
+            unit = x.unit * unit_pow(b.unit, k)
+            if power == 1:
+                s = mul_binomial(s, unit, e)
+            elif e:
+                s = div_binomial(s, unit, e)
+            else:
+                raise NonUnitConstantTerm("constant term %s is not a unit of Z[i]" % (ONE - unit,))
+            k += 1
+    return s
 
 
 def inv_poch_table(b: Monomial, n_max: int, order, den: Optional[int] = None) -> list:

@@ -16,7 +16,7 @@ from .quadform import as_matrix, is_positive_definite, is_symmetric
 from .series import (
     Monomial,
     QSeries,
-    div_binomial,
+    _poch,
     mul_binomial,
     poch_infinite,
     qmono,
@@ -40,15 +40,9 @@ def gaussian_binomial(n: int, k: int, b: Monomial, order, den: Optional[int] = N
     d = _binomial_den(b, order, den)
     if k < 0 or k > n:
         return QSeries.zero(order, d)
-    out = QSeries.one(order, d)
-    bound = out.order_q
-    for j in range(n - k + 1, n + 1):
-        if j * b.exp <= bound:
-            out = mul_binomial(out, unit_pow(b.unit, j), j * b.exp)
-    for j in range(1, k + 1):
-        if j * b.exp <= bound:
-            out = div_binomial(out, unit_pow(b.unit, j), j * b.exp)
-    return out
+    # (b**(n-k+1); b)_k / (b; b)_k
+    top = Monomial(unit_pow(b.unit, n - k + 1), (n - k + 1) * b.exp)
+    return _poch(QSeries.one(order, d), [(top, b, k, 1), (b, b, k, -1)])
 
 
 def gaussian_binomial_rows(b: Monomial, order, den: Optional[int] = None) -> Iterator[list]:
@@ -88,7 +82,8 @@ def rogers_szego_bw(n: int, b: Monomial, order, den: Optional[int] = None) -> ZS
 
     Each r-term contains the factor t**(2r) * (-b/t; b**2)_r, which is the
     polynomial z**r * prod_{s<r} (z + b**(1+2s)); every intermediate object
-    stays a polynomial with window inside [0, n].
+    stays a polynomial with window inside [0, n].  A z-binomial factor is a
+    z-shift plus a scaled copy, never a z-product.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -102,13 +97,13 @@ def rogers_szego_bw(n: int, b: Monomial, order, den: Optional[int] = None) -> ZS
     for r in range(half + 1):
         part = ZSeries.embed(one).zshift(r)  # z**r
         for s in range(r):
-            # (z + b**(1+2s))
+            # (z + b**(1+2s)) * part
             c = QSeries.term(unit_pow(u, 1 + 2 * s), (1 + 2 * s) * b.exp, order, d)
-            part = part * ZSeries({1: one, 0: c})
+            part = part.zshift(1) + part.scale_series(c)
         for s in range(upper - r):
-            # (1 + z * b**(2s))
+            # (1 + z * b**(2s)) * part
             c = QSeries.term(unit_pow(u, 2 * s), 2 * s * b.exp, order, d)
-            part = part * ZSeries({0: one, 1: c})
+            part = part + part.zshift(1).scale_series(c)
         acc = acc + part.scale_series(binomials[r])
     return acc
 

@@ -16,16 +16,16 @@ extraction: ct() is literally the z**0 slice, and a.ct_mul(b) is ct(a * b)
 formed from the pairs of slices that meet at z**0 alone.
 
 Products.  Both operands are fitted to one grid and order, and slices that
-fit to zero are dropped.  When every slice of one operand is a single term
-(theta windows, z-binomials, i*z**-1), each pair of slices is a shift and
-scale.  Otherwise it takes the packed path of every product (series._rows,
-then qrr._kernel_py.conv_rows), one row per output slice: every slice is
-packed into one int on the common stride of all slices, each output slice is
-the sum of its pairs' bignum products, each operand masked to the digits its
-pair can reach under the order and shifted by the pair's valuation, and it
-is unpacked once.  Packing a whole window into one int
-(two-level Kronecker substitution) was measured and rejected: CPython
-multiplies multi-megabit ints by Karatsuba, so it ran several times slower.
+fit to zero are dropped.  Every product, one-term slices included, takes the
+one packed path (series._rows, then qrr._kernel_py.conv_rows), one row per
+output slice: every slice is packed into one int on the common stride of all
+slices, each output slice is the sum of its pairs' bignum products, each
+operand masked to the digits its pair can reach under the order and shifted
+by the pair's valuation, and it is unpacked once.  A z-binomial such as
+(z + c) is never an operand: it is a z-shift plus a scaled copy.  Packing a
+whole window into one int (two-level Kronecker substitution) was measured and
+rejected: CPython multiplies multi-megabit ints by Karatsuba, so it ran
+several times slower.
 """
 
 from __future__ import annotations
@@ -196,26 +196,20 @@ def _product(x: ZSeries, y: ZSeries, row: Optional[int]) -> ZSeries:
     """x * y, or only its z**row slice, on the operands' lcm grid at the lower
     of their orders.
 
-    When every slice of one operand is a single term, each pair of slices is
-    a shift and scale (QSeries.mul).  Otherwise the pairs are grouped by the
-    z-power they meet at and the rows come from series._rows, the one packed
-    path that QSeries.mul also takes."""
+    There is one path: the pairs of slices are grouped by the z-power they
+    meet at, and the rows come from series._rows, the packed path that
+    QSeries.mul also takes.  No slice pair is multiplied on its own, one-term
+    slices (theta windows, i*z**-1) included."""
     den, order = _min_order(x, y)
     # an operand already on (den, order) holds only fitted, nonzero slices
     a, b = (
         z.coeff if (z.den, z.order) == (den, order) else _fit_slices(z.coeff, den, order) for z in (x, y)
     )
-    pairs = [(i, j) for i in a for j in (b if row is None else (row - i,)) if j in b]
-    if all(len(s.re) == 1 for s in a.values()) or all(len(s.re) == 1 for s in b.values()):
-        out: Dict[int, QSeries] = {}
-        for i, j in pairs:
-            p = a[i].mul(b[j])
-            k = i + j
-            out[k] = out[k] + p if k in out else p
-        return ZSeries._fitted(out, den, order)
     rows: Dict[int, list] = {}
-    for pair in pairs:
-        rows.setdefault(pair[0] + pair[1], []).append(pair)
+    for i in a:
+        for j in b if row is None else (row - i,):
+            if j in b:
+                rows.setdefault(i + j, []).append((i, j))
     return ZSeries._fitted(_rows(a, b, rows, den, order), den, order)
 
 

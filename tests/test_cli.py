@@ -250,3 +250,22 @@ def test_closed_stdout_is_not_an_engine_fault(capsys, argv):
     assert main(argv, out=_ClosedPipe()) == EXIT_BROKEN_PIPE
     err = capsys.readouterr().err
     assert "Traceback" not in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "factor, error",
+    [
+        ("1/poch(q^0,q,3)", "NonUnitConstantTerm: constant term 0 is not a unit of Z[i]"),
+        ("1/poch(-q^0,q,3)", "NonUnitConstantTerm: constant term 2 is not a unit of Z[i]"),
+        ("1/poch(i*q^0,q,3)", "NonUnitConstantTerm: constant term (1-1*i) is not a unit of Z[i]"),
+        ("poch(q^-1,q,3)", "NegativeExponent: -1"),
+        ("1/poch(q^-1,q,3)", "NegativeExponent: -1"),
+    ],
+)
+def test_finite_factor_errors_keep_their_text(tmp_path, factor, error):
+    text = (corpus.corpus_root() / "rogers_mod5_1_4.id").read_text()
+    p = tmp_path / "finite.id"
+    p.write_text(text.replace("1/poch(q, q^5) * 1/poch(q^4, q^5)", factor))
+    code, out = run(["verify", str(p), "--format", "json"])
+    assert code == EXIT_BAD_INPUT
+    assert json.loads(out)[0]["error"] == error

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from fractions import Fraction as F
 from itertools import product as iproduct
 
@@ -10,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from qrr import corpus
 from qrr.errors import NegativeExponent, SemanticError, UnboundedEnumeration
-from qrr.gaussian import GaussianInt, MINUS_ONE, ONE
+from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, GaussianInt
 from qrr.identity import (
     ExponentPoly,
     IdentitySpec,
     LinForm,
+    ProductFactor,
     SignAtom,
     auto_bounds,
     eval_product,
@@ -23,7 +25,7 @@ from qrr.identity import (
 )
 from qrr.oracle import unpruned_sum
 from qrr.parser import parse
-from qrr.series import QSeries, qmono
+from qrr.series import Monomial, QSeries, poch_finite, poch_infinite, qmono
 
 
 def test_corpus_loads_completely():
@@ -345,3 +347,35 @@ def test_eval_sum_matches_unpruned_oracle(case):
             eval_sum(spec, order)
         return
     assert eval_sum(spec, order) == want
+
+
+def _product_spec(den, factors):
+    return IdentitySpec(
+        "product", den, ("n",), (), ExponentPoly.make({("n", "n"): 1}, {}), (("n", qmono(1)),), factors
+    )
+
+
+@pytest.mark.parametrize("order", [F(30), F(61, 4), F(1, 3)])
+@pytest.mark.parametrize("den", [1, 2, 4])
+def test_finite_factors_match_the_multiply_and_invert_route(order, den):
+    # eval_product applies (x;b)_n**-1 as n binomial divisions; the route it
+    # replaced built (x;b)_n and multiplied by it or by its long-division inverse
+    d = math.lcm(den, order.denominator)
+    base = qmono(F(1, den))
+    for unit, n, power, exp in iproduct((ONE, MINUS_ONE, I, MINUS_I), (0, 1, 3, 7), (1, -1), (0, 1, 5)):
+        if power == -1 and exp == 0 and n:
+            continue  # 1 - unit is no unit of Z[i]: an error, tested through the CLI
+        factors = (
+            ProductFactor(Monomial(unit, F(exp, den)), base, power, n),
+            ProductFactor(qmono(1), qmono(2), -1),
+            ProductFactor(Monomial(MINUS_ONE, F(3, den)), qmono(1), -power, 2),
+        )
+        want = QSeries.one(order, d)
+        for f in factors:
+            if f.finite is None:
+                p = poch_infinite(f.x, f.base, order, d)
+            else:
+                p = poch_finite(f.x, f.base, f.finite, order, d)
+            want = want.mul(p if f.power == 1 else p.invert_unit())
+        got = eval_product(_product_spec(den, factors), order)
+        assert got.to_json() == want.to_json(), (unit, n, power, exp)

@@ -282,13 +282,23 @@ def test_packed_product_at_the_width_bound(x, y, length):
 
 
 def test_multi_term_windows_make_no_slice_multiply(monkeypatch):
+    # one-term slices (a theta window, i/z, a z-binomial) take the same
+    # packed path as multi-term windows; none is multiplied slice by slice
     a = euler_z_product(Monomial(I, F(3, 4)), qmono(1), 12, den=4)
     b = euler_z_inverse(Monomial(MINUS_ONE, F(1, 2)), qmono(2), 10, den=4).reflect()
-    want = _reference(a, b)
+    theta = theta_z(F(1, 2), F(1, 4), I, -1, 4, den=4)
+    i_over_z = ZSeries({-1: QSeries.term(I, 0, 5, den=4)})
+    zbinomial = ZSeries({0: QSeries.one(5, 4), 1: QSeries.term(MINUS_I, F(5, 4), 5, 4)})
+    singles = [theta, i_over_z, zbinomial]
+    pairs = [(a, b)] + [(x, s) for s in singles for x in [a, b] + singles]
+    pairs += [(s, x) for s in singles for x in (a, b)]
+    wants = [_reference(x, y) for x, y in pairs]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("QSeries.mul called on a multi-term window")
+        raise AssertionError("QSeries.mul called on a z-window")
 
     monkeypatch.setattr(QSeries, "mul", refuse)
-    assert a * b == ZSeries(want)
-    assert a.ct_mul(b) == want[0]
+    for (x, y), want in zip(pairs, wants):
+        zero = want.get(0, QSeries.zero(min(x.order_q, y.order_q), 4))
+        assert x * y == ZSeries(want)
+        assert x.ct_mul(y) == zero
