@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -109,7 +110,7 @@ def _collect_specs(paths: List[str], bounds: Optional[Tuple[int, ...]]) -> List[
         for f in files:
             specs.extend(parse_file(f.read_text()))
     if bounds is not None:
-        specs = [s.with_bounds(bounds) for s in specs]
+        specs = [dataclasses.replace(s, bounds=bounds) for s in specs]
     return specs
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor, isqrt, lcm
+from math import floor, lcm
 from operator import add, sub
 from typing import Dict, Optional, Tuple
 
@@ -32,8 +32,8 @@ from .errors import (
     UnboundedEnumeration,
 )
 from .gaussian import MINUS_ONE, ONE, UNITS, GaussianInt, i_pow, sign_binom2
-from .quadform import index_bounds, is_positive_definite
-from .series import Monomial, QSeries, _poch, div_binomial, inv_poch_table
+from .quadform import _interval, index_bounds, is_positive_definite
+from .series import Monomial, QSeries, _grid, _poch, div_binomial, inv_poch_table
 
 
 @dataclass(frozen=True)
@@ -221,18 +221,6 @@ class IdentitySpec:
             return False
         return all(c >= 0 for c in self.exponent.linear_vector(self.indices))
 
-    def with_sign(self, atoms) -> "IdentitySpec":
-        return IdentitySpec(
-            self.name, self.den, self.indices, tuple(atoms), self.exponent,
-            self.denoms, self.product, self.bounds,
-        )
-
-    def with_bounds(self, bounds) -> "IdentitySpec":
-        return IdentitySpec(
-            self.name, self.den, self.indices, self.sign, self.exponent,
-            self.denoms, self.product, tuple(bounds) if bounds else None,
-        )
-
 
 @dataclass
 class VerifyReport:
@@ -289,13 +277,6 @@ def auto_bounds(spec: IdentitySpec, order) -> Tuple[int, ...]:
     )
 
 
-def _sum_den(spec: IdentitySpec, order: Fraction) -> int:
-    d = lcm(spec.den, order.denominator)
-    for _, base in spec.denoms:
-        d = lcm(d, base.exp.denominator)
-    return d
-
-
 def eval_sum(spec: IdentitySpec, order) -> QSeries:
     """Exact truncated expansion of the sum side, as nested partial sums.
 
@@ -319,21 +300,9 @@ def eval_sum(spec: IdentitySpec, order) -> QSeries:
             bounds = auto_bounds(spec, order)
         except NotPositiveDefinite as ex:
             raise UnboundedEnumeration(str(ex)) from ex
-    nest = _Nest(spec, order, _sum_den(spec, order), bounds)
+    nest = _Nest(spec, order, bounds)
     out = nest.level(0, nest.const, nest.lin, ())
     return QSeries.zero(order, nest.den) if out is None else out
-
-
-def _interval(a: int, b: int, c: int) -> Tuple[int, int]:
-    """(lo, hi): the integers t with a*t*t + b*t + c <= 0 are lo..hi, a > 0
-    (lo > hi when there are none)."""
-    # 4a(a*t*t + b*t + c) = (2at + b)**2 - disc and 2at + b is an integer, so
-    # the condition is exactly |2at + b| <= isqrt(disc)
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return 1, 0
-    s = isqrt(disc)
-    return -((s + b) // (2 * a)), (s - b) // (2 * a)
 
 
 class _Nest:
@@ -343,7 +312,7 @@ class _Nest:
     of L*E on its indices (c) and the linear coefficients of the indices
     still to come (lin).  Only the last index has a 1/(b;b)_t table."""
 
-    def __init__(self, spec: IdentitySpec, order: Fraction, den: int, bounds):
+    def __init__(self, spec: IdentitySpec, order: Fraction, bounds):
         poly = spec.exponent
         self.scale = lcm(
             *(c.denominator for _, c in poly.quad),
@@ -355,12 +324,18 @@ class _Nest:
         self.const = int(poly.const * self.scale)
         self.top = floor(order * self.scale)  # L*E <= top exactly when E <= order
         self.spec = spec
-        self.den = den
-        self.n = int(order * den)
-        self.bounds = bounds
         base_of = dict(spec.denoms)
         self.bases = [base_of[x].exp for x in spec.indices]
-        self.table = inv_poch_table(base_of[spec.indices[-1]], bounds[-1], order, den)
+        # the sum grid: spec.den refined to hold the order and every base
+        self.den = _grid(spec.den, order, *self.bases)
+        self.n = int(order * self.den)
+        self.bounds = bounds
+        # last() lays entries at offsets on the sum grid; the entries past
+        # the order repeat one object, which is rescaled once
+        table = inv_poch_table(base_of[spec.indices[-1]], bounds[-1], order)
+        self.table = [table[0].rescale(self.den)]
+        for prev, t in zip(table, table[1:]):
+            self.table.append(self.table[-1] if t is prev else t.rescale(self.den))
 
     def level(self, d: int, c: int, lin: list, prefix: tuple) -> Optional[QSeries]:
         """sum over t of level_{d+1}(prefix + t) / (b_d; b_d)_t; None when no
@@ -434,11 +409,7 @@ def eval_product(spec: IdentitySpec, order) -> QSeries:
     """Exact truncated expansion of the product side: one O(order) binomial
     update per factor 1 - x*b**k (qrr.series._poch), finite or infinite, and
     no series multiply or inverse."""
-    order = Fraction(order)
-    den = lcm(spec.den, order.denominator)
-    for f in spec.product:
-        den = lcm(den, f.x.exp.denominator, f.base.exp.denominator)
-    return _poch(QSeries.one(order, den), ((f.x, f.base, f.finite, f.power) for f in spec.product))
+    return _poch(order, spec.den, [(f.x, f.base, f.finite, f.power) for f in spec.product])
 
 
 def verify(spec: IdentitySpec, order) -> VerifyReport:

@@ -99,7 +99,7 @@ def _dense_inverse(a: List[GaussianInt], n: int) -> List[GaussianInt]:
     return out
 
 
-def _poch_dense(step: int, count: int, n: int) -> List[GaussianInt]:
+def _dense_poch(step: int, count: int, n: int) -> List[GaussianInt]:
     """(q^step; q^step)_count as a dense list through index n."""
     poly = [ONE]
     for j in range(1, count + 1):
@@ -132,7 +132,7 @@ def unpruned_sum(spec: IdentitySpec, box: Sequence[int], order) -> QSeries:
         step = int(base.exp * den)
         inverses.append(
             [
-                _dense_inverse(_poch_dense(step, k, n_scaled), n_scaled)
+                _dense_inverse(_dense_poch(step, k, n_scaled), n_scaled)
                 for k in range(bound + 1)
             ]
         )

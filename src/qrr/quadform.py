@@ -3,14 +3,16 @@
 Everything is exact rational arithmetic: Sylvester's leading minors decide
 positive definiteness, and the bounding box of an ellipsoid
 1/2 n.Q.n + b.n <= target comes from the cofactor inverse of Q and an integer
-square root, corrected by exact comparisons.
+square root, corrected by exact comparisons; the integers where a quadratic
+with integer coefficients is <= 0 come from the integer square root of its
+discriminant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import floor, isqrt
-from typing import Sequence
+from typing import Sequence, Tuple
 
 from .errors import NotPositiveDefinite
 
@@ -102,3 +104,15 @@ def index_bounds(q: Matrix, b: Sequence, target) -> tuple:
     if r < 0:
         return (-1,) * n
     return tuple(_floor_plus_sqrt(c[i], 2 * r * inv[i][i]) for i in range(n))
+
+
+def _interval(a: int, b: int, c: int) -> Tuple[int, int]:
+    """(lo, hi): the integers t with a*t*t + b*t + c <= 0 are lo..hi, a > 0
+    (lo > hi when there are none)."""
+    # 4a(a*t*t + b*t + c) = (2at + b)**2 - disc and 2at + b is an integer, so
+    # the condition is exactly |2at + b| <= isqrt(disc)
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return 1, 0
+    s = isqrt(disc)
+    return -((s + b) // (2 * a)), (s - b) // (2 * a)

@@ -153,7 +153,7 @@ def _quarter_chain(
     q = qmono(1)
 
     # step 1: sign rewrite (-1)^binom(n-m,2) -> i^(n-m), valid at sum level
-    rewritten = spec.with_sign((SignAtom("i", LinForm.make({"n": 1, "m": -1})),))
+    rewritten = dataclasses.replace(spec, sign=(SignAtom("i", LinForm.make({"n": 1, "m": -1})),))
     lhs = eval_sum(spec, order)
     signed = eval_sum(rewritten, order)
     chain.series("sign rewrite: (-1)^binom(n-m,2) summand sign becomes i^(n-m)", lhs, signed)
@@ -171,9 +171,9 @@ def _quarter_chain(
     )
 
     # step 3: constant-term form over z
-    z_plus = euler_z_product(Monomial(I, lin_coeff), q, order, den=4)
-    z_minus = euler_z_product(Monomial(MINUS_I, lin_coeff), q, order, den=4)
-    theta = theta_z(Fraction(1, 2), 0, MINUS_ONE, -1, order, den=4)
+    z_plus = euler_z_product(Monomial(I, lin_coeff), q, order)
+    z_minus = euler_z_product(Monomial(MINUS_I, lin_coeff), q, order)
+    theta = theta_z(Fraction(1, 2), 0, MINUS_ONE, -1, order)
     pair = z_plus * z_minus
     extracted = pair.ct_mul(theta)
     chain.series(
@@ -183,7 +183,7 @@ def _quarter_chain(
     )
 
     # step 4: the Euler factors pair into a single product in z^2
-    paired = euler_z_product(qmono(2 * lin_coeff), qmono(2), order, den=4).zstretch(2)
+    paired = euler_z_product(qmono(2 * lin_coeff), qmono(2), order).zstretch(2)
     chain.series(
         "Euler pairing: the two factors multiply to the z^2 Euler product with base q^2",
         pair,
@@ -220,24 +220,18 @@ def replay_1_7(order) -> List[StepReport]:
     spec = corpus.load("double_mod5_1_4")
     chain = _Chain("1.7", order)
     q2, q4 = qmono(2), qmono(4)
-    n_max = 2 * int(math.isqrt(int(order))) + 2
-    while Fraction(n_max * n_max, 4) > order:
-        n_max -= 1
-    # the quarter grid refined to hold the order exactly, as the tables'
-    # grids do: on grid 4 an order of 1/3 would floor to 1/4, below theirs
-    den = math.lcm(4, order.denominator)
-    table = inv_poch_table(q2, n_max, order, den)
+    n_max = math.isqrt(math.floor(4 * order))  # the largest n with n^2/4 <= order
+    table = inv_poch_table(q2, n_max, order)
 
     # step 1: regroup along N = m + n via Gaussian binomials
-    regrouped = QSeries.zero(order, den)
+    regrouped = QSeries.zero(order)
     inners = []
-    for n, row in zip(range(n_max + 1), gaussian_binomial_rows(q2, order, den)):
-        e = Fraction(n * n, 4)
-        inner = QSeries.zero(order, den)
+    for n, row in zip(range(n_max + 1), gaussian_binomial_rows(q2, order)):
+        inner = QSeries.zero(order)
         for m, gb in enumerate(row):
             inner = inner + (gb if m % 2 == 0 else -gb)
         inners.append(inner)
-        regrouped = regrouped + inner.mul(table[n], bound=order - e).shift(e).truncate(order)
+        regrouped = regrouped + inner.shift(Fraction(n * n, 4)).mul(table[n])
     chain.series(
         "regrouping along m+n: double sum equals sum over n of the alternating"
         " Gaussian-binomial inner sum over (q^2;q^2)_n",
@@ -250,12 +244,8 @@ def replay_1_7(order) -> List[StepReport]:
     minus_one = Monomial(MINUS_ONE, Fraction(0))
     div = None
     for n in range(n_max + 1):
-        closed = (
-            QSeries.zero(order, den)
-            if n % 2
-            else poch_finite(Monomial(ONE, 2), q4, n // 2, order, den)
-        )
-        d = inners[n].first_difference(rs_at(n, minus_one, q2, order, den), order)
+        closed = QSeries.zero(order) if n % 2 else poch_finite(Monomial(ONE, 2), q4, n // 2, order)
+        d = inners[n].first_difference(rs_at(n, minus_one, q2, order), order)
         if d is None:
             d = inners[n].first_difference(closed, order)
         if d is not None:
@@ -286,8 +276,6 @@ def replay_1_8(order) -> List[StepReport]:
     q2, q4 = qmono(2), qmono(4)
     quarter = Fraction(1, 4)
     head = order + quarter  # steps 2 and 4 compare q^(1/4) * X through here
-    # the quarter grid refined to hold the order exactly (see replay_1_7)
-    den = math.lcm(4, order.denominator)
 
     def shifted(description: str, x: QSeries, ct: QSeries):
         """Check q^(1/4) * x == ct through head; a divergence is reported at
@@ -312,10 +300,10 @@ def replay_1_8(order) -> List[StepReport]:
     # no power series.  It enters as T = q^(1/4) * theta; with j = k - 1,
     # T = sum_j i^(j+1) q^(j^2/4) z^(-j-1) = i z^(-1) * theta_z(1/2, 1/4, i, -1),
     # and the rewritten sum X enters as q^(1/4) * X to match.
-    z_plus = euler_z_inverse(Monomial(I, Fraction(3, 2)), q2, head, den=den)
-    z_minus = euler_z_inverse(Monomial(MINUS_I, Fraction(3, 2)), q2, head, den=den)
-    i_over_z = ZSeries({-1: QSeries.term(I, 0, head, den=den)})
-    theta = i_over_z * theta_z(Fraction(1, 2), quarter, I, -1, head, den=den)  # T
+    z_plus = euler_z_inverse(Monomial(I, Fraction(3, 2)), q2, head)
+    z_minus = euler_z_inverse(Monomial(MINUS_I, Fraction(3, 2)), q2, head)
+    i_over_z = ZSeries({-1: QSeries.term(I, 0, head)})
+    theta = i_over_z * theta_z(Fraction(1, 2), quarter, I, -1, head)  # T
     pair = z_plus * z_minus
     shifted(
         "constant-term form: rewritten sum equals ct of the two inverse Euler"
@@ -325,7 +313,7 @@ def replay_1_8(order) -> List[StepReport]:
     )
 
     # step 3: the inverse Euler factors collapse in z^2
-    collapsed = euler_z_inverse(Monomial(MINUS_ONE, 3), q4, head, den=den).zstretch(2)
+    collapsed = euler_z_inverse(Monomial(MINUS_ONE, 3), q4, head).zstretch(2)
     chain.series(
         "Euler collapse: the paired factors equal the z^2 inverse Euler product"
         " with base q^4",

@@ -14,8 +14,11 @@ fields: no zero coefficient at either end, empty lists for the zero series
 (with val 0), im None exactly when every imaginary part is 0, and nothing
 stored beyond `order`.  Lists are never mutated once a series holds them.
 
-Binary operations unify denominators through the lcm and truncate to the
-smaller order.  A product with a one-term operand is a shift and scale of
+Grids are worked out, never passed: every object is built on the coarsest
+grid that holds its own exponents and its order (`_grid`, the one rule), so a
+constructor or builder never floors the order it is asked for.  Binary
+operations lift both operands to the lcm grid and truncate to the smaller
+order.  A product with a one-term operand is a shift and scale of
 the other operand.  Every other product, here and in qrr.zseries, goes
 through `_rows`, which holds the one stride rule: it finds the largest g such
 that the nonzero coefficients of every operand sit on a stride g from their
@@ -57,6 +60,12 @@ class Monomial:
 
 def qmono(exp, unit: GaussianInt = ONE) -> Monomial:
     return Monomial(unit, Fraction(exp))
+
+
+def _grid(den: int, order, *exps) -> int:
+    """The coarsest grid refining `den` that holds `order` and each exponent
+    in `exps` (Fractions or ints): the lcm of their denominators."""
+    return lcm(den, Fraction(order).denominator, *(e.denominator for e in exps))
 
 
 def _as_order(order, den: int) -> int:
@@ -168,19 +177,23 @@ class QSeries:
 
     @classmethod
     def zero(cls, order, den: int = 1) -> "QSeries":
+        """0 through `order`, on grid `den` refined to hold the order."""
+        den = _grid(den, order)
         return cls._of(den, _as_order(order, den), 0, [])
 
     @classmethod
     def one(cls, order, den: int = 1) -> "QSeries":
+        """1 through `order`, on grid `den` refined to hold the order."""
+        den = _grid(den, order)
         return cls._of(den, _as_order(order, den), 0, [1])
 
     @classmethod
-    def term(cls, coeff: GaussianInt, exp, order, den: Optional[int] = None) -> "QSeries":
+    def term(cls, coeff: GaussianInt, exp, order) -> "QSeries":
         exp = Fraction(exp)
         if exp < 0:
             raise NegativeExponent(str(exp))
-        d = lcm(den or 1, exp.denominator)
-        return cls(d, _as_order(order, d), {int(exp * d): coeff})
+        den = _grid(1, order, exp)
+        return cls(den, _as_order(order, den), {int(exp * den): coeff})
 
     # -- basic views -------------------------------------------------------
 
@@ -315,11 +328,9 @@ class QSeries:
             raise ValueError("cannot raise the truncation order")
         return QSeries._of(self.den, n, self.val, self.re, self.im)
 
-    def mul(self, other: "QSeries", bound=None) -> "QSeries":
-        """Product, exact through min(orders) or the tighter q-unit `bound`."""
-        den, order, a, b = self._unify(self, other)
-        if bound is not None:
-            order = min(order, _as_order(bound, den))
+    def mul(self, other: "QSeries") -> "QSeries":
+        """Product, exact through the smaller of the two orders."""
+        _, order, a, b = self._unify(self, other)
         return _mul(a, b, order)
 
     def __mul__(self, other: "QSeries") -> "QSeries":
@@ -550,35 +561,33 @@ def div_binomial(s: QSeries, unit: GaussianInt, exp) -> QSeries:
 # -- Pochhammer builders ----------------------------------------------------
 
 
-def _poch_den(x: Monomial, b: Monomial, order, den: Optional[int]) -> int:
-    return lcm(den or 1, x.exp.denominator, b.exp.denominator, Fraction(order).denominator)
-
-
-def poch_finite(x: Monomial, b: Monomial, n: int, order, den: Optional[int] = None) -> QSeries:
+def poch_finite(x: Monomial, b: Monomial, n: int, order) -> QSeries:
     """(x; b)_n = prod_{k=0}^{n-1} (1 - x*b**k), exact through `order`."""
     if n < 0:
         raise ValueError("finite Pochhammer length must be nonnegative")
     if b.exp <= 0 or b.unit != ONE:
         raise ValueError("Pochhammer base must be a positive power of q with unit 1")
-    return _poch(QSeries.one(order, _poch_den(x, b, order, den)), [(x, b, n, 1)])
+    return _poch(order, 1, [(x, b, n, 1)])
 
 
-def poch_infinite(x: Monomial, b: Monomial, order, den: Optional[int] = None) -> QSeries:
+def poch_infinite(x: Monomial, b: Monomial, order) -> QSeries:
     """(x; b)_inf truncated at `order`; requires x of positive q-order."""
     if b.exp <= 0 or b.unit != ONE:
         raise ValueError("Pochhammer base must be a positive power of q with unit 1")
     if x.exp <= 0:
         raise DivergentProduct("(x;b)_inf needs x of positive q-order, got %s" % x.exp)
-    return _poch(QSeries.one(order, _poch_den(x, b, order, den)), [(x, b, None, 1)])
+    return _poch(order, 1, [(x, b, None, 1)])
 
 
-def _poch(s: QSeries, factors) -> QSeries:
-    """s times (x; b)_n**power for each (x, b, n, power) in `factors` (power
-    +-1, n None for (x; b)_inf): each factor 1 - x*b**k up to s's order is one
-    O(order) mul_binomial or div_binomial, and only the running series is
-    held.  A factor at a negative exponent raises NegativeExponent; a divisor
-    at exponent 0 raises NonUnitConstantTerm, since 1 - unit is never a unit
-    of Z[i]."""
+def _poch(order, den: int, factors: list) -> QSeries:
+    """The product of (x; b)_n**power over each (x, b, n, power) in `factors`
+    (power +-1, n None for (x; b)_inf), exact through `order`, on grid `den`
+    refined to hold the order and every x and b: each factor 1 - x*b**k up to
+    the order is one O(order) mul_binomial or div_binomial, and only the
+    running series is held.  A factor at a negative exponent raises
+    NegativeExponent; a divisor at exponent 0 raises NonUnitConstantTerm,
+    since 1 - unit is never a unit of Z[i]."""
+    s = QSeries.one(order, _grid(den, order, *(m.exp for x, b, _, _ in factors for m in (x, b))))
     bound = s.order_q
     for x, b, n, power in factors:
         k = 0
@@ -599,14 +608,13 @@ def _poch(s: QSeries, factors) -> QSeries:
     return s
 
 
-def inv_poch_table(b: Monomial, n_max: int, order, den: Optional[int] = None) -> list:
+def inv_poch_table(b: Monomial, n_max: int, order) -> list:
     """[1/(b;b)_n for n = 0..n_max], built incrementally, exact through `order`.
 
     The base b = u*q**e may carry any unit u: factor n is 1 - u**n q**(n*e)."""
     if b.exp <= 0:
         raise ValueError("Pochhammer base must be a positive power of q")
-    d = _poch_den(b, b, order, den)
-    out = [QSeries.one(order, d)]
+    out = [QSeries.one(order, _grid(1, order, b.exp))]
     for n in range(1, n_max + 1):
         e = n * b.exp
         if e > out[-1].order_q:

@@ -13,22 +13,11 @@ from .errors import NotPositiveDefinite
 from .gaussian import MINUS_ONE, unit_pow
 from .identity import ExponentPoly, IdentitySpec, eval_sum
 from .quadform import as_matrix, is_positive_definite, is_symmetric
-from .series import (
-    Monomial,
-    QSeries,
-    _poch,
-    mul_binomial,
-    poch_infinite,
-    qmono,
-)
+from .series import Monomial, QSeries, _poch, mul_binomial, poch_infinite, qmono
 from .zseries import ZSeries, euler_z_product, theta_z
 
 
-def _binomial_den(b: Monomial, order, den: Optional[int]) -> int:
-    return lcm(den or 1, b.exp.denominator, Fraction(order).denominator)
-
-
-def gaussian_binomial(n: int, k: int, b: Monomial, order, den: Optional[int] = None) -> QSeries:
+def gaussian_binomial(n: int, k: int, b: Monomial, order) -> QSeries:
     """The Gaussian binomial [n k] in base b, exact through `order`.
 
     As a polynomial in b it has degree k*(n-k); with order at least
@@ -37,19 +26,18 @@ def gaussian_binomial(n: int, k: int, b: Monomial, order, den: Optional[int] = N
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    d = _binomial_den(b, order, den)
     if k < 0 or k > n:
-        return QSeries.zero(order, d)
+        return QSeries.zero(order)
     # (b**(n-k+1); b)_k / (b; b)_k
     top = Monomial(unit_pow(b.unit, n - k + 1), (n - k + 1) * b.exp)
-    return _poch(QSeries.one(order, d), [(top, b, k, 1), (b, b, k, -1)])
+    return _poch(order, 1, [(top, b, k, 1), (b, b, k, -1)])
 
 
-def gaussian_binomial_rows(b: Monomial, order, den: Optional[int] = None) -> Iterator[list]:
+def gaussian_binomial_rows(b: Monomial, order) -> Iterator[list]:
     """The rows [[n 0], ..., [n n]] in base b for n = 0, 1, 2, ..., exact
     through `order`, each from the one before by the q-Pascal rule
     [n k] = [n-1 k-1] + b**k * [n-1 k]: shifts, scales and adds only."""
-    one = QSeries.one(order, _binomial_den(b, order, den))
+    one = QSeries.one(order)
     bound = one.order_q
     row = [one]
     while True:
@@ -64,20 +52,20 @@ def gaussian_binomial_rows(b: Monomial, order, den: Optional[int] = None) -> Ite
         row = nxt
 
 
-def gaussian_binomial_row(n: int, b: Monomial, order, den: Optional[int] = None) -> list:
+def gaussian_binomial_row(n: int, b: Monomial, order) -> list:
     """[[n 0], ..., [n n]] in base b, exact through `order`; entry k equals
-    gaussian_binomial(n, k, b, order, den)."""
+    gaussian_binomial(n, k, b, order)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return next(islice(gaussian_binomial_rows(b, order, den), n, None))
+    return next(islice(gaussian_binomial_rows(b, order), n, None))
 
 
-def rogers_szego_def(n: int, b: Monomial, order, den: Optional[int] = None) -> ZSeries:
+def rogers_szego_def(n: int, b: Monomial, order) -> ZSeries:
     """H_n(t; b) by its defining sum over Gaussian binomials (t carried as z)."""
-    return ZSeries(dict(enumerate(gaussian_binomial_row(n, b, order, den))))
+    return ZSeries(dict(enumerate(gaussian_binomial_row(n, b, order))))
 
 
-def rogers_szego_bw(n: int, b: Monomial, order, den: Optional[int] = None) -> ZSeries:
+def rogers_szego_bw(n: int, b: Monomial, order) -> ZSeries:
     """H_n(t; b) by the factored double-Pochhammer representation.
 
     Each r-term contains the factor t**(2r) * (-b/t; b**2)_r, which is the
@@ -87,42 +75,40 @@ def rogers_szego_bw(n: int, b: Monomial, order, den: Optional[int] = None) -> ZS
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    d = _binomial_den(b, order, den)
     u = b.unit
-    one = QSeries.one(order, d)
+    one = QSeries.one(order)
     half = n // 2
     upper = (n + 1) // 2
-    binomials = gaussian_binomial_row(half, Monomial(unit_pow(u, 2), 2 * b.exp), order, d)
-    acc = ZSeries.zero(order, d)
+    binomials = gaussian_binomial_row(half, Monomial(unit_pow(u, 2), 2 * b.exp), order)
+    acc = ZSeries.zero(order)
     for r in range(half + 1):
         part = ZSeries.embed(one).zshift(r)  # z**r
         for s in range(r):
             # (z + b**(1+2s)) * part
-            c = QSeries.term(unit_pow(u, 1 + 2 * s), (1 + 2 * s) * b.exp, order, d)
+            c = QSeries.term(unit_pow(u, 1 + 2 * s), (1 + 2 * s) * b.exp, order)
             part = part.zshift(1) + part.scale_series(c)
         for s in range(upper - r):
             # (1 + z * b**(2s)) * part
-            c = QSeries.term(unit_pow(u, 2 * s), 2 * s * b.exp, order, d)
+            c = QSeries.term(unit_pow(u, 2 * s), 2 * s * b.exp, order)
             part = part + part.zshift(1).scale_series(c)
         acc = acc + part.scale_series(binomials[r])
     return acc
 
 
-def rs_at(n: int, t: Monomial, b: Monomial, order, den: Optional[int] = None) -> QSeries:
+def rs_at(n: int, t: Monomial, b: Monomial, order) -> QSeries:
     """H_n(t; b) with t specialized to a monomial: rogers_szego_bw's factored
     sum with z := t substituted before multiplying, so each factor is a
     two-term q-series.  A term with a zero factor (t = -b**(1+2s) or
     t * b**(2s) = -1) is skipped."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    d = _binomial_den(b, order, den)
     u = b.unit
     half = n // 2
     upper = (n + 1) // 2
-    binomials = gaussian_binomial_row(half, Monomial(unit_pow(u, 2), 2 * b.exp), order, d)
-    acc = QSeries.zero(order, d)
+    binomials = gaussian_binomial_row(half, Monomial(unit_pow(u, 2), 2 * b.exp), order)
+    acc = QSeries.zero(order)
     for r in range(half + 1):
-        part = QSeries.one(order, d).shift(r * t.exp).scale(unit_pow(t.unit, r))  # t**r
+        part = QSeries.one(order).shift(r * t.exp).scale(unit_pow(t.unit, r))  # t**r
         # (t + b**(1+2s)) for s < r, then (1 + t * b**(2s)) for s < upper - r
         factors = [(t, Monomial(unit_pow(u, 1 + 2 * s), (1 + 2 * s) * b.exp)) for s in range(r)]
         factors += [
@@ -159,12 +145,12 @@ def jtp_check(order) -> JtpReport:
     q = qmono(1)
     half = Monomial(MINUS_ONE, Fraction(1, 2))
     lhs = (
-        euler_z_product(half, q, order, den=2)
-        * euler_z_product(half, q, order, den=2).reflect()
-        * ZSeries.embed(poch_infinite(q, q, order, den=2))
+        euler_z_product(half, q, order)
+        * euler_z_product(half, q, order).reflect()
+        * ZSeries.embed(poch_infinite(q, q, order))
     )
     # n^2/2 = binom(n,2) + n/2
-    rhs = theta_z(1, Fraction(1, 2), MINUS_ONE, 1, order, den=2)
+    rhs = theta_z(1, Fraction(1, 2), MINUS_ONE, 1, order)
     d = lhs.first_difference(rhs, order)
     return JtpReport(d is None, order, d)
 

@@ -6,10 +6,12 @@ The carrier for the constant-term method and for Rogers-Szego polynomials
     sum_{k in [zmin, zmax]} coeff[k] * z**k
 
 with every coefficient a power series in q on one exponent denominator and
-at one truncation order.  Coefficients are never Laurent in q: every
-q-exponent is >= 0, and theta_z raises NegativeExponent for a term below 0
-(a factor such as q**(-1/4) * theta is carried as theta reindexed; see
-replay 1.8).
+at one truncation order.  No constructor or builder takes a grid: each works
+out the coarsest one that holds its exponents and its order (series._grid),
+and products and sums lift their operands to the lcm grid.  Coefficients are
+never Laurent in q: every q-exponent is >= 0, and theta_z raises
+NegativeExponent for a term below 0 (a factor such as q**(-1/4) * theta is
+carried as theta reindexed; see replay 1.8).
 
 The contour integral of the source material is replaced by exact coefficient
 extraction: ct() is literally the z**0 slice, and a.ct_mul(b) is ct(a * b)
@@ -36,7 +38,8 @@ from typing import Dict, Optional
 
 from .errors import DivergentEmbedding, NegativeExponent
 from .gaussian import GaussianInt, binom2, is_unit, unit_pow
-from .series import Monomial, QSeries, _as_order, _rows, inv_poch_table
+from .quadform import _interval
+from .series import Monomial, QSeries, _as_order, _grid, _rows, inv_poch_table
 
 
 def _fit(s: QSeries, den: int, order: int) -> QSeries:
@@ -83,7 +86,8 @@ class ZSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, order, den: int = 1) -> "ZSeries":
+    def zero(cls, order) -> "ZSeries":
+        den = _grid(1, order)
         return cls._fitted({}, den, _as_order(order, den))
 
     @classmethod
@@ -216,7 +220,7 @@ def _product(x: ZSeries, y: ZSeries, row: Optional[int]) -> ZSeries:
 # -- builders ---------------------------------------------------------------
 
 
-def theta_z(alpha, beta, chi: GaussianInt, s: int, order, den: Optional[int] = None) -> "ZSeries":
+def theta_z(alpha, beta, chi: GaussianInt, s: int, order) -> "ZSeries":
     """Bilateral theta-type factor sum_k chi**k q**(alpha*binom(k,2)+beta*k) z**(s*k).
 
     Includes exactly those k whose q-exponent stays within `order`; the first
@@ -233,33 +237,23 @@ def theta_z(alpha, beta, chi: GaussianInt, s: int, order, den: Optional[int] = N
         raise ValueError("theta z-power step must be nonzero")
     if not is_unit(chi):
         raise ValueError("theta sign must be a unit of Z[i]")
-
-    def f(k):
-        return alpha * binom2(k) + beta * k
-
-    vertex = Fraction(1, 2) - beta / alpha  # argmin of the continuous exponent
-    ks = []
-    k = 0
-    while f(k) <= order or k < vertex:
-        if f(k) <= order:
-            ks.append(k)
-        k += 1
-    k = -1
-    while f(k) <= order or k > vertex:
-        if f(k) <= order:
-            ks.append(k)
-        k -= 1
-    d = lcm(den or 1, alpha.denominator, beta.denominator, order.denominator)
+    # the exponent is alpha/2*k**2 + (beta - alpha/2)*k; times l it has
+    # integer coefficients
+    a, b = alpha / 2, beta - alpha / 2
+    l = lcm(a.denominator, b.denominator, order.denominator)
+    lo, hi = _interval(int(a * l), int(b * l), int(-order * l))
+    d = _grid(1, order, alpha, beta)
     n = _as_order(order, d)
     coeff: Dict[int, QSeries] = {}
-    for k in ks:
-        if f(k) < 0:
-            raise NegativeExponent("theta term k = %d has q-exponent %s < 0" % (k, f(k)))
-        coeff[s * k] = QSeries(d, n, {int(f(k) * d): unit_pow(chi, k)})
+    for k in range(lo, hi + 1):
+        e = alpha * binom2(k) + beta * k
+        if e < 0:
+            raise NegativeExponent("theta term k = %d has q-exponent %s < 0" % (k, e))
+        coeff[s * k] = QSeries(d, n, {int(e * d): unit_pow(chi, k)})
     return ZSeries._fitted(coeff, d, n)
 
 
-def _euler_z(c: Monomial, b: Monomial, eps: int, order, den: Optional[int]) -> "ZSeries":
+def _euler_z(c: Monomial, b: Monomial, eps: int, order) -> "ZSeries":
     """sum_n c**n b**(eps*binom(n,2)) z**n / (b;b)_n through `order`, eps in {0, 1}."""
     order = Fraction(order)
     if c.exp <= 0:
@@ -271,8 +265,7 @@ def _euler_z(c: Monomial, b: Monomial, eps: int, order, den: Optional[int]) -> "
     while (v := n * c.exp + eps * binom2(n) * b.exp) <= order:
         vals.append(v)
         n += 1
-    d = lcm(den or 1, c.exp.denominator, b.exp.denominator, order.denominator)
-    table = inv_poch_table(b, len(vals) - 1, order, d)
+    table = inv_poch_table(b, len(vals) - 1, order)
     return ZSeries(
         {
             n: table[n].shift(v).scale(unit_pow(c.unit, n) * unit_pow(b.unit, eps * binom2(n)))
@@ -281,11 +274,11 @@ def _euler_z(c: Monomial, b: Monomial, eps: int, order, den: Optional[int]) -> "
     )
 
 
-def euler_z_inverse(c: Monomial, b: Monomial, order, den: Optional[int] = None) -> "ZSeries":
+def euler_z_inverse(c: Monomial, b: Monomial, order) -> "ZSeries":
     """sum_n c**n z**n / (b;b)_n, the z-expansion of 1/(c*z; b)_inf."""
-    return _euler_z(c, b, 0, order, den)
+    return _euler_z(c, b, 0, order)
 
 
-def euler_z_product(c: Monomial, b: Monomial, order, den: Optional[int] = None) -> "ZSeries":
+def euler_z_product(c: Monomial, b: Monomial, order) -> "ZSeries":
     """sum_n c**n b**binom(n,2) z**n / (b;b)_n, the z-expansion of (-c*z; b)_inf."""
-    return _euler_z(c, b, 1, order, den)
+    return _euler_z(c, b, 1, order)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -42,11 +43,10 @@ def test_chains_pass_at_order_40(theorem):
 
 @pytest.mark.parametrize("order", ["1/3", "2/3", "7/6", "13/3", "1/8", "3/8"])
 def test_chains_pass_at_orders_off_the_quarter_grid(monkeypatch, order):
-    # replay 1.7 builds its series on grid lcm(4, order's denominator); on
-    # grid 4 its tables kept a finer order than the sums they were added to.
     # No comparison may cover less than the order it is asked for, on the
-    # pair's common grid: a series built on grid 4 at order 1/3 holds only
-    # q^(1/4) and below
+    # pair's common grid: a series built on grid 4 at order 1/3 would hold
+    # only q^(1/4) and below, so every builder works out a grid that holds
+    # its order
     compare = QSeries.first_difference
     short = []
 
@@ -102,13 +102,13 @@ def test_misconfigured_theta_is_detected():
     order = F(20)
     spec = corpus.load("double_mod10_2_8")
     signed = eval_sum(
-        spec.with_sign((SignAtom("i", LinForm.make({"n": 1, "m": -1})),)), order
+        dataclasses.replace(spec, sign=(SignAtom("i", LinForm.make({"n": 1, "m": -1})),)), order
     )
     q = qmono(1)
-    z_plus = euler_z_product(qmono(F(3, 4), I), q, order, den=4)
-    z_minus = euler_z_product(qmono(F(3, 4), MINUS_I), q, order, den=4)
+    z_plus = euler_z_product(qmono(F(3, 4), I), q, order)
+    z_minus = euler_z_product(qmono(F(3, 4), MINUS_I), q, order)
     # beta mis-set to 1/2: exponents k(k+1)/4 stay >= 0, so theta_z builds it
-    wrong = theta_z(F(1, 2), F(1, 2), MINUS_ONE, -1, order, den=4)
+    wrong = theta_z(F(1, 2), F(1, 2), MINUS_ONE, -1, order)
     d = signed.first_difference((z_plus * z_minus * wrong).ct(), order)
     assert d is not None and d <= 4
 
@@ -209,8 +209,8 @@ def test_claim_failing_at_exponent_zero_reports_it():
 def test_wrong_theta_fails_chain_1_8_without_raising(monkeypatch):
     # beta + 1/4 instead of the reindexed 1/4: exponents j(j+1)/4 stay >= 0,
     # so the wrong theta builds, and both constant-term steps must fail
-    def wrong(alpha, beta, chi, s, order, den=None):
-        return theta_z(alpha, beta + F(1, 4), chi, s, order, den)
+    def wrong(alpha, beta, chi, s, order):
+        return theta_z(alpha, beta + F(1, 4), chi, s, order)
 
     monkeypatch.setattr(replay_module, "theta_z", wrong)
     steps = replay_1_8(20)

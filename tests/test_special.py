@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from itertools import islice
 from itertools import product as iproduct
 from math import isqrt
 
@@ -9,20 +10,21 @@ from qrr.errors import NegativeExponent, NotPositiveDefinite
 from qrr.identity import ExponentPoly, IdentitySpec
 from qrr.oracle import unpruned_sum
 from qrr.quadform import index_bounds
-from qrr.gaussian import MINUS_ONE, ONE, UNITS, GaussianInt
-from qrr.series import Monomial, QSeries, poch_finite, qmono
+from qrr.gaussian import I, MINUS_ONE, ONE, UNITS, GaussianInt
+from qrr.series import Monomial, QSeries, inv_poch_table, poch_finite, poch_infinite, qmono
 from qrr.special import (
     JtpReport,
     NahmData,
     gaussian_binomial,
     gaussian_binomial_row,
+    gaussian_binomial_rows,
     jtp_check,
     nahm_series,
     rogers_szego_bw,
     rogers_szego_def,
     rs_at,
 )
-from qrr.zseries import ZSeries, theta_z
+from qrr.zseries import ZSeries, euler_z_inverse, euler_z_product, theta_z
 
 MINUS_ONE_T = Monomial(MINUS_ONE, F(0))  # t := -1
 
@@ -51,14 +53,17 @@ def test_gaussian_binomial_pascal():
 
 
 @pytest.mark.parametrize("unit", UNITS)
-@pytest.mark.parametrize("exp, den", [(F(1), 1), (F(2), 4), (F(1, 2), 2)])
-def test_gaussian_binomial_rows_match_gaussian_binomial(unit, exp, den):
+@pytest.mark.parametrize(
+    "exp, order_den", [(F(1), 1), (F(2), 4), (F(1, 2), 2), (F(1, 4), 3), (F(3, 4), 1)]
+)
+def test_gaussian_binomial_rows_match_gaussian_binomial(unit, exp, order_den):
     b = Monomial(unit, exp)
-    # order 40 holds every polynomial through n = 8; order 5 cuts most of them
-    for order in (F(40), F(5)):
+    # order 40 holds every polynomial through n = 8; an order just past 5,
+    # off the base's grid for order_den > 1, cuts most of them
+    for order in (F(40), 5 + F(1, order_den)):
         for n in range(9):
-            row = gaussian_binomial_row(n, b, order, den)
-            assert row == [gaussian_binomial(n, k, b, order, den) for k in range(n + 1)], (order, n)
+            row = gaussian_binomial_row(n, b, order)
+            assert row == [gaussian_binomial(n, k, b, order) for k in range(n + 1)], (order, n)
 
 
 def test_gaussian_binomial_is_a_polynomial_in_the_base():
@@ -103,18 +108,20 @@ def test_rs_at_minus_one_closed_forms():
         assert rs_at(2 * n + 1, MINUS_ONE_T, q, 80).is_zero(), n
 
 
-@pytest.mark.parametrize("den", [1, 4])
-@pytest.mark.parametrize("b_exp", [1, 2])
-def test_rs_at_is_the_specialized_bw_polynomial(den, b_exp):
+@pytest.mark.parametrize("order_den", [1, 4])
+@pytest.mark.parametrize("b_exp", [1, 2, F(1, 2), F(1, 4), F(3, 4)])
+def test_rs_at_is_the_specialized_bw_polynomial(order_den, b_exp):
     # z := t substituted before multiplying equals the factored polynomial
-    # specialized afterwards, for every unit of b and t and zero factors too
+    # specialized afterwards, for every unit of b and t and zero factors too,
+    # through an order on the base's grid or off it
+    order = 20 + F(1, order_den)
     for n in range(13):
         for bu in UNITS:
             b = Monomial(bu, F(b_exp))
-            bw = rogers_szego_bw(n, b, 20, den)
+            bw = rogers_szego_bw(n, b, order)
             for tu, te in iproduct(UNITS, (F(0), F(1, 2), F(1))):
                 t = Monomial(tu, te)
-                assert rs_at(n, t, b, 20, den) == bw.specialize(t), (n, b, t)
+                assert rs_at(n, t, b, order) == bw.specialize(t), (n, b, t)
 
 
 def test_jtp_check_passes():
@@ -125,18 +132,15 @@ def test_jtp_check_passes():
 
 def test_jtp_negative_control():
     # flipping the theta sign must produce an early divergence
-    from qrr.series import poch_infinite
-    from qrr.zseries import euler_z_product
-
     order = F(20)
     q = qmono(1)
     half = Monomial(MINUS_ONE, F(1, 2))
     lhs = (
-        euler_z_product(half, q, order, den=2)
-        * euler_z_product(half, q, order, den=2).reflect()
-        * ZSeries.embed(poch_infinite(q, q, order, den=2))
+        euler_z_product(half, q, order)
+        * euler_z_product(half, q, order).reflect()
+        * ZSeries.embed(poch_infinite(q, q, order))
     )
-    wrong = theta_z(1, F(1, 2), ONE, 1, order, den=2)  # sign +1 instead of -1
+    wrong = theta_z(1, F(1, 2), ONE, 1, order)  # sign +1 instead of -1
     d = lhs.first_difference(wrong, order)
     assert d is not None and d[1] <= 2
 
@@ -171,16 +175,14 @@ def test_nahm_rank2():
     assert s.coeff(0).re == 1
     assert s.coeff(1).re == 2  # lattice points (1,0) and (0,1)
     # cross-check fully against literal expansion
-    from qrr.series import inv_poch_table
-
-    table = inv_poch_table(qmono(1), 6, 15, 1)
+    table = inv_poch_table(qmono(1), 6, 15)
     acc = QSeries.zero(15)
     for m in range(7):
         for n in range(7):
             e = m * m + m * n + n * n
             if e > 15:
                 continue
-            acc = acc + table[m].mul(table[n], bound=15 - e).shift(e).truncate(15)
+            acc = acc + table[m].shift(e).mul(table[n])
     assert s.same_through(acc, 15)
 
 
@@ -235,3 +237,31 @@ def test_index_bounds_cover_every_point_property(data, order):
     for n in iproduct(range(-r, r + 1), repeat=data.rank):
         if data.exponent(n) <= order:
             assert all(x <= g for x, g in zip(n, bounds)), (n, bounds)
+
+
+@pytest.mark.parametrize("order", [F(1, 3), F(7, 3), F(13, 6), F(5, 2), F(9, 8), F(20)])
+def test_no_constructor_or_builder_claims_less_than_its_order(order):
+    # each works out a grid that holds the order; flooring it onto a grid
+    # of the exponents alone (7/3 onto halves is 2) would claim less
+    b = qmono(F(1, 2))
+    built = [
+        QSeries.zero(order),
+        QSeries.zero(order, 4),
+        QSeries.one(order),
+        QSeries.one(order, 4),
+        QSeries.term(I, F(1, 2), order),
+        ZSeries.zero(order),
+        poch_finite(qmono(F(1, 4)), b, 3, order),
+        poch_infinite(qmono(F(3, 4)), b, order),
+        *inv_poch_table(qmono(F(3, 4)), 4, order),
+        gaussian_binomial(5, 2, b, order),
+        *(x for row in islice(gaussian_binomial_rows(b, order), 4) for x in row),
+        *gaussian_binomial_row(4, b, order),
+        rogers_szego_def(4, b, order),
+        rogers_szego_bw(4, b, order),
+        rs_at(4, Monomial(I, F(1, 3)), b, order),
+        theta_z(F(1, 2), F(1, 4), I, -1, order),
+        euler_z_inverse(Monomial(I, F(3, 2)), qmono(2), order),
+        euler_z_product(Monomial(MINUS_ONE, F(3, 4)), qmono(1), order),
+    ]
+    assert [x.order_q for x in built] == [order] * len(built)
