@@ -283,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     n = sub.add_parser("nahm", help="expand a Nahm series for a quadratic form")
     n.add_argument("--A", required=True, help="matrix, rows ;-separated, entries ,-separated")
-    n.add_argument("--B", default="", help="linear vector, entries ,-separated")
-    n.add_argument("--C", default="0", help="constant offset")
+    n.add_argument("--B", default="", help="linear vector, entries ,-separated (--B=-1,0 if it starts with -)")
+    n.add_argument("--C", default="0", help="constant offset (--C=-1/2 if negative)")
     n.add_argument("--order", type=_parse_order, default=Fraction(30))
     n.add_argument("--format", choices=("text", "json"), default="text")
     n.set_defaults(fn=cmd_nahm)

@@ -26,7 +26,7 @@ class NotPositiveDefinite(QrrError):
 
 
 class UnboundedEnumeration(QrrError):
-    """Sum-side enumeration has neither a positive definite form nor explicit bounds."""
+    """Sum-side enumeration has neither a positive definite minorant nor explicit bounds."""
 
 
 class ParseError(QrrError):

@@ -29,10 +29,9 @@ from .errors import (
     NotPositiveDefinite,
     QrrError,
     SemanticError,
-    UnboundedEnumeration,
 )
 from .gaussian import MINUS_ONE, ONE, UNITS, GaussianInt, i_pow, sign_binom2
-from .quadform import _interval, index_bounds, is_positive_definite
+from .quadform import _interval, index_bounds, minorant
 from .series import Monomial, QSeries, _grid, _poch, div_binomial, inv_poch_table
 
 
@@ -119,16 +118,10 @@ class ExponentPoly:
     def quadratic_matrix(self, indices) -> list:
         """Symmetric Q with value = 1/2 n.Q.n + linear + const."""
         qd = dict(self.quad)
-        n = len(indices)
-        mat = [[Fraction(0)] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    mat[a][a] = 2 * qd.get((indices[a], indices[a]), Fraction(0))
-                else:
-                    key = tuple(sorted((indices[a], indices[b])))
-                    mat[a][b] = qd.get(key, Fraction(0))
-        return mat
+        # the coefficient of x*y (x != y) is Q_xy, that of x^2 is Q_xx / 2
+        return [
+            [qd.get(tuple(sorted((x, y))), Fraction(0)) * (1 + (x == y)) for y in indices] for x in indices
+        ]
 
     def linear_vector(self, indices) -> list:
         ld = dict(self.lin)
@@ -160,6 +153,10 @@ class IdentitySpec:
         self.validate()
 
     def validate(self):
+        """Raise SemanticError unless the spec is well formed and its sum side
+        finite: explicit nonnegative bounds, one per index, or else a positive
+        definite minorant of the exponent on the orthant (quadform.minorant,
+        as auto_bounds uses; whether one exists does not depend on the order)."""
         if self.den <= 0:
             raise SemanticError("%s: exponent denominator must be positive" % self.name)
         if len(set(self.indices)) != len(self.indices):
@@ -204,22 +201,13 @@ class IdentitySpec:
                 raise SemanticError("%s: bounds must be nonnegative" % self.name)
         else:
             mat = self.exponent.quadratic_matrix(self.indices)
-            if not is_positive_definite(mat) and not self._orthant_coercive(mat):
+            try:
+                minorant(mat, self.exponent.linear_vector(self.indices), 0)
+            except NotPositiveDefinite:
                 raise SemanticError(
                     "%s: exponent quadratic form admits no finite enumeration;"
                     " explicit bounds are required" % self.name
-                )
-
-    def _orthant_coercive(self, mat) -> bool:
-        """Entrywise-nonnegative Q with positive diagonal (and nonnegative
-        linear part) is coercive coordinatewise on the nonnegative orthant
-        even when it is only positive semidefinite."""
-        n = len(mat)
-        if any(mat[i][i] <= 0 for i in range(n)):
-            return False
-        if any(mat[i][j] < 0 for i in range(n) for j in range(n)):
-            return False
-        return all(c >= 0 for c in self.exponent.linear_vector(self.indices))
+                ) from None
 
 
 @dataclass
@@ -260,21 +248,12 @@ def _frac_str(x):
 
 
 def auto_bounds(spec: IdentitySpec, order) -> Tuple[int, ...]:
-    """Per-index bounds so every excluded lattice point has exponent > order."""
-    order = Fraction(order)
+    """Per-index bounds so every excluded lattice point n >= 0 has exponent >
+    order: the box of the first positive definite minorant of the exponent on
+    the orthant (qrr.quadform.minorant), in exact rationals."""
+    target = Fraction(order) - spec.exponent.const
     mat = spec.exponent.quadratic_matrix(spec.indices)
-    lin = spec.exponent.linear_vector(spec.indices)
-    target = order - spec.exponent.const
-    if is_positive_definite(mat):
-        return index_bounds(mat, lin, target)
-    if spec._orthant_coercive(mat):
-        # value >= Q_ii/2 * n_i**2 + b_i * n_i for each coordinate on the orthant
-        return tuple(
-            index_bounds([[mat[i][i]]], [lin[i]], target)[0] for i in range(len(mat))
-        )
-    raise NotPositiveDefinite(
-        "%s: quadratic form admits no finite enumeration" % spec.name
-    )
+    return index_bounds(*minorant(mat, spec.exponent.linear_vector(spec.indices), target), target)
 
 
 def eval_sum(spec: IdentitySpec, order) -> QSeries:
@@ -293,13 +272,7 @@ def eval_sum(spec: IdentitySpec, order) -> QSeries:
     auto_bounds.
     """
     order = Fraction(order)
-    if spec.bounds is not None:
-        bounds = spec.bounds
-    else:
-        try:
-            bounds = auto_bounds(spec, order)
-        except NotPositiveDefinite as ex:
-            raise UnboundedEnumeration(str(ex)) from ex
+    bounds = auto_bounds(spec, order) if spec.bounds is None else spec.bounds
     nest = _Nest(spec, order, bounds)
     out = nest.level(0, nest.const, nest.lin, ())
     return QSeries.zero(order, nest.den) if out is None else out

@@ -1,16 +1,18 @@
 """Positive-definiteness checks and exact enumeration bounds.
 
 Everything is exact rational arithmetic: Sylvester's leading minors decide
-positive definiteness, and the bounding box of an ellipsoid
-1/2 n.Q.n + b.n <= target comes from the cofactor inverse of Q and an integer
-square root, corrected by exact comparisons; the integers where a quadratic
-with integer coefficients is <= 0 come from the integer square root of its
-discriminant.
+positive definiteness (all principal minors semidefiniteness); minorant finds
+a positive definite form below the exponent on the orthant, and the bounding
+box of its ellipsoid 1/2 n.Q.n + b.n <= target comes from the cofactor inverse
+of Q and an integer square root, corrected by exact comparisons; the integers
+where a quadratic with integer coefficients is <= 0 come from the integer
+square root of its discriminant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import floor, isqrt
 from typing import Sequence, Tuple
 
@@ -35,19 +37,13 @@ def is_symmetric(a: Matrix) -> bool:
 def leading_minors(a: Matrix) -> list:
     """Leading principal minors, fraction-exact (ranks here are tiny)."""
     a = as_matrix(a)
-    return [_det(_block(a, k + 1)) for k in range(len(a))]
-
-
-def _block(a: Matrix, k: int):
-    return [row[:k] for row in a[:k]]
+    return [_det([row[:k] for row in a[:k]]) for k in range(1, len(a) + 1)]
 
 
 def _det(a) -> Fraction:
     n = len(a)
     if n == 0:
         return Fraction(1)
-    if n == 1:
-        return Fraction(a[0][0])
     total = Fraction(0)
     for j in range(n):
         if a[0][j] == 0:
@@ -60,9 +56,38 @@ def _det(a) -> Fraction:
 def is_positive_definite(a: Matrix) -> bool:
     """Sylvester's criterion on the leading principal minors."""
     a = as_matrix(a)
-    if not is_symmetric(a):
-        return False
-    return all(m > 0 for m in leading_minors(a))
+    return is_symmetric(a) and all(m > 0 for m in leading_minors(a))
+
+
+def is_positive_semidefinite(a: Matrix) -> bool:
+    """Every principal minor, not only the leading ones, is >= 0."""
+    a = as_matrix(a)
+    subsets = [s for k in range(len(a)) for s in combinations(range(len(a)), k + 1)]
+    return is_symmetric(a) and all(_det([[a[i][j] for j in s] for i in s]) >= 0 for s in subsets)
+
+
+def minorant(q: Matrix, b: Sequence, target) -> tuple:
+    """The first positive definite (M, beta) with 1/2 n.M.n + beta.n <= E(n) =
+    1/2 n.Q.n + b.n at each n >= 0 with E(n) <= target, so the box
+    index_bounds(M, beta, target) holds those n.  In order: (Q, b); Q without
+    its positive off-diagonal entries, which only add on n >= 0; for Q positive
+    semidefinite and b >= 0 the lift (Q + 2bb^T/t, 0) with t = max(target, 1),
+    as 0 <= b.n <= target <= t there gives b.n >= (b.n)**2/t.  Whether one
+    exists does not depend on the target; NotPositiveDefinite when none does.
+    """
+    q = as_matrix(q)
+    b = [Fraction(x) for x in b]
+    n = len(q)
+    dropped = [[x if i == j or x <= 0 else Fraction(0) for j, x in enumerate(row)] for i, row in enumerate(q)]
+    candidates = [(q, b), (dropped, b)]
+    if all(x >= 0 for x in b) and is_positive_semidefinite(q):
+        t = max(Fraction(target), 1)
+        lift = [[q[i][j] + 2 * b[i] * b[j] / t for j in range(n)] for i in range(n)]
+        candidates.append((lift, [Fraction(0)] * n))
+    for m, beta in candidates:
+        if is_positive_definite(m):
+            return m, beta
+    raise NotPositiveDefinite("no positive definite form bounds the exponent below on n >= 0")
 
 
 def _inverse(a) -> list:

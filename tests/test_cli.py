@@ -30,10 +30,12 @@ def corpus_path(name):
     return str(corpus.corpus_root() / (name + ".id"))
 
 
-def test_verify_corpus_all_match():
-    code, text = run(["verify", "--order", "25"])
+@pytest.mark.parametrize("order", ["25", "100"])
+def test_verify_corpus_all_match(order):
+    # order 100 is the README's first command
+    code, text = run(["verify", "--order", order])
     assert code == EXIT_OK
-    assert text.count("match") == 10
+    assert [line.split()[1] for line in text.splitlines()] == ["match"] * 10
 
 
 def test_verify_json_validates_schema():
@@ -153,6 +155,13 @@ def test_nahm_matches_single_sum():
     assert code == EXIT_OK
     vals = [line.split()[1] for line in text.strip().splitlines()]
     assert vals[:7] == ["1", "1", "1", "1", "2", "2", "3"]
+
+
+def test_nahm_takes_negative_vectors_in_equals_form():
+    # "--B -1/4" would read -1/4 as an option; "--B=-1/4" does not
+    code, text = run(["nahm", "--A", "1", "--B=-1/4", "--C=1/4", "--order", "5"])
+    assert code == EXIT_OK
+    assert text.split()[:2] == ["1/4", "1"]
 
 
 def test_nahm_rejects_non_pd():

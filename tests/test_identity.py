@@ -26,6 +26,7 @@ from qrr.identity import (
 )
 from qrr.oracle import unpruned_sum
 from qrr.parser import parse
+from qrr.quadform import is_positive_definite
 from qrr.series import Monomial, QSeries, poch_finite, poch_infinite, qmono
 
 
@@ -75,6 +76,53 @@ def test_orthant_route_handles_singular_forms():
     bounds = auto_bounds(spec, 40)
     assert all(F(1, 4) * (r + 1) ** 2 > 40 for r in bounds)
     assert verify(spec, 40).status == "match"
+
+
+def test_no_corpus_file_sets_bounds():
+    assert all(spec.bounds is None for spec in corpus.load_all())
+
+
+def test_auto_boxes_of_the_singular_corpus_forms():
+    # Cao-Wang through the lift Q + 2bb^T/t; its points with exponent <= 480
+    # reach (30, 240, 160)
+    cao = corpus.load("cao_wang_1_2_3")
+    assert auto_bounds(cao, 60) == (10, 31, 20)
+    assert auto_bounds(cao, 480) == (30, 241, 160)
+    # t = max(target, 1): at order 0 the box is the origin, below it empty
+    assert auto_bounds(cao, 0) == (0, 0, 0)
+    assert eval_sum(cao, 0).coeff(0) == ONE
+    raised = dataclasses.replace(cao, exponent=dataclasses.replace(cao.exponent, const=F(2)))
+    assert auto_bounds(raised, 1) == (-1, -1, -1)
+    # the orthant forms keep their per-coordinate boxes
+    assert auto_bounds(corpus.load("double_mod5_1_4"), 240) == (30, 30)
+    assert auto_bounds(corpus.load("double_mod5_2_3"), 240) == (29, 29)
+
+
+@pytest.mark.parametrize(
+    "exponent",
+    [
+        "m^2 - n^2 + 2*n",  # indefinite, though Q + 2bb^T is positive definite
+        "(m - n)^2",  # semidefinite and constant along (1, 1)
+        "(m - n)^2 + m - n",  # zero all along (1, 1) as well
+        "(m - n)^2 + 2*m - n",  # coercive on the orthant, but b has a negative entry
+    ],
+)
+def test_forms_without_a_minorant_need_explicit_bounds(exponent):
+    text = """
+    identity "no-minorant" {
+      den 1;
+      sum {
+        indices m, n;
+        exponent %s;
+        denoms (q; m), (q; n);
+      }
+      product { 1/poch(q, q) }
+    }
+    """
+    with pytest.raises(SemanticError, match="explicit bounds are required"):
+        parse(text % exponent)
+    # explicit bounds are still accepted
+    assert parse(text.replace("(q; n);", "(q; n); bounds 3, 3;") % exponent).bounds == (3, 3)
 
 
 def test_all_corpus_identities_match_at_modest_order():
@@ -140,7 +188,7 @@ def test_unbounded_enumeration_reported():
 
 
 def test_explicit_bounds_respected():
-    spec = corpus.load("cao_wang_1_2_3")
+    spec = dataclasses.replace(corpus.load("cao_wang_1_2_3"), bounds=(15, 60, 25))
     assert spec.bounds is not None
     rep = verify(spec, 20)
     assert rep.status == "match"
@@ -343,6 +391,72 @@ def test_eval_sum_matches_unpruned_oracle(case):
         box = list(spec.bounds)
     try:
         want = unpruned_sum(spec, box, order)
+    except NegativeExponent:
+        with pytest.raises(NegativeExponent):
+            eval_sum(spec, order)
+        return
+    assert eval_sum(spec, order) == want
+
+
+@st.composite
+def minorant_specs(draw):
+    """A random rank 1-3 sum side of one kind: "definite" (a positive definite
+    form, signed linear part), "orthant" (a singular form with nonnegative
+    entries and positive diagonal, signed linear part) or "lift" (a singular
+    positive semidefinite form, linear part >= 0).  The quadratic part is a
+    sum of squares of integer linear forms over den, so every exponent is on
+    the den grid.  Returns the kind, the spec's arguments, Q + 2bb^T and the
+    order."""
+    rank = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["definite", "orthant", "lift"]))
+    den = draw(st.sampled_from([1, 2, 4]))
+    names = NAMES[:rank]
+
+    def ints(lo, hi):
+        return [draw(st.integers(lo, hi)) for _ in names]
+
+    diag = ints(1, 2) if kind == "definite" else [0] * rank
+    if kind == "definite":
+        squares = [ints(-2, 2) for _ in names]
+    elif kind == "orthant":
+        squares = [ints(1, 2)] + [ints(0, 2) for _ in names[2:]]
+    else:
+        squares = [ints(-1, 1) for _ in names[1:]]
+    quad = {}
+    for i, x in enumerate(names):
+        for j in range(i, rank):
+            c = sum(w[i] * w[j] for w in squares)
+            quad[(x, names[j])] = F(c + diag[i] if i == j else 2 * c, den)
+    lin = [F(v, den) for v in ints(0 if kind == "lift" else -2, 3)]
+    exponent = ExponentPoly.make(quad, dict(zip(names, lin)), F(draw(st.integers(0, 3)), den))
+    q = exponent.quadratic_matrix(names)
+    lifted = [[q[i][j] + 2 * lin[i] * lin[j] for j in range(rank)] for i in range(rank)]
+    sign = tuple(
+        SignAtom(atom, LinForm.make({x: draw(small) for x in names}, draw(small)))
+        for atom in draw(st.lists(st.sampled_from(["neg1", "neg1_binom", "i"]), max_size=2))
+    )
+    denoms = tuple((x, qmono(F(draw(st.integers(1, 4)), 2))) for x in names)
+    order = F(draw(st.integers(0, (32, 20, 12)[rank - 1])), den)
+    return kind, ("random", den, names, sign, exponent, denoms, ()), lifted, order
+
+
+@settings(max_examples=80, deadline=None)
+@given(minorant_specs())
+def test_auto_box_holds_every_kept_point_of_each_minorant_kind(case):
+    kind, args, lifted, order = case
+    try:
+        spec = IdentitySpec(*args)
+    except SemanticError:
+        # definite and orthant forms always have a minorant; a lift has one
+        # at least when Q + 2bb^T is positive definite
+        assert kind == "lift" and not is_positive_definite(lifted)
+        return
+    bounds = auto_bounds(spec, order)
+    for n in iproduct(*(range(max(b, 0) + 4) for b in bounds)):
+        if spec.exponent.eval(dict(zip(spec.indices, n))) <= order:
+            assert all(x <= b for x, b in zip(n, bounds)), (kind, n, bounds)
+    try:
+        want = unpruned_sum(spec, [max(b, 0) + 1 for b in bounds], order)
     except NegativeExponent:
         with pytest.raises(NegativeExponent):
             eval_sum(spec, order)

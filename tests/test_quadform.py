@@ -7,8 +7,10 @@ from qrr.quadform import (
     as_matrix,
     index_bounds,
     is_positive_definite,
+    is_positive_semidefinite,
     is_symmetric,
     leading_minors,
+    minorant,
 )
 
 
@@ -89,3 +91,62 @@ def test_index_bounds_rejects_non_positive_definite():
     for q in ([[0]], [[-1]], [[1, 1], [1, 1]], [[1, 2], [0, 1]]):
         with pytest.raises(NotPositiveDefinite):
             index_bounds(q, [0] * len(q), 10)
+
+
+def test_positive_semidefinite_reads_every_principal_minor():
+    assert is_positive_semidefinite([[1, 1], [1, 1]])
+    assert is_positive_semidefinite([[0]])
+    assert not is_positive_semidefinite([[0, 0], [0, -1]])  # leading minors 0, 0
+    assert not is_positive_semidefinite([[1, 2], [2, 1]])
+    assert not is_positive_semidefinite([[1, 1], [0, 1]])
+
+
+def test_minorant_keeps_a_definite_form_and_drops_positive_off_diagonals():
+    q = as_matrix([[2, 1], [1, 2]])
+    assert minorant(q, [-1, 3], 10) == (q, [-1, 3])
+    # singular; without its positive entries definite, and the -1 stays
+    q = [[2, 2, -1], [2, 2, 0], [-1, 0, 2]]
+    assert minorant(q, [1, -1, 0], 10) == ([[2, 0, -1], [0, 2, 0], [-1, 0, 2]], [1, -1, 0])
+    # (m+n)^2/2: its diagonal alone bounds each index
+    m, beta = minorant([[1, 1], [1, 1]], [0, 0], 240)
+    assert index_bounds(m, beta, 240) == _orthant_maxima([[1, 1], [1, 1]], [0, 0], 240, 25) == (21, 21)
+
+
+# Cao-Wang's i^2/2 + (i - 2j + 3k)^2/4 + i/2 + 3k: semidefinite, kernel (0, 3, 2)
+CAO_Q = as_matrix([[F(3, 2), -1, F(3, 2)], [-1, 2, -3], [F(3, 2), -3, F(9, 2)]])
+CAO_B = [F(1, 2), 0, 3]
+
+
+def _orthant_maxima(q, b, target, radius):
+    """Per-index maxima of the points in [0, radius]^k with value <= target."""
+    pts = [n for n in iproduct(range(radius + 1), repeat=len(q)) if _twice_value(q, b, n) <= 2 * target]
+    return tuple(max(n[i] for n in pts) for i in range(len(q)))
+
+
+def test_minorant_lifts_a_semidefinite_form_with_nonnegative_linear_part():
+    assert is_positive_semidefinite(CAO_Q) and not is_positive_definite(CAO_Q)
+    # t = max(target, 1)
+    for target, t in ((60, 60), (F(1, 2), 1), (0, 1), (-3, 1)):
+        lift = [[CAO_Q[i][j] + 2 * CAO_B[i] * CAO_B[j] / F(t) for j in range(3)] for i in range(3)]
+        assert minorant(CAO_Q, CAO_B, target) == (lift, [0, 0, 0])
+    assert index_bounds(*minorant(CAO_Q, CAO_B, 60), 60) == (10, 31, 20)
+    assert index_bounds(*minorant(CAO_Q, CAO_B, 0), 0) == (0, 0, 0)
+    assert index_bounds(*minorant(CAO_Q, CAO_B, -3), -3) == (-1, -1, -1)
+    for target in (F(1, 2), 4, 12):
+        got = index_bounds(*minorant(CAO_Q, CAO_B, target), target)
+        assert all(m <= g for m, g in zip(_orthant_maxima(CAO_Q, CAO_B, target, 12), got)), target
+
+
+@pytest.mark.parametrize(
+    "q, b",
+    [
+        ([[1, -1], [-1, 1]], [0, 0]),  # zero along (1, 1); the -1 entries stay
+        ([[1, -1], [-1, 1]], [2, -1]),  # b has a negative entry
+        ([[2, 0], [0, -2]], [0, 2]),  # indefinite, though Q + 2bb^T is definite
+        ([[0]], [0]),
+    ],
+)
+def test_minorant_rejects_forms_with_no_candidate(q, b):
+    for target in (0, 10):
+        with pytest.raises(NotPositiveDefinite):
+            minorant(q, b, target)

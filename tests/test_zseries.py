@@ -140,6 +140,18 @@ def test_first_difference_localizes():
     k, e = a.first_difference(b)
     assert k == 1 and e == 2
     assert a.same_through(b, F(1))
+    # the only difference sits in the lowest z-slice
+    low_a = ZSeries({-1: QSeries.term(ONE, 4, 10), 0: QSeries.one(10)})
+    low_b = ZSeries({-1: QSeries.term(ONE, 5, 10), 0: QSeries.one(10)})
+    assert low_a.first_difference(low_b) == (-1, 4)
+    assert low_a.same_through(low_b, F(3))
+    # windows of different extent: a slice one side lacks differs from zero
+    one = ZSeries.embed(QSeries.one(10))
+    wide = ZSeries({-2: QSeries.term(ONE, 7, 10), 0: QSeries.one(10), 3: QSeries.term(ONE, 8, 10)})
+    assert wide.first_difference(one) == (-2, 7)
+    assert one.first_difference(wide) == (-2, 7)
+    top = ZSeries({0: QSeries.one(10), 3: QSeries.term(ONE, 1, 10)})
+    assert one.first_difference(top) == (3, 1)
 
 
 def test_add_and_mul_keep_the_lower_order():
