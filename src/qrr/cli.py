@@ -18,7 +18,6 @@ import os
 import sys
 import traceback
 from fractions import Fraction
-from math import lcm
 from pathlib import Path
 from typing import List, Optional, Tuple
 
@@ -28,6 +27,7 @@ from .identity import IdentitySpec, VerifyReport, eval_product, eval_sum, verify
 from .parser import parse_file
 from .quadform import as_matrix
 from .replay import REPLAYS, chain_passes
+from .series import QSeries
 from .special import NahmData, nahm_series
 
 EXIT_OK = 0
@@ -162,12 +162,8 @@ def cmd_verify(args, out) -> int:
 
 
 def _table_rows(spec: IdentitySpec, order: Fraction):
-    lhs = eval_sum(spec, order)
-    rhs = eval_product(spec, order)
-    den = lcm(lhs.den, rhs.den)
-    lhs = lhs.rescale(den)
-    rhs = rhs.rescale(den)
-    for k in range(min(lhs.order, rhs.order) + 1):
+    den, top, lhs, rhs = QSeries._unify(eval_sum(spec, order), eval_product(spec, order))
+    for k in range(top + 1):
         e = Fraction(k, den)
         a = lhs.coeff(e)
         b = rhs.coeff(e)

@@ -275,7 +275,7 @@ def eval_sum(spec: IdentitySpec, order) -> QSeries:
     bounds = auto_bounds(spec, order) if spec.bounds is None else spec.bounds
     nest = _Nest(spec, order, bounds)
     out = nest.level(0, nest.const, nest.lin, ())
-    return QSeries.zero(order, nest.den) if out is None else out
+    return QSeries._of(nest.den, nest.n, 0, []) if out is None else out
 
 
 class _Nest:
@@ -299,8 +299,9 @@ class _Nest:
         self.spec = spec
         base_of = dict(spec.denoms)
         self.bases = [base_of[x].exp for x in spec.indices]
-        # the sum grid: spec.den refined to hold the order and every base
-        self.den = _grid(spec.den, order, *self.bases)
+        # the sum grid: the declared grid spec.den, which holds the sum's
+        # exponents, refined to hold the order and every base
+        self.den = lcm(spec.den, _grid(order, *self.bases))
         self.n = int(order * self.den)
         self.bounds = bounds
         # last() lays entries at offsets on the sum grid; the entries past
@@ -381,8 +382,10 @@ class _Nest:
 def eval_product(spec: IdentitySpec, order) -> QSeries:
     """Exact truncated expansion of the product side: one O(order) binomial
     update per factor 1 - x*b**k (qrr.series._poch), finite or infinite, and
-    no series multiply or inverse."""
-    return _poch(order, spec.den, [(f.x, f.base, f.finite, f.power) for f in spec.product])
+    no series multiply or inverse.  It lives on the grid of the order and the
+    factor exponents, not on spec.den, and is lifted to the sum's grid only
+    when the two sides are compared or tabulated."""
+    return _poch(order, [(f.x, f.base, f.finite, f.power) for f in spec.product])
 
 
 def verify(spec: IdentitySpec, order) -> VerifyReport:

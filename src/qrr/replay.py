@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional
 
 from . import corpus
 from .gaussian import I, MINUS_I, MINUS_ONE, ONE
-from .identity import ExponentPoly, IdentitySpec, LinForm, SignAtom, compare, eval_product, eval_sum
+from .identity import ExponentPoly, IdentitySpec, LinForm, SignAtom, _frac_str, compare, eval_product, eval_sum
 from .parser import parse_poly
 from .series import Monomial, QSeries, inv_poch_table, poch_finite, qmono
 from .special import gaussian_binomial_rows, rs_at
@@ -52,7 +52,7 @@ class StepReport:
             "step": self.step,
             "description": self.description,
             "status": self.status,
-            "order": str(self.order) if self.order.denominator != 1 else int(self.order),
+            "order": _frac_str(self.order),
             "first_divergence": None
             if self.first_divergence is None
             else str(self.first_divergence),

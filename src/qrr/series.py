@@ -14,9 +14,10 @@ fields: no zero coefficient at either end, empty lists for the zero series
 (with val 0), im None exactly when every imaginary part is 0, and nothing
 stored beyond `order`.  Lists are never mutated once a series holds them.
 
-Grids are worked out, never passed: every object is built on the coarsest
-grid that holds its own exponents and its order (`_grid`, the one rule), so a
-constructor or builder never floors the order it is asked for.  Binary
+Grids are worked out, never passed: no constructor or builder takes a grid.
+Each builds its object on the coarsest grid that holds its own exponents and
+its order (`_grid`, the one rule), so none floors the order it is asked for,
+and a product side lives on its own grid, not on the sum's.  Binary
 operations lift both operands to the lcm grid and truncate to the smaller
 order.  A product with a one-term operand is a shift and scale of
 the other operand.  Every other product, here and in qrr.zseries, goes
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import floor, gcd, lcm
 from operator import add
 from typing import Iterator, Optional
 
@@ -62,10 +63,10 @@ def qmono(exp, unit: GaussianInt = ONE) -> Monomial:
     return Monomial(unit, Fraction(exp))
 
 
-def _grid(den: int, order, *exps) -> int:
-    """The coarsest grid refining `den` that holds `order` and each exponent
-    in `exps` (Fractions or ints): the lcm of their denominators."""
-    return lcm(den, Fraction(order).denominator, *(e.denominator for e in exps))
+def _grid(order, *exps) -> int:
+    """The coarsest grid that holds `order` and each exponent in `exps`
+    (Fractions or ints): the lcm of their denominators."""
+    return lcm(Fraction(order).denominator, *(e.denominator for e in exps))
 
 
 def _as_order(order, den: int) -> int:
@@ -73,8 +74,7 @@ def _as_order(order, den: int) -> int:
     o = Fraction(order)
     if o < 0:
         raise ValueError("truncation order must be nonnegative")
-    scaled = o * den
-    return int(scaled) if scaled.denominator == 1 else int(scaled.numerator // scaled.denominator)
+    return floor(o * den)
 
 
 def _normal(order: int, val: int, re: list, im: Optional[list]):
@@ -176,15 +176,15 @@ class QSeries:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, order, den: int = 1) -> "QSeries":
-        """0 through `order`, on grid `den` refined to hold the order."""
-        den = _grid(den, order)
+    def zero(cls, order) -> "QSeries":
+        """0 through `order`, on the order's grid."""
+        den = _grid(order)
         return cls._of(den, _as_order(order, den), 0, [])
 
     @classmethod
-    def one(cls, order, den: int = 1) -> "QSeries":
-        """1 through `order`, on grid `den` refined to hold the order."""
-        den = _grid(den, order)
+    def one(cls, order) -> "QSeries":
+        """1 through `order`, on the order's grid."""
+        den = _grid(order)
         return cls._of(den, _as_order(order, den), 0, [1])
 
     @classmethod
@@ -192,7 +192,7 @@ class QSeries:
         exp = Fraction(exp)
         if exp < 0:
             raise NegativeExponent(str(exp))
-        den = _grid(1, order, exp)
+        den = _grid(order, exp)
         return cls(den, _as_order(order, den), {int(exp * den): coeff})
 
     # -- basic views -------------------------------------------------------
@@ -259,14 +259,6 @@ class QSeries:
         f = den // self.den
         im = None if self.im is None else _spread(self.im, f)
         return QSeries._of(den, self.order * f, self.val * f, _spread(self.re, f), im)
-
-    def reduce(self) -> "QSeries":
-        """Shrink the denominator by the gcd of the support (display helper)."""
-        g = gcd(self.den, self.val, *self._support())
-        if g == 1:
-            return self
-        im = None if self.im is None else self.im[::g]
-        return QSeries._of(self.den // g, self.order // g, self.val // g, self.re[::g], im)
 
     @staticmethod
     def _unify(a: "QSeries", b: "QSeries"):
@@ -567,7 +559,7 @@ def poch_finite(x: Monomial, b: Monomial, n: int, order) -> QSeries:
         raise ValueError("finite Pochhammer length must be nonnegative")
     if b.exp <= 0 or b.unit != ONE:
         raise ValueError("Pochhammer base must be a positive power of q with unit 1")
-    return _poch(order, 1, [(x, b, n, 1)])
+    return _poch(order, [(x, b, n, 1)])
 
 
 def poch_infinite(x: Monomial, b: Monomial, order) -> QSeries:
@@ -576,18 +568,18 @@ def poch_infinite(x: Monomial, b: Monomial, order) -> QSeries:
         raise ValueError("Pochhammer base must be a positive power of q with unit 1")
     if x.exp <= 0:
         raise DivergentProduct("(x;b)_inf needs x of positive q-order, got %s" % x.exp)
-    return _poch(order, 1, [(x, b, None, 1)])
+    return _poch(order, [(x, b, None, 1)])
 
 
-def _poch(order, den: int, factors: list) -> QSeries:
+def _poch(order, factors: list) -> QSeries:
     """The product of (x; b)_n**power over each (x, b, n, power) in `factors`
-    (power +-1, n None for (x; b)_inf), exact through `order`, on grid `den`
-    refined to hold the order and every x and b: each factor 1 - x*b**k up to
-    the order is one O(order) mul_binomial or div_binomial, and only the
-    running series is held.  A factor at a negative exponent raises
+    (power +-1, n None for (x; b)_inf), exact through `order`, on the grid
+    that holds the order and every x and b: each factor 1 - x*b**k up to the
+    order is one O(order) mul_binomial or div_binomial, and only the running
+    series is held.  A factor at a negative exponent raises
     NegativeExponent; a divisor at exponent 0 raises NonUnitConstantTerm,
     since 1 - unit is never a unit of Z[i]."""
-    s = QSeries.one(order, _grid(den, order, *(m.exp for x, b, _, _ in factors for m in (x, b))))
+    s = QSeries.one(order).rescale(_grid(order, *(m.exp for x, b, _, _ in factors for m in (x, b))))
     bound = s.order_q
     for x, b, n, power in factors:
         k = 0
@@ -614,7 +606,7 @@ def inv_poch_table(b: Monomial, n_max: int, order) -> list:
     The base b = u*q**e may carry any unit u: factor n is 1 - u**n q**(n*e)."""
     if b.exp <= 0:
         raise ValueError("Pochhammer base must be a positive power of q")
-    out = [QSeries.one(order, _grid(1, order, b.exp))]
+    out = [QSeries.one(order).rescale(_grid(order, b.exp))]
     for n in range(1, n_max + 1):
         e = n * b.exp
         if e > out[-1].order_q:

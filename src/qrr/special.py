@@ -30,7 +30,7 @@ def gaussian_binomial(n: int, k: int, b: Monomial, order) -> QSeries:
         return QSeries.zero(order)
     # (b**(n-k+1); b)_k / (b; b)_k
     top = Monomial(unit_pow(b.unit, n - k + 1), (n - k + 1) * b.exp)
-    return _poch(order, 1, [(top, b, k, 1), (b, b, k, -1)])
+    return _poch(order, [(top, b, k, 1), (b, b, k, -1)])
 
 
 def gaussian_binomial_rows(b: Monomial, order) -> Iterator[list]:

@@ -87,7 +87,7 @@ class ZSeries:
 
     @classmethod
     def zero(cls, order) -> "ZSeries":
-        den = _grid(1, order)
+        den = _grid(order)
         return cls._fitted({}, den, _as_order(order, den))
 
     @classmethod
@@ -113,7 +113,7 @@ class ZSeries:
     def slice(self, k: int) -> QSeries:
         """Coefficient of z**k."""
         s = self.coeff.get(k)
-        return QSeries.zero(self.order_q, self.den) if s is None else s
+        return QSeries._of(self.den, self.order, 0, []) if s is None else s
 
     def ct(self) -> QSeries:
         """The constant term CT_z: the z**0 coefficient."""
@@ -158,7 +158,7 @@ class ZSeries:
 
     def specialize(self, t: Monomial) -> QSeries:
         """Substitute z := t (a monomial in q) and sum the window."""
-        acc = QSeries.zero(self.order_q, self.den)
+        acc = QSeries._of(self.den, self.order, 0, [])
         for k, s in self.coeff.items():
             acc = acc + s.scale(unit_pow(t.unit, k)).shift(k * t.exp)
         return acc
@@ -242,7 +242,7 @@ def theta_z(alpha, beta, chi: GaussianInt, s: int, order) -> "ZSeries":
     a, b = alpha / 2, beta - alpha / 2
     l = lcm(a.denominator, b.denominator, order.denominator)
     lo, hi = _interval(int(a * l), int(b * l), int(-order * l))
-    d = _grid(1, order, alpha, beta)
+    d = _grid(order, alpha, beta)
     n = _as_order(order, d)
     coeff: Dict[int, QSeries] = {}
     for k in range(lo, hi + 1):

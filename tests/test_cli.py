@@ -135,6 +135,21 @@ def test_table_puts_both_sides_on_the_finer_grid(tmp_path):
     assert rows[1] == ["1/2", "0", "0", "1", "0"]
 
 
+def test_table_keeps_the_declared_grid_of_an_empty_sum(tmp_path):
+    # the sum is empty through the order, yet stays on its declared den 4;
+    # the integer product side is lifted to it for the table
+    p = tmp_path / "empty.id"
+    p.write_text(
+        'identity "empty" {\n  den 4;\n  sum { indices n; exponent 1/4*n^2 + 5; denoms (q; n); }\n'
+        "  product { 1/poch(q, q) }\n}\n"
+    )
+    code, text = run(["table", str(p), "--order", "1", "--format", "csv"])
+    assert code == EXIT_OK
+    rows = list(csv.reader(io.StringIO(text)))[1:]
+    assert [r[0] for r in rows] == ["0", "1/4", "1/2", "3/4", "1"]
+    assert [r[1] for r in rows] == ["0"] * 5 and [r[3] for r in rows] == ["1", "0", "0", "0", "1"]
+
+
 def test_replay_pass_and_step_schema():
     code, text = run(["replay", "1.5", "--order", "20", "--format", "json"])
     assert code == EXIT_OK

@@ -485,7 +485,7 @@ def test_finite_factors_match_the_multiply_and_invert_route(order, den):
             ProductFactor(qmono(1), qmono(2), -1),
             ProductFactor(Monomial(MINUS_ONE, F(3, den)), qmono(1), -power, 2),
         )
-        want = QSeries.one(order, d)
+        want = QSeries.one(order).rescale(d)
         for f in factors:
             if f.finite is None:
                 p = poch_infinite(f.x, f.base, order)
@@ -494,3 +494,26 @@ def test_finite_factors_match_the_multiply_and_invert_route(order, den):
             want = want.mul(p if f.power == 1 else p.invert_unit())
         got = eval_product(_product_spec(den, factors), order)
         assert got.to_json() == want.to_json(), (unit, n, power, exp)
+
+
+@pytest.mark.parametrize("order", [F(60), F(61, 4), F(1, 3)])
+def test_product_side_lives_on_its_own_grid(order):
+    # the product side's grid holds the order and its factor exponents only,
+    # not the sum's declared grid, and it is the multiply-and-invert product
+    for spec in corpus.load_all():
+        exps = [m.exp for f in spec.product for m in (f.x, f.base)]
+        got = eval_product(spec, order)
+        assert got.den == math.lcm(order.denominator, *(e.denominator for e in exps)), spec.name
+        want = QSeries.one(order)
+        for f in spec.product:
+            if f.finite is None:
+                p = poch_infinite(f.x, f.base, order)
+            else:
+                p = poch_finite(f.x, f.base, f.finite, order)
+            want = want.mul(p if f.power == 1 else p.invert_unit())
+        assert got == want, spec.name
+
+
+def test_integer_product_side_of_a_quarter_sum_is_integer():
+    p = eval_product(corpus.load("double_mod5_1_4"), 1000)
+    assert (p.den, p.order, len(p.re)) == (1, 1000, 1001)

@@ -57,8 +57,6 @@ def test_rescale_reduce_roundtrip():
     s = QSeries.term(ONE, 2, 9) + QSeries.term(MINUS_ONE, 5, 9)
     r = s.rescale(6)
     assert r.den == 6 and r == s
-    assert r.reduce().den == 1
-    assert r.reduce() == s
 
 
 def test_shift_moves_order():
@@ -319,7 +317,7 @@ def test_storage_binomials_match_two_term_products(p, u, k, kden):
     a = QSeries(*p)
     exp = F(k, kden)
     g = lcm(a.den, exp.denominator)
-    two = QSeries.one(a.order_q, g) - QSeries.term(u, exp, a.order_q)
+    two = QSeries.one(a.order_q).rescale(g) - QSeries.term(u, exp, a.order_q)
     assert as_plain(mul_binomial(a, u, exp)) == as_plain(a.mul(two))
     quotient = div_binomial(a, u, exp)
     as_plain(quotient)  # checks its normal form
@@ -449,7 +447,7 @@ def test_common_stride_convolves_every_gth_entry(monkeypatch):
 def test_normal_form_cases():
     a = QSeries(2, 9, {1: GaussianInt(3, -1), 4: MINUS_ONE, 8: I})
     diff = a - a
-    assert diff == QSeries.zero(F(9, 2), 2) and diff.is_zero() and diff.valuation() is None
+    assert diff == QSeries.zero(F(9, 2)) and diff.is_zero() and diff.valuation() is None
     # (1 + i q)(1 - i q) = 1 + q^2: the imaginary part cancels
     p = QSeries(1, 10, {0: ONE, 1: I}).mul(QSeries(1, 10, {0: ONE, 1: GaussianInt(0, -1)}))
     assert p == QSeries(1, 10, {0: ONE, 2: ONE})

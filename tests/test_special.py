@@ -6,8 +6,9 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from qrr import corpus
 from qrr.errors import NegativeExponent, NotPositiveDefinite
-from qrr.identity import ExponentPoly, IdentitySpec
+from qrr.identity import ExponentPoly, IdentitySpec, eval_product
 from qrr.oracle import unpruned_sum
 from qrr.quadform import index_bounds
 from qrr.gaussian import I, MINUS_ONE, ONE, UNITS, GaussianInt
@@ -246,9 +247,7 @@ def test_no_constructor_or_builder_claims_less_than_its_order(order):
     b = qmono(F(1, 2))
     built = [
         QSeries.zero(order),
-        QSeries.zero(order, 4),
         QSeries.one(order),
-        QSeries.one(order, 4),
         QSeries.term(I, F(1, 2), order),
         ZSeries.zero(order),
         poch_finite(qmono(F(1, 4)), b, 3, order),
@@ -263,5 +262,6 @@ def test_no_constructor_or_builder_claims_less_than_its_order(order):
         theta_z(F(1, 2), F(1, 4), I, -1, order),
         euler_z_inverse(Monomial(I, F(3, 2)), qmono(2), order),
         euler_z_product(Monomial(MINUS_ONE, F(3, 4)), qmono(1), order),
+        eval_product(corpus.load("double_mod5_1_4"), order),
     ]
     assert [x.order_q for x in built] == [order] * len(built)

@@ -154,6 +154,14 @@ def test_first_difference_localizes():
     assert one.first_difference(top) == (3, 1)
 
 
+def test_empty_slices_stay_on_the_window_grid():
+    # a missing slice and the specialization of an empty window are zeros
+    # on the window's grid and order, not on the order's coarser grid
+    z = ZSeries({1: QSeries.term(ONE, F(1, 4), 5)})
+    for s in (z.slice(0), z.ct(), (z - z).specialize(qmono(1))):
+        assert s.is_zero() and (s.den, s.order) == (4, 20)
+
+
 def test_add_and_mul_keep_the_lower_order():
     low = ZSeries.zero(10)
     high = ZSeries.embed(QSeries.one(100))
@@ -164,7 +172,7 @@ def test_add_and_mul_keep_the_lower_order():
     assert (-low).order_q == 10
     # on the lcm grid: the result keeps exactness through 5/2, not 2 or 3
     quarter = ZSeries.zero(F(5, 2))
-    z = ZSeries.embed(QSeries.one(100, den=3)) * quarter
+    z = ZSeries.embed(QSeries.one(100).rescale(3)) * quarter
     assert z.order_q == F(5, 2) and z.den == 6
     # the operand of higher order is truncated, not just relabelled
     assert (ZSeries.embed(QSeries.term(ONE, 50, 100)) + low).is_zero()
@@ -193,7 +201,7 @@ def windows(draw):
     slices and windows on either side of z**0; or an empty window."""
     if draw(st.integers(0, 5)) == 0:
         den = draw(st.integers(1, 4))
-        return ZSeries({0: QSeries.zero(F(draw(st.integers(0, 10 * den)), den), den)})
+        return ZSeries({0: QSeries.zero(F(draw(st.integers(0, 10 * den)), den)).rescale(den)})
     coeff = {}
     for k in draw(st.lists(st.integers(-4, 4), min_size=1, max_size=5, unique=True)):
         den = draw(st.integers(1, 4))
@@ -266,7 +274,7 @@ def test_packed_product_matches_slice_by_slice_oracle(a, b):
         assert set(got.coeff) == {k for k, s in want.items() if not s.is_zero()}
         for k, s in want.items():
             assert got.slice(k) == s, k
-    zero = want.get(0, QSeries.zero(min(a.order_q, b.order_q), math.lcm(a.den, b.den)))
+    zero = want.get(0, QSeries.zero(min(a.order_q, b.order_q)).rescale(math.lcm(a.den, b.den)))
     assert a.ct_mul(b) == zero
     assert b.ct_mul(a) == zero
 
@@ -301,7 +309,7 @@ def test_multi_term_windows_make_no_slice_multiply(monkeypatch):
     b = euler_z_inverse(Monomial(MINUS_ONE, F(1, 2)), qmono(2), 10).reflect()
     theta = theta_z(F(1, 2), F(1, 4), I, -1, 4)
     i_over_z = ZSeries({-1: QSeries.term(I, 0, 5)})
-    zbinomial = ZSeries({0: QSeries.one(5, 4), 1: QSeries.term(MINUS_I, F(5, 4), 5)})
+    zbinomial = ZSeries({0: QSeries.one(5).rescale(4), 1: QSeries.term(MINUS_I, F(5, 4), 5)})
     singles = [theta, i_over_z, zbinomial]
     pairs = [(a, b)] + [(x, s) for s in singles for x in [a, b] + singles]
     pairs += [(s, x) for s in singles for x in (a, b)]
@@ -312,6 +320,6 @@ def test_multi_term_windows_make_no_slice_multiply(monkeypatch):
 
     monkeypatch.setattr(QSeries, "mul", refuse)
     for (x, y), want in zip(pairs, wants):
-        zero = want.get(0, QSeries.zero(min(x.order_q, y.order_q), 4))
+        zero = want.get(0, QSeries.zero(min(x.order_q, y.order_q)).rescale(4))
         assert x * y == ZSeries(want)
         assert x.ct_mul(y) == zero
