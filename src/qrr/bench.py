@@ -5,8 +5,8 @@ Run as `python -m qrr.bench`.  Times the kernel's one entry point,
 `conv_rows`, on a one-row, one-pair call of random small-coefficient lists at
 several lengths, real times real (rows `conv_real n`) and complex times
 complex (rows `conv_complex n`), then `eval_sum` of cao_wang_1_2_3 at
-SUM_ORDER and of double_mod10_2_8 at VERIFY_ORDER, `verify` of
-double_mod10_2_8 at VERIFY_ORDER, the single-factor updates
+SUM_ORDER and CAO_WANG_ORDER and of double_mod10_2_8 at VERIFY_ORDER,
+`verify` of double_mod10_2_8 at VERIFY_ORDER, the single-factor updates
 (`rogers_szego_bw` with n = RS_N at RS_ORDER, `eval_product` of
 rogers_mod5_1_4 at PRODUCT_ORDER), the replay chains 1.5-1.8 at REPLAY_ORDER
 and `jtp_check` at JTP_ORDER.
@@ -35,6 +35,8 @@ REPEATS = 5
 VERIFY_ORDER = Fraction(120)
 # kept at 60 so sum-side rows stay comparable with earlier BENCH_*.json files
 SUM_ORDER = Fraction(60)
+# the rank-3 order the sum side is aimed at
+CAO_WANG_ORDER = Fraction(480)
 RS_N = 40
 RS_ORDER = Fraction(420)
 PRODUCT_ORDER = Fraction(2000)
@@ -73,7 +75,11 @@ def bench_sum(out, rows):
     out("")
     out("sum side eval_sum (best of 3, seconds)")
     section = rows["sum"] = {}
-    for name, order in (("cao_wang_1_2_3", SUM_ORDER), ("double_mod10_2_8", VERIFY_ORDER)):
+    for name, order in (
+        ("cao_wang_1_2_3", SUM_ORDER),
+        ("cao_wang_1_2_3", CAO_WANG_ORDER),
+        ("double_mod10_2_8", VERIFY_ORDER),
+    ):
         spec = corpus.load(name)
         t = section["%s @%s" % (spec.name, order)] = _time(lambda: eval_sum(spec, order), 3)
         out("%-18s  %6s  %10.3f" % (spec.name, order, t))

@@ -8,11 +8,12 @@ exactly through a truncation order; verify compares them coefficient by
 coefficient.
 
 eval_sum evaluates the sum side as nested partial sums over the declared index
-order, with the exponent as an integer polynomial and no series multiply.  For
-each prefix the last index runs over the exact integer interval where the
-exponent is at most the order, cut at the enumeration box, and adds shifted
-1/(b;b)_t table entries; each outer level folds its inner sums from the top
-with one binomial division per index value.
+order, with the exponent and the sign's power of i as integer polynomials and
+no series multiply.  For each prefix the last index runs over the exact
+integer interval where the exponent is at most the order, cut at the
+enumeration box, and adds its 1/(b;b)_t table entries as strided slices into
+lists that start at the prefix's lowest kept exponent; each outer level folds
+its inner sums from the top with one binomial division per index value.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     QrrError,
     SemanticError,
 )
-from .gaussian import MINUS_ONE, ONE, UNITS, GaussianInt, i_pow, sign_binom2
+from .gaussian import MINUS_ONE, ONE, GaussianInt, i_pow, sign_binom2
 from .quadform import _interval, index_bounds, minorant
 from .series import Monomial, QSeries, _grid, _poch, div_binomial, inv_poch_table
 
@@ -48,6 +49,10 @@ class LinForm:
 
     def eval(self, point: Dict[str, int]) -> int:
         return self.const + sum(c * point[x] for x, c in self.coeffs)
+
+    def linear_vector(self, indices) -> list:
+        cd = dict(self.coeffs)
+        return [cd.get(x, 0) for x in indices]
 
     def names(self):
         return {x for x, _ in self.coeffs}
@@ -82,6 +87,28 @@ def eval_sign(atoms, point: Dict[str, int]) -> GaussianInt:
     for a in atoms:
         u = u * a.eval(point)
     return u
+
+
+def sign_poly(atoms, indices) -> Tuple[list, list, int]:
+    """(S, s, s0) in integers with eval_sign(atoms, n) = i**U(n) for
+    U(n) = 1/2 n.S.n + s.n + s0 over the indices in order: the atom of
+    form v contributes v for i^v, 2v for (-1)^v and v^2 - v for
+    (-1)^binom(v,2), since binom(v,2) = (v^2 - v)/2."""
+    S = [[0] * len(indices) for _ in indices]
+    s = [0] * len(indices)
+    s0 = 0
+    for a in atoms:
+        w, k = a.form.linear_vector(indices), a.form.const
+        if a.kind == "neg1_binom":
+            # v^2 = (w.n)^2 + 2k w.n + k^2, and 1/2 n.(2ww^T).n = (w.n)^2
+            for r, x in zip(S, w):
+                r[:] = [y + 2 * x * z for y, z in zip(r, w)]
+            s = [y + 2 * k * x for y, x in zip(s, w)]
+            s0 += k * k
+        m = {"i": 1, "neg1": 2, "neg1_binom": -1}[a.kind]
+        s = [y + m * x for y, x in zip(s, w)]
+        s0 += m * k
+    return S, s, s0
 
 
 @dataclass(frozen=True)
@@ -264,26 +291,33 @@ def eval_sum(spec: IdentitySpec, order) -> QSeries:
     the level below at prefix + t, since 1/(b;b)_t = 1/(b;b)_(t-1) / (1 - q^(bt)).
     Each outer index value thus costs one O(order) binomial division and one
     add.  The exponent E is evaluated as the integer polynomial L*E, L the lcm
-    of its coefficient denominators.  For each prefix the last index visits
-    only the exact integer interval where E <= order (from the integer square
-    root of the discriminant), cut at the box, and each of its points adds its
-    shifted 1/(b;b)_t table entry, times its unit sign, into int lists.  The
-    outer indices run over the whole box: `bounds` when given, else
-    auto_bounds.
+    of its coefficient denominators, and the sign as i**U, U the integer
+    polynomial of sign_poly taken mod 4; both are carried down the nest, so
+    no point is built.  For each prefix the last index visits only the exact
+    integer interval where E <= order (from the integer square root of the
+    discriminant), cut at the box.  Each kept point adds the content of its
+    1/(b;b)_t table entry, a series in q^b and so on every (b * D)-th entry
+    of the sum grid q^(1/D), with one extended slice into int lists that
+    start at the prefix's lowest kept exponent; a prefix with no kept point
+    allocates nothing.  The outer indices run over the whole box: `bounds`
+    when given, else auto_bounds.
     """
     order = Fraction(order)
     bounds = auto_bounds(spec, order) if spec.bounds is None else spec.bounds
     nest = _Nest(spec, order, bounds)
-    out = nest.level(0, nest.const, nest.lin, ())
+    out = nest.level(0, nest.const, nest.lin, nest.sconst, nest.slin, ())
     return QSeries._of(nest.den, nest.n, 0, []) if out is None else out
 
 
 class _Nest:
     """The nested partial sums of one eval_sum call.
 
-    L*E = 1/2 n.Q.n + lin.n + const in integers.  A prefix carries the value
-    of L*E on its indices (c) and the linear coefficients of the indices
-    still to come (lin).  Only the last index has a 1/(b;b)_t table."""
+    L*E = 1/2 n.Q.n + lin.n + const in integers, and the sign is i**U with
+    U = 1/2 n.S.n + slin.n + sconst in integers (sign_poly), taken mod 4.  A
+    prefix carries the values of L*E and U on its indices (c, sc) and the
+    linear coefficients of the indices still to come (lin, slin).  Only the
+    last index has a 1/(b;b)_t table, each distinct entry held as its
+    content on its own grid: (offset on the sum grid, step, content list)."""
 
     def __init__(self, spec: IdentitySpec, order: Fraction, bounds):
         poly = spec.exponent
@@ -295,6 +329,7 @@ class _Nest:
         self.quad = [[int(x * self.scale) for x in row] for row in poly.quadratic_matrix(spec.indices)]
         self.lin = [int(x * self.scale) for x in poly.linear_vector(spec.indices)]
         self.const = int(poly.const * self.scale)
+        self.squad, self.slin, self.sconst = sign_poly(spec.sign, spec.indices)
         self.top = floor(order * self.scale)  # L*E <= top exactly when E <= order
         self.spec = spec
         base_of = dict(spec.denoms)
@@ -304,28 +339,29 @@ class _Nest:
         self.den = lcm(spec.den, _grid(order, *self.bases))
         self.n = int(order * self.den)
         self.bounds = bounds
-        # last() lays entries at offsets on the sum grid; the entries past
-        # the order repeat one object, which is rescaled once
+        # 1/(q^e;q^e)_t is a series in q^e: its content sits on every k-th
+        # entry of its own grid, every step-th of the sum grid; the entries
+        # past the order repeat one object, which is cut once
+        base = self.bases[-1]
         table = inv_poch_table(base_of[spec.indices[-1]], bounds[-1], order)
-        self.table = [table[0].rescale(self.den)]
+        f = self.den // table[0].den
+        k, step = int(base * table[0].den), int(base * self.den)
+        self.table = [(table[0].val * f, step, table[0].re[::k])]
         for prev, t in zip(table, table[1:]):
-            self.table.append(self.table[-1] if t is prev else t.rescale(self.den))
+            self.table.append(self.table[-1] if t is prev else (t.val * f, step, t.re[::k]))
 
-    def level(self, d: int, c: int, lin: list, prefix: tuple) -> Optional[QSeries]:
+    def level(self, d: int, c: int, lin: list, sc: int, slin: list, prefix: tuple) -> Optional[QSeries]:
         """sum over t of level_{d+1}(prefix + t) / (b_d; b_d)_t; None when no
         point below the prefix is kept."""
         if d == len(self.bounds) - 1:
-            return self.last(c, lin[d], prefix)
-        row = self.quad[d]
-        half = row[d] // 2
+            return self.last(c, lin[d], sc, slin[d], prefix)
+        inner = []
         # ascending t, so the first bad point raised is the lexicographically first
-        inner = [
-            # entries of lin before d + 1 are never read again
-            self.level(
-                d + 1, c + (half * t + lin[d]) * t, [x + q * t for x, q in zip(lin, row)], prefix + (t,)
-            )
-            for t in range(self.bounds[d] + 1)
-        ]
+        for t in range(self.bounds[d] + 1):
+            # entries of lin and slin before d + 1 are never read again
+            c2, lin2 = _fix(self.quad[d], c, lin, d, t)
+            sc2, slin2 = _fix(self.squad[d], sc, slin, d, t)
+            inner.append(self.level(d + 1, c2, lin2, sc2, slin2, prefix + (t,)))
         acc = None
         for t in reversed(range(len(inner))):
             if acc is not None:
@@ -334,49 +370,59 @@ class _Nest:
                 acc = inner[t] if acc is None else acc + inner[t]
         return acc
 
-    def last(self, c: int, b: int, prefix: tuple) -> Optional[QSeries]:
-        """sum over t of sign * q^E / (b;b)_t at prefix + t, by shift-and-add."""
-        spec, scale = self.spec, self.scale
+    def last(self, c: int, b: int, sc: int, sb: int, prefix: tuple) -> Optional[QSeries]:
+        """sum over t of i**U * q^E / (b;b)_t at prefix + t, by strided adds.
+
+        The kept points are collected first; the lists then start at the
+        lowest kept offset, and each table entry is added into every step-th
+        entry from its offset with one extended slice."""
+        spec, scale, top, den = self.spec, self.scale, self.top, self.den
         d = len(self.bounds) - 1
         a = self.quad[d][d] // 2
+        sa = self.squad[d][d] // 2
         if a > 0:
-            lo, hi = _interval(a, b, c - self.top)
+            lo, hi = _interval(a, b, c - top)
             ts = range(max(lo, 0), min(hi, self.bounds[d]) + 1)
         else:
             ts = range(self.bounds[d] + 1)
-        n = self.n + 1
-        re = [0] * n
-        im = None
-        kept = False
+        kept = []
         for t in ts:
             v = (a * t + b) * t + c
-            if v > self.top:
+            if v > top:
                 continue
-            point = dict(zip(spec.indices, prefix + (t,)))
-            if v < 0:
-                raise NegativeExponent(
-                    "%s: exponent %s at %s" % (spec.name, Fraction(v, scale), point)
-                )
-            if v * spec.den % scale:
+            if v < 0 or v * spec.den % scale:
+                point = dict(zip(spec.indices, prefix + (t,)))
+                if v < 0:
+                    raise NegativeExponent("%s: exponent %s at %s" % (spec.name, Fraction(v, scale), point))
                 raise SemanticError(
                     "%s: exponent %s at %s not representable with den %d"
                     % (spec.name, Fraction(v, scale), point, spec.den)
                 )
-            kept = True
-            entry = self.table[t]  # the table is real
-            o = v * self.den // scale + entry.val
-            u = UNITS.index(eval_sign(spec.sign, point))  # i**u
+            o, g, content = self.table[t]  # the table is real
+            kept.append((v * den // scale + o, g, content, ((sa * t + sb) * t + sc) % 4))
+        if not kept:
+            return None
+        start = min(k[0] for k in kept)
+        size = self.n + 1 - start
+        re = [0] * size
+        im = None
+        for o, g, content, u in kept:
             if u % 2:
                 if im is None:
-                    im = [0] * n
+                    im = [0] * size
                 out = im
             else:
                 out = re
-            # map stops at the shorter list, so nothing lands past index n - 1
-            out[o : o + len(entry.re)] = map(sub if u > 1 else add, out[o : o + len(entry.re)], entry.re)
-        if not kept:
-            return None
-        return QSeries._of(self.den, self.n, 0, re, im)
+            # the slice stops at the list's end, and map at the shorter operand
+            at = slice(o - start, o - start + g * len(content), g)
+            out[at] = map(sub if u > 1 else add, out[at], content)
+        return QSeries._of(den, self.n, start, re, im)
+
+
+def _fix(row: list, c: int, lin: list, d: int, t: int):
+    """Fix index d at t in the integer quadratic 1/2 n.M.n + lin.n + c, with
+    row the d-th row of M: the new constant and linear coefficients."""
+    return c + (row[d] // 2 * t + lin[d]) * t, [x + q * t for x, q in zip(lin, row)]
 
 
 def eval_product(spec: IdentitySpec, order) -> QSeries:

@@ -11,6 +11,7 @@ def small(monkeypatch):
     monkeypatch.setattr(bench, "REPEATS", 1)
     monkeypatch.setattr(bench, "VERIFY_ORDER", Fraction(6))
     monkeypatch.setattr(bench, "SUM_ORDER", Fraction(5))
+    monkeypatch.setattr(bench, "CAO_WANG_ORDER", Fraction(7))
     monkeypatch.setattr(bench, "RS_N", 5)
     monkeypatch.setattr(bench, "RS_ORDER", Fraction(7))
     monkeypatch.setattr(bench, "PRODUCT_ORDER", Fraction(9))
@@ -29,7 +30,7 @@ def test_bench_runs_at_small_sizes(small):
     assert "single-factor updates" in text
     assert "rogers_szego_bw 5" in text and "eval_product rogers-mod5-1-4" in text
     assert "replay 1.8" in text and "jtp_check" in text
-    assert len(lines) == 22
+    assert len(lines) == 23
 
 
 def test_bench_json_holds_the_printed_rows(small, tmp_path):
@@ -39,7 +40,7 @@ def test_bench_json_holds_the_printed_rows(small, tmp_path):
     rows = json.loads(path.read_text())
     assert list(rows) == ["kernel", "sum", "verify", "updates", "zseries"]
     assert list(rows["kernel"]) == ["conv_real 3", "conv_complex 3", "conv_real 8", "conv_complex 8"]
-    assert list(rows["sum"]) == ["cao-wang-1-2-3 @5", "double-mod10-2-8 @6"]
+    assert list(rows["sum"]) == ["cao-wang-1-2-3 @5", "cao-wang-1-2-3 @7", "double-mod10-2-8 @6"]
     assert list(rows["verify"]) == ["double-mod10-2-8 @6"]
     assert list(rows["updates"]) == ["rogers_szego_bw 5 @7", "eval_product rogers-mod5-1-4 @9"]
     assert list(rows["zseries"]) == ["replay %s @6" % t for t in ("1.5", "1.6", "1.7", "1.8")] + ["jtp_check @8"]

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from qrr import corpus
 from qrr.errors import NegativeExponent, SemanticError, UnboundedEnumeration
-from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, GaussianInt
+from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, UNITS, GaussianInt
 from qrr.identity import (
     ExponentPoly,
     IdentitySpec,
@@ -21,7 +21,9 @@ from qrr.identity import (
     SignAtom,
     auto_bounds,
     eval_product,
+    eval_sign,
     eval_sum,
+    sign_poly,
     verify,
 )
 from qrr.oracle import unpruned_sum
@@ -295,8 +297,14 @@ def test_off_grid_exponent_names_the_point():
 
 
 def test_explicit_bounds_cut_the_last_index_interval():
-    # n^2 <= 30 up to n = 5, and m, n <= 4 hold the double sum's points at 20
-    for name, bounds, order in (("rogers_mod5_1_4", (3,), 30), ("double_mod10_2_8", (2, 3), 20)):
+    # n^2 <= 30 up to n = 5, m, n <= 4 hold the double sum's points at 20, and
+    # Cao-Wang keeps points with k = 2, 3, 4 in i <= 2, j <= 4 at 16, on a
+    # last index whose table steps by 12
+    for name, bounds, order in (
+        ("rogers_mod5_1_4", (3,), 30),
+        ("double_mod10_2_8", (2, 3), 20),
+        ("cao_wang_1_2_3", (2, 4, 1), 16),
+    ):
         spec = corpus.load(name)
         cut = eval_sum(dataclasses.replace(spec, bounds=bounds), order)
         assert cut == unpruned_sum(spec, bounds, order)
@@ -396,6 +404,69 @@ def test_eval_sum_matches_unpruned_oracle(case):
             eval_sum(spec, order)
         return
     assert eval_sum(spec, order) == want
+
+
+# den 4 and a last base q^3 put the last index's table content on every 12th
+# entry of the sum grid, a step sum_specs never draws; Cao-Wang's slice at
+# i = 0, with a complex sign
+CAO_WANG_SLICE = """
+identity "cao-wang-slice" {
+  den 4;
+  sum {
+    indices j, k;
+    sign i^(j + k) * (-1)^binom(k - j, 2);
+    exponent 1/4*(2*j - 3*k)^2 + 3*k;
+    denoms (q^2; j), (q^3; k);
+  }
+  product { 1/poch(q, q) }
+}
+"""
+
+
+@pytest.mark.parametrize("order", [F(16), F(61, 4)])
+def test_eval_sum_matches_unpruned_oracle_on_step_12_tables(order):
+    spec = parse(CAO_WANG_SLICE)
+    got = eval_sum(spec, order)
+    assert got.imaginary_support()
+    assert got == unpruned_sum(spec, [max(b, 0) + 1 for b in auto_bounds(spec, order)], order)
+
+
+sign_atoms = st.lists(
+    st.builds(
+        SignAtom,
+        st.sampled_from(["neg1", "neg1_binom", "i"]),
+        st.builds(LinForm.make, st.fixed_dictionaries({x: st.integers(-5, 5) for x in NAMES}), st.integers(-7, 7)),
+    ),
+    max_size=4,
+)
+
+
+def _sign_power(atoms, n):
+    """U(n) mod 4 for the sign polynomial of `atoms` over NAMES."""
+    S, s, s0 = sign_poly(atoms, NAMES)
+    twice = sum(x * q * y for row, x in zip(S, n) for q, y in zip(row, n))
+    assert twice % 2 == 0
+    return (twice // 2 + sum(c * x for c, x in zip(s, n)) + s0) % 4
+
+
+@settings(max_examples=300, deadline=None)
+@given(sign_atoms, st.tuples(*[st.integers(-30, 30)] * len(NAMES)))
+def test_sign_poly_matches_eval_sign(atoms, n):
+    assert _sign_power(atoms, n) == UNITS.index(eval_sign(atoms, dict(zip(NAMES, n))))
+
+
+def test_sign_poly_reaches_every_unit():
+    atoms = (
+        SignAtom("neg1_binom", LinForm.make({"a": 1, "b": -2}, -1)),
+        SignAtom("i", LinForm.make({"c": -1}, 3)),
+        SignAtom("neg1", LinForm.make({"a": -3, "c": 1})),
+    )
+    seen = set()
+    for n in iproduct(range(-3, 4), repeat=len(NAMES)):
+        u = _sign_power(atoms, n)
+        assert u == UNITS.index(eval_sign(atoms, dict(zip(NAMES, n)))), n
+        seen.add(u)
+    assert seen == {0, 1, 2, 3}
 
 
 @st.composite
