@@ -8,8 +8,9 @@ complex (rows `conv_complex n`), then `eval_sum` of cao_wang_1_2_3 at
 SUM_ORDER and CAO_WANG_ORDER and of double_mod10_2_8 at VERIFY_ORDER,
 `verify` of double_mod10_2_8 at VERIFY_ORDER, the single-factor updates
 (`rogers_szego_bw` with n = RS_N at RS_ORDER, `eval_product` of
-rogers_mod5_1_4 at PRODUCT_ORDER), the replay chains 1.5-1.8 at REPLAY_ORDER
-and `jtp_check` at JTP_ORDER.
+rogers_mod5_1_4 at PRODUCT_ORDER), the replay chains 1.5-1.8 at REPLAY_ORDER,
+`jtp_check` at JTP_ORDER and `corpus.load_all()`, the parse and validation of
+the shipped identities that every process loading the corpus pays once.
 
 `python -m qrr.bench --json PATH` also writes the same rows to PATH as
 {section: {row: seconds}}.
@@ -121,9 +122,17 @@ def bench_zseries(out, rows):
     out("jtp_check %8s  %10.3f" % (JTP_ORDER, t))
 
 
+def bench_setup(out, rows):
+    out("")
+    out("corpus.load_all: parse and validate (best of %d, seconds)" % REPEATS)
+    t = _time(corpus.load_all, REPEATS)
+    rows["setup"] = {"corpus.load_all": t}
+    out("%10.3f" % t)
+
+
 def main(argv=(), out=print):
     parser = argparse.ArgumentParser(
-        prog="python -m qrr.bench", description="Time the kernel, sum side, verify, binomial updates and z-products."
+        prog="python -m qrr.bench", description="Time the kernel, sum side, verify, updates, z-products and corpus loading."
     )
     parser.add_argument("--json", metavar="PATH", help="also write the rows as {section: {row: seconds}}")
     args = parser.parse_args(argv)
@@ -133,6 +142,7 @@ def main(argv=(), out=print):
     bench_verify(out, rows)
     bench_updates(out, rows)
     bench_zseries(out, rows)
+    bench_setup(out, rows)
     if args.json:
         with open(args.json, "w") as f:
             json.dump(rows, f, indent=1)

@@ -81,11 +81,20 @@ STEP_SCHEMA = {
 }
 
 
+def _rational(text: str, what: str) -> Fraction:
+    """Fraction(text), or a ValueError that names `what` and says why."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as ex:
+        why = "zero denominator" if isinstance(ex, ZeroDivisionError) else ex
+        raise ValueError("bad %s %r: %s" % (what, text, why)) from None
+
+
 def _parse_order(text: str) -> Fraction:
     try:
-        order = Fraction(text)
-    except (ValueError, ZeroDivisionError) as ex:
-        raise argparse.ArgumentTypeError("bad order %r: %s" % (text, ex))
+        order = _rational(text, "order")
+    except ValueError as ex:
+        raise argparse.ArgumentTypeError(str(ex))
     if order <= 0:
         raise argparse.ArgumentTypeError("order must be positive, got %s" % text)
     return order
@@ -228,16 +237,12 @@ def cmd_replay(args, out) -> int:
     return EXIT_OK if chain_passes(steps) else EXIT_MISMATCH
 
 
-def _parse_matrix(text: str):
-    return [[Fraction(x) for x in row.split(",")] for row in text.split(";")]
-
-
 def cmd_nahm(args, out) -> int:
     try:
-        a = as_matrix(_parse_matrix(args.A))
-        b = [Fraction(x) for x in args.B.split(",")] if args.B else [Fraction(0)] * len(a)
-        data = NahmData(a=tuple(tuple(r) for r in a), b=tuple(b), c=Fraction(args.C))
-    except (ValueError, ZeroDivisionError) as ex:  # malformed --A/--B/--C
+        a = as_matrix([[_rational(x, "--A entry") for x in row.split(",")] for row in args.A.split(";")])
+        b = [_rational(x, "--B entry") for x in args.B.split(",")] if args.B else [Fraction(0)] * len(a)
+        data = NahmData(a=tuple(tuple(r) for r in a), b=tuple(b), c=_rational(args.C, "--C"))
+    except ValueError as ex:  # malformed --A/--B/--C
         print("error: %s" % ex, file=sys.stderr)
         return EXIT_BAD_INPUT
     series = nahm_series(data, args.order)

@@ -50,18 +50,11 @@ class LinForm:
     def eval(self, point: Dict[str, int]) -> int:
         return self.const + sum(c * point[x] for x, c in self.coeffs)
 
-    def linear_vector(self, indices) -> list:
-        cd = dict(self.coeffs)
-        return [cd.get(x, 0) for x in indices]
+    def poly(self) -> "ExponentPoly":
+        return ExponentPoly.make({}, dict(self.coeffs), self.const)
 
     def names(self):
         return {x for x, _ in self.coeffs}
-
-    def __str__(self):
-        parts = ["%+d*%s" % (c, x) for x, c in self.coeffs]
-        if self.const or not parts:
-            parts.append("%+d" % self.const)
-        return "".join(parts).lstrip("+")
 
 
 @dataclass(frozen=True)
@@ -91,29 +84,24 @@ def eval_sign(atoms, point: Dict[str, int]) -> GaussianInt:
 
 def sign_poly(atoms, indices) -> Tuple[list, list, int]:
     """(S, s, s0) in integers with eval_sign(atoms, n) = i**U(n) for
-    U(n) = 1/2 n.S.n + s.n + s0 over the indices in order: the atom of
-    form v contributes v for i^v, 2v for (-1)^v and v^2 - v for
-    (-1)^binom(v,2), since binom(v,2) = (v^2 - v)/2."""
-    S = [[0] * len(indices) for _ in indices]
-    s = [0] * len(indices)
-    s0 = 0
+    U(n) = 1/2 n.S.n + s.n + s0 over the indices in order: U is the sum over
+    the atoms of v for i^v, v + v for (-1)^v and v*v - v for (-1)^binom(v,2),
+    since binom(v,2) = (v*v - v)/2."""
+    u = ExponentPoly.make({}, {})
     for a in atoms:
-        w, k = a.form.linear_vector(indices), a.form.const
-        if a.kind == "neg1_binom":
-            # v^2 = (w.n)^2 + 2k w.n + k^2, and 1/2 n.(2ww^T).n = (w.n)^2
-            for r, x in zip(S, w):
-                r[:] = [y + 2 * x * z for y, z in zip(r, w)]
-            s = [y + 2 * k * x for y, x in zip(s, w)]
-            s0 += k * k
-        m = {"i": 1, "neg1": 2, "neg1_binom": -1}[a.kind]
-        s = [y + m * x for y, x in zip(s, w)]
-        s0 += m * k
-    return S, s, s0
+        v = a.form.poly()
+        u += {"i": v, "neg1": v + v, "neg1_binom": v * v - v}[a.kind]
+    S = [[int(x) for x in row] for row in u.quadratic_matrix(indices)]
+    return S, [int(x) for x in u.linear_vector(indices)], int(u.const)
 
 
 @dataclass(frozen=True)
 class ExponentPoly:
-    """Rational polynomial of total degree <= 2 in the summation indices."""
+    """Rational polynomial of total degree <= 2 in the summation indices.
+
+    The one polynomial type of the identity language: the parser builds every
+    exponent and linear form with +, - and *, each result in make's canonical
+    form, and a product past degree 2 raises SemanticError."""
 
     quad: Tuple[Tuple[Tuple[str, str], Fraction], ...]  # keys (x, y) with x <= y
     lin: Tuple[Tuple[str, Fraction], ...]
@@ -121,11 +109,41 @@ class ExponentPoly:
 
     @classmethod
     def make(cls, quad: Dict, lin: Dict, const=Fraction(0)) -> "ExponentPoly":
-        q = tuple(
-            sorted((tuple(sorted(k)), Fraction(v)) for k, v in quad.items() if v)
-        )
+        q = tuple(sorted((tuple(sorted(k)), Fraction(v)) for k, v in quad.items() if v))
         l = tuple(sorted((k, Fraction(v)) for k, v in lin.items() if v))
         return cls(q, l, Fraction(const))
+
+    def _terms(self) -> list:
+        """Nonzero (monomial, coefficient) pairs, a monomial the sorted tuple
+        of its names."""
+        return [*self.quad, *(((x,), c) for x, c in self.lin), *([((), self.const)] if self.const else [])]
+
+    @classmethod
+    def _of(cls, terms) -> "ExponentPoly":
+        """The sum of (monomial, Fraction) pairs, in make's canonical form."""
+        out: Dict[tuple, Fraction] = {}
+        for k, c in terms:
+            out[k] = out[k] + c if k in out else c
+        return cls(
+            tuple(sorted((k, c) for k, c in out.items() if len(k) == 2 and c)),
+            tuple(sorted((k[0], c) for k, c in out.items() if len(k) == 1 and c)),
+            out.get((), Fraction(0)),
+        )
+
+    def __add__(self, other: "ExponentPoly") -> "ExponentPoly":
+        return self._of(self._terms() + other._terms())
+
+    def __sub__(self, other: "ExponentPoly") -> "ExponentPoly":
+        return self + other * -1
+
+    def __mul__(self, other) -> "ExponentPoly":
+        """The product with a polynomial or a rational number."""
+        if not isinstance(other, ExponentPoly):
+            other = ExponentPoly.make({}, {}, other)
+        terms = [(tuple(sorted(k1 + k2)), c1 * c2) for k1, c1 in self._terms() for k2, c2 in other._terms()]
+        if any(len(k) > 2 for k, _ in terms):
+            raise SemanticError("exponent polynomial exceeds degree 2")
+        return self._of(terms)
 
     def eval(self, point: Dict[str, int]) -> Fraction:
         total = self.const
@@ -136,11 +154,7 @@ class ExponentPoly:
         return total
 
     def names(self):
-        out = set()
-        for (x, y), _ in self.quad:
-            out.update((x, y))
-        out.update(x for x, _ in self.lin)
-        return out
+        return {x for k, _ in self._terms() for x in k}
 
     def quadratic_matrix(self, indices) -> list:
         """Symmetric Q with value = 1/2 n.Q.n + linear + const."""

@@ -14,11 +14,17 @@ Grammar (whitespace-insensitive, '#' starts a comment to end of line):
     productside := "product" "{" factor ("*" factor)* "}"
     factor    := ("1/")? "poch" "(" monomial "," monomial ("," INT)? ")"
     signexpr  := atom ("*" atom)*
-    atom      := "(-1)^" sexp | "i^" sexp
-    sexp      := "binom(" linform ",2)" | "(" linform ")" | linterm
+    atom      := "(-1)^" (binom | sexp) | "i^" sexp
+    sexp      := "(" linform ")" | INT | IDENT | INT "*" IDENT
+    binom     := "binom(" linform ",2)"
     monomial  := ("-")? ("i" "*"?)? "q" ("^" rational)?
     polyexpr  := rational-coefficient polynomial in the indices built from
-                 '+', '-', '*', '^2', parentheses and binom(linform, 2)
+                 '+', '-', '*', '^2', parentheses and binom
+    linform   := any polyexpr that reduces to an integer linear form
+
+The bare sign exponent takes no more than INT "*" IDENT, since '*' also
+separates sign atoms.  Every polyexpr is an ExponentPoly, built with its own
+arithmetic.
 
 The imaginary-unit atom "i^..." takes precedence over an index named i, so
 identities that use an i^ sign atom should not name an index "i".
@@ -28,7 +34,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from .errors import ParseError, SemanticError
 from .gaussian import I, MINUS_I, MINUS_ONE, ONE
@@ -81,73 +87,6 @@ def _tokenize(text: str) -> List[_Token]:
         pos = m.end()
     out.append(_Token("eof", "", line, col))
     return out
-
-
-class _Poly:
-    """Work-in-progress polynomial: {monomial key tuple: Fraction}.
-
-    Keys are sorted tuples of index names with repetition, length <= 2.
-    """
-
-    def __init__(self, terms=None):
-        self.terms: Dict[tuple, Fraction] = dict(terms or {})
-
-    @classmethod
-    def const(cls, c) -> "_Poly":
-        return cls({(): Fraction(c)})
-
-    @classmethod
-    def var(cls, name: str) -> "_Poly":
-        return cls({(name,): Fraction(1)})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return _Poly({k: v for k, v in out.items() if v})
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def scaled(self, c) -> "_Poly":
-        c = Fraction(c)
-        return _Poly({k: v * c for k, v in self.terms.items() if v * c})
-
-    def __mul__(self, other):
-        out: Dict[tuple, Fraction] = {}
-        for k1, v1 in self.terms.items():
-            for k2, v2 in other.terms.items():
-                key = tuple(sorted(k1 + k2))
-                if len(key) > 2:
-                    raise SemanticError("exponent polynomial exceeds degree 2")
-                out[key] = out.get(key, Fraction(0)) + v1 * v2
-        return _Poly({k: v for k, v in out.items() if v})
-
-    def to_exponent(self) -> ExponentPoly:
-        quad = {}
-        lin = {}
-        const = Fraction(0)
-        for k, v in self.terms.items():
-            if len(k) == 2:
-                quad[k] = v
-            elif len(k) == 1:
-                lin[k[0]] = v
-            else:
-                const = v
-        return ExponentPoly.make(quad, lin, const)
-
-    def names(self):
-        out = set()
-        for k in self.terms:
-            out.update(k)
-        return out
-
-
-def _binom_poly(form: LinForm) -> _Poly:
-    """binom(L, 2) = (L^2 - L)/2 expanded as a quadratic polynomial."""
-    lin = _Poly({(x,): Fraction(c) for x, c in form.coeffs})
-    lin = lin + _Poly.const(form.const)
-    return (lin * lin - lin).scaled(Fraction(1, 2))
 
 
 class _Parser:
@@ -234,7 +173,7 @@ class _Parser:
             den=den,
             indices=tuple(indices),
             sign=tuple(sign),
-            exponent=poly.to_exponent(),
+            exponent=poly,
             denoms=tuple(denoms),
             product=tuple(product),
             bounds=tuple(bounds) if bounds is not None else None,
@@ -346,102 +285,83 @@ class _Parser:
             self.next()
             self.expect(")")
             self.expect("^")
-            kind, form = self.parse_sign_exponent(allow_binom=True)
-            return SignAtom("neg1_binom" if kind == "binom" else "neg1", form)
+            if self.peek().text == "binom":
+                return SignAtom("neg1_binom", self.parse_binom())
+            return SignAtom("neg1", self.parse_sign_exponent())
         if self.peek().text == "i":
             self.next()
             self.expect("^")
-            kind, form = self.parse_sign_exponent(allow_binom=False)
-            return SignAtom("i", form)
+            if self.peek().text == "binom":
+                self.error("binom exponent only allowed after (-1)^")
+            return SignAtom("i", self.parse_sign_exponent())
         self.error("expected sign atom '(-1)^...' or 'i^...'", ("(-1)^", "i^"))
 
-    def parse_sign_exponent(self, allow_binom: bool):
-        if self.peek().text == "binom":
-            if not allow_binom:
-                self.error("binom exponent only allowed after (-1)^")
-            self.next()
-            self.expect("(")
-            form = self.parse_linform()
-            self.expect(",")
-            if self.expect_int() != 2:
-                self.error("only binom(..., 2) is supported")
-            self.expect(")")
-            return "binom", form
+    def parse_sign_exponent(self) -> LinForm:
+        """'(' linform ')' or a bare INT, IDENT or INT*IDENT, which takes no
+        more since '*' also separates sign atoms."""
         if self.accept("("):
             form = self.parse_linform()
             self.expect(")")
-            return "plain", form
-        return "plain", self.parse_linterm_form()
+            return form
+        t = self.peek()
+        if t.kind == "ident":
+            self.next()
+            return LinForm.make({t.text: 1})
+        if t.kind != "int":
+            self.error("expected linear term", ("INT", "IDENT"))
+        c = self.expect_int()
+        if self.accept("*"):
+            return LinForm.make({self.expect_ident(): c})
+        return LinForm.make({}, c)
 
     def parse_linform(self) -> LinForm:
-        coeffs: Dict[str, int] = {}
-        const = 0
-        sign = -1 if self.accept("-") else 1
-        coeffs, const = self._lin_accumulate(coeffs, const, sign)
-        while self.peek().text in ("+", "-"):
-            sign = 1 if self.next().text == "+" else -1
-            coeffs, const = self._lin_accumulate(coeffs, const, sign)
-        return LinForm.make(coeffs, const)
-
-    def _lin_accumulate(self, coeffs, const, sign):
+        """A polynomial expression that reduces to an integer linear form."""
         t = self.peek()
-        if t.kind == "int":
-            self.next()
-            c = sign * int(t.text)
-            if self.accept("*"):
-                x = self.expect_ident()
-                coeffs[x] = coeffs.get(x, 0) + c
-            else:
-                const += c
-        elif t.kind == "ident":
-            self.next()
-            coeffs[t.text] = coeffs.get(t.text, 0) + sign
-        else:
-            self.error("expected linear term", ("INT", "IDENT"))
-        return coeffs, const
+        p = self.parse_polyexpr()
+        if p.quad or any(c.denominator != 1 for c in [p.const, *dict(p.lin).values()]):
+            raise ParseError("expected an integer linear form", t.line, t.col)
+        return LinForm.make({x: int(c) for x, c in p.lin}, int(p.const))
 
-    def parse_linterm_form(self) -> LinForm:
-        coeffs: Dict[str, int] = {}
-        const = 0
-        coeffs, const = self._lin_accumulate(coeffs, const, 1)
-        return LinForm.make(coeffs, const)
+    def parse_binom(self) -> LinForm:
+        """binom(linform, 2): its argument."""
+        self.expect("binom")
+        self.expect("(")
+        form = self.parse_linform()
+        self.expect(",")
+        if self.expect_int() != 2:
+            self.error("only binom(..., 2) is supported")
+        self.expect(")")
+        return form
 
     # exponent polynomials
 
-    def parse_polyexpr(self) -> _Poly:
+    def parse_polyexpr(self) -> ExponentPoly:
         p = self.parse_polyterm(negate=self.accept("-"))
         while self.peek().text in ("+", "-"):
             op = self.next().text
-            q = self.parse_polyterm(negate=(op == "-"))
-            p = p + q
+            p = p + self.parse_polyterm(negate=(op == "-"))
         return p
 
-    def parse_polyterm(self, negate: bool) -> _Poly:
+    def parse_polyterm(self, negate: bool) -> ExponentPoly:
         p = self.parse_polyfactor()
         while self.accept("*"):
             p = p * self.parse_polyfactor()
-        return p.scaled(-1) if negate else p
+        return p * -1 if negate else p
 
-    def parse_polyfactor(self) -> _Poly:
+    def parse_polyfactor(self) -> ExponentPoly:
         t = self.peek()
         if t.kind == "int":
-            p = _Poly.const(self.parse_rational())
+            p = ExponentPoly.make({}, {}, self.parse_rational())
         elif t.text == "binom":
-            self.next()
-            self.expect("(")
-            form = self.parse_linform()
-            self.expect(",")
-            if self.expect_int() != 2:
-                self.error("only binom(..., 2) is supported")
-            self.expect(")")
-            p = _binom_poly(form)
+            v = self.parse_binom().poly()
+            p = (v * v - v) * Fraction(1, 2)
         elif t.text == "(":
             self.next()
             p = self.parse_polyexpr()
             self.expect(")")
         elif t.kind == "ident":
             self.next()
-            p = _Poly.var(t.text)
+            p = ExponentPoly.make({}, {t.text: 1})
         else:
             self.error("expected polynomial factor", ("INT", "IDENT", "binom", "("))
         if self.accept("^"):
@@ -474,4 +394,4 @@ def parse_poly(text: str) -> ExponentPoly:
     poly = p.parse_polyexpr()
     if p.peek().kind != "eof":
         p.error("trailing input after polynomial")
-    return poly.to_exponent()
+    return poly

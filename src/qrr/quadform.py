@@ -74,19 +74,21 @@ def minorant(q: Matrix, b: Sequence, target) -> tuple:
     semidefinite and b >= 0 the lift (Q + 2bb^T/t, 0) with t = max(target, 1),
     as 0 <= b.n <= target <= t there gives b.n >= (b.n)**2/t.  Whether one
     exists does not depend on the target; NotPositiveDefinite when none does.
+    Each candidate is built only when those before it fail.
     """
     q = as_matrix(q)
     b = [Fraction(x) for x in b]
     n = len(q)
+    if is_positive_definite(q):
+        return q, b
     dropped = [[x if i == j or x <= 0 else Fraction(0) for j, x in enumerate(row)] for i, row in enumerate(q)]
-    candidates = [(q, b), (dropped, b)]
+    if is_positive_definite(dropped):
+        return dropped, b
     if all(x >= 0 for x in b) and is_positive_semidefinite(q):
         t = max(Fraction(target), 1)
         lift = [[q[i][j] + 2 * b[i] * b[j] / t for j in range(n)] for i in range(n)]
-        candidates.append((lift, [Fraction(0)] * n))
-    for m, beta in candidates:
-        if is_positive_definite(m):
-            return m, beta
+        if is_positive_definite(lift):
+            return lift, [Fraction(0)] * n
     raise NotPositiveDefinite("no positive definite form bounds the exponent below on n >= 0")
 
 

@@ -30,7 +30,8 @@ def test_bench_runs_at_small_sizes(small):
     assert "single-factor updates" in text
     assert "rogers_szego_bw 5" in text and "eval_product rogers-mod5-1-4" in text
     assert "replay 1.8" in text and "jtp_check" in text
-    assert len(lines) == 23
+    assert "corpus.load_all: parse and validate" in text
+    assert len(lines) == 26
 
 
 def test_bench_json_holds_the_printed_rows(small, tmp_path):
@@ -38,14 +39,16 @@ def test_bench_json_holds_the_printed_rows(small, tmp_path):
     lines = []
     bench.main(["--json", str(path)], out=lines.append)
     rows = json.loads(path.read_text())
-    assert list(rows) == ["kernel", "sum", "verify", "updates", "zseries"]
+    assert list(rows) == ["kernel", "sum", "verify", "updates", "zseries", "setup"]
     assert list(rows["kernel"]) == ["conv_real 3", "conv_complex 3", "conv_real 8", "conv_complex 8"]
     assert list(rows["sum"]) == ["cao-wang-1-2-3 @5", "cao-wang-1-2-3 @7", "double-mod10-2-8 @6"]
     assert list(rows["verify"]) == ["double-mod10-2-8 @6"]
     assert list(rows["updates"]) == ["rogers_szego_bw 5 @7", "eval_product rogers-mod5-1-4 @9"]
     assert list(rows["zseries"]) == ["replay %s @6" % t for t in ("1.5", "1.6", "1.7", "1.8")] + ["jtp_check @8"]
     # every row is one printed figure, at the printed precision
-    assert "%10.3f" % rows["zseries"]["jtp_check @8"] in lines[-1]
+    assert list(rows["setup"]) == ["corpus.load_all"]
+    assert "%10.3f" % rows["setup"]["corpus.load_all"] in lines[-1]
+    assert "%10.3f" % rows["zseries"]["jtp_check @8"] in lines[-4]
     assert "%12.6f" % rows["kernel"]["conv_complex 8"] in lines[3]
-    assert "%10.3f" % rows["updates"]["eval_product rogers-mod5-1-4 @9"] in lines[-8]
+    assert "%10.3f" % rows["updates"]["eval_product rogers-mod5-1-4 @9"] in lines[-11]
     assert all(t >= 0 for section in rows.values() for t in section.values())

@@ -254,6 +254,24 @@ def test_nahm_malformed_matrix_is_bad_input():
     assert code == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["nahm", "--A", "2", "--C", "1/0"], "bad --C '1/0': zero denominator"),
+        (["nahm", "--A", "1,1/0;1/0,1"], "bad --A entry '1/0': zero denominator"),
+        (["nahm", "--A", "2", "--B", "1/0"], "bad --B entry '1/0': zero denominator"),
+        (["verify", "--order", "1/0"], "bad order '1/0': zero denominator"),
+    ],
+)
+def test_zero_denominator_names_the_option(argv, message, capsys):
+    try:
+        code, _ = run(argv)
+    except SystemExit as ex:  # argparse rejects --order itself
+        code = ex.code
+    assert code == EXIT_BAD_INPUT
+    assert message in capsys.readouterr().err
+
+
 class _ClosedPipe(io.StringIO):
     """A stdout whose reader has gone away: the first write raises."""
 

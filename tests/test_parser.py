@@ -1,6 +1,11 @@
+import hashlib
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from qrr import corpus
+from qrr.cli import EXIT_BAD_INPUT, main
 from qrr.errors import ParseError, SemanticError
 from qrr.gaussian import MINUS_ONE, ONE
 from qrr.parser import parse, parse_file, parse_poly
@@ -153,3 +158,239 @@ def test_exponent_matrix_view():
     mat = p.quadratic_matrix(["m", "n"])
     assert mat == [[F(3, 2), F(1, 2)], [F(1, 2), F(3, 2)]]
     assert p.linear_vector(["m", "n"]) == [F(0), F(0)]
+
+
+# sha256 of the repr of every parsed corpus spec, then of parse_poly of each
+# of REPLAY_POLYS, one per line, as the parser gave them while it kept a
+# polynomial class and a linear-form grammar of its own
+SPEC_DIGEST = "a248274d114e7960ce7a38e5760ceb5180e6dd8439f24795bbdd145de2378c7e"
+REPLAY_POLYS = (
+    "1/2*binom(m+n,2) + binom(m,2) + 3/4*m + binom(n,2) + 3/4*n",
+    "1/2*binom(m+n,2) + binom(m,2) + 7/4*m + binom(n,2) + 7/4*n",
+    "1/4*(m+n)*(m+n-2) + 3/2*(m+n)",
+)
+
+
+def test_parsed_specs_are_unchanged():
+    text = "\n".join([repr(s) for s in corpus.load_all()] + [repr(parse_poly(p)) for p in REPLAY_POLYS])
+    assert hashlib.sha256(text.encode()).hexdigest() == SPEC_DIGEST
+
+
+TEMPLATE = """
+identity "t" {
+  den 2;
+  sum {
+    indices m, n, k;
+    sign %s;
+    exponent %s;
+    denoms (q; m), (q; n), (q; k);
+  }
+  product { 1/poch(q, q) }
+}
+"""
+SQUARES = "m^2 + n^2 + k^2"
+
+
+@pytest.mark.parametrize(
+    "sign, exponent, spelled",
+    [
+        ("(-1)^(2*(m+n))", SQUARES, ("(-1)^(2*m + 2*n)", SQUARES)),
+        ("i^(n*2)", SQUARES, ("i^2*n", SQUARES)),
+        ("(-1)^binom(2*(m+n),2)", SQUARES, ("(-1)^binom(2*m+2*n,2)", SQUARES)),
+        ("i^((m - k)*3 - (1 - n))", SQUARES, ("i^(3*m - 3*k + n - 1)", SQUARES)),
+        ("(-1)^k", "binom(2*(m+n),2) + " + SQUARES, ("(-1)^k", "binom(2*m+2*n,2) + " + SQUARES)),
+        ("(-1)^k", "binom(m*1/2*2 - (n - k)*(2 - 1),2) + " + SQUARES, ("(-1)^k", "binom(m-n+k,2) + " + SQUARES)),
+    ],
+)
+def test_linear_forms_take_any_integer_linear_expression(sign, exponent, spelled):
+    assert parse(TEMPLATE % (sign, exponent)) == parse(TEMPLATE % spelled)
+
+
+@pytest.mark.parametrize(
+    "sign, exponent, error",
+    [
+        ("(-1)^(n^2)", SQUARES, ParseError),
+        ("(-1)^(m*n)", SQUARES, ParseError),
+        ("(-1)^(1/2*n)", SQUARES, ParseError),
+        ("(-1)^(n + 1/2)", SQUARES, ParseError),
+        ("i^binom(n,2)", SQUARES, ParseError),
+        ("(-1)^k", "binom(1/2*n,2) + " + SQUARES, ParseError),
+        ("(-1)^k", "binom(n - 1/2,2) + " + SQUARES, ParseError),
+        ("(-1)^(n*n*n)", SQUARES, SemanticError),
+        ("(-1)^k", "binom(n*n*n,2) + " + SQUARES, SemanticError),
+    ],
+)
+def test_rejected_forms_are_bad_input(sign, exponent, error, tmp_path, capsys):
+    text = TEMPLATE % (sign, exponent)
+    with pytest.raises(error):
+        parse(text)
+    path = tmp_path / "bad.id"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == EXIT_BAD_INPUT
+    assert "internal error" not in capsys.readouterr().err
+
+
+def test_linform_error_points_at_the_form():
+    with pytest.raises(ParseError) as ei:
+        parse(TEMPLATE % ("(-1)^k * (-1)^(m + 1/2*n)", SQUARES))
+    assert (ei.value.line, ei.value.col) == (6, 25)
+
+
+# -- grammar fuzz ------------------------------------------------------------
+#
+# An expression tree is ("int", c), ("rat", a, b), ("name", x), (op, left,
+# right) for op in + - *, or (kind, child) for kind in sq (^2), paren, neg
+# (a leading minus) and binom (binom(child, 2), child integer linear).
+
+FUZZ_NAMES = ("m", "n", "k")
+ints = st.integers(0, 9).map(lambda c: ("int", c))
+names = st.sampled_from(FUZZ_NAMES).map(lambda x: ("name", x))
+linear_trees = st.recursive(
+    ints | names,
+    lambda ch: st.tuples(st.sampled_from("+-"), ch, ch)
+    | st.tuples(st.just("*"), ints, ch)
+    | st.tuples(st.sampled_from(["paren", "neg"]), ch),
+    max_leaves=6,
+)
+trees = st.recursive(
+    ints | names | st.tuples(st.just("rat"), st.integers(0, 9), st.integers(1, 6)),
+    lambda ch: st.tuples(st.sampled_from("+-*"), ch, ch)
+    | st.tuples(st.sampled_from(["sq", "paren", "neg"]), ch)
+    | st.tuples(st.just("binom"), linear_trees),
+    max_leaves=8,
+)
+points = st.fixed_dictionaries({x: st.integers(-9, 9) for x in FUZZ_NAMES})
+FACTORS = ("int", "rat", "name", "paren", "binom")
+
+
+def _render(t) -> str:
+    kind = t[0]
+    if kind == "int":
+        return str(t[1])
+    if kind == "rat":
+        return "%d/%d" % t[1:]
+    if kind == "name":
+        return t[1]
+    if kind == "paren":
+        return "(%s)" % _render(t[1])
+    if kind == "neg":
+        return "(-%s)" % _wrap(t[1], ("+", "-"))
+    if kind == "binom":
+        return "binom(%s,2)" % _render(t[1])
+    if kind == "sq":
+        return (_render(t[1]) if t[1][0] in FACTORS else "(%s)" % _render(t[1])) + "^2"
+    if kind == "+":
+        return "%s + %s" % (_render(t[1]), _render(t[2]))
+    if kind == "-":
+        return "%s - %s" % (_render(t[1]), _wrap(t[2], ("+", "-")))
+    # a right operand that is a product is wrapped, so the parser multiplies
+    # in the tree's order and meets the same degrees
+    return "%s*%s" % (_wrap(t[1], ("+", "-")), _wrap(t[2], ("+", "-", "*")))
+
+
+def _wrap(t, kinds) -> str:
+    return "(%s)" % _render(t) if t[0] in kinds else _render(t)
+
+
+def _value(t, point) -> F:
+    kind = t[0]
+    if kind in ("int", "rat"):
+        return F(*t[1:])
+    if kind == "name":
+        return F(point[t[1]])
+    if kind == "paren":
+        return _value(t[1], point)
+    if kind == "neg":
+        return -_value(t[1], point)
+    if kind == "sq":
+        return _value(t[1], point) ** 2
+    if kind == "binom":
+        v = _value(t[1], point)
+        return v * (v - 1) / 2
+    a, b = _value(t[1], point), _value(t[2], point)
+    return {"+": a + b, "-": a - b, "*": a * b}[kind]
+
+
+class _PastDegree2(Exception):
+    pass
+
+
+def _poly(t) -> dict:
+    """The tree's polynomial, {sorted tuple of names: nonzero coefficient};
+    _PastDegree2 when it multiplies two nonzero polynomials whose degrees
+    add up to more than 2."""
+    kind = t[0]
+    if kind in ("int", "rat"):
+        return {(): F(*t[1:])} if t[1] else {}
+    if kind == "name":
+        return {(t[1],): F(1)}
+    if kind == "paren":
+        return _poly(t[1])
+    if kind == "neg":
+        return _times(_poly(t[1]), {(): F(-1)})
+    if kind == "sq":
+        return _times(_poly(t[1]), _poly(t[1]))
+    if kind == "binom":
+        v = _poly(t[1])
+        return _times(_plus(_times(v, v), _times(v, {(): F(-1)})), {(): F(1, 2)})
+    a, b = _poly(t[1]), _poly(t[2])
+    if kind == "+":
+        return _plus(a, b)
+    if kind == "-":
+        return _plus(a, _times(b, {(): F(-1)}))
+    return _times(a, b)
+
+
+def _plus(a, b) -> dict:
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def _times(a, b) -> dict:
+    if a and b and max(map(len, a)) + max(map(len, b)) > 2:
+        raise _PastDegree2
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            out = _plus(out, {tuple(sorted(ka + kb)): ca * cb})
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees, st.lists(points, min_size=1, max_size=3))
+def test_parse_poly_evaluates_every_expression_tree(tree, at):
+    text = _render(tree)
+    try:
+        _poly(tree)
+    except _PastDegree2:
+        with pytest.raises(SemanticError):
+            parse_poly(text)
+        return
+    p = parse_poly(text)
+    for point in at:
+        assert p.eval(point) == _value(tree, point), text
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    linear_trees | trees,
+    st.sampled_from([("(-1)^(%s)", "neg1"), ("(-1)^binom(%s,2)", "neg1_binom"), ("i^(%s)", "i")]),
+    points,
+)
+def test_sign_atoms_read_any_integer_linear_expression(tree, atom, point):
+    text = TEMPLATE % (atom[0] % _render(tree), SQUARES)
+    try:
+        poly = _poly(tree)
+    except _PastDegree2:
+        with pytest.raises(SemanticError):
+            parse(text)
+        return
+    if any(len(k) > 1 or c.denominator != 1 for k, c in poly.items()):
+        with pytest.raises(ParseError):
+            parse(text)
+        return
+    (sign,) = parse(text).sign
+    assert sign.kind == atom[1]
+    assert sign.form.eval(point) == _value(tree, point)

@@ -2,7 +2,11 @@ from fractions import Fraction as F
 from itertools import product as iproduct
 
 import pytest
+import qrr.quadform
+from qrr import corpus
 from qrr.errors import NotPositiveDefinite
+from qrr.gaussian import ONE
+from qrr.identity import eval_sum
 from qrr.quadform import (
     as_matrix,
     index_bounds,
@@ -150,3 +154,16 @@ def test_minorant_rejects_forms_with_no_candidate(q, b):
     for target in (0, 10):
         with pytest.raises(NotPositiveDefinite):
             minorant(q, b, target)
+
+
+def test_minorant_tests_semidefiniteness_only_after_both_forms_fail(monkeypatch):
+    # a definite form, or one whose dropped form is definite, never pays the
+    # all-principal-minors test; Cao-Wang's semidefinite form reaches it
+    def semidefinite(a):
+        raise AssertionError("is_positive_semidefinite called")
+
+    monkeypatch.setattr(qrr.quadform, "is_positive_semidefinite", semidefinite)
+    for name in ("rogers_mod5_1_4", "double_mod10_2_8"):
+        assert eval_sum(corpus.load(name), 30).coeff(0) == ONE
+    with pytest.raises(AssertionError, match="semidefinite"):
+        corpus.load("cao_wang_1_2_3")
