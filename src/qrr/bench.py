@@ -7,8 +7,9 @@ several lengths, real times real (rows `conv_real n`) and complex times
 complex (rows `conv_complex n`), then `eval_sum` of cao_wang_1_2_3 at
 SUM_ORDER and CAO_WANG_ORDER and of double_mod10_2_8 at VERIFY_ORDER,
 `verify` of double_mod10_2_8 at VERIFY_ORDER, the single-factor updates
-(`rogers_szego_bw` with n = RS_N at RS_ORDER, `eval_product` of
-rogers_mod5_1_4 at PRODUCT_ORDER), the replay chains 1.5-1.8 at REPLAY_ORDER,
+(`rogers_szego_bw` with n = RS_N at RS_ORDER, `rs_at` with the same n and
+order at t = -1 as replay 1.7 uses it, `eval_product` of rogers_mod5_1_4 at
+PRODUCT_ORDER), the replay chains 1.5-1.8 at REPLAY_ORDER,
 `jtp_check` at JTP_ORDER and `corpus.load_all()`, the parse and validation of
 the shipped identities that every process loading the corpus pays once.
 
@@ -28,8 +29,9 @@ from fractions import Fraction
 from . import _kernel_py, corpus
 from .identity import eval_product, eval_sum, verify
 from .replay import REPLAYS
-from .series import qmono
-from .special import jtp_check, rogers_szego_bw
+from .gaussian import MINUS_ONE
+from .series import Monomial, qmono
+from .special import jtp_check, rogers_szego_bw, rs_at
 
 SIZES = (64, 256, 1024, 4096)
 REPEATS = 5
@@ -102,6 +104,7 @@ def bench_updates(out, rows):
     section = rows["updates"] = {}
     for label, order, fn in (
         ("rogers_szego_bw %d" % RS_N, RS_ORDER, lambda: rogers_szego_bw(RS_N, qmono(1), RS_ORDER)),
+        ("rs_at %d t=-1" % RS_N, RS_ORDER, lambda: rs_at(RS_N, Monomial(MINUS_ONE), qmono(1), RS_ORDER)),
         ("eval_product " + spec.name, PRODUCT_ORDER, lambda: eval_product(spec, PRODUCT_ORDER)),
     ):
         t = section["%s @%s" % (label, order)] = _time(fn, 3)

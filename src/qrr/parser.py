@@ -24,7 +24,8 @@ Grammar (whitespace-insensitive, '#' starts a comment to end of line):
 
 The bare sign exponent takes no more than INT "*" IDENT, since '*' also
 separates sign atoms.  Every polyexpr is an ExponentPoly, built with its own
-arithmetic.
+arithmetic; a product past degree 2 raises SemanticError at its '*' or '^'
+token, naming the exponent polynomial or linear form it sits in.
 
 The imaginary-unit atom "i^..." takes precedence over an index named i, so
 identities that use an i^ sign atom should not name an index "i".
@@ -93,6 +94,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _tokenize(text)
         self.pos = 0
+        self.form = "exponent polynomial"  # what a product past degree 2 is reported as
 
     # -- token plumbing ----------------------------------------------------
 
@@ -317,7 +319,9 @@ class _Parser:
     def parse_linform(self) -> LinForm:
         """A polynomial expression that reduces to an integer linear form."""
         t = self.peek()
+        outer, self.form = self.form, "linear form"
         p = self.parse_polyexpr()
+        self.form = outer
         if p.quad or any(c.denominator != 1 for c in [p.const, *dict(p.lin).values()]):
             raise ParseError("expected an integer linear form", t.line, t.col)
         return LinForm.make({x: int(c) for x, c in p.lin}, int(p.const))
@@ -344,9 +348,16 @@ class _Parser:
 
     def parse_polyterm(self, negate: bool) -> ExponentPoly:
         p = self.parse_polyfactor()
-        while self.accept("*"):
-            p = p * self.parse_polyfactor()
+        while self.peek().text == "*":
+            p = self.times(p, self.next(), self.parse_polyfactor())
         return p * -1 if negate else p
+
+    def times(self, a: ExponentPoly, op: _Token, b: ExponentPoly) -> ExponentPoly:
+        """a * b, a product past degree 2 reported at its operator token."""
+        try:
+            return a * b
+        except SemanticError:
+            raise SemanticError("line %d, col %d: %s exceeds degree 2" % (op.line, op.col, self.form)) from None
 
     def parse_polyfactor(self) -> ExponentPoly:
         t = self.peek()
@@ -364,12 +375,13 @@ class _Parser:
             p = ExponentPoly.make({}, {t.text: 1})
         else:
             self.error("expected polynomial factor", ("INT", "IDENT", "binom", "("))
-        if self.accept("^"):
+        if self.peek().text == "^":
+            op = self.next()
             k = self.expect_int()
             if k == 1:
                 pass
             elif k == 2:
-                p = p * p
+                p = self.times(p, op, p)
             else:
                 self.error("only powers 1 and 2 are supported in exponents")
         return p

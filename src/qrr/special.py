@@ -66,61 +66,67 @@ def rogers_szego_def(n: int, b: Monomial, order) -> ZSeries:
 
 
 def rogers_szego_bw(n: int, b: Monomial, order) -> ZSeries:
-    """H_n(t; b) by the factored double-Pochhammer representation.
+    """H_n(t; b) by the factored double-Pochhammer representation, t carried as z.
 
-    Each r-term contains the factor t**(2r) * (-b/t; b**2)_r, which is the
-    polynomial z**r * prod_{s<r} (z + b**(1+2s)); every intermediate object
-    stays a polynomial with window inside [0, n].  A z-binomial factor is a
-    z-shift plus a scaled copy, never a z-product.
+    With h = n // 2, U = n - h, c_r = [h r] in base b**2, A_r = prod_{s<r}
+    (z + b**(1+2s)) and B_m = prod_{s<m} (1 + z*b**(2s)), the sum
+    H_n = sum_r c_r * z**r A_r * B_{U-r} is nested by Horner's rule: G_0 = c_0,
+    G_r = G_{r-1} * (1 + z*b**(2(U-r))) + c_r * z**r A_r and H_n = B_{U-h} * G_h.
+    z**r A_r gains a z-shift and the factor z + b**(2r-1) per step: at most
+    n + 1 z-binomial steps, each a z-shift plus a scaled copy, so no z-binomial
+    is ever an operand.  Each c_r * z**r A_r is one z-product with c_r packed
+    once.  Every window stays inside [0, n].
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    u = b.unit
-    one = QSeries.one(order)
-    half = n // 2
-    upper = (n + 1) // 2
-    binomials = gaussian_binomial_row(half, Monomial(unit_pow(u, 2), 2 * b.exp), order)
-    acc = ZSeries.zero(order)
-    for r in range(half + 1):
-        part = ZSeries.embed(one).zshift(r)  # z**r
-        for s in range(r):
-            # (z + b**(1+2s)) * part
-            c = QSeries.term(unit_pow(u, 1 + 2 * s), (1 + 2 * s) * b.exp, order)
-            part = part.zshift(1) + part.scale_series(c)
-        for s in range(upper - r):
-            # (1 + z * b**(2s)) * part
-            c = QSeries.term(unit_pow(u, 2 * s), 2 * s * b.exp, order)
-            part = part + part.zshift(1).scale_series(c)
-        acc = acc + part.scale_series(binomials[r])
-    return acc
+    half, upper = n // 2, (n + 1) // 2
+
+    def power(k: int) -> QSeries:  # b**k
+        return QSeries.term(unit_pow(b.unit, k), k * b.exp, order)
+
+    coeffs = gaussian_binomial_row(half, Monomial(unit_pow(b.unit, 2), 2 * b.exp), order)
+    za = ZSeries.embed(QSeries.one(order))  # z**r A_r
+    acc = ZSeries.embed(coeffs[0])  # G_r
+    for r in range(1, half + 1):
+        za = za.zshift(2) + za.scale_series(power(2 * r - 1)).zshift(1)
+        acc = acc + acc.zshift(1).scale_series(power(2 * (upper - r))) + za * ZSeries.embed(coeffs[r])
+    return acc + acc.zshift(1) if upper > half else acc  # B_1 = 1 + z
 
 
 def rs_at(n: int, t: Monomial, b: Monomial, order) -> QSeries:
-    """H_n(t; b) with t specialized to a monomial: rogers_szego_bw's factored
-    sum with z := t substituted before multiplying, so each factor is a
-    two-term q-series.  A term with a zero factor (t = -b**(1+2s) or
-    t * b**(2s) = -1) is skipped."""
+    """H_n(t; b) with t a monomial: rogers_szego_bw's nest with z := t
+    substituted first, so each factor alpha_s = t + b**(1+2s) or beta_s =
+    1 + t*b**(2s) is one O(order) update, and each kept term one `mul` by c_r.
+
+    A zero beta_s removes every term with r < U - s, a zero alpha_s every
+    term with r > s.  So the nest runs over r0 <= r <= r1 only (r0 the
+    largest U - s over the zero beta_s, else 0; r1 the smallest s over the
+    zero alpha_s, else h), from G_r0 = c_r0 * t**r0 A_r0 to
+    H_n = B_{U-r1} * G_r1, and the result is zero when r0 > r1.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    u = b.unit
-    half = n // 2
-    upper = (n + 1) // 2
-    binomials = gaussian_binomial_row(half, Monomial(unit_pow(u, 2), 2 * b.exp), order)
-    acc = QSeries.zero(order)
-    for r in range(half + 1):
-        part = QSeries.one(order).shift(r * t.exp).scale(unit_pow(t.unit, r))  # t**r
-        # (t + b**(1+2s)) for s < r, then (1 + t * b**(2s)) for s < upper - r
-        factors = [(t, Monomial(unit_pow(u, 1 + 2 * s), (1 + 2 * s) * b.exp)) for s in range(r)]
-        factors += [
-            (Monomial(), Monomial(t.unit * unit_pow(u, 2 * s), t.exp + 2 * s * b.exp))
-            for s in range(upper - r)
-        ]
-        for x, y in factors:
-            part = _times_sum(part, x, y)
-            if part.is_zero():
-                break
-        else:
-            acc = acc + part.mul(binomials[r])
+    half, upper = n // 2, (n + 1) // 2
+    one, minus = Monomial(), Monomial(MINUS_ONE)
+
+    def power(k: int, x: Monomial = one) -> Monomial:  # x * b**k
+        return Monomial(x.unit * unit_pow(b.unit, k), x.exp + k * b.exp)
+
+    r0 = max((upper - s for s in range(upper) if power(2 * s, t) == minus), default=0)
+    r1 = min((s for s in range(half) if power(1 + 2 * s, minus) == t), default=half)
+    if r0 > r1:
+        return QSeries.zero(order)
+    coeffs = gaussian_binomial_row(half, power(2), order)
+    ta = QSeries.one(order)  # t**r A_r
+    for r in range(r1 + 1):
+        if r:
+            ta = _times_sum(ta, Monomial(t.unit * t.unit, 2 * t.exp), power(2 * r - 1, t))
+        if r == r0:
+            acc = ta.mul(coeffs[r])
+        elif r > r0:
+            acc = _times_sum(acc, one, power(2 * (upper - r), t)) + ta.mul(coeffs[r])
+    for s in range(upper - r1):  # B_{U-r1}
+        acc = _times_sum(acc, one, power(2 * s, t))
     return acc
 
 

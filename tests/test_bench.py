@@ -29,9 +29,10 @@ def test_bench_runs_at_small_sizes(small):
     assert "z-products: replay chains at order 6, jtp_check at order 8" in text
     assert "single-factor updates" in text
     assert "rogers_szego_bw 5" in text and "eval_product rogers-mod5-1-4" in text
+    assert "rs_at 5 t=-1" in text
     assert "replay 1.8" in text and "jtp_check" in text
     assert "corpus.load_all: parse and validate" in text
-    assert len(lines) == 26
+    assert len(lines) == 27
 
 
 def test_bench_json_holds_the_printed_rows(small, tmp_path):
@@ -43,12 +44,13 @@ def test_bench_json_holds_the_printed_rows(small, tmp_path):
     assert list(rows["kernel"]) == ["conv_real 3", "conv_complex 3", "conv_real 8", "conv_complex 8"]
     assert list(rows["sum"]) == ["cao-wang-1-2-3 @5", "cao-wang-1-2-3 @7", "double-mod10-2-8 @6"]
     assert list(rows["verify"]) == ["double-mod10-2-8 @6"]
-    assert list(rows["updates"]) == ["rogers_szego_bw 5 @7", "eval_product rogers-mod5-1-4 @9"]
+    assert list(rows["updates"]) == ["rogers_szego_bw 5 @7", "rs_at 5 t=-1 @7", "eval_product rogers-mod5-1-4 @9"]
     assert list(rows["zseries"]) == ["replay %s @6" % t for t in ("1.5", "1.6", "1.7", "1.8")] + ["jtp_check @8"]
     # every row is one printed figure, at the printed precision
     assert list(rows["setup"]) == ["corpus.load_all"]
     assert "%10.3f" % rows["setup"]["corpus.load_all"] in lines[-1]
     assert "%10.3f" % rows["zseries"]["jtp_check @8"] in lines[-4]
     assert "%12.6f" % rows["kernel"]["conv_complex 8"] in lines[3]
+    assert "%10.3f" % rows["updates"]["rs_at 5 t=-1 @7"] in lines[-12]
     assert "%10.3f" % rows["updates"]["eval_product rogers-mod5-1-4 @9"] in lines[-11]
     assert all(t >= 0 for section in rows.values() for t in section.values())

@@ -230,6 +230,28 @@ def test_rejected_forms_are_bad_input(sign, exponent, error, tmp_path, capsys):
     assert "internal error" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "sign, exponent, message",
+    [
+        ("(-1)^(n*n*n)", SQUARES, "line 6, col 19: linear form exceeds degree 2"),
+        ("(-1)^k * i^(m*(n*k))", SQUARES, "line 6, col 23: linear form exceeds degree 2"),
+        ("(-1)^k", "binom(n*n*n,2) + " + SQUARES, "line 7, col 23: linear form exceeds degree 2"),
+        ("(-1)^(m + n)", "m*n*k", "line 7, col 17: exponent polynomial exceeds degree 2"),
+        ("(-1)^k", "(m*n)^2", "line 7, col 19: exponent polynomial exceeds degree 2"),
+    ],
+)
+def test_degree_cap_error_points_at_the_operator(sign, exponent, message, tmp_path, capsys):
+    # the * or ^ whose product passes degree 2, named as the form it sits in
+    text = TEMPLATE % (sign, exponent)
+    with pytest.raises(SemanticError) as ei:
+        parse(text)
+    assert str(ei.value) == message
+    path = tmp_path / "bad.id"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == EXIT_BAD_INPUT
+    assert message in capsys.readouterr().err
+
+
 def test_linform_error_points_at_the_form():
     with pytest.raises(ParseError) as ei:
         parse(TEMPLATE % ("(-1)^k * (-1)^(m + 1/2*n)", SQUARES))

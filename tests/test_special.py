@@ -11,8 +11,8 @@ from qrr.errors import NegativeExponent, NotPositiveDefinite
 from qrr.identity import ExponentPoly, IdentitySpec, eval_product
 from qrr.oracle import unpruned_sum
 from qrr.quadform import index_bounds
-from qrr.gaussian import I, MINUS_ONE, ONE, UNITS, GaussianInt
-from qrr.series import Monomial, QSeries, inv_poch_table, poch_finite, poch_infinite, qmono
+from qrr.gaussian import I, MINUS_ONE, ONE, UNITS, GaussianInt, unit_pow
+from qrr.series import Monomial, QSeries, inv_poch_table, mul_binomial, poch_finite, poch_infinite, qmono
 from qrr.special import (
     JtpReport,
     NahmData,
@@ -123,6 +123,134 @@ def test_rs_at_is_the_specialized_bw_polynomial(order_den, b_exp):
             for tu, te in iproduct(UNITS, (F(0), F(1, 2), F(1))):
                 t = Monomial(tu, te)
                 assert rs_at(n, t, b, order) == bw.specialize(t), (n, b, t)
+
+
+def _rogers_szego_bw_per_term(n, b, order):
+    """The factored form term by term: every r-term rebuilt from its factors,
+    each z-binomial a z-shift plus a scaled copy (the unnested reference)."""
+    u = b.unit
+    one = QSeries.one(order)
+    half, upper = n // 2, (n + 1) // 2
+    binomials = gaussian_binomial_row(half, Monomial(unit_pow(u, 2), 2 * b.exp), order)
+    acc = ZSeries.zero(order)
+    for r in range(half + 1):
+        part = ZSeries.embed(one).zshift(r)
+        for s in range(r):
+            c = QSeries.term(unit_pow(u, 1 + 2 * s), (1 + 2 * s) * b.exp, order)
+            part = part.zshift(1) + part.scale_series(c)
+        for s in range(upper - r):
+            c = QSeries.term(unit_pow(u, 2 * s), 2 * s * b.exp, order)
+            part = part + part.zshift(1).scale_series(c)
+        acc = acc + part.scale_series(binomials[r])
+    return acc
+
+
+def _times_sum_reference(s, x, y):
+    """s * (x + y) for monomials x and y."""
+    if y.exp < x.exp:
+        x, y = y, x
+    return mul_binomial(s.shift(x.exp).scale(x.unit), -(y.unit * x.unit.conj()), y.exp - x.exp)
+
+
+def _rs_at_per_term(n, t, b, order):
+    """rs_at term by term, each r-term's factors applied in turn and a term
+    that reaches zero skipped (the unnested reference)."""
+    u = b.unit
+    half, upper = n // 2, (n + 1) // 2
+    binomials = gaussian_binomial_row(half, Monomial(unit_pow(u, 2), 2 * b.exp), order)
+    acc = QSeries.zero(order)
+    for r in range(half + 1):
+        part = QSeries.one(order).shift(r * t.exp).scale(unit_pow(t.unit, r))
+        factors = [(t, Monomial(unit_pow(u, 1 + 2 * s), (1 + 2 * s) * b.exp)) for s in range(r)]
+        factors += [
+            (Monomial(), Monomial(t.unit * unit_pow(u, 2 * s), t.exp + 2 * s * b.exp))
+            for s in range(upper - r)
+        ]
+        for x, y in factors:
+            part = _times_sum_reference(part, x, y)
+            if part.is_zero():
+                break
+        else:
+            acc = acc + part.mul(binomials[r])
+    return acc
+
+
+units = st.sampled_from(UNITS)
+# exponents and orders on grids 1 to 4: an order such as 7/2 lies off the
+# grid of b = q^(2/3) and on that of b = q^(1/2)
+fractions = st.builds(F, st.integers(0, 12), st.integers(1, 4))
+bases = st.builds(Monomial, units, fractions.filter(lambda e: e > 0))
+orders = st.builds(F, st.integers(0, 90), st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 16), bases, orders)
+def test_nested_bw_equals_the_per_term_sum(n, b, order):
+    assert rogers_szego_bw(n, b, order) == _rogers_szego_bw_per_term(n, b, order)
+
+
+@st.composite
+def rs_points(draw):
+    """(n, t, b): t any unit times any power of q, or t = -1, or t = -b^(1+2s),
+    the last two zeros of a factor."""
+    n = draw(st.integers(0, 16))
+    b = draw(bases)
+    kind = draw(st.sampled_from(["any", "minus_one", "alpha_zero"]))
+    if kind == "any":
+        t = Monomial(draw(units), draw(fractions))
+    elif kind == "minus_one":
+        t = MINUS_ONE_T
+    else:
+        s = draw(st.integers(0, n // 2))
+        t = Monomial(-unit_pow(b.unit, 1 + 2 * s), (1 + 2 * s) * b.exp)
+    return n, t, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(rs_points(), orders)
+def test_nested_rs_at_equals_the_per_term_sum(point, order):
+    n, t, b = point
+    assert rs_at(n, t, b, order) == _rs_at_per_term(n, t, b, order)
+
+
+def test_rs_at_multiplies_only_the_terms_no_zero_factor_removes(monkeypatch):
+    # one mul by c_r per kept term r0 <= r <= r1; t = -1 makes beta_0 zero,
+    # which keeps only r = U, and none when U > h (odd n)
+    q = qmono(1)
+    mul = QSeries.mul
+    for n, t, kept in [
+        (12, Monomial(I, F(1, 2)), 7),  # no zero factor: r = 0..6
+        (12, MINUS_ONE_T, 1),
+        (13, MINUS_ONE_T, 0),
+        (12, Monomial(MINUS_ONE, F(5)), 3),  # alpha_2 = 0: r = 0..2
+    ]:
+        expected = _rs_at_per_term(n, t, q, 60)
+        calls = []
+        monkeypatch.setattr(QSeries, "mul", lambda a, c: calls.append(c) or mul(a, c))
+        assert rs_at(n, t, q, 60) == expected, (n, t)
+        monkeypatch.setattr(QSeries, "mul", mul)
+        assert len(calls) == kept, (n, t)
+
+
+@st.composite
+def z_windows(draw):
+    """A ZSeries of one to four slices and a series of two to five terms, each
+    with small Gaussian-integer coefficients on its own grid (1 to 4) and order."""
+    nonzero = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any)
+
+    def series(size):
+        den, order = draw(st.integers(1, 4)), draw(st.integers(1, 40))
+        return QSeries(den, order, draw(st.dictionaries(st.integers(0, order), nonzero, min_size=size, max_size=5)))
+
+    window = {k: series(1) for k in draw(st.sets(st.integers(-3, 6), min_size=1, max_size=4))}
+    return ZSeries(window), series(2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(z_windows())
+def test_embedded_product_equals_scale_series(pair):
+    a, s = pair
+    assert a * ZSeries.embed(s) == a.scale_series(s)
 
 
 def test_jtp_check_passes():
