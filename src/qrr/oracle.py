@@ -2,9 +2,9 @@
 
 Everything here deliberately avoids the main engine's algorithms: partition
 counting is dynamic programming over part sizes, multiplication is schoolbook
-convolution over dense lists, and unpruned_sum walks an explicit box with no
-exponent-based pruning.  Agreement with the engine is therefore evidence, not
-tautology.
+convolution over dense lists, and unpruned_sum walks an explicit box, on plain
+int lists, with no exponent-based pruning.  Agreement with the engine is
+therefore evidence, not tautology.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from math import lcm
 from typing import List, Sequence, Tuple
 
 from .errors import NegativeExponent, SemanticError
-from .gaussian import MINUS_ONE, ONE, ZERO, GaussianInt
+from .gaussian import MINUS_ONE, ONE
 from .identity import IdentitySpec, eval_sign
 from .series import QSeries
 
@@ -77,7 +77,7 @@ def partition_count(ps: PartSpec, n: int) -> int:
 
 
 def dense_mul(a: Sequence, b: Sequence) -> list:
-    """Schoolbook convolution of dense coefficient lists."""
+    """Schoolbook convolution of dense coefficient lists over any ring."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -87,37 +87,34 @@ def dense_mul(a: Sequence, b: Sequence) -> list:
     return out
 
 
-def _dense_inverse(a: List[GaussianInt], n: int) -> List[GaussianInt]:
+def _dense_inverse(a: List[int], n: int) -> List[int]:
     """First n+1 coefficients of 1/a for a with constant term 1 (long division)."""
-    out = [ZERO] * (n + 1)
-    out[0] = ONE
+    out = [1] + [0] * n
     for k in range(1, n + 1):
-        acc = ZERO
-        for j in range(1, min(k, len(a) - 1) + 1):
-            acc = acc + a[j] * out[k - j]
-        out[k] = -acc
+        out[k] = -sum(a[j] * out[k - j] for j in range(1, min(k, len(a) - 1) + 1))
     return out
 
 
-def _dense_poch(step: int, count: int, n: int) -> List[GaussianInt]:
+def _dense_poch(step: int, count: int, n: int) -> List[int]:
     """(q^step; q^step)_count as a dense list through index n."""
-    poly = [ONE]
+    poly = [1]
     for j in range(1, count + 1):
         e = j * step
         if e > n:
             break
-        nxt = [ZERO] * min(len(poly) + e, n + 1)
-        for i, c in enumerate(poly):
-            if i < len(nxt):
-                nxt[i] = nxt[i] + c
-            if i + e < len(nxt):
-                nxt[i + e] = nxt[i + e] - c
+        nxt = poly + [0] * min(e, n + 1 - len(poly))
+        for i, c in enumerate(poly[: n + 1 - e]):
+            nxt[i + e] -= c
         poly = nxt
     return poly
 
 
 def unpruned_sum(spec: IdentitySpec, box: Sequence[int], order) -> QSeries:
-    """Literal summation of the sum side over the full box, no pruning."""
+    """Literal summation of the sum side over the full box, no pruning.
+
+    The bases are real (validate rejects any other unit), so each term is one
+    int list, which the point's sign, a unit of Z[i], adds into the real or
+    the imaginary accumulator."""
     order = Fraction(order)
     if len(box) != len(spec.indices):
         raise ValueError("one box bound per index required")
@@ -136,7 +133,8 @@ def unpruned_sum(spec: IdentitySpec, box: Sequence[int], order) -> QSeries:
                 for k in range(bound + 1)
             ]
         )
-    coeffs = {}
+    re = [0] * (n_scaled + 1)
+    im = [0] * (n_scaled + 1)
     for point_vals in iproduct(*(range(b + 1) for b in box)):
         point = dict(zip(spec.indices, point_vals))
         e = spec.exponent.eval(point)
@@ -145,13 +143,13 @@ def unpruned_sum(spec: IdentitySpec, box: Sequence[int], order) -> QSeries:
         if (e * den).denominator != 1:
             raise SemanticError("exponent %s at %s off the den-%d grid" % (e, point, den))
         shift = int(e * den)
-        term = inverses[0][point_vals[0]]
+        # coefficients kept from each factor; none for a point above the order
+        reach = max(n_scaled + 1 - shift, 0)
+        term = inverses[0][point_vals[0]][:reach]
         for j in range(1, len(inverses)):
-            term = dense_mul(term, inverses[j][point_vals[j]])[: n_scaled + 1]
-        sign = eval_sign(spec.sign, point)
-        for i, c in enumerate(term):
-            t = i + shift
-            if t > n_scaled or c.is_zero():
-                continue
-            coeffs[t] = coeffs.get(t, ZERO) + c * sign
-    return QSeries(den, n_scaled, coeffs)
+            term = dense_mul(term, inverses[j][point_vals[j]][:reach])[:reach]
+        sr, si = eval_sign(spec.sign, point)
+        for t, c in enumerate(term, shift):
+            re[t] += c * sr
+            im[t] += c * si
+    return QSeries(den, n_scaled, dict(enumerate(zip(re, im))))

@@ -11,7 +11,7 @@ import qrr.identity
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from qrr import corpus
-from qrr.errors import NegativeExponent, SemanticError, UnboundedEnumeration
+from qrr.errors import NegativeExponent, SemanticError
 from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, UNITS, GaussianInt
 from qrr.identity import (
     ExponentPoly,
@@ -184,7 +184,7 @@ def test_unbounded_enumeration_reported():
       product { 1/poch(q, q^2) }
     }
     """
-    with pytest.raises((SemanticError, UnboundedEnumeration)):
+    with pytest.raises(SemanticError):
         spec = parse(text)
         eval_sum(spec, 10)
 
@@ -407,8 +407,8 @@ def test_eval_sum_matches_unpruned_oracle(case):
 
 
 # den 4 and a last base q^3 put the last index's table content on every 12th
-# entry of the sum grid, a step sum_specs never draws; Cao-Wang's slice at
-# i = 0, with a complex sign
+# entry of the sum grid, a step sum_specs never draws: Cao-Wang's slice at
+# i = 0, with a complex sign, and the whole rank-3 Cao-Wang sum
 CAO_WANG_SLICE = """
 identity "cao-wang-slice" {
   den 4;
@@ -423,12 +423,13 @@ identity "cao-wang-slice" {
 """
 
 
-@pytest.mark.parametrize("order", [F(16), F(61, 4)])
+@pytest.mark.parametrize("order", [F(16), F(61, 4), F(40)])
 def test_eval_sum_matches_unpruned_oracle_on_step_12_tables(order):
-    spec = parse(CAO_WANG_SLICE)
-    got = eval_sum(spec, order)
-    assert got.imaginary_support()
-    assert got == unpruned_sum(spec, [max(b, 0) + 1 for b in auto_bounds(spec, order)], order)
+    piece = parse(CAO_WANG_SLICE)
+    assert eval_sum(piece, order).imaginary_support()
+    for spec in (piece, corpus.load("cao_wang_1_2_3")):
+        box = [max(b, 0) + 1 for b in auto_bounds(spec, order)]
+        assert eval_sum(spec, order) == unpruned_sum(spec, box, order)
 
 
 sign_atoms = st.lists(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from qrr.errors import DivergentEmbedding, NegativeExponent
-from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, ZERO, GaussianInt, binom2, i_pow, unit_pow
+from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, GaussianInt, binom2, i_pow, unit_pow
 from qrr.oracle import dense_mul
 from qrr.series import Monomial, QSeries, poch_infinite, qmono
 from qrr.zseries import ZSeries, euler_z_inverse, euler_z_product, theta_z
@@ -239,26 +239,35 @@ def test_every_operation_fits_slices_to_one_grid_and_order(a, b, j):
 # -- the packed product against slice-by-slice schoolbook products -----------
 
 
-def _dense(s: QSeries, den: int, order: int) -> list:
-    """Coefficients 0..order of s on grid den, as GaussianInts."""
-    out = [ZERO] * (order + 1)
+def _dense(s: QSeries, den: int, order: int) -> tuple:
+    """Real and imaginary parts of the coefficients 0..order of s on grid den,
+    as two int lists without trailing zeros."""
+    re, im = [0] * (order + 1), [0] * (order + 1)
     for e, c in s.terms():
         if e * den <= order:
-            out[int(e * den)] = c
-    return out
+            re[int(e * den)], im[int(e * den)] = c
+    while re and not re[-1]:
+        re.pop()
+    while im and not im[-1]:
+        im.pop()
+    return re, im
 
 
 def _reference(a: ZSeries, b: ZSeries) -> dict:
-    """{k: QSeries}: each z-slice of a * b as a sum of dense_mul products."""
+    """{k: QSeries}: each z-slice of a * b as a sum of products, each made of
+    four real dense_mul products of the operands' real and imaginary parts."""
     den = math.lcm(a.den, b.den)
     order = min(a.order * (den // a.den), b.order * (den // b.den))
     rows = {}
     for i, x in a.coeff.items():
+        xr, xi = _dense(x, den, order)
         for j, y in b.coeff.items():
-            p = dense_mul(_dense(x, den, order), _dense(y, den, order))[: order + 1]
-            row = rows.setdefault(i + j, [ZERO] * (order + 1))
-            rows[i + j] = [u + v for u, v in zip(row, p + [ZERO] * (order + 1 - len(p)))]
-    return {k: QSeries(den, order, dict(enumerate(row))) for k, row in rows.items()}
+            yr, yi = _dense(y, den, order)
+            re, im = rows.setdefault(i + j, ([0] * (order + 1), [0] * (order + 1)))
+            for row, sign, u, v in ((re, 1, xr, yr), (re, -1, xi, yi), (im, 1, xr, yi), (im, 1, xi, yr)):
+                for k, c in enumerate(dense_mul(u, v)[: order + 1]):
+                    row[k] += sign * c
+    return {k: QSeries(den, order, dict(enumerate(zip(re, im)))) for k, (re, im) in rows.items()}
 
 
 @settings(max_examples=200, deadline=None)
