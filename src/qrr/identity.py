@@ -33,28 +33,7 @@ from .errors import (
 )
 from .gaussian import MINUS_ONE, ONE, GaussianInt, i_pow, sign_binom2
 from .quadform import _interval, index_bounds, minorant
-from .series import Monomial, QSeries, _grid, _poch, div_binomial, inv_poch_table
-
-
-@dataclass(frozen=True)
-class LinForm:
-    """Integer linear form c1*x1 + ... + const over the summation indices."""
-
-    coeffs: Tuple[Tuple[str, int], ...]
-    const: int = 0
-
-    @classmethod
-    def make(cls, coeffs: Dict[str, int], const: int = 0) -> "LinForm":
-        return cls(tuple(sorted((k, v) for k, v in coeffs.items() if v)), const)
-
-    def eval(self, point: Dict[str, int]) -> int:
-        return self.const + sum(c * point[x] for x, c in self.coeffs)
-
-    def poly(self) -> "ExponentPoly":
-        return ExponentPoly.make({}, dict(self.coeffs), self.const)
-
-    def names(self):
-        return {x for x, _ in self.coeffs}
+from .series import Monomial, QSeries, _grid, _poch, div_binomial, inv_poch_table, qmono
 
 
 @dataclass(frozen=True)
@@ -62,10 +41,10 @@ class SignAtom:
     """One unit-valued factor of a sign rule."""
 
     kind: str  # "neg1" | "neg1_binom" | "i"
-    form: LinForm
+    form: ExponentPoly  # integer-linear
 
     def eval(self, point: Dict[str, int]) -> GaussianInt:
-        v = self.form.eval(point)
+        v = int(self.form.eval(point))
         if self.kind == "neg1":
             return MINUS_ONE if v % 2 else ONE
         if self.kind == "neg1_binom":
@@ -89,10 +68,10 @@ def sign_poly(atoms, indices) -> Tuple[list, list, int]:
     since binom(v,2) = (v*v - v)/2."""
     u = ExponentPoly.make({}, {})
     for a in atoms:
-        v = a.form.poly()
+        v = a.form
         u += {"i": v, "neg1": v + v, "neg1_binom": v * v - v}[a.kind]
-    S = [[int(x) for x in row] for row in u.quadratic_matrix(indices)]
-    return S, [int(x) for x in u.linear_vector(indices)], int(u.const)
+    _, S, s, s0 = u.integer_form(indices)  # L = 1, the forms being integer-linear
+    return S, s, s0
 
 
 @dataclass(frozen=True)
@@ -168,6 +147,17 @@ class ExponentPoly:
         ld = dict(self.lin)
         return [ld.get(x, Fraction(0)) for x in indices]
 
+    def integer_form(self, indices) -> tuple:
+        """(L, Q, b, c) in integers with L * value = 1/2 n.Q.n + b.n + c over
+        the indices in order, L the lcm of the coefficient denominators."""
+        L = lcm(*(c.denominator for _, c in self._terms()))
+        Q = [[int(x * L) for x in row] for row in self.quadratic_matrix(indices)]
+        return L, Q, [int(x * L) for x in self.linear_vector(indices)], int(self.const * L)
+
+    def is_integer_linear(self) -> bool:
+        """No quadratic term and integer coefficients: the form of a sign atom."""
+        return not self.quad and all(c.denominator == 1 for _, c in self._terms())
+
 
 @dataclass(frozen=True)
 class ProductFactor:
@@ -217,6 +207,8 @@ class IdentitySpec:
             )
         used = self.exponent.names()
         for a in self.sign:
+            if not a.form.is_integer_linear():
+                raise SemanticError("%s: sign atom exponent must be an integer linear form" % self.name)
             used |= a.form.names()
         unbound = used - set(self.indices)
         if unbound:
@@ -330,19 +322,12 @@ class _Nest:
     U = 1/2 n.S.n + slin.n + sconst in integers (sign_poly), taken mod 4.  A
     prefix carries the values of L*E and U on its indices (c, sc) and the
     linear coefficients of the indices still to come (lin, slin).  Only the
-    last index has a 1/(b;b)_t table, each distinct entry held as its
-    content on its own grid: (offset on the sum grid, step, content list)."""
+    last index has a 1/(b;b)_t table: one int list per t, the coefficients
+    of 1/(x;x)_t in x = q^b, which sit on every step-th entry of the sum
+    grid."""
 
     def __init__(self, spec: IdentitySpec, order: Fraction, bounds):
-        poly = spec.exponent
-        self.scale = lcm(
-            *(c.denominator for _, c in poly.quad),
-            *(c.denominator for _, c in poly.lin),
-            poly.const.denominator,
-        )
-        self.quad = [[int(x * self.scale) for x in row] for row in poly.quadratic_matrix(spec.indices)]
-        self.lin = [int(x * self.scale) for x in poly.linear_vector(spec.indices)]
-        self.const = int(poly.const * self.scale)
+        self.scale, self.quad, self.lin, self.const = spec.exponent.integer_form(spec.indices)
         self.squad, self.slin, self.sconst = sign_poly(spec.sign, spec.indices)
         self.top = floor(order * self.scale)  # L*E <= top exactly when E <= order
         self.spec = spec
@@ -353,16 +338,11 @@ class _Nest:
         self.den = lcm(spec.den, _grid(order, *self.bases))
         self.n = int(order * self.den)
         self.bounds = bounds
-        # 1/(q^e;q^e)_t is a series in q^e: its content sits on every k-th
-        # entry of its own grid, every step-th of the sum grid; the entries
-        # past the order repeat one object, which is cut once
-        base = self.bases[-1]
-        table = inv_poch_table(base_of[spec.indices[-1]], bounds[-1], order)
-        f = self.den // table[0].den
-        k, step = int(base * table[0].den), int(base * self.den)
-        self.table = [(table[0].val * f, step, table[0].re[::k])]
-        for prev, t in zip(table, table[1:]):
-            self.table.append(self.table[-1] if t is prev else (t.val * f, step, t.re[::k]))
+        # 1/(q^b;q^b)_t is 1/(x;x)_t in x = q^b, a list on the integers whose
+        # entries sit on every step-th entry of the sum grid
+        b = self.bases[-1]
+        self.step = int(b * self.den)
+        self.table = [t.re for t in inv_poch_table(qmono(1), bounds[-1], floor(order / b))]
 
     def level(self, d: int, c: int, lin: list, sc: int, slin: list, prefix: tuple) -> Optional[QSeries]:
         """sum over t of level_{d+1}(prefix + t) / (b_d; b_d)_t; None when no
@@ -412,15 +392,15 @@ class _Nest:
                     "%s: exponent %s at %s not representable with den %d"
                     % (spec.name, Fraction(v, scale), point, spec.den)
                 )
-            o, g, content = self.table[t]  # the table is real
-            kept.append((v * den // scale + o, g, content, ((sa * t + sb) * t + sc) % 4))
+            kept.append((v * den // scale, self.table[t], ((sa * t + sb) * t + sc) % 4))
         if not kept:
             return None
         start = min(k[0] for k in kept)
         size = self.n + 1 - start
         re = [0] * size
         im = None
-        for o, g, content, u in kept:
+        step = self.step
+        for o, content, u in kept:
             if u % 2:
                 if im is None:
                     im = [0] * size
@@ -428,7 +408,7 @@ class _Nest:
             else:
                 out = re
             # the slice stops at the list's end, and map at the shorter operand
-            at = slice(o - start, o - start + g * len(content), g)
+            at = slice(o - start, o - start + step * len(content), step)
             out[at] = map(sub if u > 1 else add, out[at], content)
         return QSeries._of(den, self.n, start, re, im)
 
@@ -470,20 +450,15 @@ def verify(spec: IdentitySpec, order) -> VerifyReport:
 
 def compare(spec: IdentitySpec, order, lhs: QSeries, rhs: QSeries) -> VerifyReport:
     """The verify report of the evaluated sum side `lhs` and product side
-    `rhs` of `spec` through `order` (elapsed_ms is left 0)."""
+    `rhs` of `spec` through `order` (elapsed_ms is left 0).  The residues are
+    the fractional and the imaginary exponents of lhs - rhs, where the sides
+    differ; the difference is built only when they do."""
     order = Fraction(order)
     d = lhs.first_difference(rhs, order)
-    frac = [e for e in lhs.fractional_support() if e <= order]
-    imag = sorted(
-        set(e for e in lhs.imaginary_support() + rhs.imaginary_support() if e <= order)
-    )
-    report = VerifyReport(
-        name=spec.name,
-        status="match" if d is None and not frac and not imag else "mismatch",
-        order=order,
-        fractional_residue=frac,
-        imaginary_residue=imag,
-    )
+    report = VerifyReport(name=spec.name, status="match" if d is None else "mismatch", order=order)
     if d is not None:
+        diff = lhs - rhs
         report.first_mismatch = (d, lhs.coeff(d), rhs.coeff(d))
+        report.fractional_residue = [e for e in diff.fractional_support() if e <= order]
+        report.imaginary_residue = [e for e in diff.imaginary_support() if e <= order]
     return report

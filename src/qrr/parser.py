@@ -39,7 +39,7 @@ from typing import List, Tuple
 
 from .errors import ParseError, SemanticError
 from .gaussian import I, MINUS_I, MINUS_ONE, ONE
-from .identity import ExponentPoly, IdentitySpec, LinForm, ProductFactor, SignAtom
+from .identity import ExponentPoly, IdentitySpec, ProductFactor, SignAtom
 from .series import Monomial
 
 _TOKEN_RE = re.compile(
@@ -298,7 +298,7 @@ class _Parser:
             return SignAtom("i", self.parse_sign_exponent())
         self.error("expected sign atom '(-1)^...' or 'i^...'", ("(-1)^", "i^"))
 
-    def parse_sign_exponent(self) -> LinForm:
+    def parse_sign_exponent(self) -> ExponentPoly:
         """'(' linform ')' or a bare INT, IDENT or INT*IDENT, which takes no
         more since '*' also separates sign atoms."""
         if self.accept("("):
@@ -308,25 +308,25 @@ class _Parser:
         t = self.peek()
         if t.kind == "ident":
             self.next()
-            return LinForm.make({t.text: 1})
+            return ExponentPoly.make({}, {t.text: 1})
         if t.kind != "int":
             self.error("expected linear term", ("INT", "IDENT"))
         c = self.expect_int()
         if self.accept("*"):
-            return LinForm.make({self.expect_ident(): c})
-        return LinForm.make({}, c)
+            return ExponentPoly.make({}, {self.expect_ident(): c})
+        return ExponentPoly.make({}, {}, c)
 
-    def parse_linform(self) -> LinForm:
+    def parse_linform(self) -> ExponentPoly:
         """A polynomial expression that reduces to an integer linear form."""
         t = self.peek()
         outer, self.form = self.form, "linear form"
         p = self.parse_polyexpr()
         self.form = outer
-        if p.quad or any(c.denominator != 1 for c in [p.const, *dict(p.lin).values()]):
+        if not p.is_integer_linear():
             raise ParseError("expected an integer linear form", t.line, t.col)
-        return LinForm.make({x: int(c) for x, c in p.lin}, int(p.const))
+        return p
 
-    def parse_binom(self) -> LinForm:
+    def parse_binom(self) -> ExponentPoly:
         """binom(linform, 2): its argument."""
         self.expect("binom")
         self.expect("(")
@@ -364,7 +364,7 @@ class _Parser:
         if t.kind == "int":
             p = ExponentPoly.make({}, {}, self.parse_rational())
         elif t.text == "binom":
-            v = self.parse_binom().poly()
+            v = self.parse_binom()
             p = (v * v - v) * Fraction(1, 2)
         elif t.text == "(":
             self.next()

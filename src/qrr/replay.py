@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional
 
 from . import corpus
 from .gaussian import I, MINUS_I, MINUS_ONE, ONE
-from .identity import ExponentPoly, IdentitySpec, LinForm, SignAtom, _frac_str, compare, eval_product, eval_sum
+from .identity import ExponentPoly, IdentitySpec, SignAtom, _frac_str, compare, eval_product, eval_sum
 from .parser import parse_poly
 from .series import Monomial, QSeries, inv_poch_table, poch_finite, qmono
 from .special import gaussian_binomial_rows, rs_at
@@ -153,7 +153,7 @@ def _quarter_chain(
     q = qmono(1)
 
     # step 1: sign rewrite (-1)^binom(n-m,2) -> i^(n-m), valid at sum level
-    rewritten = dataclasses.replace(spec, sign=(SignAtom("i", LinForm.make({"n": 1, "m": -1})),))
+    rewritten = dataclasses.replace(spec, sign=(SignAtom("i", ExponentPoly.make({}, {"n": 1, "m": -1})),))
     lhs = eval_sum(spec, order)
     signed = eval_sum(rewritten, order)
     chain.series("sign rewrite: (-1)^binom(n-m,2) summand sign becomes i^(n-m)", lhs, signed)
@@ -285,7 +285,10 @@ def replay_1_8(order) -> List[StepReport]:
 
     # step 1: termwise sign/exponent rewrite as a full-series equality
     # (-i)^(n-m) = i^(m-n)
-    sign = (SignAtom("i", LinForm.make({"m": 1, "n": -1})), SignAtom("i", LinForm.make({"n": 1, "m": 1})))
+    sign = (
+        SignAtom("i", ExponentPoly.make({}, {"m": 1, "n": -1})),
+        SignAtom("i", ExponentPoly.make({}, {"n": 1, "m": 1})),
+    )
     exponent = parse_poly("1/4*(m+n)*(m+n-2) + 3/2*(m+n)")
     rewritten = eval_sum(dataclasses.replace(spec, sign=sign, exponent=exponent), order)
     chain.series(

@@ -574,12 +574,20 @@ def poch_infinite(x: Monomial, b: Monomial, order) -> QSeries:
 def _poch(order, factors: list) -> QSeries:
     """The product of (x; b)_n**power over each (x, b, n, power) in `factors`
     (power +-1, n None for (x; b)_inf), exact through `order`, on the grid
-    that holds the order and every x and b: each factor 1 - x*b**k up to the
-    order is one O(order) mul_binomial or div_binomial, and only the running
-    series is held.  A factor at a negative exponent raises
-    NegativeExponent; a divisor at exponent 0 raises NonUnitConstantTerm,
-    since 1 - unit is never a unit of Z[i]."""
+    that holds the order and every x and b: the last series of `_walk`."""
+    for s in _walk(order, factors):
+        pass
+    return s
+
+
+def _walk(order, factors: list) -> Iterator[QSeries]:
+    """The running products of `_poch`: 1, then the product after each
+    factor 1 - x*b**k up to the order, each one O(order) mul_binomial or
+    div_binomial; only the running series is held.  A factor at a negative
+    exponent raises NegativeExponent; a divisor at exponent 0 raises
+    NonUnitConstantTerm, since 1 - unit is never a unit of Z[i]."""
     s = QSeries.one(order).rescale(_grid(order, *(m.exp for x, b, _, _ in factors for m in (x, b))))
+    yield s
     bound = s.order_q
     for x, b, n, power in factors:
         k = 0
@@ -596,21 +604,17 @@ def _poch(order, factors: list) -> QSeries:
                 s = div_binomial(s, unit, e)
             else:
                 raise NonUnitConstantTerm("constant term %s is not a unit of Z[i]" % (ONE - unit,))
+            yield s
             k += 1
-    return s
 
 
 def inv_poch_table(b: Monomial, n_max: int, order) -> list:
-    """[1/(b;b)_n for n = 0..n_max], built incrementally, exact through `order`.
+    """[1/(b;b)_n for n = 0..n_max], exact through `order`: the prefixes of
+    one `_walk`, the last repeated for every n whose factor lies past the
+    order.
 
     The base b = u*q**e may carry any unit u: factor n is 1 - u**n q**(n*e)."""
     if b.exp <= 0:
         raise ValueError("Pochhammer base must be a positive power of q")
-    out = [QSeries.one(order).rescale(_grid(order, b.exp))]
-    for n in range(1, n_max + 1):
-        e = n * b.exp
-        if e > out[-1].order_q:
-            out.append(out[-1])  # the new factor is invisible through order
-        else:
-            out.append(div_binomial(out[-1], unit_pow(b.unit, n), e))
-    return out
+    out = list(_walk(order, [(b, b, n_max, -1)]))
+    return out + out[-1:] * (n_max + 1 - len(out))

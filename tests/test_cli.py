@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import shlex
+from fractions import Fraction as F
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -18,6 +21,9 @@ from qrr.cli import (
     main,
 )
 from qrr.errors import QrrError
+from qrr.gaussian import ZERO
+from qrr.identity import eval_product, eval_sum, verify
+from qrr.parser import parse
 
 
 def run(argv):
@@ -311,3 +317,88 @@ def test_finite_factor_errors_keep_their_text(tmp_path, factor, error):
     code, out = run(["verify", str(p), "--format", "json"])
     assert code == EXIT_BAD_INPUT
     assert json.loads(out)[0]["error"] == error
+
+
+# Two Euler identities whose sides carry fractional and imaginary exponents:
+# sum q^(n/2)/(q;q)_n = 1/(q^(1/2);q)_inf and sum i^n q^n/(q;q)_n = 1/(iq;q)_inf
+EULER_HALF = """
+identity "euler-half" {
+  den 2;
+  sum {
+    indices n;
+    exponent 1/2*n;
+    denoms (q; n);
+  }
+  product { 1/poch(q^1/2, q) }
+}
+"""
+EULER_I = """
+identity "euler-i" {
+  den 1;
+  sum {
+    indices n;
+    sign i^n;
+    exponent n;
+    denoms (q; n);
+  }
+  product { 1/poch(i*q, q) }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "text, product, wrong",
+    [(EULER_HALF, "poch(q^1/2, q)", "poch(q^3/2, q)"), (EULER_I, "poch(i*q, q)", "poch(i*q^2, q)")],
+    ids=["half", "i"],
+)
+def test_fractional_and_imaginary_identities_match(tmp_path, text, product, wrong):
+    good, bad = tmp_path / "good.id", tmp_path / "bad.id"
+    good.write_text(text)
+    bad.write_text(text.replace(product, wrong))
+    rep = verify(parse(text), 40)
+    assert rep.status == "match" and rep.fractional_residue == [] and rep.imaginary_residue == []
+    assert run(["verify", str(good), "--order", "40"])[0] == EXIT_OK
+    code, out = run(["verify", str(bad), "--order", "40", "--format", "json"])
+    assert code == EXIT_MISMATCH
+    (doc,) = json.loads(out)
+    assert doc["status"] == "mismatch" and doc["first_mismatch"] is not None
+    # the residues are the exponents where the two sides differ
+    spec = parse(bad.read_text())
+    lhs, rhs = eval_sum(spec, 40), eval_product(spec, 40)
+    grid = [F(k, 2) for k in range(81)]
+    diff = {e: lhs.coeff(e) - rhs.coeff(e) for e in grid}
+    rep = verify(spec, 40)
+    assert rep.fractional_residue == [e for e in grid if diff[e] != ZERO and e.denominator > 1]
+    assert rep.imaginary_residue == [e for e in grid if diff[e].im]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_blocks():
+    """(language, text) of each fenced block of README.md."""
+    blocks, lang, body = [], None, []
+    for line in README.read_text().splitlines():
+        if not line.startswith("```"):
+            body.append(line)
+        elif lang is None:
+            lang, body = line[3:], []
+        else:
+            blocks.append((lang, "\n".join(body)))
+            lang = None
+    return blocks
+
+
+def test_readme_commands_run(monkeypatch):
+    monkeypatch.chdir(README.parent)
+    lines = [x for lang, text in _readme_blocks() if lang == "sh" for x in text.splitlines() if x.startswith("qrr ")]
+    assert len(lines) >= 5
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        if "path/to/file.id" not in argv:
+            assert run(argv)[0] == EXIT_OK, line
+
+
+def test_readme_identity_example_matches():
+    (text,) = [text for lang, text in _readme_blocks() if text.startswith("identity ")]
+    assert verify(parse(text), 30).status == "match"

