@@ -13,7 +13,8 @@ z-slices of two z-series; a single product is a window of one list on each
 side) and sums the products of given pairs into each output row: each list
 is packed once per digit width, and every row is one accumulated bignum,
 unpacked once.  Real and complex lists mix freely; a complex list times a
-complex list takes three real products (Karatsuba).
+complex list takes three real products (Karatsuba) when all four packed parts
+are nonzero, and two when one is zero (a purely imaginary slice, say).
 """
 
 from itertools import accumulate
@@ -70,33 +71,55 @@ def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
     row's digit width holds its largest |a|*|b| over the digits the pairs
     reach, times the number of products that land in one digit, doubled when
     a complex list meets a complex list.  A list is packed once per width, as
-    far as the pairs of that width reach, and each operand longer than its
-    pair's reach is masked to n digits: that changes it by a multiple of
-    2**(w*n), which moves only digits at or past the row's last.
+    far as the pairs of that width reach, at the first row that reads it, and
+    dropped after the last such row, as is each row's plan; each operand
+    longer than its pair's reach is masked to n digits: that changes it by a
+    multiple of 2**(w*n), which moves only digits at or past the row's last.
     """
     plan, reach = _plan_rows(a, b, rows, top, g)
+    last = {}  # (side, index, width) -> the last plan row that reads its pack
+    for r, (_, _, _, wb, _, live) in enumerate(plan):
+        for i, j, _, _, _, _ in live:
+            last[0, i, wb] = last[1, j, wb] = r
+    done = {}  # plan row -> the packs no later row reads
+    for key, r in last.items():
+        done.setdefault(r, []).append(key)
     packs = {}
-    for (side, x, wb), n in reach.items():
-        _, re, im = (b if side else a)[x]
-        packs[side, x, wb] = (n, _pack(re[:n], wb), None if im is None else _pack(im[:n], wb))
+
+    def pack(side, x, wb):
+        p = packs.get((side, x, wb))
+        if p is None:
+            n = reach[side, x, wb]
+            _, re, im = (b if side else a)[x]
+            p = packs[side, x, wb] = (n, _pack(re[:n], wb), None if im is None else _pack(im[:n], wb))
+        return p
+
     out = {}
-    for k, base, nout, wb, complex_row, live in plan:
+    for r in range(len(plan)):
+        k, base, nout, wb, complex_row, live = plan[r]
+        plan[r] = None  # the row's pair records are not read again
         rr = ii = 0
         for i, j, v, n, _, _ in live:
-            xr, xi = _reach(packs[0, i, wb], wb, n)
-            yr, yi = _reach(packs[1, j, wb], wb, n)
+            xr, xi = _reach(pack(0, i, wb), wb, n)
+            yr, yi = _reach(pack(1, j, wb), wb, n)
             s = 8 * wb * ((v - base) // g)
-            if xi is not None and yi is not None:  # three products
-                pr = xr * yr
-                pi = xi * yi
-                rr += (pr - pi) << s
-                ii += ((xr + xi) * (yr + yi) - pr - pi) << s
+            if xi is not None and yi is not None:
+                if xr and xi and yr and yi:  # three products
+                    pr = xr * yr
+                    pi = xi * yi
+                    rr += (pr - pi) << s
+                    ii += ((xr + xi) * (yr + yi) - pr - pi) << s
+                else:  # a zero part leaves two nonzero products
+                    rr += (xr * yr - xi * yi) << s
+                    ii += (xr * yi + xi * yr) << s
                 continue
             rr += (xr * yr) << s
             if xi is not None:
                 ii += (xi * yr) << s
             if yi is not None:
                 ii += (xr * yi) << s
+        for key in done.pop(r, ()):
+            del packs[key]
         out[k] = base, _unpack(rr, wb, nout), _unpack(ii, wb, nout) if complex_row else None
     return out
 

@@ -9,9 +9,13 @@ SUM_ORDER and CAO_WANG_ORDER and of double_mod10_2_8 at VERIFY_ORDER,
 `verify` of double_mod10_2_8 at VERIFY_ORDER, the single-factor updates
 (`rogers_szego_bw` with n = RS_N at RS_ORDER, `rs_at` with the same n and
 order at t = -1 as replay 1.7 uses it, `eval_product` of rogers_mod5_1_4 at
-PRODUCT_ORDER), the replay chains 1.5-1.8 at REPLAY_ORDER,
-`jtp_check` at JTP_ORDER and `corpus.load_all()`, the parse and validation of
-the shipped identities that every process loading the corpus pays once.
+PRODUCT_ORDER and of double_mod5_1_4, whose unit -1 factors take the other
+sign of the binomial division, at the same order), the replay chains 1.5-1.8
+at REPLAY_ORDER, `jtp_check` at JTP_ORDER, `corpus.load_all()`, the parse and
+validation of the shipped identities that every process loading the corpus
+pays once, and last, best of 1, the sizes that cost: replay 1.5 and 1.8 at
+LARGE_REPLAY_ORDER, `jtp_check` at LARGE_JTP_ORDER and `verify` of
+cao_wang_1_2_3 at LARGE_VERIFY_ORDER.
 
 `python -m qrr.bench --json PATH` also writes the same rows to PATH as
 {section: {row: seconds}}.
@@ -45,6 +49,10 @@ RS_ORDER = Fraction(420)
 PRODUCT_ORDER = Fraction(2000)
 REPLAY_ORDER = Fraction(80)
 JTP_ORDER = Fraction(300)
+# the costs that the rows above, kept at their first orders, do not reach
+LARGE_REPLAY_ORDER = Fraction(640)
+LARGE_JTP_ORDER = Fraction(1200)
+LARGE_VERIFY_ORDER = Fraction(1000)
 
 
 def _time(fn, repeats: int) -> float:
@@ -99,6 +107,7 @@ def bench_verify(out, rows):
 
 def bench_updates(out, rows):
     spec = corpus.load("rogers_mod5_1_4")
+    minus = corpus.load("double_mod5_1_4")
     out("")
     out("single-factor updates (best of 3, seconds)")
     section = rows["updates"] = {}
@@ -106,6 +115,7 @@ def bench_updates(out, rows):
         ("rogers_szego_bw %d" % RS_N, RS_ORDER, lambda: rogers_szego_bw(RS_N, qmono(1), RS_ORDER)),
         ("rs_at %d t=-1" % RS_N, RS_ORDER, lambda: rs_at(RS_N, Monomial(MINUS_ONE), qmono(1), RS_ORDER)),
         ("eval_product " + spec.name, PRODUCT_ORDER, lambda: eval_product(spec, PRODUCT_ORDER)),
+        ("eval_product " + minus.name, PRODUCT_ORDER, lambda: eval_product(minus, PRODUCT_ORDER)),
     ):
         t = section["%s @%s" % (label, order)] = _time(fn, 3)
         out("%-28s  %6s  %10.3f" % (label, order, t))
@@ -133,9 +143,25 @@ def bench_setup(out, rows):
     out("%10.3f" % t)
 
 
+def bench_large(out, rows):
+    spec = corpus.load("cao_wang_1_2_3")
+    out("")
+    out("the sizes that cost (best of 1, seconds)")
+    section = rows["large"] = {}
+    for label, fn in (
+        ("replay 1.5 @%s" % LARGE_REPLAY_ORDER, lambda: REPLAYS["1.5"](LARGE_REPLAY_ORDER)),
+        ("replay 1.8 @%s" % LARGE_REPLAY_ORDER, lambda: REPLAYS["1.8"](LARGE_REPLAY_ORDER)),
+        ("jtp_check @%s" % LARGE_JTP_ORDER, lambda: jtp_check(LARGE_JTP_ORDER)),
+        ("verify %s @%s" % (spec.name, LARGE_VERIFY_ORDER), lambda: verify(spec, LARGE_VERIFY_ORDER)),
+    ):
+        t = section[label] = _time(fn, 1)
+        out("%-28s  %10.3f" % (label, t))
+
+
 def main(argv=(), out=print):
     parser = argparse.ArgumentParser(
-        prog="python -m qrr.bench", description="Time the kernel, sum side, verify, updates, z-products and corpus loading."
+        prog="python -m qrr.bench",
+        description="Time the kernel, sum side, verify, updates, z-products, corpus loading and the sizes that cost.",
     )
     parser.add_argument("--json", metavar="PATH", help="also write the rows as {section: {row: seconds}}")
     args = parser.parse_args(argv)
@@ -146,6 +172,7 @@ def main(argv=(), out=print):
     bench_updates(out, rows)
     bench_zseries(out, rows)
     bench_setup(out, rows)
+    bench_large(out, rows)
     if args.json:
         with open(args.json, "w") as f:
             json.dump(rows, f, indent=1)

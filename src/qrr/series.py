@@ -27,14 +27,22 @@ valuations, and the pairs summed into one row differ in valuation by
 multiples of g; it hands every g-th entry to the Kronecker-substitution
 kernel's one entry point (qrr._kernel_py.conv_rows) and spreads the rows back
 onto the grid.
+
+A binomial factor never reaches the kernel.  `mul_binomial` lays a shifted,
+scaled copy of the series over it, and `div_binomial` divides by
+1 - u*q**(k/den) in min(k, n/k) list-level slice operations on a window of n
+entries (`_unit_div`), never one interpreted step per coefficient.  Every
+product side and 1/(b;b)_n table is one Pochhammer walk (`_walk`), which
+steps the factors' exponents as ints on one grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import floor, gcd, lcm
-from operator import add
+from operator import add, sub
 from typing import Iterator, Optional
 
 from . import _kernel_py
@@ -510,44 +518,79 @@ def _stride(g: int, re: list, im: Optional[list], n: int) -> int:
 
 
 def mul_binomial(s: QSeries, unit: GaussianInt, exp) -> QSeries:
-    """s * (1 - unit*q**exp) without a full convolution."""
+    """s * (1 - unit*q**exp) without a full convolution: one shifted, scaled
+    copy of s laid over s."""
     exp = Fraction(exp)
     if exp < 0:
         raise NegativeExponent(str(exp))
     den = lcm(s.den, exp.denominator)
-    s = s.rescale(den)
-    k = int(exp * den)
+    return _mul_b(s.rescale(den), unit, int(exp * den))
+
+
+def div_binomial(s: QSeries, unit: GaussianInt, exp) -> QSeries:
+    """s / (1 - unit*q**exp) for exp > 0, in min(k, n/k) slice operations
+    on a window of n entries with exp = k grid steps (see `_unit_div`)."""
+    exp = Fraction(exp)
+    if exp <= 0:
+        raise DivergentProduct("binomial divisor needs positive q-order, got %s" % exp)
+    den = lcm(s.den, exp.denominator)
+    return _div_b(s.rescale(den), unit, int(exp * den))
+
+
+def _mul_b(s: QSeries, unit, k: int) -> QSeries:
+    """s * (1 - unit*q**(k/s.den)) for k >= 0 grid steps."""
     n = min(len(s.re) + k, s.order - s.val + 1)
     ur, ui = unit
     tr, ti = _times(s.re, s.im, -ur, -ui)
     re = _lay(n, ((0, s.re), (k, tr)))
     im = None if s.im is None and ti is None else _lay(n, ((0, s.im), (k, ti)))
-    return QSeries._of(den, s.order, s.val, re, im)
+    return QSeries._of(s.den, s.order, s.val, re, im)
 
 
-def div_binomial(s: QSeries, unit: GaussianInt, exp) -> QSeries:
-    """s / (1 - unit*q**exp) via the forward recurrence (exp > 0)."""
-    exp = Fraction(exp)
-    if exp <= 0:
-        raise DivergentProduct("binomial divisor needs positive q-order, got %s" % exp)
-    den = lcm(s.den, exp.denominator)
-    s = s.rescale(den)
-    k = int(exp * den)
-    if k > s.order or not s.re:
-        return s
+def _div_b(s: QSeries, unit, k: int) -> QSeries:
+    """s / (1 - unit*q**(k/s.den)) for k > 0 grid steps.
+
+    A real unit divides `re` and `im` apart.  A unit u = +-i goes through
+    1/(1 - u*x) = (1 + u*x)/(1 + x**2): one `_mul_b`, then the unit -1 at
+    stride 2k.  A k past the window reaches no entry and returns s."""
     n = s.order - s.val + 1
+    if k >= n or not s.re:
+        return s
     ur, ui = unit
-    cr = s.re + [0] * (n - len(s.re))
-    if s.im is None and not ui:
-        for e in range(k, n):
-            cr[e] += ur * cr[e - k]
-        return QSeries._of(den, s.order, s.val, cr)
-    ci = (s.im or [0] * len(s.re)) + [0] * (n - len(s.re))
-    for e in range(k, n):
-        xr, xi = cr[e - k], ci[e - k]
-        cr[e] += ur * xr - ui * xi
-        ci[e] += ur * xi + ui * xr
-    return QSeries._of(den, s.order, s.val, cr, ci)
+    if ui:
+        s = _mul_b(s, (-ur, -ui), k)
+        ur, k = -1, 2 * k
+    pad = [0] * (n - len(s.re))
+    re = _unit_div(s.re + pad, k, ur)
+    im = None if s.im is None else _unit_div(s.im + pad, k, ur)
+    return QSeries._of(s.den, s.order, s.val, re, im)
+
+
+def _unit_div(x: list, k: int, u: int) -> list:
+    """x / (1 - u*q**k) in place, for a real unit u = +-1 and k > 0:
+    x[e] += u*x[e - k] for e = k, k + 1, ... in turn.
+
+    With n = len(x), a short stride (k*k <= n) takes each residue class
+    mod k in one go; a long one adds (or subtracts) each block of k entries
+    from the block before it.  Either way it takes min(k, ceil(n/k)) rounds
+    of slice operations, never one step per entry."""
+    n = len(x)
+    if k * k > n:
+        op = add if u > 0 else sub
+        for a in range(k, n, k):
+            x[a : a + k] = map(op, x[a : a + k], x[a - k : a])
+    elif u > 0:
+        for r in range(k):
+            x[r::k] = list(accumulate(x[r::k]))
+    else:
+        # on a class c, y[j] = c[j] - y[j - 1]: the odd terms are running
+        # sums of c[2m + 1] - c[2m], and each later even term is c[2m] less
+        # the odd term before it
+        for r in range(k):
+            odd = list(accumulate(map(sub, x[r + k :: 2 * k], x[r :: 2 * k])))
+            x[r + k :: 2 * k] = odd
+            x[r + 2 * k :: 2 * k] = map(sub, x[r + 2 * k :: 2 * k], odd)
+    return x
 
 
 # -- Pochhammer builders ----------------------------------------------------
@@ -582,30 +625,32 @@ def _poch(order, factors: list) -> QSeries:
 
 def _walk(order, factors: list) -> Iterator[QSeries]:
     """The running products of `_poch`: 1, then the product after each
-    factor 1 - x*b**k up to the order, each one O(order) mul_binomial or
-    div_binomial; only the running series is held.  A factor at a negative
-    exponent raises NegativeExponent; a divisor at exponent 0 raises
+    factor 1 - x*b**k up to the order, each one O(order) `_mul_b` or
+    `_div_b`; only the running series is held.  The grid is worked out once,
+    and the walk steps the factors' exponents as ints on it.  A factor at a
+    negative exponent raises NegativeExponent; a divisor at exponent 0 raises
     NonUnitConstantTerm, since 1 - unit is never a unit of Z[i]."""
-    s = QSeries.one(order).rescale(_grid(order, *(m.exp for x, b, _, _ in factors for m in (x, b))))
+    den = _grid(order, *(m.exp for x, b, _, _ in factors for m in (x, b)))
+    s = QSeries.one(order).rescale(den)
     yield s
-    bound = s.order_q
     for x, b, n, power in factors:
+        e, step = int(x.exp * den), int(b.exp * den)
         k = 0
         while n is None or k < n:
-            e = x.exp + k * b.exp
             if e < 0:
-                raise NegativeExponent(str(e))
-            if e > bound:
+                raise NegativeExponent(str(Fraction(e, den)))
+            if e > s.order:
                 break
             unit = x.unit * unit_pow(b.unit, k)
             if power == 1:
-                s = mul_binomial(s, unit, e)
+                s = _mul_b(s, unit, e)
             elif e:
-                s = div_binomial(s, unit, e)
+                s = _div_b(s, unit, e)
             else:
                 raise NonUnitConstantTerm("constant term %s is not a unit of Z[i]" % (ONE - unit,))
             yield s
             k += 1
+            e += step
 
 
 def inv_poch_table(b: Monomial, n_max: int, order) -> list:

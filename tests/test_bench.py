@@ -17,6 +17,9 @@ def small(monkeypatch):
     monkeypatch.setattr(bench, "PRODUCT_ORDER", Fraction(9))
     monkeypatch.setattr(bench, "REPLAY_ORDER", Fraction(6))
     monkeypatch.setattr(bench, "JTP_ORDER", Fraction(8))
+    monkeypatch.setattr(bench, "LARGE_REPLAY_ORDER", Fraction(10))
+    monkeypatch.setattr(bench, "LARGE_JTP_ORDER", Fraction(12))
+    monkeypatch.setattr(bench, "LARGE_VERIFY_ORDER", Fraction(11))
 
 
 def test_bench_runs_at_small_sizes(small):
@@ -32,7 +35,10 @@ def test_bench_runs_at_small_sizes(small):
     assert "rs_at 5 t=-1" in text
     assert "replay 1.8" in text and "jtp_check" in text
     assert "corpus.load_all: parse and validate" in text
-    assert len(lines) == 27
+    assert "eval_product double-mod5-1-4" in text
+    assert "the sizes that cost" in text
+    assert "replay 1.8 @10" in text and "jtp_check @12" in text and "verify cao-wang-1-2-3 @11" in text
+    assert len(lines) == 34
 
 
 def test_bench_json_holds_the_printed_rows(small, tmp_path):
@@ -40,17 +46,25 @@ def test_bench_json_holds_the_printed_rows(small, tmp_path):
     lines = []
     bench.main(["--json", str(path)], out=lines.append)
     rows = json.loads(path.read_text())
-    assert list(rows) == ["kernel", "sum", "verify", "updates", "zseries", "setup"]
+    assert list(rows) == ["kernel", "sum", "verify", "updates", "zseries", "setup", "large"]
     assert list(rows["kernel"]) == ["conv_real 3", "conv_complex 3", "conv_real 8", "conv_complex 8"]
     assert list(rows["sum"]) == ["cao-wang-1-2-3 @5", "cao-wang-1-2-3 @7", "double-mod10-2-8 @6"]
     assert list(rows["verify"]) == ["double-mod10-2-8 @6"]
-    assert list(rows["updates"]) == ["rogers_szego_bw 5 @7", "rs_at 5 t=-1 @7", "eval_product rogers-mod5-1-4 @9"]
+    assert list(rows["updates"]) == [
+        "rogers_szego_bw 5 @7",
+        "rs_at 5 t=-1 @7",
+        "eval_product rogers-mod5-1-4 @9",
+        "eval_product double-mod5-1-4 @9",
+    ]
     assert list(rows["zseries"]) == ["replay %s @6" % t for t in ("1.5", "1.6", "1.7", "1.8")] + ["jtp_check @8"]
     # every row is one printed figure, at the printed precision
     assert list(rows["setup"]) == ["corpus.load_all"]
-    assert "%10.3f" % rows["setup"]["corpus.load_all"] in lines[-1]
-    assert "%10.3f" % rows["zseries"]["jtp_check @8"] in lines[-4]
+    assert list(rows["large"]) == ["replay 1.5 @10", "replay 1.8 @10", "jtp_check @12", "verify cao-wang-1-2-3 @11"]
+    assert "%10.3f" % rows["setup"]["corpus.load_all"] in lines[-7]
+    assert "%10.3f" % rows["zseries"]["jtp_check @8"] in lines[-10]
     assert "%12.6f" % rows["kernel"]["conv_complex 8"] in lines[3]
-    assert "%10.3f" % rows["updates"]["rs_at 5 t=-1 @7"] in lines[-12]
-    assert "%10.3f" % rows["updates"]["eval_product rogers-mod5-1-4 @9"] in lines[-11]
+    assert "%10.3f" % rows["updates"]["rs_at 5 t=-1 @7"] in lines[-19]
+    assert "%10.3f" % rows["updates"]["eval_product rogers-mod5-1-4 @9"] in lines[-18]
+    assert "%10.3f" % rows["updates"]["eval_product double-mod5-1-4 @9"] in lines[-17]
+    assert "%10.3f" % rows["large"]["verify cao-wang-1-2-3 @11"] in lines[-1]
     assert all(t >= 0 for section in rows.values() for t in section.values())

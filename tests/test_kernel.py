@@ -190,3 +190,42 @@ def test_reach_cuts_an_operand_to_its_pairs_digits():
                 for y, want in ((xr, re), (xi, im)):
                     assert 0 <= y < 1 << 8 * wb * n
                     assert _unpack(y, wb, n) == want[:n]
+
+
+def _operand(rng, kind, bits):
+    """(v, re, im) of a random list at valuation v: real (im None), purely
+    imaginary (re all zeros) or complex."""
+    n = rng.randint(1, 12)
+    m = 1 << bits
+    re = [0] * n if kind == "imaginary" else [rng.randint(-m, m) for _ in range(n)]
+    im = None if kind == "real" else [rng.randint(-m, m) for _ in range(n)]
+    return rng.randint(0, 5), re, im
+
+
+@pytest.mark.parametrize("bits", BITS)
+def test_imaginary_windows_match_oracle(bits):
+    # a complex pair with a zero packed part takes two products, not three;
+    # every row must still be the schoolbook sum of its pairs' products
+    rng = random.Random(bits + 5)
+    kinds = ("imaginary", "imaginary", "complex", "real")
+    a = {x: _operand(rng, kind, bits) for x, kind in enumerate(kinds)}
+    b = {x: _operand(rng, kind, bits) for x, kind in enumerate(kinds)}
+    rows = {
+        "imaginary x imaginary": [(0, 0), (1, 1), (0, 1)],
+        "imaginary x complex": [(0, 2), (2, 1)],
+        "imaginary x real": [(1, 3), (3, 0)],
+        "every pair": [(i, j) for i in a for j in b],
+    }
+    for top in (0, 4, 9, 30):
+        got = conv_rows(a, b, rows, top, 1)
+        for k, pairs in rows.items():
+            want = {}
+            for i, j in pairs:
+                (va, ar, ai), (vb, br, bi) = a[i], b[j]
+                for s, x in enumerate(_gauss(ar, ai or [0] * len(ar))):
+                    for t, y in enumerate(_gauss(br, bi or [0] * len(br))):
+                        if va + vb + s + t <= top:
+                            want[va + vb + s + t] = want.get(va + vb + s + t, ZERO) + x * y
+            v, re, im = got.get(k, (0, [], None))
+            have = {v + t: c for t, c in enumerate(_gauss(re, im or [0] * len(re)))}
+            assert {e: c for e, c in have.items() if c != ZERO} == {e: c for e, c in want.items() if c != ZERO}, (k, top)

@@ -1,5 +1,5 @@
 from fractions import Fraction as F
-from math import lcm
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from qrr import _kernel_py
 from qrr.errors import DivergentProduct, NegativeExponent
-from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, UNITS, ZERO, GaussianInt, binom2
+from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, UNITS, ZERO, GaussianInt, binom2, unit_pow
 from qrr.oracle import dense_mul
 from qrr.series import (
     Monomial,
     QSeries,
+    _poch,
+    _walk,
     div_binomial,
     inv_poch_table,
     mul_binomial,
@@ -336,6 +338,113 @@ def test_storage_invert_unit_matches_long_division(p, u):
             acc = acc + d.get(j, ZERO) * inv[n - j]
         inv.append(-(w * acc))
     assert as_plain(QSeries(den, order, d).invert_unit()) == clean(den, order, dict(enumerate(inv)))
+
+
+# ---------------------------------------------------------------------------
+# the slice-based binomial updates and the integer walk against the scalar
+# recurrence and the Fraction-exponent walk they replaced
+
+
+def scalar_binomial(s, unit, exp, power):
+    """s * (1 - unit*q**exp) for power 1, s / (1 - unit*q**exp) for power
+    -1: one coupled complex step per coefficient."""
+    exp = F(exp)
+    den = lcm(s.den, exp.denominator)
+    s = s.rescale(den)
+    k = int(exp * den)
+    if power == -1 and (k > s.order or not s.re):
+        return s
+    n = s.order - s.val + 1
+    pad = [0] * (n - len(s.re))
+    cr, ci = s.re + pad, (s.im or [0] * len(s.re)) + pad
+    # a division reads the entries it has already updated, a product its input
+    ar, ai = (cr, ci) if power == -1 else (cr[:], ci[:])
+    ur, ui = unit
+    for e in range(k, n):
+        xr, xi = ar[e - k], ai[e - k]
+        cr[e] -= power * (ur * xr - ui * xi)
+        ci[e] -= power * (ur * xi + ui * xr)
+    return QSeries._of(den, s.order, s.val, cr, ci)
+
+
+def fields(s):
+    return s.den, s.order, s.val, s.re, s.im
+
+
+@st.composite
+def binomial_case(draw):
+    """A series with up to a few hundred entries on den 1, 2 or 4, any
+    valuation, real or complex, and a unit and a step k on its grid: k*k at
+    most the window length n = order - val + 1, above it, or k past the
+    window."""
+    rng = draw(st.randoms(use_true_random=False))
+    den = draw(st.sampled_from([1, 2, 4]))
+    val = draw(st.integers(0, 20))
+    n = draw(st.integers(1, 300))
+    length = draw(st.integers(1, n))
+    re = [rng.randint(-9, 9) for _ in range(length)]
+    im = [rng.randint(-9, 9) for _ in range(length)] if draw(st.booleans()) else None
+    root = isqrt(n)
+    k = draw(
+        st.one_of(
+            st.integers(1, root),
+            st.integers(root + 1, max(root + 1, n - 1)),
+            st.integers(n, n + 4),
+        )
+    )
+    return QSeries._of(den, val + n - 1, val, re, im), draw(st.sampled_from(UNITS)), F(k, den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(binomial_case())
+# stride 2 on 5 entries with a unit -1: residue classes, odd and even lengths
+@example((QSeries._of(1, 4, 0, [1, 2, 3, 4, 5]), MINUS_ONE, F(2)))
+# a unit i at a stride whose doubled stride is past the window
+@example((QSeries._of(2, 7, 1, [1, 0, 3], [0, 1, 0]), I, F(2, 2)))
+def test_binomial_updates_match_the_scalar_recurrence(case):
+    s, u, exp = case
+    assert fields(div_binomial(s, u, exp)) == fields(scalar_binomial(s, u, exp, -1))
+    assert fields(mul_binomial(s, u, exp)) == fields(scalar_binomial(s, u, exp, 1))
+
+
+def fraction_walk(order, factors):
+    """Every running product of `_walk`, stepped with Fraction exponents
+    and the scalar recurrence."""
+    den = lcm(F(order).denominator, *(m.exp.denominator for x, b, _, _ in factors for m in (x, b)))
+    s = QSeries.one(order).rescale(den)
+    out = [s]
+    for x, b, n, power in factors:
+        k = 0
+        while (n is None or k < n) and x.exp + k * b.exp <= s.order_q:
+            unit = x.unit * unit_pow(b.unit, k)
+            s = scalar_binomial(s, unit, x.exp + k * b.exp, power)
+            out.append(s)
+            k += 1
+    return out
+
+
+monomials = st.builds(
+    Monomial, st.sampled_from(UNITS), st.fractions(F(1, 4), 6, max_denominator=4)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.fractions(0, 60, max_denominator=4),
+    st.lists(
+        st.tuples(monomials, monomials, st.none() | st.integers(0, 12), st.sampled_from([1, -1])),
+        max_size=3,
+    ),
+    monomials,
+    st.integers(0, 20),
+)
+def test_walk_matches_the_fraction_exponent_walk(order, factors, b, n_max):
+    want = fraction_walk(order, factors)
+    assert [fields(s) for s in _walk(order, factors)] == [fields(s) for s in want]
+    assert fields(_poch(order, factors)) == fields(want[-1])
+    table = fraction_walk(order, [(b, b, n_max, -1)])
+    table += table[-1:] * (n_max + 1 - len(table))
+    assert [fields(s) for s in inv_poch_table(b, n_max, order)] == [fields(s) for s in table]
 
 
 # ---------------------------------------------------------------------------
