@@ -15,7 +15,6 @@ from .errors import (
     ParseError,
     QrrError,
     SemanticError,
-    UnboundedEnumeration,
 )
 from .gaussian import GaussianInt
 from .identity import (
@@ -50,7 +49,6 @@ __all__ = [
     "DivergentEmbedding",
     "NegativeExponent",
     "NotPositiveDefinite",
-    "UnboundedEnumeration",
     "ParseError",
     "SemanticError",
     "GaussianInt",

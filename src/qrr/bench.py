@@ -10,7 +10,9 @@ SUM_ORDER and CAO_WANG_ORDER and of double_mod10_2_8 at VERIFY_ORDER,
 (`rogers_szego_bw` with n = RS_N at RS_ORDER, `rs_at` with the same n and
 order at t = -1 as replay 1.7 uses it, `eval_product` of rogers_mod5_1_4 at
 PRODUCT_ORDER and of double_mod5_1_4, whose unit -1 factors take the other
-sign of the binomial division, at the same order), the replay chains 1.5-1.8
+sign of the binomial division, at the same order, and `rogers_szego_def`
+with n = RS_N at RS_ORDER, the defining sum over one row of Gaussian
+binomials), the replay chains 1.5-1.8
 at REPLAY_ORDER, `jtp_check` at JTP_ORDER, `corpus.load_all()`, the parse and
 validation of the shipped identities that every process loading the corpus
 pays once, and last, best of 1, the sizes that cost: replay 1.5 and 1.8 at
@@ -35,7 +37,7 @@ from .identity import eval_product, eval_sum, verify
 from .replay import REPLAYS
 from .gaussian import MINUS_ONE
 from .series import Monomial, qmono
-from .special import jtp_check, rogers_szego_bw, rs_at
+from .special import jtp_check, rogers_szego_bw, rogers_szego_def, rs_at
 
 SIZES = (64, 256, 1024, 4096)
 REPEATS = 5
@@ -116,6 +118,7 @@ def bench_updates(out, rows):
         ("rs_at %d t=-1" % RS_N, RS_ORDER, lambda: rs_at(RS_N, Monomial(MINUS_ONE), qmono(1), RS_ORDER)),
         ("eval_product " + spec.name, PRODUCT_ORDER, lambda: eval_product(spec, PRODUCT_ORDER)),
         ("eval_product " + minus.name, PRODUCT_ORDER, lambda: eval_product(minus, PRODUCT_ORDER)),
+        ("rogers_szego_def %d" % RS_N, RS_ORDER, lambda: rogers_szego_def(RS_N, qmono(1), RS_ORDER)),
     ):
         t = section["%s @%s" % (label, order)] = _time(fn, 3)
         out("%-28s  %6s  %10.3f" % (label, order, t))

@@ -25,10 +25,6 @@ class NotPositiveDefinite(QrrError):
     """Quadratic form / Nahm matrix failed the positive-definiteness check."""
 
 
-class UnboundedEnumeration(QrrError):
-    """Sum-side enumeration has neither a positive definite minorant nor explicit bounds."""
-
-
 class ParseError(QrrError):
     """Syntax error in an identity file."""
 

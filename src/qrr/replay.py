@@ -29,7 +29,7 @@ from .gaussian import I, MINUS_I, MINUS_ONE, ONE
 from .identity import ExponentPoly, IdentitySpec, SignAtom, _frac_str, compare, eval_product, eval_sum
 from .parser import parse_poly
 from .series import Monomial, QSeries, inv_poch_table, poch_finite, qmono
-from .special import gaussian_binomial_rows, rs_at
+from .special import gaussian_binomial_row, rs_at
 from .zseries import ZSeries, euler_z_inverse, euler_z_product, theta_z
 
 
@@ -226,9 +226,9 @@ def replay_1_7(order) -> List[StepReport]:
     # step 1: regroup along N = m + n via Gaussian binomials
     regrouped = QSeries.zero(order)
     inners = []
-    for n, row in zip(range(n_max + 1), gaussian_binomial_rows(q2, order)):
+    for n in range(n_max + 1):
         inner = QSeries.zero(order)
-        for m, gb in enumerate(row):
+        for m, gb in enumerate(gaussian_binomial_row(n, q2, order)):
             inner = inner + (gb if m % 2 == 0 else -gb)
         inners.append(inner)
         regrouped = regrouped + inner.shift(Fraction(n * n, 4)).mul(table[n])

@@ -5,15 +5,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
 from math import lcm
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import NotPositiveDefinite
 from .gaussian import MINUS_ONE, unit_pow
 from .identity import ExponentPoly, IdentitySpec, eval_sum
 from .quadform import as_matrix, is_positive_definite, is_symmetric
-from .series import Monomial, QSeries, _poch, mul_binomial, poch_infinite, qmono
+from .series import Monomial, QSeries, _div_b, _grid, _mul_b, _poch, mul_binomial, poch_infinite, qmono
 from .zseries import ZSeries, euler_z_product, theta_z
 
 
@@ -33,31 +32,25 @@ def gaussian_binomial(n: int, k: int, b: Monomial, order) -> QSeries:
     return _poch(order, [(top, b, k, 1), (b, b, k, -1)])
 
 
-def gaussian_binomial_rows(b: Monomial, order) -> Iterator[list]:
-    """The rows [[n 0], ..., [n n]] in base b for n = 0, 1, 2, ..., exact
-    through `order`, each from the one before by the q-Pascal rule
-    [n k] = [n-1 k-1] + b**k * [n-1 k]: shifts, scales and adds only."""
-    one = QSeries.one(order)
-    bound = one.order_q
-    row = [one]
-    while True:
-        yield row
-        nxt = [one]
-        for k in range(1, len(row)):
-            if k * b.exp <= bound:
-                nxt.append(row[k - 1] + row[k].shift(k * b.exp).scale(unit_pow(b.unit, k)))
-            else:
-                nxt.append(row[k - 1])  # b**k * [n-1 k] lies beyond the order
-        nxt.append(one)
-        row = nxt
-
-
 def gaussian_binomial_row(n: int, b: Monomial, order) -> list:
     """[[n 0], ..., [n n]] in base b, exact through `order`; entry k equals
-    gaussian_binomial(n, k, b, order)."""
+    gaussian_binomial(n, k, b, order).
+
+    One walk on the grid of b and the order: from [n 0] = 1, each
+    [n k] = [n k-1] * (1 - b**(n-k+1)) / (1 - b**k) for k <= n/2 is one
+    `_mul_b` and one `_div_b` at integer exponents, and the other half is
+    the mirror image [n k] = [n n-k]."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return next(islice(gaussian_binomial_rows(b, order), n, None))
+    if b.exp <= 0:
+        raise ValueError("Pochhammer base must be a positive power of q")
+    den = _grid(order, b.exp)
+    step = int(b.exp * den)
+    row = [QSeries.one(order).rescale(den)]
+    for k in range(1, n // 2 + 1):
+        top = _mul_b(row[-1], unit_pow(b.unit, n - k + 1), (n - k + 1) * step)
+        row.append(_div_b(top, unit_pow(b.unit, k), k * step))
+    return row + row[: n + 1 - len(row)][::-1]
 
 
 def rogers_szego_def(n: int, b: Monomial, order) -> ZSeries:

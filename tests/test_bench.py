@@ -32,13 +32,13 @@ def test_bench_runs_at_small_sizes(small):
     assert "z-products: replay chains at order 6, jtp_check at order 8" in text
     assert "single-factor updates" in text
     assert "rogers_szego_bw 5" in text and "eval_product rogers-mod5-1-4" in text
-    assert "rs_at 5 t=-1" in text
+    assert "rs_at 5 t=-1" in text and "rogers_szego_def 5" in text
     assert "replay 1.8" in text and "jtp_check" in text
     assert "corpus.load_all: parse and validate" in text
     assert "eval_product double-mod5-1-4" in text
     assert "the sizes that cost" in text
     assert "replay 1.8 @10" in text and "jtp_check @12" in text and "verify cao-wang-1-2-3 @11" in text
-    assert len(lines) == 34
+    assert len(lines) == 35
 
 
 def test_bench_json_holds_the_printed_rows(small, tmp_path):
@@ -55,6 +55,7 @@ def test_bench_json_holds_the_printed_rows(small, tmp_path):
         "rs_at 5 t=-1 @7",
         "eval_product rogers-mod5-1-4 @9",
         "eval_product double-mod5-1-4 @9",
+        "rogers_szego_def 5 @7",
     ]
     assert list(rows["zseries"]) == ["replay %s @6" % t for t in ("1.5", "1.6", "1.7", "1.8")] + ["jtp_check @8"]
     # every row is one printed figure, at the printed precision
@@ -63,8 +64,9 @@ def test_bench_json_holds_the_printed_rows(small, tmp_path):
     assert "%10.3f" % rows["setup"]["corpus.load_all"] in lines[-7]
     assert "%10.3f" % rows["zseries"]["jtp_check @8"] in lines[-10]
     assert "%12.6f" % rows["kernel"]["conv_complex 8"] in lines[3]
-    assert "%10.3f" % rows["updates"]["rs_at 5 t=-1 @7"] in lines[-19]
-    assert "%10.3f" % rows["updates"]["eval_product rogers-mod5-1-4 @9"] in lines[-18]
-    assert "%10.3f" % rows["updates"]["eval_product double-mod5-1-4 @9"] in lines[-17]
+    assert "%10.3f" % rows["updates"]["rs_at 5 t=-1 @7"] in lines[-20]
+    assert "%10.3f" % rows["updates"]["eval_product rogers-mod5-1-4 @9"] in lines[-19]
+    assert "%10.3f" % rows["updates"]["eval_product double-mod5-1-4 @9"] in lines[-18]
+    assert "%10.3f" % rows["updates"]["rogers_szego_def 5 @7"] in lines[-17]
     assert "%10.3f" % rows["large"]["verify cao-wang-1-2-3 @11"] in lines[-1]
     assert all(t >= 0 for section in rows.values() for t in section.values())

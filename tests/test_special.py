@@ -1,5 +1,4 @@
 from fractions import Fraction as F
-from itertools import islice
 from itertools import product as iproduct
 from math import isqrt
 
@@ -18,7 +17,6 @@ from qrr.special import (
     NahmData,
     gaussian_binomial,
     gaussian_binomial_row,
-    gaussian_binomial_rows,
     jtp_check,
     nahm_series,
     rogers_szego_bw,
@@ -59,12 +57,46 @@ def test_gaussian_binomial_pascal():
 )
 def test_gaussian_binomial_rows_match_gaussian_binomial(unit, exp, order_den):
     b = Monomial(unit, exp)
-    # order 40 holds every polynomial through n = 8; an order just past 5,
-    # off the base's grid for order_den > 1, cuts most of them
+    # order 40 holds every polynomial through n = 8 and cuts the middle of
+    # the longer ones (at exponent 2, [12 6] reaches q^72), so the mirrored
+    # half is cut too; an order just past 5, off the base's grid for
+    # order_den > 1, cuts most of them
     for order in (F(40), 5 + F(1, order_den)):
-        for n in range(9):
+        pascal = _q_pascal_rows(b, order)
+        for n in range(13):
             row = gaussian_binomial_row(n, b, order)
             assert row == [gaussian_binomial(n, k, b, order) for k in range(n + 1)], (order, n)
+            assert row == next(pascal), (order, n)
+
+
+def _q_pascal_rows(b, order):
+    """The rows [[n 0], ..., [n n]] for n = 0, 1, 2, ..., each from the one
+    before by the q-Pascal rule [n k] = [n-1 k-1] + b**k * [n-1 k] (the
+    reference the walk replaced)."""
+    one = QSeries.one(order)
+    row = [one]
+    while True:
+        yield row
+        nxt = [one]
+        for k in range(1, len(row)):
+            if k * b.exp <= one.order_q:
+                nxt.append(row[k - 1] + row[k].shift(k * b.exp).scale(unit_pow(b.unit, k)))
+            else:
+                nxt.append(row[k - 1])  # b**k * [n-1 k] lies beyond the order
+        nxt.append(one)
+        row = nxt
+
+
+@pytest.mark.parametrize("unit", [ONE, MINUS_ONE])
+@pytest.mark.parametrize("exp", [0, -1])
+def test_gaussian_binomial_rows_need_a_base_of_positive_order(unit, exp):
+    # at q^0 a walk would divide by nothing, and q^-1 has negative powers
+    b = Monomial(unit, F(exp))
+    for n in (0, 3):
+        with pytest.raises(ValueError, match="Pochhammer base must be a positive power of q"):
+            gaussian_binomial_row(n, b, 10)
+        with pytest.raises(ValueError, match="Pochhammer base must be a positive power of q"):
+            rogers_szego_def(n, b, 10)
 
 
 def test_gaussian_binomial_is_a_polynomial_in_the_base():
@@ -382,7 +414,7 @@ def test_no_constructor_or_builder_claims_less_than_its_order(order):
         poch_infinite(qmono(F(3, 4)), b, order),
         *inv_poch_table(qmono(F(3, 4)), 4, order),
         gaussian_binomial(5, 2, b, order),
-        *(x for row in islice(gaussian_binomial_rows(b, order), 4) for x in row),
+        *(x for n in range(4) for x in gaussian_binomial_row(n, b, order)),
         *gaussian_binomial_row(4, b, order),
         rogers_szego_def(4, b, order),
         rogers_szego_bw(4, b, order),
