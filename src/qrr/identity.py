@@ -12,8 +12,8 @@ order, with the exponent and the sign's power of i as integer polynomials and
 no series multiply.  For each prefix the last index runs over the exact
 integer interval where the exponent is at most the order, cut at the
 enumeration box, and adds its 1/(b;b)_t table entries as strided slices into
-lists that start at the prefix's lowest kept exponent; each outer level folds
-its inner sums from the top with one binomial division per index value.
+int lists that start at the prefix's lowest kept exponent; each outer level
+folds them in place from the top, one binomial division per index value.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
 )
 from .gaussian import MINUS_ONE, ONE, GaussianInt, i_pow, sign_binom2
 from .quadform import _interval, index_bounds, minorant
-from .series import Monomial, QSeries, _grid, _poch, div_binomial, inv_poch_table, qmono
+from .series import Monomial, QSeries, _grid, _poch, _unit_div, inv_poch_table, qmono
 
 
 @dataclass(frozen=True)
@@ -296,23 +296,24 @@ def eval_sum(spec: IdentitySpec, order) -> QSeries:
     of the nest is X_0 + (X_1 + (X_2 + ...)/(1 - q^(2b_d)))/(1 - q^b_d), X_t
     the level below at prefix + t, since 1/(b;b)_t = 1/(b;b)_(t-1) / (1 - q^(bt)).
     Each outer index value thus costs one O(order) binomial division and one
-    add.  The exponent E is evaluated as the integer polynomial L*E, L the lcm
-    of its coefficient denominators, and the sign as i**U, U the integer
-    polynomial of sign_poly taken mod 4; both are carried down the nest, so
-    no point is built.  For each prefix the last index visits only the exact
-    integer interval where E <= order (from the integer square root of the
-    discriminant), cut at the box.  Each kept point adds the content of its
-    1/(b;b)_t table entry, a series in q^b and so on every (b * D)-th entry
-    of the sum grid q^(1/D), with one extended slice into int lists that
-    start at the prefix's lowest kept exponent; a prefix with no kept point
-    allocates nothing.  The outer indices run over the whole box: `bounds`
-    when given, else auto_bounds.
+    add, in place on int lists (stride (t+1) * b_d * D on the sum grid
+    q^(1/D)); only the top level's lists become a QSeries.  The exponent E is
+    the integer polynomial L*E, L the lcm of its coefficient denominators, and
+    the sign i**U, U the integer polynomial of sign_poly taken mod 4; both are
+    carried down the nest, so no point is built.  For each prefix the last
+    index visits only the exact integer interval where E <= order (from the
+    integer square root of the discriminant), cut at the box.  Each kept
+    point adds the content of its 1/(b;b)_t table entry, a series in q^b and
+    so on every (b * D)-th entry of the sum grid, with one extended slice into
+    int lists that start at the prefix's lowest kept exponent; a prefix with
+    no kept point allocates nothing.  The outer indices run over the whole
+    box: `bounds` when given, else auto_bounds.
     """
     order = Fraction(order)
     bounds = auto_bounds(spec, order) if spec.bounds is None else spec.bounds
     nest = _Nest(spec, order, bounds)
-    out = nest.level(0, nest.const, nest.lin, nest.sconst, nest.slin, ())
-    return QSeries._of(nest.den, nest.n, 0, []) if out is None else out
+    window = nest.level(0, nest.const, nest.lin, nest.sconst, nest.slin, ())
+    return QSeries._of(nest.den, nest.n, *(window or (0, [], None)))
 
 
 class _Nest:
@@ -324,7 +325,7 @@ class _Nest:
     linear coefficients of the indices still to come (lin, slin).  Only the
     last index has a 1/(b;b)_t table: one int list per t, the coefficients
     of 1/(x;x)_t in x = q^b, which sit on every step-th entry of the sum
-    grid."""
+    grid.  Every level returns int lists (`last`), never a QSeries."""
 
     def __init__(self, spec: IdentitySpec, order: Fraction, bounds):
         self.scale, self.quad, self.lin, self.const = spec.exponent.integer_form(spec.indices)
@@ -338,15 +339,14 @@ class _Nest:
         self.den = lcm(spec.den, _grid(order, *self.bases))
         self.n = int(order * self.den)
         self.bounds = bounds
-        # 1/(q^b;q^b)_t is 1/(x;x)_t in x = q^b, a list on the integers whose
-        # entries sit on every step-th entry of the sum grid
-        b = self.bases[-1]
-        self.step = int(b * self.den)
-        self.table = [t.re for t in inv_poch_table(qmono(1), bounds[-1], floor(order / b))]
+        # q^b_d is steps[d] entries of the sum grid; for the last base b,
+        # 1/(q^b;q^b)_t is 1/(x;x)_t in x = q^b, a list on the integers
+        self.steps = [int(b * self.den) for b in self.bases]
+        self.table = [t.re for t in inv_poch_table(qmono(1), bounds[-1], floor(order / self.bases[-1]))]
 
-    def level(self, d: int, c: int, lin: list, sc: int, slin: list, prefix: tuple) -> Optional[QSeries]:
-        """sum over t of level_{d+1}(prefix + t) / (b_d; b_d)_t; None when no
-        point below the prefix is kept."""
+    def level(self, d: int, c: int, lin: list, sc: int, slin: list, prefix: tuple):
+        """sum over t of level_{d+1}(prefix + t) / (b_d; b_d)_t, folded in place
+        into one window (see `last`); None when no point below it is kept."""
         if d == len(self.bounds) - 1:
             return self.last(c, lin[d], sc, slin[d], prefix)
         inner = []
@@ -356,16 +356,30 @@ class _Nest:
             c2, lin2 = _fix(self.quad[d], c, lin, d, t)
             sc2, slin2 = _fix(self.squad[d], sc, slin, d, t)
             inner.append(self.level(d + 1, c2, lin2, sc2, slin2, prefix + (t,)))
-        acc = None
+        while inner and inner[-1] is None:  # nothing to divide above the top window
+            inner.pop()
+        if not inner:
+            return None
+        lo = min(w[0] for w in inner if w)
+        re, im = [0] * (self.n + 1 - lo), None
         for t in reversed(range(len(inner))):
-            if acc is not None:
-                acc = div_binomial(acc, ONE, (t + 1) * self.bases[d])
-            if inner[t] is not None:
-                acc = inner[t] if acc is None else acc + inner[t]
-        return acc
+            if inner[t]:
+                start, wre, wim = inner[t]
+                re[start - lo :] = map(add, re[start - lo :], wre)
+                if wim is not None:
+                    if im is None:
+                        im = [0] * len(re)
+                    im[start - lo :] = map(add, im[start - lo :], wim)
+            if t:  # X_(t-1) + (X_t + ...) / (1 - q^(t*b_d))
+                _unit_div(re, t * self.steps[d], 1)
+                if im is not None:
+                    _unit_div(im, t * self.steps[d], 1)
+        return lo, re, im
 
-    def last(self, c: int, b: int, sc: int, sb: int, prefix: tuple) -> Optional[QSeries]:
-        """sum over t of i**U * q^E / (b;b)_t at prefix + t, by strided adds.
+    def last(self, c: int, b: int, sc: int, sb: int, prefix: tuple):
+        """sum over t of i**U * q^E / (b;b)_t at prefix + t, by strided adds,
+        as a window (start, re, im) of the coefficients at scaled exponents
+        start..n, im None if no sign is imaginary; None if no point is kept.
 
         The kept points are collected first; the lists then start at the
         lowest kept offset, and each table entry is added into every step-th
@@ -399,7 +413,7 @@ class _Nest:
         size = self.n + 1 - start
         re = [0] * size
         im = None
-        step = self.step
+        step = self.steps[d]
         for o, content, u in kept:
             if u % 2:
                 if im is None:
@@ -410,7 +424,7 @@ class _Nest:
             # the slice stops at the list's end, and map at the shorter operand
             at = slice(o - start, o - start + step * len(content), step)
             out[at] = map(sub if u > 1 else add, out[at], content)
-        return QSeries._of(den, self.n, start, re, im)
+        return start, re, im
 
 
 def _fix(row: list, c: int, lin: list, d: int, t: int):

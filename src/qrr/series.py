@@ -28,12 +28,12 @@ multiples of g; it hands every g-th entry to the Kronecker-substitution
 kernel's one entry point (qrr._kernel_py.conv_rows) and spreads the rows back
 onto the grid.
 
-A binomial factor never reaches the kernel.  `mul_binomial` lays a shifted,
-scaled copy of the series over it, and `div_binomial` divides by
-1 - u*q**(k/den) in min(k, n/k) list-level slice operations on a window of n
-entries (`_unit_div`), never one interpreted step per coefficient.  Every
-product side and 1/(b;b)_n table is one Pochhammer walk (`_walk`), which
-steps the factors' exponents as ints on one grid.
+A binomial factor never reaches the kernel, and its exponent is a whole
+number k of steps on a grid the caller works out once.  `_mul_b` lays a
+shifted, scaled copy of the series over it, and `_div_b` divides by
+1 - u*q**(k/den) in min(k, n/k) slice operations on n entries (`_unit_div`,
+also the sum side's fold), never one step per coefficient.  Every product
+side and 1/(b;b)_n table is one Pochhammer walk (`_walk`) on one grid.
 """
 
 from __future__ import annotations
@@ -515,26 +515,6 @@ def _stride(g: int, re: list, im: Optional[list], n: int) -> int:
 
 
 # -- binomial-factor helpers (O(order) each) --------------------------------
-
-
-def mul_binomial(s: QSeries, unit: GaussianInt, exp) -> QSeries:
-    """s * (1 - unit*q**exp) without a full convolution: one shifted, scaled
-    copy of s laid over s."""
-    exp = Fraction(exp)
-    if exp < 0:
-        raise NegativeExponent(str(exp))
-    den = lcm(s.den, exp.denominator)
-    return _mul_b(s.rescale(den), unit, int(exp * den))
-
-
-def div_binomial(s: QSeries, unit: GaussianInt, exp) -> QSeries:
-    """s / (1 - unit*q**exp) for exp > 0, in min(k, n/k) slice operations
-    on a window of n entries with exp = k grid steps (see `_unit_div`)."""
-    exp = Fraction(exp)
-    if exp <= 0:
-        raise DivergentProduct("binomial divisor needs positive q-order, got %s" % exp)
-    den = lcm(s.den, exp.denominator)
-    return _div_b(s.rescale(den), unit, int(exp * den))
 
 
 def _mul_b(s: QSeries, unit, k: int) -> QSeries:

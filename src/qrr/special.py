@@ -12,7 +12,7 @@ from .errors import NotPositiveDefinite
 from .gaussian import MINUS_ONE, unit_pow
 from .identity import ExponentPoly, IdentitySpec, eval_sum
 from .quadform import as_matrix, is_positive_definite, is_symmetric
-from .series import Monomial, QSeries, _div_b, _grid, _mul_b, _poch, mul_binomial, poch_infinite, qmono
+from .series import Monomial, QSeries, _div_b, _grid, _mul_b, _poch, poch_infinite, qmono
 from .zseries import ZSeries, euler_z_product, theta_z
 
 
@@ -110,7 +110,7 @@ def rs_at(n: int, t: Monomial, b: Monomial, order) -> QSeries:
     if r0 > r1:
         return QSeries.zero(order)
     coeffs = gaussian_binomial_row(half, power(2), order)
-    ta = QSeries.one(order)  # t**r A_r
+    ta = QSeries.one(order).rescale(_grid(order, t.exp, b.exp))  # t**r A_r, on every factor's grid
     for r in range(r1 + 1):
         if r:
             ta = _times_sum(ta, Monomial(t.unit * t.unit, 2 * t.exp), power(2 * r - 1, t))
@@ -125,10 +125,14 @@ def rs_at(n: int, t: Monomial, b: Monomial, order) -> QSeries:
 
 def _times_sum(s: QSeries, x: Monomial, y: Monomial) -> QSeries:
     """s * (x + y): with x the lower power, x + y = x * (1 - (-y/x) q**(y.exp - x.exp)),
-    a shift, a scale and one mul_binomial."""
+    a shift, a scale and one `_mul_b` on the grid of s, which must hold y.exp - x.exp."""
     if y.exp < x.exp:
         x, y = y, x
-    return mul_binomial(s.shift(x.exp).scale(x.unit), -(y.unit * x.unit.conj()), y.exp - x.exp)
+    s = s.shift(x.exp).scale(x.unit)
+    k = (y.exp - x.exp) * s.den
+    if k.denominator != 1:
+        raise ValueError("q^%s is off the grid of q^(1/%d)" % (y.exp - x.exp, s.den))
+    return _mul_b(s, -(y.unit * x.unit.conj()), int(k))
 
 
 class JtpReport(NamedTuple):

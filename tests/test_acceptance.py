@@ -66,7 +66,7 @@ def test_criterion_3_andrews_uncu_order_100():
 
 def test_criterion_4_cao_wang_order_60():
     rep = verify(corpus.load("cao_wang_1_2_3"), 60)
-    _report(4, rep.status == "match", "Cao-Wang triple sum (explicit bounds) matches at order 60")
+    _report(4, rep.status == "match", "Cao-Wang triple sum (certified box) matches at order 60")
 
 
 def test_criterion_5_rogers_szego_exact():

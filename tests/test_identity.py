@@ -328,6 +328,8 @@ EVAL_SUM_DIGESTS = {
     "andrews_uncu_mod6@240": "fa248861aad4fe40",
     "andrews_uncu_mod6@60": "f3c30f47d3447f98",
     "cao_wang_1_2_3@60": "7d4f9f3faf1ac90e",
+    # the one rank-3 sum past order 60: the outer fold runs two levels deep
+    "cao_wang_1_2_3@240": "811d80ca9198fc6c",
     "double_mod10_2_8@240": "148a8f392ee4da10",
     "double_mod10_2_8@60": "acb23a217fb0b4d4",
     "double_mod10_4_6@240": "5c66fbdcb99f7145",
@@ -441,6 +443,33 @@ def test_eval_sum_matches_unpruned_oracle_on_step_12_tables(order):
     for spec in (piece, corpus.load("cao_wang_1_2_3")):
         box = [max(b, 0) + 1 for b in auto_bounds(spec, order)]
         assert eval_sum(spec, order) == unpruned_sum(spec, box, order)
+
+
+# the outer fold's merge edge: at n = 0 the exponent is 1, 0, 5 and 16 at
+# m = 0, 1, 2 and 3, so at these orders the inner windows of m = 0..2 start
+# down and then up, and i^m makes m = 1 the only one that carries im
+FOLD_EDGE = """
+identity "fold-edge" {
+  den 1;
+  sum {
+    indices m, n;
+    sign i^m * (-1)^n;
+    exponent 3*m^2 - 4*m + 1 + m*n + n^2;
+    denoms (q; m), (q; n);
+  }
+  product { 1/poch(q, q) }
+}
+"""
+
+
+@pytest.mark.parametrize("order", [F(12), F(31, 2)])
+def test_eval_sum_matches_unpruned_oracle_where_windows_start_in_both_orders(order):
+    spec = parse(FOLD_EDGE)
+    assert [spec.exponent.eval({"m": m, "n": 0}) for m in range(4)] == [1, 0, 5, 16]
+    box = [max(b, 0) + 1 for b in auto_bounds(spec, order)]
+    got = eval_sum(spec, order)
+    assert got.imaginary_support()
+    assert got == unpruned_sum(spec, box, order)
 
 
 sign_atoms = st.lists(

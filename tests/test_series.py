@@ -12,11 +12,11 @@ from qrr.oracle import dense_mul
 from qrr.series import (
     Monomial,
     QSeries,
+    _div_b,
+    _mul_b,
     _poch,
     _walk,
-    div_binomial,
     inv_poch_table,
-    mul_binomial,
     poch_finite,
     poch_infinite,
     qmono,
@@ -141,11 +141,29 @@ def test_euler_product_pentagonal_to_200():
         assert prod.coeff(n) == expect.get(n, GaussianInt(0, 0)), n
 
 
+def lift(s, exp):
+    """s on the grid g that holds the exponent exp, and exp as exp*g grid
+    steps: the operands of `_mul_b` and `_div_b`."""
+    exp = F(exp)
+    g = lcm(s.den, exp.denominator)
+    return s.rescale(g), int(exp * g)
+
+
+def mul_b(s, unit, exp):
+    s, k = lift(s, exp)
+    return _mul_b(s, unit, k)
+
+
+def div_b(s, unit, exp):
+    s, k = lift(s, exp)
+    return _div_b(s, unit, k)
+
+
 def test_binomial_helpers_match_full_mul():
     s = poch_infinite(qmono(2), qmono(3), 30)
     lin = QSeries.one(30) - QSeries.term(I, 4, 30)
-    assert mul_binomial(s, I, 4) == s.mul(lin)
-    assert div_binomial(s, I, 4).mul(lin) == s
+    assert mul_b(s, I, 4) == s.mul(lin)
+    assert div_b(s, I, 4).mul(lin) == s
 
 
 def test_poch_finite_recurrence():
@@ -153,7 +171,7 @@ def test_poch_finite_recurrence():
     x, b = qmono(1, MINUS_ONE), qmono(2)
     for n in range(6):
         lhs = poch_finite(x, b, n + 1, 40)
-        rhs = mul_binomial(poch_finite(x, b, n, 40), x.unit, x.exp + n * b.exp)
+        rhs = mul_b(poch_finite(x, b, n, 40), x.unit, x.exp + n * b.exp)
         assert lhs == rhs
 
 
@@ -318,8 +336,8 @@ def test_storage_binomials_match_two_term_products(p, u, k, kden):
     exp = F(k, kden)
     g = lcm(a.den, exp.denominator)
     two = QSeries.one(a.order_q).rescale(g) - QSeries.term(u, exp, a.order_q)
-    assert as_plain(mul_binomial(a, u, exp)) == as_plain(a.mul(two))
-    quotient = div_binomial(a, u, exp)
+    assert as_plain(mul_b(a, u, exp)) == as_plain(a.mul(two))
+    quotient = div_b(a, u, exp)
     as_plain(quotient)  # checks its normal form
     assert quotient.mul(two) == a.rescale(quotient.den)
 
@@ -403,8 +421,8 @@ def binomial_case(draw):
 @example((QSeries._of(2, 7, 1, [1, 0, 3], [0, 1, 0]), I, F(2, 2)))
 def test_binomial_updates_match_the_scalar_recurrence(case):
     s, u, exp = case
-    assert fields(div_binomial(s, u, exp)) == fields(scalar_binomial(s, u, exp, -1))
-    assert fields(mul_binomial(s, u, exp)) == fields(scalar_binomial(s, u, exp, 1))
+    assert fields(div_b(s, u, exp)) == fields(scalar_binomial(s, u, exp, -1))
+    assert fields(mul_b(s, u, exp)) == fields(scalar_binomial(s, u, exp, 1))
 
 
 def fraction_walk(order, factors):

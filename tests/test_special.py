@@ -11,10 +11,11 @@ from qrr.identity import ExponentPoly, IdentitySpec, eval_product
 from qrr.oracle import unpruned_sum
 from qrr.quadform import index_bounds
 from qrr.gaussian import I, MINUS_ONE, ONE, UNITS, GaussianInt, unit_pow
-from qrr.series import Monomial, QSeries, inv_poch_table, mul_binomial, poch_finite, poch_infinite, qmono
+from qrr.series import Monomial, QSeries, inv_poch_table, poch_finite, poch_infinite, qmono
 from qrr.special import (
     JtpReport,
     NahmData,
+    _times_sum,
     gaussian_binomial,
     gaussian_binomial_row,
     jtp_check,
@@ -178,10 +179,8 @@ def _rogers_szego_bw_per_term(n, b, order):
 
 
 def _times_sum_reference(s, x, y):
-    """s * (x + y) for monomials x and y."""
-    if y.exp < x.exp:
-        x, y = y, x
-    return mul_binomial(s.shift(x.exp).scale(x.unit), -(y.unit * x.unit.conj()), y.exp - x.exp)
+    """s * (x + y) for monomials x and y: one `mul` by the two-term series."""
+    return s.mul(QSeries.term(x.unit, x.exp, s.order_q) + QSeries.term(y.unit, y.exp, s.order_q))
 
 
 def _rs_at_per_term(n, t, b, order):
@@ -262,6 +261,18 @@ def test_rs_at_multiplies_only_the_terms_no_zero_factor_removes(monkeypatch):
         assert rs_at(n, t, q, 60) == expected, (n, t)
         monkeypatch.setattr(QSeries, "mul", mul)
         assert len(calls) == kept, (n, t)
+
+
+def test_rs_at_shifts_stay_checked():
+    # t = q^-1: the factor t**2 + b of A_1 shifts 1 by -2, below q^0
+    with pytest.raises(NegativeExponent, match=r"^q\^0 after shift by -2$"):
+        rs_at(3, Monomial(ONE, F(-1)), qmono(1), 5)
+
+
+def test_times_sum_rejects_a_step_off_the_grid():
+    # 1 + q^(1/2) on the integer grid: an engine fault, not a truncated step
+    with pytest.raises(ValueError, match="off the grid"):
+        _times_sum(QSeries.one(5), Monomial(), qmono(F(1, 2)))
 
 
 @st.composite
