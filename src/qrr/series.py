@@ -21,12 +21,14 @@ and a product side lives on its own grid, not on the sum's.  Binary
 operations lift both operands to the lcm grid and truncate to the smaller
 order.  A product with a one-term operand is a shift and scale of
 the other operand.  Every other product, here and in qrr.zseries, goes
-through `_rows`, which holds the one stride rule: it finds the largest g such
-that the nonzero coefficients of every operand sit on a stride g from their
-valuations, and the pairs summed into one row differ in valuation by
-multiples of g; it hands every g-th entry to the Kronecker-substitution
-kernel's one entry point (qrr._kernel_py.conv_rows) and spreads the rows back
-onto the grid.
+through `_rows`; the one exception is the Horner nest of
+qrr.special.rogers_szego_bw, which keeps its z-slices packed as the kernel
+packs them and multiplies the packed ints itself.  `_rows` holds the one
+stride rule: it finds the largest g such that the nonzero coefficients of
+every operand sit on a stride g from their valuations, and the pairs summed
+into one row differ in valuation by multiples of g; it hands every g-th
+entry to the Kronecker-substitution kernel's one entry point
+(qrr._kernel_py.conv_rows) and spreads the rows back onto the grid.
 
 A binomial factor never reaches the kernel, and its exponent is a whole
 number k of steps on a grid the caller works out once.  `_mul_b` lays a

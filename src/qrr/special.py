@@ -8,11 +8,12 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Optional
 
+from ._kernel_py import _pack, _unpack, _width
 from .errors import NotPositiveDefinite
 from .gaussian import MINUS_ONE, unit_pow
 from .identity import ExponentPoly, IdentitySpec, eval_sum
 from .quadform import as_matrix, is_positive_definite, is_symmetric
-from .series import Monomial, QSeries, _div_b, _grid, _mul_b, _poch, poch_infinite, qmono
+from .series import Monomial, QSeries, _as_order, _div_b, _grid, _mul_b, _poch, poch_infinite, qmono
 from .zseries import ZSeries, euler_z_product, theta_z
 
 
@@ -25,6 +26,8 @@ def gaussian_binomial(n: int, k: int, b: Monomial, order) -> QSeries:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if b.exp <= 0:
+        raise ValueError("Pochhammer base must be a positive power of q")
     if k < 0 or k > n:
         return QSeries.zero(order)
     # (b**(n-k+1); b)_k / (b; b)_k
@@ -66,24 +69,69 @@ def rogers_szego_bw(n: int, b: Monomial, order) -> ZSeries:
     H_n = sum_r c_r * z**r A_r * B_{U-r} is nested by Horner's rule: G_0 = c_0,
     G_r = G_{r-1} * (1 + z*b**(2(U-r))) + c_r * z**r A_r and H_n = B_{U-h} * G_h.
     z**r A_r gains a z-shift and the factor z + b**(2r-1) per step: at most
-    n + 1 z-binomial steps, each a z-shift plus a scaled copy, so no z-binomial
-    is ever an operand.  Each c_r * z**r A_r is one z-product with c_r packed
-    once.  Every window stays inside [0, n].
+    n + 1 z-binomial steps, so no z-binomial is ever an operand.  Every window
+    stays inside [0, n].
+
+    The nest never builds a ZSeries.  Each z-slice is a pair of ints (re, im),
+    its N + 1 coefficients on the result's grid packed as by the convolution
+    kernel (qrr._kernel_py._pack) at one digit width for every slice: each
+    z-binomial step is a shift and a sign change or a swap of re and im, each
+    c_r * z**r A_r one int multiply per part with c_r packed once, and every
+    slice is masked to its N + 1 digits, which changes it by a multiple of
+    2**(w*(N + 1)) that no later shift, product or sum brings below that
+    digit.  The width holds 2**n in a signed digit: H_n = sum_k [n k]_b z**k,
+    and [n k]_b has nonnegative coefficients in b that sum to C(n, k) <= 2**n,
+    each at its own power of q (b has positive q-order), so every real and
+    imaginary coefficient of the result is at most 2**n in size; intermediate
+    digits need no bound, since only the result's are read.
+    Each slice is unpacked once, at the end.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     half, upper = n // 2, (n + 1) // 2
-
-    def power(k: int) -> QSeries:  # b**k
-        return QSeries.term(unit_pow(b.unit, k), k * b.exp, order)
-
     coeffs = gaussian_binomial_row(half, Monomial(unit_pow(b.unit, 2), 2 * b.exp), order)
-    za = ZSeries.embed(QSeries.one(order))  # z**r A_r
-    acc = ZSeries.embed(coeffs[0])  # G_r
+    # with no factor b**(2r-1) (n <= 1) the result lives on the grid of b**2
+    den = _grid(order, b.exp if half else 2 * b.exp)
+    top = _as_order(order, den)
+    step = int(b.exp * den)
+    wb = _width(1 << n, 1, 1)
+    w = 8 * wb
+    mask = (1 << w * (top + 1)) - 1
+    zero = (0, 0)
+
+    def add(x: tuple, y: tuple) -> tuple:
+        return (x[0] + y[0]) & mask, (x[1] + y[1]) & mask
+
+    def power(x: tuple, k: int) -> tuple:  # x * b**k
+        if k * step > top:
+            return zero
+        re, im = x[0] << w * k * step, x[1] << w * k * step
+        ur, ui = unit_pow(b.unit, k)
+        if ui:
+            re, im = (-im, re) if ui > 0 else (im, -re)
+        elif ur < 0:
+            re, im = -re, -im
+        return re & mask, im & mask
+
+    def unpacked(re: int, im: int) -> QSeries:
+        # read signed, a slice's size bounds its last nonzero digit
+        re, im = (x - (mask + 1) if x >> w * (top + 1) - 1 else x for x in (re, im))
+        digits = min(top + 1, max(abs(re), abs(im)).bit_length() // w + 1)
+        return QSeries._of(den, top, 0, _unpack(re, wb, digits), _unpack(im, wb, digits) if im else None)
+
+    # each c_r is real, since the unit of b**2 is +-1; c_r = c_{h-r}
+    packed = [_pack(s.re, wb) << w * s.val for s in (c.rescale(den) for c in coeffs[: half // 2 + 1])]
+    packed += packed[: half + 1 - len(packed)][::-1]
+    za = [(1, 0)]  # z**r A_r: its slices z**r .. z**(2r)
+    acc = [(packed[0], 0)]  # G_r: its slices z**0 .. z**(2r)
     for r in range(1, half + 1):
-        za = za.zshift(2) + za.scale_series(power(2 * r - 1)).zshift(1)
-        acc = acc + acc.zshift(1).scale_series(power(2 * (upper - r))) + za * ZSeries.embed(coeffs[r])
-    return acc + acc.zshift(1) if upper > half else acc  # B_1 = 1 + z
+        za = [add(x, power(y, 2 * r - 1)) for x, y in zip([zero] + za, za + [zero])]
+        acc = [add(x, power(y, 2 * (upper - r))) for x, y in zip(acc + [zero, zero], [zero] + acc + [zero])]
+        for k, (xr, xi) in enumerate(za, r):
+            acc[k] = add(acc[k], (xr * packed[r], xi * packed[r]))
+    if upper > half:  # B_1 = 1 + z
+        acc = [add(x, y) for x, y in zip(acc + [zero], [zero] + acc)]
+    return ZSeries._fitted({k: unpacked(*x) for k, x in enumerate(acc)}, den, top)
 
 
 def rs_at(n: int, t: Monomial, b: Monomial, order) -> QSeries:

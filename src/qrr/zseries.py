@@ -24,7 +24,10 @@ output slice: every slice is packed into one int on the common stride of all
 slices, each output slice is the sum of its pairs' bignum products, each
 operand masked to the digits its pair can reach under the order and shifted
 by the pair's valuation, and it is unpacked once.  A z-binomial such as
-(z + c) is never an operand: it is a z-shift plus a scaled copy.  Packing a
+(z + c) is never an operand: it is a z-shift plus a scaled copy.  The one
+z-window product outside this path is the Horner nest of
+qrr.special.rogers_szego_bw: it builds no ZSeries until its result, and
+keeps its slices packed (qrr._kernel_py._pack) from start to end.  Packing a
 whole window into one int (two-level Kronecker substitution) was measured and
 rejected: CPython multiplies multi-megabit ints by Karatsuba, so it ran
 several times slower.

@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from qrr import corpus
+from qrr import _kernel_py, corpus, zseries
 from qrr.errors import NegativeExponent, NotPositiveDefinite
 from qrr.identity import ExponentPoly, IdentitySpec, eval_product
 from qrr.oracle import unpruned_sum
@@ -91,13 +91,19 @@ def _q_pascal_rows(b, order):
 @pytest.mark.parametrize("unit", [ONE, MINUS_ONE])
 @pytest.mark.parametrize("exp", [0, -1])
 def test_gaussian_binomial_rows_need_a_base_of_positive_order(unit, exp):
-    # at q^0 a walk would divide by nothing, and q^-1 has negative powers
+    # at q^0 a walk would divide by nothing, and q^-1 has negative powers;
+    # a single binomial fails alike for every k, and the packed nest before
+    # it packs anything
     b = Monomial(unit, F(exp))
     for n in (0, 3):
-        with pytest.raises(ValueError, match="Pochhammer base must be a positive power of q"):
-            gaussian_binomial_row(n, b, 10)
-        with pytest.raises(ValueError, match="Pochhammer base must be a positive power of q"):
-            rogers_szego_def(n, b, 10)
+        for build in (
+            lambda: gaussian_binomial_row(n, b, 10),
+            lambda: rogers_szego_def(n, b, 10),
+            lambda: rogers_szego_bw(n, b, 10),
+            *(lambda k=k: gaussian_binomial(n, k, b, 10) for k in {0, 1, n}),
+        ):
+            with pytest.raises(ValueError, match="Pochhammer base must be a positive power of q"):
+                build()
 
 
 def test_gaussian_binomial_is_a_polynomial_in_the_base():
@@ -217,7 +223,34 @@ orders = st.builds(F, st.integers(0, 90), st.integers(1, 4))
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 16), bases, orders)
 def test_nested_bw_equals_the_per_term_sum(n, b, order):
-    assert rogers_szego_bw(n, b, order) == _rogers_szego_bw_per_term(n, b, order)
+    # the same grid too: for n <= 1 that of b**2, which holds every factor
+    bw, reference = rogers_szego_bw(n, b, order), _rogers_szego_bw_per_term(n, b, order)
+    assert bw == reference
+    assert (bw.den, bw.order) == (reference.den, reference.order)
+
+
+@pytest.mark.parametrize("unit", UNITS)
+@pytest.mark.parametrize("exp", [F(1, 2), F(5, 3)])
+def test_packed_bw_equals_the_sum_at_wide_digits(unit, exp):
+    # 2**n needs 9-byte digits at n = 63 and 64, 10-byte ones at n = 71;
+    # the Hypothesis gate above draws n <= 16, at most 3-byte digits
+    b = Monomial(unit, exp)
+    for n in (63, 64, 71):
+        bw, defining = rogers_szego_bw(n, b, F(25, 2)), rogers_szego_def(n, b, F(25, 2))
+        assert bw == defining, n
+        assert (bw.den, bw.order) == (defining.den, defining.order), n
+
+
+def test_packed_bw_forms_no_z_product_and_calls_no_kernel(monkeypatch):
+    q = qmono(1)
+    expected = rogers_szego_def(12, q, 60)
+
+    def fail(*args):
+        raise AssertionError("the packed nest reached a z-product or the kernel")
+
+    monkeypatch.setattr(zseries, "_product", fail)
+    monkeypatch.setattr(_kernel_py, "conv_rows", fail)
+    assert rogers_szego_bw(12, q, 60) == expected
 
 
 @st.composite
