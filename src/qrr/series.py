@@ -19,16 +19,17 @@ Each builds its object on the coarsest grid that holds its own exponents and
 its order (`_grid`, the one rule), so none floors the order it is asked for,
 and a product side lives on its own grid, not on the sum's.  Binary
 operations lift both operands to the lcm grid and truncate to the smaller
-order.  A product with a one-term operand is a shift and scale of
-the other operand.  Every other product, here and in qrr.zseries, goes
-through `_rows`; the one exception is the Horner nest of
-qrr.special.rogers_szego_bw, which keeps its z-slices packed as the kernel
-packs them and multiplies the packed ints itself.  `_rows` holds the one
-stride rule: it finds the largest g such that the nonzero coefficients of
-every operand sit on a stride g from their valuations, and the pairs summed
-into one row differ in valuation by multiples of g; it hands every g-th
-entry to the Kronecker-substitution kernel's one entry point
-(qrr._kernel_py.conv_rows) and spreads the rows back onto the grid.
+order.  Every product, here and in qrr.zseries, one-term operands
+included, goes through `_rows`; there is no shift-and-scale path.  The one
+product outside it is the Horner nest of qrr.special (`_nest`), which serves
+both forms of the Rogers-Szego polynomials, rogers_szego_bw and rs_at: it
+keeps its z-slices packed as the kernel packs them and multiplies the packed
+ints itself.  `_rows` holds the one stride rule: it finds the largest g such
+that the nonzero coefficients of every operand sit on a stride g from their
+valuations, and the pairs summed into one row differ in valuation by
+multiples of g; it hands every g-th entry to the Kronecker-substitution
+kernel's one entry point (qrr._kernel_py.conv_rows) and spreads the rows
+back onto the grid.
 
 A binomial factor never reaches the kernel, and its exponent is a whole
 number k of steps on a grid the caller works out once.  `_mul_b` lays a
@@ -442,30 +443,18 @@ class QSeries:
 
 
 def _mul(a: QSeries, b: QSeries, n_max: int) -> QSeries:
-    """The product of two series on one grid, through scaled exponent n_max.
-
-    A one-term operand c*q**v makes the product a scaled copy of the other
-    operand's lists.  Every other product is the one-pair, one-row case of
-    `_rows`."""
-    val = a.val + b.val
-    nout = min(n_max - val + 1, len(a.re) + len(b.re) - 1)
-    if not a.re or not b.re or nout <= 0:
+    """The product of two series on one grid, through scaled exponent n_max:
+    the one-pair, one-row case of `_rows`, one-term operands included."""
+    if not a.re or not b.re or a.val + b.val > n_max:
         return QSeries._of(a.den, n_max, 0, [])
-    if len(b.re) == 1:
-        a, b = b, a
-    if len(a.re) == 1:
-        re, im = b.re[:nout], None if b.im is None else b.im[:nout]
-        cr, ci = a.re[0], 0 if a.im is None else a.im[0]
-        if cr != 1 or ci:
-            re, im = _times(re, im, cr, ci)
-        return QSeries._of(a.den, n_max, val, re, im)
     return _rows({0: a}, {0: b}, {0: [(0, 0)]}, a.den, n_max)[0]
 
 
 def _rows(a: dict, b: dict, rows: dict, den: int, top: int) -> dict:
     """{k: the sum of a[i] * b[j] over the pairs (i, j) in rows[k]}, for
     series on grid `den`, each exact through scaled exponent `top`; a row
-    with no exponent <= top is left out.
+    with no exponent <= top is left out.  It is the one product path for
+    series and z-windows, one-term operands included.
 
     Every row is one packed accumulation in the kernel
     (qrr._kernel_py.conv_rows), on every g-th entry for the g that divides

@@ -9,7 +9,7 @@ from math import lcm
 from typing import NamedTuple, Optional
 
 from ._kernel_py import _pack, _unpack, _width
-from .errors import NotPositiveDefinite
+from .errors import NegativeExponent, NotPositiveDefinite
 from .gaussian import MINUS_ONE, unit_pow
 from .identity import ExponentPoly, IdentitySpec, eval_sum
 from .quadform import as_matrix, is_positive_definite, is_symmetric
@@ -72,26 +72,79 @@ def rogers_szego_bw(n: int, b: Monomial, order) -> ZSeries:
     n + 1 z-binomial steps, so no z-binomial is ever an operand.  Every window
     stays inside [0, n].
 
-    The nest never builds a ZSeries.  Each z-slice is a pair of ints (re, im),
-    its N + 1 coefficients on the result's grid packed as by the convolution
-    kernel (qrr._kernel_py._pack) at one digit width for every slice: each
-    z-binomial step is a shift and a sign change or a swap of re and im, each
-    c_r * z**r A_r one int multiply per part with c_r packed once, and every
-    slice is masked to its N + 1 digits, which changes it by a multiple of
-    2**(w*(N + 1)) that no later shift, product or sum brings below that
-    digit.  The width holds 2**n in a signed digit: H_n = sum_k [n k]_b z**k,
-    and [n k]_b has nonnegative coefficients in b that sum to C(n, k) <= 2**n,
-    each at its own power of q (b has positive q-order), so every real and
-    imaginary coefficient of the result is at most 2**n in size; intermediate
-    digits need no bound, since only the result's are read.
-    Each slice is unpacked once, at the end.
+    The nest (`_nest`, shared with rs_at) never builds a ZSeries: its
+    z-slices stay packed from start to end, and each is unpacked once.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    # with no factor b**(2r-1) (n <= 1) the result lives on the grid of b**2
+    den = _grid(order, b.exp if n > 1 else 2 * b.exp)
+    slices, wb, top = _nest(n, b, order, den, 0, n // 2)
+    return ZSeries._fitted({k: _read(x, den, top, wb) for k, x in enumerate(slices)}, den, top)
+
+
+def rs_at(n: int, t: Monomial, b: Monomial, order) -> QSeries:
+    """H_n(t; b) with t a monomial: rogers_szego_bw's nest, then z := t.
+
+    A zero beta_s = 1 + t*b**(2s) removes every term with r < U - s, a zero
+    alpha_s = t + b**(1+2s) every term with r > s.  So the nest runs over
+    r0 <= r <= r1 only (r0 the largest U - s over the zero beta_s, else 0; r1
+    the smallest s over the zero alpha_s, else h), and the result is zero
+    when r0 > r1.  It runs on the grid of t, b and the order; z := t shifts
+    packed slice k by k times t's grid steps and turns it by t's unit**k, and
+    the masked sum is read once.
+
+    The base must have positive q-order, for every n and t.  A t of negative
+    q-order raises NegativeExponent for n >= 1, since H_n(t) then has
+    negative powers of q; H_0 = 1.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if b.exp <= 0:
+        raise ValueError("Pochhammer base must be a positive power of q")
+    if n and t.exp < 0:
+        raise NegativeExponent("H_%d(t) at t = %s has negative powers of q" % (n, t))
+    half, upper = n // 2, (n + 1) // 2
+    minus = Monomial(MINUS_ONE)
+
+    def power(k: int, x: Monomial = Monomial()) -> Monomial:  # x * b**k
+        return Monomial(x.unit * unit_pow(b.unit, k), x.exp + k * b.exp)
+
+    r0 = max((upper - s for s in range(upper) if power(2 * s, t) == minus), default=0)
+    r1 = min((s for s in range(half) if power(1 + 2 * s, minus) == t), default=half)
+    if r0 > r1:
+        return QSeries.zero(order)
+    den = _grid(order, t.exp, b.exp)
+    slices, wb, top = _nest(n, b, order, den, r0, r1)
+    w, step = 8 * wb, int(t.exp * den)
+    re = im = 0
+    for k, (xr, xi) in enumerate(slices):  # z := t
+        ur, ui = unit_pow(t.unit, k)
+        xr, xi = xr << w * k * step, xi << w * k * step
+        re, im = re + ur * xr - ui * xi, im + ui * xr + ur * xi
+    return _read((re, im), den, top, wb)
+
+
+def _nest(n: int, b: Monomial, order, den: int, r0: int, r1: int) -> tuple:
+    """(slices, wb, top): the terms r0 <= r <= r1 of rogers_szego_bw's Horner
+    nest, G_r0 = c_r0 * z**r0 A_r0 to B_{U-r1} * G_r1, on grid `den`, which
+    must hold b and the order (top on that grid); for r < r0 only z**r A_r is
+    built.
+
+    Slice k, of z**k, is a pair of ints (re, im), its top + 1 coefficients
+    packed as by the convolution kernel (qrr._kernel_py._pack) at wb bytes
+    per digit for every slice: each z-binomial step is a shift and a sign
+    change or a swap of re and im, each c_r * z**r A_r one int multiply per
+    part with c_r packed once, and every slice is masked to its top + 1
+    digits, which changes it by a multiple of 2**(w*(top + 1)) that no later
+    shift, product or sum brings below that digit.  wb holds 2**n in a signed
+    digit: the terms have nonnegative coefficients in z and b that sum to at
+    most sum_r C(h, r) * 2**U = 2**n, each at its own power of q (b has
+    positive q-order), so every real and imaginary coefficient of the sum, and
+    of its value at a monomial z := t, is at most 2**n in size; intermediate
+    digits need no bound, since only the result's are read."""
     half, upper = n // 2, (n + 1) // 2
     coeffs = gaussian_binomial_row(half, Monomial(unit_pow(b.unit, 2), 2 * b.exp), order)
-    # with no factor b**(2r-1) (n <= 1) the result lives on the grid of b**2
-    den = _grid(order, b.exp if half else 2 * b.exp)
     top = _as_order(order, den)
     step = int(b.exp * den)
     wb = _width(1 << n, 1, 1)
@@ -111,76 +164,35 @@ def rogers_szego_bw(n: int, b: Monomial, order) -> ZSeries:
             re, im = (-im, re) if ui > 0 else (im, -re)
         elif ur < 0:
             re, im = -re, -im
-        return re & mask, im & mask
+        return re, im  # masked by the add it feeds
 
-    def unpacked(re: int, im: int) -> QSeries:
-        # read signed, a slice's size bounds its last nonzero digit
-        re, im = (x - (mask + 1) if x >> w * (top + 1) - 1 else x for x in (re, im))
-        digits = min(top + 1, max(abs(re), abs(im)).bit_length() // w + 1)
-        return QSeries._of(den, top, 0, _unpack(re, wb, digits), _unpack(im, wb, digits) if im else None)
-
-    # each c_r is real, since the unit of b**2 is +-1; c_r = c_{h-r}
-    packed = [_pack(s.re, wb) << w * s.val for s in (c.rescale(den) for c in coeffs[: half // 2 + 1])]
-    packed += packed[: half + 1 - len(packed)][::-1]
-    za = [(1, 0)]  # z**r A_r: its slices z**r .. z**(2r)
-    acc = [(packed[0], 0)]  # G_r: its slices z**0 .. z**(2r)
-    for r in range(1, half + 1):
-        za = [add(x, power(y, 2 * r - 1)) for x, y in zip([zero] + za, za + [zero])]
-        acc = [add(x, power(y, 2 * (upper - r))) for x, y in zip(acc + [zero, zero], [zero] + acc + [zero])]
-        for k, (xr, xi) in enumerate(za, r):
-            acc[k] = add(acc[k], (xr * packed[r], xi * packed[r]))
-    if upper > half:  # B_1 = 1 + z
-        acc = [add(x, y) for x, y in zip(acc + [zero], [zero] + acc)]
-    return ZSeries._fitted({k: unpacked(*x) for k, x in enumerate(acc)}, den, top)
-
-
-def rs_at(n: int, t: Monomial, b: Monomial, order) -> QSeries:
-    """H_n(t; b) with t a monomial: rogers_szego_bw's nest with z := t
-    substituted first, so each factor alpha_s = t + b**(1+2s) or beta_s =
-    1 + t*b**(2s) is one O(order) update, and each kept term one `mul` by c_r.
-
-    A zero beta_s removes every term with r < U - s, a zero alpha_s every
-    term with r > s.  So the nest runs over r0 <= r <= r1 only (r0 the
-    largest U - s over the zero beta_s, else 0; r1 the smallest s over the
-    zero alpha_s, else h), from G_r0 = c_r0 * t**r0 A_r0 to
-    H_n = B_{U-r1} * G_r1, and the result is zero when r0 > r1.
-    """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    half, upper = n // 2, (n + 1) // 2
-    one, minus = Monomial(), Monomial(MINUS_ONE)
-
-    def power(k: int, x: Monomial = one) -> Monomial:  # x * b**k
-        return Monomial(x.unit * unit_pow(b.unit, k), x.exp + k * b.exp)
-
-    r0 = max((upper - s for s in range(upper) if power(2 * s, t) == minus), default=0)
-    r1 = min((s for s in range(half) if power(1 + 2 * s, minus) == t), default=half)
-    if r0 > r1:
-        return QSeries.zero(order)
-    coeffs = gaussian_binomial_row(half, power(2), order)
-    ta = QSeries.one(order).rescale(_grid(order, t.exp, b.exp))  # t**r A_r, on every factor's grid
+    # each c_r is real, since the unit of b**2 is +-1; c_r = c_{h-r}, and
+    # each one a kept term needs is packed once
+    used = {min(r, half - r) for r in range(r0, r1 + 1)}
+    packed = {k: _pack(c.re, wb) << w * c.val for k, c in ((k, coeffs[k].rescale(den)) for k in used)}
+    za = []  # z**r A_r: its slices z**r .. z**(2r)
+    acc = [zero] * (2 * r0 + 1)  # G_r: its slices z**0 .. z**(2r)
     for r in range(r1 + 1):
-        if r:
-            ta = _times_sum(ta, Monomial(t.unit * t.unit, 2 * t.exp), power(2 * r - 1, t))
-        if r == r0:
-            acc = ta.mul(coeffs[r])
-        elif r > r0:
-            acc = _times_sum(acc, one, power(2 * (upper - r), t)) + ta.mul(coeffs[r])
+        za = [add(x, power(y, 2 * r - 1)) for x, y in zip([zero] + za, za + [zero])] if r else [(1, 0)]
+        if r > r0:
+            acc = [add(x, power(y, 2 * (upper - r))) for x, y in zip(acc + [zero, zero], [zero] + acc + [zero])]
+        if r >= r0:
+            c = packed[min(r, half - r)]
+            for k, (xr, xi) in enumerate(za, r):
+                acc[k] = add(acc[k], (xr * c, xi * c))
     for s in range(upper - r1):  # B_{U-r1}
-        acc = _times_sum(acc, one, power(2 * s, t))
-    return acc
+        acc = [add(x, power(y, 2 * s)) for x, y in zip(acc + [zero], [zero] + acc)]
+    return acc, wb, top
 
 
-def _times_sum(s: QSeries, x: Monomial, y: Monomial) -> QSeries:
-    """s * (x + y): with x the lower power, x + y = x * (1 - (-y/x) q**(y.exp - x.exp)),
-    a shift, a scale and one `_mul_b` on the grid of s, which must hold y.exp - x.exp."""
-    if y.exp < x.exp:
-        x, y = y, x
-    s = s.shift(x.exp).scale(x.unit)
-    k = (y.exp - x.exp) * s.den
-    if k.denominator != 1:
-        raise ValueError("q^%s is off the grid of q^(1/%d)" % (y.exp - x.exp, s.den))
-    return _mul_b(s, -(y.unit * x.unit.conj()), int(k))
+def _read(x: tuple, den: int, top: int, wb: int) -> QSeries:
+    """The series of a pair (re, im) of ints packed as by `_nest`, read
+    modulo 2**(w*(top + 1)) as signed, so that only the digits through the
+    last nonzero one, which the pair's size bounds, are unpacked."""
+    w, half = 8 * wb, 1 << 8 * wb * (top + 1) - 1
+    re, im = (((v + half) & (2 * half - 1)) - half for v in x)
+    digits = min(top + 1, max(abs(re), abs(im)).bit_length() // w + 1)
+    return QSeries._of(den, top, 0, _unpack(re, wb, digits), _unpack(im, wb, digits) if im else None)
 
 
 class JtpReport(NamedTuple):
@@ -195,11 +207,8 @@ def jtp_check(order) -> JtpReport:
     order = Fraction(order)
     q = qmono(1)
     half = Monomial(MINUS_ONE, Fraction(1, 2))
-    lhs = (
-        euler_z_product(half, q, order)
-        * euler_z_product(half, q, order).reflect()
-        * ZSeries.embed(poch_infinite(q, q, order))
-    )
+    euler = euler_z_product(half, q, order)
+    lhs = euler * euler.reflect() * ZSeries.embed(poch_infinite(q, q, order))
     # n^2/2 = binom(n,2) + n/2
     rhs = theta_z(1, Fraction(1, 2), MINUS_ONE, 1, order)
     d = lhs.first_difference(rhs, order)

@@ -25,12 +25,12 @@ slices, each output slice is the sum of its pairs' bignum products, each
 operand masked to the digits its pair can reach under the order and shifted
 by the pair's valuation, and it is unpacked once.  A z-binomial such as
 (z + c) is never an operand: it is a z-shift plus a scaled copy.  The one
-z-window product outside this path is the Horner nest of
-qrr.special.rogers_szego_bw: it builds no ZSeries until its result, and
-keeps its slices packed (qrr._kernel_py._pack) from start to end.  Packing a
-whole window into one int (two-level Kronecker substitution) was measured and
-rejected: CPython multiplies multi-megabit ints by Karatsuba, so it ran
-several times slower.
+z-window product outside this path is the Horner nest of qrr.special
+(`_nest`), which serves rogers_szego_bw and rs_at alike: it builds no
+ZSeries, and keeps its slices packed (qrr._kernel_py._pack) from start to
+end.  Packing a whole window into one int (two-level Kronecker substitution)
+was measured and rejected: CPython multiplies multi-megabit ints by
+Karatsuba, so it ran several times slower.
 """
 
 from __future__ import annotations

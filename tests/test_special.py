@@ -5,17 +5,16 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from qrr import _kernel_py, corpus, zseries
+from qrr import _kernel_py, corpus, special, zseries
 from qrr.errors import NegativeExponent, NotPositiveDefinite
 from qrr.identity import ExponentPoly, IdentitySpec, eval_product
 from qrr.oracle import unpruned_sum
 from qrr.quadform import index_bounds
 from qrr.gaussian import I, MINUS_ONE, ONE, UNITS, GaussianInt, unit_pow
-from qrr.series import Monomial, QSeries, inv_poch_table, poch_finite, poch_infinite, qmono
+from qrr.series import Monomial, QSeries, _grid, inv_poch_table, poch_finite, poch_infinite, qmono
 from qrr.special import (
     JtpReport,
     NahmData,
-    _times_sum,
     gaussian_binomial,
     gaussian_binomial_row,
     jtp_check,
@@ -92,18 +91,21 @@ def _q_pascal_rows(b, order):
 @pytest.mark.parametrize("exp", [0, -1])
 def test_gaussian_binomial_rows_need_a_base_of_positive_order(unit, exp):
     # at q^0 a walk would divide by nothing, and q^-1 has negative powers;
-    # a single binomial fails alike for every k, and the packed nest before
-    # it packs anything
+    # a single binomial fails alike for every k, the packed nest before it
+    # packs anything, and rs_at before its zero factors prune every term
+    # (t = -1 prunes all of H_1 and H_3)
     b = Monomial(unit, F(exp))
+    builds = [lambda n=n, t=t: rs_at(n, t, b, 10) for n in range(4) for t in (MINUS_ONE_T, qmono(1))]
     for n in (0, 3):
-        for build in (
-            lambda: gaussian_binomial_row(n, b, 10),
-            lambda: rogers_szego_def(n, b, 10),
-            lambda: rogers_szego_bw(n, b, 10),
-            *(lambda k=k: gaussian_binomial(n, k, b, 10) for k in {0, 1, n}),
-        ):
-            with pytest.raises(ValueError, match="Pochhammer base must be a positive power of q"):
-                build()
+        builds += [
+            lambda n=n: gaussian_binomial_row(n, b, 10),
+            lambda n=n: rogers_szego_def(n, b, 10),
+            lambda n=n: rogers_szego_bw(n, b, 10),
+            *(lambda n=n, k=k: gaussian_binomial(n, k, b, 10) for k in {0, 1, n}),
+        ]
+    for build in builds:
+        with pytest.raises(ValueError, match="Pochhammer base must be a positive power of q"):
+            build()
 
 
 def test_gaussian_binomial_is_a_polynomial_in_the_base():
@@ -191,25 +193,27 @@ def _times_sum_reference(s, x, y):
 
 def _rs_at_per_term(n, t, b, order):
     """rs_at term by term, each r-term's factors applied in turn and a term
-    that reaches zero skipped (the unnested reference)."""
+    with a zero factor skipped (the unnested reference).  The sum lives on the
+    grid that holds t, b and the order; with every term skipped it is the
+    zero of the order's grid."""
     u = b.unit
     half, upper = n // 2, (n + 1) // 2
     binomials = gaussian_binomial_row(half, Monomial(unit_pow(u, 2), 2 * b.exp), order)
-    acc = QSeries.zero(order)
+    acc, kept = QSeries.zero(order).rescale(_grid(order, t.exp, b.exp)), False
     for r in range(half + 1):
-        part = QSeries.one(order).shift(r * t.exp).scale(unit_pow(t.unit, r))
         factors = [(t, Monomial(unit_pow(u, 1 + 2 * s), (1 + 2 * s) * b.exp)) for s in range(r)]
         factors += [
             (Monomial(), Monomial(t.unit * unit_pow(u, 2 * s), t.exp + 2 * s * b.exp))
             for s in range(upper - r)
         ]
+        if any(x == Monomial(-y.unit, y.exp) for x, y in factors):
+            continue
+        kept = True
+        part = QSeries.one(order).shift(r * t.exp).scale(unit_pow(t.unit, r))
         for x, y in factors:
             part = _times_sum_reference(part, x, y)
-            if part.is_zero():
-                break
-        else:
-            acc = acc + part.mul(binomials[r])
-    return acc
+        acc = acc + part.mul(binomials[r])
+    return acc if kept else QSeries.zero(order)
 
 
 units = st.sampled_from(UNITS)
@@ -242,26 +246,31 @@ def test_packed_bw_equals_the_sum_at_wide_digits(unit, exp):
 
 
 def test_packed_bw_forms_no_z_product_and_calls_no_kernel(monkeypatch):
+    # rs_at too, at a point with no zero factor and at two that prune terms
     q = qmono(1)
     expected = rogers_szego_def(12, q, 60)
+    points = [Monomial(I, F(1, 2)), MINUS_ONE_T, Monomial(MINUS_ONE, F(5))]
+    expected_at = [_rs_at_per_term(12, t, q, 60) for t in points]
 
     def fail(*args):
-        raise AssertionError("the packed nest reached a z-product or the kernel")
+        raise AssertionError("the packed nest reached a product or the kernel")
 
     monkeypatch.setattr(zseries, "_product", fail)
     monkeypatch.setattr(_kernel_py, "conv_rows", fail)
+    monkeypatch.setattr(QSeries, "mul", fail)
     assert rogers_szego_bw(12, q, 60) == expected
+    assert [rs_at(12, t, q, 60) for t in points] == expected_at
 
 
 @st.composite
 def rs_points(draw):
-    """(n, t, b): t any unit times any power of q, or t = -1, or t = -b^(1+2s),
-    the last two zeros of a factor."""
+    """(n, t, b): t any unit times any power of q, negative ones included, or
+    t = -1, or t = -b^(1+2s), the last two zeros of a factor."""
     n = draw(st.integers(0, 16))
     b = draw(bases)
     kind = draw(st.sampled_from(["any", "minus_one", "alpha_zero"]))
     if kind == "any":
-        t = Monomial(draw(units), draw(fractions))
+        t = Monomial(draw(units), draw(st.builds(F, st.integers(-12, 12), st.integers(1, 4))))
     elif kind == "minus_one":
         t = MINUS_ONE_T
     else:
@@ -273,39 +282,48 @@ def rs_points(draw):
 @settings(max_examples=300, deadline=None)
 @given(rs_points(), orders)
 def test_nested_rs_at_equals_the_per_term_sum(point, order):
+    # the same grid and order too: that of t, b and the order, or the
+    # order's own when zero factors remove every term
     n, t, b = point
-    assert rs_at(n, t, b, order) == _rs_at_per_term(n, t, b, order)
+    if n and t.exp < 0:
+        with pytest.raises(NegativeExponent):
+            rs_at(n, t, b, order)
+        return
+    at, reference = rs_at(n, t, b, order), _rs_at_per_term(n, t, b, order)
+    assert at == reference
+    assert (at.den, at.order) == (reference.den, reference.order)
 
 
 def test_rs_at_multiplies_only_the_terms_no_zero_factor_removes(monkeypatch):
-    # one mul by c_r per kept term r0 <= r <= r1; t = -1 makes beta_0 zero,
-    # which keeps only r = U, and none when U > h (odd n)
+    # the nest runs over the kept terms r0 <= r <= r1 alone; t = -1 makes
+    # beta_0 zero, which keeps only r = U, and none when U > h (odd n)
     q = qmono(1)
-    mul = QSeries.mul
+    nest = special._nest
     for n, t, kept in [
-        (12, Monomial(I, F(1, 2)), 7),  # no zero factor: r = 0..6
-        (12, MINUS_ONE_T, 1),
-        (13, MINUS_ONE_T, 0),
-        (12, Monomial(MINUS_ONE, F(5)), 3),  # alpha_2 = 0: r = 0..2
+        (12, Monomial(I, F(1, 2)), [(0, 6)]),  # no zero factor
+        (12, MINUS_ONE_T, [(6, 6)]),
+        (13, MINUS_ONE_T, []),
+        (12, Monomial(MINUS_ONE, F(5)), [(0, 2)]),  # alpha_2 = 0
     ]:
         expected = _rs_at_per_term(n, t, q, 60)
         calls = []
-        monkeypatch.setattr(QSeries, "mul", lambda a, c: calls.append(c) or mul(a, c))
+
+        def spy(n, b, order, den, r0, r1):
+            calls.append((r0, r1))
+            return nest(n, b, order, den, r0, r1)
+
+        monkeypatch.setattr(special, "_nest", spy)
         assert rs_at(n, t, q, 60) == expected, (n, t)
-        monkeypatch.setattr(QSeries, "mul", mul)
-        assert len(calls) == kept, (n, t)
+        monkeypatch.setattr(special, "_nest", nest)
+        assert calls == kept, (n, t)
 
 
 def test_rs_at_shifts_stay_checked():
-    # t = q^-1: the factor t**2 + b of A_1 shifts 1 by -2, below q^0
-    with pytest.raises(NegativeExponent, match=r"^q\^0 after shift by -2$"):
-        rs_at(3, Monomial(ONE, F(-1)), qmono(1), 5)
-
-
-def test_times_sum_rejects_a_step_off_the_grid():
-    # 1 + q^(1/2) on the integer grid: an engine fault, not a truncated step
-    with pytest.raises(ValueError, match="off the grid"):
-        _times_sum(QSeries.one(5), Monomial(), qmono(F(1, 2)))
+    # t = q^-1: H_n(t) has negative powers of q for every n >= 1, and H_0 = 1
+    for n in (1, 3):
+        with pytest.raises(NegativeExponent, match=r"^H_%d\(t\) at t = q\^-1 has negative powers of q$" % n):
+            rs_at(n, Monomial(ONE, F(-1)), qmono(1), 5)
+    assert rs_at(0, Monomial(ONE, F(-1)), qmono(1), 5) == QSeries.one(5)
 
 
 @st.composite
