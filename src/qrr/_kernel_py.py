@@ -10,11 +10,15 @@ Inputs are plain lists of Python ints of any size, and outputs are exact.
 
 `conv_rows` is the one entry point.  It multiplies two windows of lists (the
 z-slices of two z-series; a single product is a window of one list on each
-side) and sums the products of given pairs into each output row: each list
-is packed once per digit width, and every row is one accumulated bignum,
-unpacked once.  Real and complex lists mix freely; a complex list times a
-complex list takes three real products (Karatsuba) when all four packed parts
-are nonzero, and two when one is zero (a purely imaginary slice, say).
+side) and sums the products of given pairs into each output row: packs are
+keyed by list identity, so each list is packed once per digit width even
+when both windows hold it, and every row is one accumulated bignum, unpacked
+once.  When a list occurs more than once among the two windows, rows made of
+the same unordered list pairs at the same reaches and shifts are formed once
+and share one result (the mirrored rows of E(z)*E(1/z), say).  Real and
+complex lists mix freely; a complex list times a complex list takes three
+real products (Karatsuba) when all four packed parts are nonzero, and two
+when one is zero (a purely imaginary slice, say).
 """
 
 from itertools import accumulate
@@ -70,38 +74,54 @@ def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
     or with a list that is empty or zero through n digits, adds nothing.  Each
     row's digit width holds its largest |a|*|b| over the digits the pairs
     reach, times the number of products that land in one digit, doubled when
-    a complex list meets a complex list.  A list is packed once per width, as
-    far as the pairs of that width reach, at the first row that reads it, and
-    dropped after the last such row, as is each row's plan; each operand
-    longer than its pair's reach is masked to n digits: that changes it by a
-    multiple of 2**(w*n), which moves only digits at or past the row's last.
+    a complex list meets a complex list.  A list is keyed by the identity of
+    its (v, re, im) tuple, so one tuple on both sides is one list: it is
+    packed once per width, as far as the pairs of that width reach, at the
+    first row that reads it, and dropped after the last such row, as is each
+    row's plan; each operand longer than its pair's reach is masked to n
+    digits: that changes it by a multiple of 2**(w*n), which moves only
+    digits at or past the row's last.
+
+    When some list occurs more than once among the two windows and there is
+    more than one row, two rows with the same multiset of (unordered list
+    pair, position v_a + v_b) are equal: in one call the position fixes each
+    pair's reach, and so the row's base, length and width, and x*y = y*x
+    exactly.  The later row is the earlier one's result object, formed and
+    unpacked once (the rows z**k and z**-k of E(z)*E(1/z), say).  Lists are
+    never changed while a window holds them.
     """
     plan, reach = _plan_rows(a, b, rows, top, g)
-    last = {}  # (side, index, width) -> the last plan row that reads its pack
+    shared = len(plan) > 1 and len({*map(id, a.values()), *map(id, b.values())}) < len(a) + len(b)
+    repeats = _repeats(plan) if shared else {}
+    last = {}  # (list id, width) -> the last plan row that packs it
     for r, (_, _, _, wb, _, live) in enumerate(plan):
-        for i, j, _, _, _, _ in live:
-            last[0, i, wb] = last[1, j, wb] = r
+        if r not in repeats:
+            for x, y, _, _, _, _ in live:
+                last[id(x), wb] = last[id(y), wb] = r
     done = {}  # plan row -> the packs no later row reads
     for key, r in last.items():
         done.setdefault(r, []).append(key)
     packs = {}
 
-    def pack(side, x, wb):
-        p = packs.get((side, x, wb))
+    def pack(x, wb):
+        p = packs.get((id(x), wb))
         if p is None:
-            n = reach[side, x, wb]
-            _, re, im = (b if side else a)[x]
-            p = packs[side, x, wb] = (n, _pack(re[:n], wb), None if im is None else _pack(im[:n], wb))
+            n = reach[id(x), wb]
+            _, re, im = x
+            p = packs[id(x), wb] = (n, _pack(re[:n], wb), None if im is None else _pack(im[:n], wb))
         return p
 
     out = {}
     for r in range(len(plan)):
         k, base, nout, wb, complex_row, live = plan[r]
         plan[r] = None  # the row's pair records are not read again
+        if r in repeats:
+            out[k] = out[repeats[r]]
+            continue
         rr = ii = 0
-        for i, j, v, n, _, _ in live:
-            xr, xi = _reach(pack(0, i, wb), wb, n)
-            yr, yi = _reach(pack(1, j, wb), wb, n)
+        for x, y, v, n, _, _ in live:
+            xr, xi = _reach(pack(x, wb), wb, n)
+            yr, yi = _reach(pack(y, wb), wb, n)
             s = 8 * wb * ((v - base) // g)
             if xi is not None and yi is not None:
                 if xr and xi and yr and yi:  # three products
@@ -124,7 +144,20 @@ def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
     return out
 
 
-def _peak(cache: dict, key: tuple, re: list, im, n: int) -> int:
+def _repeats(plan: list) -> dict:
+    """{r: k} for each plan row r with the same multiset of (unordered list
+    pair, position) as an earlier row k."""
+    first = {}
+    repeats = {}
+    for r, (k, _, _, _, _, live) in enumerate(plan):
+        pairs = sorted((*sorted((id(x), id(y))), v) for x, y, v, _, _, _ in live)
+        k0 = first.setdefault(tuple(pairs), k)
+        if k0 != k:
+            repeats[r] = k0
+    return repeats
+
+
+def _peak(cache: dict, key: int, re: list, im, n: int) -> int:
     """The largest |re[t]| or |im[t]| over t < n, for 0 < n <= len(re) (an im
     of None is zero).  A whole list takes one max/min pass, a list cut shorter
     its running maxima; either is built once per key and kept in `cache`."""
@@ -143,40 +176,41 @@ def _peak(cache: dict, key: tuple, re: list, im, n: int) -> int:
 
 def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
     """conv_rows' plan: for each row with a position <= top, (k, base
-    position, digits out, width, complex?, [(i, j, v_a + v_b, n, digits of
-    a[i] used, digits of b[j] used)]); and the digits to pack for each
-    (side, index, width).  The peaks are dropped on return."""
-    peaks = {}  # ((side, index), whole?) -> _peak's maximum or running maxima
+    position, digits out, width, complex?, [(a[i], b[j], v_a + v_b, n, digits
+    of a[i] used, digits of b[j] used)]); and the digits to pack for each
+    (list id, width).  The peaks are dropped on return."""
+    peaks = {}  # (list id, whole?) -> _peak's maximum or running maxima
     plan = []
-    reach = {}  # (side, index, width) -> digits to pack
+    reach = {}  # (list id, width) -> digits to pack
     for k, pairs in rows.items():
         live = []
         big = count = 0
         doubled = complex_row = False
         for i, j in pairs:
-            va, ar, ai = a[i]
-            vb, br, bi = b[j]
+            x, y = a[i], b[j]
+            va, ar, ai = x
+            vb, br, bi = y
             n = (top - va - vb) // g + 1
             la, lb = min(len(ar), n), min(len(br), n)
             if la <= 0 or lb <= 0:
                 continue
-            m = _peak(peaks, (0, i), ar, ai, la) * _peak(peaks, (1, j), br, bi, lb)
+            m = _peak(peaks, id(x), ar, ai, la) * _peak(peaks, id(y), br, bi, lb)
             if not m:  # a list that is zero as far as the pair reaches
                 continue
             big = max(big, m)
             count += min(la, lb)
             doubled = doubled or (ai is not None and bi is not None)
             complex_row = complex_row or ai is not None or bi is not None
-            live.append((i, j, va + vb, n, la, lb))
+            live.append((x, y, va + vb, n, la, lb))
         if not live:
             continue
         base = min(p[2] for p in live)
         # the row ends at `top` or where its longest product ends
         nout = min((top - base) // g + 1, max((p[2] - base) // g + p[4] + p[5] - 1 for p in live))
         wb = _width(2 * big if doubled else big, 1, count)
-        for i, j, _, _, la, lb in live:
-            reach[0, i, wb] = max(reach.get((0, i, wb), 0), la)
-            reach[1, j, wb] = max(reach.get((1, j, wb), 0), lb)
+        for x, y, _, _, la, lb in live:
+            reach[id(x), wb] = max(reach.get((id(x), wb), 0), la)
+            reach[id(y), wb] = max(reach.get((id(y), wb), 0), lb)
         plan.append((k, base, nout, wb, complex_row, live))
     return plan, reach
 

@@ -21,6 +21,11 @@ cao_wang_1_2_3 at LARGE_VERIFY_ORDER.
 
 `python -m qrr.bench --json PATH` also writes the same rows to PATH as
 {section: {row: seconds}}.
+
+Every z-product row also checks the status of its result, outside the timed
+calls: each replay row that its chain passes (`chain_passes`) and each
+`jtp_check` row that the check is ok.  A failing row is still timed and
+written; the bench then names the failing rows on stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -31,10 +36,11 @@ import random
 import sys
 import time
 from fractions import Fraction
+from operator import attrgetter
 
 from . import _kernel_py, corpus
 from .identity import eval_product, eval_sum, verify
-from .replay import REPLAYS
+from .replay import REPLAYS, chain_passes
 from .gaussian import MINUS_ONE
 from .series import Monomial, qmono
 from .special import jtp_check, rogers_szego_bw, rogers_szego_def, rs_at
@@ -57,13 +63,28 @@ LARGE_JTP_ORDER = Fraction(1200)
 LARGE_VERIFY_ORDER = Fraction(1000)
 
 
-def _time(fn, repeats: int) -> float:
+def _timed(fn, repeats: int) -> tuple:
+    """(the best time of `repeats` calls of fn, the last call's result)."""
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        fn()
+        result = fn()
         best = min(best, time.perf_counter() - t0)
-    return best
+    return best, result
+
+
+def _time(fn, repeats: int) -> float:
+    return _timed(fn, repeats)[0]
+
+
+def _checked(section: dict, label: str, fn, repeats: int, passes, failed: list) -> float:
+    """Time fn as row `label` of section; the label joins `failed` unless
+    passes(the last call's result), which is checked outside the timed calls."""
+    t, result = _timed(fn, repeats)
+    section[label] = t
+    if not passes(result):
+        failed.append(label)
+    return t
 
 
 def _pair(x, y, n):
@@ -124,7 +145,7 @@ def bench_updates(out, rows):
         out("%-28s  %6s  %10.3f" % (label, order, t))
 
 
-def bench_zseries(out, rows):
+def bench_zseries(out, rows, failed):
     out("")
     out(
         "z-products: replay chains at order %s, jtp_check at order %s (best of 3, seconds)"
@@ -132,9 +153,10 @@ def bench_zseries(out, rows):
     )
     section = rows["zseries"] = {}
     for theorem, chain in sorted(REPLAYS.items()):
-        t = section["replay %s @%s" % (theorem, REPLAY_ORDER)] = _time(lambda: chain(REPLAY_ORDER), 3)
+        label = "replay %s @%s" % (theorem, REPLAY_ORDER)
+        t = _checked(section, label, lambda: chain(REPLAY_ORDER), 3, chain_passes, failed)
         out("replay %-11s  %10.3f" % (theorem, t))
-    t = section["jtp_check @%s" % JTP_ORDER] = _time(lambda: jtp_check(JTP_ORDER), 3)
+    t = _checked(section, "jtp_check @%s" % JTP_ORDER, lambda: jtp_check(JTP_ORDER), 3, attrgetter("ok"), failed)
     out("jtp_check %8s  %10.3f" % (JTP_ORDER, t))
 
 
@@ -146,22 +168,26 @@ def bench_setup(out, rows):
     out("%10.3f" % t)
 
 
-def bench_large(out, rows):
+def bench_large(out, rows, failed):
     spec = corpus.load("cao_wang_1_2_3")
     out("")
     out("the sizes that cost (best of 1, seconds)")
     section = rows["large"] = {}
-    for label, fn in (
-        ("replay 1.5 @%s" % LARGE_REPLAY_ORDER, lambda: REPLAYS["1.5"](LARGE_REPLAY_ORDER)),
-        ("replay 1.8 @%s" % LARGE_REPLAY_ORDER, lambda: REPLAYS["1.8"](LARGE_REPLAY_ORDER)),
-        ("jtp_check @%s" % LARGE_JTP_ORDER, lambda: jtp_check(LARGE_JTP_ORDER)),
-        ("verify %s @%s" % (spec.name, LARGE_VERIFY_ORDER), lambda: verify(spec, LARGE_VERIFY_ORDER)),
+    for label, fn, passes in (
+        ("replay 1.5 @%s" % LARGE_REPLAY_ORDER, lambda: REPLAYS["1.5"](LARGE_REPLAY_ORDER), chain_passes),
+        ("replay 1.8 @%s" % LARGE_REPLAY_ORDER, lambda: REPLAYS["1.8"](LARGE_REPLAY_ORDER), chain_passes),
+        ("jtp_check @%s" % LARGE_JTP_ORDER, lambda: jtp_check(LARGE_JTP_ORDER), attrgetter("ok")),
     ):
-        t = section[label] = _time(fn, 1)
+        t = _checked(section, label, fn, 1, passes, failed)
         out("%-28s  %10.3f" % (label, t))
+    label = "verify %s @%s" % (spec.name, LARGE_VERIFY_ORDER)
+    t = section[label] = _time(lambda: verify(spec, LARGE_VERIFY_ORDER), 1)
+    out("%-28s  %10.3f" % (label, t))
 
 
-def main(argv=(), out=print):
+def main(argv=(), out=print) -> int:
+    """Run every section; 1 when a z-product row's result fails its status
+    check (the rows are written all the same), else 0."""
     parser = argparse.ArgumentParser(
         prog="python -m qrr.bench",
         description="Time the kernel, sum side, verify, updates, z-products, corpus loading and the sizes that cost.",
@@ -169,18 +195,22 @@ def main(argv=(), out=print):
     parser.add_argument("--json", metavar="PATH", help="also write the rows as {section: {row: seconds}}")
     args = parser.parse_args(argv)
     rows = {}
+    failed = []
     bench_kernels(out, rows)
     bench_sum(out, rows)
     bench_verify(out, rows)
     bench_updates(out, rows)
-    bench_zseries(out, rows)
+    bench_zseries(out, rows, failed)
     bench_setup(out, rows)
-    bench_large(out, rows)
+    bench_large(out, rows, failed)
     if args.json:
         with open(args.json, "w") as f:
             json.dump(rows, f, indent=1)
             f.write("\n")
+    for label in failed:
+        print("python -m qrr.bench: wrong result in row %r" % label, file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    sys.exit(main(sys.argv[1:]))

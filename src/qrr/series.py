@@ -460,26 +460,33 @@ def _rows(a: dict, b: dict, rows: dict, den: int, top: int) -> dict:
     (qrr._kernel_py.conv_rows), on every g-th entry for the g that divides
     each used series' offsets of nonzero coefficients from its valuation and
     the differences of the pairs' valuations within each row; each row is
-    spread back onto the grid."""
+    spread back onto the grid.  A series on both sides, or at several keys,
+    is handed to the kernel as one strided list, so it is packed once and
+    rows that the kernel forms once become one shared series."""
     g = 0
     for pairs in rows.values():
         v0 = a[pairs[0][0]].val + b[pairs[0][1]].val
         for i, j in pairs:
             g = gcd(g, a[i].val + b[j].val - v0)
-    used_a = {i: a[i] for pairs in rows.values() for i, _ in pairs}
-    used_b = {j: b[j] for pairs in rows.values() for _, j in pairs}
-    for s in (*used_a.values(), *used_b.values()):
+    used = {id(s): s for pairs in rows.values() for i, j in pairs for s in (a[i], b[j])}
+    for s in used.values():
         g = _stride(g, s.re, s.im, len(s.re))
     g = g or 1
-
-    def strided(used):
-        return {x: (s.val, s.re[::g], None if s.im is None else s.im[::g]) for x, s in used.items()}
-
-    packed = _kernel_py.conv_rows(strided(used_a), strided(used_b), rows, top, g)
-    return {
-        k: QSeries._of(den, top, v, _spread(re, g), None if im is None else _spread(im, g))
-        for k, (v, re, im) in packed.items()
-    }
+    # one strided (val, re, im) per series, whichever side and key holds it
+    views = {x: (s.val, s.re[::g], None if s.im is None else s.im[::g]) for x, s in used.items()}
+    packed = _kernel_py.conv_rows(
+        {i: views[id(a[i])] for pairs in rows.values() for i, _ in pairs},
+        {j: views[id(b[j])] for pairs in rows.values() for _, j in pairs},
+        rows,
+        top,
+        g,
+    )
+    made = {}  # id(kernel row) -> its series: rows the kernel shares stay shared
+    for row in packed.values():
+        if id(row) not in made:
+            v, re, im = row
+            made[id(row)] = QSeries._of(den, top, v, _spread(re, g), None if im is None else _spread(im, g))
+    return {k: made[id(row)] for k, row in packed.items()}
 
 
 def _stride(g: int, re: list, im: Optional[list], n: int) -> int:

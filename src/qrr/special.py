@@ -45,15 +45,22 @@ def gaussian_binomial_row(n: int, b: Monomial, order) -> list:
     the mirror image [n k] = [n n-k]."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    row = _row_head(n, b, order, n // 2)
+    return row + row[: n + 1 - len(row)][::-1]
+
+
+def _row_head(n: int, b: Monomial, order, m: int) -> list:
+    """[[n 0], ..., [n m]] for m <= n/2: gaussian_binomial_row's walk, cut
+    after m steps (none for m = 0)."""
     if b.exp <= 0:
         raise ValueError("Pochhammer base must be a positive power of q")
     den = _grid(order, b.exp)
     step = int(b.exp * den)
     row = [QSeries.one(order).rescale(den)]
-    for k in range(1, n // 2 + 1):
+    for k in range(1, m + 1):
         top = _mul_b(row[-1], unit_pow(b.unit, n - k + 1), (n - k + 1) * step)
         row.append(_div_b(top, unit_pow(b.unit, k), k * step))
-    return row + row[: n + 1 - len(row)][::-1]
+    return row
 
 
 def rogers_szego_def(n: int, b: Monomial, order) -> ZSeries:
@@ -144,7 +151,10 @@ def _nest(n: int, b: Monomial, order, den: int, r0: int, r1: int) -> tuple:
     of its value at a monomial z := t, is at most 2**n in size; intermediate
     digits need no bound, since only the result's are read."""
     half, upper = n // 2, (n + 1) // 2
-    coeffs = gaussian_binomial_row(half, Monomial(unit_pow(b.unit, 2), 2 * b.exp), order)
+    # each c_r is real, since the unit of b**2 is +-1; c_r = c_{h-r}, and
+    # the walk stops at the last one a kept term needs
+    used = {min(r, half - r) for r in range(r0, r1 + 1)}
+    coeffs = _row_head(half, Monomial(unit_pow(b.unit, 2), 2 * b.exp), order, max(used))
     top = _as_order(order, den)
     step = int(b.exp * den)
     wb = _width(1 << n, 1, 1)
@@ -166,9 +176,7 @@ def _nest(n: int, b: Monomial, order, den: int, r0: int, r1: int) -> tuple:
             re, im = -re, -im
         return re, im  # masked by the add it feeds
 
-    # each c_r is real, since the unit of b**2 is +-1; c_r = c_{h-r}, and
-    # each one a kept term needs is packed once
-    used = {min(r, half - r) for r in range(r0, r1 + 1)}
+    # each c_r a kept term needs is packed once
     packed = {k: _pack(c.re, wb) << w * c.val for k, c in ((k, coeffs[k].rescale(den)) for k in used)}
     za = []  # z**r A_r: its slices z**r .. z**(2r)
     acc = [zero] * (2 * r0 + 1)  # G_r: its slices z**0 .. z**(2r)

@@ -23,8 +23,13 @@ one packed path (series._rows, then qrr._kernel_py.conv_rows), one row per
 output slice: every slice is packed into one int on the common stride of all
 slices, each output slice is the sum of its pairs' bignum products, each
 operand masked to the digits its pair can reach under the order and shifted
-by the pair's valuation, and it is unpacked once.  A z-binomial such as
-(z + c) is never an operand: it is a z-shift plus a scaled copy.  The one
+by the pair's valuation, and it is unpacked once.  A slice held on both
+sides or at several z-keys (a window times its reflection, say) is packed
+once, and output slices made of the same unordered slice pairs at the same
+reaches and shifts are formed once and share one series: the rows z**k and
+z**-k of E(z)*E(1/z) cost one.  That check is one set over the operands,
+made only for products of more than one row.  A z-binomial such as (z + c)
+is never an operand: it is a z-shift plus a scaled copy.  The one
 z-window product outside this path is the Horner nest of qrr.special
 (`_nest`), which serves rogers_szego_bw and rs_at alike: it builds no
 ZSeries, and keeps its slices packed (qrr._kernel_py._pack) from start to

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -41,11 +42,7 @@ def test_bench_runs_at_small_sizes(small):
     assert len(lines) == 35
 
 
-def test_bench_json_holds_the_printed_rows(small, tmp_path):
-    path = tmp_path / "bench.json"
-    lines = []
-    bench.main(["--json", str(path)], out=lines.append)
-    rows = json.loads(path.read_text())
+def _assert_every_row(rows):
     assert list(rows) == ["kernel", "sum", "verify", "updates", "zseries", "setup", "large"]
     assert list(rows["kernel"]) == ["conv_real 3", "conv_complex 3", "conv_real 8", "conv_complex 8"]
     assert list(rows["sum"]) == ["cao-wang-1-2-3 @5", "cao-wang-1-2-3 @7", "double-mod10-2-8 @6"]
@@ -58,9 +55,19 @@ def test_bench_json_holds_the_printed_rows(small, tmp_path):
         "rogers_szego_def 5 @7",
     ]
     assert list(rows["zseries"]) == ["replay %s @6" % t for t in ("1.5", "1.6", "1.7", "1.8")] + ["jtp_check @8"]
-    # every row is one printed figure, at the printed precision
     assert list(rows["setup"]) == ["corpus.load_all"]
     assert list(rows["large"]) == ["replay 1.5 @10", "replay 1.8 @10", "jtp_check @12", "verify cao-wang-1-2-3 @11"]
+    assert all(t >= 0 for section in rows.values() for t in section.values())
+
+
+def test_bench_json_holds_the_printed_rows(small, tmp_path, capsys):
+    path = tmp_path / "bench.json"
+    lines = []
+    assert bench.main(["--json", str(path)], out=lines.append) == 0
+    assert capsys.readouterr().err == ""
+    rows = json.loads(path.read_text())
+    _assert_every_row(rows)
+    # every row is one printed figure, at the printed precision
     assert "%10.3f" % rows["setup"]["corpus.load_all"] in lines[-7]
     assert "%10.3f" % rows["zseries"]["jtp_check @8"] in lines[-10]
     assert "%12.6f" % rows["kernel"]["conv_complex 8"] in lines[3]
@@ -69,4 +76,21 @@ def test_bench_json_holds_the_printed_rows(small, tmp_path):
     assert "%10.3f" % rows["updates"]["eval_product double-mod5-1-4 @9"] in lines[-18]
     assert "%10.3f" % rows["updates"]["rogers_szego_def 5 @7"] in lines[-17]
     assert "%10.3f" % rows["large"]["verify cao-wang-1-2-3 @11"] in lines[-1]
-    assert all(t >= 0 for section in rows.values() for t in section.values())
+
+
+def test_bench_names_failing_z_product_rows_and_exits_1(small, tmp_path, monkeypatch, capsys):
+    # a wrong status is found outside the timed calls: every row is still
+    # timed and written, and the failing ones are named on stderr
+    jtp = bench.jtp_check
+    chain = bench.REPLAYS["1.7"]
+    monkeypatch.setattr(bench, "jtp_check", lambda order: jtp(order)._replace(ok=False))
+    monkeypatch.setitem(bench.REPLAYS, "1.7", lambda order: [replace(s, status="fail") for s in chain(order)])
+    path = tmp_path / "bench.json"
+    lines = []
+    assert bench.main(["--json", str(path)], out=lines.append) == 1
+    _assert_every_row(json.loads(path.read_text()))
+    assert len(lines) == 35
+    assert capsys.readouterr().err.splitlines() == [
+        "python -m qrr.bench: wrong result in row %r" % label
+        for label in ("replay 1.7 @6", "jtp_check @8", "jtp_check @12")
+    ]

@@ -318,6 +318,26 @@ def test_rs_at_multiplies_only_the_terms_no_zero_factor_removes(monkeypatch):
         assert calls == kept, (n, t)
 
 
+def test_rs_at_minus_one_walks_no_binomial_row(monkeypatch):
+    # at t = -1 the one kept term reads c_0 = 1 alone, so the row of c_r is
+    # never walked; a term with r = 2 needs the walk through c_2 only
+    q2 = qmono(2)
+    calls = []
+    div_b = special._div_b
+
+    def spy(s, unit, k):
+        calls.append(k)
+        return div_b(s, unit, k)
+
+    wants = [rogers_szego_bw(n, q2, 61).specialize(MINUS_ONE_T) for n in range(12)]
+    monkeypatch.setattr(special, "_div_b", spy)
+    for n in range(12):
+        assert rs_at(n, MINUS_ONE_T, q2, 61) == wants[n], n
+    assert calls == []
+    rs_at(12, Monomial(MINUS_ONE, F(10)), q2, 61)  # alpha_2 = 0 keeps r <= 2
+    assert len(calls) == 2
+
+
 def test_rs_at_shifts_stay_checked():
     # t = q^-1: H_n(t) has negative powers of q for every n >= 1, and H_0 = 1
     for n in (1, 3):

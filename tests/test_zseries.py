@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from qrr import _kernel_py
 from qrr.errors import DivergentEmbedding, NegativeExponent
 from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, GaussianInt, binom2, i_pow, unit_pow
 from qrr.oracle import dense_mul
@@ -277,15 +278,21 @@ def _reference(a: ZSeries, b: ZSeries) -> dict:
     ZSeries({0: QSeries(1, 5, {0: (1, 0), 2: (5, 0)}), -1: QSeries(1, 5, {1: (0, 1), 3: (2, 0)})}),
 )
 def test_packed_product_matches_slice_by_slice_oracle(a, b):
-    want = _reference(a, b)
-    for got in (a * b, b * a):
-        _assert_fitted(got, [a, b])
+    _assert_product(a, b)
+
+
+def _assert_product(x, y):
+    """x * y and y * x slice by slice, and both constant terms, against
+    _reference."""
+    want = _reference(x, y)
+    for got in (x * y, y * x):
+        _assert_fitted(got, [x, y])
         assert set(got.coeff) == {k for k, s in want.items() if not s.is_zero()}
         for k, s in want.items():
             assert got.slice(k) == s, k
-    zero = want.get(0, QSeries.zero(min(a.order_q, b.order_q)).rescale(math.lcm(a.den, b.den)))
-    assert a.ct_mul(b) == zero
-    assert b.ct_mul(a) == zero
+    zero = want.get(0, QSeries.zero(min(x.order_q, y.order_q)).rescale(math.lcm(x.den, y.den)))
+    assert x.ct_mul(y) == zero
+    assert y.ct_mul(x) == zero
 
 
 @pytest.mark.parametrize(
@@ -332,3 +339,69 @@ def test_multi_term_windows_make_no_slice_multiply(monkeypatch):
         zero = want.get(0, QSeries.zero(min(x.order_q, y.order_q)).rescale(4))
         assert x * y == ZSeries(want)
         assert x.ct_mul(y) == zero
+
+
+# -- windows that hold one series at several places --------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(windows(), windows(), st.lists(st.integers(-4, 4), min_size=2, max_size=4, unique=True))
+@example(  # a purely imaginary slice and a complex one, each at two z-keys
+    ZSeries({0: QSeries(1, 6, {0: (0, 2), 3: (0, -1)}), 2: QSeries(1, 6, {1: (1, 1), 2: (0, 3)})}),
+    ZSeries({1: QSeries(1, 6, {0: (0, 1), 4: (2, 0)})}),
+    [-1, 1],
+)
+def test_products_of_shared_slices_match_the_oracle(a, b, keys):
+    # a and a.reflect() hold the same slice objects (real, complex or purely
+    # imaginary), and c holds one slice of a at every key: mirrored or
+    # repeated rows of these products are formed once, and each must still
+    # equal its own sum of products
+    s = a.slice(a.window[0])
+    c = ZSeries({k: s for k in keys})
+    for x, y in [(a, a), (a, a.reflect()), (c, c), (c, c.reflect()), (c, a), (c, b)]:
+        _assert_product(x, y)
+
+
+def test_mirrored_rows_are_formed_once(monkeypatch):
+    # the rows z**k and z**-k of E(z)*E(1/z) pair the same slices at the
+    # same reaches and shifts, so each is unpacked once and is one object
+    euler = euler_z_product(Monomial(MINUS_ONE, F(1, 2)), qmono(1), 60)
+    mirror = euler.reflect()
+    want = _reference(euler, mirror)
+    unpack = _kernel_py._unpack
+    calls = []
+
+    def spy(c, wb, nout):
+        calls.append(nout)
+        return unpack(c, wb, nout)
+
+    monkeypatch.setattr(_kernel_py, "_unpack", spy)
+    got = euler * mirror
+    assert got == ZSeries(want)
+    assert all(got.coeff[k] is got.coeff[-k] for k in got.coeff)
+    assert len(got.coeff) > 1 and len(calls) == (len(got.coeff) + 1) // 2
+
+
+def test_windows_without_a_shared_list_unpack_every_row(monkeypatch):
+    # replay 1.8's z_plus * z_minus: conj(z_plus) in lists of its own, so
+    # every row is formed and unpacked, once per part
+    z_plus = euler_z_inverse(Monomial(I, F(3, 2)), qmono(2), 30)
+    z_minus = euler_z_inverse(Monomial(MINUS_I, F(3, 2)), qmono(2), 30)
+    want = _reference(z_plus, z_minus)
+    conv_rows, unpack = _kernel_py.conv_rows, _kernel_py._unpack
+    rows, calls = [], []
+
+    def spy_rows(*args):
+        rows.append(conv_rows(*args))
+        return rows[-1]
+
+    def spy_unpack(c, wb, nout):
+        calls.append(nout)
+        return unpack(c, wb, nout)
+
+    monkeypatch.setattr(_kernel_py, "conv_rows", spy_rows)
+    monkeypatch.setattr(_kernel_py, "_unpack", spy_unpack)
+    assert z_plus * z_minus == ZSeries(want)
+    (out,) = rows
+    assert len({id(row) for row in out.values()}) == len(out)
+    assert len(calls) == sum(1 if im is None else 2 for _, _, im in out.values())
