@@ -22,9 +22,12 @@ cao_wang_1_2_3 at LARGE_VERIFY_ORDER.
 `python -m qrr.bench --json PATH` also writes the same rows to PATH as
 {section: {row: seconds}}.
 
-Every z-product row also checks the status of its result, outside the timed
-calls: each replay row that its chain passes (`chain_passes`) and each
-`jtp_check` row that the check is ok.  A failing row is still timed and
+Every verify and z-product row, and each `eval_product` row, also checks its
+result, outside the timed calls: each `verify` row that the report's status
+is "match", each `eval_product` row that it equals `eval_sum` of the same
+identity at the same order (the sum side shares only `_unit_div` with the
+product walk), each replay row that its chain passes (`chain_passes`) and
+each `jtp_check` row that the check is ok.  A failing row is still timed and
 written; the bench then names the failing rows on stderr and exits 1.
 """
 
@@ -119,29 +122,40 @@ def bench_sum(out, rows):
         out("%-18s  %6s  %10.3f" % (spec.name, order, t))
 
 
-def bench_verify(out, rows):
+def _matches(report) -> bool:
+    return report.status == "match"
+
+
+def bench_verify(out, rows, failed):
     spec = corpus.load("double_mod10_2_8")
     out("")
     out("end-to-end verify of %s at order %s (best of 3, seconds)" % (spec.name, VERIFY_ORDER))
-    t = _time(lambda: verify(spec, VERIFY_ORDER), 3)
-    rows["verify"] = {"%s @%s" % (spec.name, VERIFY_ORDER): t}
+    section = rows["verify"] = {}
+    t = _checked(section, "%s @%s" % (spec.name, VERIFY_ORDER), lambda: verify(spec, VERIFY_ORDER), 3, _matches, failed)
     out("%10.3f" % t)
 
 
-def bench_updates(out, rows):
+def bench_updates(out, rows, failed):
     spec = corpus.load("rogers_mod5_1_4")
     minus = corpus.load("double_mod5_1_4")
     out("")
     out("single-factor updates (best of 3, seconds)")
     section = rows["updates"] = {}
-    for label, order, fn in (
-        ("rogers_szego_bw %d" % RS_N, RS_ORDER, lambda: rogers_szego_bw(RS_N, qmono(1), RS_ORDER)),
-        ("rs_at %d t=-1" % RS_N, RS_ORDER, lambda: rs_at(RS_N, Monomial(MINUS_ONE), qmono(1), RS_ORDER)),
-        ("eval_product " + spec.name, PRODUCT_ORDER, lambda: eval_product(spec, PRODUCT_ORDER)),
-        ("eval_product " + minus.name, PRODUCT_ORDER, lambda: eval_product(minus, PRODUCT_ORDER)),
-        ("rogers_szego_def %d" % RS_N, RS_ORDER, lambda: rogers_szego_def(RS_N, qmono(1), RS_ORDER)),
+
+    def sum_side(spec):
+        return lambda product: product == eval_sum(spec, PRODUCT_ORDER)
+
+    def unchecked(result):
+        return True
+
+    for label, order, fn, passes in (
+        ("rogers_szego_bw %d" % RS_N, RS_ORDER, lambda: rogers_szego_bw(RS_N, qmono(1), RS_ORDER), unchecked),
+        ("rs_at %d t=-1" % RS_N, RS_ORDER, lambda: rs_at(RS_N, Monomial(MINUS_ONE), qmono(1), RS_ORDER), unchecked),
+        ("eval_product " + spec.name, PRODUCT_ORDER, lambda: eval_product(spec, PRODUCT_ORDER), sum_side(spec)),
+        ("eval_product " + minus.name, PRODUCT_ORDER, lambda: eval_product(minus, PRODUCT_ORDER), sum_side(minus)),
+        ("rogers_szego_def %d" % RS_N, RS_ORDER, lambda: rogers_szego_def(RS_N, qmono(1), RS_ORDER), unchecked),
     ):
-        t = section["%s @%s" % (label, order)] = _time(fn, 3)
+        t = _checked(section, "%s @%s" % (label, order), fn, 3, passes, failed)
         out("%-28s  %6s  %10.3f" % (label, order, t))
 
 
@@ -181,13 +195,13 @@ def bench_large(out, rows, failed):
         t = _checked(section, label, fn, 1, passes, failed)
         out("%-28s  %10.3f" % (label, t))
     label = "verify %s @%s" % (spec.name, LARGE_VERIFY_ORDER)
-    t = section[label] = _time(lambda: verify(spec, LARGE_VERIFY_ORDER), 1)
+    t = _checked(section, label, lambda: verify(spec, LARGE_VERIFY_ORDER), 1, _matches, failed)
     out("%-28s  %10.3f" % (label, t))
 
 
 def main(argv=(), out=print) -> int:
-    """Run every section; 1 when a z-product row's result fails its status
-    check (the rows are written all the same), else 0."""
+    """Run every section; 1 when a checked row's result fails its check
+    (the rows are written all the same), else 0."""
     parser = argparse.ArgumentParser(
         prog="python -m qrr.bench",
         description="Time the kernel, sum side, verify, updates, z-products, corpus loading and the sizes that cost.",
@@ -198,8 +212,8 @@ def main(argv=(), out=print) -> int:
     failed = []
     bench_kernels(out, rows)
     bench_sum(out, rows)
-    bench_verify(out, rows)
-    bench_updates(out, rows)
+    bench_verify(out, rows, failed)
+    bench_updates(out, rows, failed)
     bench_zseries(out, rows, failed)
     bench_setup(out, rows)
     bench_large(out, rows, failed)

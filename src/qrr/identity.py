@@ -362,18 +362,20 @@ class _Nest:
             return None
         lo = min(w[0] for w in inner if w)
         re, im = [0] * (self.n + 1 - lo), None
+        low = len(re)  # the running sum is 0 below re[low]
         for t in reversed(range(len(inner))):
             if inner[t]:
                 start, wre, wim = inner[t]
+                low = min(low, start - lo)
                 re[start - lo :] = map(add, re[start - lo :], wre)
                 if wim is not None:
                     if im is None:
                         im = [0] * len(re)
                     im[start - lo :] = map(add, im[start - lo :], wim)
             if t:  # X_(t-1) + (X_t + ...) / (1 - q^(t*b_d))
-                _unit_div(re, t * self.steps[d], 1)
+                _unit_div(re, t * self.steps[d], 1, low)
                 if im is not None:
-                    _unit_div(im, t * self.steps[d], 1)
+                    _unit_div(im, t * self.steps[d], 1, low)
         return lo, re, im
 
     def last(self, c: int, b: int, sc: int, sb: int, prefix: tuple):
@@ -434,9 +436,10 @@ def _fix(row: list, c: int, lin: list, d: int, t: int):
 
 
 def eval_product(spec: IdentitySpec, order) -> QSeries:
-    """Exact truncated expansion of the product side: one O(order) binomial
-    update per factor 1 - x*b**k (qrr.series._poch), finite or infinite, and
-    no series multiply or inverse.  It lives on the grid of the order and the
+    """Exact truncated expansion of the product side: one in-place binomial
+    step per factor 1 - x*b**k (qrr.series._poch), finite or infinite, taken
+    from the largest exponent down so that each walks only the entries past
+    the factors already applied, and no series multiply or inverse.  It lives on the grid of the order and the
     factor exponents, not on spec.den, and is lifted to the sum's grid only
     when the two sides are compared or tabulated."""
     return _poch(order, [(f.x, f.base, f.finite, f.power) for f in spec.product])

@@ -32,25 +32,32 @@ kernel's one entry point (qrr._kernel_py.conv_rows) and spreads the rows
 back onto the grid.
 
 A binomial factor never reaches the kernel, and its exponent is a whole
-number k of steps on a grid the caller works out once.  `_mul_b` lays a
-shifted, scaled copy of the series over it, and `_div_b` divides by
-1 - u*q**(k/den) in min(k, n/k) slice operations on n entries (`_unit_div`,
-also the sum side's fold), never one step per coefficient.  Every product
-side and 1/(b;b)_n table is one Pochhammer walk (`_walk`) on one grid.
+number k of steps on a grid the caller works out once.  It acts in place on
+int lists, from a start below which the entries are read as 0:
+`_unit_mul` multiplies by 1 - u*q**k in one slice operation, and
+`_unit_div` divides by 1 - u*q**k (u = +-1) in min(k, n/k) slice operations
+on the n entries from the start, never one step per coefficient; it is also
+the sum side's fold.  `_mul_b` and `_div_b` apply them to a QSeries.  Every
+product side is one Pochhammer walk (`_poch`) over one pair of lists on one
+grid, taking its factors from the largest exponent down: the running
+product is then 1 + w with w zero below the smallest exponent s applied so
+far, and a factor at e <= s walks only the entries from s + e and about n/e
+multiples of e.  The 1/(b;b)_n tables are the prefixes of the same walk in
+declared order (`_walk`), which shares its factor expansion and its step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import floor, gcd, lcm
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import Iterator, Optional
 
 from . import _kernel_py
 from .errors import DivergentProduct, NegativeExponent, NonUnitConstantTerm
-from .gaussian import ONE, ZERO, GaussianInt, is_unit, unit_pow
+from .gaussian import MINUS_ONE, ONE, ZERO, GaussianInt, is_unit, unit_pow
 
 
 @dataclass(frozen=True)
@@ -518,53 +525,88 @@ def _stride(g: int, re: list, im: Optional[list], n: int) -> int:
 def _mul_b(s: QSeries, unit, k: int) -> QSeries:
     """s * (1 - unit*q**(k/s.den)) for k >= 0 grid steps."""
     n = min(len(s.re) + k, s.order - s.val + 1)
-    ur, ui = unit
-    tr, ti = _times(s.re, s.im, -ur, -ui)
-    re = _lay(n, ((0, s.re), (k, tr)))
-    im = None if s.im is None and ti is None else _lay(n, ((0, s.im), (k, ti)))
+    re, im = _padded(s, unit, n)
+    _unit_mul(re, im, k, unit, 0)
     return QSeries._of(s.den, s.order, s.val, re, im)
 
 
 def _div_b(s: QSeries, unit, k: int) -> QSeries:
-    """s / (1 - unit*q**(k/s.den)) for k > 0 grid steps.
-
-    A real unit divides `re` and `im` apart.  A unit u = +-i goes through
-    1/(1 - u*x) = (1 + u*x)/(1 + x**2): one `_mul_b`, then the unit -1 at
-    stride 2k.  A k past the window reaches no entry and returns s."""
+    """s / (1 - unit*q**(k/s.den)) for k > 0 grid steps (`_divide` on the
+    whole window).  A k past the window reaches no entry and returns s."""
     n = s.order - s.val + 1
     if k >= n or not s.re:
         return s
-    ur, ui = unit
-    if ui:
-        s = _mul_b(s, (-ur, -ui), k)
-        ur, k = -1, 2 * k
-    pad = [0] * (n - len(s.re))
-    re = _unit_div(s.re + pad, k, ur)
-    im = None if s.im is None else _unit_div(s.im + pad, k, ur)
+    re, im = _padded(s, unit, n)
+    _divide(re, im, k, unit, 0)
     return QSeries._of(s.den, s.order, s.val, re, im)
 
 
-def _unit_div(x: list, k: int, u: int) -> list:
-    """x / (1 - u*q**k) in place, for a real unit u = +-1 and k > 0:
-    x[e] += u*x[e - k] for e = k, k + 1, ... in turn.
+def _padded(s: QSeries, unit, n: int):
+    """Fresh copies of s.re and s.im zero-padded to length n >= len(s.re);
+    im is None only if both s and unit are real."""
+    pad = [0] * (n - len(s.re))
+    im = s.im if s.im is not None or not unit[1] else [0] * len(s.re)
+    return s.re + pad, None if im is None else im + pad
 
-    With n = len(x), a short stride (k*k <= n) takes each residue class
-    mod k in one go; a long one adds (or subtracts) each block of k entries
-    from the block before it.  Either way it takes min(k, ceil(n/k)) rounds
-    of slice operations, never one step per entry."""
+
+def _unit_mul(re: list, im: Optional[list], k: int, unit, start: int) -> None:
+    """(re + i*im) * (1 - unit*q**k) in place, as if every entry below
+    `start` were 0: each entry e >= start + k less unit times entry e - k,
+    read before any is written.  An im of None is zero and needs a real
+    unit."""
+    n = len(re)
+    a = start + k
+    if a >= n:
+        return
+    ur, ui = unit
+    if not ui:
+        op = sub if ur > 0 else add
+        re[a:] = map(op, re[a:], re[start : n - k])
+        if im is not None:
+            im[a:] = map(op, im[a:], im[start : n - k])
+    else:  # -(+-i)*(x + i*y) = +-y -+ i*x
+        x, y = re[start : n - k], im[start : n - k]
+        re[a:] = map(add if ui > 0 else sub, re[a:], y)
+        im[a:] = map(sub if ui > 0 else add, im[a:], x)
+
+
+def _divide(re: list, im: Optional[list], k: int, unit, start: int) -> None:
+    """(re + i*im) / (1 - unit*q**k) in place, as if every entry below
+    `start` were 0.  A real unit divides re and im apart (`_unit_div`); a
+    unit u = +-i goes through 1/(1 - u*x) = (1 + u*x)/(1 + x**2): one
+    `_unit_mul`, then the unit -1 at stride 2k."""
+    ur, ui = unit
+    if ui:
+        _unit_mul(re, im, k, (-ur, -ui), start)
+        ur, k = -1, 2 * k
+    _unit_div(re, k, ur, start)
+    if im is not None:
+        _unit_div(im, k, ur, start)
+
+
+def _unit_div(x: list, k: int, u: int, start: int = 0) -> list:
+    """x / (1 - u*q**k) in place, for a real unit u = +-1 and k > 0, as if
+    every entry below `start` were 0: x[e] += u*x[e - k] for e = start + k,
+    start + k + 1, ... in turn.
+
+    With n = len(x) - start entries from start, a short stride (k*k <= n)
+    takes each residue class mod k in one go; a long one adds (or
+    subtracts) each block of k entries from the block before it.  Either way
+    it takes min(k, ceil(n/k)) rounds of slice operations, never one step
+    per entry."""
     n = len(x)
-    if k * k > n:
+    if k * k > n - start:
         op = add if u > 0 else sub
-        for a in range(k, n, k):
+        for a in range(start + k, n, k):
             x[a : a + k] = map(op, x[a : a + k], x[a - k : a])
     elif u > 0:
-        for r in range(k):
+        for r in range(start, start + k):
             x[r::k] = list(accumulate(x[r::k]))
     else:
         # on a class c, y[j] = c[j] - y[j - 1]: the odd terms are running
         # sums of c[2m + 1] - c[2m], and each later even term is c[2m] less
         # the odd term before it
-        for r in range(k):
+        for r in range(start, start + k):
             odd = list(accumulate(map(sub, x[r + k :: 2 * k], x[r :: 2 * k])))
             x[r + k :: 2 * k] = odd
             x[r + 2 * k :: 2 * k] = map(sub, x[r + 2 * k :: 2 * k], odd)
@@ -592,43 +634,111 @@ def poch_infinite(x: Monomial, b: Monomial, order) -> QSeries:
     return _poch(order, [(x, b, None, 1)])
 
 
+def _factors(order, factors: list):
+    """(den, n, steps) for the factors of `_poch`: the grid that holds the
+    order and every x and b, the scaled order, and each binomial factor
+    1 - unit*q**(e/den) with e <= n as (e, unit, power), in declared order.
+
+    A factor at a negative exponent raises NegativeExponent; a divisor at
+    exponent 0 raises NonUnitConstantTerm, since 1 - unit is never a unit
+    of Z[i].  Either is raised at the first such factor in declared order,
+    before any factor is applied."""
+    den = _grid(order, *(m.exp for x, b, _, _ in factors for m in (x, b)))
+    n = _as_order(order, den)
+    steps = []
+    for x, b, count, power in factors:
+        e, step = int(x.exp * den), int(b.exp * den)
+        units = [x.unit * unit_pow(b.unit, j) for j in range(4)]  # b.unit**4 == 1
+        k = 0
+        while count is None or k < count:
+            if e < 0:
+                raise NegativeExponent(str(Fraction(e, den)))
+            if e > n:
+                break
+            unit = units[k % 4]
+            if power != 1 and not e:
+                raise NonUnitConstantTerm("constant term %s is not a unit of Z[i]" % (ONE - unit,))
+            steps.append((e, unit, power))
+            k += 1
+            e += step
+    return den, n, steps
+
+
+def _start(n: int, steps: list):
+    """The lists (re, im) of 1 through scaled order n; im is None unless
+    some step's unit is imaginary."""
+    re = [0] * (n + 1)
+    re[0] = 1
+    return re, ([0] * (n + 1) if any(unit[1] for _, unit, _ in steps) else None)
+
+
+def _step(re: list, im: Optional[list], e: int, unit, power: int, s: int) -> None:
+    """(re + i*im) * (1 - unit*q**e) for power 1, else divided by it, in
+    place, for lists that are 0 at every 0 < j < s.
+
+    The constant c = re[0] + i*im[0] and the rest R (0 below s) are stepped
+    apart.  R goes through `_unit_mul` or `_divide` from s, which reads no
+    entry below s and writes none below s + e; c adds
+    -unit*c at e to a product, and c*unit**m at m*e, m >= 1, to a quotient:
+    about n/e entries.  At e = 0 the factor 1 - unit is a scalar."""
+    ur, ui = unit
+    if not e:
+        tr, ti = _times(re, im, 1 - ur, -ui)
+        re[:] = tr
+        if im is not None:
+            im[:] = ti
+        return
+    cr, ci = re[0], 0 if im is None else im[0]
+    if power == 1:
+        _unit_mul(re, im, e, unit, s)
+        re[e] -= cr * ur - ci * ui
+        if im is not None:
+            im[e] -= cr * ui + ci * ur
+        return
+    _divide(re, im, e, unit, s)
+    period = 1 if unit == ONE else 2 if unit == MINUS_ONE else 4  # unit**period == 1
+    for m in range(1, period + 1):
+        cr, ci = cr * ur - ci * ui, cr * ui + ci * ur
+        for x, v in ((re, cr), (im, ci)):
+            if v:
+                x[m * e :: period * e] = map(add, x[m * e :: period * e], repeat(v))
+
+
 def _poch(order, factors: list) -> QSeries:
     """The product of (x; b)_n**power over each (x, b, n, power) in `factors`
     (power +-1, n None for (x; b)_inf), exact through `order`, on the grid
-    that holds the order and every x and b: the last series of `_walk`."""
-    for s in _walk(order, factors):
-        pass
-    return s
+    that holds the order and every x and b.
+
+    The factors are expanded and checked in declared order (`_factors`),
+    then applied in place to one pair of int lists from the largest exponent
+    down.  The running product is then 1 + w, with w 0 below s, the
+    smallest exponent applied so far (for 1/(q^s; q)_inf, the partitions
+    into parts >= s), so a factor at e <= s writes only the entries from
+    s + e and about n/e multiples of e (`_step`), not every entry from e.
+    A numerator at exponent 0, a scalar, comes last."""
+    den, n, steps = _factors(order, factors)
+    re, im = _start(n, steps)
+    s = n + 1
+    for e, unit, power in sorted(steps, key=itemgetter(0), reverse=True):
+        _step(re, im, e, unit, power, s)
+        s = e or s
+    return QSeries._of(den, n, 0, re, im)
 
 
 def _walk(order, factors: list) -> Iterator[QSeries]:
-    """The running products of `_poch`: 1, then the product after each
-    factor 1 - x*b**k up to the order, each one O(order) `_mul_b` or
-    `_div_b`; only the running series is held.  The grid is worked out once,
-    and the walk steps the factors' exponents as ints on it.  A factor at a
-    negative exponent raises NegativeExponent; a divisor at exponent 0 raises
-    NonUnitConstantTerm, since 1 - unit is never a unit of Z[i]."""
-    den = _grid(order, *(m.exp for x, b, _, _ in factors for m in (x, b)))
-    s = QSeries.one(order).rescale(den)
-    yield s
-    for x, b, n, power in factors:
-        e, step = int(x.exp * den), int(b.exp * den)
-        k = 0
-        while n is None or k < n:
-            if e < 0:
-                raise NegativeExponent(str(Fraction(e, den)))
-            if e > s.order:
-                break
-            unit = x.unit * unit_pow(b.unit, k)
-            if power == 1:
-                s = _mul_b(s, unit, e)
-            elif e:
-                s = _div_b(s, unit, e)
-            else:
-                raise NonUnitConstantTerm("constant term %s is not a unit of Z[i]" % (ONE - unit,))
-            yield s
-            k += 1
-            e += step
+    """The running products of `_poch` in declared order: 1, then the
+    product after each factor 1 - x*b**k up to the order, each one in-place
+    `_step` on the lists of `_poch`, yielded as a snapshot.  Its prefixes
+    are the 1/(b;b)_n tables, so the order is never changed; the factors
+    are expanded and checked as `_poch` does."""
+    den, n, steps = _factors(order, factors)
+    re, im = _start(n, steps)
+    yield QSeries._of(den, n, 0, [1])
+    s = n + 1
+    for e, unit, power in steps:
+        _step(re, im, e, unit, power, s)
+        s = min(s, e or s)
+        yield QSeries._of(den, n, 0, re[:], None if im is None else im[:])
 
 
 def inv_poch_table(b: Monomial, n_max: int, order) -> list:

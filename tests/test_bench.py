@@ -94,3 +94,26 @@ def test_bench_names_failing_z_product_rows_and_exits_1(small, tmp_path, monkeyp
         "python -m qrr.bench: wrong result in row %r" % label
         for label in ("replay 1.7 @6", "jtp_check @8", "jtp_check @12")
     ]
+
+
+def test_bench_names_failing_product_and_verify_rows_and_exits_1(small, tmp_path, monkeypatch, capsys):
+    # each eval_product row is checked against eval_sum, and each verify row
+    # for a match, outside the timed calls
+    product = bench.eval_product
+    check = bench.verify
+    monkeypatch.setattr(bench, "eval_product", lambda spec, order: -product(spec, order))
+    monkeypatch.setattr(bench, "verify", lambda spec, order: replace(check(spec, order), status="mismatch"))
+    path = tmp_path / "bench.json"
+    lines = []
+    assert bench.main(["--json", str(path)], out=lines.append) == 1
+    _assert_every_row(json.loads(path.read_text()))
+    assert len(lines) == 35
+    assert capsys.readouterr().err.splitlines() == [
+        "python -m qrr.bench: wrong result in row %r" % label
+        for label in (
+            "double-mod10-2-8 @6",
+            "eval_product rogers-mod5-1-4 @9",
+            "eval_product double-mod5-1-4 @9",
+            "verify cao-wang-1-2-3 @11",
+        )
+    ]

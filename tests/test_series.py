@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qrr import _kernel_py
-from qrr.errors import DivergentProduct, NegativeExponent
+from qrr.errors import DivergentProduct, NegativeExponent, NonUnitConstantTerm
 from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, UNITS, ZERO, GaussianInt, binom2, unit_pow
 from qrr.oracle import dense_mul
 from qrr.series import (
@@ -15,6 +15,7 @@ from qrr.series import (
     _div_b,
     _mul_b,
     _poch,
+    _unit_div,
     _walk,
     inv_poch_table,
     poch_finite,
@@ -463,6 +464,117 @@ def test_walk_matches_the_fraction_exponent_walk(order, factors, b, n_max):
     table = fraction_walk(order, [(b, b, n_max, -1)])
     table += table[-1:] * (n_max + 1 - len(table))
     assert [fields(s) for s in inv_poch_table(b, n_max, order)] == [fields(s) for s in table]
+
+
+# a numerator may sit at exponent 0: (u; b)_n starts with the scalar 1 - u,
+# 0 for u = 1 and 2 for u = -1; a divisor there raises
+numerators = st.builds(
+    Monomial, st.sampled_from(UNITS), st.just(F(0)) | st.fractions(F(1, 2), 40, max_denominator=2)
+)
+divisors = st.builds(Monomial, st.sampled_from(UNITS), st.fractions(F(1, 2), 40, max_denominator=2))
+bases = st.builds(Monomial, st.sampled_from(UNITS), st.fractions(1, 20, max_denominator=2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.fractions(0, 200, max_denominator=2),
+    st.lists(
+        st.one_of(
+            st.tuples(numerators, bases, st.none() | st.integers(0, 12), st.just(1)),
+            st.tuples(divisors, bases, st.none() | st.integers(0, 12), st.just(-1)),
+        ),
+        max_size=8,
+    ),
+)
+# (-1; q)_3 and (1; q)_2 = 0 before long divisions: both scalars
+@example(
+    F(120),
+    [
+        (Monomial(MINUS_ONE, F(0)), qmono(1), 3, 1),
+        (qmono(1), qmono(5), None, -1),
+        (qmono(4), qmono(5), None, -1),
+        (qmono(0), qmono(1), 2, 1),
+    ],
+)
+def test_poch_from_the_largest_exponent_down_matches_the_scalar_walk(order, factors):
+    # many factors at orders where each division from the running start s
+    # takes both branches of `_unit_div`
+    want = fields(fraction_walk(order, factors)[-1])
+    assert fields(_poch(order, factors)) == want
+    assert fields(list(_walk(order, factors))[-1]) == want
+
+
+@pytest.mark.parametrize(
+    "factors, error, message",
+    [
+        # a negative exponent between factors at larger exponents
+        (
+            [(qmono(5), qmono(1), None, -1), (qmono(-1), qmono(1), 3, 1), (qmono(9), qmono(2), None, -1)],
+            NegativeExponent,
+            "-1",
+        ),
+        # a base of negative exponent steps below 0 after the factors at 3/2, 1/2
+        (
+            [
+                (qmono(2), qmono(1), 4, -1),
+                (Monomial(MINUS_ONE, F(3, 2)), qmono(-1), None, -1),
+                (qmono(5), qmono(1), None, 1),
+            ],
+            NegativeExponent,
+            "-1/2",
+        ),
+        # a divisor at exponent 0 before a factor at 7 and after one at 1/2
+        (
+            [(qmono(F(1, 2)), qmono(F(1, 2)), None, 1), (Monomial(I, 0), qmono(1), 3, -1), (qmono(7), qmono(1), None, -1)],
+            NonUnitConstantTerm,
+            "constant term (1-1*i) is not a unit of Z[i]",
+        ),
+        # the first bad factor in declared order is the one reported
+        (
+            [(Monomial(MINUS_ONE, 0), qmono(1), 2, -1), (qmono(-3), qmono(1), None, 1)],
+            NonUnitConstantTerm,
+            "constant term 2 is not a unit of Z[i]",
+        ),
+    ],
+)
+def test_poch_and_walk_raise_at_the_first_bad_factor_in_declared_order(factors, error, message):
+    with pytest.raises(error) as raised:
+        _poch(20, factors)
+    assert str(raised.value) == message
+    with pytest.raises(error) as raised:
+        list(_walk(20, factors))
+    assert str(raised.value) == message
+
+
+@st.composite
+def division_case(draw):
+    """(x, k, u, start): an int list of up to 300 entries, any entries below
+    start, and a stride k with k*k at most the n - start entries from start
+    (the residue-class branch) or above it (the block branch)."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(1, 300))
+    start = draw(st.integers(0, n))
+    x = [rng.randint(-9, 9) for _ in range(n)]
+    root = isqrt(n - start)
+    k = draw(st.integers(1, max(root, 1)) | st.integers(root + 1, n + 2))
+    return x, k, draw(st.sampled_from([1, -1])), start
+
+
+@settings(max_examples=200, deadline=None)
+@given(division_case())
+# residue classes from start 7: k*k = 9 <= 23 entries from start
+@example(([1] * 30, 3, -1, 7))
+# blocks from start 5: k*k = 16 > 15 entries from start
+@example(([2] * 20, 4, 1, 5))
+def test_unit_div_from_start_matches_the_scalar_recurrence(case):
+    x, k, u, start = case
+    # the entries below start are left alone and read as 0
+    want = [0] * start + x[start:]
+    for e in range(start + k, len(x)):
+        want[e] += u * want[e - k]
+    got = x[:]
+    assert _unit_div(got, k, u, start) is got
+    assert got == x[:start] + want[start:]
 
 
 # ---------------------------------------------------------------------------
