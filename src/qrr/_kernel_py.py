@@ -10,18 +10,23 @@ Inputs are plain lists of Python ints of any size, and outputs are exact.
 
 `conv_rows` is the one entry point.  It multiplies two windows of lists (the
 z-slices of two z-series; a single product is a window of one list on each
-side) and sums the products of given pairs into each output row: packs are
-keyed by list identity, so each list is packed once per digit width even
-when both windows hold it, and every row is one accumulated bignum, unpacked
-once.  When a list occurs more than once among the two windows, rows made of
-the same unordered list pairs at the same reaches and shifts are formed once
-and share one result (the mirrored rows of E(z)*E(1/z), say).  Real and
-complex lists mix freely; a complex list times a complex list takes three
-real products (Karatsuba) when all four packed parts are nonzero, and two
-when one is zero (a purely imaginary slice, say).
+side) and sums the products of given pairs into each output row.  A call of
+more than one pair first coalesces each row: it keys every list by its
+content up to a unit of Z[i] (a real list up to sign, a purely imaginary
+list as +-i times a real one), packs one list per key and digit width, and
+turns each pair into a term (unordered key pair, shift) with a Gaussian
+weight, the product of the two lists' units.  Equal terms are multiplied
+once with the sum of their weights, and terms whose weights sum to 0 are not
+multiplied at all: E(cz)*E(-cz) forms none of its odd rows and each product
+of its even rows once.  Every row is one accumulated bignum, unpacked once,
+and rows made of the same terms and weights are formed once and share one
+result (the mirrored rows of E(z)*E(1/z), say).  Real and complex lists mix
+freely; a complex list times a complex list takes three real products
+(Karatsuba).
 """
 
 from itertools import accumulate
+from operator import neg
 
 
 def _width(amax: int, bmax: int, n: int) -> int:
@@ -63,95 +68,121 @@ def _peaks(re: list, im) -> list:
 def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
     """Rows of the product of two windows of coefficient lists.
 
-    a[i] = (v, re, im) holds re[t] + i*im[t] at position v + g*t, with im None
-    for a real list; b likewise.  For each k in rows, row k is the sum over the
+    a[i] = (v, re, im) holds re[t] + i*im[t] at position v + g*t, v >= 0, with
+    im None for a real list; b likewise.  For each k in rows, row k is the sum over the
     pairs (i, j) in rows[k] of the products a[i]*b[j], through position `top`;
     the positions v_a + v_b of the pairs in one row must agree mod g.  Returns
-    {k: (v, re, im)} on the same stride (im None for a row of real pairs),
-    without the rows that have no position <= top.
+    {k: (v, re, im)} on the same stride (im None for a row of real lists),
+    without the rows that have no position <= top or whose terms all cancel.
 
     A pair reaches n = (top - v_a - v_b)//g + 1 digits; a pair with n <= 0,
-    or with a list that is empty or zero through n digits, adds nothing.  Each
-    row's digit width holds its largest |a|*|b| over the digits the pairs
-    reach, times the number of products that land in one digit, doubled when
-    a complex list meets a complex list.  A list is keyed by the identity of
-    its (v, re, im) tuple, so one tuple on both sides is one list: it is
-    packed once per width, as far as the pairs of that width reach, at the
-    first row that reads it, and dropped after the last such row, as is each
-    row's plan; each operand longer than its pair's reach is masked to n
-    digits: that changes it by a multiple of 2**(w*n), which moves only
-    digits at or past the row's last.
+    or with a list that is empty or zero through n digits, adds nothing.  A
+    call of more than one pair keys each list by its content up to a unit of
+    Z[i] (`_form`), and packs the first list of each key; one pair is keyed by
+    identity.  Each pair is then a term (unordered key pair, position v_a +
+    v_b) with weight u_a*u_b, the units that take the packed lists to a[i] and
+    b[j].  Equal terms are formed once with the sum of their weights, and a
+    term whose weights sum to 0 is not formed: E(cz)*E(-cz) forms none of its
+    odd rows and each product of its even rows once.  Each row's digit width
+    holds its largest |a|*|b| over the digits the terms reach, times the sum
+    of (|w_re| + |w_im|) * (products that land in one digit) over its terms,
+    doubled when a complex list meets a complex list.  A key is packed once
+    per width, as far as the terms of that width reach, at the first row that
+    reads it, and dropped after the last such row, as is each row's plan; each
+    operand longer than its term's reach is masked to n digits: that changes
+    it by a multiple of 2**(w*n), which moves only digits at or past the
+    row's last.
 
-    When some list occurs more than once among the two windows and there is
-    more than one row, two rows with the same multiset of (unordered list
-    pair, position v_a + v_b) are equal: in one call the position fixes each
-    pair's reach, and so the row's base, length and width, and x*y = y*x
-    exactly.  The later row is the earlier one's result object, formed and
-    unpacked once (the rows z**k and z**-k of E(z)*E(1/z), say).  Lists are
-    never changed while a window holds them.
+    Two rows with the same terms and weights are equal: in one call the
+    position fixes each term's reach, and so the row's base, length and width,
+    and x*y = y*x exactly.  The later row is the earlier one's result object,
+    formed and unpacked once (the rows z**k and z**-k of E(z)*E(1/z), say).
+    Lists are never changed while a window holds them.
     """
-    plan, reach = _plan_rows(a, b, rows, top, g)
-    shared = len(plan) > 1 and len({*map(id, a.values()), *map(id, b.values())}) < len(a) + len(b)
-    repeats = _repeats(plan) if shared else {}
-    last = {}  # (list id, width) -> the last plan row that packs it
-    for r, (_, _, _, wb, _, live) in enumerate(plan):
+    plan, reach, reps = _plan_rows(a, b, rows, top, g)
+    repeats = _repeats(plan) if len(plan) > 1 else {}
+    last = {}  # (key number, width) -> the last plan row that packs it
+    for r, (_, _, _, wb, _, terms) in enumerate(plan):
         if r not in repeats:
-            for x, y, _, _, _, _ in live:
-                last[id(x), wb] = last[id(y), wb] = r
+            for x, y, *_ in terms:
+                last[x, wb] = last[y, wb] = r
     done = {}  # plan row -> the packs no later row reads
     for key, r in last.items():
         done.setdefault(r, []).append(key)
     packs = {}
 
     def pack(x, wb):
-        p = packs.get((id(x), wb))
+        p = packs.get((x, wb))
         if p is None:
-            n = reach[id(x), wb]
-            _, re, im = x
-            p = packs[id(x), wb] = (n, _pack(re[:n], wb), None if im is None else _pack(im[:n], wb))
+            n = reach[x, wb]
+            re, im = reps[x]
+            p = packs[x, wb] = (n, _pack(re[:n], wb), None if im is None else _pack(im[:n], wb))
         return p
 
     out = {}
     for r in range(len(plan)):
-        k, base, nout, wb, complex_row, live = plan[r]
-        plan[r] = None  # the row's pair records are not read again
+        k, base, nout, wb, complex_row, terms = plan[r]
+        plan[r] = None  # the row's terms are not read again
         if r in repeats:
             out[k] = out[repeats[r]]
             continue
         rr = ii = 0
-        for x, y, v, n, _, _ in live:
+        for x, y, v, n, _, _, wr, wi in terms:
             xr, xi = _reach(pack(x, wb), wb, n)
             yr, yi = _reach(pack(y, wb), wb, n)
+            pr = xr * yr
+            if xi is None:
+                pi = 0 if yi is None else xr * yi
+            elif yi is None:
+                pi = xi * yr
+            else:  # three products (Karatsuba)
+                p2 = xi * yi
+                pi = (xr + xi) * (yr + yi) - pr - p2
+                pr -= p2
             s = 8 * wb * ((v - base) // g)
-            if xi is not None and yi is not None:
-                if xr and xi and yr and yi:  # three products
-                    pr = xr * yr
-                    pi = xi * yi
-                    rr += (pr - pi) << s
-                    ii += ((xr + xi) * (yr + yi) - pr - pi) << s
-                else:  # a zero part leaves two nonzero products
-                    rr += (xr * yr - xi * yi) << s
-                    ii += (xr * yi + xi * yr) << s
-                continue
-            rr += (xr * yr) << s
-            if xi is not None:
-                ii += (xi * yr) << s
-            if yi is not None:
-                ii += (xr * yi) << s
+            rr += (wr * pr - wi * pi) << s
+            ii += (wr * pi + wi * pr) << s
         for key in done.pop(r, ()):
             del packs[key]
         out[k] = base, _unpack(rr, wb, nout), _unpack(ii, wb, nout) if complex_row else None
     return out
 
 
+def _form(re: list, im, keyed: bool) -> tuple:
+    """(key, e, f, parts) for the list x = re + i*im: x = i**e * L and parts =
+    i**f * L, for a list L that depends only on the key.  parts is (re, im),
+    or (im, None) for a purely imaginary list, never copied.  With `keyed`,
+    the key is L's content as tuples built in C: a real list up to sign, and
+    otherwise the unit multiple whose first nonzero entry has re > 0, im >= 0.
+    Without, the key is None and L is parts."""
+    e = 0
+    if im is not None and not any(re):  # i times the real list im
+        re, im, e = im, None, 1
+    if not keyed:
+        return None, e, 0, (re, im)
+    if im is None:
+        if next(filter(None, re), 0) > 0:
+            return tuple(re), e, 0, (re, None)
+        return tuple(map(neg, re)), e + 2, 2, (re, None)
+    r, m = next((r, m) for r, m in zip(re, im) if r or m)
+    if r > 0 <= m:
+        f, key = 0, (tuple(re), tuple(im))
+    elif m > 0:  # L = -i * x
+        f, key = 1, (tuple(im), tuple(map(neg, re)))
+    elif r < 0:  # L = -x
+        f, key = 2, (tuple(map(neg, re)), tuple(map(neg, im)))
+    else:  # L = i * x
+        f, key = 3, (tuple(map(neg, im)), tuple(re))
+    return key, f, f, (re, im)
+
+
 def _repeats(plan: list) -> dict:
-    """{r: k} for each plan row r with the same multiset of (unordered list
-    pair, position) as an earlier row k."""
+    """{r: k} for each plan row r with the same terms and weights as an
+    earlier row k."""
     first = {}
     repeats = {}
-    for r, (k, _, _, _, _, live) in enumerate(plan):
-        pairs = sorted((*sorted((id(x), id(y))), v) for x, y, v, _, _, _ in live)
-        k0 = first.setdefault(tuple(pairs), k)
+    for r, (k, _, _, _, _, terms) in enumerate(plan):
+        k0 = first.setdefault(tuple(sorted(terms)), k)
         if k0 != k:
             repeats[r] = k0
     return repeats
@@ -175,44 +206,74 @@ def _peak(cache: dict, key: int, re: list, im, n: int) -> int:
 
 
 def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
-    """conv_rows' plan: for each row with a position <= top, (k, base
-    position, digits out, width, complex?, [(a[i], b[j], v_a + v_b, n, digits
-    of a[i] used, digits of b[j] used)]); and the digits to pack for each
-    (list id, width).  The peaks are dropped on return."""
-    peaks = {}  # (list id, whole?) -> _peak's maximum or running maxima
+    """conv_rows' plan: for each row with a term whose weight is not 0, (k,
+    base position, digits out, width, complex?, [(key number x, key number y,
+    position, n, digits of x used, digits of y used, w_re, w_im)]), x <= y;
+    the digits to pack for each (key number, width); and the (re, im) to pack
+    for each key number.  The peaks are dropped on return."""
+    keyed = sum(map(len, rows.values())) > 1
+    keys = {}  # key -> (key number, power of i that takes L to the key's list)
+    reps = []  # key number -> the (re, im) packed for it
+
+    def form(x):
+        """(key number, power of i that takes the key's list to x, v, complex?)"""
+        v, re, im = x
+        key, e, f, parts = _form(re, im, keyed)
+        n, f0 = keys.setdefault(id(x) if key is None else key, (len(reps), f))
+        if n == len(reps):
+            reps.append(parts)
+        return n, e - f0, v, im is not None
+
+    a = {i: form(x) for i, x in a.items()}
+    b = {j: form(y) for j, y in b.items()}
+    peaks = {}  # (key number, whole?) -> _peak's maximum or running maxima
     plan = []
-    reach = {}  # (list id, width) -> digits to pack
+    reach = {}  # (key number, width) -> digits to pack
     for k, pairs in rows.items():
-        live = []
-        big = count = 0
-        doubled = complex_row = False
+        # (key numbers, position) -> [pairs of weight i**0, .., i**3, n,
+        # digits used of each, |x|*|y|], or None for a pair that adds nothing
+        terms = {}
+        complex_row = False
         for i, j in pairs:
-            x, y = a[i], b[j]
-            va, ar, ai = x
-            vb, br, bi = y
-            n = (top - va - vb) // g + 1
-            la, lb = min(len(ar), n), min(len(br), n)
-            if la <= 0 or lb <= 0:
-                continue
-            m = _peak(peaks, id(x), ar, ai, la) * _peak(peaks, id(y), br, bi, lb)
-            if not m:  # a list that is zero as far as the pair reaches
-                continue
-            big = max(big, m)
-            count += min(la, lb)
-            doubled = doubled or (ai is not None and bi is not None)
-            complex_row = complex_row or ai is not None or bi is not None
-            live.append((x, y, va + vb, n, la, lb))
+            x, ux, va, cx = a[i]
+            y, uy, vb, cy = b[j]
+            if y < x:
+                x, y = y, x
+            t = terms.get((x, y, va + vb), 0)
+            if t == 0:
+                n = (top - va - vb) // g + 1
+                la, lb = min(len(reps[x][0]), n), min(len(reps[y][0]), n)
+                # a list that is empty or zero as far as the pair reaches adds nothing
+                m = la > 0 and lb > 0 and _peak(peaks, x, *reps[x], la) * _peak(peaks, y, *reps[y], lb)
+                t = terms[x, y, va + vb] = [0, 0, 0, 0, n, la, lb, m] if m else None
+            if t:
+                t[(ux + uy) % 4] += 1
+                complex_row = complex_row or cx or cy
+        live = []
+        base, last = top + 1, 0  # the lowest position and the last one a product reaches
+        big = count = 0
+        doubled = False
+        for (x, y, v), t in terms.items():
+            if t:
+                c0, c1, c2, c3, n, la, lb, m = t
+                wr, wi = c0 - c2, c1 - c3
+                if wr or wi:
+                    live.append((x, y, v, n, la, lb, wr, wi))
+                    base = min(base, v)
+                    last = max(last, v + g * (la + lb - 2))
+                    big = max(big, m)
+                    count += (abs(wr) + abs(wi)) * min(la, lb)
+                    doubled = doubled or reps[x][1] is not None and reps[y][1] is not None
         if not live:
             continue
-        base = min(p[2] for p in live)
         # the row ends at `top` or where its longest product ends
-        nout = min((top - base) // g + 1, max((p[2] - base) // g + p[4] + p[5] - 1 for p in live))
+        nout = (min(top, last) - base) // g + 1
         wb = _width(2 * big if doubled else big, 1, count)
-        for x, y, _, _, la, lb in live:
-            reach[id(x), wb] = max(reach.get((id(x), wb), 0), la)
-            reach[id(y), wb] = max(reach.get((id(y), wb), 0), lb)
+        for x, y, _, _, la, lb, *_ in live:
+            reach[x, wb] = max(reach.get((x, wb), 0), la)
+            reach[y, wb] = max(reach.get((y, wb), 0), lb)
         plan.append((k, base, nout, wb, complex_row, live))
-    return plan, reach
+    return plan, reach, reps
 
 
 def _reach(pack: tuple, wb: int, n: int) -> tuple:

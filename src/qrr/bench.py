@@ -22,18 +22,22 @@ cao_wang_1_2_3 at LARGE_VERIFY_ORDER.
 `python -m qrr.bench --json PATH` also writes the same rows to PATH as
 {section: {row: seconds}}.
 
-Every verify and z-product row, and each `eval_product` row, also checks its
-result, outside the timed calls: each `verify` row that the report's status
-is "match", each `eval_product` row that it equals `eval_sum` of the same
-identity at the same order (the sum side shares only `_unit_div` with the
-product walk), each replay row that its chain passes (`chain_passes`) and
-each `jtp_check` row that the check is ok.  A failing row is still timed and
-written; the bench then names the failing rows on stderr and exits 1.
+Every row also checks its result, outside the timed calls: each `verify`
+row that the report's status is "match", each `eval_product` row that it
+equals `eval_sum` of the same identity at the same order (the sum side
+shares only `_unit_div` with the product walk), each replay row that its
+chain passes (`chain_passes`) and each `jtp_check` row that the check is ok.
+Every other row, which has no such status, checks the sha256 of the repr of
+its result against DIGESTS, recorded before the kernel keyed its lists by
+content; the kernel rows draw their lists from a seeded generator.  A row
+without a recorded digest fails.  A failing row is still timed and written;
+the bench then names the failing rows on stderr and exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import random
 import sys
@@ -64,6 +68,25 @@ JTP_ORDER = Fraction(300)
 LARGE_REPLAY_ORDER = Fraction(640)
 LARGE_JTP_ORDER = Fraction(1200)
 LARGE_VERIFY_ORDER = Fraction(1000)
+# the first 16 hex digits of sha256(repr(result)) of each row with no status
+# check, at the sizes and orders above
+DIGESTS = {
+    "conv_real 64": "4f6a8c0705660a1d",
+    "conv_complex 64": "8a9a3c7c5e43135e",
+    "conv_real 256": "665b3c1ace027717",
+    "conv_complex 256": "5ed18b7d6b8ac712",
+    "conv_real 1024": "b0c9a11a6d8634c1",
+    "conv_complex 1024": "b9848b61ce0c414b",
+    "conv_real 4096": "6881c8e6e172d8fb",
+    "conv_complex 4096": "9c67632ef7b8f7b4",
+    "cao-wang-1-2-3 @60": "a4986ecca98eb252",
+    "cao-wang-1-2-3 @480": "1e60ffa19da8c9d2",
+    "double-mod10-2-8 @120": "597efede089258dc",
+    "rogers_szego_bw 40 @420": "9e7d79b59a7a4f40",
+    "rs_at 40 t=-1 @420": "ff8398b6444a3e2e",
+    "rogers_szego_def 40 @420": "9e7d79b59a7a4f40",
+    "corpus.load_all": "b02a91116d3cb8cc",
+}
 
 
 def _timed(fn, repeats: int) -> tuple:
@@ -76,18 +99,19 @@ def _timed(fn, repeats: int) -> tuple:
     return best, result
 
 
-def _time(fn, repeats: int) -> float:
-    return _timed(fn, repeats)[0]
-
-
 def _checked(section: dict, label: str, fn, repeats: int, passes, failed: list) -> float:
     """Time fn as row `label` of section; the label joins `failed` unless
-    passes(the last call's result), which is checked outside the timed calls."""
+    passes(the last call's result), or, for passes None, unless the result's
+    digest is DIGESTS[label].  Either is checked outside the timed calls."""
     t, result = _timed(fn, repeats)
     section[label] = t
-    if not passes(result):
+    if not (passes(result) if passes else _digest(result) == DIGESTS.get(label)):
         failed.append(label)
     return t
+
+
+def _digest(result) -> str:
+    return hashlib.sha256(repr(result).encode()).hexdigest()[:16]
 
 
 def _pair(x, y, n):
@@ -95,7 +119,7 @@ def _pair(x, y, n):
     return _kernel_py.conv_rows({0: x}, {0: y}, {0: [(0, 0)]}, 2 * n - 2, 1)
 
 
-def bench_kernels(out, rows):
+def bench_kernels(out, rows, failed):
     rng = random.Random(12345)
     out("convolution kernel (best of %d, seconds)" % REPEATS)
     out("%8s  %12s  %12s" % ("n", "real", "complex"))
@@ -103,12 +127,12 @@ def bench_kernels(out, rows):
     for n in SIZES:
         a = [rng.randint(-9, 9) for _ in range(n)]
         b = [rng.randint(-9, 9) for _ in range(n)]
-        tr = section["conv_real %d" % n] = _time(lambda: _pair((0, a, None), (0, b, None), n), REPEATS)
-        tc = section["conv_complex %d" % n] = _time(lambda: _pair((0, a, b), (0, b, a), n), REPEATS)
-        out("%8d  %12.6f  %12.6f" % (n, tr, tc))
+        for label, x, y in (("conv_real %d", (0, a, None), (0, b, None)), ("conv_complex %d", (0, a, b), (0, b, a))):
+            _checked(section, label % n, lambda: _pair(x, y, n), REPEATS, None, failed)
+        out("%8d  %12.6f  %12.6f" % (n, section["conv_real %d" % n], section["conv_complex %d" % n]))
 
 
-def bench_sum(out, rows):
+def bench_sum(out, rows, failed):
     out("")
     out("sum side eval_sum (best of 3, seconds)")
     section = rows["sum"] = {}
@@ -118,7 +142,7 @@ def bench_sum(out, rows):
         ("double_mod10_2_8", VERIFY_ORDER),
     ):
         spec = corpus.load(name)
-        t = section["%s @%s" % (spec.name, order)] = _time(lambda: eval_sum(spec, order), 3)
+        t = _checked(section, "%s @%s" % (spec.name, order), lambda: eval_sum(spec, order), 3, None, failed)
         out("%-18s  %6s  %10.3f" % (spec.name, order, t))
 
 
@@ -145,15 +169,12 @@ def bench_updates(out, rows, failed):
     def sum_side(spec):
         return lambda product: product == eval_sum(spec, PRODUCT_ORDER)
 
-    def unchecked(result):
-        return True
-
     for label, order, fn, passes in (
-        ("rogers_szego_bw %d" % RS_N, RS_ORDER, lambda: rogers_szego_bw(RS_N, qmono(1), RS_ORDER), unchecked),
-        ("rs_at %d t=-1" % RS_N, RS_ORDER, lambda: rs_at(RS_N, Monomial(MINUS_ONE), qmono(1), RS_ORDER), unchecked),
+        ("rogers_szego_bw %d" % RS_N, RS_ORDER, lambda: rogers_szego_bw(RS_N, qmono(1), RS_ORDER), None),
+        ("rs_at %d t=-1" % RS_N, RS_ORDER, lambda: rs_at(RS_N, Monomial(MINUS_ONE), qmono(1), RS_ORDER), None),
         ("eval_product " + spec.name, PRODUCT_ORDER, lambda: eval_product(spec, PRODUCT_ORDER), sum_side(spec)),
         ("eval_product " + minus.name, PRODUCT_ORDER, lambda: eval_product(minus, PRODUCT_ORDER), sum_side(minus)),
-        ("rogers_szego_def %d" % RS_N, RS_ORDER, lambda: rogers_szego_def(RS_N, qmono(1), RS_ORDER), unchecked),
+        ("rogers_szego_def %d" % RS_N, RS_ORDER, lambda: rogers_szego_def(RS_N, qmono(1), RS_ORDER), None),
     ):
         t = _checked(section, "%s @%s" % (label, order), fn, 3, passes, failed)
         out("%-28s  %6s  %10.3f" % (label, order, t))
@@ -174,11 +195,10 @@ def bench_zseries(out, rows, failed):
     out("jtp_check %8s  %10.3f" % (JTP_ORDER, t))
 
 
-def bench_setup(out, rows):
+def bench_setup(out, rows, failed):
     out("")
     out("corpus.load_all: parse and validate (best of %d, seconds)" % REPEATS)
-    t = _time(corpus.load_all, REPEATS)
-    rows["setup"] = {"corpus.load_all": t}
+    t = _checked(rows.setdefault("setup", {}), "corpus.load_all", corpus.load_all, REPEATS, None, failed)
     out("%10.3f" % t)
 
 
@@ -210,12 +230,12 @@ def main(argv=(), out=print) -> int:
     args = parser.parse_args(argv)
     rows = {}
     failed = []
-    bench_kernels(out, rows)
-    bench_sum(out, rows)
+    bench_kernels(out, rows, failed)
+    bench_sum(out, rows, failed)
     bench_verify(out, rows, failed)
     bench_updates(out, rows, failed)
     bench_zseries(out, rows, failed)
-    bench_setup(out, rows)
+    bench_setup(out, rows, failed)
     bench_large(out, rows, failed)
     if args.json:
         with open(args.json, "w") as f:

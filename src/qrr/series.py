@@ -451,42 +451,48 @@ class QSeries:
 
 def _mul(a: QSeries, b: QSeries, n_max: int) -> QSeries:
     """The product of two series on one grid, through scaled exponent n_max:
-    the one-pair, one-row case of `_rows`, one-term operands included."""
-    if not a.re or not b.re or a.val + b.val > n_max:
-        return QSeries._of(a.den, n_max, 0, [])
-    return _rows({0: a}, {0: b}, {0: [(0, 0)]}, a.den, n_max)[0]
+    the one-pair, one-row case of `_rows`, one-term operands included.  A
+    row of one pair cannot cancel, so `_rows` leaves it out only when an
+    operand is zero or the pair has no exponent <= n_max, and the zero
+    series stands in for it."""
+    row = None
+    if a.re and b.re and a.val + b.val <= n_max:
+        row = _rows({0: a}, {0: b}, {0: [(0, 0)]}, a.den, n_max).get(0)
+    return QSeries._of(a.den, n_max, 0, []) if row is None else row
 
 
 def _rows(a: dict, b: dict, rows: dict, den: int, top: int) -> dict:
     """{k: the sum of a[i] * b[j] over the pairs (i, j) in rows[k]}, for
     series on grid `den`, each exact through scaled exponent `top`; a row
-    with no exponent <= top is left out.  It is the one product path for
-    series and z-windows, one-term operands included.
+    with no exponent <= top, or whose products cancel in the kernel, is left
+    out.  It is the one product path for series and z-windows, one-term
+    operands included.
 
     Every row is one packed accumulation in the kernel
     (qrr._kernel_py.conv_rows), on every g-th entry for the g that divides
     each used series' offsets of nonzero coefficients from its valuation and
     the differences of the pairs' valuations within each row; each row is
     spread back onto the grid.  A series on both sides, or at several keys,
-    is handed to the kernel as one strided list, so it is packed once and
-    rows that the kernel forms once become one shared series."""
+    is handed to the kernel as one strided list.  With more than one pair,
+    the kernel keys lists by content up to a unit of Z[i], so series that
+    are unit multiples of one another are packed once, pairs that give the
+    same product at the same shift are multiplied once with their units
+    summed, and pairs whose units cancel are not multiplied; rows that the
+    kernel forms once become one shared series."""
     g = 0
     for pairs in rows.values():
         v0 = a[pairs[0][0]].val + b[pairs[0][1]].val
-        for i, j in pairs:
-            g = gcd(g, a[i].val + b[j].val - v0)
-    used = {id(s): s for pairs in rows.values() for i, j in pairs for s in (a[i], b[j])}
+        g = gcd(g, *[a[i].val + b[j].val - v0 for i, j in pairs])
+    a = {i: a[i] for pairs in rows.values() for i, _ in pairs}
+    b = {j: b[j] for pairs in rows.values() for _, j in pairs}
+    used = {id(s): s for s in (*a.values(), *b.values())}
     for s in used.values():
         g = _stride(g, s.re, s.im, len(s.re))
     g = g or 1
     # one strided (val, re, im) per series, whichever side and key holds it
     views = {x: (s.val, s.re[::g], None if s.im is None else s.im[::g]) for x, s in used.items()}
     packed = _kernel_py.conv_rows(
-        {i: views[id(a[i])] for pairs in rows.values() for i, _ in pairs},
-        {j: views[id(b[j])] for pairs in rows.values() for _, j in pairs},
-        rows,
-        top,
-        g,
+        {i: views[id(s)] for i, s in a.items()}, {j: views[id(s)] for j, s in b.items()}, rows, top, g
     )
     made = {}  # id(kernel row) -> its series: rows the kernel shares stay shared
     for row in packed.values():

@@ -18,18 +18,23 @@ extraction: ct() is literally the z**0 slice, and a.ct_mul(b) is ct(a * b)
 formed from the pairs of slices that meet at z**0 alone.
 
 Products.  Both operands are fitted to one grid and order, and slices that
-fit to zero are dropped.  Every product, one-term slices included, takes the
-one packed path (series._rows, then qrr._kernel_py.conv_rows), one row per
-output slice: every slice is packed into one int on the common stride of all
-slices, each output slice is the sum of its pairs' bignum products, each
-operand masked to the digits its pair can reach under the order and shifted
-by the pair's valuation, and it is unpacked once.  A slice held on both
-sides or at several z-keys (a window times its reflection, say) is packed
-once, and output slices made of the same unordered slice pairs at the same
-reaches and shifts are formed once and share one series: the rows z**k and
-z**-k of E(z)*E(1/z) cost one.  That check is one set over the operands,
-made only for products of more than one row.  A z-binomial such as (z + c)
-is never an operand: it is a z-shift plus a scaled copy.  The one
+fit to zero are dropped; a full product offers the kernel only the slice
+pairs whose valuations sum to at most the order.  Every product, one-term
+slices included, takes the one packed path (series._rows, then
+qrr._kernel_py.conv_rows), one row per output slice: every slice is packed
+into one int on the common stride of all slices, each output slice is the
+sum of its pairs' bignum products, each operand masked to the digits its
+pair can reach under the order and shifted by the pair's valuation, and it
+is unpacked once.  The kernel keys slices by content up to a unit of Z[i]:
+slices that are unit multiples of one another (i**n*S_n and (-i)**n*S_n in
+E(iz) and E(-iz), or one slice on both sides) are packed once, pairs with
+the same product at the same shift are multiplied once with their units
+summed, and pairs whose units cancel are not multiplied.  So z_plus *
+z_minus in replays 1.5, 1.6 and 1.8 forms none of its odd slices, which are
+zero, and each product of its even slices once.  Output slices made of the
+same products with the same units are formed once and share one series:
+the rows z**k and z**-k of E(z)*E(1/z) cost one.  A z-binomial such as
+(z + c) is never an operand: it is a z-shift plus a scaled copy.  The one
 z-window product outside this path is the Horner nest of qrr.special
 (`_nest`), which serves rogers_szego_bw and rs_at alike: it builds no
 ZSeries, and keeps its slices packed (qrr._kernel_py._pack) from start to
@@ -218,10 +223,17 @@ def _product(x: ZSeries, y: ZSeries, row: Optional[int]) -> ZSeries:
         z.coeff if (z.den, z.order) == (den, order) else _fit_slices(z.coeff, den, order) for z in (x, y)
     )
     rows: Dict[int, list] = {}
-    for i in a:
-        for j in b if row is None else (row - i,):
-            if j in b:
+    if row is None:  # only the pairs that reach an exponent <= order
+        by_val = sorted(b, key=lambda j: b[j].val)
+        for i, s in a.items():
+            for j in by_val:
+                if s.val + b[j].val > order:
+                    break
                 rows.setdefault(i + j, []).append((i, j))
+    else:
+        for i in a:
+            if row - i in b:
+                rows.setdefault(row, []).append((i, row - i))
     return ZSeries._fitted(_rows(a, b, rows, den, order), den, order)
 
 

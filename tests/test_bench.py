@@ -3,11 +3,28 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from qrr import bench
+from qrr import _kernel_py, bench
+
+# bench.DIGESTS at the small sizes below, recorded with the rows of the
+# default sizes
+SMALL_DIGESTS = {
+    "conv_real 3": "3fae78711f591529",
+    "conv_complex 3": "bb116413ed7583dd",
+    "conv_real 8": "d504087795c048ab",
+    "conv_complex 8": "77d217321cd2b483",
+    "cao-wang-1-2-3 @5": "e1f90d0c360acb3c",
+    "cao-wang-1-2-3 @7": "9e3c7e24a6efb283",
+    "double-mod10-2-8 @6": "7eedc29b433c0ef0",
+    "rogers_szego_bw 5 @7": "35d9431b9f2a4542",
+    "rs_at 5 t=-1 @7": "effcf0efbb90cbb8",
+    "rogers_szego_def 5 @7": "35d9431b9f2a4542",
+    "corpus.load_all": "b02a91116d3cb8cc",
+}
 
 
 @pytest.fixture
 def small(monkeypatch):
+    monkeypatch.setattr(bench, "DIGESTS", SMALL_DIGESTS)
     monkeypatch.setattr(bench, "SIZES", (3, 8))
     monkeypatch.setattr(bench, "REPEATS", 1)
     monkeypatch.setattr(bench, "VERIFY_ORDER", Fraction(6))
@@ -117,3 +134,47 @@ def test_bench_names_failing_product_and_verify_rows_and_exits_1(small, tmp_path
             "verify cao-wang-1-2-3 @11",
         )
     ]
+
+
+def test_every_row_has_a_digest_or_a_status_check(small, tmp_path, monkeypatch):
+    # every row goes through _checked; the rows without a status to check
+    # are exactly the rows with a recorded digest, at the default sizes too
+    checked = bench._checked
+    digested, statused = [], []
+
+    def spy(section, label, fn, repeats, passes, failed):
+        (statused if passes else digested).append(label)
+        return checked(section, label, fn, repeats, passes, failed)
+
+    monkeypatch.setattr(bench, "_checked", spy)
+    path = tmp_path / "bench.json"
+    assert bench.main(["--json", str(path)], out=lambda line: None) == 0
+    rows = json.loads(path.read_text())
+    assert sorted(digested + statused) == sorted(label for section in rows.values() for label in section)
+    assert sorted(digested) == sorted(SMALL_DIGESTS)
+    monkeypatch.undo()
+    default = ["conv_%s %d" % (kind, n) for n in bench.SIZES for kind in ("real", "complex")]
+    default += ["cao-wang-1-2-3 @60", "cao-wang-1-2-3 @480", "double-mod10-2-8 @120", "corpus.load_all"]
+    default += ["rogers_szego_bw 40 @420", "rs_at 40 t=-1 @420", "rogers_szego_def 40 @420"]
+    assert sorted(bench.DIGESTS) == sorted(default)
+
+
+def test_bench_names_a_perturbed_kernel_result_and_exits_1(small, tmp_path, monkeypatch, capsys):
+    # one more in the lowest digit of every row a one-pair kernel call makes:
+    # each kernel row's digest fails, outside the timed calls, and the bench
+    # names it and exits 1
+    conv_rows = _kernel_py.conv_rows
+
+    def perturbed(a, b, rows, top, g):
+        out = conv_rows(a, b, rows, top, g)
+        if len(a) == len(b) == 1:
+            out = {k: (v, [re[0] + 1, *re[1:]], im) for k, (v, re, im) in out.items()}
+        return out
+
+    monkeypatch.setattr(_kernel_py, "conv_rows", perturbed)
+    path = tmp_path / "bench.json"
+    assert bench.main(["--json", str(path)], out=lambda line: None) == 1
+    _assert_every_row(json.loads(path.read_text()))
+    named = capsys.readouterr().err.splitlines()
+    for label in ("conv_real 3", "conv_complex 3", "conv_real 8", "conv_complex 8"):
+        assert "python -m qrr.bench: wrong result in row %r" % label in named

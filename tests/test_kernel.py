@@ -162,9 +162,9 @@ def test_width_bounds_only_the_digits_a_pair_reaches(complex_a):
     ai = [0, 1, 0, -big] if complex_a else None
     b = [7, 1, -1]
     for top, la, lb, amax in ((1, 2, 2, 5), (2, 3, 3, 5), (5, 4, 3, big)):
-        plan, _ = _plan_rows({0: (0, a, ai)}, {0: (0, b, None)}, {0: [(0, 0)]}, top, 1)
-        ((_, _, _, wb, _, live),) = plan
-        assert live[0][4:] == (la, lb)
+        plan, _, _ = _plan_rows({0: (0, a, ai)}, {0: (0, b, None)}, {0: [(0, 0)]}, top, 1)
+        ((_, _, _, wb, _, terms),) = plan
+        assert terms[0][4:6] == (la, lb)
         assert wb == _width(amax, 7, min(la, lb))
         got = conv_complex(a, ai, b, None, top + 1) if complex_a else (conv_real(a, b, top + 1), None)
         want = _truncated(a, b, top + 1), ai and _truncated(ai, b, top + 1)
@@ -202,10 +202,28 @@ def _operand(rng, kind, bits):
     return rng.randint(0, 5), re, im
 
 
+def _schoolbook(a, b, pairs, top):
+    """{position: the nonzero GaussianInt sum of the pairs' products} through top."""
+    want = {}
+    for i, j in pairs:
+        (va, ar, ai), (vb, br, bi) = a[i], b[j]
+        for s, x in enumerate(_gauss(ar, ai or [0] * len(ar))):
+            for t, y in enumerate(_gauss(br, bi or [0] * len(br))):
+                if va + vb + s + t <= top:
+                    want[va + vb + s + t] = want.get(va + vb + s + t, ZERO) + x * y
+    return {e: c for e, c in want.items() if c != ZERO}
+
+
+def _row_terms(row):
+    """{position: GaussianInt} of one conv_rows row, without zeros; {} for a missing row."""
+    v, re, im = row or (0, [], None)
+    return {v + t: c for t, c in enumerate(_gauss(re, im or [0] * len(re))) if c != ZERO}
+
+
 @pytest.mark.parametrize("bits", BITS)
 def test_imaginary_windows_match_oracle(bits):
-    # a complex pair with a zero packed part takes two products, not three;
-    # every row must still be the schoolbook sum of its pairs' products
+    # a purely imaginary list is i times a real list; every row must still be
+    # the schoolbook sum of its pairs' products
     rng = random.Random(bits + 5)
     kinds = ("imaginary", "imaginary", "complex", "real")
     a = {x: _operand(rng, kind, bits) for x, kind in enumerate(kinds)}
@@ -219,13 +237,33 @@ def test_imaginary_windows_match_oracle(bits):
     for top in (0, 4, 9, 30):
         got = conv_rows(a, b, rows, top, 1)
         for k, pairs in rows.items():
-            want = {}
-            for i, j in pairs:
-                (va, ar, ai), (vb, br, bi) = a[i], b[j]
-                for s, x in enumerate(_gauss(ar, ai or [0] * len(ar))):
-                    for t, y in enumerate(_gauss(br, bi or [0] * len(br))):
-                        if va + vb + s + t <= top:
-                            want[va + vb + s + t] = want.get(va + vb + s + t, ZERO) + x * y
-            v, re, im = got.get(k, (0, [], None))
-            have = {v + t: c for t, c in enumerate(_gauss(re, im or [0] * len(re)))}
-            assert {e: c for e, c in have.items() if c != ZERO} == {e: c for e, c in want.items() if c != ZERO}, (k, top)
+            assert _row_terms(got.get(k)) == _schoolbook(a, b, pairs, top), (k, top)
+
+
+@pytest.mark.parametrize("c", [GaussianInt(1, 0), GaussianInt(0, 1), GaussianInt(1, 1)])
+def test_a_window_times_its_z_to_minus_z_twist_forms_no_odd_row(c):
+    # E(cz)*E(-cz): list n is c**n * S_n on one side and (-c)**n * S_n on the
+    # other, so the pairs (m, n) and (n, m) of an odd row cancel and those of
+    # an even row are one term of weight +-2: no odd row is planned or formed
+    rng = random.Random(11)
+    lists = [[rng.randint(-99, 99) for _ in range(rng.randint(1, 9))] for _ in range(7)]
+
+    def window(u):
+        w, p = {}, GaussianInt(1, 0)
+        for n, s in enumerate(lists):
+            im = None if p.im == 0 else [p.im * x for x in s]
+            w[n] = (n, [p.re * x for x in s], im)
+            p = p * u
+        return w
+
+    a, b = window(c), window(-c)
+    rows = {k: [(m, k - m) for m in a if k - m in b] for k in range(13)}
+    top = 40
+    plan, _, _ = _plan_rows(a, b, rows, top, 1)
+    assert [k for k, *_ in plan] == list(range(0, 13, 2))
+    for k, _, _, _, _, terms in plan:
+        assert len(terms) == (len(rows[k]) + 1) // 2
+    got = conv_rows(a, b, rows, top, 1)
+    assert set(got) == set(range(0, 13, 2))
+    for k, pairs in rows.items():
+        assert _row_terms(got.get(k)) == _schoolbook(a, b, pairs, top), k

@@ -382,9 +382,12 @@ def test_mirrored_rows_are_formed_once(monkeypatch):
     assert len(got.coeff) > 1 and len(calls) == (len(got.coeff) + 1) // 2
 
 
-def test_windows_without_a_shared_list_unpack_every_row(monkeypatch):
-    # replay 1.8's z_plus * z_minus: conj(z_plus) in lists of its own, so
-    # every row is formed and unpacked, once per part
+def test_conjugate_euler_windows_form_only_their_even_rows(monkeypatch):
+    # replay 1.8's z_plus * z_minus: slice n of z_plus is i**n * S_n and of
+    # z_minus (-i)**n * S_n, so the pairs (m, n) and (n, m) of an odd row
+    # cancel and those of an even row are one product with weight 2.  The
+    # odd rows are never formed, and each even row is formed and unpacked
+    # once per part (row 0 pairs the real slices 0 alone)
     z_plus = euler_z_inverse(Monomial(I, F(3, 2)), qmono(2), 30)
     z_minus = euler_z_inverse(Monomial(MINUS_I, F(3, 2)), qmono(2), 30)
     want = _reference(z_plus, z_minus)
@@ -403,5 +406,55 @@ def test_windows_without_a_shared_list_unpack_every_row(monkeypatch):
     monkeypatch.setattr(_kernel_py, "_unpack", spy_unpack)
     assert z_plus * z_minus == ZSeries(want)
     (out,) = rows
+    assert all(want[k].is_zero() for k in want if k % 2)
+    assert set(out) == {k for k, t in want.items() if not t.is_zero()} and not any(k % 2 for k in out)
     assert len({id(row) for row in out.values()}) == len(out)
     assert len(calls) == sum(1 if im is None else 2 for _, _, im in out.values())
+
+
+_UNIT_LIST = [ONE, MINUS_ONE, I, MINUS_I]
+
+
+@settings(max_examples=200, deadline=None)
+@given(windows(), st.lists(st.tuples(st.integers(-4, 4), st.sampled_from(_UNIT_LIST)), min_size=1, max_size=5))
+@example(  # c holds a complex slice times i, -1 and -i; a also has a purely imaginary one
+    ZSeries({0: QSeries(1, 6, {0: (2, -1), 3: (0, 1)}), 1: QSeries(1, 6, {1: (0, 3), 2: (0, -2)})}),
+    [(-1, I), (0, MINUS_ONE), (2, MINUS_I)],
+)
+def test_products_of_unit_multiples_match_the_oracle(a, scaled):
+    # the kernel keys each slice by its content up to a unit of Z[i] and sums
+    # the weights of equal terms; a window times its z -> -z twist, and one
+    # slice times +-1, +-i at several keys, must each still equal their own
+    # sums of products
+    twist = ZSeries({k: -s if k % 2 else s for k, s in a.coeff.items()})
+    s = a.slice(a.window[0])
+    c = ZSeries({k: s.scale(u) for k, u in scaled})
+    for x, y in [(a, twist), (c, c), (c, c.reflect()), (c, a), (c, twist)]:
+        _assert_product(x, y)
+
+
+@pytest.mark.parametrize("unit", _UNIT_LIST)
+def test_a_row_whose_terms_cancel_is_left_out(monkeypatch, unit):
+    # x = s + s*z and y = u*s/z - u*s: the pairs of row z**0 are s*(-u*s) and
+    # s*(u*s), one term whose weights sum to 0, so the kernel forms no row 0;
+    # the product has no z**0 slice and its constant term is the zero series
+    # on the operands' grid and order
+    s = QSeries(2, 9, {1: GaussianInt(3, 1), 4: I, 6: MINUS_ONE})
+    x = ZSeries({0: s, 1: s})
+    y = ZSeries({-1: s.scale(unit), 0: s.scale(-unit)})
+    want = _reference(x, y)
+    assert want[0].is_zero()
+    conv_rows = _kernel_py.conv_rows
+    rows = []
+
+    def spy(*args):
+        rows.append(conv_rows(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(_kernel_py, "conv_rows", spy)
+    got = x * y
+    assert got == ZSeries(want) and 0 not in got.coeff and set(got.coeff) == {-1, 1}
+    assert 0 not in rows[0] and set(rows[0]) == {-1, 1}
+    for ct in (x.ct_mul(y), y.ct_mul(x)):
+        assert ct.is_zero() and (ct.den, ct.order) == (2, 9)
+    assert all(0 not in out for out in rows[1:])
