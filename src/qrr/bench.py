@@ -4,11 +4,15 @@ the z-product layer.
 Run as `python -m qrr.bench`.  Times the kernel's one entry point,
 `conv_rows`, on a one-row, one-pair call of random small-coefficient lists at
 several lengths, real times real (rows `conv_real n`) and complex times
-complex (rows `conv_complex n`), then `eval_sum` of cao_wang_1_2_3 at
+complex (rows `conv_complex n`), and real times real at WIDE_SIZE with
+coefficients near 2**40 (row `conv_real n wide`), whose digits are wider
+than 8 bytes and so take the kernel's per-digit packing, then `eval_sum` of
+cao_wang_1_2_3 at
 SUM_ORDER and CAO_WANG_ORDER and of double_mod10_2_8 at VERIFY_ORDER,
 `verify` of double_mod10_2_8 at VERIFY_ORDER, the single-factor updates
 (`rogers_szego_bw` with n = RS_N at RS_ORDER, `rs_at` with the same n and
-order at t = -1 as replay 1.7 uses it, `eval_product` of rogers_mod5_1_4 at
+order at t = -1 as replay 1.7 uses it, `rogers_szego_bw` with each n of
+RS_SMALL_NS at RS_ORDER, `eval_product` of rogers_mod5_1_4 at
 PRODUCT_ORDER and of double_mod5_1_4, whose unit -1 factors take the other
 sign of the binomial division, at the same order, and `rogers_szego_def`
 with n = RS_N at RS_ORDER, the defining sum over one row of Gaussian
@@ -29,7 +33,9 @@ shares only `_unit_div` with the product walk), each replay row that its
 chain passes (`chain_passes`) and each `jtp_check` row that the check is ok.
 Every other row, which has no such status, checks the sha256 of the repr of
 its result against DIGESTS, recorded before the kernel keyed its lists by
-content; the kernel rows draw their lists from a seeded generator.  A row
+content (the wide kernel row and the rogers_szego_bw rows at RS_SMALL_NS
+before it moved digits by byte-strided copies); the kernel rows draw their
+lists from a seeded generator.  A row
 without a recorded digest fails.  A failing row is still timed and written;
 the bench then names the failing rows on stderr and exits 1.
 """
@@ -53,6 +59,7 @@ from .series import Monomial, qmono
 from .special import jtp_check, rogers_szego_bw, rogers_szego_def, rs_at
 
 SIZES = (64, 256, 1024, 4096)
+WIDE_SIZE = 1024
 REPEATS = 5
 VERIFY_ORDER = Fraction(120)
 # kept at 60 so sum-side rows stay comparable with earlier BENCH_*.json files
@@ -60,6 +67,9 @@ SUM_ORDER = Fraction(60)
 # the rank-3 order the sum side is aimed at
 CAO_WANG_ORDER = Fraction(480)
 RS_N = 40
+# perfbench's poly_updates also runs rogers_szego_bw at these n, whose digit
+# widths (4 and 5 bytes) differ from RS_N's (6)
+RS_SMALL_NS = (24, 32)
 RS_ORDER = Fraction(420)
 PRODUCT_ORDER = Fraction(2000)
 REPLAY_ORDER = Fraction(80)
@@ -79,9 +89,12 @@ DIGESTS = {
     "conv_complex 1024": "b9848b61ce0c414b",
     "conv_real 4096": "6881c8e6e172d8fb",
     "conv_complex 4096": "9c67632ef7b8f7b4",
+    "conv_real 1024 wide": "c6b3ea05032bf160",
     "cao-wang-1-2-3 @60": "a4986ecca98eb252",
     "cao-wang-1-2-3 @480": "1e60ffa19da8c9d2",
     "double-mod10-2-8 @120": "597efede089258dc",
+    "rogers_szego_bw 24 @420": "6a93e789c4612fef",
+    "rogers_szego_bw 32 @420": "ca4bb746aaa26251",
     "rogers_szego_bw 40 @420": "9e7d79b59a7a4f40",
     "rs_at 40 t=-1 @420": "ff8398b6444a3e2e",
     "rogers_szego_def 40 @420": "9e7d79b59a7a4f40",
@@ -130,6 +143,11 @@ def bench_kernels(out, rows, failed):
         for label, x, y in (("conv_real %d", (0, a, None), (0, b, None)), ("conv_complex %d", (0, a, b), (0, b, a))):
             _checked(section, label % n, lambda: _pair(x, y, n), REPEATS, None, failed)
         out("%8d  %12.6f  %12.6f" % (n, section["conv_real %d" % n], section["conv_complex %d" % n]))
+    n, m = WIDE_SIZE, 1 << 40
+    a = [rng.randint(-m, m) for _ in range(n)]
+    b = [rng.randint(-m, m) for _ in range(n)]
+    t = _checked(section, "conv_real %d wide" % n, lambda: _pair((0, a, None), (0, b, None), n), REPEATS, None, failed)
+    out("%8d  %12.6f  %12s" % (n, t, "wide digits"))
 
 
 def bench_sum(out, rows, failed):
@@ -169,13 +187,16 @@ def bench_updates(out, rows, failed):
     def sum_side(spec):
         return lambda product: product == eval_sum(spec, PRODUCT_ORDER)
 
-    for label, order, fn, passes in (
+    smaller = [
+        ("rogers_szego_bw %d" % n, RS_ORDER, lambda n=n: rogers_szego_bw(n, qmono(1), RS_ORDER), None) for n in RS_SMALL_NS
+    ]
+    for label, order, fn, passes in smaller + [
         ("rogers_szego_bw %d" % RS_N, RS_ORDER, lambda: rogers_szego_bw(RS_N, qmono(1), RS_ORDER), None),
         ("rs_at %d t=-1" % RS_N, RS_ORDER, lambda: rs_at(RS_N, Monomial(MINUS_ONE), qmono(1), RS_ORDER), None),
         ("eval_product " + spec.name, PRODUCT_ORDER, lambda: eval_product(spec, PRODUCT_ORDER), sum_side(spec)),
         ("eval_product " + minus.name, PRODUCT_ORDER, lambda: eval_product(minus, PRODUCT_ORDER), sum_side(minus)),
         ("rogers_szego_def %d" % RS_N, RS_ORDER, lambda: rogers_szego_def(RS_N, qmono(1), RS_ORDER), None),
-    ):
+    ]:
         t = _checked(section, "%s @%s" % (label, order), fn, 3, passes, failed)
         out("%-28s  %6s  %10.3f" % (label, order, t))
 

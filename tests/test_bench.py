@@ -12,9 +12,12 @@ SMALL_DIGESTS = {
     "conv_complex 3": "bb116413ed7583dd",
     "conv_real 8": "d504087795c048ab",
     "conv_complex 8": "77d217321cd2b483",
+    "conv_real 8 wide": "aa13a38a954d4947",
     "cao-wang-1-2-3 @5": "e1f90d0c360acb3c",
     "cao-wang-1-2-3 @7": "9e3c7e24a6efb283",
     "double-mod10-2-8 @6": "7eedc29b433c0ef0",
+    "rogers_szego_bw 3 @7": "b2a323c3fcdae6b6",
+    "rogers_szego_bw 4 @7": "4d94964e90f75426",
     "rogers_szego_bw 5 @7": "35d9431b9f2a4542",
     "rs_at 5 t=-1 @7": "effcf0efbb90cbb8",
     "rogers_szego_def 5 @7": "35d9431b9f2a4542",
@@ -26,11 +29,13 @@ SMALL_DIGESTS = {
 def small(monkeypatch):
     monkeypatch.setattr(bench, "DIGESTS", SMALL_DIGESTS)
     monkeypatch.setattr(bench, "SIZES", (3, 8))
+    monkeypatch.setattr(bench, "WIDE_SIZE", 8)
     monkeypatch.setattr(bench, "REPEATS", 1)
     monkeypatch.setattr(bench, "VERIFY_ORDER", Fraction(6))
     monkeypatch.setattr(bench, "SUM_ORDER", Fraction(5))
     monkeypatch.setattr(bench, "CAO_WANG_ORDER", Fraction(7))
     monkeypatch.setattr(bench, "RS_N", 5)
+    monkeypatch.setattr(bench, "RS_SMALL_NS", (3, 4))
     monkeypatch.setattr(bench, "RS_ORDER", Fraction(7))
     monkeypatch.setattr(bench, "PRODUCT_ORDER", Fraction(9))
     monkeypatch.setattr(bench, "REPLAY_ORDER", Fraction(6))
@@ -49,6 +54,7 @@ def test_bench_runs_at_small_sizes(small):
     assert "cao-wang-1-2-3" in text and "sum side" in text
     assert "z-products: replay chains at order 6, jtp_check at order 8" in text
     assert "single-factor updates" in text
+    assert "rogers_szego_bw 3" in text and "rogers_szego_bw 4" in text
     assert "rogers_szego_bw 5" in text and "eval_product rogers-mod5-1-4" in text
     assert "rs_at 5 t=-1" in text and "rogers_szego_def 5" in text
     assert "replay 1.8" in text and "jtp_check" in text
@@ -56,15 +62,17 @@ def test_bench_runs_at_small_sizes(small):
     assert "eval_product double-mod5-1-4" in text
     assert "the sizes that cost" in text
     assert "replay 1.8 @10" in text and "jtp_check @12" in text and "verify cao-wang-1-2-3 @11" in text
-    assert len(lines) == 35
+    assert len(lines) == 38
 
 
 def _assert_every_row(rows):
     assert list(rows) == ["kernel", "sum", "verify", "updates", "zseries", "setup", "large"]
-    assert list(rows["kernel"]) == ["conv_real 3", "conv_complex 3", "conv_real 8", "conv_complex 8"]
+    assert list(rows["kernel"]) == ["conv_real 3", "conv_complex 3", "conv_real 8", "conv_complex 8", "conv_real 8 wide"]
     assert list(rows["sum"]) == ["cao-wang-1-2-3 @5", "cao-wang-1-2-3 @7", "double-mod10-2-8 @6"]
     assert list(rows["verify"]) == ["double-mod10-2-8 @6"]
     assert list(rows["updates"]) == [
+        "rogers_szego_bw 3 @7",
+        "rogers_szego_bw 4 @7",
         "rogers_szego_bw 5 @7",
         "rs_at 5 t=-1 @7",
         "eval_product rogers-mod5-1-4 @9",
@@ -88,6 +96,9 @@ def test_bench_json_holds_the_printed_rows(small, tmp_path, capsys):
     assert "%10.3f" % rows["setup"]["corpus.load_all"] in lines[-7]
     assert "%10.3f" % rows["zseries"]["jtp_check @8"] in lines[-10]
     assert "%12.6f" % rows["kernel"]["conv_complex 8"] in lines[3]
+    assert "%12.6f" % rows["kernel"]["conv_real 8 wide"] in lines[4] and "wide digits" in lines[4]
+    assert "%10.3f" % rows["updates"]["rogers_szego_bw 3 @7"] in lines[-23]
+    assert "%10.3f" % rows["updates"]["rogers_szego_bw 4 @7"] in lines[-22]
     assert "%10.3f" % rows["updates"]["rs_at 5 t=-1 @7"] in lines[-20]
     assert "%10.3f" % rows["updates"]["eval_product rogers-mod5-1-4 @9"] in lines[-19]
     assert "%10.3f" % rows["updates"]["eval_product double-mod5-1-4 @9"] in lines[-18]
@@ -106,7 +117,7 @@ def test_bench_names_failing_z_product_rows_and_exits_1(small, tmp_path, monkeyp
     lines = []
     assert bench.main(["--json", str(path)], out=lines.append) == 1
     _assert_every_row(json.loads(path.read_text()))
-    assert len(lines) == 35
+    assert len(lines) == 38
     assert capsys.readouterr().err.splitlines() == [
         "python -m qrr.bench: wrong result in row %r" % label
         for label in ("replay 1.7 @6", "jtp_check @8", "jtp_check @12")
@@ -124,7 +135,7 @@ def test_bench_names_failing_product_and_verify_rows_and_exits_1(small, tmp_path
     lines = []
     assert bench.main(["--json", str(path)], out=lines.append) == 1
     _assert_every_row(json.loads(path.read_text()))
-    assert len(lines) == 35
+    assert len(lines) == 38
     assert capsys.readouterr().err.splitlines() == [
         "python -m qrr.bench: wrong result in row %r" % label
         for label in (
@@ -154,7 +165,9 @@ def test_every_row_has_a_digest_or_a_status_check(small, tmp_path, monkeypatch):
     assert sorted(digested) == sorted(SMALL_DIGESTS)
     monkeypatch.undo()
     default = ["conv_%s %d" % (kind, n) for n in bench.SIZES for kind in ("real", "complex")]
+    default += ["conv_real %d wide" % bench.WIDE_SIZE]
     default += ["cao-wang-1-2-3 @60", "cao-wang-1-2-3 @480", "double-mod10-2-8 @120", "corpus.load_all"]
+    default += ["rogers_szego_bw %d @420" % n for n in (24, 32)]
     default += ["rogers_szego_bw 40 @420", "rs_at 40 t=-1 @420", "rogers_szego_def 40 @420"]
     assert sorted(bench.DIGESTS) == sorted(default)
 
@@ -176,5 +189,5 @@ def test_bench_names_a_perturbed_kernel_result_and_exits_1(small, tmp_path, monk
     assert bench.main(["--json", str(path)], out=lambda line: None) == 1
     _assert_every_row(json.loads(path.read_text()))
     named = capsys.readouterr().err.splitlines()
-    for label in ("conv_real 3", "conv_complex 3", "conv_real 8", "conv_complex 8"):
+    for label in ("conv_real 3", "conv_complex 3", "conv_real 8", "conv_complex 8", "conv_real 8 wide"):
         assert "python -m qrr.bench: wrong result in row %r" % label in named
