@@ -23,8 +23,22 @@ and rows made of the same terms and weights are formed once and share one
 result (the mirrored rows of E(z)*E(1/z), say).  Real and complex lists mix
 freely; a complex list times a complex list takes three real products
 (Karatsuba).
+
+Digits move between lists and ints (`_pack`, `_unpack`) by one of two paths,
+chosen from the digit width wb and the length alone.  The byte path sees the
+digits as the host's signed 1-, 2-, 4- or 8-byte cells (`array`,
+`memoryview.cast`), the smallest that hold wb bytes, and moves the wb low
+bytes of each between the cells and the packed int's bytes with one strided
+copy per byte position; it costs a fixed number of C-level byte operations,
+whatever the length.  The per-digit path makes one Python call per digit.
+Digits of a cell's own width need no copy and always take the byte path;
+other widths up to 8 bytes take it from the length where the copies cost
+less than the calls, and digits wider than 8 bytes, or any digits on a
+big-endian host, whose cells are in the other byte order, never do.
 """
 
+import sys
+from array import array
 from itertools import accumulate
 from operator import neg
 
@@ -40,20 +54,76 @@ def _tops(wb: int, n: int) -> int:
     return int.from_bytes((bytes(wb - 1) + b"\x80") * n, "little")
 
 
+def _cell_table() -> tuple:
+    """At index wb, (size, typecode) of the smallest signed array cell that
+    holds wb bytes, or None for wb = 0; empty on a big-endian host, since
+    array and memoryview.cast read and write cells in the host's byte order."""
+    if sys.byteorder != "little":
+        return ()
+    cells = sorted((array(code).itemsize, code) for code in "bhiq")
+    return (None,) + tuple(next(c for c in cells if c[0] >= wb) for wb in range(1, cells[-1][0] + 1))
+
+
+_CELLS = _cell_table()
+# a digit's top byte -> the byte that extends its sign
+_SIGNS = bytes(128) + b"\xff" * 128
+
+
 def _pack(a: list, wb: int) -> int:
-    """sum a[i] * 2**(8*wb*i) for digits a[i] that fit in wb signed bytes."""
-    u = int.from_bytes(b"".join([x.to_bytes(wb, "little", signed=True) for x in a]), "little")
+    """sum a[i] * 2**(8*wb*i) for digits a[i] that fit in wb signed bytes.
+
+    Both paths lay the digits out in wb-byte two's complement, read the bytes
+    as one unsigned int and then undo the borrows.  The byte path writes the
+    digits as cells with one `array(...).tobytes()`, keeping the low wb bytes
+    of each cell with one strided copy per byte position (none when wb is the
+    cell size); it is taken when wb is a cell size, or from 8*wb digits, below
+    which the copies cost more than the per-digit `to_bytes` calls."""
+    n = len(a)
+    cell = _CELLS[wb] if wb < len(_CELLS) else None
+    if cell and (cell[0] == wb or n >= 8 * wb):
+        slot, code = cell
+        buf = array(code, a).tobytes()
+        if slot != wb:
+            cells, buf = buf, bytearray(wb * n)
+            for j in range(wb):
+                buf[j::wb] = cells[j::slot]
+    else:
+        buf = b"".join([x.to_bytes(wb, "little", signed=True) for x in a])
+    u = int.from_bytes(buf, "little")
     # each negative digit was written as x + 2**w, borrowing 2**w from the digit
     # above it; the digit's top bit marks exactly those borrows
-    return u - ((u & _tops(wb, len(a))) << 1)
+    return u - ((u & _tops(wb, n)) << 1)
 
 
 def _unpack(c: int, wb: int, nout: int) -> list:
-    """The low nout signed digits of c, each smaller than 2**(8*wb-1) in size."""
+    """The low nout signed digits of c, each smaller than 2**(8*wb-1) in size.
+
+    The byte path reads the digits as cells with one
+    `memoryview.cast(...).tolist()`.  It copies each digit's wb bytes of two's
+    complement into a cell with one strided copy per byte position, and fills
+    the cell's higher bytes from one `bytes.translate` of the digits' top
+    bytes (no copy or fill when wb is the cell size).  It is taken when wb is
+    a cell size, or from twice the cell size in digits, below which those
+    copies cost more than the per-digit `from_bytes` calls."""
     n = wb * nout
+    tops = _tops(wb, nout)
     # adding 2**(w-1) to every digit makes each one nonnegative and below
     # 2**w, so no digit borrows from the next and each reads back on its own
-    buf = ((c + _tops(wb, nout)) & ((1 << 8 * n) - 1)).to_bytes(n, "little")
+    c = (c + tops) & ((1 << 8 * n) - 1)
+    cell = _CELLS[wb] if wb < len(_CELLS) else None
+    if cell and (cell[0] == wb or nout >= 2 * cell[0]):
+        slot, code = cell
+        buf = (c ^ tops).to_bytes(n, "little")  # each digit's two's complement
+        if slot != wb:
+            cells = bytearray(slot * nout)
+            for j in range(wb):
+                cells[j::slot] = buf[j::wb]
+            signs = buf[wb - 1 :: wb].translate(_SIGNS)
+            for j in range(wb, slot):
+                cells[j::slot] = signs
+            buf = cells
+        return memoryview(buf).cast(code).tolist()
+    buf = c.to_bytes(n, "little")
     half = 1 << 8 * wb - 1
     return [int.from_bytes(buf[i : i + wb], "little") - half for i in range(0, n, wb)]
 
