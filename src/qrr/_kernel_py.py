@@ -25,16 +25,17 @@ freely; a complex list times a complex list takes three real products
 (Karatsuba).
 
 Digits move between lists and ints (`_pack`, `_unpack`) by one of two paths,
-chosen from the digit width wb and the length alone.  The byte path sees the
-digits as the host's signed 1-, 2-, 4- or 8-byte cells (`array`,
-`memoryview.cast`), the smallest that hold wb bytes, and moves the wb low
-bytes of each between the cells and the packed int's bytes with one strided
-copy per byte position; it costs a fixed number of C-level byte operations,
-whatever the length.  The per-digit path makes one Python call per digit.
-Digits of a cell's own width need no copy and always take the byte path;
-other widths up to 8 bytes take it from the length where the copies cost
-less than the calls, and digits wider than 8 bytes, or any digits on a
-big-endian host, whose cells are in the other byte order, never do.
+chosen from the digit width wb and the list's length alone.  The per-digit
+path makes one Python call per digit.  The byte path treats the digits as the
+host's signed array cells of 1, 2, 4 or 8 bytes, the smallest that hold wb
+bytes (`array`, `memoryview.cast`), and moves the wb low bytes of every cell
+to or from the packed int's bytes with one strided copy per byte position: a
+fixed number of C-level operations, whatever the length.  Widths of a cell's
+own size need no copy and take the byte path at every length; the other
+widths up to 8 bytes take it from 2*cell digits (unpack) or 8*wb digits
+(pack), below which the copies cost more than the calls they replace.
+Digits wider than 8 bytes keep the per-digit path, as does every width on a
+big-endian host, whose cells hold their bytes in the other order.
 """
 
 import sys
@@ -54,14 +55,14 @@ def _tops(wb: int, n: int) -> int:
     return int.from_bytes((bytes(wb - 1) + b"\x80") * n, "little")
 
 
-def _cell_table() -> tuple:
-    """At index wb, (size, typecode) of the smallest signed array cell that
-    holds wb bytes, or None for wb = 0; empty on a big-endian host, since
+def _cell_table() -> dict:
+    """{wb: (size, typecode)} of the smallest signed array cell that holds wb
+    bytes, for wb up to the largest cell; empty on a big-endian host, since
     array and memoryview.cast read and write cells in the host's byte order."""
     if sys.byteorder != "little":
-        return ()
+        return {}
     cells = sorted((array(code).itemsize, code) for code in "bhiq")
-    return (None,) + tuple(next(c for c in cells if c[0] >= wb) for wb in range(1, cells[-1][0] + 1))
+    return {wb: next(c for c in cells if c[0] >= wb) for wb in range(1, cells[-1][0] + 1)}
 
 
 _CELLS = _cell_table()
@@ -76,10 +77,11 @@ def _pack(a: list, wb: int) -> int:
     as one unsigned int and then undo the borrows.  The byte path writes the
     digits as cells with one `array(...).tobytes()`, keeping the low wb bytes
     of each cell with one strided copy per byte position (none when wb is the
-    cell size); it is taken when wb is a cell size, or from 8*wb digits, below
-    which the copies cost more than the per-digit `to_bytes` calls."""
+    cell size); on a little-endian host it is taken when wb is a cell size,
+    or from 8*wb digits, below which the copies cost more than the per-digit
+    `to_bytes` calls."""
     n = len(a)
-    cell = _CELLS[wb] if wb < len(_CELLS) else None
+    cell = _CELLS.get(wb)
     if cell and (cell[0] == wb or n >= 8 * wb):
         slot, code = cell
         buf = array(code, a).tobytes()
@@ -102,15 +104,16 @@ def _unpack(c: int, wb: int, nout: int) -> list:
     `memoryview.cast(...).tolist()`.  It copies each digit's wb bytes of two's
     complement into a cell with one strided copy per byte position, and fills
     the cell's higher bytes from one `bytes.translate` of the digits' top
-    bytes (no copy or fill when wb is the cell size).  It is taken when wb is
-    a cell size, or from twice the cell size in digits, below which those
-    copies cost more than the per-digit `from_bytes` calls."""
+    bytes (no copy or fill when wb is the cell size).  On a little-endian
+    host it is taken when wb is a cell size, or from twice the cell size in
+    digits, below which those copies cost more than the per-digit
+    `from_bytes` calls."""
     n = wb * nout
     tops = _tops(wb, nout)
     # adding 2**(w-1) to every digit makes each one nonnegative and below
     # 2**w, so no digit borrows from the next and each reads back on its own
     c = (c + tops) & ((1 << 8 * n) - 1)
-    cell = _CELLS[wb] if wb < len(_CELLS) else None
+    cell = _CELLS.get(wb)
     if cell and (cell[0] == wb or nout >= 2 * cell[0]):
         slot, code = cell
         buf = (c ^ tops).to_bytes(n, "little")  # each digit's two's complement

@@ -7,8 +7,8 @@ several lengths, real times real (rows `conv_real n`) and complex times
 complex (rows `conv_complex n`), and real times real at WIDE_SIZE with
 coefficients near 2**40 (row `conv_real n wide`), whose digits are wider
 than 8 bytes and so take the kernel's per-digit packing, then `eval_sum` of
-cao_wang_1_2_3 at
-SUM_ORDER and CAO_WANG_ORDER and of double_mod10_2_8 at VERIFY_ORDER,
+cao_wang_1_2_3 at SUM_ORDER and CAO_WANG_ORDER and of double_mod10_2_8 at
+VERIFY_ORDER,
 `verify` of double_mod10_2_8 at VERIFY_ORDER, the single-factor updates
 (`rogers_szego_bw` with n = RS_N at RS_ORDER, `rs_at` with the same n and
 order at t = -1 as replay 1.7 uses it, `rogers_szego_bw` with each n of
@@ -35,8 +35,7 @@ Every other row, which has no such status, checks the sha256 of the repr of
 its result against DIGESTS, recorded before the kernel keyed its lists by
 content (the wide kernel row and the rogers_szego_bw rows at RS_SMALL_NS
 before it moved digits by byte-strided copies); the kernel rows draw their
-lists from a seeded generator.  A row
-without a recorded digest fails.  A failing row is still timed and written;
+lists from a seeded generator.  A row without a recorded digest fails.  A failing row is still timed and written;
 the bench then names the failing rows on stderr and exits 1.
 """
 
@@ -187,9 +186,10 @@ def bench_updates(out, rows, failed):
     def sum_side(spec):
         return lambda product: product == eval_sum(spec, PRODUCT_ORDER)
 
-    smaller = [
-        ("rogers_szego_bw %d" % n, RS_ORDER, lambda n=n: rogers_szego_bw(n, qmono(1), RS_ORDER), None) for n in RS_SMALL_NS
-    ]
+    def rs_bw(n):
+        return lambda: rogers_szego_bw(n, qmono(1), RS_ORDER)
+
+    smaller = [("rogers_szego_bw %d" % n, RS_ORDER, rs_bw(n), None) for n in RS_SMALL_NS]
     for label, order, fn, passes in smaller + [
         ("rogers_szego_bw %d" % RS_N, RS_ORDER, lambda: rogers_szego_bw(RS_N, qmono(1), RS_ORDER), None),
         ("rs_at %d t=-1" % RS_N, RS_ORDER, lambda: rs_at(RS_N, Monomial(MINUS_ONE), qmono(1), RS_ORDER), None),

@@ -149,7 +149,13 @@ def _nest(n: int, b: Monomial, order, den: int, r0: int, r1: int) -> tuple:
     most sum_r C(h, r) * 2**U = 2**n, each at its own power of q (b has
     positive q-order), so every real and imaginary coefficient of the sum, and
     of its value at a monomial z := t, is at most 2**n in size; intermediate
-    digits need no bound, since only the result's are read."""
+    digits need no bound, since only the result's are read.
+
+    The digits move through the kernel's `_pack` and `_unpack` only: each c_r
+    is packed once, and `_read` unpacks each result.  For n <= 62 (wb <= 8)
+    both move the digits by byte-strided copies, not one call per digit, on
+    every list past their length rules (every list when wb is 1, 2, 4 or
+    8)."""
     half, upper = n // 2, (n + 1) // 2
     # each c_r is real, since the unit of b**2 is +-1; c_r = c_{h-r}, and
     # the walk stops at the last one a kept term needs

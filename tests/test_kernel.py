@@ -1,16 +1,20 @@
 """The Kronecker-substitution kernel against the schoolbook oracle, exactly.
 
 Every oracle case goes through the kernel's one entry point, `conv_rows`, as
-a one-row, one-pair call."""
+a one-row, one-pair call.  The digit I/O (`_pack`, `_unpack`) is checked
+against the per-digit loops below on both of its paths."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from qrr._kernel_py import _pack, _plan_rows, _reach, _unpack, _width, conv_rows
+from qrr import special
+from qrr._kernel_py import _pack, _plan_rows, _reach, _tops, _unpack, _width, conv_rows
 from qrr.gaussian import ZERO, GaussianInt
 from qrr.oracle import dense_mul
+from qrr.series import qmono
 
 BITS = (1, 64, 300)
 LENGTHS = (0, 1, 2, 17, 40)
@@ -125,6 +129,85 @@ def test_all_zero_inputs():
     assert conv_complex([0, 1], [1, 0], [0, 1], [1, 0], 3) == ([-1, 0, 1], [0, 2, 0])
 
 
+def test_conv_real_matches_oracle_across_eight_byte_digits():
+    # products near 2**64 put the row widths on both sides of 8 bytes, the
+    # widest digits the byte path takes, at lengths on both sides of its rules
+    rng = random.Random(64)
+    widths = set()
+    for bits_a, bits_b in ((24, 27), (26, 29), (28, 31), (30, 33)):
+        for la in (1, 9, 17, 60, 70):
+            for lb in (1, 17, 70):
+                for kind in ("random", "extreme"):
+                    a, b = _vec(rng, la, bits_a, kind), _vec(rng, lb, bits_b, kind)
+                    nout = la + lb - 1
+                    plan, _, _ = _plan_rows({0: (0, a, None)}, {0: (0, b, None)}, {0: [(0, 0)]}, nout - 1, 1)
+                    widths.add(plan[0][3])
+                    for n in (nout, nout // 2 + 1):
+                        assert conv_real(a, b, n) == _truncated(a, b, n), (bits_a, bits_b, la, lb, kind, n)
+    assert min(widths) < 8 < max(widths) and 8 in widths
+
+
+def _reference_pack(a, wb):
+    """_pack one digit at a time."""
+    u = int.from_bytes(b"".join([x.to_bytes(wb, "little", signed=True) for x in a]), "little")
+    return u - ((u & _tops(wb, len(a))) << 1)
+
+
+def _reference_unpack(c, wb, nout):
+    """_unpack one digit at a time."""
+    n = wb * nout
+    buf = ((c + _tops(wb, nout)) & ((1 << 8 * n) - 1)).to_bytes(n, "little")
+    half = 1 << 8 * wb - 1
+    return [int.from_bytes(buf[i : i + wb], "little") - half for i in range(0, n, wb)]
+
+
+@pytest.mark.parametrize("wb", range(1, 25))
+def test_digit_io_matches_the_per_digit_loops(wb):
+    # slot is the cell that holds a digit; the byte path's rules sit at
+    # 2*slot digits (unpack) and 8*wb (pack), so each length set straddles both
+    rng = random.Random(wb)
+    half = 1 << 8 * wb - 1
+    slot = 1 << (wb - 1).bit_length()
+    for n in sorted({0, 1, slot, slot + 1, 2 * slot - 1, 2 * slot, 8 * wb - 1, 8 * wb, 8 * wb + 1, 300}):
+        ends = [-half, half - 1, -1, 0]
+        a = [rng.choice(ends) if rng.random() < 0.5 else rng.randrange(-half, half) for _ in range(n)]
+        c = _pack(a, wb)
+        assert c == _reference_pack(a, wb), n
+        assert _unpack(c, wb, n) == _reference_unpack(c, wb, n) == a, n
+        # the digits above nout, and a negative int, read as the reference reads them
+        for d in (c + (rng.randrange(-half, half) << 8 * wb * n), -c - 1):
+            for m in (n, n // 2):
+                assert _unpack(d, wb, m) == _reference_unpack(d, wb, m), (n, m)
+
+
+def _digits(wb):
+    """(wb, a list of digits that fit in wb signed bytes)."""
+    half = 1 << 8 * wb - 1
+    return st.tuples(st.just(wb), st.lists(st.integers(-half, half - 1), max_size=80))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 24).flatmap(_digits))
+def test_unpack_inverts_pack(case):
+    wb, a = case
+    assert _unpack(_pack(a, wb), wb, len(a)) == a
+
+
+@pytest.mark.parametrize("n", [24, 32, 40])
+def test_rogers_szego_bw_reads_its_slices_as_the_per_digit_loops_do(n, monkeypatch):
+    # the Horner nest packs and reads slices at 4, 5 and 6 bytes a digit
+    order = Fraction(420)
+    got = special.rogers_szego_bw(n, qmono(1), order)
+    assert _width(1 << n, 1, 1) == {24: 4, 32: 5, 40: 6}[n]
+    monkeypatch.setattr(special, "_pack", _reference_pack)
+    monkeypatch.setattr(special, "_unpack", _reference_unpack)
+    want = special.rogers_szego_bw(n, qmono(1), order)
+    assert (got.den, got.order, list(got.coeff)) == (want.den, want.order, list(want.coeff))
+    for k, x in got.coeff.items():
+        y = want.coeff[k]
+        assert (x.den, x.order, x.val, x.re, x.im) == (y.den, y.order, y.val, y.re, y.im), k
+
+
 ints = st.integers(-(1 << 300), 1 << 300) | st.integers(-9, 9)
 
 
@@ -176,7 +259,7 @@ def test_reach_cuts_an_operand_to_its_pairs_digits():
     # under the order: the low n digits, nonnegative and below 2**(w*n), equal
     # to the packed list mod 2**(w*n)
     rng = random.Random(7)
-    for wb in (1, 3, 11):
+    for wb in (1, 2, 3, 4, 5, 8, 9, 17):
         for length in (1, 2, 9):
             m = 1 << (8 * wb - 2)
             re = [rng.randint(-m, m) for _ in range(length)]
