@@ -84,9 +84,11 @@ def _pack(a: list, wb: int) -> int:
     cell = _CELLS.get(wb)
     if cell and (cell[0] == wb or n >= 8 * wb):
         slot, code = cell
-        buf = array(code, a).tobytes()
-        if slot != wb:
-            cells, buf = buf, bytearray(wb * n)
+        cells = array(code, a).tobytes()
+        if slot == wb:
+            buf = cells
+        else:
+            buf = bytearray(wb * n)
             for j in range(wb):
                 buf[j::wb] = cells[j::slot]
     else:

@@ -163,8 +163,9 @@ def _reference_unpack(c, wb, nout):
 
 @pytest.mark.parametrize("wb", range(1, 25))
 def test_digit_io_matches_the_per_digit_loops(wb):
-    # slot is the cell that holds a digit; the byte path's rules sit at
-    # 2*slot digits (unpack) and 8*wb (pack), so each length set straddles both
+    # slot is the fewest bytes, a power of two, that hold a digit: the byte
+    # path's cell up to 8 bytes; its rules sit at 2*slot digits (unpack) and
+    # 8*wb (pack), so each length set straddles both
     rng = random.Random(wb)
     half = 1 << 8 * wb - 1
     slot = 1 << (wb - 1).bit_length()
