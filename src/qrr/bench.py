@@ -7,8 +7,10 @@ several lengths, real times real (rows `conv_real n`) and complex times
 complex (rows `conv_complex n`), and real times real at WIDE_SIZE with
 coefficients near 2**40 (row `conv_real n wide`), whose digits are wider
 than 8 bytes and so take the kernel's per-digit packing, then `eval_sum` of
-cao_wang_1_2_3 at SUM_ORDER and CAO_WANG_ORDER and of double_mod10_2_8 at
-VERIFY_ORDER,
+cao_wang_1_2_3 at SUM_ORDER and CAO_WANG_ORDER, of double_mod10_2_8 at
+VERIFY_ORDER and of double_mod5_1_4, a rank-2 sum on (q^2;q^2) bases, at
+CORPUS_ORDER, and `auto_bounds` of every corpus identity at CORPUS_ORDER
+(row `box corpus`),
 `verify` of double_mod10_2_8 at VERIFY_ORDER, the single-factor updates
 (`rogers_szego_bw` with n = RS_N at RS_ORDER, `rs_at` with the same n and
 order at t = -1 as replay 1.7 uses it, `rogers_szego_bw` with each n of
@@ -34,7 +36,9 @@ chain passes (`chain_passes`) and each `jtp_check` row that the check is ok.
 Every other row, which has no such status, checks the sha256 of the repr of
 its result against DIGESTS, recorded before the kernel keyed its lists by
 content (the wide kernel row and the rogers_szego_bw rows at RS_SMALL_NS
-before it moved digits by byte-strided copies); the kernel rows draw their
+before it moved digits by byte-strided copies, the double_mod5_1_4 and
+`box corpus` rows before the sum side fused its last two levels and took
+its box in integers); the kernel rows draw their
 lists from a seeded generator.  A row without a recorded digest fails.  A failing row is still timed and written;
 the bench then names the failing rows on stderr and exits 1.
 """
@@ -51,7 +55,7 @@ from fractions import Fraction
 from operator import attrgetter
 
 from . import _kernel_py, corpus
-from .identity import eval_product, eval_sum, verify
+from .identity import auto_bounds, eval_product, eval_sum, verify
 from .replay import REPLAYS, chain_passes
 from .gaussian import MINUS_ONE
 from .series import Monomial, qmono
@@ -65,6 +69,8 @@ VERIFY_ORDER = Fraction(120)
 SUM_ORDER = Fraction(60)
 # the rank-3 order the sum side is aimed at
 CAO_WANG_ORDER = Fraction(480)
+# perfbench verify_corpus's order for the corpus sums
+CORPUS_ORDER = Fraction(240)
 RS_N = 40
 # perfbench's poly_updates also runs rogers_szego_bw at these n, whose digit
 # widths (4 and 5 bytes) differ from RS_N's (6)
@@ -92,6 +98,8 @@ DIGESTS = {
     "cao-wang-1-2-3 @60": "a4986ecca98eb252",
     "cao-wang-1-2-3 @480": "1e60ffa19da8c9d2",
     "double-mod10-2-8 @120": "597efede089258dc",
+    "double-mod5-1-4 @240": "7b2a4001c053b09e",
+    "box corpus @240": "09de428ea987537e",
     "rogers_szego_bw 24 @420": "6a93e789c4612fef",
     "rogers_szego_bw 32 @420": "ca4bb746aaa26251",
     "rogers_szego_bw 40 @420": "9e7d79b59a7a4f40",
@@ -151,16 +159,22 @@ def bench_kernels(out, rows, failed):
 
 def bench_sum(out, rows, failed):
     out("")
-    out("sum side eval_sum (best of 3, seconds)")
+    out("sum side eval_sum and auto_bounds (best of 3, seconds)")
     section = rows["sum"] = {}
     for name, order in (
         ("cao_wang_1_2_3", SUM_ORDER),
         ("cao_wang_1_2_3", CAO_WANG_ORDER),
         ("double_mod10_2_8", VERIFY_ORDER),
+        ("double_mod5_1_4", CORPUS_ORDER),
     ):
         spec = corpus.load(name)
         t = _checked(section, "%s @%s" % (spec.name, order), lambda: eval_sum(spec, order), 3, None, failed)
         out("%-18s  %6s  %10.3f" % (spec.name, order, t))
+    specs = corpus.load_all()
+    t = _checked(
+        section, "box corpus @%s" % CORPUS_ORDER, lambda: [auto_bounds(s, CORPUS_ORDER) for s in specs], 3, None, failed
+    )
+    out("%-18s  %6s  %10.3f" % ("box corpus", CORPUS_ORDER, t))
 
 
 def _matches(report) -> bool:

@@ -11,9 +11,10 @@ eval_sum evaluates the sum side as nested partial sums over the declared index
 order, with the exponent and the sign's power of i as integer polynomials and
 no series multiply.  For each prefix the last index runs over the exact
 integer interval where the exponent is at most the order, cut at the
-enumeration box, and adds its 1/(b;b)_t table entries as strided slices into
-int lists that start at the prefix's lowest kept exponent; each outer level
-folds them in place from the top, one binomial division per index value.
+enumeration box (taken in integers from the same integer form); the
+next-to-last level adds those points' 1/(b;b)_t table entries as strided
+slices straight into the int lists it folds, and each outer level folds in
+place from the top, one binomial division per index value.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     SemanticError,
 )
 from .gaussian import MINUS_ONE, ONE, GaussianInt, i_pow, sign_binom2
-from .quadform import _interval, index_bounds, minorant
+from .quadform import _box, _interval, _minorant
 from .series import Monomial, QSeries, _grid, _poch, _unit_div, inv_poch_table, qmono
 
 
@@ -186,8 +187,9 @@ class IdentitySpec:
     def validate(self):
         """Raise SemanticError unless the spec is well formed and its sum side
         finite: explicit nonnegative bounds, one per index, or else a positive
-        definite minorant of the exponent on the orthant (quadform.minorant,
-        as auto_bounds uses; whether one exists does not depend on the order)."""
+        definite minorant of the exponent's integer form on the orthant
+        (quadform._minorant, as auto_bounds uses; whether one exists does not
+        depend on the order)."""
         if self.den <= 0:
             raise SemanticError("%s: exponent denominator must be positive" % self.name)
         if len(set(self.indices)) != len(self.indices):
@@ -233,9 +235,9 @@ class IdentitySpec:
             if any(b < 0 for b in self.bounds):
                 raise SemanticError("%s: bounds must be nonnegative" % self.name)
         else:
-            mat = self.exponent.quadratic_matrix(self.indices)
+            scale, q, b, _ = self.exponent.integer_form(self.indices)
             try:
-                minorant(mat, self.exponent.linear_vector(self.indices), 0)
+                _minorant(q, b, 0, scale)
             except NotPositiveDefinite:
                 raise SemanticError(
                     "%s: exponent quadratic form admits no finite enumeration;"
@@ -283,10 +285,19 @@ def _frac_str(x):
 def auto_bounds(spec: IdentitySpec, order) -> Tuple[int, ...]:
     """Per-index bounds so every excluded lattice point n >= 0 has exponent >
     order: the box of the first positive definite minorant of the exponent on
-    the orthant (qrr.quadform.minorant), in exact rationals."""
-    target = Fraction(order) - spec.exponent.const
-    mat = spec.exponent.quadratic_matrix(spec.indices)
-    return index_bounds(*minorant(mat, spec.exponent.linear_vector(spec.indices), target), target)
+    the orthant (qrr.quadform._minorant), in integers."""
+    return _auto_box(spec.exponent.integer_form(spec.indices), Fraction(order))
+
+
+def _auto_box(form: tuple, order: Fraction) -> Tuple[int, ...]:
+    """auto_bounds from the exponent's integer form (L, Q, b, c): with d the
+    order's denominator, E <= order is 1/2 n.(dQ).n + (db).n <= d(L*order - c),
+    on which a target of 1 in q-units is L*d."""
+    scale, q, b, c = form
+    d = order.denominator
+    t = scale * order.numerator - c * d
+    m, beta, k = _minorant([[d * x for x in row] for row in q], [d * x for x in b], t, scale * d)
+    return _box(m, beta, k * t)
 
 
 def eval_sum(spec: IdentitySpec, order) -> QSeries:
@@ -295,25 +306,25 @@ def eval_sum(spec: IdentitySpec, order) -> QSeries:
     With b_d the Pochhammer base of the d-th index in declared order, level d
     of the nest is X_0 + (X_1 + (X_2 + ...)/(1 - q^(2b_d)))/(1 - q^b_d), X_t
     the level below at prefix + t, since 1/(b;b)_t = 1/(b;b)_(t-1) / (1 - q^(bt)).
-    Each outer index value thus costs one O(order) binomial division and one
-    add, in place on int lists (stride (t+1) * b_d * D on the sum grid
-    q^(1/D)); only the top level's lists become a QSeries.  The exponent E is
-    the integer polynomial L*E, L the lcm of its coefficient denominators, and
-    the sign i**U, U the integer polynomial of sign_poly taken mod 4; both are
-    carried down the nest, so no point is built.  For each prefix the last
-    index visits only the exact integer interval where E <= order (from the
-    integer square root of the discriminant), cut at the box.  Each kept
-    point adds the content of its 1/(b;b)_t table entry, a series in q^b and
-    so on every (b * D)-th entry of the sum grid, with one extended slice into
-    int lists that start at the prefix's lowest kept exponent; a prefix with
-    no kept point allocates nothing.  The outer indices run over the whole
-    box: `bounds` when given, else auto_bounds.
+    Each outer index value thus costs one O(order) binomial division, in
+    place on int lists (stride (t+1) * b_d * D on the sum grid q^(1/D)); only
+    the top level's lists become a QSeries.  The exponent E is the integer
+    polynomial L*E of ExponentPoly.integer_form, taken once, which also gives
+    the box, and the sign i**U, U the integer polynomial of sign_poly taken
+    mod 4; both are carried down the nest, so no point is built.  For each
+    prefix the last index visits only the exact integer interval where
+    E <= order (from the integer square root of the discriminant), cut at the
+    box.  The last two levels are one pass: the next-to-last index scans its
+    values' kept points first, then adds each point's 1/(b;b)_t table entry,
+    a series in q^b and so on every (b * D)-th entry of the sum grid, with one
+    extended slice straight into the int lists it folds, allocated once from
+    its lowest kept exponent; a prefix with no kept point allocates nothing.
+    The outer indices run over the whole box: `bounds` when given, else
+    auto_bounds.
     """
-    order = Fraction(order)
-    bounds = auto_bounds(spec, order) if spec.bounds is None else spec.bounds
-    nest = _Nest(spec, order, bounds)
-    window = nest.level(0, nest.const, nest.lin, nest.sconst, nest.slin, ())
-    return QSeries._of(nest.den, nest.n, *(window or (0, [], None)))
+    nest = _Nest(spec, Fraction(order))
+    (start, re, _), *imag = nest.level(0, nest.const, nest.lin, nest.sconst, nest.slin, ()) or [(0, [], 0)]
+    return QSeries._of(nest.den, nest.n, start, re, imag[0][1] if imag else None)
 
 
 class _Nest:
@@ -325,76 +336,67 @@ class _Nest:
     linear coefficients of the indices still to come (lin, slin).  Only the
     last index has a 1/(b;b)_t table: one int list per t, the coefficients
     of 1/(x;x)_t in x = q^b, which sit on every step-th entry of the sum
-    grid.  Every level returns int lists (`last`), never a QSeries."""
+    grid.  Every level returns int lists, never a QSeries: its sum as fold's
+    terms, (start, re, 0) and, if any sign is imaginary, (start, im, 1), the
+    coefficients at scaled exponents start..n, or [] if no point below it is
+    kept."""
 
-    def __init__(self, spec: IdentitySpec, order: Fraction, bounds):
-        self.scale, self.quad, self.lin, self.const = spec.exponent.integer_form(spec.indices)
+    def __init__(self, spec: IdentitySpec, order: Fraction):
+        form = spec.exponent.integer_form(spec.indices)
+        self.scale, self.quad, self.lin, self.const = form
         self.squad, self.slin, self.sconst = sign_poly(spec.sign, spec.indices)
         self.top = floor(order * self.scale)  # L*E <= top exactly when E <= order
         self.spec = spec
+        self.bounds = _auto_box(form, order) if spec.bounds is None else spec.bounds
         base_of = dict(spec.denoms)
         self.bases = [base_of[x].exp for x in spec.indices]
         # the sum grid: the declared grid spec.den, which holds the sum's
         # exponents, refined to hold the order and every base
         self.den = lcm(spec.den, _grid(order, *self.bases))
         self.n = int(order * self.den)
-        self.bounds = bounds
         # q^b_d is steps[d] entries of the sum grid; for the last base b,
         # 1/(q^b;q^b)_t is 1/(x;x)_t in x = q^b, a list on the integers
         self.steps = [int(b * self.den) for b in self.bases]
-        self.table = [t.re for t in inv_poch_table(qmono(1), bounds[-1], floor(order / self.bases[-1]))]
+        self.table = [t.re for t in inv_poch_table(qmono(1), self.bounds[-1], floor(order / self.bases[-1]))]
+        # the last index's t*t coefficients in L*E and U
+        self.a, self.sa = self.quad[-1][-1] // 2, self.squad[-1][-1] // 2
 
     def level(self, d: int, c: int, lin: list, sc: int, slin: list, prefix: tuple):
-        """sum over t of level_{d+1}(prefix + t) / (b_d; b_d)_t, folded in place
-        into one window (see `last`); None when no point below it is kept."""
-        if d == len(self.bounds) - 1:
+        """sum over t of level_{d+1}(prefix + t) / (b_d; b_d)_t, by one
+        `fold`.  The next-to-last level folds the last index's kept points
+        (`kept`) at each t straight in; a rank-1 sum is `last`."""
+        r = len(self.bounds)
+        if d == r - 1:
             return self.last(c, lin[d], sc, slin[d], prefix)
-        inner = []
-        # ascending t, so the first bad point raised is the lexicographically first
+        groups = []
+        # ascending t, each scanned before any fold, so the first bad point
+        # raised is the lexicographically first
         for t in range(self.bounds[d] + 1):
             # entries of lin and slin before d + 1 are never read again
             c2, lin2 = _fix(self.quad[d], c, lin, d, t)
             sc2, slin2 = _fix(self.squad[d], sc, slin, d, t)
-            inner.append(self.level(d + 1, c2, lin2, sc2, slin2, prefix + (t,)))
-        while inner and inner[-1] is None:  # nothing to divide above the top window
-            inner.pop()
-        if not inner:
-            return None
-        lo = min(w[0] for w in inner if w)
-        re, im = [0] * (self.n + 1 - lo), None
-        low = len(re)  # the running sum is 0 below re[low]
-        for t in reversed(range(len(inner))):
-            if inner[t]:
-                start, wre, wim = inner[t]
-                low = min(low, start - lo)
-                re[start - lo :] = map(add, re[start - lo :], wre)
-                if wim is not None:
-                    if im is None:
-                        im = [0] * len(re)
-                    im[start - lo :] = map(add, im[start - lo :], wim)
-            if t:  # X_(t-1) + (X_t + ...) / (1 - q^(t*b_d))
-                _unit_div(re, t * self.steps[d], 1, low)
-                if im is not None:
-                    _unit_div(im, t * self.steps[d], 1, low)
-        return lo, re, im
+            if d == r - 2:
+                groups.append(self.kept(c2, lin2[-1], sc2, slin2[-1], prefix + (t,)))
+            else:
+                groups.append(self.level(d + 1, c2, lin2, sc2, slin2, prefix + (t,)))
+        return self.fold(groups, self.steps[d], self.steps[-1] if d == r - 2 else 1)
 
     def last(self, c: int, b: int, sc: int, sb: int, prefix: tuple):
-        """sum over t of i**U * q^E / (b;b)_t at prefix + t, by strided adds,
-        as a window (start, re, im) of the coefficients at scaled exponents
-        start..n, im None if no sign is imaginary; None if no point is kept.
+        """The terms of a rank-1 sum: its one index's kept points, folded."""
+        return self.fold([self.kept(c, b, sc, sb, prefix)], 0, self.steps[-1])
 
-        The kept points are collected first; the lists then start at the
-        lowest kept offset, and each table entry is added into every step-th
-        entry from its offset with one extended slice."""
-        spec, scale, top, den = self.spec, self.scale, self.top, self.den
-        d = len(self.bounds) - 1
-        a = self.quad[d][d] // 2
-        sa = self.squad[d][d] // 2
+    def kept(self, c: int, b: int, sc: int, sb: int, prefix: tuple) -> list:
+        """The terms (offset, table entry, u) of the points prefix + t with
+        E <= order, in ascending t, with L*E = a*t*t + b*t + c and
+        U = sa*t*t + sb*t + sc: offset the point's scaled exponent, u its
+        sign's power of i mod 4.  Raises at the first point with a negative
+        or off-grid exponent; allocates no window."""
+        spec, scale, top, den, a, sa = self.spec, self.scale, self.top, self.den, self.a, self.sa
         if a > 0:
             lo, hi = _interval(a, b, c - top)
-            ts = range(max(lo, 0), min(hi, self.bounds[d]) + 1)
+            ts = range(max(lo, 0), min(hi, self.bounds[-1]) + 1)
         else:
-            ts = range(self.bounds[d] + 1)
+            ts = range(self.bounds[-1] + 1)
         kept = []
         for t in ts:
             v = (a * t + b) * t + c
@@ -409,24 +411,42 @@ class _Nest:
                     % (spec.name, Fraction(v, scale), point, spec.den)
                 )
             kept.append((v * den // scale, self.table[t], ((sa * t + sb) * t + sc) % 4))
-        if not kept:
-            return None
-        start = min(k[0] for k in kept)
-        size = self.n + 1 - start
-        re = [0] * size
-        im = None
-        step = self.steps[d]
-        for o, content, u in kept:
-            if u % 2:
-                if im is None:
-                    im = [0] * size
-                out = im
-            else:
-                out = re
-            # the slice stops at the list's end, and map at the shorter operand
-            at = slice(o - start, o - start + step * len(content), step)
-            out[at] = map(sub if u > 1 else add, out[at], content)
-        return start, re, im
+        return kept
+
+    def fold(self, groups: list, step: int, stride: int):
+        """sum over t of X_t / (x; x)_t as terms, x = q^step on the sum grid
+        and X_t the terms of groups[t], each (offset, content, u) adding
+        i**u * content into every stride-th entry from its offset with one
+        extended slice.  From the top, X_0 + (X_1 + (X_2 + ...)/(1 - x^2))/(1 - x),
+        in place on lists allocated once, from the lowest offset: each t
+        below the top costs one binomial division, only from the lowest entry
+        written; [] when no group has a term."""
+        while groups and not groups[-1]:  # nothing to divide above the top group
+            groups.pop()
+        if not groups:
+            return []
+        lo = min(o for g in groups for o, _, _ in g)
+        re, im = [0] * (self.n + 1 - lo), None
+        low = len(re)  # the running sum is 0 below re[low]
+        for t in reversed(range(len(groups))):
+            for o, content, u in groups[t]:
+                o -= lo
+                if o < low:
+                    low = o
+                if u % 2:
+                    if im is None:
+                        im = [0] * len(re)
+                    out = im
+                else:
+                    out = re
+                # the slice stops at the list's end, and map at the shorter operand
+                at = slice(o, o + stride * len(content), stride)
+                out[at] = map(sub if u > 1 else add, out[at], content)
+            if t:
+                _unit_div(re, t * step, 1, low)
+                if im is not None:
+                    _unit_div(im, t * step, 1, low)
+        return [(lo, re, 0)] if im is None else [(lo, re, 0), (lo, im, 1)]
 
 
 def _fix(row: list, c: int, lin: list, d: int, t: int):

@@ -1,19 +1,21 @@
 """Positive-definiteness checks and exact enumeration bounds.
 
-Everything is exact rational arithmetic: Sylvester's leading minors decide
-positive definiteness (all principal minors semidefiniteness); minorant finds
-a positive definite form below the exponent on the orthant, and the bounding
-box of its ellipsoid 1/2 n.Q.n + b.n <= target comes from the cofactor inverse
-of Q and an integer square root, corrected by exact comparisons; the integers
-where a quadratic with integer coefficients is <= 0 come from the integer
-square root of its discriminant.
+Everything runs in integers: a rational form is first scaled by one common
+denominator, which changes no minor's sign and no ellipsoid.  Sylvester's
+leading minors decide positive definiteness (all principal minors
+semidefiniteness); minorant finds a positive definite form below the exponent
+on the orthant, and the bounding box of its ellipsoid 1/2 n.Q.n + b.n <= t is
+bound_i = (C_i + isqrt(S_i)) // det Q, with C = -adj(Q).b and
+S_i = (2 t det Q - b.C) * adj(Q)_ii; the integers where a quadratic with
+integer coefficients is <= 0 come from the integer square root of its
+discriminant.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import floor, isqrt
+from math import isqrt, lcm
 from typing import Sequence, Tuple
 
 from .errors import NotPositiveDefinite
@@ -34,103 +36,116 @@ def is_symmetric(a: Matrix) -> bool:
     return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
 
 
+def _scaled(q, b=(), target=0) -> tuple:
+    """(s, s*q, s*b, s*target) in integers, s the lcm of the denominators of
+    all their entries (ints included)."""
+    s = lcm(*(x.denominator for row in q for x in row), *(x.denominator for x in b), target.denominator)
+    return s, [[int(x * s) for x in row] for row in q], [int(x * s) for x in b], int(target * s)
+
+
 def leading_minors(a: Matrix) -> list:
-    """Leading principal minors, fraction-exact (ranks here are tiny)."""
-    a = as_matrix(a)
-    return [_det([row[:k] for row in a[:k]]) for k in range(1, len(a) + 1)]
+    """Leading principal minors, exact: those of the integer multiple s*a,
+    divided by s**k."""
+    s, m, _, _ = _scaled(as_matrix(a))
+    return [Fraction(_det([row[:k] for row in m[:k]]), s**k) for k in range(1, len(m) + 1)]
 
 
-def _det(a) -> Fraction:
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for j in range(n):
-        if a[0][j] == 0:
-            continue
-        sub = [row[:j] + row[j + 1 :] for row in a[1:]]
-        total += (-1) ** j * Fraction(a[0][j]) * _det(sub)
-    return total
+def _det(a) -> int:
+    """The determinant of a square integer matrix, by its first row (ranks
+    here are tiny)."""
+    if not a:
+        return 1
+    return sum((-1) ** j * x * _det([row[:j] + row[j + 1 :] for row in a[1:]]) for j, x in enumerate(a[0]) if x)
+
+
+def _definite(m) -> bool:
+    """Sylvester's criterion on a symmetric integer matrix."""
+    return all(_det([row[:k] for row in m[:k]]) > 0 for k in range(1, len(m) + 1))
 
 
 def is_positive_definite(a: Matrix) -> bool:
     """Sylvester's criterion on the leading principal minors."""
     a = as_matrix(a)
-    return is_symmetric(a) and all(m > 0 for m in leading_minors(a))
+    return is_symmetric(a) and _definite(_scaled(a)[1])
 
 
 def is_positive_semidefinite(a: Matrix) -> bool:
     """Every principal minor, not only the leading ones, is >= 0."""
-    a = as_matrix(a)
-    subsets = [s for k in range(len(a)) for s in combinations(range(len(a)), k + 1)]
-    return is_symmetric(a) and all(_det([[a[i][j] for j in s] for i in s]) >= 0 for s in subsets)
+    m = _scaled(as_matrix(a))[1]
+    subsets = [s for k in range(len(m)) for s in combinations(range(len(m)), k + 1)]
+    return is_symmetric(m) and all(_det([[m[i][j] for j in s] for i in s]) >= 0 for s in subsets)
 
 
 def minorant(q: Matrix, b: Sequence, target) -> tuple:
     """The first positive definite (M, beta) with 1/2 n.M.n + beta.n <= E(n) =
     1/2 n.Q.n + b.n at each n >= 0 with E(n) <= target, so the box
-    index_bounds(M, beta, target) holds those n.  In order: (Q, b); Q without
-    its positive off-diagonal entries, which only add on n >= 0; for Q positive
-    semidefinite and b >= 0 the lift (Q + 2bb^T/t, 0) with t = max(target, 1),
-    as 0 <= b.n <= target <= t there gives b.n >= (b.n)**2/t.  Whether one
-    exists does not depend on the target; NotPositiveDefinite when none does.
-    Each candidate is built only when those before it fail.
-    """
+    index_bounds(M, beta, target) holds those n; Q itself when it is definite.
+    The candidates are those of `_minorant`, on Q, b and the target scaled to
+    integers; NotPositiveDefinite when none is definite."""
     q = as_matrix(q)
     b = [Fraction(x) for x in b]
-    n = len(q)
-    if is_positive_definite(q):
+    s, qs, bs, t = _scaled(q, b, Fraction(target))
+    m, beta, k = _minorant(qs, bs, t, s)
+    if m is qs:
         return q, b
-    dropped = [[x if i == j or x <= 0 else Fraction(0) for j, x in enumerate(row)] for i, row in enumerate(q)]
-    if is_positive_definite(dropped):
-        return dropped, b
+    return [[Fraction(x, s * k) for x in row] for row in m], [Fraction(x, s * k) for x in beta]
+
+
+def _minorant(q: list, b: list, t: int, unit: int) -> tuple:
+    """(M, beta, k) in integers, M positive definite, with
+    1/2 n.M.n + beta.n <= k * E(n) for E(n) = 1/2 n.Q.n + b.n at each n >= 0
+    with E(n) <= t, so the box of 1/2 n.M.n + beta.n <= k*t holds those n;
+    `unit` is the integer value of a target of 1.  In order: (Q, b); Q
+    without its positive off-diagonal entries, which only add on n >= 0; for
+    Q positive semidefinite and b >= 0 the lift (w*Q + 2bb^T, 0), k = w, with
+    w = max(t, unit), as 0 <= b.n <= t <= w there gives w * b.n >= (b.n)**2.
+    Whether one exists does not depend on t; NotPositiveDefinite when none
+    does.  Each candidate is built only when those before it fail."""
+    if _definite(q):
+        return q, b, 1
+    dropped = [[x if i == j or x <= 0 else 0 for j, x in enumerate(row)] for i, row in enumerate(q)]
+    if _definite(dropped):
+        return dropped, b, 1
     if all(x >= 0 for x in b) and is_positive_semidefinite(q):
-        t = max(Fraction(target), 1)
-        lift = [[q[i][j] + 2 * b[i] * b[j] / t for j in range(n)] for i in range(n)]
-        if is_positive_definite(lift):
-            return lift, [Fraction(0)] * n
+        w = max(t, unit)
+        lift = [[w * x + 2 * y * z for x, z in zip(row, b)] for row, y in zip(q, b)]
+        if _definite(lift):
+            return lift, [0] * len(b), w
     raise NotPositiveDefinite("no positive definite form bounds the exponent below on n >= 0")
 
 
-def _inverse(a) -> list:
-    """Exact inverse by cofactors: inv[i][j] = (-1)**(i+j) * minor(j, i) / det."""
-    n = len(a)
-    det = _det(a)
-
-    def minor(i, j):
-        return [row[:j] + row[j + 1 :] for k, row in enumerate(a) if k != i]
-
-    return [[(-1) ** (i + j) * _det(minor(j, i)) / det for j in range(n)] for i in range(n)]
-
-
-def _floor_plus_sqrt(c: Fraction, s: Fraction) -> int:
-    """floor(c + sqrt(s)) for rationals c and s >= 0."""
-    # t = floor(sqrt(s)) exactly, so the answer is floor(c) + t or one more
-    k = floor(c) + isqrt(s.numerator * s.denominator) // s.denominator + 1
-    # k - c > t >= 0, so k <= c + sqrt(s) exactly when (k - c)**2 <= s
-    return k if (k - c) ** 2 <= s else k - 1
-
-
 def index_bounds(q: Matrix, b: Sequence, target) -> tuple:
-    """Per-index upper bounds of the ellipsoid 1/2 n.Q.n + b.n <= target.
-
-    With centre c = -Q^-1 b and R = target + 1/2 b.Q^-1.b the ellipsoid is
-    1/2 (n-c).Q.(n-c) <= R, and bound_i = floor(c_i + sqrt(2R (Q^-1)_ii)) is
-    the largest integer in its bounding box along index i: every point with
-    value <= target has n_i <= bound_i.  An empty ellipsoid (R < 0) gives -1
-    for every index.  Raises NotPositiveDefinite unless Q is positive definite.
-    """
+    """Per-index upper bounds of the ellipsoid 1/2 n.Q.n + b.n <= target:
+    every point with value <= target has n_i <= bound_i (see `_box`).  An
+    empty ellipsoid gives -1 for every index.  Raises NotPositiveDefinite
+    unless Q is positive definite."""
     q = as_matrix(q)
     if not is_positive_definite(q):
         raise NotPositiveDefinite("matrix fails Sylvester's criterion")
+    return _box(*_scaled(q, [Fraction(x) for x in b], Fraction(target))[1:])
+
+
+def _box(q: list, b: list, t: int) -> tuple:
+    """Per-index upper bounds of the ellipsoid 1/2 n.Q.n + b.n <= t, for a
+    positive definite integer Q and integers b, t.
+
+    With D = det Q, centre c = C/D for C = -adj(Q).b, and R = t - b.c/2 the
+    ellipsoid is 1/2 (n-c).Q.(n-c) <= R, whose box along index i reaches
+    c_i + sqrt(2R (Q^-1)_ii) = (C_i + sqrt(S_i))/D with
+    S_i = (2tD - b.C) * adj(Q)_ii; as D > 0 its largest integer is
+    (C_i + isqrt(S_i)) // D.  An empty ellipsoid (R < 0) gives -1 for every
+    index."""
     n = len(q)
-    b = [Fraction(x) for x in b]
-    inv = _inverse(q)
-    c = [-sum(inv[i][j] * b[j] for j in range(n)) for i in range(n)]
-    r = Fraction(target) - sum(b[i] * c[i] for i in range(n)) / 2
+    adj = [
+        [(-1) ** (i + j) * _det([row[:i] + row[i + 1 :] for k, row in enumerate(q) if k != j]) for j in range(n)]
+        for i in range(n)
+    ]
+    d = sum(x * row[0] for x, row in zip(q[0], adj))
+    c = [-sum(x * y for x, y in zip(row, b)) for row in adj]
+    r = 2 * t * d - sum(x * y for x, y in zip(b, c))
     if r < 0:
         return (-1,) * n
-    return tuple(_floor_plus_sqrt(c[i], 2 * r * inv[i][i]) for i in range(n))
+    return tuple((c[i] + isqrt(r * adj[i][i])) // d for i in range(n))
 
 
 def _interval(a: int, b: int, c: int) -> Tuple[int, int]:

@@ -16,6 +16,8 @@ SMALL_DIGESTS = {
     "cao-wang-1-2-3 @5": "e1f90d0c360acb3c",
     "cao-wang-1-2-3 @7": "9e3c7e24a6efb283",
     "double-mod10-2-8 @6": "7eedc29b433c0ef0",
+    "double-mod5-1-4 @8": "9d66ebf0ee44918b",
+    "box corpus @8": "258ba82ec366818c",
     "rogers_szego_bw 3 @7": "b2a323c3fcdae6b6",
     "rogers_szego_bw 4 @7": "4d94964e90f75426",
     "rogers_szego_bw 5 @7": "35d9431b9f2a4542",
@@ -34,6 +36,7 @@ def small(monkeypatch):
     monkeypatch.setattr(bench, "VERIFY_ORDER", Fraction(6))
     monkeypatch.setattr(bench, "SUM_ORDER", Fraction(5))
     monkeypatch.setattr(bench, "CAO_WANG_ORDER", Fraction(7))
+    monkeypatch.setattr(bench, "CORPUS_ORDER", Fraction(8))
     monkeypatch.setattr(bench, "RS_N", 5)
     monkeypatch.setattr(bench, "RS_SMALL_NS", (3, 4))
     monkeypatch.setattr(bench, "RS_ORDER", Fraction(7))
@@ -52,6 +55,7 @@ def test_bench_runs_at_small_sizes(small):
     assert "convolution kernel" in text
     assert "double-mod10-2-8 at order 6" in text
     assert "cao-wang-1-2-3" in text and "sum side" in text
+    assert "double-mod5-1-4" in text and "box corpus" in text
     assert "z-products: replay chains at order 6, jtp_check at order 8" in text
     assert "single-factor updates" in text
     assert "rogers_szego_bw 3" in text and "rogers_szego_bw 4" in text
@@ -62,14 +66,20 @@ def test_bench_runs_at_small_sizes(small):
     assert "eval_product double-mod5-1-4" in text
     assert "the sizes that cost" in text
     assert "replay 1.8 @10" in text and "jtp_check @12" in text and "verify cao-wang-1-2-3 @11" in text
-    assert len(lines) == 38
+    assert len(lines) == 40
 
 
 def _assert_every_row(rows):
     assert list(rows) == ["kernel", "sum", "verify", "updates", "zseries", "setup", "large"]
     kernel = ["conv_real 3", "conv_complex 3", "conv_real 8", "conv_complex 8", "conv_real 8 wide"]
     assert list(rows["kernel"]) == kernel
-    assert list(rows["sum"]) == ["cao-wang-1-2-3 @5", "cao-wang-1-2-3 @7", "double-mod10-2-8 @6"]
+    assert list(rows["sum"]) == [
+        "cao-wang-1-2-3 @5",
+        "cao-wang-1-2-3 @7",
+        "double-mod10-2-8 @6",
+        "double-mod5-1-4 @8",
+        "box corpus @8",
+    ]
     assert list(rows["verify"]) == ["double-mod10-2-8 @6"]
     assert list(rows["updates"]) == [
         "rogers_szego_bw 3 @7",
@@ -118,7 +128,7 @@ def test_bench_names_failing_z_product_rows_and_exits_1(small, tmp_path, monkeyp
     lines = []
     assert bench.main(["--json", str(path)], out=lines.append) == 1
     _assert_every_row(json.loads(path.read_text()))
-    assert len(lines) == 38
+    assert len(lines) == 40
     assert capsys.readouterr().err.splitlines() == [
         "python -m qrr.bench: wrong result in row %r" % label
         for label in ("replay 1.7 @6", "jtp_check @8", "jtp_check @12")
@@ -136,7 +146,7 @@ def test_bench_names_failing_product_and_verify_rows_and_exits_1(small, tmp_path
     lines = []
     assert bench.main(["--json", str(path)], out=lines.append) == 1
     _assert_every_row(json.loads(path.read_text()))
-    assert len(lines) == 38
+    assert len(lines) == 40
     assert capsys.readouterr().err.splitlines() == [
         "python -m qrr.bench: wrong result in row %r" % label
         for label in (
@@ -168,6 +178,7 @@ def test_every_row_has_a_digest_or_a_status_check(small, tmp_path, monkeypatch):
     default = ["conv_%s %d" % (kind, n) for n in bench.SIZES for kind in ("real", "complex")]
     default += ["conv_real %d wide" % bench.WIDE_SIZE]
     default += ["cao-wang-1-2-3 @60", "cao-wang-1-2-3 @480", "double-mod10-2-8 @120", "corpus.load_all"]
+    default += ["double-mod5-1-4 @240", "box corpus @240"]
     default += ["rogers_szego_bw %d @420" % n for n in (24, 32)]
     default += ["rogers_szego_bw 40 @420", "rs_at 40 t=-1 @420", "rogers_szego_def 40 @420"]
     assert sorted(bench.DIGESTS) == sorted(default)

@@ -29,6 +29,7 @@ from qrr.oracle import unpruned_sum
 from qrr.parser import parse
 from qrr.quadform import is_positive_definite
 from qrr.series import Monomial, QSeries, poch_finite, poch_infinite, qmono
+from qrr.special import NahmData, nahm_series
 
 
 def test_corpus_loads_completely():
@@ -299,6 +300,50 @@ def test_first_bad_point_is_named_across_outer_values():
         eval_sum(spec, 12)
 
 
+@pytest.mark.parametrize(
+    "exponent, error, message",
+    [
+        # at i = 0, m = 1 and m = 2 each hold points with exponent -1
+        ("2*i^2 + m^2 - 3*m + n^2 - 3*n + 3", NegativeExponent, r"exponent -1 at \{'i': 0, 'm': 1, 'n': 1\}$"),
+        # at i = 0, (1, 1) is off the den-1 grid and (2, 0) is at -1
+        (
+            "2*i^2 + 5/2*m^2 - 21/2*m + 10 + 1/2*m*n + n^2",
+            SemanticError,
+            r"exponent 7/2 at \{'i': 0, 'm': 1, 'n': 1\} not representable",
+        ),
+    ],
+)
+def test_first_bad_point_is_named_within_one_fused_prefix(exponent, error, message):
+    # the next-to-last index scans every value before it folds any, so the
+    # lexicographically first bad point is named, not the first one folded
+    spec = parse(
+        'identity "t" { den 1; sum { indices i, m, n; exponent %s;'
+        " denoms (q; i), (q; m), (q; n); } product { 1/poch(q, q) } }" % exponent
+    )
+    with pytest.raises(error, match=message) as raised:
+        eval_sum(spec, 12)
+    assert type(raised.value) is error
+
+
+def test_rank_2_and_3_sums_never_take_the_rank_1_path(monkeypatch):
+    # the last two levels are one pass: only a rank-1 sum builds its window
+    # in `_Nest.last`
+    last = qrr.identity._Nest.last
+    calls = []
+
+    def spy(nest, *args):
+        calls.append(len(nest.bounds))
+        return last(nest, *args)
+
+    monkeypatch.setattr(qrr.identity._Nest, "last", spy)
+    for key, digest in EVAL_SUM_DIGESTS.items():
+        name, order = key.split("@")
+        if order == "60":
+            doc = eval_sum(corpus.load(name), 60).to_json()
+            assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16] == digest, key
+    assert calls == [1] * 4
+
+
 def test_off_grid_exponent_names_the_point():
     # no quadratic part: the last index runs over its whole box
     with pytest.raises(SemanticError, match=r"exponent 1/2 at \{'n': 1\} not representable with den 1"):
@@ -330,6 +375,9 @@ EVAL_SUM_DIGESTS = {
     "cao_wang_1_2_3@60": "7d4f9f3faf1ac90e",
     # the one rank-3 sum past order 60: the outer fold runs two levels deep
     "cao_wang_1_2_3@240": "811d80ca9198fc6c",
+    # recorded before the last two levels were fused into one pass
+    "cao_wang_1_2_3@480": "9b3315c0e13b62d4",
+    "double_mod10_2_8@480": "0ac70870dca68894",
     "double_mod10_2_8@240": "148a8f392ee4da10",
     "double_mod10_2_8@60": "acb23a217fb0b4d4",
     "double_mod10_4_6@240": "5c66fbdcb99f7145",
@@ -579,6 +627,52 @@ def test_auto_box_holds_every_kept_point_of_each_minorant_kind(case):
             eval_sum(spec, order)
         return
     assert eval_sum(spec, order) == want
+
+
+@st.composite
+def nahm_data(draw):
+    """A rank 1-3 Nahm form with a diagonally dominant integer matrix, so
+    positive definite, and B, C in halves and thirds."""
+    rank = draw(st.integers(1, 3))
+    a = [[0] * rank for _ in range(rank)]
+    for i in range(rank):
+        for j in range(i + 1, rank):
+            a[i][j] = a[j][i] = draw(small)
+    for i in range(rank):
+        a[i][i] = sum(abs(x) for x in a[i]) + draw(st.integers(1, 2))
+    b = [F(draw(st.integers(-1, 3)), 2) for _ in range(rank)]
+    return NahmData(a=a, b=b, c=F(draw(st.integers(0, 2)), 3))
+
+
+# (what is summed, the largest order N drawn): rank-1, rank-2 and rank-3
+# corpus sums, and random Nahm forms
+HONEST = (
+    ("rogers_mod5_2_3", 40),
+    ("double_mod10_2_8", 30),
+    ("andrews_uncu_mod6", 30),
+    ("double_mod5_1_4", 30),
+    ("cao_wang_1_2_3", 20),
+    ("nahm", 12),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_sum_side_orders_are_honest(data):
+    # for fractional N < M the sum at N is the sum at M truncated to N, and
+    # each claims its order exactly
+    name, top = data.draw(st.sampled_from(HONEST))
+    den = data.draw(st.integers(1, 6))
+    low = F(data.draw(st.integers(0, top * den)), den)
+    high = low + F(data.draw(st.integers(1, 4 * den)), data.draw(st.integers(1, 6)))
+    if name == "nahm":
+        form = data.draw(nahm_data())
+        at_low, at_high = (nahm_series(form, order) for order in (low, high))
+    else:
+        spec = corpus.load(name)
+        at_low, at_high = (eval_sum(spec, order) for order in (low, high))
+    assert (at_low.order_q, at_high.order_q) == (low, high)
+    assert at_low == at_high.rescale(math.lcm(at_high.den, low.denominator)).truncate(low), (name, low, high)
 
 
 def _product_spec(den, factors):

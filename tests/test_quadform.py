@@ -1,12 +1,16 @@
+import math
 from fractions import Fraction as F
+from itertools import combinations
 from itertools import product as iproduct
 
 import pytest
 import qrr.quadform
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from qrr import corpus
-from qrr.errors import NotPositiveDefinite
+from qrr.errors import NotPositiveDefinite, SemanticError
 from qrr.gaussian import ONE
-from qrr.identity import eval_sum
+from qrr.identity import ExponentPoly, IdentitySpec, auto_bounds, eval_sum
 from qrr.quadform import (
     as_matrix,
     index_bounds,
@@ -16,6 +20,7 @@ from qrr.quadform import (
     leading_minors,
     minorant,
 )
+from qrr.series import qmono
 
 
 def test_as_matrix_validation():
@@ -167,3 +172,115 @@ def test_minorant_tests_semidefiniteness_only_after_both_forms_fail(monkeypatch)
         assert eval_sum(corpus.load(name), 30).coeff(0) == ONE
     with pytest.raises(AssertionError, match="semidefinite"):
         corpus.load("cao_wang_1_2_3")
+
+
+# -- the rational box rule that the integer core replaced, as the reference
+
+
+def _rational_det(a):
+    if not a:
+        return F(1)
+    return sum((-1) ** j * x * _rational_det([row[:j] + row[j + 1 :] for row in a[1:]]) for j, x in enumerate(a[0]))
+
+
+def _rational_definite(a):
+    return all(_rational_det([row[:k] for row in a[:k]]) > 0 for k in range(1, len(a) + 1))
+
+
+def _rational_minorant(q, b, target):
+    """(Q, b), Q without its positive off-diagonal entries, or for Q
+    semidefinite and b >= 0 the lift (Q + 2bb^T/t, 0), t = max(target, 1):
+    the first that is definite, or None."""
+    n = len(q)
+    if _rational_definite(q):
+        return q, b
+    dropped = [[x if i == j or x <= 0 else F(0) for j, x in enumerate(row)] for i, row in enumerate(q)]
+    if _rational_definite(dropped):
+        return dropped, b
+    subsets = [s for k in range(n) for s in combinations(range(n), k + 1)]
+    if all(x >= 0 for x in b) and all(_rational_det([[q[i][j] for j in s] for i in s]) >= 0 for s in subsets):
+        t = max(F(target), 1)
+        lift = [[q[i][j] + 2 * b[i] * b[j] / t for j in range(n)] for i in range(n)]
+        if _rational_definite(lift):
+            return lift, [F(0)] * n
+    return None
+
+
+def _rational_index_bounds(q, b, target):
+    """floor(c_i + sqrt(2R (Q^-1)_ii)) for the centre c = -Q^-1 b and
+    R = target - b.c/2, by the cofactor inverse; -1 each when R < 0."""
+    n = len(q)
+    det = _rational_det(q)
+    inv = [
+        [(-1) ** (i + j) * _rational_det([row[:i] + row[i + 1 :] for k, row in enumerate(q) if k != j]) / det for j in range(n)]
+        for i in range(n)
+    ]
+    c = [-sum(inv[i][j] * b[j] for j in range(n)) for i in range(n)]
+    r = F(target) - sum(b[i] * c[i] for i in range(n)) / 2
+    if r < 0:
+        return (-1,) * n
+    out = []
+    for i in range(n):
+        s = 2 * r * inv[i][i]
+        k = math.floor(c[i]) + math.isqrt(s.numerator * s.denominator) // s.denominator + 1
+        out.append(k if (k - c[i]) ** 2 <= s else k - 1)
+    return tuple(out)
+
+
+rationals = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 4, 6]))
+
+
+@st.composite
+def box_cases(draw):
+    """A rank 1-4 quadratic part Q and linear part b of one kind: "definite"
+    (diagonally dominant), "orthant" (nonnegative entries, often singular),
+    "lift" (a singular sum of squares, b >= 0) or "any" (symmetric, mostly
+    rejected); a constant, and a target: fractional, in (0, 1) where the
+    lift's t = max(target, 1) is 1, or negative, so the ellipsoid may be
+    empty."""
+    rank = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["definite", "orthant", "lift", "any"]))
+    q = [[F(0)] * rank for _ in range(rank)]
+    if kind in ("orthant", "lift"):
+        lo = 0 if kind == "orthant" else -2
+        for _ in range(draw(st.integers(1, max(rank - (kind == "lift"), 1)))):
+            w = [draw(st.integers(lo, 2)) for _ in range(rank)]
+            c = draw(st.builds(F, st.integers(1, 3), st.sampled_from([1, 2, 4])))
+            q = [[x + c * w[i] * w[j] for j, x in enumerate(row)] for i, row in enumerate(q)]
+    else:
+        for i in range(rank):
+            for j in range(i + 1, rank):
+                q[i][j] = q[j][i] = draw(rationals)
+        for i in range(rank):
+            q[i][i] = draw(rationals)
+            if kind == "definite":
+                q[i][i] = abs(q[i][i]) + sum(abs(x) for j, x in enumerate(q[i]) if j != i) + F(1, 2)
+    b = [abs(x) if kind == "lift" else x for x in (draw(rationals) for _ in range(rank))]
+    target = draw(st.one_of(st.builds(F, st.integers(1, 11), st.just(12)), rationals.map(lambda x: 7 * x)))
+    return q, b, draw(rationals), target
+
+
+@settings(max_examples=200, deadline=None)
+@given(box_cases())
+def test_integer_box_equals_the_rational_rule(case):
+    # validate accepts exactly the forms with a rational minorant, and the
+    # box in integers is the rational rule's, through minorant and
+    # index_bounds and through auto_bounds from the exponent's integer form
+    q, b, const, target = case
+    names = "abcd"[: len(q)]
+    quad = {(x, y): q[i][j] / (2 if i == j else 1) for i, x in enumerate(names) for j, y in enumerate(names) if i <= j}
+    exponent = ExponentPoly.make(quad, dict(zip(names, b)), const)
+    want = _rational_minorant(q, b, target)
+    try:
+        spec = IdentitySpec("box", 1, tuple(names), (), exponent, tuple((x, qmono(1)) for x in names), ())
+    except SemanticError:
+        assert want is None
+        with pytest.raises(NotPositiveDefinite):
+            minorant(q, b, target)
+        return
+    assert want is not None
+    m, beta = minorant(q, b, target)
+    assert ([list(row) for row in m], beta) == want
+    box = _rational_index_bounds(*want, target)
+    assert index_bounds(m, beta, target) == box
+    assert auto_bounds(spec, target + const) == box
