@@ -11,18 +11,19 @@ Inputs are plain lists of Python ints of any size, and outputs are exact.
 `conv_rows` is the one entry point.  It multiplies two windows of lists (the
 z-slices of two z-series; a single product is a window of one list on each
 side) and sums the products of given pairs into each output row.  A call of
-more than one pair first coalesces each row: it keys every list by its
-content up to a unit of Z[i] (a real list up to sign, a purely imaginary
-list as +-i times a real one), packs one list per key and digit width, and
-turns each pair into a term (unordered key pair, shift) with a Gaussian
-weight, the product of the two lists' units.  Equal terms are multiplied
-once with the sum of their weights, and terms whose weights sum to 0 are not
-multiplied at all: E(cz)*E(-cz) forms none of its odd rows and each product
-of its even rows once.  Every row is one accumulated bignum, unpacked once,
-and rows made of the same terms and weights are formed once and share one
-result (the mirrored rows of E(z)*E(1/z), say).  Real and complex lists mix
-freely; a complex list times a complex list takes three real products
-(Karatsuba).
+more than one pair is planned per key pair, not per pair of lists: it keys
+every list once by its content up to a unit of Z[i] (a real list up to
+sign, a purely imaginary list as +-i times a real one), packs one list per
+key and digit width, and in each row sums the Gaussian weights of its pairs,
+the products of the two lists' units, into terms (unordered key pair,
+shift).  Only then is a term looked at: one whose weights sum to 0 is not
+planned or multiplied, and the others are multiplied once with the sum of
+their weights.  So E(cz)*E(-cz), which holds each term twice in one row,
+plans and forms none of its odd rows and each product of its even rows
+once.  A row whose weights repeat an earlier row's is not planned again and
+shares its result (the mirrored rows of E(z)*E(1/z), say).  Every row is
+one accumulated bignum, unpacked once.  Real and complex lists mix freely; a
+complex list times a complex list takes three real products (Karatsuba).
 
 Digits move between lists and ints (`_pack`, `_unpack`) by one of two paths,
 chosen from the digit width wb and the list's length alone.  The per-digit
@@ -133,13 +134,6 @@ def _unpack(c: int, wb: int, nout: int) -> list:
     return [int.from_bytes(buf[i : i + wb], "little") - half for i in range(0, n, wb)]
 
 
-def _peaks(re: list, im) -> list:
-    """Running maxima of |re[t]| and |im[t]| (an im of None is zero): entry n - 1
-    bounds every entry of the first n."""
-    m = map(abs, re) if im is None else map(max, map(abs, re), map(abs, im))
-    return list(accumulate(m, max))
-
-
 def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
     """Rows of the product of two windows of coefficient lists.
 
@@ -156,8 +150,8 @@ def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
     Z[i] (`_form`), and packs the first list of each key; one pair is keyed by
     identity.  Each pair is then a term (unordered key pair, position v_a +
     v_b) with weight u_a*u_b, the units that take the packed lists to a[i] and
-    b[j].  Equal terms are formed once with the sum of their weights, and a
-    term whose weights sum to 0 is not formed: E(cz)*E(-cz) forms none of its
+    b[j].  A row sums the weights of its terms first (`_plan_rows`), so a term
+    whose weights sum to 0 is not formed: E(cz)*E(-cz) forms none of its
     odd rows and each product of its even rows once.  Each row's digit width
     holds its largest |a|*|b| over the digits the terms reach, times the sum
     of (|w_re| + |w_im|) * (products that land in one digit) over its terms,
@@ -170,12 +164,18 @@ def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
 
     Two rows with the same terms and weights are equal: in one call the
     position fixes each term's reach, and so the row's base, length and width,
-    and x*y = y*x exactly.  The later row is the earlier one's result object,
-    formed and unpacked once (the rows z**k and z**-k of E(z)*E(1/z), say).
+    and x*y = y*x exactly.  The planner gives the later row the earlier one's
+    terms, and it is then the earlier one's result object, formed and
+    unpacked once (the rows z**k and z**-k of E(z)*E(1/z), say).
     Lists are never changed while a window holds them.
     """
     plan, reach, reps = _plan_rows(a, b, rows, top, g)
-    repeats = _repeats(plan) if len(plan) > 1 else {}
+    first = {}  # id of a row's terms -> the first row that holds them
+    repeats = {}  # plan row -> that first row, for a row that holds the very terms of an earlier one
+    for r, (k, *_, terms) in enumerate(plan):
+        k0 = first.setdefault(id(terms), k)
+        if k0 != k:
+            repeats[r] = k0
     last = {}  # (key number, width) -> the last plan row that packs it
     for r, (_, _, _, wb, _, terms) in enumerate(plan):
         if r not in repeats:
@@ -251,104 +251,165 @@ def _form(re: list, im, keyed: bool) -> tuple:
     return key, f, f, (re, im)
 
 
-def _repeats(plan: list) -> dict:
-    """{r: k} for each plan row r with the same terms and weights as an
-    earlier row k."""
-    first = {}
-    repeats = {}
-    for r, (k, _, _, _, _, terms) in enumerate(plan):
-        k0 = first.setdefault(tuple(sorted(terms)), k)
-        if k0 != k:
-            repeats[r] = k0
-    return repeats
-
-
 def _peak(cache: dict, key: int, re: list, im, n: int) -> int:
     """The largest |re[t]| or |im[t]| over t < n, for 0 < n <= len(re) (an im
-    of None is zero).  A whole list takes one max/min pass, a list cut shorter
-    its running maxima; either is built once per key and kept in `cache`."""
-    whole = n == len(re)
-    m = cache.get((key, whole))
-    if m is None:
-        if whole:
+    of None is zero), kept per key in `cache`.  A whole list takes one
+    max/min pass; a list cut shorter reads its running maxima, built as far
+    as the first cut asks and, when a later cut asks for more, through the
+    whole list."""
+    if n == len(re):
+        m = cache.get((key, True))
+        if m is None:
             m = max(max(re), -min(re))
             if im is not None:
                 m = max(m, max(im), -min(im))
-        else:
-            m = _peaks(re, im)
-        cache[key, whole] = m
-    return m if whole else m[n - 1]
+            cache[key, True] = m
+        return m
+    m = cache.get(key)
+    if m is None:
+        m = cache[key] = [0]  # m[t]: the largest entry before t
+    if len(m) <= n:
+        t, n2 = len(m) - 1, n if len(m) == 1 else len(re)
+        more = map(abs, re[t:n2]) if im is None else map(max, map(abs, re[t:n2]), map(abs, im[t:n2]))
+        m += accumulate(more, max, initial=m.pop())
+    return m[n]
+
+
+# i**u for u = 0..3: the weight of a pair whose units multiply to i**u.  A
+# term's weight is their sum, a complex number with integer parts no larger
+# than the number of pairs, so every sum is exact
+_UNIT_WEIGHTS = (1, 1j, -1, -1j)
 
 
 def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
     """conv_rows' plan: for each row with a term whose weight is not 0, (k,
     base position, digits out, width, complex?, [(key number x, key number y,
-    position, n, digits of x used, digits of y used, w_re, w_im)]), x <= y;
-    the digits to pack for each (key number, width); and the (re, im) to pack
-    for each key number.  The peaks are dropped on return."""
-    keyed = sum(map(len, rows.values())) > 1
+    position, n, digits of x used, digits of y used, w_re, w_im)]), x <= y,
+    where a row with the same terms and weights as an earlier one holds that
+    row's entries and its very list of terms; the digits to pack for each
+    (key number, width); and the (re, im) to pack for each key number.
+
+    Each list's key number, unit and position are looked up once.  In each
+    row the pairs only sum their units into the weight of their term, the
+    unordered key pair at the pair's position; each term whose weight is not
+    0 is then offered once (`_term`) for its reach and peak, and a row whose
+    weights repeat an earlier row's is not planned again.  A call of one pair
+    goes to `_plan_pair`.  The peaks are dropped on return."""
+    if sum(map(len, rows.values())) <= 1:
+        return _plan_pair(a, b, rows, top, g)
     keys = {}  # key -> (key number, power of i that takes L to the key's list)
     reps = []  # key number -> the (re, im) packed for it
+    formed = {}  # id of a list -> its form: a list on both sides is keyed once
 
     def form(x):
         """(key number, power of i that takes the key's list to x, v, complex?)"""
-        v, re, im = x
-        key, e, f, parts = _form(re, im, keyed)
-        n, f0 = keys.setdefault(id(x) if key is None else key, (len(reps), f))
-        if n == len(reps):
-            reps.append(parts)
-        return n, e - f0, v, im is not None
+        f = formed.get(id(x))
+        if f is None:
+            v, re, im = x
+            key, e, u, parts = _form(re, im, True)
+            n, u0 = keys.setdefault(key, (len(reps), u))
+            if n == len(reps):
+                reps.append(parts)
+            f = formed[id(x)] = n, e - u0, v, im is not None
+        return f
 
     a = {i: form(x) for i, x in a.items()}
     b = {j: form(y) for j, y in b.items()}
-    peaks = {}  # (key number, whole?) -> _peak's maximum or running maxima
+    peaks = {}  # _peak's maxima and running maxima
+    planned = {}  # a row's weights -> its plan entry, or None for a row with no term
     plan = []
     reach = {}  # (key number, width) -> digits to pack
     for k, pairs in rows.items():
-        # (key numbers, position) -> [pairs of weight i**0, .., i**3, n,
-        # digits used of each, |x|*|y|], or None for a pair that adds nothing
-        terms = {}
-        complex_row = False
+        weights = {}  # (x, y, position), x <= y -> the sum of its pairs' units
         for i, j in pairs:
-            x, ux, va, cx = a[i]
-            y, uy, vb, cy = b[j]
-            if y < x:
-                x, y = y, x
-            t = terms.get((x, y, va + vb), 0)
-            if t == 0:
-                n = (top - va - vb) // g + 1
-                la, lb = min(len(reps[x][0]), n), min(len(reps[y][0]), n)
-                # a list that is empty or zero as far as the pair reaches adds nothing
-                m = la > 0 and lb > 0 and _peak(peaks, x, *reps[x], la) * _peak(peaks, y, *reps[y], lb)
-                t = terms[x, y, va + vb] = [0, 0, 0, 0, n, la, lb, m] if m else None
-            if t:
-                t[(ux + uy) % 4] += 1
-                complex_row = complex_row or cx or cy
+            x, ux, va, _ = a[i]
+            y, uy, vb, _ = b[j]
+            t = (x, y, va + vb) if x <= y else (y, x, va + vb)
+            weights[t] = weights.get(t, 0) + _UNIT_WEIGHTS[(ux + uy) % 4]
+        sig = frozenset(weights.items())
+        if sig in planned:
+            if planned[sig]:
+                plan.append((k, *planned[sig][1:]))
+            continue
         live = []
         base, last = top + 1, 0  # the lowest position and the last one a product reaches
         big = count = 0
         doubled = False
-        for (x, y, v), t in terms.items():
-            if t:
-                c0, c1, c2, c3, n, la, lb, m = t
-                wr, wi = c0 - c2, c1 - c3
-                if wr or wi:
-                    live.append((x, y, v, n, la, lb, wr, wi))
-                    base = min(base, v)
-                    last = max(last, v + g * (la + lb - 2))
-                    big = max(big, m)
-                    count += (abs(wr) + abs(wi)) * min(la, lb)
-                    doubled = doubled or reps[x][1] is not None and reps[y][1] is not None
-        if not live:
-            continue
-        # the row ends at `top` or where its longest product ends
-        nout = (min(top, last) - base) // g + 1
-        wb = _width(2 * big if doubled else big, 1, count)
-        for x, y, _, _, la, lb, *_ in live:
-            reach[x, wb] = max(reach.get((x, wb), 0), la)
-            reach[y, wb] = max(reach.get((y, wb), 0), lb)
-        plan.append((k, base, nout, wb, complex_row, live))
+        for t, w in weights.items():
+            if w:
+                term = _term(reps, peaks, *t, top, g)
+                if term:
+                    head, end, short, m, both = term
+                    wr, wi = int(w.real), int(w.imag)
+                    live.append(head + (wr, wi))
+                    if t[2] < base:
+                        base = t[2]
+                    if end > last:
+                        last = end
+                    if m > big:
+                        big = m
+                    count += (abs(wr) + abs(wi)) * short
+                    doubled = doubled or both
+        planned[sig] = None
+        if live:
+            # a row is complex when a list of its pairs is
+            complex_row = any(a[i][3] or b[j][3] for i, j in pairs)
+            planned[sig] = _row(k, live, base, last, 2 * big if doubled else big, count, complex_row, top, g, reach)
+            plan.append(planned[sig])
     return plan, reach, reps
+
+
+def _plan_pair(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
+    """_plan_rows for a call of at most one pair, which has no term to sum or
+    share: its lists are not keyed, only taken as i times a real list when
+    purely imaginary (`_form`), and are one key number when they are one
+    list."""
+    for k, pairs in rows.items():
+        for i, j in pairs:
+            x, y = a[i], b[j]
+            _, ex, _, px = _form(x[1], x[2], False)
+            _, ey, _, py = _form(y[1], y[2], False)
+            reps = [px] if x is y else [px, py]
+            term = _term(reps, {}, 0, len(reps) - 1, x[0] + y[0], top, g)
+            if term is None:
+                return [], {}, reps
+            head, end, short, m, both = term
+            w = _UNIT_WEIGHTS[(ex + ey) % 4]
+            live = [head + (int(w.real), int(w.imag))]
+            reach = {}
+            complex_row = x[2] is not None or y[2] is not None
+            return [_row(k, live, head[2], end, 2 * m if both else m, short, complex_row, top, g, reach)], reach, reps
+    return [], {}, []
+
+
+def _row(k, live: list, base: int, last: int, big: int, count: int, complex_row: bool, top: int, g: int, reach: dict):
+    """The plan entry of row k, whose live terms span positions base..last,
+    with the digit width that holds big times count; each term's key numbers
+    raise their reach at that width in `reach`."""
+    # the row ends at `top` or where its longest product ends
+    nout = (min(top, last) - base) // g + 1
+    wb = _width(big, 1, count)
+    for x, y, _, _, la, lb, *_ in live:
+        reach[x, wb] = max(reach.get((x, wb), 0), la)
+        reach[y, wb] = max(reach.get((y, wb), 0), lb)
+    return k, base, nout, wb, complex_row, live
+
+
+def _term(reps: list, peaks: dict, x: int, y: int, v: int, top: int, g: int):
+    """The term of key numbers x and y at position v, as ((x, y, v, n, la,
+    lb), last position reached, min(la, lb), |x|*|y|, both complex?): a pair
+    there reaches n = (top - v)//g + 1 digits and uses la digits of x and lb
+    of y, and |x|*|y| is the product of their largest entries over those.
+    None when a list is empty or zero as far as the pair reaches, since the
+    term then adds nothing."""
+    n = (top - v) // g + 1
+    (xr, xi), (yr, yi) = reps[x], reps[y]
+    la = n if n < len(xr) else len(xr)
+    lb = n if n < len(yr) else len(yr)
+    m = la > 0 and lb > 0 and _peak(peaks, x, xr, xi, la) * _peak(peaks, y, yr, yi, lb)
+    if not m:
+        return None
+    return (x, y, v, n, la, lb), v + g * (la + lb - 2), la if la < lb else lb, m, xi is not None and yi is not None
 
 
 def _reach(pack: tuple, wb: int, n: int) -> tuple:

@@ -18,7 +18,9 @@ RS_SMALL_NS at RS_ORDER, `eval_product` of rogers_mod5_1_4 at
 PRODUCT_ORDER and of double_mod5_1_4, whose unit -1 factors take the other
 sign of the binomial division, at the same order, and `rogers_szego_def`
 with n = RS_N at RS_ORDER, the defining sum over one row of Gaussian
-binomials), the replay chains 1.5-1.8
+binomials), the z-window builders (`euler_z_inverse(i*q^(3/2), q^2)` and
+`euler_z_product(-q^(1/2), q)`, the Euler windows of replay 1.8 and of
+`jtp_check`) at REPLAY_ORDER, the replay chains 1.5-1.8
 at REPLAY_ORDER, `jtp_check` at JTP_ORDER, `corpus.load_all()`, the parse and
 validation of the shipped identities that every process loading the corpus
 pays once, and last, best of 1, the sizes that cost: replay 1.5 and 1.8 at
@@ -38,7 +40,8 @@ its result against DIGESTS, recorded before the kernel keyed its lists by
 content (the wide kernel row and the rogers_szego_bw rows at RS_SMALL_NS
 before it moved digits by byte-strided copies, the double_mod5_1_4 and
 `box corpus` rows before the sum side fused its last two levels and took
-its box in integers); the kernel rows draw their
+its box in integers, the z-builder row before the builders made their
+slices as int lists on their final grid); the kernel rows draw their
 lists from a seeded generator.  A row without a recorded digest fails.  A failing row is still timed and written;
 the bench then names the failing rows on stderr and exits 1.
 """
@@ -57,9 +60,10 @@ from operator import attrgetter
 from . import _kernel_py, corpus
 from .identity import auto_bounds, eval_product, eval_sum, verify
 from .replay import REPLAYS, chain_passes
-from .gaussian import MINUS_ONE
+from .gaussian import I, MINUS_ONE
 from .series import Monomial, qmono
 from .special import jtp_check, rogers_szego_bw, rogers_szego_def, rs_at
+from .zseries import euler_z_inverse, euler_z_product
 
 SIZES = (64, 256, 1024, 4096)
 WIDE_SIZE = 1024
@@ -105,6 +109,7 @@ DIGESTS = {
     "rogers_szego_bw 40 @420": "9e7d79b59a7a4f40",
     "rs_at 40 t=-1 @420": "ff8398b6444a3e2e",
     "rogers_szego_def 40 @420": "9e7d79b59a7a4f40",
+    "z builders @80": "96ac7263ee0bcec0",
     "corpus.load_all": "b02a91116d3cb8cc",
 }
 
@@ -215,13 +220,23 @@ def bench_updates(out, rows, failed):
         out("%-28s  %6s  %10.3f" % (label, order, t))
 
 
+def _z_builders(order):
+    """The Euler windows of replay 1.8 and of jtp_check, built at `order`."""
+    return (
+        euler_z_inverse(Monomial(I, Fraction(3, 2)), qmono(2), order),
+        euler_z_product(Monomial(MINUS_ONE, Fraction(1, 2)), qmono(1), order),
+    )
+
+
 def bench_zseries(out, rows, failed):
     out("")
     out(
-        "z-products: replay chains at order %s, jtp_check at order %s (best of 3, seconds)"
+        "z-layer: builders and replay chains at order %s, jtp_check at order %s (best of 3, seconds)"
         % (REPLAY_ORDER, JTP_ORDER)
     )
     section = rows["zseries"] = {}
+    t = _checked(section, "z builders @%s" % REPLAY_ORDER, lambda: _z_builders(REPLAY_ORDER), 3, None, failed)
+    out("z builders %7s  %10.3f" % (REPLAY_ORDER, t))
     for theorem, chain in sorted(REPLAYS.items()):
         label = "replay %s @%s" % (theorem, REPLAY_ORDER)
         t = _checked(section, label, lambda: chain(REPLAY_ORDER), 3, chain_passes, failed)

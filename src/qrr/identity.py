@@ -369,15 +369,17 @@ class _Nest:
         if d == r - 1:
             return self.last(c, lin[d], sc, slin[d], prefix)
         groups = []
+        quad, squad = self.quad[d], self.squad[d]
         # ascending t, each scanned before any fold, so the first bad point
         # raised is the lexicographically first
         for t in range(self.bounds[d] + 1):
-            # entries of lin and slin before d + 1 are never read again
-            c2, lin2 = _fix(self.quad[d], c, lin, d, t)
-            sc2, slin2 = _fix(self.squad[d], sc, slin, d, t)
-            if d == r - 2:
-                groups.append(self.kept(c2, lin2[-1], sc2, slin2[-1], prefix + (t,)))
+            if d == r - 2:  # the last index reads the constants and its own linear coefficients alone
+                c2, sc2 = _fixed(quad, c, lin, d, t), _fixed(squad, sc, slin, d, t)
+                groups.append(self.kept(c2, lin[-1] + quad[-1] * t, sc2, slin[-1] + squad[-1] * t, prefix + (t,)))
             else:
+                # entries of lin and slin before d + 1 are never read again
+                c2, lin2 = _fix(quad, c, lin, d, t)
+                sc2, slin2 = _fix(squad, sc, slin, d, t)
                 groups.append(self.level(d + 1, c2, lin2, sc2, slin2, prefix + (t,)))
         return self.fold(groups, self.steps[d], self.steps[-1] if d == r - 2 else 1)
 
@@ -452,7 +454,12 @@ class _Nest:
 def _fix(row: list, c: int, lin: list, d: int, t: int):
     """Fix index d at t in the integer quadratic 1/2 n.M.n + lin.n + c, with
     row the d-th row of M: the new constant and linear coefficients."""
-    return c + (row[d] // 2 * t + lin[d]) * t, [x + q * t for x, q in zip(lin, row)]
+    return _fixed(row, c, lin, d, t), [x + q * t for x, q in zip(lin, row)]
+
+
+def _fixed(row: list, c: int, lin: list, d: int, t: int) -> int:
+    """The constant of `_fix` alone."""
+    return c + (row[d] // 2 * t + lin[d]) * t
 
 
 def eval_product(spec: IdentitySpec, order) -> QSeries:

@@ -17,6 +17,15 @@ The contour integral of the source material is replaced by exact coefficient
 extraction: ct() is literally the z**0 slice, and a.ct_mul(b) is ct(a * b)
 formed from the pairs of slices that meet at z**0 alone.
 
+Builders.  theta_z and the Euler windows (euler_z_inverse, euler_z_product)
+make every slice as int lists on the window's final grid and order, and
+build the window with one `ZSeries._fitted`: no Fraction per slice, and no
+slice normalized more than once.  A theta slice is one unit at an integer
+exponent.  The 1/(b;b)_n of an Euler window are the prefixes of one walk in
+x = q**b.exp on the integers; slice n is prefix n cut to the powers of x
+that reach the order, times its unit (a negation of the lists or a swap of
+re and im), spread at b.exp's stride and laid at its exponent.
+
 Products.  Both operands are fitted to one grid and order, and slices that
 fit to zero are dropped; a full product offers the kernel only the slice
 pairs whose valuations sum to at most the order.  Every product, one-term
@@ -25,40 +34,57 @@ qrr._kernel_py.conv_rows), one row per output slice: every slice is packed
 into one int on the common stride of all slices, each output slice is the
 sum of its pairs' bignum products, each operand masked to the digits its
 pair can reach under the order and shifted by the pair's valuation, and it
-is unpacked once.  The kernel keys slices by content up to a unit of Z[i]:
-slices that are unit multiples of one another (i**n*S_n and (-i)**n*S_n in
-E(iz) and E(-iz), or one slice on both sides) are packed once, pairs with
-the same product at the same shift are multiplied once with their units
-summed, and pairs whose units cancel are not multiplied.  So z_plus *
-z_minus in replays 1.5, 1.6 and 1.8 forms none of its odd slices, which are
+is unpacked once.  The kernel keys slices by content up to a unit of Z[i]
+and plans each product per key pair: slices that are unit multiples of one
+another (i**n*S_n and (-i)**n*S_n in E(iz) and E(-iz), or one slice on
+both sides) are packed once, and in each row the units of the pairs with
+the same product at the same shift are summed before that product is
+planned, once, or, when they cancel, not at all.  So z_plus * z_minus in
+replays 1.5, 1.6 and 1.8 plans and forms none of its odd slices, which are
 zero, and each product of its even slices once.  Output slices made of the
-same products with the same units are formed once and share one series:
-the rows z**k and z**-k of E(z)*E(1/z) cost one.  A z-binomial such as
-(z + c) is never an operand: it is a z-shift plus a scaled copy.  The one
-z-window product outside this path is the Horner nest of qrr.special
-(`_nest`), which serves rogers_szego_bw and rs_at alike: it builds no
-ZSeries, and keeps its slices packed (qrr._kernel_py._pack) from start to
-end.  Packing a whole window into one int (two-level Kronecker substitution)
-was measured and rejected: CPython multiplies multi-megabit ints by
-Karatsuba, so it ran several times slower.
+same products with the same units are planned and formed once and share
+one series: the rows z**k and z**-k of E(z)*E(1/z) cost one.  A z-binomial
+such as (z + c) is never an operand: it is a z-shift plus a scaled copy.
+The one z-window product outside this path is the Horner nest of
+qrr.special (`_nest`), which serves rogers_szego_bw and rs_at alike: it
+builds no ZSeries, and keeps its slices packed (qrr._kernel_py._pack) from
+start to end.  Packing a whole window into one int (two-level Kronecker
+substitution) was measured and rejected: CPython multiplies multi-megabit
+ints by Karatsuba, so it ran several times slower.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
 from typing import Dict, Optional
 
 from .errors import DivergentEmbedding, NegativeExponent
-from .gaussian import GaussianInt, binom2, is_unit, unit_pow
+from .gaussian import UNITS, GaussianInt, binom2, is_unit, unit_pow
 from .quadform import _interval
-from .series import Monomial, QSeries, _as_order, _grid, _rows, inv_poch_table
+from .series import Monomial, QSeries, _as_order, _grid, _lay, _rows, _spread, inv_poch_table
 
 
 def _fit(s: QSeries, den: int, order: int) -> QSeries:
-    """s on grid `den` (a multiple of s.den), truncated to scaled `order`."""
+    """s on grid `den` (a multiple of s.den), truncated to scaled `order`,
+    which s's own order on that grid may not undercut."""
     s = s.rescale(den)
-    return s if s.order == order else s.truncate(Fraction(order, den))
+    return s if s.order == order else QSeries._of(den, order, s.val, s.re, s.im)
+
+
+def _unit_times(p: int, re: list, im: Optional[list]):
+    """(re + i*im) * i**p as a pair of lists (an im of None is zero): the
+    lists themselves, negated, or swapped with one side negated."""
+    if p == 0:
+        return re, im
+    if p == 2:
+        return [-x for x in re], None if im is None else [-y for y in im]
+    # i*(x + i*y) = -y + i*x and -i*(x + i*y) = y - i*x
+    if im is None:
+        nre = [0] * len(re)
+    else:
+        nre = [-y for y in im] if p == 1 else im
+    return nre, re if p == 1 else [-x for x in re]
 
 
 def _fit_slices(coeff: Dict[int, QSeries], den: int, order: int) -> Dict[int, QSeries]:
@@ -170,11 +196,36 @@ class ZSeries:
         return ZSeries._fitted({k * j: s for k, s in self.coeff.items()}, self.den, self.order)
 
     def specialize(self, t: Monomial) -> QSeries:
-        """Substitute z := t (a monomial in q) and sum the window."""
-        acc = QSeries._of(self.den, self.order, 0, [])
+        """Substitute z := t (a monomial in q) and sum the window.
+
+        Slice k moves by q**(k*t.exp), and its order with it, so the sum is
+        exact through the lowest of the moved orders and the window's own.
+        Every slice is laid at its integer shift on the grid that holds them
+        all, into one pair of lists.  A shift that takes a slice below q**0,
+        or its order below 0, raises NegativeExponent, at the first such
+        slice."""
+        p = UNITS.index(t.unit)
+        den = lcm(self.den, *((k * t.exp).denominator for k in self.coeff))
+        f = den // self.den
+        order = self.order * f
+        parts = []
         for k, s in self.coeff.items():
-            acc = acc + s.scale(unit_pow(t.unit, k)).shift(k * t.exp)
-        return acc
+            e = k * t.exp
+            shift = int(e * den)
+            if self.order * f + shift < 0:
+                raise NegativeExponent("shift by %s empties the series window" % e)
+            if s.val * f + shift < 0:
+                raise NegativeExponent("q^%s after shift by %s" % (Fraction(s.val, self.den), e))
+            order = min(order, self.order * f + shift)  # the slice's order moves with it
+            re, im = _unit_times(p * k % 4, s.re, s.im)
+            parts.append((s.val * f + shift, _spread(re, f), None if im is None else _spread(im, f)))
+        lo = min((v for v, _, _ in parts), default=0)
+        n = min(max((v + len(re) for v, re, _ in parts), default=0), order + 1) - lo
+        re = _lay(n, [(v - lo, x) for v, x, _ in parts])
+        im = None
+        if any(y is not None for _, _, y in parts):
+            im = _lay(n, [(v - lo, y) for v, _, y in parts])
+        return QSeries._of(den, order, lo, re, im)
 
     # -- comparison --------------------------------------------------------
 
@@ -264,34 +315,49 @@ def theta_z(alpha, beta, chi: GaussianInt, s: int, order) -> "ZSeries":
     lo, hi = _interval(int(a * l), int(b * l), int(-order * l))
     d = _grid(order, alpha, beta)
     n = _as_order(order, d)
+    ad, bd = int(alpha * d), int(beta * d)
+    units = [unit_pow(chi, j) for j in range(4)]  # chi**4 == 1
     coeff: Dict[int, QSeries] = {}
     for k in range(lo, hi + 1):
-        e = alpha * binom2(k) + beta * k
+        e = ad * binom2(k) + bd * k
         if e < 0:
-            raise NegativeExponent("theta term k = %d has q-exponent %s < 0" % (k, e))
-        coeff[s * k] = QSeries(d, n, {int(e * d): unit_pow(chi, k)})
+            raise NegativeExponent("theta term k = %d has q-exponent %s < 0" % (k, Fraction(e, d)))
+        ur, ui = units[k % 4]
+        coeff[s * k] = QSeries._of(d, n, e, [ur], [ui] if ui else None)
     return ZSeries._fitted(coeff, d, n)
 
 
 def _euler_z(c: Monomial, b: Monomial, eps: int, order) -> "ZSeries":
-    """sum_n c**n b**(eps*binom(n,2)) z**n / (b;b)_n through `order`, eps in {0, 1}."""
+    """sum_n c**n b**(eps*binom(n,2)) z**n / (b;b)_n through `order`, eps in {0, 1}.
+
+    Built on its final grid, the one that holds the order and the exponents
+    of b and of c (of b alone when c lies past the order and the window is
+    1).  The 1/(b;b)_n are the prefixes of one walk in x = q**b.exp, on the
+    integers (series.inv_poch_table): slice n is prefix n cut to the powers
+    of x that reach the order, times the unit c**n b**(eps*binom(n,2)),
+    spread at b.exp's stride on the grid and laid at the exponent of
+    c**n b**(eps*binom(n,2))."""
     order = Fraction(order)
     if c.exp <= 0:
         raise DivergentEmbedding("embedding monomial needs positive q-order, got %s" % c.exp)
     if b.exp <= 0:
         raise DivergentEmbedding("Euler base needs positive q-order, got %s" % b.exp)
-    vals = []  # q-exponents of c**n b**(eps*binom(n,2)) within the order
-    n = 0
-    while (v := n * c.exp + eps * binom2(n) * b.exp) <= order:
+    den = _grid(order, c.exp, b.exp)
+    top, ce, be = int(order * den), int(c.exp * den), int(b.exp * den)
+    vals = []  # scaled q-exponents of c**n b**(eps*binom(n,2)) within the order
+    while (v := len(vals) * ce + eps * binom2(len(vals)) * be) <= top:
         vals.append(v)
-        n += 1
-    table = inv_poch_table(b, len(vals) - 1, order)
-    return ZSeries(
-        {
-            n: table[n].shift(v).scale(unit_pow(c.unit, n) * unit_pow(b.unit, eps * binom2(n)))
-            for n, v in enumerate(vals)
-        }
-    )
+    table = inv_poch_table(Monomial(b.unit, Fraction(1)), len(vals) - 1, floor(order / b.exp))
+    if len(vals) == 1:  # c lies past the order: the window is 1, on the grid of the order and b
+        den = _grid(order, b.exp)
+        top = int(order * den)
+    pc, pb = UNITS.index(c.unit), UNITS.index(b.unit)
+    coeff = {}
+    for n, (v, s) in enumerate(zip(vals, table)):
+        cut = (top - v) // be + 1
+        re, im = _unit_times((pc * n + pb * eps * binom2(n)) % 4, s.re[:cut], None if s.im is None else s.im[:cut])
+        coeff[n] = QSeries._of(den, top, v, _spread(re, be), None if im is None else _spread(im, be))
+    return ZSeries._fitted(coeff, den, top)
 
 
 def euler_z_inverse(c: Monomial, b: Monomial, order) -> "ZSeries":

@@ -9,7 +9,7 @@ from qrr import _kernel_py
 from qrr.errors import DivergentEmbedding, NegativeExponent
 from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, GaussianInt, binom2, i_pow, unit_pow
 from qrr.oracle import dense_mul
-from qrr.series import Monomial, QSeries, poch_infinite, qmono
+from qrr.series import Monomial, QSeries, inv_poch_table, poch_infinite, qmono
 from qrr.zseries import ZSeries, euler_z_inverse, euler_z_product, theta_z
 
 
@@ -127,6 +127,92 @@ def test_euler_z_requires_positive_embedding():
                 build(qmono(1), b, 5)
 
 
+# -- the builders against the per-slice recipes they replaced ----------------
+
+
+def _fields(z):
+    """Every stored field of a window: its grid and order, and each slice's."""
+    return z.den, z.order, {k: (s.den, s.order, s.val, s.re, s.im) for k, s in z.coeff.items()}
+
+
+def _euler_recipe(c, b, eps, order):
+    """sum_n c**n b**(eps*binom(n,2)) z**n / (b;b)_n slice by slice: each
+    table entry shifted by its exponent as a Fraction and scaled by its unit,
+    and the window fitted once more from its slices."""
+    order = F(order)
+    vals = []
+    while (v := len(vals) * c.exp + eps * binom2(len(vals)) * b.exp) <= order:
+        vals.append(v)
+    table = inv_poch_table(b, len(vals) - 1, order)
+    units = [unit_pow(c.unit, n) * unit_pow(b.unit, eps * binom2(n)) for n in range(len(vals))]
+    return ZSeries({n: table[n].shift(v).scale(units[n]) for n, v in enumerate(vals)})
+
+
+def _theta_recipe(alpha, beta, chi, s, order):
+    """The theta window term by term: one QSeries per k whose exponent is
+    within the order, on the grid of the order, alpha and beta; the first
+    such term below q**0 raises as theta_z does."""
+    alpha, beta, order = F(alpha), F(beta), F(order)
+    den = math.lcm(order.denominator, alpha.denominator, beta.denominator)
+    n = math.floor(order * den)
+    reach = 60
+    assert min(alpha * binom2(k) + beta * k for k in (-reach - 1, reach + 1)) > order
+    coeff = {}
+    for k in range(-reach, reach + 1):
+        e = alpha * binom2(k) + beta * k
+        if e <= order:
+            if e < 0:
+                raise NegativeExponent("theta term k = %d has q-exponent %s < 0" % (k, e))
+            coeff[s * k] = QSeries(den, n, {int(e * den): unit_pow(chi, k)})
+    return ZSeries._fitted(coeff, den, n)
+
+
+_UNITS = st.sampled_from([ONE, MINUS_ONE, I, MINUS_I])
+# integer and fractional orders
+_ORDERS = st.builds(F, st.integers(0, 120), st.sampled_from([1, 2, 3, 4]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _UNITS,
+    _UNITS,
+    st.sampled_from([0, 1]),
+    st.sampled_from([F(1, 4), F(1, 2), F(3, 4), F(1), F(3, 2), F(2), F(5)]),
+    st.sampled_from([F(1, 2), F(3, 4), F(1), F(3, 2), F(2), F(3), F(4)]),  # bases q^(1/2) to q^4
+    _ORDERS,
+)
+@example(I, ONE, 0, F(3, 2), F(2), F(481, 4))  # replay 1.8's z_plus at 120
+@example(MINUS_ONE, ONE, 0, F(3), F(4), F(481, 4))  # and its collapsed window
+@example(MINUS_ONE, ONE, 1, F(1, 2), F(1), F(301))  # jtp_check's Euler factor at 301
+@example(ONE, ONE, 1, F(5), F(1, 2), F(7, 2))  # c past the order: the window is 1
+def test_euler_builders_equal_the_per_slice_recipe(cu, bu, eps, ce, be, order):
+    # every field equal: the window's grid and order, and each slice's
+    # grid, order, valuation and lists
+    c, b = Monomial(cu, ce), Monomial(bu, be)
+    build = euler_z_product if eps else euler_z_inverse
+    assert _fields(build(c, b, order)) == _fields(_euler_recipe(c, b, eps, order))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([F(1, 2), F(3, 4), F(1), F(3, 2), F(2), F(4)]),
+    st.sampled_from([F(-1, 2), F(-1, 4), F(0), F(1, 4), F(1, 2), F(1), F(5, 3)]),
+    _UNITS,
+    st.sampled_from([1, -1, 2]),
+    _ORDERS,
+)
+@example(F(1, 2), F(1, 4), I, -1, F(481, 4))  # replay 1.8's theta at 120
+@example(F(1), F(1, 2), MINUS_ONE, 1, F(301))  # jtp_check's at 301
+def test_theta_equals_the_per_term_recipe(alpha, beta, chi, s, order):
+    def run(build):
+        try:
+            return _fields(build(alpha, beta, chi, s, order))
+        except NegativeExponent as ex:
+            return str(ex)
+
+    assert run(theta_z) == run(_theta_recipe)
+
+
 def test_jtp_z_slices():
     # triple product: each z-slice of the product matches the theta slice
     from qrr.special import jtp_check
@@ -235,6 +321,33 @@ def test_every_operation_fits_slices_to_one_grid_and_order(a, b, j):
     _assert_fitted(a.zshift(j), [a])
     _assert_fitted(a.reflect(), [a])
     _assert_fitted(-a, [a])
+
+
+def _specialize_recipe(z, t):
+    """z := t slice by slice: one QSeries add per slice, each slice scaled by
+    a power of t's unit and shifted by a Fraction exponent."""
+    acc = QSeries._of(z.den, z.order, 0, [])
+    for k, s in z.coeff.items():
+        acc = acc + s.scale(unit_pow(t.unit, k)).shift(k * t.exp)
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(windows(), _UNITS, st.sampled_from([F(0), F(1, 3), F(1, 2), F(1), F(-1, 2), F(-2)]))
+@example(ZSeries({-1: QSeries(2, 9, {1: (3, 1)}), 2: QSeries(1, 4, {0: (0, 2)})}), I, F(1, 3))
+def test_specialize_equals_the_per_slice_sum(z, unit, exp):
+    # every field equal, and a shift below q**0 raises the same error at the
+    # same slice
+    t = Monomial(unit, exp)
+
+    def run(specialize):
+        try:
+            s = specialize(z, t)
+        except NegativeExponent as ex:
+            return str(ex)
+        return s.den, s.order, s.val, s.re, s.im
+
+    assert run(ZSeries.specialize) == run(_specialize_recipe)
 
 
 # -- the packed product against slice-by-slice schoolbook products -----------
@@ -410,6 +523,44 @@ def test_conjugate_euler_windows_form_only_their_even_rows(monkeypatch):
     assert set(out) == {k for k, t in want.items() if not t.is_zero()} and not any(k % 2 for k in out)
     assert len({id(row) for row in out.values()}) == len(out)
     assert len(calls) == sum(1 if im is None else 2 for _, _, im in out.values())
+
+
+@pytest.mark.parametrize("product", ["conjugate", "mirrored"])
+def test_each_term_is_offered_once(monkeypatch, product):
+    # E(cz)*E(-cz) holds each term twice in one row, as the pairs (m, n) and
+    # (n, m), and E(z)*E(1/z) once in each of the mirrored rows z**k and
+    # z**-k: the planner sums the pairs' units first and offers each (key
+    # pair, position) once, and the rows that hold it share it
+    if product == "conjugate":
+        x = euler_z_inverse(Monomial(I, F(3, 2)), qmono(2), 30)
+        y = euler_z_inverse(Monomial(MINUS_I, F(3, 2)), qmono(2), 30)
+    else:
+        x = euler_z_product(Monomial(MINUS_ONE, F(1, 2)), qmono(1), 30)
+        y = x.reflect()
+    want = _reference(x, y)
+    term, plan_rows = _kernel_py._term, _kernel_py._plan_rows
+    offers, plans = [], []
+
+    def spy_term(reps, peaks, kx, ky, v, top, g):
+        offers.append((kx, ky, v))
+        return term(reps, peaks, kx, ky, v, top, g)
+
+    def spy_plan(a, b, rows, top, g):
+        out = plan_rows(a, b, rows, top, g)
+        plans.append((rows, {row[0]: row[5] for row in out[0]}))  # conv_rows clears each row once formed
+        return out
+
+    monkeypatch.setattr(_kernel_py, "_term", spy_term)
+    monkeypatch.setattr(_kernel_py, "_plan_rows", spy_plan)
+    assert x * y == ZSeries(want)
+    ((rows, terms),) = plans
+    assert len(offers) == len(set(offers)) == len({t[:3] for held in terms.values() for t in held})
+    if product == "conjugate":  # the pairs (m, n) and (n, m) of an even row are one offer
+        assert set(terms) == {k for k in rows if k % 2 == 0}
+        assert len(offers) == sum((len(rows[k]) + 1) // 2 for k in terms)
+    else:  # the rows z**k and z**-k hold the very same terms
+        assert all(terms[k] is terms[-k] for k in terms)
+        assert len(offers) == sum(len(held) for k, held in terms.items() if k >= 0)
 
 
 _UNIT_LIST = [ONE, MINUS_ONE, I, MINUS_I]
