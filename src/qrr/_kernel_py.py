@@ -172,10 +172,11 @@ def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
     plan, reach, reps = _plan_rows(a, b, rows, top, g)
     first = {}  # id of a row's terms -> the first row that holds them
     repeats = {}  # plan row -> that first row, for a row that holds the very terms of an earlier one
-    for r, (k, *_, terms) in enumerate(plan):
-        k0 = first.setdefault(id(terms), k)
-        if k0 != k:
-            repeats[r] = k0
+    if len(plan) > 1:
+        for r, (k, *_, terms) in enumerate(plan):
+            k0 = first.setdefault(id(terms), k)
+            if k0 != k:
+                repeats[r] = k0
     last = {}  # (key number, width) -> the last plan row that packs it
     for r, (_, _, _, wb, _, terms) in enumerate(plan):
         if r not in repeats:
@@ -251,28 +252,28 @@ def _form(re: list, im, keyed: bool) -> tuple:
     return key, f, f, (re, im)
 
 
+def _peaks(re: list, im) -> list:
+    """Running maxima of |re[t]| and |im[t]| (an im of None is zero): entry n - 1
+    bounds every entry of the first n."""
+    m = map(abs, re) if im is None else map(max, map(abs, re), map(abs, im))
+    return list(accumulate(m, max))
+
+
 def _peak(cache: dict, key: int, re: list, im, n: int) -> int:
     """The largest |re[t]| or |im[t]| over t < n, for 0 < n <= len(re) (an im
-    of None is zero), kept per key in `cache`.  A whole list takes one
-    max/min pass; a list cut shorter reads its running maxima, built as far
-    as the first cut asks and, when a later cut asks for more, through the
-    whole list."""
-    if n == len(re):
-        m = cache.get((key, True))
-        if m is None:
+    of None is zero).  A whole list takes one max/min pass, a list cut shorter
+    its running maxima; either is built once per key and kept in `cache`."""
+    whole = n == len(re)
+    m = cache.get((key, whole))
+    if m is None:
+        if whole:
             m = max(max(re), -min(re))
             if im is not None:
                 m = max(m, max(im), -min(im))
-            cache[key, True] = m
-        return m
-    m = cache.get(key)
-    if m is None:
-        m = cache[key] = [0]  # m[t]: the largest entry before t
-    if len(m) <= n:
-        t, n2 = len(m) - 1, n if len(m) == 1 else len(re)
-        more = map(abs, re[t:n2]) if im is None else map(max, map(abs, re[t:n2]), map(abs, im[t:n2]))
-        m += accumulate(more, max, initial=m.pop())
-    return m[n]
+        else:
+            m = _peaks(re, im)
+        cache[key, whole] = m
+    return m if whole else m[n - 1]
 
 
 # i**u for u = 0..3: the weight of a pair whose units multiply to i**u.  A
@@ -289,14 +290,13 @@ def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
     row's entries and its very list of terms; the digits to pack for each
     (key number, width); and the (re, im) to pack for each key number.
 
-    Each list's key number, unit and position are looked up once.  In each
-    row the pairs only sum their units into the weight of their term, the
-    unordered key pair at the pair's position; each term whose weight is not
-    0 is then offered once (`_term`) for its reach and peak, and a row whose
-    weights repeat an earlier row's is not planned again.  A call of one pair
-    goes to `_plan_pair`.  The peaks are dropped on return."""
-    if sum(map(len, rows.values())) <= 1:
-        return _plan_pair(a, b, rows, top, g)
+    Each list's key number, unit and position are looked up once; a call of
+    one pair keys its lists by identity.  In each row the pairs only sum their
+    units into the weight of their term, the unordered key pair at the pair's
+    position; each term whose weight is not 0 is then offered once (`_term`)
+    for its reach and peak, and a row whose weights repeat an earlier row's is
+    not planned again.  The peaks are dropped on return."""
+    keyed = sum(map(len, rows.values())) > 1
     keys = {}  # key -> (key number, power of i that takes L to the key's list)
     reps = []  # key number -> the (re, im) packed for it
     formed = {}  # id of a list -> its form: a list on both sides is keyed once
@@ -306,8 +306,8 @@ def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
         f = formed.get(id(x))
         if f is None:
             v, re, im = x
-            key, e, u, parts = _form(re, im, True)
-            n, u0 = keys.setdefault(key, (len(reps), u))
+            key, e, u, parts = _form(re, im, keyed)
+            n, u0 = keys.setdefault(id(x) if key is None else key, (len(reps), u))
             if n == len(reps):
                 reps.append(parts)
             f = formed[id(x)] = n, e - u0, v, im is not None
@@ -315,15 +315,17 @@ def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
 
     a = {i: form(x) for i, x in a.items()}
     b = {j: form(y) for j, y in b.items()}
-    peaks = {}  # _peak's maxima and running maxima
+    peaks = {}  # (key number, whole?) -> _peak's maximum or running maxima
     planned = {}  # a row's weights -> its plan entry, or None for a row with no term
     plan = []
     reach = {}  # (key number, width) -> digits to pack
     for k, pairs in rows.items():
         weights = {}  # (x, y, position), x <= y -> the sum of its pairs' units
+        complex_row = False  # a row is complex when a list of its pairs is
         for i, j in pairs:
-            x, ux, va, _ = a[i]
-            y, uy, vb, _ = b[j]
+            x, ux, va, cx = a[i]
+            y, uy, vb, cy = b[j]
+            complex_row = complex_row or cx or cy
             t = (x, y, va + vb) if x <= y else (y, x, va + vb)
             weights[t] = weights.get(t, 0) + _UNIT_WEIGHTS[(ux + uy) % 4]
         sig = frozenset(weights.items())
@@ -351,48 +353,17 @@ def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
                     count += (abs(wr) + abs(wi)) * short
                     doubled = doubled or both
         planned[sig] = None
-        if live:
-            # a row is complex when a list of its pairs is
-            complex_row = any(a[i][3] or b[j][3] for i, j in pairs)
-            planned[sig] = _row(k, live, base, last, 2 * big if doubled else big, count, complex_row, top, g, reach)
-            plan.append(planned[sig])
+        if not live:
+            continue
+        # the row ends at `top` or where its longest product ends
+        nout = (min(top, last) - base) // g + 1
+        wb = _width(2 * big if doubled else big, 1, count)
+        for x, y, _, _, la, lb, *_ in live:
+            reach[x, wb] = max(reach.get((x, wb), 0), la)
+            reach[y, wb] = max(reach.get((y, wb), 0), lb)
+        planned[sig] = k, base, nout, wb, complex_row, live
+        plan.append(planned[sig])
     return plan, reach, reps
-
-
-def _plan_pair(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
-    """_plan_rows for a call of at most one pair, which has no term to sum or
-    share: its lists are not keyed, only taken as i times a real list when
-    purely imaginary (`_form`), and are one key number when they are one
-    list."""
-    for k, pairs in rows.items():
-        for i, j in pairs:
-            x, y = a[i], b[j]
-            _, ex, _, px = _form(x[1], x[2], False)
-            _, ey, _, py = _form(y[1], y[2], False)
-            reps = [px] if x is y else [px, py]
-            term = _term(reps, {}, 0, len(reps) - 1, x[0] + y[0], top, g)
-            if term is None:
-                return [], {}, reps
-            head, end, short, m, both = term
-            w = _UNIT_WEIGHTS[(ex + ey) % 4]
-            live = [head + (int(w.real), int(w.imag))]
-            reach = {}
-            complex_row = x[2] is not None or y[2] is not None
-            return [_row(k, live, head[2], end, 2 * m if both else m, short, complex_row, top, g, reach)], reach, reps
-    return [], {}, []
-
-
-def _row(k, live: list, base: int, last: int, big: int, count: int, complex_row: bool, top: int, g: int, reach: dict):
-    """The plan entry of row k, whose live terms span positions base..last,
-    with the digit width that holds big times count; each term's key numbers
-    raise their reach at that width in `reach`."""
-    # the row ends at `top` or where its longest product ends
-    nout = (min(top, last) - base) // g + 1
-    wb = _width(big, 1, count)
-    for x, y, _, _, la, lb, *_ in live:
-        reach[x, wb] = max(reach.get((x, wb), 0), la)
-        reach[y, wb] = max(reach.get((y, wb), 0), lb)
-    return k, base, nout, wb, complex_row, live
 
 
 def _term(reps: list, peaks: dict, x: int, y: int, v: int, top: int, g: int):

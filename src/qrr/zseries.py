@@ -56,13 +56,13 @@ ints by Karatsuba, so it ran several times slower.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, lcm
+from math import ceil, floor, lcm
 from typing import Dict, Optional
 
 from .errors import DivergentEmbedding, NegativeExponent
 from .gaussian import UNITS, GaussianInt, binom2, is_unit, unit_pow
 from .quadform import _interval
-from .series import Monomial, QSeries, _as_order, _grid, _lay, _rows, _spread, inv_poch_table
+from .series import Monomial, QSeries, _as_order, _grid, _rows, _spread, inv_poch_table
 
 
 def _fit(s: QSeries, den: int, order: int) -> QSeries:
@@ -196,36 +196,11 @@ class ZSeries:
         return ZSeries._fitted({k * j: s for k, s in self.coeff.items()}, self.den, self.order)
 
     def specialize(self, t: Monomial) -> QSeries:
-        """Substitute z := t (a monomial in q) and sum the window.
-
-        Slice k moves by q**(k*t.exp), and its order with it, so the sum is
-        exact through the lowest of the moved orders and the window's own.
-        Every slice is laid at its integer shift on the grid that holds them
-        all, into one pair of lists.  A shift that takes a slice below q**0,
-        or its order below 0, raises NegativeExponent, at the first such
-        slice."""
-        p = UNITS.index(t.unit)
-        den = lcm(self.den, *((k * t.exp).denominator for k in self.coeff))
-        f = den // self.den
-        order = self.order * f
-        parts = []
+        """Substitute z := t (a monomial in q) and sum the window."""
+        acc = QSeries._of(self.den, self.order, 0, [])
         for k, s in self.coeff.items():
-            e = k * t.exp
-            shift = int(e * den)
-            if self.order * f + shift < 0:
-                raise NegativeExponent("shift by %s empties the series window" % e)
-            if s.val * f + shift < 0:
-                raise NegativeExponent("q^%s after shift by %s" % (Fraction(s.val, self.den), e))
-            order = min(order, self.order * f + shift)  # the slice's order moves with it
-            re, im = _unit_times(p * k % 4, s.re, s.im)
-            parts.append((s.val * f + shift, _spread(re, f), None if im is None else _spread(im, f)))
-        lo = min((v for v, _, _ in parts), default=0)
-        n = min(max((v + len(re) for v, re, _ in parts), default=0), order + 1) - lo
-        re = _lay(n, [(v - lo, x) for v, x, _ in parts])
-        im = None
-        if any(y is not None for _, _, y in parts):
-            im = _lay(n, [(v - lo, y) for v, _, y in parts])
-        return QSeries._of(den, order, lo, re, im)
+            acc = acc + s.scale(unit_pow(t.unit, k)).shift(k * t.exp)
+        return acc
 
     # -- comparison --------------------------------------------------------
 
@@ -342,15 +317,14 @@ def _euler_z(c: Monomial, b: Monomial, eps: int, order) -> "ZSeries":
         raise DivergentEmbedding("embedding monomial needs positive q-order, got %s" % c.exp)
     if b.exp <= 0:
         raise DivergentEmbedding("Euler base needs positive q-order, got %s" % b.exp)
-    den = _grid(order, c.exp, b.exp)
-    top, ce, be = int(order * den), int(c.exp * den), int(b.exp * den)
+    # c past the order leaves the window 1, on the grid of the order and b alone;
+    # off its grid c.exp is rounded up, and so stays past the order
+    den = _grid(order, b.exp) if c.exp > order else _grid(order, c.exp, b.exp)
+    top, ce, be = int(order * den), ceil(c.exp * den), int(b.exp * den)
     vals = []  # scaled q-exponents of c**n b**(eps*binom(n,2)) within the order
     while (v := len(vals) * ce + eps * binom2(len(vals)) * be) <= top:
         vals.append(v)
     table = inv_poch_table(Monomial(b.unit, Fraction(1)), len(vals) - 1, floor(order / b.exp))
-    if len(vals) == 1:  # c lies past the order: the window is 1, on the grid of the order and b
-        den = _grid(order, b.exp)
-        top = int(order * den)
     pc, pb = UNITS.index(c.unit), UNITS.index(b.unit)
     coeff = {}
     for n, (v, s) in enumerate(zip(vals, table)):

@@ -185,6 +185,8 @@ _ORDERS = st.builds(F, st.integers(0, 120), st.sampled_from([1, 2, 3, 4]))
 @example(MINUS_ONE, ONE, 0, F(3), F(4), F(481, 4))  # and its collapsed window
 @example(MINUS_ONE, ONE, 1, F(1, 2), F(1), F(301))  # jtp_check's Euler factor at 301
 @example(ONE, ONE, 1, F(5), F(1, 2), F(7, 2))  # c past the order: the window is 1
+@example(ONE, ONE, 0, F(5, 3), F(1, 2), F(3, 2))  # on the grid of the order and b alone
+@example(ONE, ONE, 0, F(3, 2), F(1), F(1))  # c off that grid, within one step of the order
 def test_euler_builders_equal_the_per_slice_recipe(cu, bu, eps, ce, be, order):
     # every field equal: the window's grid and order, and each slice's
     # grid, order, valuation and lists
@@ -321,33 +323,6 @@ def test_every_operation_fits_slices_to_one_grid_and_order(a, b, j):
     _assert_fitted(a.zshift(j), [a])
     _assert_fitted(a.reflect(), [a])
     _assert_fitted(-a, [a])
-
-
-def _specialize_recipe(z, t):
-    """z := t slice by slice: one QSeries add per slice, each slice scaled by
-    a power of t's unit and shifted by a Fraction exponent."""
-    acc = QSeries._of(z.den, z.order, 0, [])
-    for k, s in z.coeff.items():
-        acc = acc + s.scale(unit_pow(t.unit, k)).shift(k * t.exp)
-    return acc
-
-
-@settings(max_examples=60, deadline=None)
-@given(windows(), _UNITS, st.sampled_from([F(0), F(1, 3), F(1, 2), F(1), F(-1, 2), F(-2)]))
-@example(ZSeries({-1: QSeries(2, 9, {1: (3, 1)}), 2: QSeries(1, 4, {0: (0, 2)})}), I, F(1, 3))
-def test_specialize_equals_the_per_slice_sum(z, unit, exp):
-    # every field equal, and a shift below q**0 raises the same error at the
-    # same slice
-    t = Monomial(unit, exp)
-
-    def run(specialize):
-        try:
-            s = specialize(z, t)
-        except NegativeExponent as ex:
-            return str(ex)
-        return s.den, s.order, s.val, s.re, s.im
-
-    assert run(ZSeries.specialize) == run(_specialize_recipe)
 
 
 # -- the packed product against slice-by-slice schoolbook products -----------
