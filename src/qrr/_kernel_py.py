@@ -157,40 +157,31 @@ def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
     of (|w_re| + |w_im|) * (products that land in one digit) over its terms,
     doubled when a complex list meets a complex list.  A key is packed once
     per width, as far as the terms of that width reach, at the first row that
-    reads it, and dropped after the last such row, as is each row's plan; each
-    operand longer than its term's reach is masked to n digits: that changes
-    it by a multiple of 2**(w*n), which moves only digits at or past the
-    row's last.
+    reads it, and dropped after the last row that forms a product of it, as
+    is each row's plan; each operand longer than its term's reach is masked to
+    n digits: that changes it by a multiple of 2**(w*n), which moves only
+    digits at or past the row's last.
 
     Two rows with the same terms and weights are equal: in one call the
     position fixes each term's reach, and so the row's base, length and width,
     and x*y = y*x exactly.  The planner gives the later row the earlier one's
-    terms, and it is then the earlier one's result object, formed and
-    unpacked once (the rows z**k and z**-k of E(z)*E(1/z), say).
+    very list of terms, and it takes the earlier one's result object, formed
+    and unpacked once (the rows z**k and z**-k of E(z)*E(1/z), say).
     Lists are never changed while a window holds them.
     """
     plan, reach, reps = _plan_rows(a, b, rows, top, g)
-    first = {}  # id of a row's terms -> the first row that holds them
-    repeats = {}  # plan row -> that first row, for a row that holds the very terms of an earlier one
-    if len(plan) > 1:
-        for r, (k, *_, terms) in enumerate(plan):
-            k0 = first.setdefault(id(terms), k)
-            if k0 != k:
-                repeats[r] = k0
-    last = {}  # (key number, width) -> the last plan row that packs it
-    for r, (_, _, _, wb, _, terms) in enumerate(plan):
-        if r not in repeats:
-            for x, y, *_ in terms:
-                last[x, wb] = last[y, wb] = r
-    done = {}  # plan row -> the packs no later row reads
-    for key, r in last.items():
+    done = {}  # plan row -> the packs no later row forms a product of
+    for key, (_, r) in reach.items():
         done.setdefault(r, []).append(key)
     packs = {}
+    # id of a formed row's terms -> its result: every row's terms exist before
+    # any is dropped, so two rows share an id only when they share one list
+    made = {}
 
     def pack(x, wb):
         p = packs.get((x, wb))
         if p is None:
-            n = reach[x, wb]
+            n = reach[x, wb][0]
             re, im = reps[x]
             p = packs[x, wb] = (n, _pack(re[:n], wb), None if im is None else _pack(im[:n], wb))
         return p
@@ -199,8 +190,8 @@ def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
     for r in range(len(plan)):
         k, base, nout, wb, complex_row, terms = plan[r]
         plan[r] = None  # the row's terms are not read again
-        if r in repeats:
-            out[k] = out[repeats[r]]
+        if id(terms) in made:  # the very terms of a row already formed
+            out[k] = made[id(terms)]
             continue
         rr = ii = 0
         for x, y, v, n, _, _, wr, wi in terms:
@@ -220,7 +211,7 @@ def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
             ii += (wr * pi + wi * pr) << s
         for key in done.pop(r, ()):
             del packs[key]
-        out[k] = base, _unpack(rr, wb, nout), _unpack(ii, wb, nout) if complex_row else None
+        out[k] = made[id(terms)] = base, _unpack(rr, wb, nout), _unpack(ii, wb, nout) if complex_row else None
     return out
 
 
@@ -287,8 +278,9 @@ def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
     base position, digits out, width, complex?, [(key number x, key number y,
     position, n, digits of x used, digits of y used, w_re, w_im)]), x <= y,
     where a row with the same terms and weights as an earlier one holds that
-    row's entries and its very list of terms; the digits to pack for each
-    (key number, width); and the (re, im) to pack for each key number.
+    row's entries and its very list of terms; for each (key number, width),
+    the digits to pack and the last row that forms a product of it; and the
+    (re, im) to pack for each key number.
 
     Each list's key number, unit and position are looked up once; a call of
     one pair keys its lists by identity.  In each row the pairs only sum their
@@ -358,9 +350,9 @@ def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
         # the row ends at `top` or where its longest product ends
         nout = (min(top, last) - base) // g + 1
         wb = _width(2 * big if doubled else big, 1, count)
-        for x, y, _, _, la, lb, *_ in live:
-            reach[x, wb] = max(reach.get((x, wb), 0), la)
-            reach[y, wb] = max(reach.get((y, wb), 0), lb)
+        for x, y, _, _, la, lb, *_ in live:  # this row is plan[len(plan)]
+            reach[x, wb] = max(reach.get((x, wb), (0,))[0], la), len(plan)
+            reach[y, wb] = max(reach.get((y, wb), (0,))[0], lb), len(plan)
         planned[sig] = k, base, nout, wb, complex_row, live
         plan.append(planned[sig])
     return plan, reach, reps

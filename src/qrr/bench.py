@@ -20,10 +20,11 @@ sign of the binomial division, at the same order, and `rogers_szego_def`
 with n = RS_N at RS_ORDER, the defining sum over one row of Gaussian
 binomials), the z-window builders (`euler_z_inverse(i*q^(3/2), q^2)` and
 `euler_z_product(-q^(1/2), q)`, the Euler windows of replay 1.8 and of
-`jtp_check`) at REPLAY_ORDER, the replay chains 1.5-1.8
-at REPLAY_ORDER, `jtp_check` at JTP_ORDER, `corpus.load_all()`, the parse and
-validation of the shipped identities that every process loading the corpus
-pays once, and last, best of 1, the sizes that cost: replay 1.5 and 1.8 at
+`jtp_check`) at REPLAY_ORDER, replay 1.8's product z_plus * z_minus alone
+(row `z product 1.8`) and the replay chains 1.5-1.8 at REPLAY_ORDER,
+`jtp_check` at JTP_ORDER, `corpus.load_all()`, the parse and validation of
+the shipped identities that every process loading the corpus pays once, and
+last, best of 1, the sizes that cost: replay 1.5 and 1.8 at
 LARGE_REPLAY_ORDER, `jtp_check` at LARGE_JTP_ORDER and `verify` of
 cao_wang_1_2_3 at LARGE_VERIFY_ORDER.
 
@@ -41,7 +42,8 @@ content (the wide kernel row and the rogers_szego_bw rows at RS_SMALL_NS
 before it moved digits by byte-strided copies, the double_mod5_1_4 and
 `box corpus` rows before the sum side fused its last two levels and took
 its box in integers, the z-builder row before the builders made their
-slices as int lists on their final grid); the kernel rows draw their
+slices as int lists on their final grid, the z-product row before
+`series._rows` paired the slices itself); the kernel rows draw their
 lists from a seeded generator.  A row without a recorded digest fails.  A failing row is still timed and written;
 the bench then names the failing rows on stderr and exits 1.
 """
@@ -60,7 +62,7 @@ from operator import attrgetter
 from . import _kernel_py, corpus
 from .identity import auto_bounds, eval_product, eval_sum, verify
 from .replay import REPLAYS, chain_passes
-from .gaussian import I, MINUS_ONE
+from .gaussian import I, MINUS_I, MINUS_ONE
 from .series import Monomial, qmono
 from .special import jtp_check, rogers_szego_bw, rogers_szego_def, rs_at
 from .zseries import euler_z_inverse, euler_z_product
@@ -110,6 +112,7 @@ DIGESTS = {
     "rs_at 40 t=-1 @420": "ff8398b6444a3e2e",
     "rogers_szego_def 40 @420": "9e7d79b59a7a4f40",
     "z builders @80": "96ac7263ee0bcec0",
+    "z product 1.8 @80": "22bbc3113371c691",
     "corpus.load_all": "b02a91116d3cb8cc",
 }
 
@@ -237,6 +240,10 @@ def bench_zseries(out, rows, failed):
     section = rows["zseries"] = {}
     t = _checked(section, "z builders @%s" % REPLAY_ORDER, lambda: _z_builders(REPLAY_ORDER), 3, None, failed)
     out("z builders %7s  %10.3f" % (REPLAY_ORDER, t))
+    head = REPLAY_ORDER + Fraction(1, 4)  # replay 1.8 builds its windows through here
+    z_plus, z_minus = (euler_z_inverse(Monomial(u, Fraction(3, 2)), qmono(2), head) for u in (I, MINUS_I))
+    t = _checked(section, "z product 1.8 @%s" % REPLAY_ORDER, lambda: z_plus * z_minus, 3, None, failed)
+    out("z product 1.8 %4s  %10.3f" % (REPLAY_ORDER, t))
     for theorem, chain in sorted(REPLAYS.items()):
         label = "replay %s @%s" % (theorem, REPLAY_ORDER)
         t = _checked(section, label, lambda: chain(REPLAY_ORDER), 3, chain_passes, failed)

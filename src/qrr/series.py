@@ -24,12 +24,12 @@ included, goes through `_rows`; there is no shift-and-scale path.  The one
 product outside it is the Horner nest of qrr.special (`_nest`), which serves
 both forms of the Rogers-Szego polynomials, rogers_szego_bw and rs_at: it
 keeps its z-slices packed as the kernel packs them and multiplies the packed
-ints itself.  `_rows` holds the one stride rule: it finds the largest g such
-that the nonzero coefficients of every operand sit on a stride g from their
-valuations, and the pairs summed into one row differ in valuation by
-multiples of g; it hands every g-th entry to the Kronecker-substitution
-kernel's one entry point (qrr._kernel_py.conv_rows) and spreads the rows
-back onto the grid.
+ints itself.  `_rows` pairs the operands' series in one walk, which also
+holds the one stride rule: it finds the largest g such that the nonzero
+coefficients of every series in use sit on a stride g from their valuations,
+and the pairs summed into one row differ in valuation by multiples of g; it
+hands every g-th entry to the Kronecker-substitution kernel's one entry
+point (qrr._kernel_py.conv_rows) and spreads the rows back onto the grid.
 
 A binomial factor never reaches the kernel, and its exponent is a whole
 number k of steps on a grid the caller works out once.  It acts in place on
@@ -339,9 +339,11 @@ class QSeries:
         return QSeries._of(self.den, n, self.val, self.re, self.im)
 
     def mul(self, other: "QSeries") -> "QSeries":
-        """Product, exact through the smaller of the two orders."""
-        _, order, a, b = self._unify(self, other)
-        return _mul(a, b, order)
+        """Product, exact through the smaller of the two orders.  One pair
+        cannot cancel: `_rows` leaves its row out only when it is zero."""
+        den, order, a, b = self._unify(self, other)
+        row = _rows({0: a}, {0: b}, den, order, 0).get(0)
+        return QSeries._of(den, order, 0, []) if row is None else row
 
     def __mul__(self, other: "QSeries") -> "QSeries":
         return self.mul(other)
@@ -449,66 +451,68 @@ class QSeries:
         )
 
 
-def _mul(a: QSeries, b: QSeries, n_max: int) -> QSeries:
-    """The product of two series on one grid, through scaled exponent n_max:
-    the one-pair, one-row case of `_rows`, one-term operands included.  A
-    row of one pair cannot cancel, so `_rows` leaves it out only when an
-    operand is zero or the pair has no exponent <= n_max, and the zero
-    series stands in for it."""
-    row = None
-    if a.re and b.re and a.val + b.val <= n_max:
-        row = _rows({0: a}, {0: b}, {0: [(0, 0)]}, a.den, n_max).get(0)
-    return QSeries._of(a.den, n_max, 0, []) if row is None else row
+def _rows(a: dict, b: dict, den: int, top: int, row: Optional[int] = None) -> dict:
+    """{k: the sum of a[i] * b[j] over i + j = k}, or only the row k = `row`
+    when it is given, for windows {key: series} on grid `den`, each exact
+    through scaled exponent `top`; a product of two series is the row 0 of
+    two one-key windows.  A row with no exponent <= top, or whose products
+    cancel in the kernel, is left out.  It is the one product path for series
+    and z-windows, one-term operands included.
 
-
-def _rows(a: dict, b: dict, rows: dict, den: int, top: int) -> dict:
-    """{k: the sum of a[i] * b[j] over the pairs (i, j) in rows[k]}, for
-    series on grid `den`, each exact through scaled exponent `top`; a row
-    with no exponent <= top, or whose products cancel in the kernel, is left
-    out.  It is the one product path for series and z-windows, one-term
-    operands included.
-
-    Every row is one packed accumulation in the kernel
-    (qrr._kernel_py.conv_rows), on every g-th entry for the g that divides
-    each used series' offsets of nonzero coefficients from its valuation and
-    the differences of the pairs' valuations within each row; each row is
-    spread back onto the grid.  A series on both sides, or at several keys,
-    is handed to the kernel as one strided list.  With more than one pair,
-    the kernel keys lists by content up to a unit of Z[i], so series that
-    are unit multiples of one another are packed once, pairs that give the
-    same product at the same shift are multiplied once with their units
-    summed, and pairs whose units cancel are not multiplied; rows that the
-    kernel forms once become one shared series."""
+    One walk pairs the series and holds the one stride rule: b's nonzero
+    series are sorted by valuation once, and each nonzero series of a is
+    paired with them in that order until the valuations sum past top, or
+    only with b[row - i].  It groups the pairs into rows, takes the gcd g of
+    the pairs' valuation differences within each row and records the series
+    in use, and `_stride` lowers g to divide their offsets of nonzero
+    coefficients.  Every row is one packed accumulation in the kernel
+    (qrr._kernel_py.conv_rows) on every g-th entry, spread back onto the
+    grid; a series on both sides, or at several keys, is one strided list
+    there.  With more than one pair the kernel plans by content up to a unit
+    of Z[i], and rows that it forms once become one shared series."""
+    a = {i: s for i, s in a.items() if s.re}
+    b = {j: t for j, t in b.items() if t.re}
+    by_val = sorted(b, key=lambda j: b[j].val)
+    rows = {}  # k -> its pairs (i, j)
+    first = {}  # k -> the valuation sum of its first pair
+    ua, ub = {}, {}  # the series the pairs use
     g = 0
-    for pairs in rows.values():
-        v0 = a[pairs[0][0]].val + b[pairs[0][1]].val
-        g = gcd(g, *[a[i].val + b[j].val - v0 for i, j in pairs])
-    a = {i: a[i] for pairs in rows.values() for i, _ in pairs}
-    b = {j: b[j] for pairs in rows.values() for _, j in pairs}
-    used = {id(s): s for s in (*a.values(), *b.values())}
+    for i, s in a.items():
+        for j in (by_val if row is None else b.keys() & {row - i}):
+            t = b[j]
+            v = s.val + t.val
+            if row is None and v > top:
+                break
+            rows.setdefault(i + j, []).append((i, j))
+            g = gcd(g, v - first.setdefault(i + j, v))
+            ua[i], ub[j] = s, t
+    if not rows:  # a zero operand, or no pair at z**row: nothing for the kernel
+        return {}
+    used = {id(s): s for s in (*ua.values(), *ub.values())}
     for s in used.values():
-        g = _stride(g, s.re, s.im, len(s.re))
+        g = _stride(g, s.re, s.im)
     g = g or 1
     # one strided (val, re, im) per series, whichever side and key holds it
     views = {x: (s.val, s.re[::g], None if s.im is None else s.im[::g]) for x, s in used.items()}
     packed = _kernel_py.conv_rows(
-        {i: views[id(s)] for i, s in a.items()}, {j: views[id(s)] for j, s in b.items()}, rows, top, g
+        {i: views[id(s)] for i, s in ua.items()}, {j: views[id(s)] for j, s in ub.items()}, rows, top, g
     )
     made = {}  # id(kernel row) -> its series: rows the kernel shares stay shared
-    for row in packed.values():
-        if id(row) not in made:
-            v, re, im = row
-            made[id(row)] = QSeries._of(den, top, v, _spread(re, g), None if im is None else _spread(im, g))
-    return {k: made[id(row)] for k, row in packed.items()}
+    for r in packed.values():
+        if id(r) not in made:
+            v, re, im = r
+            made[id(r)] = QSeries._of(den, top, v, _spread(re, g), None if im is None else _spread(im, g))
+    return {k: made[id(r)] for k, r in packed.items()}
 
 
-def _stride(g: int, re: list, im: Optional[list], n: int) -> int:
-    """The gcd of g and every offset 0 < k < n at which re[k] or im[k] is
-    nonzero (an im of None is zero); g = 0 stands for no offset yet.
+def _stride(g: int, re: list, im: Optional[list]) -> int:
+    """The gcd of g and every offset 0 < k < n = len(re) at which re[k] or
+    im[k] is nonzero (an im of None is zero); g = 0 stands for no offset yet.
 
     The first nonzero offset below g (or n) is found by a short walk, so a
     dense list returns at offset 1; the residues mod g are then checked one
     slice at a time, and a nonzero residue j lowers g to gcd(g, j)."""
+    n = len(re)
     k = 1
     top = min(g, n) if g else n
     while k < top and not (re[k] or im is not None and im[k]):

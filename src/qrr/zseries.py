@@ -27,14 +27,14 @@ that reach the order, times its unit (a negation of the lists or a swap of
 re and im), spread at b.exp's stride and laid at its exponent.
 
 Products.  Both operands are fitted to one grid and order, and slices that
-fit to zero are dropped; a full product offers the kernel only the slice
-pairs whose valuations sum to at most the order.  Every product, one-term
-slices included, takes the one packed path (series._rows, then
-qrr._kernel_py.conv_rows), one row per output slice: every slice is packed
-into one int on the common stride of all slices, each output slice is the
-sum of its pairs' bignum products, each operand masked to the digits its
-pair can reach under the order and shifted by the pair's valuation, and it
-is unpacked once.  The kernel keys slices by content up to a unit of Z[i]
+fit to zero are dropped.  Every product, one-term slices included, takes the
+one packed path: series._rows pairs the slices in one walk, in a full
+product only those whose valuations sum to at most the order, and hands the
+kernel (qrr._kernel_py.conv_rows) one row per output slice.  Every slice is
+packed into one int on the common stride of all slices, each output slice
+is the sum of its pairs' bignum products, each operand masked to the digits
+its pair can reach under the order and shifted by the pair's valuation, and
+it is unpacked once.  The kernel keys slices by content up to a unit of Z[i]
 and plans each product per key pair: slices that are unit multiples of one
 another (i**n*S_n and (-i)**n*S_n in E(iz) and E(-iz), or one slice on
 both sides) are packed once, and in each row the units of the pairs with
@@ -237,30 +237,12 @@ class ZSeries:
 
 def _product(x: ZSeries, y: ZSeries, row: Optional[int]) -> ZSeries:
     """x * y, or only its z**row slice, on the operands' lcm grid at the lower
-    of their orders.
-
-    There is one path: the pairs of slices are grouped by the z-power they
-    meet at, and the rows come from series._rows, the packed path that
-    QSeries.mul also takes.  No slice pair is multiplied on its own, one-term
-    slices (theta windows, i*z**-1) included."""
+    of their orders: the slices fitted there and handed to series._rows, the
+    one packed path, which QSeries.mul also takes.  No slice pair is
+    multiplied on its own, one-term slices (theta windows, i*z**-1) included."""
     den, order = _min_order(x, y)
-    # an operand already on (den, order) holds only fitted, nonzero slices
-    a, b = (
-        z.coeff if (z.den, z.order) == (den, order) else _fit_slices(z.coeff, den, order) for z in (x, y)
-    )
-    rows: Dict[int, list] = {}
-    if row is None:  # only the pairs that reach an exponent <= order
-        by_val = sorted(b, key=lambda j: b[j].val)
-        for i, s in a.items():
-            for j in by_val:
-                if s.val + b[j].val > order:
-                    break
-                rows.setdefault(i + j, []).append((i, j))
-    else:
-        for i in a:
-            if row - i in b:
-                rows.setdefault(row, []).append((i, row - i))
-    return ZSeries._fitted(_rows(a, b, rows, den, order), den, order)
+    a, b = (_fit_slices(z.coeff, den, order) for z in (x, y))
+    return ZSeries._fitted(_rows(a, b, den, order, row), den, order)
 
 
 # -- builders ---------------------------------------------------------------

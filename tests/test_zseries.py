@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from qrr import _kernel_py
+from qrr import _kernel_py, zseries
 from qrr.errors import DivergentEmbedding, NegativeExponent
 from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, GaussianInt, binom2, i_pow, unit_pow
 from qrr.oracle import dense_mul
@@ -427,6 +427,155 @@ def test_multi_term_windows_make_no_slice_multiply(monkeypatch):
         zero = want.get(0, QSeries.zero(min(x.order_q, y.order_q)).rescale(4))
         assert x * y == ZSeries(want)
         assert x.ct_mul(y) == zero
+
+
+# -- the one walk of series._rows against the pairing it replaced ------------
+
+
+def _parent_rows(x, y, row):
+    """(rows, g) as the product path built them before series._rows paired
+    the slices itself: zseries._product's loops over the fitted slices (every
+    pair whose valuations sum to at most the order, or every pair at z**row),
+    then the gcd of the pairs' valuation differences within each row and of
+    every used slice's offsets of nonzero coefficients."""
+    den, order = zseries._min_order(x, y)
+    a, b = (zseries._fit_slices(z.coeff, den, order) for z in (x, y))
+    rows = {}
+    if row is None:
+        by_val = sorted(b, key=lambda j: b[j].val)
+        for i, s in a.items():
+            for j in by_val:
+                if s.val + b[j].val > order:
+                    break
+                rows.setdefault(i + j, []).append((i, j))
+    else:
+        for i in a:
+            if row - i in b:
+                rows.setdefault(row, []).append((i, row - i))
+    g = 0
+    for pairs in rows.values():
+        v0 = a[pairs[0][0]].val + b[pairs[0][1]].val
+        g = math.gcd(g, *[a[i].val + b[j].val - v0 for i, j in pairs])
+    for s in {id(s): s for pairs in rows.values() for i, j in pairs for s in (a[i], b[j])}.values():
+        g = math.gcd(g, *s._support())
+    return rows, g or 1
+
+
+def _slice_fields(z):
+    return {k: (s.den, s.order, s.val, s.re, s.im) for k, s in z.coeff.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(windows(), windows(), st.one_of(st.none(), st.integers(-9, 9)))
+@example(  # a slice past the other operand's order still pairs at z**0
+    ZSeries({0: QSeries(1, 9, {0: (1, 0), 2: (2, 0)}), 1: QSeries(1, 9, {8: (3, 0)})}),
+    ZSeries({0: QSeries(1, 9, {4: (1, 0)}), -1: QSeries(1, 9, {3: (0, 1), 5: (2, 0)})}),
+    0,
+)
+def test_rows_pair_the_slices_as_the_product_loops_did(x, y, row):
+    # a full product (row None), a ct_mul, and one z**row slice inside or
+    # outside the window: the kernel gets the same rows, each pair set equal,
+    # and the same stride as before (and no call when there is no pair), and
+    # every output slice is field-identical to the schoolbook reference on
+    # the product's grid and order
+    conv_rows = _kernel_py.conv_rows
+    calls = []
+
+    def spy(a, b, rows, top, g):
+        calls.append((rows, g))
+        return conv_rows(a, b, rows, top, g)
+
+    want = {k: s for k, s in _reference(x, y).items() if not s.is_zero()}
+    den, order = zseries._min_order(x, y)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernel_py, "conv_rows", spy)
+        cases = [(row, zseries._product(x, y, row))]
+        if row is None:
+            cases.append((0, ZSeries._fitted({0: x.ct_mul(y)}, den, order)))
+    for r, got in cases:
+        want_rows, want_g = _parent_rows(x, y, r)
+        rows, g = calls.pop(0) if want_rows else ({}, want_g)  # no pair, no kernel call
+        assert {k: set(p) for k, p in rows.items()} == {k: set(p) for k, p in want_rows.items()}
+        assert sum(map(len, rows.values())) == sum(map(len, want_rows.values()))
+        assert g == want_g
+        assert (got.den, got.order) == (den, order)
+        held = want if r is None else {k: s for k, s in want.items() if k == r}
+        assert _slice_fields(got) == _slice_fields(ZSeries._fitted(held, den, order))
+    assert not calls
+
+
+def test_one_pair_products_with_nothing_to_form_are_zero(monkeypatch):
+    # QSeries.mul is the row 0 of two one-key windows: a zero operand, or a
+    # pair whose valuations sum past the order, forms no row, and the product
+    # is the zero series on the lcm grid at the lower order; a zero operand
+    # leaves no pair, so the kernel is not called
+    s = QSeries(2, 9, {3: (1, 1), 5: (2, 0)})
+    past = QSeries(3, 15, {12: (0, 1)})  # q^4: with s's q^(3/2), past q^(9/2)
+    zero = QSeries.zero(F(10, 3))
+    conv_rows = _kernel_py.conv_rows
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return conv_rows(*args)
+
+    monkeypatch.setattr(_kernel_py, "conv_rows", spy)
+    for x, y, den, order, kernel_calls in (
+        (s, zero, 6, 20, 0),
+        (zero, s, 6, 20, 0),
+        (s, past, 6, 27, 1),
+        (past, s, 6, 27, 1),
+    ):
+        calls.clear()
+        p = x * y
+        assert (p.den, p.order, p.val, p.re, p.im) == (den, order, 0, [], None)
+        assert len(calls) == kernel_calls
+    assert s.mul(QSeries.term(ONE, 0, 9)) == s
+
+
+# -- order honesty: a result at N is the result at M > N truncated to N ------
+
+
+def _cut(s, n):
+    """s truncated to the q-order n, on the lcm of its grid and n's."""
+    return s.rescale(math.lcm(s.den, n.denominator)).truncate(n)
+
+
+def _cut_window(z, n):
+    den = math.lcm(z.den, n.denominator)
+    return ZSeries._fitted({k: _cut(s, n) for k, s in z.coeff.items()}, den, int(n * den))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.builds(F, st.integers(0, 40), st.sampled_from([1, 2, 3, 4])),
+    st.builds(F, st.integers(1, 12), st.sampled_from([1, 2, 3])),
+    _UNITS,
+    _UNITS,
+    st.sampled_from([F(1, 2), F(3, 4), F(1), F(3, 2), F(2)]),
+    st.sampled_from([F(1, 2), F(1), F(3, 2), F(2)]),
+    st.sampled_from([F(1, 2), F(1), F(3, 2)]),
+    st.sampled_from([F(0), F(1, 4), F(1, 2)]),
+    _UNITS,
+)
+def test_products_and_their_builders_are_order_honest(n, step, cu, bu, ce, be, alpha, beta, chi):
+    # every window, product, constant term and series product built at N
+    # equals the one built at M = N + step truncated to N, and carries order
+    # exactly N (beta <= alpha keeps every theta exponent >= 0)
+    def build(order):
+        c, b = Monomial(cu, ce), Monomial(bu, be)
+        windows = [euler_z_inverse(c, b, order), euler_z_product(c, b, order), theta_z(alpha, beta, chi, -1, order)]
+        return windows, [x * y for x in windows for y in windows], [x.ct_mul(y) for x in windows for y in windows]
+
+    m = n + step
+    (lo, lo_products, lo_cts), (hi, hi_products, hi_cts) = build(n), build(m)
+    for x, y in zip(lo + lo_products, hi + hi_products):
+        assert x == _cut_window(y, n) and x.order_q == n
+    for x, y in zip(lo_cts, hi_cts):
+        assert x == _cut(y, n) and x.order_q == n
+    for (x, j), (y, k) in (((0, 1), (2, -1)), ((1, 2), (0, 1)), ((2, 0), (2, -2))):
+        p = lo[x].slice(j) * lo[y].slice(k)
+        assert p == _cut(hi[x].slice(j) * hi[y].slice(k), n) and p.order_q == n
 
 
 # -- windows that hold one series at several places --------------------------
