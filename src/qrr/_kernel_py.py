@@ -20,9 +20,10 @@ shift).  Only then is a term looked at: one whose weights sum to 0 is not
 planned or multiplied, and the others are multiplied once with the sum of
 their weights.  So E(cz)*E(-cz), which holds each term twice in one row,
 plans and forms none of its odd rows and each product of its even rows
-once.  A row whose weights repeat an earlier row's is not planned again and
-shares its result (the mirrored rows of E(z)*E(1/z), say).  Every row is
-one accumulated bignum, unpacked once.  Real and complex lists mix freely; a
+once.  Rows with the same terms and weights are one plan entry that lists
+every row it serves, formed once, and each of those rows is its one result
+(the mirrored rows of E(z)*E(1/z), say).  Every entry is one accumulated
+bignum, unpacked once.  Real and complex lists mix freely; a
 complex list times a complex list takes three real products (Karatsuba).
 
 Digits move between lists and ints (`_pack`, `_unpack`) by one of two paths,
@@ -156,27 +157,24 @@ def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
     holds its largest |a|*|b| over the digits the terms reach, times the sum
     of (|w_re| + |w_im|) * (products that land in one digit) over its terms,
     doubled when a complex list meets a complex list.  A key is packed once
-    per width, as far as the terms of that width reach, at the first row that
-    reads it, and dropped after the last row that forms a product of it, as
-    is each row's plan; each operand longer than its term's reach is masked to
-    n digits: that changes it by a multiple of 2**(w*n), which moves only
-    digits at or past the row's last.
+    per width, as far as the terms of that width reach, at the first plan
+    entry that reads it, and dropped after the last entry that forms a
+    product of it, as is each entry; each operand longer than its term's
+    reach is masked to n digits: that changes it by a multiple of 2**(w*n),
+    which moves only digits at or past the row's last.
 
     Two rows with the same terms and weights are equal: in one call the
     position fixes each term's reach, and so the row's base, length and width,
-    and x*y = y*x exactly.  The planner gives the later row the earlier one's
-    very list of terms, and it takes the earlier one's result object, formed
-    and unpacked once (the rows z**k and z**-k of E(z)*E(1/z), say).
-    Lists are never changed while a window holds them.
+    and x*y = y*x exactly.  The planner makes them one entry that lists each
+    row it serves, and the entry is formed and unpacked once and stored, one
+    tuple, under each of its rows (the rows z**k and z**-k of E(z)*E(1/z),
+    say).  Lists are never changed while a window holds them.
     """
     plan, reach, reps = _plan_rows(a, b, rows, top, g)
-    done = {}  # plan row -> the packs no later row forms a product of
+    done = {}  # plan entry -> the packs no later entry forms a product of
     for key, (_, r) in reach.items():
         done.setdefault(r, []).append(key)
     packs = {}
-    # id of a formed row's terms -> its result: every row's terms exist before
-    # any is dropped, so two rows share an id only when they share one list
-    made = {}
 
     def pack(x, wb):
         p = packs.get((x, wb))
@@ -188,11 +186,8 @@ def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
 
     out = {}
     for r in range(len(plan)):
-        k, base, nout, wb, complex_row, terms = plan[r]
-        plan[r] = None  # the row's terms are not read again
-        if id(terms) in made:  # the very terms of a row already formed
-            out[k] = made[id(terms)]
-            continue
+        ks, base, nout, wb, complex_row, terms = plan[r]
+        plan[r] = None  # the entry's terms are not read again
         rr = ii = 0
         for x, y, v, n, _, _, wr, wi in terms:
             xr, xi = _reach(pack(x, wb), wb, n)
@@ -211,7 +206,9 @@ def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
             ii += (wr * pi + wi * pr) << s
         for key in done.pop(r, ()):
             del packs[key]
-        out[k] = made[id(terms)] = base, _unpack(rr, wb, nout), _unpack(ii, wb, nout) if complex_row else None
+        row = base, _unpack(rr, wb, nout), _unpack(ii, wb, nout) if complex_row else None
+        for k in ks:
+            out[k] = row
     return out
 
 
@@ -274,20 +271,19 @@ _UNIT_WEIGHTS = (1, 1j, -1, -1j)
 
 
 def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
-    """conv_rows' plan: for each row with a term whose weight is not 0, (k,
-    base position, digits out, width, complex?, [(key number x, key number y,
-    position, n, digits of x used, digits of y used, w_re, w_im)]), x <= y,
-    where a row with the same terms and weights as an earlier one holds that
-    row's entries and its very list of terms; for each (key number, width),
-    the digits to pack and the last row that forms a product of it; and the
-    (re, im) to pack for each key number.
+    """conv_rows' plan: one entry per set of rows with the same terms and
+    weights, some weight not 0, ([every k it serves], base position, digits
+    out, width, complex?, [(key number x, key number y, position, n, digits
+    of x used, digits of y used, w_re, w_im)]), x <= y; for each (key
+    number, width), the digits to pack and the last entry that forms a
+    product of it; and the (re, im) to pack for each key number.
 
     Each list's key number, unit and position are looked up once; a call of
     one pair keys its lists by identity.  In each row the pairs only sum their
     units into the weight of their term, the unordered key pair at the pair's
     position; each term whose weight is not 0 is then offered once (`_term`)
-    for its reach and peak, and a row whose weights repeat an earlier row's is
-    not planned again.  The peaks are dropped on return."""
+    for its reach and peak, and a row whose weights repeat an earlier row's
+    only adds its k to that row's entry.  The peaks are dropped on return."""
     keyed = sum(map(len, rows.values())) > 1
     keys = {}  # key -> (key number, power of i that takes L to the key's list)
     reps = []  # key number -> the (re, im) packed for it
@@ -323,7 +319,7 @@ def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
         sig = frozenset(weights.items())
         if sig in planned:
             if planned[sig]:
-                plan.append((k, *planned[sig][1:]))
+                planned[sig][0].append(k)
             continue
         live = []
         base, last = top + 1, 0  # the lowest position and the last one a product reaches
@@ -350,10 +346,10 @@ def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
         # the row ends at `top` or where its longest product ends
         nout = (min(top, last) - base) // g + 1
         wb = _width(2 * big if doubled else big, 1, count)
-        for x, y, _, _, la, lb, *_ in live:  # this row is plan[len(plan)]
+        for x, y, _, _, la, lb, *_ in live:  # this entry is plan[len(plan)]
             reach[x, wb] = max(reach.get((x, wb), (0,))[0], la), len(plan)
             reach[y, wb] = max(reach.get((y, wb), (0,))[0], lb), len(plan)
-        planned[sig] = k, base, nout, wb, complex_row, live
+        planned[sig] = [k], base, nout, wb, complex_row, live
         plan.append(planned[sig])
     return plan, reach, reps
 

@@ -42,8 +42,9 @@ product side is one Pochhammer walk (`_poch`) over one pair of lists on one
 grid, taking its factors from the largest exponent down: the running
 product is then 1 + w with w zero below the smallest exponent s applied so
 far, and a factor at e <= s walks only the entries from s + e and about n/e
-multiples of e.  The 1/(b;b)_n tables are the prefixes of the same walk in
-declared order (`_walk`), which shares its factor expansion and its step.
+multiples of e.  A 1/(b;b)_n table (`inv_poch_table`) keeps every entry, so
+it is a chain of `_div_b`, entry n being entry n - 1 over its factor, as
+the Gaussian binomial rows of qrr.special are chains of `_mul_b` and `_div_b`.
 """
 
 from __future__ import annotations
@@ -674,14 +675,6 @@ def _factors(order, factors: list):
     return den, n, steps
 
 
-def _start(n: int, steps: list):
-    """The lists (re, im) of 1 through scaled order n; im is None unless
-    some step's unit is imaginary."""
-    re = [0] * (n + 1)
-    re[0] = 1
-    return re, ([0] * (n + 1) if any(unit[1] for _, unit, _ in steps) else None)
-
-
 def _step(re: list, im: Optional[list], e: int, unit, power: int, s: int) -> None:
     """(re + i*im) * (1 - unit*q**e) for power 1, else divided by it, in
     place, for lists that are 0 at every 0 < j < s.
@@ -720,14 +713,16 @@ def _poch(order, factors: list) -> QSeries:
     that holds the order and every x and b.
 
     The factors are expanded and checked in declared order (`_factors`),
-    then applied in place to one pair of int lists from the largest exponent
-    down.  The running product is then 1 + w, with w 0 below s, the
-    smallest exponent applied so far (for 1/(q^s; q)_inf, the partitions
-    into parts >= s), so a factor at e <= s writes only the entries from
-    s + e and about n/e multiples of e (`_step`), not every entry from e.
-    A numerator at exponent 0, a scalar, comes last."""
+    then applied in place to one pair of int lists, which start as 1, from
+    the largest exponent down: the one in-place walk.  The running product
+    is then 1 + w, with w 0 below s, the smallest exponent applied so far
+    (for 1/(q^s; q)_inf, the partitions into parts >= s), so a factor at
+    e <= s writes only the entries from s + e and about n/e multiples of e
+    (`_step`), not every entry from e.  A numerator at exponent 0, a
+    scalar, comes last."""
     den, n, steps = _factors(order, factors)
-    re, im = _start(n, steps)
+    re = [1] + [0] * n
+    im = [0] * (n + 1) if any(unit[1] for _, unit, _ in steps) else None
     s = n + 1
     for e, unit, power in sorted(steps, key=itemgetter(0), reverse=True):
         _step(re, im, e, unit, power, s)
@@ -735,29 +730,16 @@ def _poch(order, factors: list) -> QSeries:
     return QSeries._of(den, n, 0, re, im)
 
 
-def _walk(order, factors: list) -> Iterator[QSeries]:
-    """The running products of `_poch` in declared order: 1, then the
-    product after each factor 1 - x*b**k up to the order, each one in-place
-    `_step` on the lists of `_poch`, yielded as a snapshot.  Its prefixes
-    are the 1/(b;b)_n tables, so the order is never changed; the factors
-    are expanded and checked as `_poch` does."""
-    den, n, steps = _factors(order, factors)
-    re, im = _start(n, steps)
-    yield QSeries._of(den, n, 0, [1])
-    s = n + 1
-    for e, unit, power in steps:
-        _step(re, im, e, unit, power, s)
-        s = min(s, e or s)
-        yield QSeries._of(den, n, 0, re[:], None if im is None else im[:])
-
-
 def inv_poch_table(b: Monomial, n_max: int, order) -> list:
-    """[1/(b;b)_n for n = 0..n_max], exact through `order`: the prefixes of
-    one `_walk`, the last repeated for every n whose factor lies past the
-    order.
-
-    The base b = u*q**e may carry any unit u: factor n is 1 - u**n q**(n*e)."""
+    """[1/(b;b)_n for n = 0..n_max], exact through `order`, on the grid that
+    holds the order and b: entry n is entry n - 1 over 1 - u**n q**(n*e) for
+    b = u*q**e (any unit u), one `_div_b`, and an entry whose factor lies
+    past the order is the one before it."""
     if b.exp <= 0:
         raise ValueError("Pochhammer base must be a positive power of q")
-    out = list(_walk(order, [(b, b, n_max, -1)]))
-    return out + out[-1:] * (n_max + 1 - len(out))
+    den = _grid(order, b.exp)
+    step = int(b.exp * den)
+    table = [QSeries.one(order).rescale(den)]
+    for k in range(1, n_max + 1):
+        table.append(_div_b(table[-1], unit_pow(b.unit, k), k * step))
+    return table

@@ -21,20 +21,27 @@ Builders.  theta_z and the Euler windows (euler_z_inverse, euler_z_product)
 make every slice as int lists on the window's final grid and order, and
 build the window with one `ZSeries._fitted`: no Fraction per slice, and no
 slice normalized more than once.  A theta slice is one unit at an integer
-exponent.  The 1/(b;b)_n of an Euler window are the prefixes of one walk in
-x = q**b.exp on the integers; slice n is prefix n cut to the powers of x
-that reach the order, times its unit (a negation of the lists or a swap of
-re and im), spread at b.exp's stride and laid at its exponent.
+exponent.  The 1/(b;b)_n of an Euler window are one table
+(series.inv_poch_table) in x = q**b.exp on the integers; slice n is entry n
+cut to the powers of x that reach the order, times its unit (a negation of
+the lists or a swap of re and im), spread at b.exp's stride and laid at its
+exponent.
 
-Products.  Both operands are fitted to one grid and order, and slices that
-fit to zero are dropped.  Every product, one-term slices included, takes the
-one packed path: series._rows pairs the slices in one walk, in a full
-product only those whose valuations sum to at most the order, and hands the
-kernel (qrr._kernel_py.conv_rows) one row per output slice.  Every slice is
+Slices are fitted to a window's grid and order (`_fit`) only where they may
+be off it: in the constructor, in a sum, and for the operands of a product.
+Every other window is built from slices already on its grid and order, and
+`ZSeries._fitted` only drops the zero ones.
+
+Products.  Both operands' slices are fitted to one grid and order.  Every
+product, one-term slices included, takes the one packed path: series._rows
+drops the zero slices and pairs the others in one walk, in a full product
+only those whose valuations sum to at most the order, and hands the kernel
+(qrr._kernel_py.conv_rows) one row per output slice.  Every slice is
 packed into one int on the common stride of all slices, each output slice
 is the sum of its pairs' bignum products, each operand masked to the digits
 its pair can reach under the order and shifted by the pair's valuation, and
-it is unpacked once.  The kernel keys slices by content up to a unit of Z[i]
+it is unpacked once, on the product's grid and order, and enters the window
+as it is.  The kernel keys slices by content up to a unit of Z[i]
 and plans each product per key pair: slices that are unit multiples of one
 another (i**n*S_n and (-i)**n*S_n in E(iz) and E(-iz), or one slice on
 both sides) are packed once, and in each row the units of the pairs with
@@ -105,22 +112,19 @@ class ZSeries:
         """Put the slices on one grid and truncate them to the lowest order
         among them.  A zero slice's order counts like any other's; zero slices
         are then dropped."""
-        den = lcm(*(s.den for s in coeff.values()))
-        order = min((s.order * (den // s.den) for s in coeff.values()), default=0)
-        self._set(coeff, den, order)
+        self.den = lcm(*(s.den for s in coeff.values()))
+        self.order = min((s.order * (self.den // s.den) for s in coeff.values()), default=0)
+        self.coeff = _fit_slices(coeff, self.den, self.order)
 
     @classmethod
     def _fitted(cls, coeff: Dict[int, QSeries], den: int, order: int) -> "ZSeries":
-        """The slices on grid `den` at scaled `order`, which no slice's own
-        order may undercut.  An empty window still carries (den, order)."""
+        """The window of slices already on grid `den` at scaled `order`,
+        without the zero ones.  An empty window still carries (den, order)."""
         z = cls.__new__(cls)
-        z._set(coeff, den, order)
+        z.coeff = {k: s for k, s in coeff.items() if s.re}
+        z.den = den
+        z.order = order
         return z
-
-    def _set(self, coeff: Dict[int, QSeries], den: int, order: int) -> None:
-        self.coeff = _fit_slices(coeff, den, order)
-        self.den = den
-        self.order = order
 
     # -- constructors ------------------------------------------------------
 
@@ -164,7 +168,8 @@ class ZSeries:
         out = dict(self.coeff)
         for k, s in other.coeff.items():
             out[k] = out[k] + s if k in out else s
-        return ZSeries._fitted(out, *_min_order(self, other))
+        den, order = _min_order(self, other)
+        return ZSeries._fitted(_fit_slices(out, den, order), den, order)
 
     def __neg__(self) -> "ZSeries":
         return ZSeries._fitted({k: -s for k, s in self.coeff.items()}, self.den, self.order)
@@ -238,10 +243,11 @@ class ZSeries:
 def _product(x: ZSeries, y: ZSeries, row: Optional[int]) -> ZSeries:
     """x * y, or only its z**row slice, on the operands' lcm grid at the lower
     of their orders: the slices fitted there and handed to series._rows, the
-    one packed path, which QSeries.mul also takes.  No slice pair is
-    multiplied on its own, one-term slices (theta windows, i*z**-1) included."""
+    one packed path, which QSeries.mul also takes, and its rows, already on
+    that grid and order, made the window.  No slice pair is multiplied on
+    its own, one-term slices (theta windows, i*z**-1) included."""
     den, order = _min_order(x, y)
-    a, b = (_fit_slices(z.coeff, den, order) for z in (x, y))
+    a, b = ({k: _fit(s, den, order) for k, s in z.coeff.items()} for z in (x, y))
     return ZSeries._fitted(_rows(a, b, den, order, row), den, order)
 
 
@@ -289,9 +295,9 @@ def _euler_z(c: Monomial, b: Monomial, eps: int, order) -> "ZSeries":
 
     Built on its final grid, the one that holds the order and the exponents
     of b and of c (of b alone when c lies past the order and the window is
-    1).  The 1/(b;b)_n are the prefixes of one walk in x = q**b.exp, on the
-    integers (series.inv_poch_table): slice n is prefix n cut to the powers
-    of x that reach the order, times the unit c**n b**(eps*binom(n,2)),
+    1).  The 1/(b;b)_n are one table in x = q**b.exp, on the integers
+    (series.inv_poch_table): slice n is entry n cut to the powers of x that
+    reach the order, times the unit c**n b**(eps*binom(n,2)),
     spread at b.exp's stride on the grid and laid at the exponent of
     c**n b**(eps*binom(n,2))."""
     order = Fraction(order)

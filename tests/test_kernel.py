@@ -344,8 +344,8 @@ def test_a_window_times_its_z_to_minus_z_twist_forms_no_odd_row(c):
     rows = {k: [(m, k - m) for m in a if k - m in b] for k in range(13)}
     top = 40
     plan, _, _ = _plan_rows(a, b, rows, top, 1)
-    assert [k for k, *_ in plan] == list(range(0, 13, 2))
-    for k, _, _, _, _, terms in plan:
+    assert [ks for ks, *_ in plan] == [[k] for k in range(0, 13, 2)]
+    for (k,), _, _, _, _, terms in plan:
         assert len(terms) == (len(rows[k]) + 1) // 2
     got = conv_rows(a, b, rows, top, 1)
     assert set(got) == set(range(0, 13, 2))

@@ -16,7 +16,6 @@ from qrr.series import (
     _mul_b,
     _poch,
     _unit_div,
-    _walk,
     inv_poch_table,
     poch_finite,
     poch_infinite,
@@ -427,8 +426,10 @@ def test_binomial_updates_match_the_scalar_recurrence(case):
 
 
 def fraction_walk(order, factors):
-    """Every running product of `_walk`, stepped with Fraction exponents
-    and the scalar recurrence."""
+    """Every running product of the factors in declared order, stepped with
+    Fraction exponents and the scalar recurrence: the last is `_poch`'s
+    product, and for the one factor (b, b, n, -1) they are the entries of
+    `inv_poch_table` up to the order."""
     den = lcm(F(order).denominator, *(m.exp.denominator for x, b, _, _ in factors for m in (x, b)))
     s = QSeries.one(order).rescale(den)
     out = [s]
@@ -457,10 +458,14 @@ monomials = st.builds(
     monomials,
     st.integers(0, 20),
 )
-def test_walk_matches_the_fraction_exponent_walk(order, factors, b, n_max):
-    want = fraction_walk(order, factors)
-    assert [fields(s) for s in _walk(order, factors)] == [fields(s) for s in want]
-    assert fields(_poch(order, factors)) == fields(want[-1])
+# tables whose n_max runs past the order, whose b lies past the order, and
+# whose b carries the unit i or -i
+@example(F(5), [], qmono(1), 12)
+@example(F(3, 2), [], qmono(2), 4)
+@example(F(21, 2), [(qmono(1), Monomial(I, F(1, 2)), None, -1)], Monomial(I, F(1, 2)), 20)
+@example(F(47, 4), [], Monomial(MINUS_I, F(3, 4)), 20)
+def test_poch_and_tables_match_the_fraction_exponent_walk(order, factors, b, n_max):
+    assert fields(_poch(order, factors)) == fields(fraction_walk(order, factors)[-1])
     table = fraction_walk(order, [(b, b, n_max, -1)])
     table += table[-1:] * (n_max + 1 - len(table))
     assert [fields(s) for s in inv_poch_table(b, n_max, order)] == [fields(s) for s in table]
@@ -501,7 +506,6 @@ def test_poch_from_the_largest_exponent_down_matches_the_scalar_walk(order, fact
     # takes both branches of `_unit_div`
     want = fields(fraction_walk(order, factors)[-1])
     assert fields(_poch(order, factors)) == want
-    assert fields(list(_walk(order, factors))[-1]) == want
 
 
 @pytest.mark.parametrize(
@@ -537,12 +541,9 @@ def test_poch_from_the_largest_exponent_down_matches_the_scalar_walk(order, fact
         ),
     ],
 )
-def test_poch_and_walk_raise_at_the_first_bad_factor_in_declared_order(factors, error, message):
+def test_poch_raises_at_the_first_bad_factor_in_declared_order(factors, error, message):
     with pytest.raises(error) as raised:
         _poch(20, factors)
-    assert str(raised.value) == message
-    with pytest.raises(error) as raised:
-        list(_walk(20, factors))
     assert str(raised.value) == message
 
 

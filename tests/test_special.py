@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 from itertools import product as iproduct
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -507,3 +507,34 @@ def test_no_constructor_or_builder_claims_less_than_its_order(order):
         eval_product(corpus.load("double_mod5_1_4"), order),
     ]
     assert [x.order_q for x in built] == [order] * len(built)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.builds(F, st.integers(0, 40), st.sampled_from([1, 2, 3, 4])),
+    st.builds(F, st.integers(1, 12), st.sampled_from([1, 2, 3])),
+    st.sampled_from(UNITS),
+    st.sampled_from([F(1, 2), F(3, 4), F(1), F(3, 2)]),
+    st.sampled_from([F(1, 4), F(1, 2), F(1), F(2)]),
+    st.integers(0, 6),
+    st.sampled_from(corpus.corpus_names()),
+)
+def test_tables_and_product_sides_are_order_honest(n, step, unit, be, xe, k, name):
+    # every table, Pochhammer product, product side, Gaussian binomial row
+    # and Rogers-Szego value built at N equals the one built at M = N + step
+    # truncated to N, and carries order exactly N
+    spec = corpus.load(name)
+    b, x = qmono(be), Monomial(unit, xe)
+
+    def build(order):
+        return [
+            *inv_poch_table(Monomial(unit, be), k, order),
+            poch_finite(x, b, k, order),
+            poch_infinite(x, b, order),
+            eval_product(spec, order),
+            *gaussian_binomial_row(k, Monomial(unit, be), order),
+            rs_at(k, x, b, order),
+        ]
+
+    for lo, hi in zip(build(n), build(n + step)):
+        assert lo == hi.rescale(lcm(hi.den, n.denominator)).truncate(n) and lo.order_q == n

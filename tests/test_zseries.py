@@ -325,6 +325,28 @@ def test_every_operation_fits_slices_to_one_grid_and_order(a, b, j):
     _assert_fitted(-a, [a])
 
 
+@settings(max_examples=50, deadline=None)
+@given(windows(), windows())
+def test_products_fit_their_operands_and_not_their_rows(x, y):
+    # series._rows hands back each row on the product's grid and order, and
+    # the rows enter the window as they are: `_fit` sees each operand slice
+    # once per product and no slice of a product
+    fit = zseries._fit
+    seen = []
+
+    def spy(s, den, order):
+        seen.append(s)
+        return fit(s, den, order)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zseries, "_fit", spy)
+        got, ct = x * y, x.ct_mul(y)
+    operands = [s for z in (x, y) for s in z.coeff.values()]
+    assert sorted(map(id, seen)) == sorted(map(id, operands * 2))
+    _assert_fitted(got, [x, y])
+    assert ct == got.ct() and (ct.den, ct.order) == (got.den, got.order)
+
+
 # -- the packed product against slice-by-slice schoolbook products -----------
 
 
@@ -654,7 +676,8 @@ def test_each_term_is_offered_once(monkeypatch, product):
     # E(cz)*E(-cz) holds each term twice in one row, as the pairs (m, n) and
     # (n, m), and E(z)*E(1/z) once in each of the mirrored rows z**k and
     # z**-k: the planner sums the pairs' units first and offers each (key
-    # pair, position) once, and the rows that hold it share it
+    # pair, position) once, and rows with the same terms are one plan entry
+    # that lists every row it serves
     if product == "conjugate":
         x = euler_z_inverse(Monomial(I, F(3, 2)), qmono(2), 30)
         y = euler_z_inverse(Monomial(MINUS_I, F(3, 2)), qmono(2), 30)
@@ -662,8 +685,8 @@ def test_each_term_is_offered_once(monkeypatch, product):
         x = euler_z_product(Monomial(MINUS_ONE, F(1, 2)), qmono(1), 30)
         y = x.reflect()
     want = _reference(x, y)
-    term, plan_rows = _kernel_py._term, _kernel_py._plan_rows
-    offers, plans = [], []
+    term, plan_rows, conv_rows = _kernel_py._term, _kernel_py._plan_rows, _kernel_py.conv_rows
+    offers, plans, outs = [], [], []
 
     def spy_term(reps, peaks, kx, ky, v, top, g):
         offers.append((kx, ky, v))
@@ -671,20 +694,29 @@ def test_each_term_is_offered_once(monkeypatch, product):
 
     def spy_plan(a, b, rows, top, g):
         out = plan_rows(a, b, rows, top, g)
-        plans.append((rows, {row[0]: row[5] for row in out[0]}))  # conv_rows clears each row once formed
+        plans.append((rows, [(entry[0], entry[5]) for entry in out[0]]))  # conv_rows clears each entry once formed
         return out
+
+    def spy_rows(*args):
+        outs.append(conv_rows(*args))
+        return outs[-1]
 
     monkeypatch.setattr(_kernel_py, "_term", spy_term)
     monkeypatch.setattr(_kernel_py, "_plan_rows", spy_plan)
+    monkeypatch.setattr(_kernel_py, "conv_rows", spy_rows)
     assert x * y == ZSeries(want)
-    ((rows, terms),) = plans
-    assert len(offers) == len(set(offers)) == len({t[:3] for held in terms.values() for t in held})
+    ((rows, entries),) = plans
+    (out,) = outs
+    assert len(offers) == len(set(offers)) == len({t[:3] for _, held in entries for t in held})
+    assert len(offers) == sum(len(held) for _, held in entries)
+    assert sorted(k for ks, _ in entries for k in ks) == sorted(out)
     if product == "conjugate":  # the pairs (m, n) and (n, m) of an even row are one offer
-        assert set(terms) == {k for k in rows if k % 2 == 0}
-        assert len(offers) == sum((len(rows[k]) + 1) // 2 for k in terms)
-    else:  # the rows z**k and z**-k hold the very same terms
-        assert all(terms[k] is terms[-k] for k in terms)
-        assert len(offers) == sum(len(held) for k, held in terms.items() if k >= 0)
+        assert [ks for ks, _ in entries] == [[k] for k in rows if k % 2 == 0]
+        assert len(offers) == sum((len(rows[k]) + 1) // 2 for (k,), _ in entries)
+    else:  # the rows z**k and z**-k are one entry, formed once
+        assert len(entries) > 1
+        assert all(sorted(ks) == sorted({ks[0], -ks[0]}) for ks, _ in entries)
+        assert all(out[k] is out[-k] for k in out)
 
 
 _UNIT_LIST = [ONE, MINUS_ONE, I, MINUS_I]
