@@ -4,7 +4,10 @@ A coefficient list a is packed into one Python int, a[0] + a[1]*2**w +
 a[2]*2**(2w) + ..., with a digit width w wide enough that every output
 coefficient fits in a signed w-bit digit.  One bignum multiply then does the
 whole convolution, and the low digits of the product, read as signed digits,
-are c[k] = sum_{i+j=k} a[i]*b[j].
+are c[k] = sum_{i+j=k} a[i]*b[j].  Each output row takes its own width,
+sized by what its terms can produce through the order (`_term`), and wide
+enough for every digit packed for it; the cost of a bignum multiply grows
+with that width.
 
 Inputs are plain lists of Python ints of any size, and outputs are exact.
 
@@ -46,10 +49,10 @@ from itertools import accumulate
 from operator import neg
 
 
-def _width(amax: int, bmax: int, n: int) -> int:
-    """Bytes per digit that hold any sum of n products x*y with |x| <= amax,
-    |y| <= bmax, plus a sign bit."""
-    return ((amax * bmax * n).bit_length() + 8) // 8
+def _width(bound: int) -> int:
+    """Bytes per digit that hold any integer of size at most bound, plus a
+    sign bit."""
+    return (bound.bit_length() + 8) // 8
 
 
 def _tops(wb: int, n: int) -> int:
@@ -154,14 +157,16 @@ def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
     b[j].  A row sums the weights of its terms first (`_plan_rows`), so a term
     whose weights sum to 0 is not formed: E(cz)*E(-cz) forms none of its
     odd rows and each product of its even rows once.  Each row's digit width
-    holds its largest |a|*|b| over the digits the terms reach, times the sum
-    of (|w_re| + |w_im|) * (products that land in one digit) over its terms,
-    doubled when a complex list meets a complex list.  A key is packed once
-    per width, as far as the terms of that width reach, at the first plan
-    entry that reads it, and dropped after the last entry that forms a
-    product of it, as is each entry; each operand longer than its term's
-    reach is masked to n digits: that changes it by a multiple of 2**(w*n),
-    which moves only digits at or past the row's last.
+    holds the sum over its terms of (|w_re| + |w_im|) times the term's bound
+    on its digits (`_term`: from the largest entries of its two lists over
+    the digits it reaches, and, when the order cuts the product, over the
+    first half of those of each list it cuts short), and every digit packed
+    for the row.  A key is packed once per width, as far as the terms of
+    that width reach, at the first plan entry that reads it, and dropped
+    after the last entry that forms a product of it, as is each entry; each
+    operand longer than its term's reach is masked to n digits: that changes
+    it by a multiple of 2**(w*n), which moves only digits at or past the
+    row's last.
 
     Two rows with the same terms and weights are equal: in one call the
     position fixes each term's reach, and so the row's base, length and width,
@@ -240,28 +245,25 @@ def _form(re: list, im, keyed: bool) -> tuple:
     return key, f, f, (re, im)
 
 
-def _peaks(re: list, im) -> list:
-    """Running maxima of |re[t]| and |im[t]| (an im of None is zero): entry n - 1
-    bounds every entry of the first n."""
-    m = map(abs, re) if im is None else map(max, map(abs, re), map(abs, im))
-    return list(accumulate(m, max))
-
-
-def _peak(cache: dict, key: int, re: list, im, n: int) -> int:
-    """The largest |re[t]| or |im[t]| over t < n, for 0 < n <= len(re) (an im
-    of None is zero).  A whole list takes one max/min pass, a list cut shorter
-    its running maxima; either is built once per key and kept in `cache`."""
-    whole = n == len(re)
-    m = cache.get((key, whole))
+def _peak(cache: dict, key: int, re: list, im, n: int) -> tuple:
+    """(the largest |re[t]| or |im[t]| over t < n, and over t < ceil(n/2)),
+    for 0 < n <= len(re) (an im of None is zero).  A list cut shorter reads
+    both from its running maxima; a whole list takes one max/min pass and
+    gives its peak for both.  Either is built once per key and kept in
+    `cache`."""
+    if n < len(re):
+        m = cache.get(key)
+        if m is None:
+            m = map(abs, re) if im is None else map(max, map(abs, re), map(abs, im))
+            m = cache[key] = list(accumulate(m, max))
+        return m[n - 1], m[(n - 1) // 2]
+    m = cache.get((key, True))
     if m is None:
-        if whole:
-            m = max(max(re), -min(re))
-            if im is not None:
-                m = max(m, max(im), -min(im))
-        else:
-            m = _peaks(re, im)
-        cache[key, whole] = m
-    return m if whole else m[n - 1]
+        m = max(max(re), -min(re))
+        if im is not None:
+            m = max(m, max(im), -min(im))
+        m = cache[key, True] = m, m
+    return m
 
 
 # i**u for u = 0..3: the weight of a pair whose units multiply to i**u.  A
@@ -282,8 +284,12 @@ def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
     one pair keys its lists by identity.  In each row the pairs only sum their
     units into the weight of their term, the unordered key pair at the pair's
     position; each term whose weight is not 0 is then offered once (`_term`)
-    for its reach and peak, and a row whose weights repeat an earlier row's
-    only adds its k to that row's entry.  The peaks are dropped on return."""
+    for its reach, bound and peak, and a row whose weights repeat an earlier
+    row's only adds its k to that row's entry.  A row's width holds the sum
+    of (|w_re| + |w_im|) * bound over its terms, and the largest peak: a row
+    whose digits all vanish may still pack a large one ([0, 0, 128, 1]
+    times [0, 0, 1, 1] through the third digit).  The peaks are dropped on
+    return."""
     keyed = sum(map(len, rows.values())) > 1
     keys = {}  # key -> (key number, power of i that takes L to the key's list)
     reps = []  # key number -> the (re, im) packed for it
@@ -323,29 +329,27 @@ def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
             continue
         live = []
         base, last = top + 1, 0  # the lowest position and the last one a product reaches
-        big = count = 0
-        doubled = False
+        bound = peak = 0
         for t, w in weights.items():
             if w:
                 term = _term(reps, peaks, *t, top, g)
                 if term:
-                    head, end, short, m, both = term
+                    head, end, s, p = term
                     wr, wi = int(w.real), int(w.imag)
                     live.append(head + (wr, wi))
                     if t[2] < base:
                         base = t[2]
                     if end > last:
                         last = end
-                    if m > big:
-                        big = m
-                    count += (abs(wr) + abs(wi)) * short
-                    doubled = doubled or both
+                    if p > peak:
+                        peak = p
+                    bound += (abs(wr) + abs(wi)) * s
         planned[sig] = None
         if not live:
             continue
         # the row ends at `top` or where its longest product ends
         nout = (min(top, last) - base) // g + 1
-        wb = _width(2 * big if doubled else big, 1, count)
+        wb = _width(bound if bound > peak else peak)
         for x, y, _, _, la, lb, *_ in live:  # this entry is plan[len(plan)]
             reach[x, wb] = max(reach.get((x, wb), (0,))[0], la), len(plan)
             reach[y, wb] = max(reach.get((y, wb), (0,))[0], lb), len(plan)
@@ -356,19 +360,43 @@ def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
 
 def _term(reps: list, peaks: dict, x: int, y: int, v: int, top: int, g: int):
     """The term of key numbers x and y at position v, as ((x, y, v, n, la,
-    lb), last position reached, min(la, lb), |x|*|y|, both complex?): a pair
-    there reaches n = (top - v)//g + 1 digits and uses la digits of x and lb
-    of y, and |x|*|y| is the product of their largest entries over those.
-    None when a list is empty or zero as far as the pair reaches, since the
-    term then adds nothing."""
+    lb), last position reached, bound, peak): a pair there reaches n =
+    (top - v)//g + 1 digits and uses la digits of x and lb of y; no digit
+    of its product below n is larger than `bound` in size, and no digit of
+    x or y packed for it larger than `peak`.  None when a list is empty or
+    zero as far as the pair reaches, since the term then adds nothing.
+
+    With a and b the largest |x| and |y| over those digits, min(la, lb)*a*b
+    bounds every digit.  When the order cuts the product (n < la + lb - 1),
+    so may the halves: digit d < n is the sum of the products x[i]*y[d-i],
+    of which at most ha = ceil(la/2) have i < ha, at most hb = ceil(lb/2)
+    have d - i < hb, and at most n - ha - hb neither; so with a0 >= |x[i]|
+    for i < ha and b0 >= |y[j]| for j < hb, ha*a0*b + hb*a*b0 +
+    (n - ha - hb)*a*b bounds it too, and the smaller is taken.  A list cut
+    to its reach reads a0 from the running maxima it keeps for a (`_peak`),
+    and a whole list takes a0 = a, so no bound costs a pass of its own.
+    Lists that grow, as 1/(q;q)_j does, have a0 and b0 far below a and b.
+    A whole product keeps the first bound: with its la + lb - 1 digits in
+    place of n, the halves' bound is at least (min(la, lb) - 2)*a*b.  Both
+    bounds are doubled when x and y are complex."""
     n = (top - v) // g + 1
     (xr, xi), (yr, yi) = reps[x], reps[y]
     la = n if n < len(xr) else len(xr)
     lb = n if n < len(yr) else len(yr)
-    m = la > 0 and lb > 0 and _peak(peaks, x, xr, xi, la) * _peak(peaks, y, yr, yi, lb)
-    if not m:
+    if la <= 0 or lb <= 0:
         return None
-    return (x, y, v, n, la, lb), v + g * (la + lb - 2), la if la < lb else lb, m, xi is not None and yi is not None
+    (a, a0), (b, b0) = _peak(peaks, x, xr, xi, la), _peak(peaks, y, yr, yi, lb)
+    if not (a and b):
+        return None
+    bound = (la if la < lb else lb) * a * b
+    if n < la + lb - 1:  # the order cuts the product
+        ha, hb = (la + 1) // 2, (lb + 1) // 2
+        cut = ha * a0 * b + hb * a * b0 + max(n - ha - hb, 0) * a * b
+        if cut < bound:
+            bound = cut
+    if xi is not None and yi is not None:
+        bound *= 2
+    return (x, y, v, n, la, lb), v + g * (la + lb - 2), bound, a if a > b else b
 
 
 def _reach(pack: tuple, wb: int, n: int) -> tuple:

@@ -21,7 +21,8 @@ with n = RS_N at RS_ORDER, the defining sum over one row of Gaussian
 binomials), the z-window builders (`euler_z_inverse(i*q^(3/2), q^2)` and
 `euler_z_product(-q^(1/2), q)`, the Euler windows of replay 1.8 and of
 `jtp_check`) at REPLAY_ORDER, replay 1.8's product z_plus * z_minus alone
-(row `z product 1.8`) and the replay chains 1.5-1.8 at REPLAY_ORDER,
+(row `z product 1.8`), `jtp_check`'s product E(z)*E(1/z) alone at
+JTP_ORDER (row `z product jtp`), the replay chains 1.5-1.8 at REPLAY_ORDER,
 `jtp_check` at JTP_ORDER, `corpus.load_all()`, the parse and validation of
 the shipped identities that every process loading the corpus pays once, and
 last, best of 1, the sizes that cost: replay 1.5 and 1.8 at
@@ -42,10 +43,12 @@ content (the wide kernel row and the rogers_szego_bw rows at RS_SMALL_NS
 before it moved digits by byte-strided copies, the double_mod5_1_4 and
 `box corpus` rows before the sum side fused its last two levels and took
 its box in integers, the z-builder row before the builders made their
-slices as int lists on their final grid, the z-product row before
-`series._rows` paired the slices itself); the kernel rows draw their
-lists from a seeded generator.  A row without a recorded digest fails.  A failing row is still timed and written;
-the bench then names the failing rows on stderr and exits 1.
+slices as int lists on their final grid, the `z product 1.8` row before
+`series._rows` paired the slices itself, the `z product jtp` row before
+the kernel sized its digits by the halves of each list); the kernel rows
+draw their lists from a seeded generator.  A row without a recorded digest
+fails.  A failing row is still timed and written; the bench then names the
+failing rows on stderr and exits 1.
 """
 
 from __future__ import annotations
@@ -113,6 +116,7 @@ DIGESTS = {
     "rogers_szego_def 40 @420": "9e7d79b59a7a4f40",
     "z builders @80": "96ac7263ee0bcec0",
     "z product 1.8 @80": "22bbc3113371c691",
+    "z product jtp @300": "aa5abab6d14c7872",
     "corpus.load_all": "b02a91116d3cb8cc",
 }
 
@@ -244,6 +248,10 @@ def bench_zseries(out, rows, failed):
     z_plus, z_minus = (euler_z_inverse(Monomial(u, Fraction(3, 2)), qmono(2), head) for u in (I, MINUS_I))
     t = _checked(section, "z product 1.8 @%s" % REPLAY_ORDER, lambda: z_plus * z_minus, 3, None, failed)
     out("z product 1.8 %4s  %10.3f" % (REPLAY_ORDER, t))
+    euler = euler_z_product(Monomial(MINUS_ONE, Fraction(1, 2)), qmono(1), JTP_ORDER)  # as jtp_check builds it
+    reflected = euler.reflect()
+    t = _checked(section, "z product jtp @%s" % JTP_ORDER, lambda: euler * reflected, 3, None, failed)
+    out("z product jtp %4s  %10.3f" % (JTP_ORDER, t))
     for theorem, chain in sorted(REPLAYS.items()):
         label = "replay %s @%s" % (theorem, REPLAY_ORDER)
         t = _checked(section, label, lambda: chain(REPLAY_ORDER), 3, chain_passes, failed)

@@ -19,6 +19,7 @@ The four chains carry the derivation ids "1.5" through "1.8":
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -91,6 +92,11 @@ class _Chain:
         )
 
 
+# each shipped identity a chain reads is parsed once per process; corpus.load
+# itself stays uncached
+_load = functools.cache(corpus.load)
+
+
 def chain_passes(steps: List[StepReport]) -> bool:
     return all(s.ok for s in steps)
 
@@ -113,7 +119,7 @@ def _closure(chain: _Chain, classical_name: str, power: int, single: QSeries, pr
     the reduced single sum and the target product.  Power 2 closes the
     quarter-exponent chains, power 1 the integer-exponent ones."""
     order = chain.order / power
-    base = corpus.load(classical_name)
+    base = _load(classical_name)
     lhs = eval_sum(base, order)
     rhs = eval_product(base, order)
     status = compare(base, order, lhs, rhs).status
@@ -148,7 +154,7 @@ def _quarter_chain(
     lin_coeff is the linear exponent coefficient carried into the Euler
     factors: 3/4 for 1.5, 7/4 for 1.6.
     """
-    spec = corpus.load(spec_name)
+    spec = _load(spec_name)
     chain = _Chain(theorem, order)
     q = qmono(1)
 
@@ -217,7 +223,7 @@ def replay_1_6(order) -> List[StepReport]:
 def replay_1_7(order) -> List[StepReport]:
     """Derive double-mod5-1-4 from rogers-mod4-1-4 (three steps)."""
     order = Fraction(order)
-    spec = corpus.load("double_mod5_1_4")
+    spec = _load("double_mod5_1_4")
     chain = _Chain("1.7", order)
     q2, q4 = qmono(2), qmono(4)
     n_max = math.isqrt(math.floor(4 * order))  # the largest n with n^2/4 <= order
@@ -271,7 +277,7 @@ def replay_1_7(order) -> List[StepReport]:
 def replay_1_8(order) -> List[StepReport]:
     """Derive double-mod5-2-3 from rogers-mod4-2-3 (five steps)."""
     order = Fraction(order)
-    spec = corpus.load("double_mod5_2_3")
+    spec = _load("double_mod5_2_3")
     chain = _Chain("1.8", order)
     q2, q4 = qmono(2), qmono(4)
     quarter = Fraction(1, 4)

@@ -111,14 +111,7 @@ def rs_at(n: int, t: Monomial, b: Monomial, order) -> QSeries:
         raise ValueError("Pochhammer base must be a positive power of q")
     if n and t.exp < 0:
         raise NegativeExponent("H_%d(t) at t = %s has negative powers of q" % (n, t))
-    half, upper = n // 2, (n + 1) // 2
-    minus = Monomial(MINUS_ONE)
-
-    def power(k: int, x: Monomial = Monomial()) -> Monomial:  # x * b**k
-        return Monomial(x.unit * unit_pow(b.unit, k), x.exp + k * b.exp)
-
-    r0 = max((upper - s for s in range(upper) if power(2 * s, t) == minus), default=0)
-    r1 = min((s for s in range(half) if power(1 + 2 * s, minus) == t), default=half)
+    r0, r1 = _kept(n, t, b)
     if r0 > r1:
         return QSeries.zero(order)
     den = _grid(order, t.exp, b.exp)
@@ -130,6 +123,19 @@ def rs_at(n: int, t: Monomial, b: Monomial, order) -> QSeries:
         xr, xi = xr << w * k * step, xi << w * k * step
         re, im = re + ur * xr - ui * xi, im + ui * xr + ur * xi
     return _read((re, im), den, top, wb)
+
+
+def _kept(n: int, t: Monomial, b: Monomial) -> tuple:
+    """rs_at's (r0, r1) for H_n(t; b), t of q-order >= 0 and b > 0.
+
+    beta_s = 0 needs t*b**(2s) = -1, so s = 0 and t = -1; alpha_s = 0 needs
+    t = -b**(1+2s): t.exp = (1+2s)*b.exp and t.unit = -(b.unit)**(1+2s)."""
+    half, upper = n // 2, (n + 1) // 2
+    r0 = upper if t == Monomial(MINUS_ONE) else 0
+    r1, rest = divmod(t.exp / b.exp - 1, 2)
+    if rest or not 0 <= r1 < half or t.unit != -unit_pow(b.unit, 1 + 2 * r1):
+        r1 = half
+    return r0, r1
 
 
 def _nest(n: int, b: Monomial, order, den: int, r0: int, r1: int) -> tuple:
@@ -163,7 +169,7 @@ def _nest(n: int, b: Monomial, order, den: int, r0: int, r1: int) -> tuple:
     coeffs = _row_head(half, Monomial(unit_pow(b.unit, 2), 2 * b.exp), order, max(used))
     top = _as_order(order, den)
     step = int(b.exp * den)
-    wb = _width(1 << n, 1, 1)
+    wb = _width(1 << n)
     w = 8 * wb
     mask = (1 << w * (top + 1)) - 1
     zero = (0, 0)

@@ -25,6 +25,7 @@ SMALL_DIGESTS = {
     "rogers_szego_def 5 @7": "35d9431b9f2a4542",
     "z builders @6": "633d94a4a86a258a",
     "z product 1.8 @6": "1100a75fb40d59d5",
+    "z product jtp @8": "74a69d324d37df98",
     "corpus.load_all": "b02a91116d3cb8cc",
 }
 
@@ -60,6 +61,7 @@ def test_bench_runs_at_small_sizes(small):
     assert "double-mod5-1-4" in text and "box corpus" in text
     assert "z-layer: builders and replay chains at order 6, jtp_check at order 8" in text
     assert "z builders       6" in text and "z product 1.8    6" in text
+    assert "z product jtp    8" in text
     assert "single-factor updates" in text
     assert "rogers_szego_bw 3" in text and "rogers_szego_bw 4" in text
     assert "rogers_szego_bw 5" in text and "eval_product rogers-mod5-1-4" in text
@@ -69,7 +71,7 @@ def test_bench_runs_at_small_sizes(small):
     assert "eval_product double-mod5-1-4" in text
     assert "the sizes that cost" in text
     assert "replay 1.8 @10" in text and "jtp_check @12" in text and "verify cao-wang-1-2-3 @11" in text
-    assert len(lines) == 42
+    assert len(lines) == 43
 
 
 def _assert_every_row(rows):
@@ -94,7 +96,7 @@ def _assert_every_row(rows):
         "rogers_szego_def 5 @7",
     ]
     assert list(rows["zseries"]) == (
-        ["z builders @6", "z product 1.8 @6"]
+        ["z builders @6", "z product 1.8 @6", "z product jtp @8"]
         + ["replay %s @6" % t for t in ("1.5", "1.6", "1.7", "1.8")]
         + ["jtp_check @8"]
     )
@@ -115,14 +117,15 @@ def test_bench_json_holds_the_printed_rows(small, tmp_path, capsys):
     assert "%10.3f" % rows["zseries"]["jtp_check @8"] in lines[-10]
     assert "%12.6f" % rows["kernel"]["conv_complex 8"] in lines[3]
     assert "%12.6f" % rows["kernel"]["conv_real 8 wide"] in lines[4] and "wide digits" in lines[4]
-    assert "%10.3f" % rows["zseries"]["z builders @6"] in lines[-16] and "z builders" in lines[-16]
-    assert "%10.3f" % rows["zseries"]["z product 1.8 @6"] in lines[-15] and "z product 1.8" in lines[-15]
-    assert "%10.3f" % rows["updates"]["rogers_szego_bw 3 @7"] in lines[-25]
-    assert "%10.3f" % rows["updates"]["rogers_szego_bw 4 @7"] in lines[-24]
-    assert "%10.3f" % rows["updates"]["rs_at 5 t=-1 @7"] in lines[-22]
-    assert "%10.3f" % rows["updates"]["eval_product rogers-mod5-1-4 @9"] in lines[-21]
-    assert "%10.3f" % rows["updates"]["eval_product double-mod5-1-4 @9"] in lines[-20]
-    assert "%10.3f" % rows["updates"]["rogers_szego_def 5 @7"] in lines[-19]
+    assert "%10.3f" % rows["zseries"]["z builders @6"] in lines[-17] and "z builders" in lines[-17]
+    assert "%10.3f" % rows["zseries"]["z product 1.8 @6"] in lines[-16] and "z product 1.8" in lines[-16]
+    assert "%10.3f" % rows["zseries"]["z product jtp @8"] in lines[-15] and "z product jtp" in lines[-15]
+    assert "%10.3f" % rows["updates"]["rogers_szego_bw 3 @7"] in lines[-26]
+    assert "%10.3f" % rows["updates"]["rogers_szego_bw 4 @7"] in lines[-25]
+    assert "%10.3f" % rows["updates"]["rs_at 5 t=-1 @7"] in lines[-23]
+    assert "%10.3f" % rows["updates"]["eval_product rogers-mod5-1-4 @9"] in lines[-22]
+    assert "%10.3f" % rows["updates"]["eval_product double-mod5-1-4 @9"] in lines[-21]
+    assert "%10.3f" % rows["updates"]["rogers_szego_def 5 @7"] in lines[-20]
     assert "%10.3f" % rows["large"]["verify cao-wang-1-2-3 @11"] in lines[-1]
 
 
@@ -137,7 +140,7 @@ def test_bench_names_failing_z_product_rows_and_exits_1(small, tmp_path, monkeyp
     lines = []
     assert bench.main(["--json", str(path)], out=lines.append) == 1
     _assert_every_row(json.loads(path.read_text()))
-    assert len(lines) == 42
+    assert len(lines) == 43
     assert capsys.readouterr().err.splitlines() == [
         "python -m qrr.bench: wrong result in row %r" % label
         for label in ("replay 1.7 @6", "jtp_check @8", "jtp_check @12")
@@ -155,7 +158,7 @@ def test_bench_names_failing_product_and_verify_rows_and_exits_1(small, tmp_path
     lines = []
     assert bench.main(["--json", str(path)], out=lines.append) == 1
     _assert_every_row(json.loads(path.read_text()))
-    assert len(lines) == 42
+    assert len(lines) == 43
     assert capsys.readouterr().err.splitlines() == [
         "python -m qrr.bench: wrong result in row %r" % label
         for label in (
@@ -190,7 +193,7 @@ def test_every_row_has_a_digest_or_a_status_check(small, tmp_path, monkeypatch):
     default += ["double-mod5-1-4 @240", "box corpus @240"]
     default += ["rogers_szego_bw %d @420" % n for n in (24, 32)]
     default += ["rogers_szego_bw 40 @420", "rs_at 40 t=-1 @420", "rogers_szego_def 40 @420"]
-    default += ["z builders @80", "z product 1.8 @80"]
+    default += ["z builders @80", "z product 1.8 @80", "z product jtp @300"]
     assert sorted(bench.DIGESTS) == sorted(default)
 
 

@@ -6,15 +6,17 @@ against the per-digit loops below on both of its paths."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from qrr import special
-from qrr._kernel_py import _pack, _plan_rows, _reach, _tops, _unpack, _width, conv_rows
-from qrr.gaussian import ZERO, GaussianInt
+from qrr import _kernel_py, special
+from qrr._kernel_py import _pack, _plan_rows, _reach, _term, _tops, _unpack, _width, conv_rows
+from qrr.gaussian import MINUS_ONE, ZERO, GaussianInt
 from qrr.oracle import dense_mul
-from qrr.series import qmono
+from qrr.series import Monomial, qmono
+from qrr.zseries import euler_z_product
 
 BITS = (1, 64, 300)
 LENGTHS = (0, 1, 2, 17, 40)
@@ -199,7 +201,7 @@ def test_rogers_szego_bw_reads_its_slices_as_the_per_digit_loops_do(n, monkeypat
     # the Horner nest packs and reads slices at 4, 5 and 6 bytes a digit
     order = Fraction(420)
     got = special.rogers_szego_bw(n, qmono(1), order)
-    assert _width(1 << n, 1, 1) == {24: 4, 32: 5, 40: 6}[n]
+    assert _width(1 << n) == {24: 4, 32: 5, 40: 6}[n]
     monkeypatch.setattr(special, "_pack", _reference_pack)
     monkeypatch.setattr(special, "_unpack", _reference_unpack)
     want = special.rogers_szego_bw(n, qmono(1), order)
@@ -239,20 +241,147 @@ def test_conv_real_pair_property(a, b, c, nout):
 
 @pytest.mark.parametrize("complex_a", [False, True])
 def test_width_bounds_only_the_digits_a_pair_reaches(complex_a):
-    # a list cut to the pair's reach takes its width from its running maxima
-    # there, not from the huge entry past it; a whole list from all of it
+    # a list cut to the pair's reach takes its bound from its running maxima
+    # there, not from the huge entry past it; a product its reach cuts takes
+    # ha*a0*b + hb*a*b0 + (n - ha - hb)*a*b from the maxima a0, b0 over the
+    # first halves of the digits used (a list used whole gives its peak),
+    # capped by min(la, lb)*a*b, and a whole product the cap, here from all
+    # of a
     big = 1 << 200
     a = [3, -5, 2, big]
     ai = [0, 1, 0, -big] if complex_a else None
     b = [7, 1, -1]
-    for top, la, lb, amax in ((1, 2, 2, 5), (2, 3, 3, 5), (5, 4, 3, big)):
-        plan, _, _ = _plan_rows({0: (0, a, ai)}, {0: (0, b, None)}, {0: [(0, 0)]}, top, 1)
+    for top, la, lb, bound in (
+        (1, 2, 2, 3 * 7 + 5 * 7),  # a0 = 3, b0 = 7: below the cap 2*5*7
+        (2, 3, 3, 3 * 5 * 7),  # b whole, b0 = 7: 2*5*7 + 2*5*7 is larger
+        (5, 4, 3, 3 * big * 7),
+    ):
+        plan, _, reps = _plan_rows({0: (0, a, ai)}, {0: (0, b, None)}, {0: [(0, 0)]}, top, 1)
         ((_, _, _, wb, _, terms),) = plan
         assert terms[0][4:6] == (la, lb)
-        assert wb == _width(amax, 7, min(la, lb))
+        assert _term(reps, {}, 0, 1, 0, top, 1)[2] == bound
+        assert wb == _width(bound)
         got = conv_complex(a, ai, b, None, top + 1) if complex_a else (conv_real(a, b, top + 1), None)
         want = _truncated(a, b, top + 1), ai and _truncated(ai, b, top + 1)
         assert got == want
+
+
+def _old_width(terms, reps):
+    """The width of the rule that paired the largest entries of both lists:
+    the largest |x|*|y| over the digits the terms reach, times the sum of
+    (|w_re| + |w_im|)*min(la, lb), doubled when a complex list meets one."""
+    big = count = 0
+    doubled = False
+    for x, y, _, _, la, lb, wr, wi in terms:
+        (xr, xi), (yr, yi) = reps[x], reps[y]
+        peak = [max(map(abs, xr[:la] + (xi or [])[:la])), max(map(abs, yr[:lb] + (yi or [])[:lb]))]
+        big = max(big, peak[0] * peak[1])
+        count += (abs(wr) + abs(wi)) * min(la, lb)
+        doubled = doubled or (xi is not None and yi is not None)
+    return _width((2 * big if doubled else big) * count)
+
+
+def _fits(digits, wb):
+    half = 1 << 8 * wb - 1
+    return all(-half <= x < half for x in digits)
+
+
+@st.composite
+def shaped_lists(draw):
+    """(re, im) of a list that grows, is flat, starts with zeros, is purely
+    imaginary or is complex; im is None for a real list."""
+    kind = draw(st.sampled_from(["growing", "flat", "leading zeros", "imaginary", "complex"]))
+    n = draw(st.integers(1, 14))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    if kind == "growing":  # |x[t]| rises with t, as 1/(q;q)_j's coefficients do
+        step = draw(st.integers(1, 1 << 24))
+        re = [s * (1 + step) ** t for s, t in zip(signs, range(n))]
+    elif kind == "flat":
+        m = draw(st.integers(1, 1 << 64))
+        re = [s * m for s in signs]
+    else:
+        re = draw(st.lists(st.integers(-(1 << 70), 1 << 70), min_size=n, max_size=n))
+        if kind == "leading zeros":
+            z = draw(st.integers(1, n))
+            re[:z] = [0] * z
+    if kind == "imaginary":
+        return [0] * n, re
+    if kind == "complex":
+        return re, draw(st.lists(st.integers(-(1 << 70), 1 << 70), min_size=n, max_size=n))
+    return re, None
+
+
+@st.composite
+def kernel_windows(draw):
+    """(a, b, rows, top): windows of shaped lists at small positions, some of
+    them unit multiples of another list of the same window, so that pairs
+    cancel, and rows of pairs drawn from every pair."""
+
+    def window():
+        w = {}
+        for i in range(draw(st.integers(1, 4))):
+            re, im = draw(shaped_lists())
+            w[i] = (draw(st.integers(0, 4)), re, im)
+        for i in range(len(w), len(w) + draw(st.integers(0, 2))):  # -x or i*x of a list x
+            v, re, im = w[draw(st.integers(0, len(w) - 1))]
+            if draw(st.booleans()):
+                w[i] = v, [-x for x in re], None if im is None else [-x for x in im]
+            else:
+                w[i] = v, [-x for x in im] if im is not None else [0] * len(re), re
+        return w
+
+    a, b = window(), window()
+    pairs = [(i, j) for i in a for j in b]
+    row = st.lists(st.sampled_from(pairs), min_size=1, max_size=6, unique=True)
+    rows = {k: draw(row) for k in range(draw(st.integers(1, 4)))}
+    return a, b, rows, draw(st.integers(0, 30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_windows())
+@example(({0: (0, [0, 0, 0, 0, 0, 0, 128], None)}, {0: (0, [0, 1], None)}, {0: [(0, 0)]}, 6))
+@example(({0: (0, [0, 0, 128, 1], None)}, {0: (0, [0, 0, 1, 1], None)}, {0: [(0, 0)]}, 2))
+def test_every_row_matches_the_oracle_and_every_packed_digit_fits(case):
+    # a bound on a row's output digits alone can sit below an operand's
+    # peak: [0, 0, 128, 1] times [0, 0, 1, 1] through q**2 has no nonzero
+    # digit and a zero bound, yet 128 must be packed; so each width also
+    # holds every digit packed for its row, and none is wider than the rule
+    # that paired both lists' largest entries
+    a, b, rows, top = case
+    packed = []
+
+    def pack(digits, wb):
+        packed.append(_fits(digits, wb))
+        return _pack(digits, wb)
+
+    with mock.patch.object(_kernel_py, "_pack", pack):
+        got = conv_rows(a, b, rows, top, 1)
+    assert all(packed)
+    for k, pairs in rows.items():
+        assert _row_terms(got.get(k)) == _schoolbook(a, b, pairs, top), k
+    plan, _, reps = _plan_rows(a, b, rows, top, 1)
+    for _, _, _, wb, _, terms in plan:
+        assert wb <= _old_width(terms, reps)
+
+
+def test_no_row_of_the_triple_products_euler_pair_is_wider_than_8_bytes():
+    # jtp_check(300)'s E(z)*E(1/z): its slices grow as 1/(q;q)_j, whose
+    # largest coefficient through 300, p(300) < 2**54, fits in 7 bytes; the
+    # rule that paired both lists' largest entries planned rows of 10
+    order = Fraction(300)
+    euler = euler_z_product(Monomial(MINUS_ONE, Fraction(1, 2)), qmono(1), order)
+    plans = []
+
+    def plan_rows(*args):
+        out = _plan_rows(*args)
+        plans.append([wb for _, _, _, wb, _, _ in out[0]])  # conv_rows clears each entry once formed
+        return out
+
+    with mock.patch.object(_kernel_py, "_plan_rows", plan_rows):
+        product = euler * euler.reflect()
+    (widths,) = plans
+    assert max(widths) <= 8 and len(widths) == 25
+    assert max(max(map(abs, s.re)) for s in product.coeff.values()).bit_length() <= 54
 
 
 def test_reach_cuts_an_operand_to_its_pairs_digits():

@@ -193,6 +193,26 @@ def test_replay_reports_match_recorded_digests(theorem):
     assert _digest(json.dumps(doc, sort_keys=True)) == REPLAY_DIGESTS[theorem]
 
 
+def test_each_shipped_identity_is_parsed_once_per_process(monkeypatch):
+    # a chain reads its identity and its classical base through a cache:
+    # the second call parses nothing and reports the same chain, while
+    # corpus.load itself still parses on every call
+    parse = corpus.parse_file
+    parsed = []
+
+    def spy(*args):
+        parsed.append(args)
+        return parse(*args)
+
+    replay_module._load.cache_clear()
+    monkeypatch.setattr(corpus, "parse_file", spy)
+    first, second = (json.dumps([s.to_json() for s in replay("1.5", 20)], sort_keys=True) for _ in range(2))
+    assert first == second
+    assert len(parsed) == len(set(parsed)) == 2  # double_mod10_2_8 and rogers_mod5_1_4
+    corpus.load("rogers_mod5_1_4")
+    assert len(parsed) == 3
+
+
 def test_jtp_report_matches_recorded_digest():
     assert _digest(repr(jtp_check(120))) == JTP_DIGEST
 

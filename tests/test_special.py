@@ -318,6 +318,36 @@ def test_rs_at_multiplies_only_the_terms_no_zero_factor_removes(monkeypatch):
         assert calls == kept, (n, t)
 
 
+def _kept_by_search(n, t, b):
+    """rs_at's (r0, r1) as it was first found: every factor beta_s and
+    alpha_s built as a monomial and compared with -1 and with t."""
+    half, upper = n // 2, (n + 1) // 2
+    minus = Monomial(MINUS_ONE)
+
+    def power(k, x=Monomial()):  # x * b**k
+        return Monomial(x.unit * unit_pow(b.unit, k), x.exp + k * b.exp)
+
+    r0 = max((upper - s for s in range(upper) if power(2 * s, t) == minus), default=0)
+    r1 = min((s for s in range(half) if power(1 + 2 * s, minus) == t), default=half)
+    return r0, r1
+
+
+def test_kept_terms_equal_the_factor_search():
+    # every n <= 11, every unit of t and b, t on the quarter grid through 6
+    # (alpha_s = 0 for s up to 5, 5, 2 and 1 on the first four bases), and
+    # b on and off that grid
+    ts = [Monomial(u, F(e, 4)) for u in UNITS for e in range(25)]
+    bs = [Monomial(u, e) for u in UNITS for e in (F(1, 4), F(1, 2), F(1), F(3, 2), F(2, 3))]
+    pruned = 0
+    for n in range(12):
+        for b in bs:
+            for t in ts:
+                got = special._kept(n, t, b)
+                assert got == _kept_by_search(n, t, b), (n, t, b)
+                pruned += got != (0, n // 2)
+    assert pruned > 600
+
+
 def test_rs_at_minus_one_walks_no_binomial_row(monkeypatch):
     # at t = -1 the one kept term reads c_0 = 1 alone, so the row of c_r is
     # never walked; a term with r = 2 needs the walk through c_2 only
