@@ -13,7 +13,9 @@ CORPUS_ORDER, and `auto_bounds` of every corpus identity at CORPUS_ORDER
 (row `box corpus`),
 `verify` of double_mod10_2_8 at VERIFY_ORDER, the single-factor updates
 (`rogers_szego_bw` with n = RS_N at RS_ORDER, `rs_at` with the same n and
-order at t = -1 as replay 1.7 uses it, `rogers_szego_bw` with each n of
+order at t = -1 as replay 1.7 uses it, which keeps one term of the nest, and
+at t = i*q^(1/2), where no factor is zero and every term is kept,
+`rogers_szego_bw` with each n of
 RS_SMALL_NS at RS_ORDER, `eval_product` of rogers_mod5_1_4 at
 PRODUCT_ORDER and of double_mod5_1_4, whose unit -1 factors take the other
 sign of the binomial division, at the same order, and `rogers_szego_def`
@@ -45,7 +47,8 @@ before it moved digits by byte-strided copies, the double_mod5_1_4 and
 its box in integers, the z-builder row before the builders made their
 slices as int lists on their final grid, the `z product 1.8` row before
 `series._rows` paired the slices itself, the `z product jtp` row before
-the kernel sized its digits by the halves of each list); the kernel rows
+the kernel sized its digits by the halves of each list, the `rs_at` row at
+t = i*q^(1/2) before the nest met in the middle); the kernel rows
 draw their lists from a seeded generator.  A row without a recorded digest
 fails.  A failing row is still timed and written; the bench then names the
 failing rows on stderr and exits 1.
@@ -113,6 +116,7 @@ DIGESTS = {
     "rogers_szego_bw 32 @420": "ca4bb746aaa26251",
     "rogers_szego_bw 40 @420": "9e7d79b59a7a4f40",
     "rs_at 40 t=-1 @420": "ff8398b6444a3e2e",
+    "rs_at 40 t=i*q^(1/2) @420": "519bce8ad9dcff73",
     "rogers_szego_def 40 @420": "9e7d79b59a7a4f40",
     "z builders @80": "96ac7263ee0bcec0",
     "z product 1.8 @80": "22bbc3113371c691",
@@ -215,10 +219,14 @@ def bench_updates(out, rows, failed):
     def rs_bw(n):
         return lambda: rogers_szego_bw(n, qmono(1), RS_ORDER)
 
+    def rs_at_n(t):
+        return lambda: rs_at(RS_N, t, qmono(1), RS_ORDER)
+
     smaller = [("rogers_szego_bw %d" % n, RS_ORDER, rs_bw(n), None) for n in RS_SMALL_NS]
     for label, order, fn, passes in smaller + [
         ("rogers_szego_bw %d" % RS_N, RS_ORDER, lambda: rogers_szego_bw(RS_N, qmono(1), RS_ORDER), None),
-        ("rs_at %d t=-1" % RS_N, RS_ORDER, lambda: rs_at(RS_N, Monomial(MINUS_ONE), qmono(1), RS_ORDER), None),
+        ("rs_at %d t=-1" % RS_N, RS_ORDER, rs_at_n(Monomial(MINUS_ONE)), None),
+        ("rs_at %d t=i*q^(1/2)" % RS_N, RS_ORDER, rs_at_n(Monomial(I, Fraction(1, 2))), None),
         ("eval_product " + spec.name, PRODUCT_ORDER, lambda: eval_product(spec, PRODUCT_ORDER), sum_side(spec)),
         ("eval_product " + minus.name, PRODUCT_ORDER, lambda: eval_product(minus, PRODUCT_ORDER), sum_side(minus)),
         ("rogers_szego_def %d" % RS_N, RS_ORDER, lambda: rogers_szego_def(RS_N, qmono(1), RS_ORDER), None),

@@ -22,6 +22,7 @@ SMALL_DIGESTS = {
     "rogers_szego_bw 4 @7": "4d94964e90f75426",
     "rogers_szego_bw 5 @7": "35d9431b9f2a4542",
     "rs_at 5 t=-1 @7": "effcf0efbb90cbb8",
+    "rs_at 5 t=i*q^(1/2) @7": "68e1b5434a91bf77",
     "rogers_szego_def 5 @7": "35d9431b9f2a4542",
     "z builders @6": "633d94a4a86a258a",
     "z product 1.8 @6": "1100a75fb40d59d5",
@@ -65,13 +66,13 @@ def test_bench_runs_at_small_sizes(small):
     assert "single-factor updates" in text
     assert "rogers_szego_bw 3" in text and "rogers_szego_bw 4" in text
     assert "rogers_szego_bw 5" in text and "eval_product rogers-mod5-1-4" in text
-    assert "rs_at 5 t=-1" in text and "rogers_szego_def 5" in text
+    assert "rs_at 5 t=-1" in text and "rs_at 5 t=i*q^(1/2)" in text and "rogers_szego_def 5" in text
     assert "replay 1.8" in text and "jtp_check" in text
     assert "corpus.load_all: parse and validate" in text
     assert "eval_product double-mod5-1-4" in text
     assert "the sizes that cost" in text
     assert "replay 1.8 @10" in text and "jtp_check @12" in text and "verify cao-wang-1-2-3 @11" in text
-    assert len(lines) == 43
+    assert len(lines) == 44
 
 
 def _assert_every_row(rows):
@@ -91,6 +92,7 @@ def _assert_every_row(rows):
         "rogers_szego_bw 4 @7",
         "rogers_szego_bw 5 @7",
         "rs_at 5 t=-1 @7",
+        "rs_at 5 t=i*q^(1/2) @7",
         "eval_product rogers-mod5-1-4 @9",
         "eval_product double-mod5-1-4 @9",
         "rogers_szego_def 5 @7",
@@ -120,9 +122,10 @@ def test_bench_json_holds_the_printed_rows(small, tmp_path, capsys):
     assert "%10.3f" % rows["zseries"]["z builders @6"] in lines[-17] and "z builders" in lines[-17]
     assert "%10.3f" % rows["zseries"]["z product 1.8 @6"] in lines[-16] and "z product 1.8" in lines[-16]
     assert "%10.3f" % rows["zseries"]["z product jtp @8"] in lines[-15] and "z product jtp" in lines[-15]
-    assert "%10.3f" % rows["updates"]["rogers_szego_bw 3 @7"] in lines[-26]
-    assert "%10.3f" % rows["updates"]["rogers_szego_bw 4 @7"] in lines[-25]
-    assert "%10.3f" % rows["updates"]["rs_at 5 t=-1 @7"] in lines[-23]
+    assert "%10.3f" % rows["updates"]["rogers_szego_bw 3 @7"] in lines[-27]
+    assert "%10.3f" % rows["updates"]["rogers_szego_bw 4 @7"] in lines[-26]
+    assert "%10.3f" % rows["updates"]["rs_at 5 t=-1 @7"] in lines[-24]
+    assert "%10.3f" % rows["updates"]["rs_at 5 t=i*q^(1/2) @7"] in lines[-23] and "t=i*q^(1/2)" in lines[-23]
     assert "%10.3f" % rows["updates"]["eval_product rogers-mod5-1-4 @9"] in lines[-22]
     assert "%10.3f" % rows["updates"]["eval_product double-mod5-1-4 @9"] in lines[-21]
     assert "%10.3f" % rows["updates"]["rogers_szego_def 5 @7"] in lines[-20]
@@ -140,7 +143,7 @@ def test_bench_names_failing_z_product_rows_and_exits_1(small, tmp_path, monkeyp
     lines = []
     assert bench.main(["--json", str(path)], out=lines.append) == 1
     _assert_every_row(json.loads(path.read_text()))
-    assert len(lines) == 43
+    assert len(lines) == 44
     assert capsys.readouterr().err.splitlines() == [
         "python -m qrr.bench: wrong result in row %r" % label
         for label in ("replay 1.7 @6", "jtp_check @8", "jtp_check @12")
@@ -158,7 +161,7 @@ def test_bench_names_failing_product_and_verify_rows_and_exits_1(small, tmp_path
     lines = []
     assert bench.main(["--json", str(path)], out=lines.append) == 1
     _assert_every_row(json.loads(path.read_text()))
-    assert len(lines) == 43
+    assert len(lines) == 44
     assert capsys.readouterr().err.splitlines() == [
         "python -m qrr.bench: wrong result in row %r" % label
         for label in (
@@ -192,7 +195,8 @@ def test_every_row_has_a_digest_or_a_status_check(small, tmp_path, monkeypatch):
     default += ["cao-wang-1-2-3 @60", "cao-wang-1-2-3 @480", "double-mod10-2-8 @120", "corpus.load_all"]
     default += ["double-mod5-1-4 @240", "box corpus @240"]
     default += ["rogers_szego_bw %d @420" % n for n in (24, 32)]
-    default += ["rogers_szego_bw 40 @420", "rs_at 40 t=-1 @420", "rogers_szego_def 40 @420"]
+    default += ["rogers_szego_bw 40 @420", "rs_at 40 t=-1 @420", "rs_at 40 t=i*q^(1/2) @420"]
+    default += ["rogers_szego_def 40 @420"]
     default += ["z builders @80", "z product 1.8 @80", "z product jtp @300"]
     assert sorted(bench.DIGESTS) == sorted(default)
 

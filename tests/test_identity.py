@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from qrr import corpus
 from qrr.errors import NegativeExponent, SemanticError
-from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, UNITS, GaussianInt
+from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, UNITS
 from qrr.identity import (
     ExponentPoly,
     IdentitySpec,

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from qrr import corpus
 from qrr.cli import EXIT_BAD_INPUT, main
 from qrr.errors import ParseError, SemanticError
-from qrr.gaussian import MINUS_ONE, ONE
+from qrr.gaussian import MINUS_ONE
 from qrr.parser import parse, parse_file, parse_poly
 
 GOOD = """

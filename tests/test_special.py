@@ -3,7 +3,7 @@ from itertools import product as iproduct
 from math import isqrt, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from qrr import _kernel_py, corpus, special, zseries
 from qrr.errors import NegativeExponent, NotPositiveDefinite
@@ -224,6 +224,17 @@ bases = st.builds(Monomial, units, fractions.filter(lambda e: e > 0))
 orders = st.builds(F, st.integers(0, 90), st.integers(1, 4))
 
 
+# the edges of the split at m = (U - 1) // 2: at n = 0 the one term runs
+# downwards and at n = 1 upwards, at n = 2 and 3 one term runs each way, then
+# U = 3 and 4 at odd and at even n
+@example(0, qmono(1), F(30))
+@example(1, Monomial(I, F(1, 2)), F(61, 2))
+@example(2, qmono(1), F(30))
+@example(3, Monomial(MINUS_ONE, F(2, 3)), F(30))
+@example(5, qmono(1), F(40))
+@example(6, Monomial(I, F(1, 2)), F(81, 2))
+@example(7, Monomial(MINUS_ONE, F(1)), F(40))
+@example(8, qmono(1), F(40))
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 16), bases, orders)
 def test_nested_bw_equals_the_per_term_sum(n, b, order):
@@ -262,6 +273,40 @@ def test_packed_bw_forms_no_z_product_and_calls_no_kernel(monkeypatch):
     assert [rs_at(12, t, q, 60) for t in points] == expected_at
 
 
+class _Counted(int):
+    """A packed c_r that counts the int products it takes part in; a shift
+    keeps it counted."""
+
+    products = 0
+
+    def __lshift__(self, k):
+        return _Counted(int(self) << k)
+
+    def __mul__(self, x):
+        _Counted.products += 1
+        return int(self) * x
+
+    __rmul__ = __mul__
+
+
+def test_each_c_r_multiplies_its_shorter_window(monkeypatch):
+    # the terms meet in the middle at m = (U - 1) // 2: c_r multiplies
+    # min(r, U - r) + 1 slices, two int products (re and im) each, where one
+    # upward nest took r + 1 (231, 153 and 91 slices at n = 40, 32 and 24);
+    # alpha_14 = 0 at t = -q^29 keeps r <= 14, past m = 9 (120 slices upwards)
+    q = qmono(1)
+    cases = [(n, None, slices) for n, slices in [(40, 121), (32, 81), (24, 49)]]
+    cases += [(40, Monomial(MINUS_ONE, F(29)), 100), (40, Monomial(I, F(1, 2)), 121)]
+    expected = [rogers_szego_def(n, q, 100) if t is None else _rs_at_per_term(n, t, q, 100) for n, t, _ in cases]
+    pack = special._pack
+    monkeypatch.setattr(special, "_pack", lambda xs, wb: _Counted(pack(xs, wb)))
+    for (n, t, slices), want in zip(cases, expected):
+        _Counted.products = 0
+        got = rogers_szego_bw(n, q, 100) if t is None else rs_at(n, t, q, 100)
+        assert got == want, (n, t)
+        assert _Counted.products == 2 * slices, (n, t)
+
+
 @st.composite
 def rs_points(draw):
     """(n, t, b): t any unit times any power of q, negative ones included, or
@@ -279,6 +324,14 @@ def rs_points(draw):
     return n, t, b
 
 
+# U = 6 and m = 2 at n = 12: t = -1 keeps r = 6 > m alone, alpha_1 = 0
+# keeps r <= 1 <= m, alpha_4 = 0 at n = 16 keeps r <= 4 with m = 3, and
+# t = i*q^(1/2) keeps every term
+@example((12, MINUS_ONE_T, qmono(1)), F(60))
+@example((12, Monomial(MINUS_ONE, F(3)), qmono(1)), F(60))
+@example((12, Monomial(I, F(3, 2)), Monomial(I, F(1, 2))), F(60))
+@example((16, Monomial(MINUS_ONE, F(9)), qmono(1)), F(90))
+@example((12, Monomial(I, F(1, 2)), qmono(1)), F(121, 2))
 @settings(max_examples=300, deadline=None)
 @given(rs_points(), orders)
 def test_nested_rs_at_equals_the_per_term_sum(point, order):
