@@ -45,9 +45,6 @@ class GaussianInt(NamedTuple):
     def __neg__(self):
         return GaussianInt(-self.re, -self.im)
 
-    def conj(self):
-        return GaussianInt(self.re, -self.im)
-
     def is_zero(self):
         return self.re == 0 and self.im == 0
 

@@ -43,13 +43,6 @@ def _scaled(q, b=(), target=0) -> tuple:
     return s, [[int(x * s) for x in row] for row in q], [int(x * s) for x in b], int(target * s)
 
 
-def leading_minors(a: Matrix) -> list:
-    """Leading principal minors, exact: those of the integer multiple s*a,
-    divided by s**k."""
-    s, m, _, _ = _scaled(as_matrix(a))
-    return [Fraction(_det([row[:k] for row in m[:k]]), s**k) for k in range(1, len(m) + 1)]
-
-
 def _det(a) -> int:
     """The determinant of a square integer matrix, by its first row (ranks
     here are tiny)."""

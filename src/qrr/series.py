@@ -443,14 +443,6 @@ class QSeries:
             "terms": [[self.val + k, *self._at(k)] for k in self._support()],
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "QSeries":
-        return cls(
-            obj["den"],
-            obj["order"],
-            {e: GaussianInt(re, im) for e, re, im in obj["terms"]},
-        )
-
 
 def _rows(a: dict, b: dict, den: int, top: int, row: Optional[int] = None) -> dict:
     """{k: the sum of a[i] * b[j] over i + j = k}, or only the row k = `row`

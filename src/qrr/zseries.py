@@ -187,9 +187,6 @@ class ZSeries:
     def scale_series(self, s: QSeries) -> "ZSeries":
         return ZSeries._fitted({k: c.mul(s) for k, c in self.coeff.items()}, *_min_order(self, s))
 
-    def zshift(self, j: int) -> "ZSeries":
-        return ZSeries._fitted({k + j: s for k, s in self.coeff.items()}, self.den, self.order)
-
     def reflect(self) -> "ZSeries":
         """z -> 1/z."""
         return ZSeries._fitted({-k: s for k, s in self.coeff.items()}, self.den, self.order)

@@ -54,25 +54,11 @@ def small(monkeypatch):
 
 def test_bench_runs_at_small_sizes(small):
     lines = []
-    bench.main(out=lines.append)
-    text = "\n".join(lines)
-    assert "convolution kernel" in text
-    assert "double-mod10-2-8 at order 6" in text
-    assert "cao-wang-1-2-3" in text and "sum side" in text
-    assert "double-mod5-1-4" in text and "box corpus" in text
-    assert "z-layer: builders and replay chains at order 6, jtp_check at order 8" in text
-    assert "z builders       6" in text and "z product 1.8    6" in text
-    assert "z product jtp    8" in text
-    assert "single-factor updates" in text
-    assert "rogers_szego_bw 3" in text and "rogers_szego_bw 4" in text
-    assert "rogers_szego_bw 5" in text and "eval_product rogers-mod5-1-4" in text
-    assert "rs_at 5 t=-1" in text and "rs_at 5 t=i*q^(1/2)" in text and "rogers_szego_def 5" in text
-    assert "replay 1.8" in text and "jtp_check" in text
-    assert "corpus.load_all: parse and validate" in text
-    assert "eval_product double-mod5-1-4" in text
-    assert "the sizes that cost" in text
-    assert "replay 1.8 @10" in text and "jtp_check @12" in text and "verify cao-wang-1-2-3 @11" in text
-    assert len(lines) == 44
+    assert bench.main(out=lines.append) == 0
+    # one header per section, each after a blank line but the first
+    sections = ["kernel", "sum", "verify", "updates", "zseries", "setup", "large"]
+    headers = [lines[0]] + [lines[i + 1] for i, line in enumerate(lines) if not line]
+    assert headers == ["%s (best of %d, seconds)" % (s, r) for s, r in zip(sections, (1, 3, 3, 3, 3, 1, 1))]
 
 
 def _assert_every_row(rows):
@@ -107,6 +93,14 @@ def _assert_every_row(rows):
     assert all(t >= 0 for section in rows.values() for t in section.values())
 
 
+def _assert_printed(rows, lines):
+    """Every row's label and its printed time stand together on one line."""
+    printed = [line.rsplit(None, 1) for line in lines]
+    for section in rows.values():
+        for label, t in section.items():
+            assert [label, "%.6f" % t] in printed, label
+
+
 def test_bench_json_holds_the_printed_rows(small, tmp_path, capsys):
     path = tmp_path / "bench.json"
     lines = []
@@ -114,22 +108,7 @@ def test_bench_json_holds_the_printed_rows(small, tmp_path, capsys):
     assert capsys.readouterr().err == ""
     rows = json.loads(path.read_text())
     _assert_every_row(rows)
-    # every row is one printed figure, at the printed precision
-    assert "%10.3f" % rows["setup"]["corpus.load_all"] in lines[-7]
-    assert "%10.3f" % rows["zseries"]["jtp_check @8"] in lines[-10]
-    assert "%12.6f" % rows["kernel"]["conv_complex 8"] in lines[3]
-    assert "%12.6f" % rows["kernel"]["conv_real 8 wide"] in lines[4] and "wide digits" in lines[4]
-    assert "%10.3f" % rows["zseries"]["z builders @6"] in lines[-17] and "z builders" in lines[-17]
-    assert "%10.3f" % rows["zseries"]["z product 1.8 @6"] in lines[-16] and "z product 1.8" in lines[-16]
-    assert "%10.3f" % rows["zseries"]["z product jtp @8"] in lines[-15] and "z product jtp" in lines[-15]
-    assert "%10.3f" % rows["updates"]["rogers_szego_bw 3 @7"] in lines[-27]
-    assert "%10.3f" % rows["updates"]["rogers_szego_bw 4 @7"] in lines[-26]
-    assert "%10.3f" % rows["updates"]["rs_at 5 t=-1 @7"] in lines[-24]
-    assert "%10.3f" % rows["updates"]["rs_at 5 t=i*q^(1/2) @7"] in lines[-23] and "t=i*q^(1/2)" in lines[-23]
-    assert "%10.3f" % rows["updates"]["eval_product rogers-mod5-1-4 @9"] in lines[-22]
-    assert "%10.3f" % rows["updates"]["eval_product double-mod5-1-4 @9"] in lines[-21]
-    assert "%10.3f" % rows["updates"]["rogers_szego_def 5 @7"] in lines[-20]
-    assert "%10.3f" % rows["large"]["verify cao-wang-1-2-3 @11"] in lines[-1]
+    _assert_printed(rows, lines)
 
 
 def test_bench_names_failing_z_product_rows_and_exits_1(small, tmp_path, monkeypatch, capsys):
@@ -142,8 +121,9 @@ def test_bench_names_failing_z_product_rows_and_exits_1(small, tmp_path, monkeyp
     path = tmp_path / "bench.json"
     lines = []
     assert bench.main(["--json", str(path)], out=lines.append) == 1
-    _assert_every_row(json.loads(path.read_text()))
-    assert len(lines) == 44
+    rows = json.loads(path.read_text())
+    _assert_every_row(rows)
+    _assert_printed(rows, lines)
     assert capsys.readouterr().err.splitlines() == [
         "python -m qrr.bench: wrong result in row %r" % label
         for label in ("replay 1.7 @6", "jtp_check @8", "jtp_check @12")
@@ -160,8 +140,9 @@ def test_bench_names_failing_product_and_verify_rows_and_exits_1(small, tmp_path
     path = tmp_path / "bench.json"
     lines = []
     assert bench.main(["--json", str(path)], out=lines.append) == 1
-    _assert_every_row(json.loads(path.read_text()))
-    assert len(lines) == 44
+    rows = json.loads(path.read_text())
+    _assert_every_row(rows)
+    _assert_printed(rows, lines)
     assert capsys.readouterr().err.splitlines() == [
         "python -m qrr.bench: wrong result in row %r" % label
         for label in (
@@ -173,32 +154,17 @@ def test_bench_names_failing_product_and_verify_rows_and_exits_1(small, tmp_path
     ]
 
 
-def test_every_row_has_a_digest_or_a_status_check(small, tmp_path, monkeypatch):
-    # every row goes through _checked; the rows without a status to check
-    # are exactly the rows with a recorded digest, at the default sizes too
-    checked = bench._checked
-    digested, statused = [], []
+def _digested():
+    """The labels of the rows with no status check, without calling a row."""
+    return sorted(label for _, label, _, _, check in bench._rows() if check is None)
 
-    def spy(section, label, fn, repeats, passes, failed):
-        (statused if passes else digested).append(label)
-        return checked(section, label, fn, repeats, passes, failed)
 
-    monkeypatch.setattr(bench, "_checked", spy)
-    path = tmp_path / "bench.json"
-    assert bench.main(["--json", str(path)], out=lambda line: None) == 0
-    rows = json.loads(path.read_text())
-    assert sorted(digested + statused) == sorted(label for section in rows.values() for label in section)
-    assert sorted(digested) == sorted(SMALL_DIGESTS)
+def test_every_row_has_a_digest_or_a_status_check(small, monkeypatch):
+    # the rows without a status to check are exactly the rows with a
+    # recorded digest, at the small sizes and at the default ones
+    assert _digested() == sorted(SMALL_DIGESTS)
     monkeypatch.undo()
-    default = ["conv_%s %d" % (kind, n) for n in bench.SIZES for kind in ("real", "complex")]
-    default += ["conv_real %d wide" % bench.WIDE_SIZE]
-    default += ["cao-wang-1-2-3 @60", "cao-wang-1-2-3 @480", "double-mod10-2-8 @120", "corpus.load_all"]
-    default += ["double-mod5-1-4 @240", "box corpus @240"]
-    default += ["rogers_szego_bw %d @420" % n for n in (24, 32)]
-    default += ["rogers_szego_bw 40 @420", "rs_at 40 t=-1 @420", "rs_at 40 t=i*q^(1/2) @420"]
-    default += ["rogers_szego_def 40 @420"]
-    default += ["z builders @80", "z product 1.8 @80", "z product jtp @300"]
-    assert sorted(bench.DIGESTS) == sorted(default)
+    assert _digested() == sorted(bench.DIGESTS)
 
 
 def test_bench_names_a_perturbed_kernel_result_and_exits_1(small, tmp_path, monkeypatch, capsys):

@@ -136,7 +136,7 @@ def test_rogers_szego_recurrence():
         h_prev = rogers_szego_bw(n - 1, q, order)
         h_n = rogers_szego_bw(n, q, order)
         h_next = rogers_szego_bw(n + 1, q, order)
-        t = one.zshift(1)
+        t = ZSeries({1: QSeries.one(order)})
         factor = QSeries.one(order) - QSeries.term(ONE, n, order)
         rhs = (one + t) * h_n - t.scale_series(factor) * h_prev
         assert h_next.same_through(rhs), n
@@ -166,6 +166,11 @@ def test_rs_at_is_the_specialized_bw_polynomial(order_den, b_exp):
                 assert rs_at(n, t, b, order) == bw.specialize(t), (n, b, t)
 
 
+def _times_z(w):
+    """The window w times z: every slice one key up."""
+    return ZSeries({k + 1: s for k, s in w.coeff.items()})
+
+
 def _rogers_szego_bw_per_term(n, b, order):
     """The factored form term by term: every r-term rebuilt from its factors,
     each z-binomial a z-shift plus a scaled copy (the unnested reference)."""
@@ -175,13 +180,13 @@ def _rogers_szego_bw_per_term(n, b, order):
     binomials = gaussian_binomial_row(half, Monomial(unit_pow(u, 2), 2 * b.exp), order)
     acc = ZSeries.zero(order)
     for r in range(half + 1):
-        part = ZSeries.embed(one).zshift(r)
+        part = ZSeries({r: one})
         for s in range(r):
             c = QSeries.term(unit_pow(u, 1 + 2 * s), (1 + 2 * s) * b.exp, order)
-            part = part.zshift(1) + part.scale_series(c)
+            part = _times_z(part) + part.scale_series(c)
         for s in range(upper - r):
             c = QSeries.term(unit_pow(u, 2 * s), 2 * s * b.exp, order)
-            part = part + part.zshift(1).scale_series(c)
+            part = part + _times_z(part).scale_series(c)
         acc = acc + part.scale_series(binomials[r])
     return acc
 

@@ -18,8 +18,9 @@ def test_embed_and_ct():
     z = ZSeries.embed(s)
     assert z.window == (0, 0)
     assert z.ct() == s
-    assert z.zshift(2).ct().is_zero()
-    assert z.zshift(2).slice(2) == s
+    shifted = ZSeries({k + 2: t for k, t in z.coeff.items()})
+    assert shifted.ct().is_zero()
+    assert shifted.slice(2) == s
 
 
 def test_mul_is_z_convolution():
@@ -313,14 +314,13 @@ def _assert_fitted(z, operands):
 
 
 @settings(max_examples=200, deadline=None)
-@given(windows(), windows(), st.integers(-3, 3))
-def test_every_operation_fits_slices_to_one_grid_and_order(a, b, j):
+@given(windows(), windows())
+def test_every_operation_fits_slices_to_one_grid_and_order(a, b):
     _assert_fitted(a, [a])
     for z in (a + b, a - b, a * b, b * a):
         _assert_fitted(z, [a, b])
     s = b.slice(b.window[0])
     _assert_fitted(a.scale_series(s), [a, s])
-    _assert_fitted(a.zshift(j), [a])
     _assert_fitted(a.reflect(), [a])
     _assert_fitted(-a, [a])
 
