@@ -14,7 +14,9 @@ side shares only `_unit_div` with the product walk), a replay row
 `chain_passes`, a `jtp_check` row `.ok`, and every other row the sha256 of its
 repr against DIGESTS.  Each digest was recorded on the code before the change
 its row gates.  A failing row, or one with no digest, is still timed and
-written; the bench then names the failing rows on stderr and exits 1.
+written; the bench then names each failing row on stderr by its section and
+label, as in `wrong result in row 'verify: double-mod10-2-8 @120'`, since
+two sections may hold one label, and exits 1.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ CAO_WANG_ORDER = Fraction(480)
 CORPUS_ORDER = Fraction(240)
 RS_N = 40
 # perfbench's poly_updates also runs rogers_szego_bw at these n, whose digit
-# widths (4 and 5 bytes) differ from RS_N's (6)
+# widths (3 and 4 bytes) differ from RS_N's (5)
 RS_SMALL_NS = (24, 32)
 RS_ORDER = Fraction(420)
 PRODUCT_ORDER = Fraction(2000)
@@ -199,7 +201,7 @@ def main(argv=(), out=print) -> int:
         rows[section][label] = best
         out("%-34s  %10.6f" % (label, best))
         if not (check(result) if check else _digest(result) == DIGESTS.get(label)):
-            failed.append(label)
+            failed.append("%s: %s" % (section, label))
     if args.json:
         with open(args.json, "w") as f:
             json.dump(rows, f, indent=1)

@@ -37,14 +37,19 @@ int lists, from a start below which the entries are read as 0:
 `_unit_mul` multiplies by 1 - u*q**k in one slice operation, and
 `_unit_div` divides by 1 - u*q**k (u = +-1) in min(k, n/k) slice operations
 on the n entries from the start, never one step per coefficient; it is also
-the sum side's fold.  `_mul_b` and `_div_b` apply them to a QSeries.  Every
-product side is one Pochhammer walk (`_poch`) over one pair of lists on one
-grid, taking its factors from the largest exponent down: the running
-product is then 1 + w with w zero below the smallest exponent s applied so
-far, and a factor at e <= s walks only the entries from s + e and about n/e
-multiples of e.  A 1/(b;b)_n table (`inv_poch_table`) keeps every entry, so
-it is a chain of `_div_b`, entry n being entry n - 1 over its factor, as
-the Gaussian binomial rows of qrr.special are chains of `_mul_b` and `_div_b`.
+the sum side's fold.  `_mul_b` and `_div_b` apply them to a QSeries.  Past
+its dividend a quotient repeats with period k and sign u (period 2k and sign
+-1 for u = +-i, which first adds k entries), so `_div_b` divides only the
+dividend's entries and continues by whole blocks (`_repeat`); an exact
+division, such as each step of a Gaussian binomial row, ends in a zero block
+and stops at the polynomial's degree instead of the order.  Every product
+side is one Pochhammer walk (`_poch`) over one pair of lists on one grid,
+taking its factors from the largest exponent down: the running product is
+then 1 + w with w zero below the smallest exponent s applied so far, and a
+factor at e <= s walks only the entries from s + e and about n/e multiples
+of e.  A 1/(b;b)_n table (`inv_poch_table`) keeps every entry, so it is a
+chain of `_div_b`, entry n being entry n - 1 over its factor, as the
+Gaussian binomial rows of qrr.special are chains of `_mul_b` and `_div_b`.
 """
 
 from __future__ import annotations
@@ -534,14 +539,42 @@ def _mul_b(s: QSeries, unit, k: int) -> QSeries:
 
 
 def _div_b(s: QSeries, unit, k: int) -> QSeries:
-    """s / (1 - unit*q**(k/s.den)) for k > 0 grid steps (`_divide` on the
-    whole window).  A k past the window reaches no entry and returns s."""
+    """s / (1 - unit*q**(k/s.den)) for k > 0 grid steps.  A k past the
+    window reaches no entry and returns s.
+
+    `_divide` walks only the m entries the dividend fills: its own, plus the
+    k that the factor 1 + unit*q**k of a unit +-i adds.  Past them the
+    dividend is 0, so the quotient continues by its period: x[e] = u*x[e - k]
+    for a real unit u, x[e] = -x[e - 2k] for +-i (`_repeat`).  An exact
+    division, such as each step of a Gaussian binomial row, ends in a zero
+    block and continues with zeros, so nothing past m is written; a
+    dividend that fills the window has nothing to continue."""
     n = s.order - s.val + 1
     if k >= n or not s.re:
         return s
-    re, im = _padded(s, unit, n)
+    m = min(len(s.re) + (k if unit[1] else 0), n)
+    re, im = _padded(s, unit, m)
     _divide(re, im, k, unit, 0)
+    if m < n:
+        period, sign = (2 * k, -1) if unit[1] else (k, unit[0])
+        _repeat((re,) if im is None else (re, im), n, period, sign)
     return QSeries._of(s.den, s.order, s.val, re, im)
+
+
+def _repeat(lists: tuple, n: int, period: int, sign: int) -> None:
+    """The lists, of one length, each continued in place to length n by
+    x[e] = sign*x[e - period], with x[e] read as 0 for e < 0, by whole
+    blocks: the last `period` entries (zero-padded when the list is
+    shorter), then that block times sign, times sign**2, ...  When every
+    block is zero the lists continue with zeros and are left as they are."""
+    pad = [0] * (period - len(lists[0]))
+    blocks = [x[-period:] + pad for x in lists]
+    if not any(map(any, blocks)):
+        return
+    for x, block in zip(lists, blocks):
+        x += pad
+        cycle = [-v for v in block] + block if sign < 0 else block
+        x += (cycle * -(-(n - len(x)) // len(cycle)))[: n - len(x)]
 
 
 def _padded(s: QSeries, unit, n: int):

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
+from operator import add, sub
 from typing import NamedTuple, Optional
 
 from ._kernel_py import _pack, _unpack, _width
@@ -83,13 +84,15 @@ def rogers_szego_bw(n: int, b: Monomial, order) -> ZSeries:
     z-binomial is ever an operand.  Every window stays inside [0, n].
 
     The nest (`_nest`, shared with rs_at) never builds a ZSeries: its
-    z-slices stay packed from start to end, and each is unpacked once.
+    z-slices stay packed from start to end, and each is unpacked once.  Its
+    digits hold C(n, n // 2), which bounds every coefficient of H_n: 3, 4
+    and 5 bytes at n = 24, 32 and 40.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     # with no factor b**(2r-1) (n <= 1) the result lives on the grid of b**2
     den = _grid(order, b.exp if n > 1 else 2 * b.exp)
-    slices, wb, top = _nest(n, b, order, den, 0, n // 2)
+    slices, wb, top = _nest(n, b, order, den, 0, n // 2, comb(n, n // 2))
     return ZSeries._fitted({k: _read(x, den, top, wb) for k, x in enumerate(slices)}, den, top)
 
 
@@ -102,7 +105,9 @@ def rs_at(n: int, t: Monomial, b: Monomial, order) -> QSeries:
     the smallest s over the zero alpha_s, else h), and the result is zero
     when r0 > r1.  It runs on the grid of t, b and the order; z := t shifts
     packed slice k by k times t's grid steps and turns it by t's unit**k, and
-    the masked sum is read once.
+    the masked sum is read once.  Its digits hold 2**U * sum_{r0 <= r <= r1}
+    C(h, r), which bounds every coefficient of the kept terms' sum: 2**n
+    when every term is kept, 2**U at t = -1 (3 bytes at n = 40).
 
     The base must have positive q-order, for every n and t.  A t of negative
     q-order raises NegativeExponent for n >= 1, since H_n(t) then has
@@ -118,7 +123,8 @@ def rs_at(n: int, t: Monomial, b: Monomial, order) -> QSeries:
     if r0 > r1:
         return QSeries.zero(order)
     den = _grid(order, t.exp, b.exp)
-    slices, wb, top = _nest(n, b, order, den, r0, r1)
+    bound = sum(comb(n // 2, r) for r in range(r0, r1 + 1)) << (n + 1) // 2
+    slices, wb, top = _nest(n, b, order, den, r0, r1, bound)
     w, step = 8 * wb, int(t.exp * den)
     re = im = 0
     for k, (xr, xi) in enumerate(slices):  # z := t
@@ -141,10 +147,10 @@ def _kept(n: int, t: Monomial, b: Monomial) -> tuple:
     return r0, r1
 
 
-def _nest(n: int, b: Monomial, order, den: int, r0: int, r1: int) -> tuple:
+def _nest(n: int, b: Monomial, order, den: int, r0: int, r1: int, bound: int) -> tuple:
     """(slices, wb, top): the terms r0 <= r <= r1 of rogers_szego_bw's sum
     H_n = sum_r c_r * z**r A_r * B_{U-r}, on grid `den`, which must hold b
-    and the order (top on that grid).
+    and the order (top on that grid), at the digit width wb of `bound`.
 
     The terms meet in the middle, at m = (U - 1) // 2: those with r <= m run
     Horner's rule upwards, G_r = G_{r-1} * (1 + z*b**(2(U-r))) + c_r * z**r
@@ -159,22 +165,29 @@ def _nest(n: int, b: Monomial, order, den: int, r0: int, r1: int) -> tuple:
 
     Slice k, of z**k, is a pair of ints (re, im), its top + 1 coefficients
     packed as by the convolution kernel (qrr._kernel_py._pack) at wb bytes
-    per digit for every slice: each z-binomial step is a shift and a sign
-    change or a swap of re and im, each c_r times a window one int multiply
-    per part with c_r packed once, and every slice is masked to its top + 1
-    digits, which changes it by a multiple of 2**(w*(top + 1)) that no later
-    shift, product or sum brings below that digit.  wb holds 2**n in a signed
-    digit: the terms have nonnegative coefficients in z and b that sum to at
-    most sum_r C(h, r) * 2**U = 2**n, each at its own power of q (b has
-    positive q-order), so every real and imaginary coefficient of the sum, and
-    of its value at a monomial z := t, is at most 2**n in size; intermediate
-    digits need no bound, since only the result's are read.
+    per digit for every slice.  A z-binomial step is one pass over the
+    window: b**k's shift and unit are taken once, and each new slice is a
+    slice plus or minus the shifted neighbour, with re and im swapped for a
+    unit +-i.  Each c_r times a window is one int multiply per part, with
+    c_r packed once, folded into the sum in one pass.  Every slice is masked
+    to its top + 1 digits, which changes it by a multiple of 2**(w*(top + 1))
+    that no later shift, product or sum brings below that digit.
+
+    wb holds `bound` in a signed digit, and the caller passes a bound on
+    every coefficient it reads.  The terms have nonnegative coefficients in
+    z and b, each at its own power of q (b has positive q-order), so a
+    coefficient is at most the sum of those it collects.  At b = 1 and
+    z = 1 term r sums to C(h, r) * 2**U; so the value at a monomial z := t
+    is at most 2**U * sum_{r0 <= r <= r1} C(h, r), 2**n when every term is
+    kept.  Slice k of the whole sum collects sum_r C(h, r) * C(U, k - r) =
+    C(n, k) (Vandermonde), at most C(n, n // 2).  Intermediate digits need
+    no bound, since only the result's are read.
 
     The digits move through the kernel's `_pack` and `_unpack` only: each c_r
-    is packed once, and `_read` unpacks each result.  For n <= 62 (wb <= 8)
-    both move the digits by byte-strided copies, not one call per digit, on
-    every list past their length rules (every list when wb is 1, 2, 4 or
-    8)."""
+    is packed once, and `_read` unpacks each result.  For wb <= 8 (n <= 66
+    in rogers_szego_bw) both move the digits by byte-strided copies, not one
+    call per digit, on every list past their length rules (every list when
+    wb is 1, 2, 4 or 8)."""
     half, upper = n // 2, (n + 1) // 2
     # each c_r is real, since the unit of b**2 is +-1; c_r = c_{h-r}, and
     # the walk stops at the last one a kept term needs
@@ -182,30 +195,24 @@ def _nest(n: int, b: Monomial, order, den: int, r0: int, r1: int) -> tuple:
     coeffs = _row_head(half, Monomial(unit_pow(b.unit, 2), 2 * b.exp), order, max(used))
     top = _as_order(order, den)
     step = int(b.exp * den)
-    wb = _width(1 << n)
+    wb = _width(bound)
     w = 8 * wb
     mask = (1 << w * (top + 1)) - 1
     zero = (0, 0)
-
-    def add(x: tuple, y: tuple) -> tuple:
-        return (x[0] + y[0]) & mask, (x[1] + y[1]) & mask
-
-    def power(x: tuple, k: int) -> tuple:  # x * b**k
-        if k * step > top:
-            return zero
-        re, im = x[0] << w * k * step, x[1] << w * k * step
-        ur, ui = unit_pow(b.unit, k)
-        if ui:
-            re, im = (-im, re) if ui > 0 else (im, -re)
-        elif ur < 0:
-            re, im = -re, -im
-        return re, im  # masked by the add it feeds
 
     def times(x: list, k: int) -> list:  # x * (z + b**k) for odd k, x * (1 + z*b**k) for even k
         one, scaled = x + [zero], [zero] + x
         if k & 1:
             one, scaled = scaled, one
-        return [add(u, power(v, k)) for u, v in zip(one, scaled)]
+        if k * step > top:
+            return one
+        s = w * k * step
+        ur, ui = unit_pow(b.unit, k)
+        if ui:  # (c + i*d) * i*ui = -ui*d + i*ui*c
+            f, g = (sub, add) if ui > 0 else (add, sub)
+            return [(f(a, d << s) & mask, g(e, c << s) & mask) for (a, e), (c, d) in zip(one, scaled)]
+        f = add if ur > 0 else sub
+        return [(f(a, c << s) & mask, f(e, d << s) & mask) for (a, e), (c, d) in zip(one, scaled)]
 
     def horner(odd: int, i0: int, i1: int) -> list:
         """Steps i = 0..U of the nest over the terms r = i0..i1 upwards
@@ -227,9 +234,9 @@ def _nest(n: int, b: Monomial, order, den: int, r0: int, r1: int) -> tuple:
                 acc = [zero] * (k & 1) + times(acc, k)
             if i >= i0:
                 c = packed[min(r := i if odd else upper - i, half - r)]
-                acc += [zero] * (off + len(win) - len(acc))
-                for j, (xr, xi) in enumerate(win, off):
-                    acc[j] = add(acc[j], (xr * c, xi * c))
+                end = off + len(win)
+                acc += [zero] * (end - len(acc))
+                acc[off:end] = [((a + x * c) & mask, (e + y * c) & mask) for (a, e), (x, y) in zip(acc[off:end], win)]
         rest = range(1 - odd, 2 * (upper - i1) - odd, 2)
         for k in rest:
             acc = times(acc, k)
@@ -240,7 +247,7 @@ def _nest(n: int, b: Monomial, order, den: int, r0: int, r1: int) -> tuple:
     m = (upper - 1) // 2
     low, high = horner(1, r0, min(m, r1)), horner(0, upper - r1, upper - max(m + 1, r0))
     if low and high:  # the lower half ends at z**(U+m), the upper one at z**(U+r1)
-        high[: len(low)] = [add(x, y) for x, y in zip(low, high)]
+        high[: len(low)] = [((a + c) & mask, (e + d) & mask) for (a, e), (c, d) in zip(low, high)]
     return high or low, wb, top
 
 

@@ -126,7 +126,7 @@ def test_bench_names_failing_z_product_rows_and_exits_1(small, tmp_path, monkeyp
     _assert_printed(rows, lines)
     assert capsys.readouterr().err.splitlines() == [
         "python -m qrr.bench: wrong result in row %r" % label
-        for label in ("replay 1.7 @6", "jtp_check @8", "jtp_check @12")
+        for label in ("zseries: replay 1.7 @6", "zseries: jtp_check @8", "large: jtp_check @12")
     ]
 
 
@@ -146,10 +146,10 @@ def test_bench_names_failing_product_and_verify_rows_and_exits_1(small, tmp_path
     assert capsys.readouterr().err.splitlines() == [
         "python -m qrr.bench: wrong result in row %r" % label
         for label in (
-            "double-mod10-2-8 @6",
-            "eval_product rogers-mod5-1-4 @9",
-            "eval_product double-mod5-1-4 @9",
-            "verify cao-wang-1-2-3 @11",
+            "verify: double-mod10-2-8 @6",
+            "updates: eval_product rogers-mod5-1-4 @9",
+            "updates: eval_product double-mod5-1-4 @9",
+            "large: verify cao-wang-1-2-3 @11",
         )
     ]
 
@@ -185,4 +185,4 @@ def test_bench_names_a_perturbed_kernel_result_and_exits_1(small, tmp_path, monk
     _assert_every_row(json.loads(path.read_text()))
     named = capsys.readouterr().err.splitlines()
     for label in ("conv_real 3", "conv_complex 3", "conv_real 8", "conv_complex 8", "conv_real 8 wide"):
-        assert "python -m qrr.bench: wrong result in row %r" % label in named
+        assert "python -m qrr.bench: wrong result in row %r" % ("kernel: " + label) in named

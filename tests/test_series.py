@@ -5,14 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qrr import _kernel_py
+from qrr import _kernel_py, special
 from qrr.errors import DivergentProduct, NegativeExponent, NonUnitConstantTerm
 from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, UNITS, ZERO, GaussianInt, binom2, unit_pow
 from qrr.oracle import dense_mul
+from qrr.special import gaussian_binomial, gaussian_binomial_row
 from qrr.series import (
     Monomial,
     QSeries,
     _div_b,
+    _divide,
     _mul_b,
     _poch,
     _unit_div,
@@ -418,6 +420,77 @@ def test_binomial_updates_match_the_scalar_recurrence(case):
     s, u, exp = case
     assert fields(div_b(s, u, exp)) == fields(scalar_binomial(s, u, exp, -1))
     assert fields(mul_b(s, u, exp)) == fields(scalar_binomial(s, u, exp, 1))
+
+
+def padded_division(s, unit, k):
+    """s / (1 - unit*q**(k/s.den)), the reference for `_div_b`: the
+    dividend zero-padded to the whole window, then `_divide` on every
+    entry."""
+    n = s.order - s.val + 1
+    if k >= n or not s.re:
+        return s
+    pad = [0] * (n - len(s.re))
+    im = s.im if s.im is not None or not unit[1] else [0] * len(s.re)
+    re, im = s.re + pad, None if im is None else im + pad
+    _divide(re, im, k, unit, 0)
+    return QSeries._of(s.den, s.order, s.val, re, im)
+
+
+@st.composite
+def division_by_period(draw):
+    """A dividend on grid 1 to 4, real or complex, with nonzero ends, a unit
+    and a step k below the window n: the dividend shorter than k, than 2k
+    (the period of a unit +-i), than the window, or filling it."""
+    rng = draw(st.randoms(use_true_random=False))
+    den = draw(st.integers(1, 4))
+    val = draw(st.integers(0, 10))
+    n = draw(st.integers(2, 120))
+    k = draw(st.integers(1, n - 1))
+    cap = draw(st.sampled_from([k, 2 * k, n - 1, n]))
+    length = draw(st.integers(1, min(cap, n)))
+    re = [rng.randint(-9, 9) for _ in range(length)]
+    re[0] = re[-1] = draw(st.sampled_from([-2, -1, 1, 3]))
+    im = [rng.randint(-9, 9) for _ in range(length)] if draw(st.booleans()) else None
+    return QSeries._of(den, val + n - 1, val, re, im), draw(st.sampled_from(UNITS)), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(division_by_period())
+# 1/(1 - x), the first entry of inv_poch_table: one entry, shorter than k
+@example((QSeries._of(1, 30, 0, [1]), ONE, 1))
+@example((QSeries._of(2, 30, 0, [1]), MINUS_ONE, 3))
+# a unit +-i whose period 2k passes the window, and one whose k does not
+@example((QSeries._of(4, 9, 2, [1, 0, 2]), I, 5))
+@example((QSeries._of(3, 40, 0, [1, 2], [0, 1]), MINUS_I, 7))
+# an exact division: (1 - q^3)(1 + q) / (1 - q^3)
+@example((QSeries._of(1, 50, 0, [1, 1, 0, -1, -1]), ONE, 3))
+def test_div_b_by_period_equals_the_padded_division(case):
+    s, unit, k = case
+    assert fields(_div_b(s, unit, k)) == fields(padded_division(s, unit, k))
+
+
+@pytest.mark.parametrize("b", [qmono(1), Monomial(I, F(1))])
+def test_gaussian_row_divisions_walk_only_their_dividends(b, monkeypatch):
+    # [32 k] has degree k*(32 - k) <= 256, far below the order 417: each
+    # division hands `_unit_div` its dividend's entries, plus the k that the
+    # factor 1 + u*q**k of a unit u = +-i adds, never the 418 of the window
+    want = [gaussian_binomial(32, k, b, 417) for k in range(33)]
+    reach, seen = [], []
+    div_b = special._div_b
+
+    def spy_div_b(s, unit, k):
+        reach.append(len(s.re) + (k if unit[1] else 0))
+        return div_b(s, unit, k)
+
+    def spy_unit_div(x, k, u, start=0):
+        seen.append((len(x), reach[-1]))
+        return _unit_div(x, k, u, start)
+
+    monkeypatch.setattr(special, "_div_b", spy_div_b)
+    monkeypatch.setattr("qrr.series._unit_div", spy_unit_div)
+    assert gaussian_binomial_row(32, b, 417) == want
+    assert len(reach) == 16 and seen
+    assert all(length <= limit for length, limit in seen), seen
 
 
 def fraction_walk(order, factors):

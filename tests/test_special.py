@@ -1,6 +1,6 @@
 from fractions import Fraction as F
 from itertools import product as iproduct
-from math import isqrt, lcm
+from math import comb, isqrt, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +10,7 @@ from qrr.errors import NegativeExponent, NotPositiveDefinite
 from qrr.identity import ExponentPoly, IdentitySpec, eval_product
 from qrr.oracle import unpruned_sum
 from qrr.quadform import index_bounds
-from qrr.gaussian import I, MINUS_ONE, ONE, UNITS, GaussianInt, unit_pow
+from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, UNITS, GaussianInt, unit_pow
 from qrr.series import Monomial, QSeries, _grid, inv_poch_table, poch_finite, poch_infinite, qmono
 from qrr.special import (
     JtpReport,
@@ -231,7 +231,21 @@ orders = st.builds(F, st.integers(0, 90), st.integers(1, 4))
 
 # the edges of the split at m = (U - 1) // 2: at n = 0 the one term runs
 # downwards and at n = 1 upwards, at n = 2 and 3 one term runs each way, then
-# U = 3 and 4 at odd and at even n
+# U = 3 and 4 at odd and at even n; then the digit widths' edges, where
+# C(n, n // 2) needs one byte more (at n = 10, 18 and 26), with b real and
+# b = +-i*q^(1/2), at orders past the degree floor(n^2/4) of H_n in b
+@example(9, qmono(1), F(21))
+@example(9, Monomial(MINUS_I, F(1, 2)), F(21, 2))
+@example(10, Monomial(MINUS_ONE, F(1)), F(26))
+@example(10, Monomial(I, F(1, 2)), F(13))
+@example(17, qmono(1), F(73))
+@example(17, Monomial(I, F(1, 2)), F(73, 2))
+@example(18, Monomial(MINUS_ONE, F(1)), F(82))
+@example(18, Monomial(MINUS_I, F(1, 2)), F(41))
+@example(25, qmono(1), F(157))
+@example(25, Monomial(MINUS_I, F(1, 2)), F(157, 2))
+@example(26, Monomial(MINUS_ONE, F(1)), F(170))
+@example(26, Monomial(I, F(1, 2)), F(85))
 @example(0, qmono(1), F(30))
 @example(1, Monomial(I, F(1, 2)), F(61, 2))
 @example(2, qmono(1), F(30))
@@ -252,10 +266,11 @@ def test_nested_bw_equals_the_per_term_sum(n, b, order):
 @pytest.mark.parametrize("unit", UNITS)
 @pytest.mark.parametrize("exp", [F(1, 2), F(5, 3)])
 def test_packed_bw_equals_the_sum_at_wide_digits(unit, exp):
-    # 2**n needs 9-byte digits at n = 63 and 64, 10-byte ones at n = 71;
-    # the Hypothesis gate above draws n <= 16, at most 3-byte digits
+    # C(n, n // 2) needs 9-byte digits at n = 67 and 68, 10-byte ones at
+    # n = 75, past the 8-byte cells of the kernel's byte path; the
+    # Hypothesis gate above draws n <= 16, at most 2-byte digits
     b = Monomial(unit, exp)
-    for n in (63, 64, 71):
+    for n in (67, 68, 75):
         bw, defining = rogers_szego_bw(n, b, F(25, 2)), rogers_szego_def(n, b, F(25, 2))
         assert bw == defining, n
         assert (bw.den, bw.order) == (defining.den, defining.order), n
@@ -312,6 +327,55 @@ def test_each_c_r_multiplies_its_shorter_window(monkeypatch):
         assert _Counted.products == 2 * slices, (n, t)
 
 
+def test_digit_widths_follow_the_kept_terms(monkeypatch):
+    # bw's widest digit is C(n, n // 2): 3, 4 and 5 bytes at n = 24, 32 and
+    # 40, where 2**n took 4, 5 and 6; rs_at at t = -1 keeps the one term
+    # r = U, at most 2**U = 2**20 in size: 3 bytes, where 2**40 took 6
+    q = qmono(1)
+    expected = [rogers_szego_def(n, q, 100) for n in (24, 32, 40)]
+    expected_at = rogers_szego_def(40, q, 100).specialize(MINUS_ONE_T)
+    widths = []
+    read = special._read
+
+    def spy(x, den, top, wb):
+        widths.append(wb)
+        return read(x, den, top, wb)
+
+    monkeypatch.setattr(special, "_read", spy)
+    for n, wb, want in zip((24, 32, 40), (3, 4, 5), expected):
+        widths.clear()
+        assert rogers_szego_bw(n, q, 100) == want, n
+        assert widths == [wb] * (n + 1), n
+    widths.clear()
+    assert rs_at(40, MINUS_ONE_T, q, 100) == expected_at
+    assert widths == [3]
+
+
+def _peak(s):
+    """The largest real or imaginary coefficient of s in size."""
+    return max(map(abs, s.re + (s.im or [])), default=0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 16), bases, st.builds(Monomial, units, fractions), orders)
+# H_1(1) = 2 = 2**1: the rs_at bound reached
+@example(1, qmono(1), Monomial(), F(3))
+def test_digits_stay_within_the_kept_terms_bound(n, b, t, order):
+    # slice k of H_n is at most C(n, k) in size, and slice 0, H_n(0) = 1,
+    # reaches it; rs_at's value is at most 2**U times the sum of C(h, r) over
+    # its kept terms, which H_1(1) = 2 reaches: so neither bound can lose a
+    # bit, and each width rule holds what it reads
+    peaks = {k: _peak(s) for k, s in rogers_szego_bw(n, b, order).coeff.items()}
+    assert all(peak <= comb(n, k) for k, peak in peaks.items()), peaks
+    assert peaks[0] == comb(n, 0)
+    r0, r1 = special._kept(n, t, b)
+    bound = sum(comb(n // 2, r) for r in range(r0, r1 + 1)) << (n + 1) // 2
+    peak = _peak(rs_at(n, t, b, order))
+    assert peak <= bound
+    if n <= 1 and t == Monomial():
+        assert peak == bound
+
+
 @st.composite
 def rs_points(draw):
     """(n, t, b): t any unit times any power of q, negative ones included, or
@@ -337,6 +401,12 @@ def rs_points(draw):
 @example((12, Monomial(I, F(3, 2)), Monomial(I, F(1, 2))), F(60))
 @example((16, Monomial(MINUS_ONE, F(9)), qmono(1)), F(90))
 @example((12, Monomial(I, F(1, 2)), qmono(1)), F(121, 2))
+# t = -1 where 2**U needs one byte more, at n = 14 and 30, at orders past
+# the degree (n/2)**2 of H_n(-1) in b
+@example((12, MINUS_ONE_T, Monomial(MINUS_I, F(1, 2))), F(37, 2))
+@example((14, MINUS_ONE_T, Monomial(I, F(1, 2))), F(25))
+@example((28, MINUS_ONE_T, qmono(1)), F(197))
+@example((30, MINUS_ONE_T, Monomial(MINUS_ONE, F(1))), F(226))
 @settings(max_examples=300, deadline=None)
 @given(rs_points(), orders)
 def test_nested_rs_at_equals_the_per_term_sum(point, order):
@@ -366,9 +436,9 @@ def test_rs_at_multiplies_only_the_terms_no_zero_factor_removes(monkeypatch):
         expected = _rs_at_per_term(n, t, q, 60)
         calls = []
 
-        def spy(n, b, order, den, r0, r1):
+        def spy(n, b, order, den, r0, r1, bound):
             calls.append((r0, r1))
-            return nest(n, b, order, den, r0, r1)
+            return nest(n, b, order, den, r0, r1, bound)
 
         monkeypatch.setattr(special, "_nest", spy)
         assert rs_at(n, t, q, 60) == expected, (n, t)
