@@ -9,8 +9,9 @@ time, under one header per section.  `--json PATH` also writes the rows to
 PATH as {section: {row: seconds}}.
 
 Each row checks its result outside the timed calls: a `verify` row that its
-status is "match", an `eval_product` row that it equals `eval_sum` (the sum
-side shares only `_unit_div` with the product walk), a replay row
+status is "match", an `eval_product` row at PRODUCT_ORDER that it equals
+`eval_sum` (the sum side shares only `_unit_div` with the product walk), a
+replay row
 `chain_passes`, a `jtp_check` row `.ok`, and every other row the sha256 of its
 repr against DIGESTS.  Each digest was recorded on the code before the change
 its row gates.  A failing row, or one with no digest, is still timed and
@@ -35,7 +36,7 @@ from . import _kernel_py, corpus
 from .identity import auto_bounds, eval_product, eval_sum, verify
 from .replay import REPLAYS, chain_passes
 from .gaussian import I, MINUS_I, MINUS_ONE
-from .series import Monomial, qmono
+from .series import Monomial, poch_infinite, qmono
 from .special import jtp_check, rogers_szego_bw, rogers_szego_def, rs_at
 from .zseries import euler_z_inverse, euler_z_product
 
@@ -55,6 +56,8 @@ RS_N = 40
 RS_SMALL_NS = (24, 32)
 RS_ORDER = Fraction(420)
 PRODUCT_ORDER = Fraction(2000)
+# cao_wang_1_2_3's product side alone: its sum side's bounds stop at 60
+CAO_WANG_PRODUCT_ORDER = Fraction(1000)
 REPLAY_ORDER = Fraction(80)
 JTP_ORDER = Fraction(300)
 # the costs that the rows above, kept at their first orders, do not reach
@@ -84,6 +87,8 @@ DIGESTS = {
     "rs_at 40 t=-1 @420": "ff8398b6444a3e2e",
     "rs_at 40 t=i*q^(1/2) @420": "519bce8ad9dcff73",
     "rogers_szego_def 40 @420": "9e7d79b59a7a4f40",
+    "poch_infinite (q;q) @2000": "3a3dc81213beba6f",
+    "eval_product cao-wang-1-2-3 @1000": "11cbe7d5227ec5f6",
     "z builders @80": "96ac7263ee0bcec0",
     "z product 1.8 @80": "22bbc3113371c691",
     "z product jtp @300": "aa5abab6d14c7872",
@@ -148,6 +153,13 @@ def _rows():
         spec = corpus.load(name)
         label = "eval_product %s @%s" % (spec.name, PRODUCT_ORDER)
         yield "updates", label, partial(eval_product, spec, PRODUCT_ORDER), 3, _sum_side(spec)
+    # one family of step 1, all but isqrt(n) factors in its Euler tail
+    label = "poch_infinite (q;q) @%s" % PRODUCT_ORDER
+    yield "updates", label, partial(poch_infinite, q, q, PRODUCT_ORDER), 3, None
+    # numerator tails of unit -1 beside the divisor (-q^6; q^6)_inf
+    spec = corpus.load("cao_wang_1_2_3")
+    label = "eval_product %s @%s" % (spec.name, CAO_WANG_PRODUCT_ORDER)
+    yield "updates", label, partial(eval_product, spec, CAO_WANG_PRODUCT_ORDER), 3, None
     label = "rogers_szego_def %d @%s" % (RS_N, RS_ORDER)
     yield "updates", label, partial(rogers_szego_def, RS_N, q, RS_ORDER), 3, None
 

@@ -463,12 +463,17 @@ def _fixed(row: list, c: int, lin: list, d: int, t: int) -> int:
 
 
 def eval_product(spec: IdentitySpec, order) -> QSeries:
-    """Exact truncated expansion of the product side: one in-place binomial
-    step per factor 1 - x*b**k (qrr.series._poch), finite or infinite, taken
-    from the largest exponent down so that each walks only the entries past
-    the factors already applied, and no series multiply or inverse.  It lives on the grid of the order and the
-    factor exponents, not on spec.den, and is lifted to the sum's grid only
-    when the two sides are compared or tabulated."""
+    """Exact truncated expansion of the product side (qrr.series._poch): one
+    in-place binomial step per factor 1 - x*b**k of a finite family and per
+    head factor of an infinite one, its first K = isqrt(n/m) for b = w*q**m
+    and n the scaled order, taken from the largest exponent down so that
+    each walks only the entries past the factors already applied.  The rest
+    of an infinite family, (y; b)_inf for y = x*b**K, is Euler's sum
+    1/(y; b)_inf = sum y**l/(b; b)_l or (y; b)_inf =
+    sum (-1)**l b**(l(l-1)/2) y**l/(b; b)_l, one division per term; there
+    is no series multiply or inverse.  It lives on the grid of the order and
+    the factor exponents, not on spec.den, and is lifted to the sum's grid
+    only when the two sides are compared or tabulated."""
     return _poch(order, [(f.x, f.base, f.finite, f.power) for f in spec.product])
 
 

@@ -47,9 +47,15 @@ side is one Pochhammer walk (`_poch`) over one pair of lists on one grid,
 taking its factors from the largest exponent down: the running product is
 then 1 + w with w zero below the smallest exponent s applied so far, and a
 factor at e <= s walks only the entries from s + e and about n/e multiples
-of e.  A 1/(b;b)_n table (`inv_poch_table`) keeps every entry, so it is a
-chain of `_div_b`, entry n being entry n - 1 over its factor, as the
-Gaussian binomial rows of qrr.special are chains of `_mul_b` and `_div_b`.
+of e.  An infinite family (x; b)_inf, b = w*q**m, steps only its first
+K = max(1, isqrt(n // m)) factors; its tail (y; b)_inf from y = x*b**K is
+Euler's sum in y, 1/(y; b)_inf = sum y**l/(b; b)_l or (y; b)_inf =
+sum (-1)**l b**(l(l-1)/2) y**l/(b; b)_l, one `_divide` per term on a
+shrinking copy of the lists (`_tail`): about sqrt(n/m) divisions per family
+in place of n/m.  A 1/(b;b)_n table (`inv_poch_table`) keeps every entry,
+so it is a chain of `_div_b`, entry n being entry n - 1 over its factor, as
+the Gaussian binomial rows of qrr.special are chains of `_mul_b` and
+`_div_b`.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import floor, gcd, lcm
+from math import floor, gcd, isqrt, lcm
 from operator import add, itemgetter, sub
 from typing import Iterator, Optional
 
@@ -662,7 +668,12 @@ def poch_finite(x: Monomial, b: Monomial, n: int, order) -> QSeries:
 
 
 def poch_infinite(x: Monomial, b: Monomial, order) -> QSeries:
-    """(x; b)_inf truncated at `order`; requires x of positive q-order."""
+    """(x; b)_inf truncated at `order`; requires x of positive q-order.
+
+    With n the scaled order and b = q**(m/den), its first K =
+    max(1, isqrt(n // m)) factors are binomial steps and the rest,
+    (y; b)_inf for y = x*b**K, is Euler's sum
+    sum_l (-1)**l b**(l(l-1)/2) y**l/(b; b)_l (`_poch`, `_tail`)."""
     if b.exp <= 0 or b.unit != ONE:
         raise ValueError("Pochhammer base must be a positive power of q with unit 1")
     if x.exp <= 0:
@@ -672,8 +683,16 @@ def poch_infinite(x: Monomial, b: Monomial, order) -> QSeries:
 
 def _factors(order, factors: list):
     """(den, n, steps) for the factors of `_poch`: the grid that holds the
-    order and every x and b, the scaled order, and each binomial factor
-    1 - unit*q**(e/den) with e <= n as (e, unit, power), in declared order.
+    order and every x and b, the scaled order, and the steps in declared
+    order.  A step (e, unit, power, None) is the binomial factor
+    1 - unit*q**(e/den) with e <= n; a step (e, unit, power, (w, m)) is the
+    tail (y; b)_inf of an infinite family, y = unit*q**(e/den) and
+    b = w*q**(m/den), applied by Euler's sums (`_tail`).
+
+    An infinite family (x; b)_inf with b = w*q**(m/den), m > 0, keeps its
+    first K = max(1, isqrt(n // m)) factors as binomial steps, and the rest,
+    from y = x*b**K on, is one tail step; a family whose (K+1)-th factor
+    lies past n, and a finite family, is all binomial steps.
 
     A factor at a negative exponent raises NegativeExponent; a divisor at
     exponent 0 raises NonUnitConstantTerm, since 1 - unit is never a unit
@@ -685,6 +704,7 @@ def _factors(order, factors: list):
     for x, b, count, power in factors:
         e, step = int(x.exp * den), int(b.exp * den)
         units = [x.unit * unit_pow(b.unit, j) for j in range(4)]  # b.unit**4 == 1
+        head = max(1, isqrt(n // step)) if count is None and step > 0 else None
         k = 0
         while count is None or k < count:
             if e < 0:
@@ -692,9 +712,12 @@ def _factors(order, factors: list):
             if e > n:
                 break
             unit = units[k % 4]
+            if k == head:
+                steps.append((e, unit, power, (b.unit, step)))
+                break
             if power != 1 and not e:
                 raise NonUnitConstantTerm("constant term %s is not a unit of Z[i]" % (ONE - unit,))
-            steps.append((e, unit, power))
+            steps.append((e, unit, power, None))
             k += 1
             e += step
     return den, n, steps
@@ -732,6 +755,43 @@ def _step(re: list, im: Optional[list], e: int, unit, power: int, s: int) -> Non
                 x[m * e :: period * e] = map(add, x[m * e :: period * e], repeat(v))
 
 
+def _tail(re: list, im: Optional[list], e: int, unit, power: int, w, m: int) -> None:
+    """(re + i*im) times (y; b)_inf**power in place, for y = unit*q**e and
+    b = w*q**m with e, m > 0, by Euler's two sums:
+
+        1/(y; b)_inf = sum_{l >= 0} y**l / (b; b)_l
+        (y; b)_inf = sum_{l >= 0} (-1)**l b**(l(l-1)/2) y**l / (b; b)_l
+
+    With G = re + i*im and n = len(re), term l of the sum times G is
+    c_l*q**d_l * p_l: c_l*q**d_l is y**l, times (-1)**l b**(l(l-1)/2) for
+    the numerator, and p_l is G over (1 - w*q**m)...(1 - w**l q**(l*m)).
+    So p_l is p_(l-1) (a copy of G for l = 1) cut to the n - d_l entries
+    that reach the order and divided in place by its last factor, one
+    `_divide`, and it is added to the lists at d_l times the unit c_l.  The
+    terms run while d_l < n: floor((n - 1)/e) of them for the inverse, those
+    with l*e + m*l(l-1)/2 < n for the numerator."""
+    n = len(re)
+    pr, pi = re[: n - e], None if im is None else im[: n - e]
+    c, d, l = ONE, e, 1
+    while d < n:
+        c = c * unit if power < 0 else -(c * unit * unit_pow(w, l - 1))
+        del pr[n - d :]
+        if pi is not None:
+            del pi[n - d :]
+        _divide(pr, pi, l * m, unit_pow(w, l), 0)
+        cr, ci = c
+        if ci:  # (+-i)*(x + i*y) = -+y +- i*x
+            re[d:] = map(sub if ci > 0 else add, re[d:], pi)
+            im[d:] = map(add if ci > 0 else sub, im[d:], pr)
+        else:
+            op = add if cr > 0 else sub
+            re[d:] = map(op, re[d:], pr)
+            if im is not None:
+                im[d:] = map(op, im[d:], pi)
+        d += e if power < 0 else e + l * m
+        l += 1
+
+
 def _poch(order, factors: list) -> QSeries:
     """The product of (x; b)_n**power over each (x, b, n, power) in `factors`
     (power +-1, n None for (x; b)_inf), exact through `order`, on the grid
@@ -744,13 +804,19 @@ def _poch(order, factors: list) -> QSeries:
     (for 1/(q^s; q)_inf, the partitions into parts >= s), so a factor at
     e <= s writes only the entries from s + e and about n/e multiples of e
     (`_step`), not every entry from e.  A numerator at exponent 0, a
-    scalar, comes last."""
+    scalar, comes last.  The tail (y; b)_inf of an infinite family, from
+    its (K+1)-th factor y on, is one step at y's exponent: Euler's sum in y
+    (`_tail`), about sqrt(n/m) divisions in place of n/m binomial steps."""
     den, n, steps = _factors(order, factors)
     re = [1] + [0] * n
-    im = [0] * (n + 1) if any(unit[1] for _, unit, _ in steps) else None
+    # a family of base +-i has an imaginary unit at its first or second step
+    im = [0] * (n + 1) if any(unit[1] for _, unit, _, _ in steps) else None
     s = n + 1
-    for e, unit, power in sorted(steps, key=itemgetter(0), reverse=True):
-        _step(re, im, e, unit, power, s)
+    for e, unit, power, tail in sorted(steps, key=itemgetter(0), reverse=True):
+        if tail is None:
+            _step(re, im, e, unit, power, s)
+        else:
+            _tail(re, im, e, unit, power, *tail)
         s = e or s
     return QSeries._of(den, n, 0, re, im)
 

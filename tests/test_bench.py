@@ -24,6 +24,8 @@ SMALL_DIGESTS = {
     "rs_at 5 t=-1 @7": "effcf0efbb90cbb8",
     "rs_at 5 t=i*q^(1/2) @7": "68e1b5434a91bf77",
     "rogers_szego_def 5 @7": "35d9431b9f2a4542",
+    "poch_infinite (q;q) @9": "f218f062b4260f65",
+    "eval_product cao-wang-1-2-3 @11": "dd441af779d1f2ea",
     "z builders @6": "633d94a4a86a258a",
     "z product 1.8 @6": "1100a75fb40d59d5",
     "z product jtp @8": "74a69d324d37df98",
@@ -45,6 +47,7 @@ def small(monkeypatch):
     monkeypatch.setattr(bench, "RS_SMALL_NS", (3, 4))
     monkeypatch.setattr(bench, "RS_ORDER", Fraction(7))
     monkeypatch.setattr(bench, "PRODUCT_ORDER", Fraction(9))
+    monkeypatch.setattr(bench, "CAO_WANG_PRODUCT_ORDER", Fraction(11))
     monkeypatch.setattr(bench, "REPLAY_ORDER", Fraction(6))
     monkeypatch.setattr(bench, "JTP_ORDER", Fraction(8))
     monkeypatch.setattr(bench, "LARGE_REPLAY_ORDER", Fraction(10))
@@ -81,6 +84,8 @@ def _assert_every_row(rows):
         "rs_at 5 t=i*q^(1/2) @7",
         "eval_product rogers-mod5-1-4 @9",
         "eval_product double-mod5-1-4 @9",
+        "poch_infinite (q;q) @9",
+        "eval_product cao-wang-1-2-3 @11",
         "rogers_szego_def 5 @7",
     ]
     assert list(rows["zseries"]) == (
@@ -149,6 +154,7 @@ def test_bench_names_failing_product_and_verify_rows_and_exits_1(small, tmp_path
             "verify: double-mod10-2-8 @6",
             "updates: eval_product rogers-mod5-1-4 @9",
             "updates: eval_product double-mod5-1-4 @9",
+            "updates: eval_product cao-wang-1-2-3 @11",
             "large: verify cao-wang-1-2-3 @11",
         )
     ]

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qrr import _kernel_py, special
+from qrr import _kernel_py, corpus, special
 from qrr.errors import DivergentProduct, NegativeExponent, NonUnitConstantTerm
 from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, UNITS, ZERO, GaussianInt, binom2, unit_pow
+from qrr.identity import eval_product, eval_sum
 from qrr.oracle import dense_mul
 from qrr.special import gaussian_binomial, gaussian_binomial_row
 from qrr.series import (
@@ -493,6 +494,23 @@ def test_gaussian_row_divisions_walk_only_their_dividends(b, monkeypatch):
     assert all(length <= limit for length, limit in seen), seen
 
 
+def test_product_sides_expand_each_infinite_tail_by_eulers_sum(monkeypatch):
+    # 1/((q; q^5)_inf (q^4; q^5)_inf) at 2000: each family's first 20
+    # factors are binomial steps, and its factors from q^101 and q^104 on are
+    # Euler's sum, 19 divisions; one binomial step per factor takes 800
+    # divisions over 798,800 entries
+    want = eval_sum(corpus.load("rogers_mod5_1_4"), 2000)
+    seen = []
+
+    def spy_unit_div(x, k, u, start=0):
+        seen.append(len(x) - start)
+        return _unit_div(x, k, u, start)
+
+    monkeypatch.setattr("qrr.series._unit_div", spy_unit_div)
+    assert eval_product(corpus.load("rogers_mod5_1_4"), 2000) == want
+    assert len(seen) <= 100 and sum(seen) <= 150_000, (len(seen), sum(seen))
+
+
 def fraction_walk(order, factors):
     """Every running product of the factors in declared order, stepped with
     Fraction exponents and the scalar recurrence: the last is `_poch`'s
@@ -532,6 +550,21 @@ monomials = st.builds(
 @example(F(3, 2), [], qmono(2), 4)
 @example(F(21, 2), [(qmono(1), Monomial(I, F(1, 2)), None, -1)], Monomial(I, F(1, 2)), 20)
 @example(F(47, 4), [], Monomial(MINUS_I, F(3, 4)), 20)
+# Euler tails from the (K+1)-th factor, K = isqrt(n // m): at order 20 a
+# divisor family's tail starts at E = 20 = n, one level, and a numerator's
+# would start at 21 = n + 1, so it has none
+@example(F(20), [(qmono(10), qmono(5), None, -1), (qmono(11), qmono(5), None, 1)], qmono(1), 0)
+# grid 4: +-i on x and on the base, a divisor tail at 10/4 and a numerator
+# tail at 8/4
+@example(
+    F(47, 4),
+    [
+        (Monomial(I, F(1, 4)), Monomial(MINUS_I, F(3, 4)), None, -1),
+        (Monomial(MINUS_I, F(1, 2)), Monomial(I, F(1, 4)), None, 1),
+    ],
+    Monomial(I, F(1, 4)),
+    3,
+)
 def test_poch_and_tables_match_the_fraction_exponent_walk(order, factors, b, n_max):
     assert fields(_poch(order, factors)) == fields(fraction_walk(order, factors)[-1])
     table = fraction_walk(order, [(b, b, n_max, -1)])
@@ -567,6 +600,35 @@ bases = st.builds(Monomial, st.sampled_from(UNITS), st.fractions(1, 20, max_deno
         (qmono(1), qmono(5), None, -1),
         (qmono(4), qmono(5), None, -1),
         (qmono(0), qmono(1), 2, 1),
+    ],
+)
+# a numerator tail from E = 20 = n, one level, beside a divisor family
+# whose tail would start at 21 = n + 1, and a tail of base i*q^6 from q^8
+# after one real head factor q^2 (K = 1)
+@example(
+    F(20),
+    [
+        (qmono(10), qmono(5), None, 1),
+        (qmono(11), qmono(5), None, -1),
+        (qmono(2), Monomial(I, F(6)), None, -1),
+    ],
+)
+# grid 2: +-i on x and on the base, tails at 16/2 and 12/2
+@example(
+    F(81, 2),
+    [
+        (Monomial(MINUS_I, F(1, 2)), Monomial(I, F(3, 2)), None, 1),
+        (Monomial(I, F(3, 2)), Monomial(MINUS_ONE, F(1, 2)), None, -1),
+    ],
+)
+# (-1; q)_inf: a scalar head 2 at exponent 0 and a tail from 5, with a
+# finite (q; q)_7 between it and a divisor tail from 11
+@example(
+    F(30),
+    [
+        (Monomial(MINUS_ONE, F(0)), qmono(1), None, 1),
+        (qmono(1), qmono(1), 7, -1),
+        (qmono(2), qmono(3), None, -1),
     ],
 )
 def test_poch_from_the_largest_exponent_down_matches_the_scalar_walk(order, factors):
@@ -607,12 +669,19 @@ def test_poch_from_the_largest_exponent_down_matches_the_scalar_walk(order, fact
             NonUnitConstantTerm,
             "constant term 2 is not a unit of Z[i]",
         ),
+        # after a family whose factors from q^11 on are one Euler tail
+        ([(qmono(1), qmono(5), None, -1), (qmono(-1), qmono(1), 3, 1)], NegativeExponent, "-1"),
     ],
 )
-def test_poch_raises_at_the_first_bad_factor_in_declared_order(factors, error, message):
+def test_poch_raises_at_the_first_bad_factor_in_declared_order(factors, error, message, monkeypatch):
+    # the error comes before any factor is applied
+    applied = []
+    monkeypatch.setattr("qrr.series._step", lambda *args: applied.append(args))
+    monkeypatch.setattr("qrr.series._tail", lambda *args: applied.append(args))
     with pytest.raises(error) as raised:
         _poch(20, factors)
     assert str(raised.value) == message
+    assert not applied
 
 
 @st.composite
