@@ -179,7 +179,7 @@ def _rows():
 
     yield "setup", "corpus.load_all", corpus.load_all, REPEATS, None
 
-    for theorem in ("1.5", "1.8"):
+    for theorem in ("1.5", "1.7", "1.8"):
         label = "replay %s @%s" % (theorem, LARGE_REPLAY_ORDER)
         yield "large", label, partial(REPLAYS[theorem], LARGE_REPLAY_ORDER), 1, chain_passes
     yield "large", "jtp_check @%s" % LARGE_JTP_ORDER, partial(jtp_check, LARGE_JTP_ORDER), 1, attrgetter("ok")

@@ -23,13 +23,14 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import sub
 from typing import Callable, Dict, List, Optional
 
 from . import corpus
 from .gaussian import I, MINUS_I, MINUS_ONE, ONE
 from .identity import ExponentPoly, IdentitySpec, SignAtom, _frac_str, compare, eval_product, eval_sum
 from .parser import parse_poly
-from .series import Monomial, QSeries, inv_poch_table, poch_finite, qmono
+from .series import Monomial, QSeries, _as_order, _div_b, _grid, _lay, _mul_b, qmono
 from .special import gaussian_binomial_row, rs_at
 from .zseries import ZSeries, euler_z_inverse, euler_z_product, theta_z
 
@@ -220,24 +221,46 @@ def replay_1_6(order) -> List[StepReport]:
     return _quarter_chain("1.6", "double_mod10_4_6", "rogers_mod5_2_3", Fraction(7, 4), Fraction(order))
 
 
+def _regroup(order: Fraction) -> tuple:
+    """Step 1 of 1.7 as (inners, regrouped): inners[n] the alternating row
+    sum sum_m (-1)^m [n m] in base q^2, and regrouped the double sum
+    regrouped along N = m + n, sum_n q^(n^2/4) inners[n] / (q^2;q^2)_n, for
+    n up to the largest n with n^2/4 <= order; both exact through `order`.
+
+    Each inner sum is one signed pass over its whole row: the even entries
+    laid into one list, the odd into another, and the second taken from the
+    first.  Every entry is summed, not half of the row and its mirror image,
+    so that step 2's "vanishes for odd n" is checked, not built in.  The
+    regrouped sum is folded by Horner's rule from the top n down,
+    X_0 + (X_1 + (X_2 + ...)/(1 - q^4))/(1 - q^2) with X_n = q^(n^2/4)
+    inners[n], one `_div_b` by 1 - q^(2(n+1)) per level on the grid that
+    holds the order and every n^2/4: linear work, no series product."""
+    n_max = math.isqrt(math.floor(4 * order))  # the largest n with n^2/4 <= order
+    q2 = qmono(2)
+    inners = []
+    for n in range(n_max + 1):
+        row = gaussian_binomial_row(n, q2, order)
+        size = max(x.val + len(x.re) for x in row)
+        even, odd = (_lay(size, ((x.val, x.re) for x in row[r::2])) for r in (0, 1))
+        inners.append(QSeries._of(row[0].den, row[0].order, 0, list(map(sub, even, odd))))
+    den = _grid(order, *(Fraction(n * n, 4) for n in range(n_max + 1)))
+    regrouped = QSeries._of(den, _as_order(order, den), 0, [])
+    for n in reversed(range(n_max + 1)):
+        if n < n_max:
+            regrouped = _div_b(regrouped, ONE, 2 * (n + 1) * den)
+        regrouped = regrouped + inners[n].shift(Fraction(n * n, 4))
+    return inners, regrouped
+
+
 def replay_1_7(order) -> List[StepReport]:
     """Derive double-mod5-1-4 from rogers-mod4-1-4 (three steps)."""
     order = Fraction(order)
     spec = _load("double_mod5_1_4")
     chain = _Chain("1.7", order)
-    q2, q4 = qmono(2), qmono(4)
-    n_max = math.isqrt(math.floor(4 * order))  # the largest n with n^2/4 <= order
-    table = inv_poch_table(q2, n_max, order)
 
-    # step 1: regroup along N = m + n via Gaussian binomials
-    regrouped = QSeries.zero(order)
-    inners = []
-    for n in range(n_max + 1):
-        inner = QSeries.zero(order)
-        for m, gb in enumerate(gaussian_binomial_row(n, q2, order)):
-            inner = inner + (gb if m % 2 == 0 else -gb)
-        inners.append(inner)
-        regrouped = regrouped + inner.shift(Fraction(n * n, 4)).mul(table[n])
+    # step 1: regroup along N = m + n via Gaussian binomials: one signed
+    # pass per row, then one Horner fold (`_regroup`)
+    inners, regrouped = _regroup(order)
     chain.series(
         "regrouping along m+n: double sum equals sum over n of the alternating"
         " Gaussian-binomial inner sum over (q^2;q^2)_n",
@@ -246,18 +269,23 @@ def replay_1_7(order) -> List[StepReport]:
     )
 
     # step 2: the inner sums are H_n(-1; q^2): zero for odd n, (q^2;q^4)_{n/2}
-    # for even n, and the telescoped total is the single sum over (q^4;q^4)_n
+    # for even n, and the telescoped total is the single sum over (q^4;q^4)_n.
+    # The closed forms are one running product: (q^2;q^4)_{n/2} is the one
+    # at n - 2 times 1 - q^(2n-2)
     minus_one = Monomial(MINUS_ONE, Fraction(0))
+    q2 = qmono(2)
+    closed = QSeries.one(order)  # (q^2;q^4)_{n/2} at the last even n
     div = None
-    for n in range(n_max + 1):
-        closed = QSeries.zero(order) if n % 2 else poch_finite(Monomial(ONE, 2), q4, n // 2, order)
-        d = inners[n].first_difference(rs_at(n, minus_one, q2, order), order)
+    for n, inner in enumerate(inners):
+        if n and not n % 2:
+            closed = _mul_b(closed, ONE, (2 * n - 2) * closed.den)
+        d = inner.first_difference(rs_at(n, minus_one, q2, order), order)
         if d is None:
-            d = inners[n].first_difference(closed, order)
+            d = inner.first_difference(QSeries.zero(order) if n % 2 else closed, order)
         if d is not None:
             div = (n, d)
             break
-    single = _single_sum(1, 0, q4, order)
+    single = _single_sum(1, 0, qmono(4), order)
     if div is None:
         d = regrouped.first_difference(single, order)
         if d is not None:

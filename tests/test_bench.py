@@ -94,7 +94,13 @@ def _assert_every_row(rows):
         + ["jtp_check @8"]
     )
     assert list(rows["setup"]) == ["corpus.load_all"]
-    assert list(rows["large"]) == ["replay 1.5 @10", "replay 1.8 @10", "jtp_check @12", "verify cao-wang-1-2-3 @11"]
+    assert list(rows["large"]) == [
+        "replay 1.5 @10",
+        "replay 1.7 @10",
+        "replay 1.8 @10",
+        "jtp_check @12",
+        "verify cao-wang-1-2-3 @11",
+    ]
     assert all(t >= 0 for section in rows.values() for t in section.values())
 
 
@@ -131,7 +137,12 @@ def test_bench_names_failing_z_product_rows_and_exits_1(small, tmp_path, monkeyp
     _assert_printed(rows, lines)
     assert capsys.readouterr().err.splitlines() == [
         "python -m qrr.bench: wrong result in row %r" % label
-        for label in ("zseries: replay 1.7 @6", "zseries: jtp_check @8", "large: jtp_check @12")
+        for label in (
+            "zseries: replay 1.7 @6",
+            "zseries: jtp_check @8",
+            "large: replay 1.7 @10",
+            "large: jtp_check @12",
+        )
     ]
 
 

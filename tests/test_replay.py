@@ -7,7 +7,7 @@ from fractions import Fraction as F
 from importlib import import_module
 
 import pytest
-from qrr import corpus
+from qrr import _kernel_py, corpus
 from qrr.cli import EXIT_OK, main
 from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, i_pow, sign_binom2, unit_pow
 from qrr.identity import ExponentPoly, SignAtom, eval_product, eval_sum
@@ -23,8 +23,8 @@ from qrr.replay import (
     replay_1_7,
     replay_1_8,
 )
-from qrr.series import QSeries, qmono
-from qrr.special import jtp_check
+from qrr.series import QSeries, inv_poch_table, qmono
+from qrr.special import gaussian_binomial_row, jtp_check
 from qrr.zseries import euler_z_product, theta_z
 
 # the package exports the function replay() under the module's name
@@ -211,6 +211,59 @@ def test_each_shipped_identity_is_parsed_once_per_process(monkeypatch):
     assert len(parsed) == len(set(parsed)) == 2  # double_mod10_2_8 and rogers_mod5_1_4
     corpus.load("rogers_mod5_1_4")
     assert len(parsed) == 3
+
+
+def _regroup_by_products(order):
+    """Step 1 of 1.7 as the chain first took it: each inner sum one QSeries
+    add or negation per row entry, and each term q^(n^2/4) inner_n times
+    the table entry 1/(q^2;q^2)_n, one series product."""
+    n_max = math.isqrt(math.floor(4 * order))
+    table = inv_poch_table(qmono(2), n_max, order)
+    regrouped = QSeries.zero(order)
+    inners = []
+    for n in range(n_max + 1):
+        inner = QSeries.zero(order)
+        for m, gb in enumerate(gaussian_binomial_row(n, qmono(2), order)):
+            inner = inner + (gb if m % 2 == 0 else -gb)
+        inners.append(inner)
+        regrouped = regrouped + inner.shift(F(n * n, 4)).mul(table[n])
+    return inners, regrouped
+
+
+def _fields(s):
+    return s.den, s.order, s.val, s.re, s.im
+
+
+@pytest.mark.parametrize("order", [F(1, 3), F(61, 4), F(80), F(160)])
+def test_regroup_equals_the_product_path_field_by_field(order):
+    inners, regrouped = replay_module._regroup(order)
+    want_inners, want = _regroup_by_products(order)
+    assert [_fields(s) for s in inners] == [_fields(s) for s in want_inners]
+    assert _fields(regrouped) == _fields(want)
+
+
+@pytest.mark.parametrize("order", [F(61, 4), F(80)])
+def test_regroup_makes_no_product_and_one_division_per_level(monkeypatch, order):
+    # the rows' own divisions are made in qrr.special; the fold's are the
+    # ones qrr.replay makes, one by 1 - q^(2(n+1)) for each n < n_max
+    conv, divisions = [], []
+    conv_rows, div_b = _kernel_py.conv_rows, replay_module._div_b
+
+    def conv_spy(*args):
+        conv.append(args)
+        return conv_rows(*args)
+
+    def div_spy(s, unit, k):
+        divisions.append(F(k, s.den))
+        return div_b(s, unit, k)
+
+    monkeypatch.setattr(_kernel_py, "conv_rows", conv_spy)
+    monkeypatch.setattr(replay_module, "_div_b", div_spy)
+    inners, _ = replay_module._regroup(order)
+    n_max = math.isqrt(math.floor(4 * order))
+    assert len(inners) == n_max + 1
+    assert conv == []
+    assert divisions == [2 * (n + 1) for n in reversed(range(n_max))]
 
 
 def test_jtp_report_matches_recorded_digest():
