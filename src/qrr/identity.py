@@ -14,7 +14,8 @@ integer interval where the exponent is at most the order, cut at the
 enumeration box (taken in integers from the same integer form); the
 next-to-last level adds those points' 1/(b;b)_t table entries as strided
 slices straight into the int lists it folds, and each outer level folds in
-place from the top, one binomial division per index value.
+place from the top, one binomial division per index value, by the one Horner
+fold of qrr.series (`_fold`), which also sums the product side's Euler tails.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor, lcm
-from operator import add, sub
 from typing import Dict, Optional, Tuple
 
 from .errors import (
@@ -34,7 +34,7 @@ from .errors import (
 )
 from .gaussian import MINUS_ONE, ONE, GaussianInt, i_pow, sign_binom2
 from .quadform import _box, _interval, _minorant
-from .series import Monomial, QSeries, _grid, _poch, _unit_div, inv_poch_table, qmono
+from .series import Monomial, QSeries, _fold, _grid, _poch, inv_poch_table, qmono
 
 
 @dataclass(frozen=True)
@@ -305,10 +305,11 @@ def eval_sum(spec: IdentitySpec, order) -> QSeries:
 
     With b_d the Pochhammer base of the d-th index in declared order, level d
     of the nest is X_0 + (X_1 + (X_2 + ...)/(1 - q^(2b_d)))/(1 - q^b_d), X_t
-    the level below at prefix + t, since 1/(b;b)_t = 1/(b;b)_(t-1) / (1 - q^(bt)).
-    Each outer index value thus costs one O(order) binomial division, in
-    place on int lists (stride (t+1) * b_d * D on the sum grid q^(1/D)); only
-    the top level's lists become a QSeries.  The exponent E is the integer
+    the level below at prefix + t, since 1/(b;b)_t = 1/(b;b)_(t-1) / (1 - q^(bt)):
+    one `series._fold` per level and prefix.  Each outer index value thus
+    costs one O(order) binomial division, in place on int lists (stride
+    (t+1) * b_d * D on the sum grid q^(1/D)); only the top level's lists
+    become a QSeries.  The exponent E is the integer
     polynomial L*E of ExponentPoly.integer_form, taken once, which also gives
     the box, and the sign i**U, U the integer polynomial of sign_poly taken
     mod 4; both are carried down the nest, so no point is built.  For each
@@ -336,10 +337,10 @@ class _Nest:
     linear coefficients of the indices still to come (lin, slin).  Only the
     last index has a 1/(b;b)_t table: one int list per t, the coefficients
     of 1/(x;x)_t in x = q^b, which sit on every step-th entry of the sum
-    grid.  Every level returns int lists, never a QSeries: its sum as fold's
-    terms, (start, re, 0) and, if any sign is imaginary, (start, im, 1), the
-    coefficients at scaled exponents start..n, or [] if no point below it is
-    kept."""
+    grid.  Every level returns int lists, never a QSeries: its sum as the
+    terms of `series._fold`, (start, re, 0) and, if any sign is imaginary,
+    (start, im, 1), the coefficients at scaled exponents start..n, or [] if
+    no point below it is kept."""
 
     def __init__(self, spec: IdentitySpec, order: Fraction):
         form = spec.exponent.integer_form(spec.indices)
@@ -363,7 +364,7 @@ class _Nest:
 
     def level(self, d: int, c: int, lin: list, sc: int, slin: list, prefix: tuple):
         """sum over t of level_{d+1}(prefix + t) / (b_d; b_d)_t, by one
-        `fold`.  The next-to-last level folds the last index's kept points
+        `_fold`.  The next-to-last level folds the last index's kept points
         (`kept`) at each t straight in; a rank-1 sum is `last`."""
         r = len(self.bounds)
         if d == r - 1:
@@ -381,11 +382,11 @@ class _Nest:
                 c2, lin2 = _fix(quad, c, lin, d, t)
                 sc2, slin2 = _fix(squad, sc, slin, d, t)
                 groups.append(self.level(d + 1, c2, lin2, sc2, slin2, prefix + (t,)))
-        return self.fold(groups, self.steps[d], self.steps[-1] if d == r - 2 else 1)
+        return _fold(groups, self.steps[d], self.steps[-1] if d == r - 2 else 1, self.n)
 
     def last(self, c: int, b: int, sc: int, sb: int, prefix: tuple):
         """The terms of a rank-1 sum: its one index's kept points, folded."""
-        return self.fold([self.kept(c, b, sc, sb, prefix)], 0, self.steps[-1])
+        return _fold([self.kept(c, b, sc, sb, prefix)], 0, self.steps[-1], self.n)
 
     def kept(self, c: int, b: int, sc: int, sb: int, prefix: tuple) -> list:
         """The terms (offset, table entry, u) of the points prefix + t with
@@ -415,41 +416,6 @@ class _Nest:
             kept.append((v * den // scale, self.table[t], ((sa * t + sb) * t + sc) % 4))
         return kept
 
-    def fold(self, groups: list, step: int, stride: int):
-        """sum over t of X_t / (x; x)_t as terms, x = q^step on the sum grid
-        and X_t the terms of groups[t], each (offset, content, u) adding
-        i**u * content into every stride-th entry from its offset with one
-        extended slice.  From the top, X_0 + (X_1 + (X_2 + ...)/(1 - x^2))/(1 - x),
-        in place on lists allocated once, from the lowest offset: each t
-        below the top costs one binomial division, only from the lowest entry
-        written; [] when no group has a term."""
-        while groups and not groups[-1]:  # nothing to divide above the top group
-            groups.pop()
-        if not groups:
-            return []
-        lo = min(o for g in groups for o, _, _ in g)
-        re, im = [0] * (self.n + 1 - lo), None
-        low = len(re)  # the running sum is 0 below re[low]
-        for t in reversed(range(len(groups))):
-            for o, content, u in groups[t]:
-                o -= lo
-                if o < low:
-                    low = o
-                if u % 2:
-                    if im is None:
-                        im = [0] * len(re)
-                    out = im
-                else:
-                    out = re
-                # the slice stops at the list's end, and map at the shorter operand
-                at = slice(o, o + stride * len(content), stride)
-                out[at] = map(sub if u > 1 else add, out[at], content)
-            if t:
-                _unit_div(re, t * step, 1, low)
-                if im is not None:
-                    _unit_div(im, t * step, 1, low)
-        return [(lo, re, 0)] if im is None else [(lo, re, 0), (lo, im, 1)]
-
 
 def _fix(row: list, c: int, lin: list, d: int, t: int):
     """Fix index d at t in the integer quadratic 1/2 n.M.n + lin.n + c, with
@@ -465,13 +431,14 @@ def _fixed(row: list, c: int, lin: list, d: int, t: int) -> int:
 def eval_product(spec: IdentitySpec, order) -> QSeries:
     """Exact truncated expansion of the product side (qrr.series._poch): one
     in-place binomial step per factor 1 - x*b**k of a finite family and per
-    head factor of an infinite one, its first K = isqrt(n/m) for b = w*q**m
+    head factor of an infinite one, its first K = isqrt(n/m) for b = q**m
     and n the scaled order, taken from the largest exponent down so that
     each walks only the entries past the factors already applied.  The rest
     of an infinite family, (y; b)_inf for y = x*b**K, is Euler's sum
     1/(y; b)_inf = sum y**l/(b; b)_l or (y; b)_inf =
-    sum (-1)**l b**(l(l-1)/2) y**l/(b; b)_l, one division per term; there
-    is no series multiply or inverse.  It lives on the grid of the order and
+    sum (-1)**l b**(l(l-1)/2) y**l/(b; b)_l, folded by Horner's rule as the
+    sum side folds (series._fold), one division per term; there is no
+    series multiply or inverse.  It lives on the grid of the order and
     the factor exponents, not on spec.den, and is lifted to the sum's grid
     only when the two sides are compared or tabulated."""
     return _poch(order, [(f.x, f.base, f.finite, f.power) for f in spec.product])

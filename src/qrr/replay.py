@@ -30,7 +30,7 @@ from . import corpus
 from .gaussian import I, MINUS_I, MINUS_ONE, ONE
 from .identity import ExponentPoly, IdentitySpec, SignAtom, _frac_str, compare, eval_product, eval_sum
 from .parser import parse_poly
-from .series import Monomial, QSeries, _as_order, _div_b, _grid, _lay, _mul_b, qmono
+from .series import Monomial, QSeries, _as_order, _fold, _grid, _lay, _mul_b, _spread, qmono
 from .special import gaussian_binomial_row, rs_at
 from .zseries import ZSeries, euler_z_inverse, euler_z_product, theta_z
 
@@ -227,29 +227,29 @@ def _regroup(order: Fraction) -> tuple:
     regrouped along N = m + n, sum_n q^(n^2/4) inners[n] / (q^2;q^2)_n, for
     n up to the largest n with n^2/4 <= order; both exact through `order`.
 
-    Each inner sum is one signed pass over its whole row: the even entries
-    laid into one list, the odd into another, and the second taken from the
-    first.  Every entry is summed, not half of the row and its mirror image,
-    so that step 2's "vanishes for odd n" is checked, not built in.  The
-    regrouped sum is folded by Horner's rule from the top n down,
-    X_0 + (X_1 + (X_2 + ...)/(1 - q^4))/(1 - q^2) with X_n = q^(n^2/4)
-    inners[n], one `_div_b` by 1 - q^(2(n+1)) per level on the grid that
-    holds the order and every n^2/4: linear work, no series product."""
+    Each row is built in x = q^2 through x^floor(order/2), which is exact
+    through `order`: no even exponent lies between the two.  Each inner sum
+    is one signed pass over its whole row: the even entries laid into one
+    list, the odd into another, and the second taken from the first.  Every
+    entry is summed, not half of the row and its mirror image, so that step
+    2's "vanishes for odd n" is checked, not built in.  The regrouped sum is
+    one Horner fold (`series._fold`) of the row sums in x, each at offset
+    n^2/4, X_0 + (X_1 + (X_2 + ...)/(1 - q^4))/(1 - q^2), one division by
+    1 - q^(2(n+1)) per level on the grid that holds the order and every
+    n^2/4: linear work, no series product."""
     n_max = math.isqrt(math.floor(4 * order))  # the largest n with n^2/4 <= order
-    q2 = qmono(2)
-    inners = []
+    sums = []  # each inner sum's coefficients in x = q^2
     for n in range(n_max + 1):
-        row = gaussian_binomial_row(n, q2, order)
+        row = gaussian_binomial_row(n, qmono(1), math.floor(order / 2))
         size = max(x.val + len(x.re) for x in row)
         even, odd = (_lay(size, ((x.val, x.re) for x in row[r::2])) for r in (0, 1))
-        inners.append(QSeries._of(row[0].den, row[0].order, 0, list(map(sub, even, odd))))
+        sums.append(list(map(sub, even, odd)))
+    grid = _grid(order)
+    inners = [QSeries._of(grid, _as_order(order, grid), 0, _spread(x, 2 * grid)) for x in sums]
     den = _grid(order, *(Fraction(n * n, 4) for n in range(n_max + 1)))
-    regrouped = QSeries._of(den, _as_order(order, den), 0, [])
-    for n in reversed(range(n_max + 1)):
-        if n < n_max:
-            regrouped = _div_b(regrouped, ONE, 2 * (n + 1) * den)
-        regrouped = regrouped + inners[n].shift(Fraction(n * n, 4))
-    return inners, regrouped
+    top = _as_order(order, den)
+    ((lo, re, _),) = _fold([[(n * n * den // 4, x, 0)] for n, x in enumerate(sums)], 2 * den, 2 * den, top)
+    return inners, QSeries._of(den, top, lo, re)
 
 
 def replay_1_7(order) -> List[StepReport]:

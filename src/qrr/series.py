@@ -36,26 +36,26 @@ number k of steps on a grid the caller works out once.  It acts in place on
 int lists, from a start below which the entries are read as 0:
 `_unit_mul` multiplies by 1 - u*q**k in one slice operation, and
 `_unit_div` divides by 1 - u*q**k (u = +-1) in min(k, n/k) slice operations
-on the n entries from the start, never one step per coefficient; it is also
-the sum side's fold.  `_mul_b` and `_div_b` apply them to a QSeries.  Past
-its dividend a quotient repeats with period k and sign u (period 2k and sign
--1 for u = +-i, which first adds k entries), so `_div_b` divides only the
-dividend's entries and continues by whole blocks (`_repeat`); an exact
-division, such as each step of a Gaussian binomial row, ends in a zero block
-and stops at the polynomial's degree instead of the order.  Every product
-side is one Pochhammer walk (`_poch`) over one pair of lists on one grid,
-taking its factors from the largest exponent down: the running product is
-then 1 + w with w zero below the smallest exponent s applied so far, and a
-factor at e <= s walks only the entries from s + e and about n/e multiples
-of e.  An infinite family (x; b)_inf, b = w*q**m, steps only its first
+on the n entries from the start, never one step per coefficient.  `_mul_b`
+and `_div_b` apply them to a QSeries.  Past its dividend a quotient repeats
+with period k and sign u (period 2k and sign -1 for u = +-i, which first
+adds k entries), so `_div_b` divides only the dividend's entries and
+continues by whole blocks (`_repeat`); an exact division, such as each step
+of a Gaussian binomial row, ends in a zero block and stops at the
+polynomial's degree instead of the order.  Every product side is one
+Pochhammer walk (`_poch`) over one pair of lists on one grid, taking its
+factors from the largest exponent down: the running product is then 1 + w
+with w zero below the smallest exponent s applied so far, and a factor at
+e <= s walks only the entries from s + e and about n/e multiples of e.  An
+infinite family (x; b)_inf, b = q**m, steps only its first
 K = max(1, isqrt(n // m)) factors; its tail (y; b)_inf from y = x*b**K is
 Euler's sum in y, 1/(y; b)_inf = sum y**l/(b; b)_l or (y; b)_inf =
-sum (-1)**l b**(l(l-1)/2) y**l/(b; b)_l, one `_divide` per term on a
-shrinking copy of the lists (`_tail`): about sqrt(n/m) divisions per family
-in place of n/m.  A 1/(b;b)_n table (`inv_poch_table`) keeps every entry,
-so it is a chain of `_div_b`, entry n being entry n - 1 over its factor, as
-the Gaussian binomial rows of qrr.special are chains of `_mul_b` and
-`_div_b`.
+sum (-1)**l b**(l(l-1)/2) y**l/(b; b)_l (`_tail`): about sqrt(n/m)
+divisions per family in place of n/m.  Each such sum_t X_t/(x; x)_t, here,
+in the sum side's nest and in replay 1.7, is one Horner fold (`_fold`).  A
+1/(b;b)_n table (`inv_poch_table`) keeps every entry, so it is a chain of
+`_div_b`, entry n being entry n - 1 over its factor, as the Gaussian
+binomial rows of qrr.special are chains of `_mul_b` and `_div_b`.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from typing import Iterator, Optional
 
 from . import _kernel_py
 from .errors import DivergentProduct, NegativeExponent, NonUnitConstantTerm
-from .gaussian import MINUS_ONE, ONE, ZERO, GaussianInt, is_unit, unit_pow
+from .gaussian import MINUS_ONE, ONE, UNITS, ZERO, GaussianInt, is_unit, unit_pow
 
 
 @dataclass(frozen=True)
@@ -655,6 +655,43 @@ def _unit_div(x: list, k: int, u: int, start: int = 0) -> list:
     return x
 
 
+def _fold(groups: list, step: int, stride: int, n: int):
+    """sum over t of X_t / (x; x)_t as terms, x = q**step and X_t the terms
+    of groups[t], each (offset, content, u) adding i**u * content into every
+    stride-th entry from its offset, up to offset n, with one extended slice.
+    From the top, X_0 + (X_1 + (X_2 + ...)/(1 - x^2))/(1 - x), in place on
+    lists allocated once from the lowest offset lo: each t below the top
+    costs one binomial division, only from the lowest entry written.  The
+    terms are [(lo, re, 0)], with (lo, im, 1) if any u is odd; [] when no
+    group has a term."""
+    while groups and not groups[-1]:  # nothing to divide above the top group
+        groups.pop()
+    if not groups:
+        return []
+    lo = min(o for g in groups for o, _, _ in g)
+    re, im = [0] * (n + 1 - lo), None
+    low = len(re)  # the running sum is 0 below re[low]
+    for t in reversed(range(len(groups))):
+        for o, content, u in groups[t]:
+            o -= lo
+            if o < low:
+                low = o
+            if u % 2:
+                if im is None:
+                    im = [0] * len(re)
+                out = im
+            else:
+                out = re
+            # the slice stops at the list's end, and map at the shorter operand
+            at = slice(o, o + stride * len(content), stride)
+            out[at] = map(sub if u > 1 else add, out[at], content)
+        if t:
+            _unit_div(re, t * step, 1, low)
+            if im is not None:
+                _unit_div(im, t * step, 1, low)
+    return [(lo, re, 0)] if im is None else [(lo, re, 0), (lo, im, 1)]
+
+
 # -- Pochhammer builders ----------------------------------------------------
 
 
@@ -685,14 +722,15 @@ def _factors(order, factors: list):
     """(den, n, steps) for the factors of `_poch`: the grid that holds the
     order and every x and b, the scaled order, and the steps in declared
     order.  A step (e, unit, power, None) is the binomial factor
-    1 - unit*q**(e/den) with e <= n; a step (e, unit, power, (w, m)) is the
-    tail (y; b)_inf of an infinite family, y = unit*q**(e/den) and
-    b = w*q**(m/den), applied by Euler's sums (`_tail`).
+    1 - unit*q**(e/den) with e <= n; a step (e, unit, power, m) is the tail
+    (y; b)_inf of an infinite family, y = unit*q**(e/den) and
+    b = q**(m/den), applied by Euler's sums (`_tail`).
 
-    An infinite family (x; b)_inf with b = w*q**(m/den), m > 0, keeps its
+    An infinite family (x; b)_inf with b = q**(m/den), m > 0, keeps its
     first K = max(1, isqrt(n // m)) factors as binomial steps, and the rest,
     from y = x*b**K on, is one tail step; a family whose (K+1)-th factor
-    lies past n, and a finite family, is all binomial steps.
+    lies past n, a finite family, and a base of unit other than 1 (only a
+    direct call brings one) are all binomial steps.
 
     A factor at a negative exponent raises NegativeExponent; a divisor at
     exponent 0 raises NonUnitConstantTerm, since 1 - unit is never a unit
@@ -704,7 +742,7 @@ def _factors(order, factors: list):
     for x, b, count, power in factors:
         e, step = int(x.exp * den), int(b.exp * den)
         units = [x.unit * unit_pow(b.unit, j) for j in range(4)]  # b.unit**4 == 1
-        head = max(1, isqrt(n // step)) if count is None and step > 0 else None
+        head = max(1, isqrt(n // step)) if count is None and step > 0 and b.unit == ONE else None
         k = 0
         while count is None or k < count:
             if e < 0:
@@ -713,7 +751,7 @@ def _factors(order, factors: list):
                 break
             unit = units[k % 4]
             if k == head:
-                steps.append((e, unit, power, (b.unit, step)))
+                steps.append((e, unit, power, step))
                 break
             if power != 1 and not e:
                 raise NonUnitConstantTerm("constant term %s is not a unit of Z[i]" % (ONE - unit,))
@@ -755,41 +793,31 @@ def _step(re: list, im: Optional[list], e: int, unit, power: int, s: int) -> Non
                 x[m * e :: period * e] = map(add, x[m * e :: period * e], repeat(v))
 
 
-def _tail(re: list, im: Optional[list], e: int, unit, power: int, w, m: int) -> None:
+def _tail(re: list, im: Optional[list], e: int, unit, power: int, m: int) -> None:
     """(re + i*im) times (y; b)_inf**power in place, for y = unit*q**e and
-    b = w*q**m with e, m > 0, by Euler's two sums:
+    b = q**m with e, m > 0, by Euler's two sums:
 
         1/(y; b)_inf = sum_{l >= 0} y**l / (b; b)_l
         (y; b)_inf = sum_{l >= 0} (-1)**l b**(l(l-1)/2) y**l / (b; b)_l
 
     With G = re + i*im and n = len(re), term l of the sum times G is
-    c_l*q**d_l * p_l: c_l*q**d_l is y**l, times (-1)**l b**(l(l-1)/2) for
-    the numerator, and p_l is G over (1 - w*q**m)...(1 - w**l q**(l*m)).
-    So p_l is p_(l-1) (a copy of G for l = 1) cut to the n - d_l entries
-    that reach the order and divided in place by its last factor, one
-    `_divide`, and it is added to the lists at d_l times the unit c_l.  The
-    terms run while d_l < n: floor((n - 1)/e) of them for the inverse, those
-    with l*e + m*l(l-1)/2 < n for the numerator."""
+    c_l*q**d_l * G / (b; b)_l: c_l*q**d_l is y**l, times (-1)**l b**(l(l-1)/2)
+    for the numerator.  The terms run while d_l < n: floor((n - 1)/e) of
+    them for the inverse, those with l*e + m*l(l-1)/2 < n for the numerator.
+    One `_fold` sums them by Horner's rule, level l dividing by
+    1 - q**(l*m) from d_l, and its lists replace re and im."""
     n = len(re)
-    pr, pi = re[: n - e], None if im is None else im[: n - e]
-    c, d, l = ONE, e, 1
+    k = UNITS.index(unit)  # unit = i**k
+    groups, d, l = [], 0, 0
     while d < n:
-        c = c * unit if power < 0 else -(c * unit * unit_pow(w, l - 1))
-        del pr[n - d :]
-        if pi is not None:
-            del pi[n - d :]
-        _divide(pr, pi, l * m, unit_pow(w, l), 0)
-        cr, ci = c
-        if ci:  # (+-i)*(x + i*y) = -+y +- i*x
-            re[d:] = map(sub if ci > 0 else add, re[d:], pi)
-            im[d:] = map(add if ci > 0 else sub, im[d:], pr)
-        else:
-            op = add if cr > 0 else sub
-            re[d:] = map(op, re[d:], pr)
-            if im is not None:
-                im[d:] = map(op, im[d:], pi)
-        d += e if power < 0 else e + l * m
+        u = (k + 2 * (power > 0)) * l % 4  # c_l = i**u
+        groups.append([(d, re, u)] if im is None else [(d, re, u), (d, im, (u + 1) % 4)])
+        d += e + (m * l if power > 0 else 0)
         l += 1
+    (_, out, _), *imag = _fold(groups, m, 1, n - 1)
+    re[:] = out
+    if im is not None:
+        im[:] = imag[0][1]
 
 
 def _poch(order, factors: list) -> QSeries:
@@ -806,17 +834,18 @@ def _poch(order, factors: list) -> QSeries:
     (`_step`), not every entry from e.  A numerator at exponent 0, a
     scalar, comes last.  The tail (y; b)_inf of an infinite family, from
     its (K+1)-th factor y on, is one step at y's exponent: Euler's sum in y
-    (`_tail`), about sqrt(n/m) divisions in place of n/m binomial steps."""
+    folded by Horner's rule (`_tail`), about sqrt(n/m) divisions in place of
+    n/m binomial steps."""
     den, n, steps = _factors(order, factors)
     re = [1] + [0] * n
     # a family of base +-i has an imaginary unit at its first or second step
     im = [0] * (n + 1) if any(unit[1] for _, unit, _, _ in steps) else None
     s = n + 1
-    for e, unit, power, tail in sorted(steps, key=itemgetter(0), reverse=True):
-        if tail is None:
+    for e, unit, power, m in sorted(steps, key=itemgetter(0), reverse=True):
+        if m is None:
             _step(re, im, e, unit, power, s)
         else:
-            _tail(re, im, e, unit, power, *tail)
+            _tail(re, im, e, unit, power, m)
         s = e or s
     return QSeries._of(den, n, 0, re, im)
 

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 from importlib import import_module
 
 import pytest
-from qrr import _kernel_py, corpus
+from qrr import _kernel_py, corpus, series
 from qrr.cli import EXIT_OK, main
 from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, i_pow, sign_binom2, unit_pow
 from qrr.identity import ExponentPoly, SignAtom, eval_product, eval_sum
@@ -245,25 +245,36 @@ def test_regroup_equals_the_product_path_field_by_field(order):
 @pytest.mark.parametrize("order", [F(61, 4), F(80)])
 def test_regroup_makes_no_product_and_one_division_per_level(monkeypatch, order):
     # the rows' own divisions are made in qrr.special; the fold's are the
-    # ones qrr.replay makes, one by 1 - q^(2(n+1)) for each n < n_max
-    conv, divisions = [], []
-    conv_rows, div_b = _kernel_py.conv_rows, replay_module._div_b
+    # ones made inside the one `_fold` that qrr.replay calls, one by
+    # 1 - q^(2(n+1)) for each n < n_max
+    conv, folds, running, divisions = [], [], [], []
+    conv_rows, fold, unit_div = _kernel_py.conv_rows, replay_module._fold, series._unit_div
 
     def conv_spy(*args):
         conv.append(args)
         return conv_rows(*args)
 
-    def div_spy(s, unit, k):
-        divisions.append(F(k, s.den))
-        return div_b(s, unit, k)
+    def fold_spy(groups, step, stride, n):
+        folds.append(step)
+        running.append(step)
+        out = fold(groups, step, stride, n)
+        running.pop()
+        return out
+
+    def div_spy(x, k, u, start=0):
+        if running:  # inside the fold, whose step is q^2
+            divisions.append((F(2 * k, running[-1]), u))
+        return unit_div(x, k, u, start)
 
     monkeypatch.setattr(_kernel_py, "conv_rows", conv_spy)
-    monkeypatch.setattr(replay_module, "_div_b", div_spy)
+    monkeypatch.setattr(replay_module, "_fold", fold_spy)
+    monkeypatch.setattr(series, "_unit_div", div_spy)
     inners, _ = replay_module._regroup(order)
     n_max = math.isqrt(math.floor(4 * order))
     assert len(inners) == n_max + 1
     assert conv == []
-    assert divisions == [2 * (n + 1) for n in reversed(range(n_max))]
+    assert len(folds) == 1
+    assert divisions == [(2 * (n + 1), 1) for n in reversed(range(n_max))]
 
 
 def test_jtp_report_matches_recorded_digest():

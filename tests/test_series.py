@@ -1,5 +1,8 @@
+import ast
 from fractions import Fraction as F
 from math import isqrt, lcm
+from operator import add, sub
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,6 +21,7 @@ from qrr.series import (
     _divide,
     _mul_b,
     _poch,
+    _tail,
     _unit_div,
     inv_poch_table,
     poch_finite,
@@ -511,6 +515,108 @@ def test_product_sides_expand_each_infinite_tail_by_eulers_sum(monkeypatch):
     assert len(seen) <= 100 and sum(seen) <= 150_000, (len(seen), sum(seen))
 
 
+def forward_tail(re, im, e, unit, power, m):
+    """The Euler tail (y; q**m)_inf**power, y = unit*q**e, as it was first
+    taken, forward term by term: term l's lists are term l-1's cut to the
+    entries that reach the order and divided by 1 - q**(l*m), then added at
+    d_l times the unit c_l.  The reference for `_tail`, which folds the
+    same terms by Horner's rule."""
+    n = len(re)
+    pr, pi = re[: n - e], None if im is None else im[: n - e]
+    c, d, l = ONE, e, 1
+    while d < n:
+        c = c * unit if power < 0 else -(c * unit)
+        del pr[n - d :]
+        if pi is not None:
+            del pi[n - d :]
+        _divide(pr, pi, l * m, ONE, 0)
+        cr, ci = c
+        if ci:  # (+-i)*(x + i*y) = -+y +- i*x
+            re[d:] = map(sub if ci > 0 else add, re[d:], pi)
+            im[d:] = map(add if ci > 0 else sub, im[d:], pr)
+        else:
+            op = add if cr > 0 else sub
+            re[d:] = map(op, re[d:], pr)
+            if im is not None:
+                im[d:] = map(op, im[d:], pi)
+        d += e if power < 0 else e + l * m
+        l += 1
+
+
+@st.composite
+def tail_case(draw):
+    """(re, im, e, unit, power, m): running lists of 1 to 200 entries, im a
+    list whenever the unit is +-i (as `_poch` allocates it) and else at
+    random, and steps e, m mostly short enough for many terms."""
+    rng = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(1, 200))
+    unit = draw(st.sampled_from(UNITS))
+    re = [rng.randint(-9, 9) for _ in range(n)]
+    im = [rng.randint(-9, 9) for _ in range(n)] if unit[1] or draw(st.booleans()) else None
+    e, m = (draw(st.integers(1, 12) | st.integers(1, n + 1)) for _ in range(2))
+    return re, im, e, unit, draw(st.sampled_from([1, -1])), m
+
+
+@settings(max_examples=300, deadline=None)
+@given(tail_case())
+# one entry, and a first term past the lists: the tail is 1
+@example(([5], [0], 1, I, 1, 1))
+@example(([1, 2, 3], None, 3, MINUS_ONE, -1, 1))
+# every step 1: the most terms, real and complex, both powers
+@example(([1] + [0] * 59, None, 1, ONE, -1, 1))
+@example(([1] + [0] * 59, None, 1, ONE, 1, 1))
+@example(([1, -2, 3] * 20, [0, 1, -1] * 20, 1, MINUS_I, -1, 2))
+@example(([1, -2, 3] * 20, [4, 0, 1] * 20, 2, I, 1, 1))
+def test_tail_by_one_fold_equals_the_forward_sum(case):
+    re, im, e, unit, power, m = case
+    want = (re[:], None if im is None else im[:])
+    forward_tail(*want, e, unit, power, m)
+    got = (re[:], None if im is None else im[:])
+    _tail(*got, e, unit, power, m)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "order, factors",
+    [
+        *(
+            (F(2000), [(f.x, f.base, f.finite, f.power) for f in corpus.load(name).product])
+            for name in ("rogers_mod5_1_4", "cao_wang_1_2_3")
+        ),
+        # fractional orders and exponents, units +-1 and +-i on x, both powers
+        (
+            F(961, 4),
+            [
+                (qmono(F(1, 2)), qmono(F(3, 4)), None, -1),
+                (Monomial(I, F(1, 4)), qmono(F(1, 2)), None, 1),
+                (Monomial(MINUS_ONE, F(5, 4)), qmono(1), None, 1),
+                (Monomial(MINUS_I, F(3, 2)), qmono(F(1, 4)), None, -1),
+            ],
+        ),
+        (F(1999, 3), [(Monomial(MINUS_ONE, F(2, 3)), qmono(F(1, 3)), None, -1), (qmono(F(1, 3)), qmono(2), None, 1)]),
+    ],
+)
+def test_product_sides_by_the_fold_equal_the_forward_tails(order, factors, monkeypatch):
+    got = _poch(order, factors)
+    monkeypatch.setattr("qrr.series._tail", forward_tail)
+    assert fields(got) == fields(_poch(order, factors))
+
+
+def test_only_divide_and_the_fold_call_unit_div():
+    # `_fold` is the one Horner fold: no other function of the package names
+    # `_unit_div`, so none divides by 1 - q**k in a loop of its own
+    def names(node):
+        return any("_unit_div" in (getattr(x, "id", None), getattr(x, "attr", None)) for x in ast.walk(node))
+
+    users = {
+        (path.stem, f.name)
+        for path in Path(special.__file__).parent.glob("*.py")
+        for f in ast.walk(ast.parse(path.read_text()))
+        if isinstance(f, ast.FunctionDef) and names(f)
+    }
+    assert users == {("series", "_divide"), ("series", "_fold")}
+
+
 def fraction_walk(order, factors):
     """Every running product of the factors in declared order, stepped with
     Fraction exponents and the scalar recurrence: the last is `_poch`'s
@@ -554,8 +660,18 @@ monomials = st.builds(
 # divisor family's tail starts at E = 20 = n, one level, and a numerator's
 # would start at 21 = n + 1, so it has none
 @example(F(20), [(qmono(10), qmono(5), None, -1), (qmono(11), qmono(5), None, 1)], qmono(1), 0)
-# grid 4: +-i on x and on the base, a divisor tail at 10/4 and a numerator
-# tail at 8/4
+# grid 4: +-i on x, a divisor tail at 10/4 and a numerator tail at 8/4;
+# then the same families of base +-i, which take no tail: every factor of a
+# base unit other than 1 is a binomial step
+@example(
+    F(47, 4),
+    [
+        (Monomial(I, F(1, 4)), qmono(F(3, 4)), None, -1),
+        (Monomial(MINUS_I, F(1, 2)), qmono(F(1, 4)), None, 1),
+    ],
+    Monomial(I, F(1, 4)),
+    3,
+)
 @example(
     F(47, 4),
     [
@@ -603,8 +719,17 @@ bases = st.builds(Monomial, st.sampled_from(UNITS), st.fractions(1, 20, max_deno
     ],
 )
 # a numerator tail from E = 20 = n, one level, beside a divisor family
-# whose tail would start at 21 = n + 1, and a tail of base i*q^6 from q^8
-# after one real head factor q^2 (K = 1)
+# whose tail would start at 21 = n + 1, and a tail of base q^6 from i*q^8
+# after one head factor i*q^2 (K = 1); then a family of base i*q^6, which
+# takes no tail
+@example(
+    F(20),
+    [
+        (qmono(10), qmono(5), None, 1),
+        (qmono(11), qmono(5), None, -1),
+        (Monomial(I, F(2)), qmono(6), None, -1),
+    ],
+)
 @example(
     F(20),
     [
@@ -613,7 +738,14 @@ bases = st.builds(Monomial, st.sampled_from(UNITS), st.fractions(1, 20, max_deno
         (qmono(2), Monomial(I, F(6)), None, -1),
     ],
 )
-# grid 2: +-i on x and on the base, tails at 16/2 and 12/2
+# grid 2: +-i on x, tails at 16/2 and 12/2; then bases i and -1, no tails
+@example(
+    F(81, 2),
+    [
+        (Monomial(MINUS_I, F(1, 2)), qmono(F(3, 2)), None, 1),
+        (Monomial(I, F(3, 2)), qmono(F(1, 2)), None, -1),
+    ],
+)
 @example(
     F(81, 2),
     [
