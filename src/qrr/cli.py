@@ -45,6 +45,7 @@ REPORT_SCHEMA = {
         "order",
         "first_mismatch",
         "fractional_residue",
+        "imaginary_residue",
         "elapsed_ms",
     ],
     "properties": {
@@ -61,6 +62,7 @@ REPORT_SCHEMA = {
             },
         },
         "fractional_residue": {"type": "array", "items": {"type": ["integer", "string"]}},
+        "imaginary_residue": {"type": "array", "items": {"type": ["integer", "string"]}},
         "elapsed_ms": {"type": "number"},
         "error": {"type": "string"},
     },

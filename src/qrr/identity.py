@@ -267,6 +267,7 @@ class VerifyReport:
             "order": _frac_str(self.order),
             "first_mismatch": fm,
             "fractional_residue": [_frac_str(e) for e in self.fractional_residue],
+            "imaginary_residue": [_frac_str(e) for e in self.imaginary_residue],
             "elapsed_ms": round(self.elapsed_ms, 3),
         }
         if self.error:

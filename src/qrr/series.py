@@ -20,12 +20,14 @@ its order (`_grid`, the one rule), so none floors the order it is asked for,
 and a product side lives on its own grid, not on the sum's.  Binary
 operations lift both operands to the lcm grid and truncate to the smaller
 order.  Every product, here and in qrr.zseries, one-term operands
-included, goes through `_rows`; there is no shift-and-scale path.  The one
-product outside it is the Horner nest of qrr.special (`_nest`), which serves
-both forms of the Rogers-Szego polynomials, rogers_szego_bw and rs_at: it
-keeps its z-slices packed as the kernel packs them and multiplies the packed
-ints itself.  `_rows` pairs the operands' series in one walk, which also
-holds the one stride rule: it finds the largest g such that the nonzero
+included, goes through `_rows`; there is no shift-and-scale path.  Two
+products stay outside it.  The Horner nest of qrr.special (`_nest`), which
+serves both forms of the Rogers-Szego polynomials, rogers_szego_bw and
+rs_at, keeps its z-slices packed as the kernel packs them and multiplies the
+packed ints itself.  The Euler pair E(c*z)*E(c/z) of qrr.zseries
+(`_euler_z_pair`) makes each z-slice as one `_fold` of unit monomials.
+`_rows` pairs the operands' series in one walk, which also holds the one
+stride rule: it finds the largest g such that the nonzero
 coefficients of every series in use sit on a stride g from their valuations,
 and the pairs summed into one row differ in valuation by multiples of g; it
 hands every g-th entry to the Kronecker-substitution kernel's one entry
@@ -52,7 +54,8 @@ K = max(1, isqrt(n // m)) factors; its tail (y; b)_inf from y = x*b**K is
 Euler's sum in y, 1/(y; b)_inf = sum y**l/(b; b)_l or (y; b)_inf =
 sum (-1)**l b**(l(l-1)/2) y**l/(b; b)_l (`_tail`): about sqrt(n/m)
 divisions per family in place of n/m.  Each such sum_t X_t/(x; x)_t, here,
-in the sum side's nest and in replay 1.7, is one Horner fold (`_fold`).  A
+in the sum side's nest and in replay 1.7, is one Horner fold (`_fold`), and
+so is each slice sum_t X_t/((x; x)_t (x; x)_(t+k)) of the Euler pair.  A
 1/(b;b)_n table (`inv_poch_table`) keeps every entry, so it is a chain of
 `_div_b`, entry n being entry n - 1 over its factor, as the Gaussian
 binomial rows of qrr.special are chains of `_mul_b` and `_div_b`.
@@ -655,15 +658,17 @@ def _unit_div(x: list, k: int, u: int, start: int = 0) -> list:
     return x
 
 
-def _fold(groups: list, step: int, stride: int, n: int):
+def _fold(groups: list, step: int, stride: int, n: int, k: Optional[int] = None):
     """sum over t of X_t / (x; x)_t as terms, x = q**step and X_t the terms
     of groups[t], each (offset, content, u) adding i**u * content into every
     stride-th entry from its offset, up to offset n, with one extended slice.
     From the top, X_0 + (X_1 + (X_2 + ...)/(1 - x^2))/(1 - x), in place on
     lists allocated once from the lowest offset lo: each t below the top
-    costs one binomial division, only from the lowest entry written.  The
-    terms are [(lo, re, 0)], with (lo, im, 1) if any u is odd; [] when no
-    group has a term."""
+    costs one binomial division, only from the lowest entry written.  With
+    k >= 0 given, the sum is of X_t / ((x; x)_t (x; x)_(t+k)): each level
+    t >= 1 also divides by 1 - x^(t+k), and the sum closes with 1/(x; x)_k.
+    The terms are [(lo, re, 0)], with (lo, im, 1) if any u is odd; [] when
+    no group has a term."""
     while groups and not groups[-1]:  # nothing to divide above the top group
         groups.pop()
     if not groups:
@@ -686,9 +691,13 @@ def _fold(groups: list, step: int, stride: int, n: int):
             at = slice(o, o + stride * len(content), stride)
             out[at] = map(sub if u > 1 else add, out[at], content)
         if t:
-            _unit_div(re, t * step, 1, low)
+            divisors = (t,) if k is None else (t, t + k)
+        else:
+            divisors = range(1, k + 1) if k else ()
+        for d in divisors:
+            _unit_div(re, d * step, 1, low)
             if im is not None:
-                _unit_div(im, t * step, 1, low)
+                _unit_div(im, d * step, 1, low)
     return [(lo, re, 0)] if im is None else [(lo, re, 0), (lo, im, 1)]
 
 

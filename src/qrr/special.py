@@ -15,7 +15,7 @@ from .gaussian import MINUS_ONE, unit_pow
 from .identity import ExponentPoly, IdentitySpec, eval_sum
 from .quadform import as_matrix, is_positive_definite, is_symmetric
 from .series import Monomial, QSeries, _as_order, _div_b, _grid, _mul_b, _poch, poch_infinite, qmono
-from .zseries import ZSeries, euler_z_product, theta_z
+from .zseries import ZSeries, _euler_z_pair, theta_z
 
 
 def gaussian_binomial(n: int, k: int, b: Monomial, order) -> QSeries:
@@ -269,12 +269,16 @@ class JtpReport(NamedTuple):
 
 def jtp_check(order) -> JtpReport:
     """Verify the triple product (q, z*q^(1/2), q^(1/2)/z; q)_inf against the
-    bilateral sum sum_n (-1)^n q^(n^2/2) z^n, z-coefficientwise through `order`."""
+    bilateral sum sum_n (-1)^n q^(n^2/2) z^n, z-coefficientwise through `order`.
+
+    The Euler expansions of (z*q^(1/2); q)_inf and (q^(1/2)/z; q)_inf come
+    as their product, one Horner fold per z-power (zseries._euler_z_pair),
+    whose mirrored slices are one series; the one series product is that
+    window times (q;q)_inf."""
     order = Fraction(order)
     q = qmono(1)
     half = Monomial(MINUS_ONE, Fraction(1, 2))
-    euler = euler_z_product(half, q, order)
-    lhs = euler * euler.reflect() * ZSeries.embed(poch_infinite(q, q, order))
+    lhs = _euler_z_pair(half, q, order) * ZSeries.embed(poch_infinite(q, q, order))
     # n^2/2 = binom(n,2) + n/2
     rhs = theta_z(1, Fraction(1, 2), MINUS_ONE, 1, order)
     d = lhs.first_difference(rhs, order)

@@ -52,24 +52,27 @@ zero, and each product of its even slices once.  Output slices made of the
 same products with the same units are planned and formed once and share
 one series: the rows z**k and z**-k of E(z)*E(1/z) cost one.  A z-binomial
 such as (z + c) is never an operand: it is a z-shift plus a scaled copy.
-The one z-window product outside this path is the Horner nest of
+Two z-window products stay outside this path.  One is the Horner nest of
 qrr.special (`_nest`), which serves rogers_szego_bw and rs_at alike: it
 builds no ZSeries, and keeps its slices packed (qrr._kernel_py._pack) from
-start to end.  Packing a whole window into one int (two-level Kronecker
-substitution) was measured and rejected: CPython multiplies multi-megabit
-ints by Karatsuba, so it ran several times slower.
+start to end.  The other is E(c*z)*E(c/z) of jtp_check (`_euler_z_pair`):
+its slice z**k, k >= 0, is one Horner fold of unit monomials
+(qrr.series._fold) on the slice's own stride, with no bignum product, and
+its slice z**-k is the same object.  Packing a whole window into one int
+(two-level Kronecker substitution) was measured and rejected: CPython
+multiplies multi-megabit ints by Karatsuba, so it ran several times slower.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, gcd, lcm
 from typing import Dict, Optional
 
 from .errors import DivergentEmbedding, NegativeExponent
 from .gaussian import UNITS, GaussianInt, binom2, is_unit, unit_pow
 from .quadform import _interval
-from .series import Monomial, QSeries, _as_order, _grid, _rows, _spread, inv_poch_table
+from .series import Monomial, QSeries, _as_order, _fold, _grid, _rows, _spread, inv_poch_table
 
 
 def _fit(s: QSeries, den: int, order: int) -> QSeries:
@@ -287,16 +290,11 @@ def theta_z(alpha, beta, chi: GaussianInt, s: int, order) -> "ZSeries":
     return ZSeries._fitted(coeff, d, n)
 
 
-def _euler_z(c: Monomial, b: Monomial, eps: int, order) -> "ZSeries":
-    """sum_n c**n b**(eps*binom(n,2)) z**n / (b;b)_n through `order`, eps in {0, 1}.
-
-    Built on its final grid, the one that holds the order and the exponents
-    of b and of c (of b alone when c lies past the order and the window is
-    1).  The 1/(b;b)_n are one table in x = q**b.exp, on the integers
-    (series.inv_poch_table): slice n is entry n cut to the powers of x that
-    reach the order, times the unit c**n b**(eps*binom(n,2)),
-    spread at b.exp's stride on the grid and laid at the exponent of
-    c**n b**(eps*binom(n,2))."""
+def _euler_grid(c: Monomial, b: Monomial, order):
+    """(den, top, ce, be) of an Euler window: its grid, the one that holds
+    the order and the exponents of b and of c (of b alone when c lies past
+    the order and the window is 1), and on it the scaled order and the
+    exponents of c and b."""
     order = Fraction(order)
     if c.exp <= 0:
         raise DivergentEmbedding("embedding monomial needs positive q-order, got %s" % c.exp)
@@ -305,11 +303,22 @@ def _euler_z(c: Monomial, b: Monomial, eps: int, order) -> "ZSeries":
     # c past the order leaves the window 1, on the grid of the order and b alone;
     # off its grid c.exp is rounded up, and so stays past the order
     den = _grid(order, b.exp) if c.exp > order else _grid(order, c.exp, b.exp)
-    top, ce, be = int(order * den), ceil(c.exp * den), int(b.exp * den)
+    return den, int(order * den), ceil(c.exp * den), int(b.exp * den)
+
+
+def _euler_z(c: Monomial, b: Monomial, eps: int, order) -> "ZSeries":
+    """sum_n c**n b**(eps*binom(n,2)) z**n / (b;b)_n through `order`, eps in {0, 1}.
+
+    Built on its final grid (`_euler_grid`).  The 1/(b;b)_n are one table
+    in x = q**b.exp, on the integers (series.inv_poch_table): slice n is
+    entry n cut to the powers of x that reach the order, times the unit
+    c**n b**(eps*binom(n,2)), spread at b.exp's stride on the grid and laid
+    at the exponent of c**n b**(eps*binom(n,2))."""
+    den, top, ce, be = _euler_grid(c, b, order)
     vals = []  # scaled q-exponents of c**n b**(eps*binom(n,2)) within the order
     while (v := len(vals) * ce + eps * binom2(len(vals)) * be) <= top:
         vals.append(v)
-    table = inv_poch_table(Monomial(b.unit, Fraction(1)), len(vals) - 1, floor(order / b.exp))
+    table = inv_poch_table(Monomial(b.unit, Fraction(1)), len(vals) - 1, top // be)
     pc, pb = UNITS.index(c.unit), UNITS.index(b.unit)
     coeff = {}
     for n, (v, s) in enumerate(zip(vals, table)):
@@ -327,3 +336,32 @@ def euler_z_inverse(c: Monomial, b: Monomial, order) -> "ZSeries":
 def euler_z_product(c: Monomial, b: Monomial, order) -> "ZSeries":
     """sum_n c**n b**binom(n,2) z**n / (b;b)_n, the z-expansion of (-c*z; b)_inf."""
     return _euler_z(c, b, 1, order)
+
+
+def _euler_z_pair(c: Monomial, b: Monomial, order) -> "ZSeries":
+    """E(c*z) * E(c/z) for E = euler_z_product and b of unit 1, field for
+    field euler_z_product(c, b, order) * its reflect(), built with no product.
+
+    Slice k >= 0 is sum_n c**(2n+k) b**(binom(n,2)+binom(n+k,2)) /
+    ((b;b)_n (b;b)_(n+k)), and slice -k is slice k, the same object, so a
+    product that follows plans one row for both.  Each is one
+    `series._fold` in x = q**b.exp: one unit monomial per level n, level
+    n >= 1 dividing by (1 - x**n)(1 - x**(n+k)), closed by 1/(x;x)_k.  The
+    fold runs on the slice's own stride, gcd(b, 2c) in steps of the grid of
+    `_euler_grid`, and is spread onto that grid once."""
+    den, top, ce, be = _euler_grid(c, b, order)
+    g = gcd(be, 2 * ce)
+    pc = UNITS.index(c.unit)
+    coeff = {}
+    k = 0
+    while (v := k * ce + binom2(k) * be) <= top:
+        groups, n, e = [], 0, v  # e: the scaled q-exponent of term n
+        while e <= top:
+            groups.append([((e - v) // g, [1], pc * (2 * n + k) % 4)])
+            n += 1
+            e = (2 * n + k) * ce + (binom2(n) + binom2(n + k)) * be
+        (_, re, _), *imag = _fold(groups, be // g, 1, (top - v) // g, k)
+        im = _spread(imag[0][1], g) if imag else None
+        coeff[k] = coeff[-k] = QSeries._of(den, top, v, _spread(re, g), im)
+        k += 1
+    return ZSeries._fitted(coeff, den, top)

@@ -29,6 +29,7 @@ SMALL_DIGESTS = {
     "z builders @6": "633d94a4a86a258a",
     "z product 1.8 @6": "1100a75fb40d59d5",
     "z product jtp @8": "74a69d324d37df98",
+    "z pair jtp @8": "74a69d324d37df98",
     "corpus.load_all": "b02a91116d3cb8cc",
 }
 
@@ -89,7 +90,7 @@ def _assert_every_row(rows):
         "rogers_szego_def 5 @7",
     ]
     assert list(rows["zseries"]) == (
-        ["z builders @6", "z product 1.8 @6", "z product jtp @8"]
+        ["z builders @6", "z product 1.8 @6", "z product jtp @8", "z pair jtp @8"]
         + ["replay %s @6" % t for t in ("1.5", "1.6", "1.7", "1.8")]
         + ["jtp_check @8"]
     )
@@ -123,11 +124,13 @@ def test_bench_json_holds_the_printed_rows(small, tmp_path, capsys):
 
 
 def test_bench_names_failing_z_product_rows_and_exits_1(small, tmp_path, monkeypatch, capsys):
-    # a wrong status is found outside the timed calls: every row is still
-    # timed and written, and the failing ones are named on stderr
+    # a wrong status or digest is found outside the timed calls: every row
+    # is still timed and written, and the failing ones are named on stderr
     jtp = bench.jtp_check
+    pair = bench._euler_z_pair
     chain = bench.REPLAYS["1.7"]
     monkeypatch.setattr(bench, "jtp_check", lambda order: jtp(order)._replace(ok=False))
+    monkeypatch.setattr(bench, "_euler_z_pair", lambda c, b, order: -pair(c, b, order))
     monkeypatch.setitem(bench.REPLAYS, "1.7", lambda order: [replace(s, status="fail") for s in chain(order)])
     path = tmp_path / "bench.json"
     lines = []
@@ -138,6 +141,7 @@ def test_bench_names_failing_z_product_rows_and_exits_1(small, tmp_path, monkeyp
     assert capsys.readouterr().err.splitlines() == [
         "python -m qrr.bench: wrong result in row %r" % label
         for label in (
+            "zseries: z pair jtp @8",
             "zseries: replay 1.7 @6",
             "zseries: jtp_check @8",
             "large: replay 1.7 @10",

@@ -372,6 +372,23 @@ def test_fractional_and_imaginary_identities_match(tmp_path, text, product, wron
     assert rep.imaginary_residue == [e for e in grid if diff[e].im]
 
 
+def test_verify_json_lists_the_imaginary_residue(tmp_path):
+    # sum i^n q^n/(q;q)_n against 1/(i*q^2; q)_inf: the sides differ at
+    # exponents with imaginary parts, which the report lists right after
+    # the fractional ones
+    p = tmp_path / "bad.id"
+    p.write_text(EULER_I.replace("poch(i*q, q)", "poch(i*q^2, q)"))
+    code, out = run(["verify", str(p), "--order", "20", "--format", "json"])
+    assert code == EXIT_MISMATCH
+    (doc,) = json.loads(out)
+    jsonschema.validate(doc, REPORT_SCHEMA)
+    spec = parse(p.read_text())
+    want = (eval_sum(spec, 20) - eval_product(spec, 20)).imaginary_support()
+    assert want and doc["imaginary_residue"] == [int(e) for e in want]
+    keys = list(doc)
+    assert keys[keys.index("fractional_residue") + 1] == "imaginary_residue"
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

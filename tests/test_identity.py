@@ -217,6 +217,7 @@ def test_report_json_schema_fields():
         "order",
         "first_mismatch",
         "fractional_residue",
+        "imaginary_residue",
         "elapsed_ms",
     }
     assert doc["status"] == "match" and doc["first_mismatch"] is None

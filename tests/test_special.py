@@ -531,6 +531,21 @@ def test_jtp_check_passes():
     assert rep.ok and rep.first_divergence is None
 
 
+def test_jtp_check_makes_one_kernel_call(monkeypatch):
+    # E(z)*E(1/z) is one Horner fold per z-power (zseries._euler_z_pair), so
+    # the kernel's one call is that window times (q;q)_inf
+    conv_rows = _kernel_py.conv_rows
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return conv_rows(*args)
+
+    monkeypatch.setattr(_kernel_py, "conv_rows", spy)
+    assert jtp_check(120).ok
+    assert len(calls) == 1
+
+
 def test_jtp_negative_control():
     # flipping the theta sign must produce an early divergence
     order = F(20)

@@ -216,6 +216,27 @@ def test_theta_equals_the_per_term_recipe(alpha, beta, chi, s, order):
     assert run(theta_z) == run(_theta_recipe)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    _UNITS,
+    st.sampled_from([F(1, 4), F(1, 2), F(3, 4), F(1), F(3, 2), F(5), F(150)]),  # the last past every order
+    st.sampled_from([F(1, 2), F(1), F(2), F(3)]),  # bases q^(1/2) to q^3
+    _ORDERS,
+)
+@example(MINUS_ONE, F(1, 2), F(1), F(1, 3))  # c past the order: the window is 1
+@example(I, F(3, 4), F(1, 2), F(61, 4))
+@example(MINUS_I, F(3, 2), F(3), F(40))
+@example(MINUS_ONE, F(1, 2), F(1), F(121))  # jtp_check's pair
+def test_euler_pair_equals_the_product_of_the_windows(cu, ce, be, order):
+    # every field equal to the generic product E(cz)*E(c/z), and its
+    # mirrored slices one object, as the product's own are
+    c, b = Monomial(cu, ce), qmono(be)
+    euler = euler_z_product(c, b, order)
+    pair = zseries._euler_z_pair(c, b, order)
+    assert _fields(pair) == _fields(euler * euler.reflect())
+    assert all(pair.coeff[k] is pair.coeff[-k] for k in pair.coeff)
+
+
 def test_jtp_z_slices():
     # triple product: each z-slice of the product matches the theta slice
     from qrr.special import jtp_check
