@@ -13,21 +13,24 @@ Inputs are plain lists of Python ints of any size, and outputs are exact.
 
 `conv_rows` is the one entry point.  It multiplies two windows of lists (the
 z-slices of two z-series; a single product is a window of one list on each
-side) and sums the products of given pairs into each output row.  A call of
-more than one pair is planned per key pair, not per pair of lists: it keys
-every list once by its content up to a unit of Z[i] (a real list up to
-sign, a purely imaginary list as +-i times a real one), packs one list per
-key and digit width, and in each row sums the Gaussian weights of its pairs,
-the products of the two lists' units, into terms (unordered key pair,
+side) and sums the products of given pairs into each output row.  Only real
+lists are multiplied: each list is split once into its real part, of unit 1,
+and its imaginary part, of unit i, and a part that is all zero is dropped.  A
+call of more than one pair is planned per key pair, not per pair of lists: it
+keys every part once by its content up to sign, packs one list per key and
+digit width, and in each row sums the Gaussian weights of its pairs' part
+pairs, the products of the two parts' units, into terms (unordered key pair,
 shift).  Only then is a term looked at: one whose weights sum to 0 is not
-planned or multiplied, and the others are multiplied once with the sum of
-their weights.  So E(cz)*E(-cz), which holds each term twice in one row,
+planned or multiplied, and the others are multiplied once, one real bignum
+product added to the row's real and imaginary sums with the two parts of
+their weight.  So E(cz)*E(-cz), which holds each term twice in one row,
 plans and forms none of its odd rows and each product of its even rows
-once.  Rows with the same terms and weights are one plan entry that lists
-every row it serves, formed once, and each of those rows is its one result
-(the mirrored rows of E(z)*E(1/z), say).  Every entry is one accumulated
-bignum, unpacked once.  Real and complex lists mix freely; a
-complex list times a complex list takes three real products (Karatsuba).
+once, and (a + i*b)*(b + i*a) forms a*a and b*b alone.  Rows with the same
+terms and weights are one plan entry that lists every row it serves, formed
+once, and each of those rows is its one result (the mirrored rows of
+E(z)*E(1/z), say).  Every entry is two accumulated bignums, unpacked once
+each (the imaginary one only for a row with a complex list).  A complex list
+times a complex list with no part in common takes four real products.
 
 Digits move between lists and ints (`_pack`, `_unpack`) by one of two paths,
 chosen from the digit width wb and the list's length alone.  The per-digit
@@ -148,25 +151,29 @@ def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
     {k: (v, re, im)} on the same stride (im None for a row of real lists),
     without the rows that have no position <= top or whose terms all cancel.
 
-    A pair reaches n = (top - v_a - v_b)//g + 1 digits; a pair with n <= 0,
-    or with a list that is empty or zero through n digits, adds nothing.  A
-    call of more than one pair keys each list by its content up to a unit of
-    Z[i] (`_form`), and packs the first list of each key; one pair is keyed by
-    identity.  Each pair is then a term (unordered key pair, position v_a +
-    v_b) with weight u_a*u_b, the units that take the packed lists to a[i] and
-    b[j].  A row sums the weights of its terms first (`_plan_rows`), so a term
-    whose weights sum to 0 is not formed: E(cz)*E(-cz) forms none of its
-    odd rows and each product of its even rows once.  Each row's digit width
-    holds the sum over its terms of (|w_re| + |w_im|) times the term's bound
-    on its digits (`_term`: from the largest entries of its two lists over
-    the digits it reaches, and, when the order cuts the product, over the
-    first half of those of each list it cuts short), and every digit packed
-    for the row.  A key is packed once per width, as far as the terms of
-    that width reach, at the first plan entry that reads it, and dropped
-    after the last entry that forms a product of it, as is each entry; each
-    operand longer than its term's reach is masked to n digits: that changes
-    it by a multiple of 2**(w*n), which moves only digits at or past the
-    row's last.
+    Each list is the sum of its parts, re with unit 1 and im with unit i,
+    less a part that is all zero, and a pair's product is the sum of the
+    products of their parts.  A call of more than one pair keys each part by
+    its content up to sign (`_form`), and packs one list per key; one pair
+    is keyed by identity.  Each pair of parts is then a term (unordered key
+    pair, position v_a + v_b) with weight u_x*u_y, each part being its unit
+    times its key's packed list (`_plan_rows`).  A term reaches n =
+    (top - v_a - v_b)//g + 1 digits, and one with n <= 0, or with a list
+    that is empty or zero through n digits, adds nothing.  A row sums the
+    weights of its terms first, so a term whose weights sum to 0 is not
+    formed: E(cz)*E(-cz) forms none of its odd rows and each product of its
+    even rows once.  Each other term is one bignum product p, added to the
+    row as w_re*p + i*w_im*p.  Each row's digit width holds the sum over its
+    terms of |w_re| times the term's bound on its digits (`_term`: from the
+    largest entries of its two lists over the digits it reaches, and, when
+    the order cuts the product, over the first half of those of each list it
+    cuts short), the same sum of |w_im| times it, since the real and the
+    imaginary sums are unpacked apart, and every digit packed for the row.
+    A key is packed once per width, as far as the terms of that width reach,
+    at the first plan entry that reads it, and dropped after the last entry
+    that forms a product of it, as is each entry; each operand longer than
+    its term's reach is masked to n digits (`_reach`): that changes it by a
+    multiple of 2**(w*n), which moves only digits at or past the row's last.
 
     Two rows with the same terms and weights are equal: in one call the
     position fixes each term's reach, and so the row's base, length and width,
@@ -181,13 +188,12 @@ def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
         done.setdefault(r, []).append(key)
     packs = {}
 
-    def pack(x, wb):
+    def operand(x, wb, n):
+        m = reach[x, wb][0]
         p = packs.get((x, wb))
         if p is None:
-            n = reach[x, wb][0]
-            re, im = reps[x]
-            p = packs[x, wb] = (n, _pack(re[:n], wb), None if im is None else _pack(im[:n], wb))
-        return p
+            p = packs[x, wb] = _pack(reps[x][:m], wb)
+        return _reach(p, m, wb, n)
 
     out = {}
     for r in range(len(plan)):
@@ -195,20 +201,9 @@ def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
         plan[r] = None  # the entry's terms are not read again
         rr = ii = 0
         for x, y, v, n, _, _, wr, wi in terms:
-            xr, xi = _reach(pack(x, wb), wb, n)
-            yr, yi = _reach(pack(y, wb), wb, n)
-            pr = xr * yr
-            if xi is None:
-                pi = 0 if yi is None else xr * yi
-            elif yi is None:
-                pi = xi * yr
-            else:  # three products (Karatsuba)
-                p2 = xi * yi
-                pi = (xr + xi) * (yr + yi) - pr - p2
-                pr -= p2
-            s = 8 * wb * ((v - base) // g)
-            rr += (wr * pr - wi * pi) << s
-            ii += (wr * pi + wi * pr) << s
+            p = operand(x, wb, n) * operand(y, wb, n) << 8 * wb * ((v - base) // g)
+            rr += wr * p
+            ii += wi * p
         for key in done.pop(r, ()):
             del packs[key]
         row = base, _unpack(rr, wb, nout), _unpack(ii, wb, nout) if complex_row else None
@@ -217,58 +212,44 @@ def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
     return out
 
 
-def _form(re: list, im, keyed: bool) -> tuple:
-    """(key, e, f, parts) for the list x = re + i*im: x = i**e * L and parts =
-    i**f * L, for a list L that depends only on the key.  parts is (re, im),
-    or (im, None) for a purely imaginary list, never copied.  With `keyed`,
-    the key is L's content as tuples built in C: a real list up to sign, and
-    otherwise the unit multiple whose first nonzero entry has re > 0, im >= 0.
-    Without, the key is None and L is parts."""
-    e = 0
-    if im is not None and not any(re):  # i times the real list im
-        re, im, e = im, None, 1
+def _form(part: list, keyed: bool):
+    """(key, e, L) for a real list with a nonzero entry: part = i**e * L, e
+    0 or 2, and L the list packed for the key.  With `keyed`, the key and L
+    are part's content up to sign, its first nonzero entry > 0, as one tuple
+    built in C; without, the key is id(part) and L is part, never copied.
+    None for a list that is all zero."""
+    first = next(filter(None, part), 0)
+    if not first:
+        return None
     if not keyed:
-        return None, e, 0, (re, im)
-    if im is None:
-        if next(filter(None, re), 0) > 0:
-            return tuple(re), e, 0, (re, None)
-        return tuple(map(neg, re)), e + 2, 2, (re, None)
-    r, m = next((r, m) for r, m in zip(re, im) if r or m)
-    if r > 0 <= m:
-        f, key = 0, (tuple(re), tuple(im))
-    elif m > 0:  # L = -i * x
-        f, key = 1, (tuple(im), tuple(map(neg, re)))
-    elif r < 0:  # L = -x
-        f, key = 2, (tuple(map(neg, re)), tuple(map(neg, im)))
-    else:  # L = i * x
-        f, key = 3, (tuple(map(neg, im)), tuple(re))
-    return key, f, f, (re, im)
+        return id(part), 0, part
+    if first > 0:
+        key = tuple(part)
+        return key, 0, key
+    key = tuple(map(neg, part))
+    return key, 2, key
 
 
-def _peak(cache: dict, key: int, re: list, im, n: int) -> tuple:
-    """(the largest |re[t]| or |im[t]| over t < n, and over t < ceil(n/2)),
-    for 0 < n <= len(re) (an im of None is zero).  A list cut shorter reads
-    both from its running maxima; a whole list takes one max/min pass and
-    gives its peak for both.  Either is built once per key and kept in
-    `cache`."""
-    if n < len(re):
+def _peak(cache: dict, key: int, x, n: int) -> tuple:
+    """(the largest |x[t]| over t < n, and over t < ceil(n/2)), for 0 < n <=
+    len(x).  A list cut shorter reads both from its running maxima; a whole
+    list takes one max/min pass and gives its peak for both.  Either is
+    built once per key and kept in `cache`."""
+    if n < len(x):
         m = cache.get(key)
         if m is None:
-            m = map(abs, re) if im is None else map(max, map(abs, re), map(abs, im))
-            m = cache[key] = list(accumulate(m, max))
+            m = cache[key] = list(accumulate(map(abs, x), max))
         return m[n - 1], m[(n - 1) // 2]
     m = cache.get((key, True))
     if m is None:
-        m = max(max(re), -min(re))
-        if im is not None:
-            m = max(m, max(im), -min(im))
+        m = max(max(x), -min(x))
         m = cache[key, True] = m, m
     return m
 
 
-# i**u for u = 0..3: the weight of a pair whose units multiply to i**u.  A
-# term's weight is their sum, a complex number with integer parts no larger
-# than the number of pairs, so every sum is exact
+# i**u for u = 0..3: the weight of a pair of parts whose units multiply to
+# i**u.  A term's weight is their sum, a complex number with integer parts no
+# larger than the number of pairs of parts, so every sum is exact
 _UNIT_WEIGHTS = (1, 1j, -1, -1j)
 
 
@@ -278,33 +259,41 @@ def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
     out, width, complex?, [(key number x, key number y, position, n, digits
     of x used, digits of y used, w_re, w_im)]), x <= y; for each (key
     number, width), the digits to pack and the last entry that forms a
-    product of it; and the (re, im) to pack for each key number.
+    product of it; and the real list to pack for each key number.
 
-    Each list's key number, unit and position are looked up once; a call of
-    one pair keys its lists by identity.  In each row the pairs only sum their
-    units into the weight of their term, the unordered key pair at the pair's
-    position; each term whose weight is not 0 is then offered once (`_term`)
-    for its reach, bound and peak, and a row whose weights repeat an earlier
-    row's only adds its k to that row's entry.  A row's width holds the sum
-    of (|w_re| + |w_im|) * bound over its terms, and the largest peak: a row
-    whose digits all vanish may still pack a large one ([0, 0, 128, 1]
-    times [0, 0, 1, 1] through the third digit).  The peaks are dropped on
-    return."""
+    Each list's parts, with their key numbers and units, and its position
+    are looked up once; a call of one pair keys its parts by identity.  The
+    real part has unit i**0 and the imaginary part i**1, times the sign
+    `_form` takes out, and a part that is all zero is dropped.  In each row
+    the pairs only sum the units of their pairs of parts into the weight of
+    their term, the unordered key pair at the pair's position; each term
+    whose weight is not 0 is then offered once (`_term`) for its reach,
+    bound and peak, and a row whose weights repeat an earlier row's only
+    adds its k to that row's entry.  A row is complex when a list of its
+    pairs is.  A row's width holds the sum of |w_re|*bound over its terms,
+    the sum of |w_im|*bound, and the largest peak: a row whose digits all
+    vanish may still pack a large one ([0, 0, 128, 1] times [0, 0, 1, 1]
+    through the third digit).  The peaks are dropped on return."""
     keyed = sum(map(len, rows.values())) > 1
-    keys = {}  # key -> (key number, power of i that takes L to the key's list)
-    reps = []  # key number -> the (re, im) packed for it
+    keys = {}  # key -> key number
+    reps = []  # key number -> the real list packed for it
     formed = {}  # id of a list -> its form: a list on both sides is keyed once
 
     def form(x):
-        """(key number, power of i that takes the key's list to x, v, complex?)"""
+        """([(key number, unit as a power of i)] of x's parts, v, complex?)"""
         f = formed.get(id(x))
         if f is None:
             v, re, im = x
-            key, e, u, parts = _form(re, im, keyed)
-            n, u0 = keys.setdefault(id(x) if key is None else key, (len(reps), u))
-            if n == len(reps):
-                reps.append(parts)
-            f = formed[id(x)] = n, e - u0, v, im is not None
+            parts = []
+            for part, u in ((re, 0),) if im is None else ((re, 0), (im, 1)):
+                kept = _form(part, keyed)
+                if kept:
+                    key, e, rep = kept
+                    n = keys.setdefault(key, len(reps))
+                    if n == len(reps):
+                        reps.append(rep)
+                    parts.append((n, u + e))
+            f = formed[id(x)] = parts, v, im is not None
         return f
 
     a = {i: form(x) for i, x in a.items()}
@@ -315,13 +304,16 @@ def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
     reach = {}  # (key number, width) -> digits to pack
     for k, pairs in rows.items():
         weights = {}  # (x, y, position), x <= y -> the sum of its pairs' units
-        complex_row = False  # a row is complex when a list of its pairs is
+        complex_row = False
         for i, j in pairs:
-            x, ux, va, cx = a[i]
-            y, uy, vb, cy = b[j]
+            px, va, cx = a[i]
+            py, vb, cy = b[j]
             complex_row = complex_row or cx or cy
-            t = (x, y, va + vb) if x <= y else (y, x, va + vb)
-            weights[t] = weights.get(t, 0) + _UNIT_WEIGHTS[(ux + uy) % 4]
+            v = va + vb
+            for x, ux in px:
+                for y, uy in py:
+                    t = (x, y, v) if x <= y else (y, x, v)
+                    weights[t] = weights.get(t, 0) + _UNIT_WEIGHTS[(ux + uy) % 4]
         sig = frozenset(weights.items())
         if sig in planned:
             if planned[sig]:
@@ -329,7 +321,7 @@ def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
             continue
         live = []
         base, last = top + 1, 0  # the lowest position and the last one a product reaches
-        bound = peak = 0
+        bound_re = bound_im = peak = 0
         for t, w in weights.items():
             if w:
                 term = _term(reps, peaks, *t, top, g)
@@ -343,13 +335,14 @@ def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
                         last = end
                     if p > peak:
                         peak = p
-                    bound += (abs(wr) + abs(wi)) * s
+                    bound_re += abs(wr) * s
+                    bound_im += abs(wi) * s
         planned[sig] = None
         if not live:
             continue
         # the row ends at `top` or where its longest product ends
         nout = (min(top, last) - base) // g + 1
-        wb = _width(bound if bound > peak else peak)
+        wb = _width(max(bound_re, bound_im, peak))
         for x, y, _, _, la, lb, *_ in live:  # this entry is plan[len(plan)]
             reach[x, wb] = max(reach.get((x, wb), (0,))[0], la), len(plan)
             reach[y, wb] = max(reach.get((y, wb), (0,))[0], lb), len(plan)
@@ -377,15 +370,14 @@ def _term(reps: list, peaks: dict, x: int, y: int, v: int, top: int, g: int):
     and a whole list takes a0 = a, so no bound costs a pass of its own.
     Lists that grow, as 1/(q;q)_j does, have a0 and b0 far below a and b.
     A whole product keeps the first bound: with its la + lb - 1 digits in
-    place of n, the halves' bound is at least (min(la, lb) - 2)*a*b.  Both
-    bounds are doubled when x and y are complex."""
+    place of n, the halves' bound is at least (min(la, lb) - 2)*a*b."""
     n = (top - v) // g + 1
-    (xr, xi), (yr, yi) = reps[x], reps[y]
-    la = n if n < len(xr) else len(xr)
-    lb = n if n < len(yr) else len(yr)
+    xs, ys = reps[x], reps[y]
+    la = n if n < len(xs) else len(xs)
+    lb = n if n < len(ys) else len(ys)
     if la <= 0 or lb <= 0:
         return None
-    (a, a0), (b, b0) = _peak(peaks, x, xr, xi, la), _peak(peaks, y, yr, yi, lb)
+    (a, a0), (b, b0) = _peak(peaks, x, xs, la), _peak(peaks, y, ys, lb)
     if not (a and b):
         return None
     bound = (la if la < lb else lb) * a * b
@@ -394,16 +386,10 @@ def _term(reps: list, peaks: dict, x: int, y: int, v: int, top: int, g: int):
         cut = ha * a0 * b + hb * a * b0 + max(n - ha - hb, 0) * a * b
         if cut < bound:
             bound = cut
-    if xi is not None and yi is not None:
-        bound *= 2
     return (x, y, v, n, la, lb), v + g * (la + lb - 2), bound, a if a > b else b
 
 
-def _reach(pack: tuple, wb: int, n: int) -> tuple:
-    """The packed (re, im) of a list packed to pack[0] digits, masked to its
-    low n digits when it is longer."""
-    m, xr, xi = pack
-    if m <= n:
-        return xr, xi
-    mask = (1 << 8 * wb * n) - 1
-    return xr & mask, None if xi is None else xi & mask
+def _reach(p: int, m: int, wb: int, n: int) -> int:
+    """A list packed to m digits as p, masked to its low n digits when it
+    is longer."""
+    return p if m <= n else p & (1 << 8 * wb * n) - 1

@@ -76,6 +76,7 @@ DIGESTS = {
     "conv_real 4096": "6881c8e6e172d8fb",
     "conv_complex 4096": "9c67632ef7b8f7b4",
     "conv_real 1024 wide": "c6b3ea05032bf160",
+    "conv_complex 1024 generic": "8a4ad9a47db63599",
     "cao-wang-1-2-3 @60": "a4986ecca98eb252",
     "cao-wang-1-2-3 @480": "1e60ffa19da8c9d2",
     "double-mod10-2-8 @120": "597efede089258dc",
@@ -130,6 +131,11 @@ def _rows():
     a = [rng.randint(-m, m) for _ in range(n)]
     b = [rng.randint(-m, m) for _ in range(n)]
     yield "kernel", "conv_real %d wide" % n, partial(_pair, (0, a, None), (0, b, None), n), REPEATS, None
+    # (a + ib)*(b + ia) above cancels its cross terms; a generic complex
+    # product has four independent parts, drawn apart from the rows above
+    rng = random.Random(4)
+    ar, ai, br, bi = ([rng.randint(-9, 9) for _ in range(n)] for _ in range(4))
+    yield "kernel", "conv_complex %d generic" % n, partial(_pair, (0, ar, ai), (0, br, bi), n), REPEATS, None
 
     sums = ("cao_wang_1_2_3", SUM_ORDER), ("cao_wang_1_2_3", CAO_WANG_ORDER)
     for name, order in sums + (("double_mod10_2_8", VERIFY_ORDER), ("double_mod5_1_4", CORPUS_ORDER)):

@@ -13,6 +13,7 @@ SMALL_DIGESTS = {
     "conv_real 8": "d504087795c048ab",
     "conv_complex 8": "77d217321cd2b483",
     "conv_real 8 wide": "aa13a38a954d4947",
+    "conv_complex 8 generic": "1ea34861bef4385b",
     "cao-wang-1-2-3 @5": "e1f90d0c360acb3c",
     "cao-wang-1-2-3 @7": "9e3c7e24a6efb283",
     "double-mod10-2-8 @6": "7eedc29b433c0ef0",
@@ -32,6 +33,15 @@ SMALL_DIGESTS = {
     "z pair jtp @8": "74a69d324d37df98",
     "corpus.load_all": "b02a91116d3cb8cc",
 }
+
+KERNEL_ROWS = [
+    "conv_real 3",
+    "conv_complex 3",
+    "conv_real 8",
+    "conv_complex 8",
+    "conv_real 8 wide",
+    "conv_complex 8 generic",
+]
 
 
 @pytest.fixture
@@ -67,8 +77,7 @@ def test_bench_runs_at_small_sizes(small):
 
 def _assert_every_row(rows):
     assert list(rows) == ["kernel", "sum", "verify", "updates", "zseries", "setup", "large"]
-    kernel = ["conv_real 3", "conv_complex 3", "conv_real 8", "conv_complex 8", "conv_real 8 wide"]
-    assert list(rows["kernel"]) == kernel
+    assert list(rows["kernel"]) == KERNEL_ROWS
     assert list(rows["sum"]) == [
         "cao-wang-1-2-3 @5",
         "cao-wang-1-2-3 @7",
@@ -205,5 +214,5 @@ def test_bench_names_a_perturbed_kernel_result_and_exits_1(small, tmp_path, monk
     assert bench.main(["--json", str(path)], out=lambda line: None) == 1
     _assert_every_row(json.loads(path.read_text()))
     named = capsys.readouterr().err.splitlines()
-    for label in ("conv_real 3", "conv_complex 3", "conv_real 8", "conv_complex 8", "conv_real 8 wide"):
+    for label in KERNEL_ROWS:
         assert "python -m qrr.bench: wrong result in row %r" % ("kernel: " + label) in named

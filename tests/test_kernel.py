@@ -15,7 +15,9 @@ from qrr import _kernel_py, special
 from qrr._kernel_py import _pack, _plan_rows, _reach, _term, _tops, _unpack, _width, conv_rows
 from qrr.gaussian import MINUS_ONE, ZERO, GaussianInt
 from qrr.oracle import dense_mul
+from qrr.replay import chain_passes, replay_1_5, replay_1_8
 from qrr.series import Monomial, qmono
+from qrr.special import jtp_check
 from qrr.zseries import euler_z_product
 
 BITS = (1, 64, 300)
@@ -246,21 +248,26 @@ def test_width_bounds_only_the_digits_a_pair_reaches(complex_a):
     # ha*a0*b + hb*a*b0 + (n - ha - hb)*a*b from the maxima a0, b0 over the
     # first halves of the digits used (a list used whole gives its peak),
     # capped by min(la, lb)*a*b, and a whole product the cap, here from all
-    # of a
+    # of a.  A complex a is two keys, its real and imaginary parts, whose
+    # terms have weights 1 and i: the row's real digits take the first
+    # term's bound, its imaginary digits the second's, and the width holds
+    # both
     big = 1 << 200
     a = [3, -5, 2, big]
     ai = [0, 1, 0, -big] if complex_a else None
     b = [7, 1, -1]
-    for top, la, lb, bound in (
-        (1, 2, 2, 3 * 7 + 5 * 7),  # a0 = 3, b0 = 7: below the cap 2*5*7
-        (2, 3, 3, 3 * 5 * 7),  # b whole, b0 = 7: 2*5*7 + 2*5*7 is larger
-        (5, 4, 3, 3 * big * 7),
+    for top, la, lb, bound, bound_im in (
+        (1, 2, 2, 3 * 7 + 5 * 7, 1 * 7),  # a0 = 3, b0 = 7: below the cap 2*5*7; im: a0 = 0
+        (2, 3, 3, 3 * 5 * 7, 3 * 1 * 7),  # b whole, b0 = 7: 2*5*7 + 2*5*7 is larger
+        (5, 4, 3, 3 * big * 7, 3 * big * 7),
     ):
         plan, _, reps = _plan_rows({0: (0, a, ai)}, {0: (0, b, None)}, {0: [(0, 0)]}, top, 1)
         ((_, _, _, wb, _, terms),) = plan
-        assert terms[0][4:6] == (la, lb)
-        assert _term(reps, {}, 0, 1, 0, top, 1)[2] == bound
-        assert wb == _width(bound)
+        bounds = [bound, bound_im] if complex_a else [bound]
+        assert [t[4:6] for t in terms] == [(la, lb)] * len(bounds)
+        assert [t[6:] for t in terms] == [(1, 0), (0, 1)][: len(bounds)]
+        assert [_term(reps, {}, *t[:3], top, 1)[2] for t in terms] == bounds
+        assert wb == _width(max(bounds))
         got = conv_complex(a, ai, b, None, top + 1) if complex_a else (conv_real(a, b, top + 1), None)
         want = _truncated(a, b, top + 1), ai and _truncated(ai, b, top + 1)
         assert got == want
@@ -269,16 +276,12 @@ def test_width_bounds_only_the_digits_a_pair_reaches(complex_a):
 def _old_width(terms, reps):
     """The width of the rule that paired the largest entries of both lists:
     the largest |x|*|y| over the digits the terms reach, times the sum of
-    (|w_re| + |w_im|)*min(la, lb), doubled when a complex list meets one."""
+    (|w_re| + |w_im|)*min(la, lb)."""
     big = count = 0
-    doubled = False
     for x, y, _, _, la, lb, wr, wi in terms:
-        (xr, xi), (yr, yi) = reps[x], reps[y]
-        peak = [max(map(abs, xr[:la] + (xi or [])[:la])), max(map(abs, yr[:lb] + (yi or [])[:lb]))]
-        big = max(big, peak[0] * peak[1])
+        big = max(big, max(map(abs, reps[x][:la])) * max(map(abs, reps[y][:lb])))
         count += (abs(wr) + abs(wi)) * min(la, lb)
-        doubled = doubled or (xi is not None and yi is not None)
-    return _width((2 * big if doubled else big) * count)
+    return _width(big * count)
 
 
 def _fits(digits, wb):
@@ -337,24 +340,46 @@ def kernel_windows(draw):
     return a, b, rows, draw(st.integers(0, 30))
 
 
+# real parts keyed across lists: R and S are the parts of one complex list
+# and real lists of the other window
+_R, _S, _T, _U = [3, -1, 4, 1 << 70], [2, 7, -1, 8], [-6, 0, 5, 3], [1, -8, 0, 2]
+_ZERO = [0, 0, 0, 0]
+
+
 @settings(max_examples=200, deadline=None)
-@given(kernel_windows())
-@example(({0: (0, [0, 0, 0, 0, 0, 0, 128], None)}, {0: (0, [0, 1], None)}, {0: [(0, 0)]}, 6))
-@example(({0: (0, [0, 0, 128, 1], None)}, {0: (0, [0, 0, 1, 1], None)}, {0: [(0, 0)]}, 2))
-def test_every_row_matches_the_oracle_and_every_packed_digit_fits(case):
+@given(kernel_windows(), st.none())
+@example(({0: (0, [0, 0, 0, 0, 0, 0, 128], None)}, {0: (0, [0, 1], None)}, {0: [(0, 0)]}, 6), None)
+@example(({0: (0, [0, 0, 128, 1], None)}, {0: (0, [0, 0, 1, 1], None)}, {0: [(0, 0)]}, 2), None)
+# (R + iS)*S + (R + iS)*R: terms R*S of weight 1 + i, S*S of i and R*R of 1
+@example(({0: (0, _R, _S)}, {0: (0, _S, None), 1: (0, _R, None)}, {0: [(0, 0), (0, 1)]}, 5), (3, 2))
+# (R - iS)*S + (R - iS)*R: -S is S of unit -1
+@example(({0: (0, _R, [-x for x in _S])}, {0: (0, _S, None), 1: (0, _R, None)}, {0: [(0, 0), (0, 1)]}, 5), (3, 2))
+# (0 + iS)*(R + 0i) and R*(R + 0i): the zero parts are dropped
+@example(({0: (0, _ZERO, _S), 1: (1, _R, None)}, {0: (0, _R, _ZERO)}, {0: [(0, 0)], 1: [(1, 0)]}, 5), (2, 2))
+# (R + iS)*(S + iR) = i(R*R + S*S): the two R*S terms cancel
+@example(({0: (0, _R, _S)}, {0: (0, _S, _R)}, {0: [(0, 0)]}, 5), (2, 2))
+# two complex lists with no part in common: four products
+@example(({0: (0, _R, _S)}, {0: (0, _T, _U)}, {0: [(0, 0)]}, 5), (4, 4))
+def test_every_row_matches_the_oracle_and_every_packed_digit_fits(case, work):
     # a bound on a row's output digits alone can sit below an operand's
     # peak: [0, 0, 128, 1] times [0, 0, 1, 1] through q**2 has no nonzero
     # digit and a zero bound, yet 128 must be packed; so each width also
     # holds every digit packed for its row, and none is wider than the rule
-    # that paired both lists' largest entries
+    # that paired both lists' largest entries.  `work`, when given, is the
+    # (bignum products formed, keys planned) of the call
     a, b, rows, top = case
     packed = []
+    reached = []
 
     def pack(digits, wb):
         packed.append(_fits(digits, wb))
         return _pack(digits, wb)
 
-    with mock.patch.object(_kernel_py, "_pack", pack):
+    def reach(*args):  # called once for each operand of each product
+        reached.append(args)
+        return _reach(*args)
+
+    with mock.patch.object(_kernel_py, "_pack", pack), mock.patch.object(_kernel_py, "_reach", reach):
         got = conv_rows(a, b, rows, top, 1)
     assert all(packed)
     for k, pairs in rows.items():
@@ -362,6 +387,8 @@ def test_every_row_matches_the_oracle_and_every_packed_digit_fits(case):
     plan, _, reps = _plan_rows(a, b, rows, top, 1)
     for _, _, _, wb, _, terms in plan:
         assert wb <= _old_width(terms, reps)
+    if work is not None:
+        assert (len(reached) // 2, len(reps)) == work
 
 
 def test_no_row_of_the_triple_products_euler_pair_is_wider_than_8_bytes():
@@ -393,16 +420,15 @@ def test_reach_cuts_an_operand_to_its_pairs_digits():
         for length in (1, 2, 9):
             m = 1 << (8 * wb - 2)
             re = [rng.randint(-m, m) for _ in range(length)]
-            im = [-x for x in re]
-            x = _pack(re, wb)
-            for n in range(1, length + 3):
-                xr, xi = _reach((length, x, _pack(im, wb)), wb, n)
-                if n >= length:
-                    assert (xr, xi) == (x, _pack(im, wb))
-                    continue
-                for y, want in ((xr, re), (xi, im)):
+            for digits in (re, [-x for x in re]):
+                x = _pack(digits, wb)
+                for n in range(1, length + 3):
+                    y = _reach(x, length, wb, n)
+                    if n >= length:
+                        assert y == x
+                        continue
                     assert 0 <= y < 1 << 8 * wb * n
-                    assert _unpack(y, wb, n) == want[:n]
+                    assert _unpack(y, wb, n) == digits[:n]
 
 
 def _operand(rng, kind, bits):
@@ -480,3 +506,35 @@ def test_a_window_times_its_z_to_minus_z_twist_forms_no_odd_row(c):
     assert set(got) == set(range(0, 13, 2))
     for k, pairs in rows.items():
         assert _row_terms(got.get(k)) == _schoolbook(a, b, pairs, top), k
+
+
+@pytest.mark.parametrize(
+    "run, products",
+    [
+        (lambda: chain_passes(replay_1_5(40)), [21, 5, 5]),
+        (lambda: chain_passes(replay_1_8(40)), [19, 105, 6, 6]),
+        (lambda: jtp_check(120).ok, [16]),
+    ],
+    ids=["replay 1.5 @40", "replay 1.8 @40", "jtp_check @120"],
+)
+def test_z_products_form_one_product_per_term_of_real_lists(monkeypatch, run, products):
+    # every list these products pack is real once its unit of Z[i] is taken
+    # out, so splitting lists into real parts adds no product: each call
+    # forms as many bignum products as when a complex list was one key
+    conv_rows, reach = _kernel_py.conv_rows, _kernel_py._reach
+    reached, formed = [], []
+
+    def spy_reach(*args):  # called once for each operand of each product
+        reached.append(args)
+        return reach(*args)
+
+    def spy_rows(*args):
+        start = len(reached)
+        out = conv_rows(*args)
+        formed.append((len(reached) - start) // 2)
+        return out
+
+    monkeypatch.setattr(_kernel_py, "_reach", spy_reach)
+    monkeypatch.setattr(_kernel_py, "conv_rows", spy_rows)
+    assert run()
+    assert formed == products

@@ -437,8 +437,9 @@ def _assert_product(x, y):
 def test_packed_product_at_the_width_bound(x, y, length):
     # eight slices of `length` equal coefficients x*2**80 and y*2**80: in row
     # z**7 eight pairs land length products each on one digit, and that digit
-    # reaches the width's bound |a|*|b|*count (doubled for complex x complex),
-    # 2**167 here, which needs every byte the width allows
+    # reaches the width's bound, |a|*|b|*count times the summed real or
+    # imaginary parts of the weights, 2**167 here, which needs every byte the
+    # width allows
     big = 2**80
     a = ZSeries({k: QSeries(1, 2 * length, {e: x * big for e in range(length)}) for k in range(8)})
     b = ZSeries({k: QSeries(1, 2 * length, {e: y * big for e in range(length)}) for k in range(8)})
