@@ -25,7 +25,10 @@ planned or multiplied, and the others are multiplied once, one real bignum
 product added to the row's real and imaginary sums with the two parts of
 their weight.  So E(cz)*E(-cz), which holds each term twice in one row,
 plans and forms none of its odd rows and each product of its even rows
-once, and (a + i*b)*(b + i*a) forms a*a and b*b alone.  Rows with the same
+once, and (a + i*b)*(b + i*a) forms a*a and b*b alone.  A call of one pair
+keys its parts by identity, so it cancels such terms only when its two
+operands hold the same list objects; with fresh lists (a + i*b)*(b + i*a)
+takes four real products.  Rows with the same
 terms and weights are one plan entry that lists every row it serves, formed
 once, and each of those rows is its one result (the mirrored rows of
 E(z)*E(1/z), say).  Every entry is two accumulated bignums, unpacked once

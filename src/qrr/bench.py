@@ -131,8 +131,10 @@ def _rows():
     a = [rng.randint(-m, m) for _ in range(n)]
     b = [rng.randint(-m, m) for _ in range(n)]
     yield "kernel", "conv_real %d wide" % n, partial(_pair, (0, a, None), (0, b, None), n), REPEATS, None
-    # (a + ib)*(b + ia) above cancels its cross terms; a generic complex
-    # product has four independent parts, drawn apart from the rows above
+    # (a + ib)*(b + ia) above passes the same lists on both sides, which a
+    # one-pair call keys alike, so it cancels its cross terms; a generic
+    # complex product has four independent parts, drawn apart from the rows
+    # above
     rng = random.Random(4)
     ar, ai, br, bi = ([rng.randint(-9, 9) for _ in range(n)] for _ in range(4))
     yield "kernel", "conv_complex %d generic" % n, partial(_pair, (0, ar, ai), (0, br, bi), n), REPEATS, None

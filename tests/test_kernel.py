@@ -275,13 +275,16 @@ def test_width_bounds_only_the_digits_a_pair_reaches(complex_a):
 
 def _old_width(terms, reps):
     """The width of the rule that paired the largest entries of both lists:
-    the largest |x|*|y| over the digits the terms reach, times the sum of
-    (|w_re| + |w_im|)*min(la, lb)."""
-    big = count = 0
+    the largest |x|*|y| over the digits the terms reach, times the larger of
+    the sums of |w_re|*min(la, lb) and of |w_im|*min(la, lb).  Over the
+    parts of complex lists this is the rule's width on the lists: once for
+    a real or a real x complex row, doubled for complex x complex."""
+    big = count_re = count_im = 0
     for x, y, _, _, la, lb, wr, wi in terms:
         big = max(big, max(map(abs, reps[x][:la])) * max(map(abs, reps[y][:lb])))
-        count += (abs(wr) + abs(wi)) * min(la, lb)
-    return _width(big * count)
+        count_re += abs(wr) * min(la, lb)
+        count_im += abs(wi) * min(la, lb)
+    return _width(big * max(count_re, count_im))
 
 
 def _fits(digits, wb):
@@ -358,6 +361,9 @@ _ZERO = [0, 0, 0, 0]
 @example(({0: (0, _ZERO, _S), 1: (1, _R, None)}, {0: (0, _R, _ZERO)}, {0: [(0, 0)], 1: [(1, 0)]}, 5), (2, 2))
 # (R + iS)*(S + iR) = i(R*R + S*S): the two R*S terms cancel
 @example(({0: (0, _R, _S)}, {0: (0, _S, _R)}, {0: [(0, 0)]}, 5), (2, 2))
+# (R + iR)*T: terms R*T of weight 1 and i, one byte each; a width that
+# summed |w_re| + |w_im| over the terms would hold 200 and take two
+@example(({0: (0, [100], [100])}, {0: (0, [1], None)}, {0: [(0, 0)]}, 0), (2, 3))
 # two complex lists with no part in common: four products
 @example(({0: (0, _R, _S)}, {0: (0, _T, _U)}, {0: [(0, 0)]}, 5), (4, 4))
 def test_every_row_matches_the_oracle_and_every_packed_digit_fits(case, work):
