@@ -15,25 +15,23 @@ Inputs are plain lists of Python ints of any size, and outputs are exact.
 z-slices of two z-series; a single product is a window of one list on each
 side) and sums the products of given pairs into each output row.  Only real
 lists are multiplied: each list is split once into its real part, of unit 1,
-and its imaginary part, of unit i, and a part that is all zero is dropped.  A
-call of more than one pair is planned per key pair, not per pair of lists: it
-keys every part once by its content up to sign, packs one list per key and
-digit width, and in each row sums the Gaussian weights of its pairs' part
-pairs, the products of the two parts' units, into terms (unordered key pair,
-shift).  Only then is a term looked at: one whose weights sum to 0 is not
-planned or multiplied, and the others are multiplied once, one real bignum
-product added to the row's real and imaginary sums with the two parts of
-their weight.  So E(cz)*E(-cz), which holds each term twice in one row,
-plans and forms none of its odd rows and each product of its even rows
-once, and (a + i*b)*(b + i*a) forms a*a and b*b alone.  A call of one pair
-keys its parts by identity, so it cancels such terms only when its two
-operands hold the same list objects; with fresh lists (a + i*b)*(b + i*a)
-takes four real products.  Rows with the same
-terms and weights are one plan entry that lists every row it serves, formed
-once, and each of those rows is its one result (the mirrored rows of
-E(z)*E(1/z), say).  Every entry is two accumulated bignums, unpacked once
-each (the imaginary one only for a row with a complex list).  A complex list
-times a complex list with no part in common takes four real products.
+and its imaginary part, of unit i, and a part that is all zero is dropped.
+Every call is planned per key pair, not per pair of lists: it keys every part
+once by its content up to sign, packs one list per key and digit width, and
+in each row sums the Gaussian weights of its pairs' part pairs, the products
+of the two parts' units, into terms (unordered key pair, shift).  Only then
+is a term looked at: one whose weights sum to 0 is not planned or multiplied,
+and the others are multiplied once, one real bignum product added to the
+row's real and imaginary sums with the two parts of their weight.  So the
+plan, and the products formed, depend on the lists' contents alone, never on
+which list objects a caller passes.  E(cz)*E(-cz), which holds each term
+twice in one row, plans and forms none of its odd rows and each product of
+its even rows once, and (a + i*b)*(b + i*a) forms a*a and b*b alone.  Rows
+with the same terms and weights are one plan entry that lists every row it
+serves, formed once, and each of those rows is its one result (the mirrored
+rows of E(z)*E(1/z), say).  Every entry is two accumulated bignums, unpacked
+once each (the imaginary one only for a row with a complex list).  A complex
+list times a complex list with no part in common takes four real products.
 
 Digits move between lists and ints (`_pack`, `_unpack`) by one of two paths,
 chosen from the digit width wb and the list's length alone.  The per-digit
@@ -156,27 +154,27 @@ def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
 
     Each list is the sum of its parts, re with unit 1 and im with unit i,
     less a part that is all zero, and a pair's product is the sum of the
-    products of their parts.  A call of more than one pair keys each part by
-    its content up to sign (`_form`), and packs one list per key; one pair
-    is keyed by identity.  Each pair of parts is then a term (unordered key
-    pair, position v_a + v_b) with weight u_x*u_y, each part being its unit
-    times its key's packed list (`_plan_rows`).  A term reaches n =
-    (top - v_a - v_b)//g + 1 digits, and one with n <= 0, or with a list
-    that is empty or zero through n digits, adds nothing.  A row sums the
-    weights of its terms first, so a term whose weights sum to 0 is not
-    formed: E(cz)*E(-cz) forms none of its odd rows and each product of its
-    even rows once.  Each other term is one bignum product p, added to the
-    row as w_re*p + i*w_im*p.  Each row's digit width holds the sum over its
-    terms of |w_re| times the term's bound on its digits (`_term`: from the
-    largest entries of its two lists over the digits it reaches, and, when
-    the order cuts the product, over the first half of those of each list it
-    cuts short), the same sum of |w_im| times it, since the real and the
-    imaginary sums are unpacked apart, and every digit packed for the row.
-    A key is packed once per width, as far as the terms of that width reach,
-    at the first plan entry that reads it, and dropped after the last entry
-    that forms a product of it, as is each entry; each operand longer than
-    its term's reach is masked to n digits (`_reach`): that changes it by a
-    multiple of 2**(w*n), which moves only digits at or past the row's last.
+    products of their parts.  Each part is keyed by its content up to sign
+    (`_form`), and one list is packed per key.  Each pair of parts is then a
+    term (unordered key pair, position v_a + v_b) with weight u_x*u_y, each
+    part being its unit times its key's packed list (`_plan_rows`).  A term
+    reaches n = (top - v_a - v_b)//g + 1 digits, and one with n <= 0, or
+    with a list that is empty or zero through n digits, adds nothing.  A row
+    sums the weights of its terms first, so a term whose weights sum to 0 is
+    not formed: E(cz)*E(-cz) forms none of its odd rows and each product of
+    its even rows once.  Each other term is one bignum product p, added to
+    the row as w_re*p + i*w_im*p.  Each row's digit width holds the sum over
+    its terms of |w_re| times the term's bound on its digits (`_term`: from
+    the largest entries of its two lists over the digits it reaches, and,
+    when the order cuts the product, over the first half of those of each
+    list it cuts short), the same sum of |w_im| times it, since the real and
+    the imaginary sums are unpacked apart, and every digit packed for the
+    row.  A key is packed once per width, as far as the terms of that width
+    reach, at the first plan entry that reads it, and dropped after the last
+    entry that forms a product of it, as is each entry; each operand longer
+    than its term's reach is masked to n digits (`_reach`): that changes it
+    by a multiple of 2**(w*n), which moves only digits at or past the row's
+    last.
 
     Two rows with the same terms and weights are equal: in one call the
     position fixes each term's reach, and so the row's base, length and width,
@@ -215,17 +213,14 @@ def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
     return out
 
 
-def _form(part: list, keyed: bool):
+def _form(part: list):
     """(key, e, L) for a real list with a nonzero entry: part = i**e * L, e
-    0 or 2, and L the list packed for the key.  With `keyed`, the key and L
-    are part's content up to sign, its first nonzero entry > 0, as one tuple
-    built in C; without, the key is id(part) and L is part, never copied.
-    None for a list that is all zero."""
+    0 or 2, and L the list packed for the key.  The key and L are part's
+    content up to sign, its first nonzero entry > 0, as one tuple built in
+    C.  None for a list that is all zero."""
     first = next(filter(None, part), 0)
     if not first:
         return None
-    if not keyed:
-        return id(part), 0, part
     if first > 0:
         key = tuple(part)
         return key, 0, key
@@ -265,19 +260,18 @@ def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
     product of it; and the real list to pack for each key number.
 
     Each list's parts, with their key numbers and units, and its position
-    are looked up once; a call of one pair keys its parts by identity.  The
-    real part has unit i**0 and the imaginary part i**1, times the sign
-    `_form` takes out, and a part that is all zero is dropped.  In each row
-    the pairs only sum the units of their pairs of parts into the weight of
-    their term, the unordered key pair at the pair's position; each term
-    whose weight is not 0 is then offered once (`_term`) for its reach,
-    bound and peak, and a row whose weights repeat an earlier row's only
-    adds its k to that row's entry.  A row is complex when a list of its
-    pairs is.  A row's width holds the sum of |w_re|*bound over its terms,
-    the sum of |w_im|*bound, and the largest peak: a row whose digits all
-    vanish may still pack a large one ([0, 0, 128, 1] times [0, 0, 1, 1]
-    through the third digit).  The peaks are dropped on return."""
-    keyed = sum(map(len, rows.values())) > 1
+    are looked up once.  The real part has unit i**0 and the imaginary part
+    i**1, times the sign `_form` takes out, and a part that is all zero is
+    dropped.  In each row the pairs only sum the units of their pairs of
+    parts into the weight of their term, the unordered key pair at the
+    pair's position; each term whose weight is not 0 is then offered once
+    (`_term`) for its reach, bound and peak, and a row whose weights repeat
+    an earlier row's only adds its k to that row's entry.  A row is complex
+    when a list of its pairs is.  A row's width holds the sum of
+    |w_re|*bound over its terms, the sum of |w_im|*bound, and the largest
+    peak: a row whose digits all vanish may still pack a large one ([0, 0,
+    128, 1] times [0, 0, 1, 1] through the third digit).  The peaks are
+    dropped on return."""
     keys = {}  # key -> key number
     reps = []  # key number -> the real list packed for it
     formed = {}  # id of a list -> its form: a list on both sides is keyed once
@@ -289,7 +283,7 @@ def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
             v, re, im = x
             parts = []
             for part, u in ((re, 0),) if im is None else ((re, 0), (im, 1)):
-                kept = _form(part, keyed)
+                kept = _form(part)
                 if kept:
                     key, e, rep = kept
                     n = keys.setdefault(key, len(reps))

@@ -119,7 +119,11 @@ def _collect_specs(paths: List[str], bounds: Optional[Tuple[int, ...]]) -> List[
         else:
             raise FileNotFoundError("no such file or directory: %s" % p)
         for f in files:
-            specs.extend(parse_file(f.read_text()))
+            try:
+                text = f.read_text(encoding="utf-8")
+            except UnicodeDecodeError as ex:
+                raise OSError("%s is not UTF-8 text (%s at byte %d)" % (f, ex.reason, ex.start)) from None
+            specs.extend(parse_file(text))
     if bounds is not None:
         specs = [dataclasses.replace(s, bounds=bounds) for s in specs]
     return specs

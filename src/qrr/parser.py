@@ -29,6 +29,10 @@ token, naming the exponent polynomial or linear form it sits in.
 
 The imaginary-unit atom "i^..." takes precedence over an index named i, so
 identities that use an i^ sign atom should not name an index "i".
+
+Every rejected text raises ParseError or SemanticError: an exponent nested
+more than _MAX_DEPTH parentheses or binoms deep, and an integer literal too
+long for int(), are ParseErrors at their token.
 """
 
 from __future__ import annotations
@@ -51,6 +55,9 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
+
+# the deepest polyexpr nesting parsed: each level takes a few Python frames
+_MAX_DEPTH = 100
 
 
 class _Token:
@@ -95,6 +102,7 @@ class _Parser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.form = "exponent polynomial"  # what a product past degree 2 is reported as
+        self.depth = 0  # polyexprs open
 
     # -- token plumbing ----------------------------------------------------
 
@@ -127,8 +135,12 @@ class _Parser:
         t = self.peek()
         if t.kind != "int":
             self.error("expected integer", ("INT",))
+        try:
+            value = int(t.text)
+        except ValueError:  # past the interpreter's limit on digits
+            raise ParseError("integer literal of %d digits is too long" % len(t.text), t.line, t.col) from None
         self.next()
-        return int(t.text)
+        return value
 
     def expect_ident(self) -> str:
         t = self.peek()
@@ -340,10 +352,14 @@ class _Parser:
     # exponent polynomials
 
     def parse_polyexpr(self) -> ExponentPoly:
+        if self.depth == _MAX_DEPTH:
+            self.error("expression nested more than %d levels deep" % _MAX_DEPTH)
+        self.depth += 1
         p = self.parse_polyterm(negate=self.accept("-"))
         while self.peek().text in ("+", "-"):
             op = self.next().text
             p = p + self.parse_polyterm(negate=(op == "-"))
+        self.depth -= 1
         return p
 
     def parse_polyterm(self, negate: bool) -> ExponentPoly:

@@ -475,8 +475,8 @@ def _rows(a: dict, b: dict, den: int, top: int, row: Optional[int] = None) -> di
     coefficients.  Every row is one packed accumulation in the kernel
     (qrr._kernel_py.conv_rows) on every g-th entry, spread back onto the
     grid; a series on both sides, or at several keys, is one strided list
-    there.  With more than one pair the kernel plans by content up to a unit
-    of Z[i], and rows that it forms once become one shared series."""
+    there.  The kernel plans by content up to a unit of Z[i], and rows that
+    it forms once become one shared series."""
     a = {i: s for i, s in a.items() if s.re}
     b = {j: t for j, t in b.items() if t.re}
     by_val = sorted(b, key=lambda j: b[j].val)

@@ -84,6 +84,15 @@ def test_verify_parse_error(tmp_path):
     assert code == EXIT_BAD_INPUT
 
 
+@pytest.mark.parametrize("command", ["verify", "table"])
+def test_non_utf8_file_is_bad_input(command, tmp_path, capsys):
+    p = tmp_path / "latin1.id"
+    p.write_bytes(b"# \xe9\n" + (corpus.corpus_root() / "rogers_mod5_1_4.id").read_bytes())
+    code, text = run([command, str(p)])
+    assert (code, text) == (EXIT_BAD_INPUT, "")
+    assert capsys.readouterr().err == "error: %s is not UTF-8 text (invalid continuation byte at byte 2)\n" % p
+
+
 def test_verify_directory_ordering(tmp_path):
     code, text = run(["verify", str(corpus.corpus_root()), "--order", "20"])
     assert code == EXIT_OK

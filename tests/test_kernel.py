@@ -361,9 +361,9 @@ _ZERO = [0, 0, 0, 0]
 @example(({0: (0, _ZERO, _S), 1: (1, _R, None)}, {0: (0, _R, _ZERO)}, {0: [(0, 0)], 1: [(1, 0)]}, 5), (2, 2))
 # (R + iS)*(S + iR) = i(R*R + S*S): the two R*S terms cancel
 @example(({0: (0, _R, _S)}, {0: (0, _S, _R)}, {0: [(0, 0)]}, 5), (2, 2))
-# (R + iR)*T: terms R*T of weight 1 and i, one byte each; a width that
+# (R + iR)*T: [100] is one key of weight 1 + i, one byte; a width that
 # summed |w_re| + |w_im| over the terms would hold 200 and take two
-@example(({0: (0, [100], [100])}, {0: (0, [1], None)}, {0: [(0, 0)]}, 0), (2, 3))
+@example(({0: (0, [100], [100])}, {0: (0, [1], None)}, {0: [(0, 0)]}, 0), (1, 2))
 # two complex lists with no part in common: four products
 @example(({0: (0, _R, _S)}, {0: (0, _T, _U)}, {0: [(0, 0)]}, 5), (4, 4))
 def test_every_row_matches_the_oracle_and_every_packed_digit_fits(case, work):
@@ -395,6 +395,35 @@ def test_every_row_matches_the_oracle_and_every_packed_digit_fits(case, work):
         assert wb <= _old_width(terms, reps)
     if work is not None:
         assert (len(reached) // 2, len(reps)) == work
+
+
+def _fresh(window):
+    """The window with every list replaced by a copy of its own."""
+    return {i: (v, list(re), None if im is None else list(im)) for i, (v, re, im) in window.items()}
+
+
+def _formed(a, b, rows, top):
+    """(conv_rows' rows, the bignum products it forms)."""
+    reached = []
+
+    def reach(*args):  # called once for each operand of each product
+        reached.append(args)
+        return _reach(*args)
+
+    with mock.patch.object(_kernel_py, "_reach", reach):
+        out = conv_rows(a, b, rows, top, 1)
+    return out, len(reached) // 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_windows())
+# (R + iS)*(S + iR) of one pair: shared lists or copies, R*S cancels
+@example(({0: (0, _R, _S)}, {0: (0, _S, _R)}, {0: [(0, 0)]}, 5))
+def test_rows_and_products_depend_on_list_contents_alone(case):
+    # every part is keyed by its content, so fresh copies of every list
+    # give the same rows from the same bignum products
+    a, b, rows, top = case
+    assert _formed(_fresh(a), _fresh(b), rows, top) == _formed(a, b, rows, top)
 
 
 def test_no_row_of_the_triple_products_euler_pair_is_wider_than_8_bytes():

@@ -258,6 +258,37 @@ def test_linform_error_points_at_the_form():
     assert (ei.value.line, ei.value.col) == (6, 25)
 
 
+def _rejected_at(text, line, col, message, tmp_path, capsys):
+    """parse raises a ParseError at (line, col), and `qrr verify` on the
+    text exits 2 with that one-line error and no traceback."""
+    with pytest.raises(ParseError) as ei:
+        parse(text)
+    assert (ei.value.line, ei.value.col) == (line, col)
+    assert message in str(ei.value)
+    path = tmp_path / "hostile.id"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err == "error: %s\n" % ei.value
+
+
+@pytest.mark.parametrize("form", ["(%s)", "binom(%s,2)"])
+def test_deep_nesting_is_a_parse_error(form, tmp_path, capsys):
+    # 10,000 levels would overflow the Python stack of a recursive descent;
+    # the parser stops at the first expression past 100 levels
+    exponent = "m^2"
+    for _ in range(10_000):
+        exponent = form % exponent
+    col = 14 + len(form.split("%")[0]) * 100  # the first token of level 101
+    _rejected_at(TEMPLATE % ("(-1)^k", exponent), 7, col, "nested more than 100 levels deep", tmp_path, capsys)
+
+
+def test_an_over_long_integer_literal_is_a_parse_error(tmp_path, capsys):
+    # 5000 digits are past int()'s limit on a decimal string
+    text = TEMPLATE % ("(-1)^k", "1" * 5000 + "*m^2 + " + SQUARES)
+    _rejected_at(text, 7, 14, "integer literal of 5000 digits is too long", tmp_path, capsys)
+
+
 # -- grammar fuzz ------------------------------------------------------------
 #
 # An expression tree is ("int", c), ("rat", a, b), ("name", x), (op, left,
