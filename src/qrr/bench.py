@@ -36,7 +36,7 @@ from . import _kernel_py, corpus
 from .identity import auto_bounds, eval_product, eval_sum, verify
 from .replay import REPLAYS, chain_passes
 from .gaussian import I, MINUS_I, MINUS_ONE
-from .series import Monomial, poch_infinite, qmono
+from .series import Monomial, poch_finite, poch_infinite, qmono
 from .special import jtp_check, rogers_szego_bw, rogers_szego_def, rs_at
 from .zseries import _euler_z_pair, euler_z_inverse, euler_z_product
 
@@ -89,6 +89,7 @@ DIGESTS = {
     "rs_at 40 t=i*q^(1/2) @420": "519bce8ad9dcff73",
     "rogers_szego_def 40 @420": "9e7d79b59a7a4f40",
     "poch_infinite (q;q) @2000": "3a3dc81213beba6f",
+    "poch_finite (q;q)_1000 @2000": "a495ac8f8119a27f",
     "eval_product cao-wang-1-2-3 @1000": "11cbe7d5227ec5f6",
     "z builders @80": "96ac7263ee0bcec0",
     "z product 1.8 @80": "22bbc3113371c691",
@@ -164,6 +165,11 @@ def _rows():
     # one family of step 1, all but isqrt(n) factors in its Euler tail
     label = "poch_infinite (q;q) @%s" % PRODUCT_ORDER
     yield "updates", label, partial(poch_infinite, q, q, PRODUCT_ORDER), 3, None
+    # a finite family of N = order/2 factors: two Euler tails at 2000, the
+    # second, (q^(N+1); q)_inf, inside the order
+    n = PRODUCT_ORDER // 2
+    label = "poch_finite (q;q)_%d @%s" % (n, PRODUCT_ORDER)
+    yield "updates", label, partial(poch_finite, q, q, n, PRODUCT_ORDER), 3, None
     # numerator tails of unit -1 beside the divisor (-q^6; q^6)_inf
     spec = corpus.load("cao_wang_1_2_3")
     label = "eval_product %s @%s" % (spec.name, CAO_WANG_PRODUCT_ORDER)

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 
 from . import corpus
-from .errors import QrrError
+from .errors import ParseError, QrrError, SemanticError
 from .identity import IdentitySpec, VerifyReport, eval_product, eval_sum, verify
 from .parser import parse_file
 from .quadform import as_matrix
@@ -104,7 +104,8 @@ def _parse_order(text: str) -> Fraction:
 
 def _collect_specs(paths: List[str], bounds: Optional[Tuple[int, ...]]) -> List[IdentitySpec]:
     """Load identity specs from files/directories, or the shipped corpus if
-    no paths are given.  Raises on I/O, parse, and semantic errors."""
+    no paths are given.  Raises on I/O, parse, and semantic errors; a parse
+    or semantic error names its file."""
     specs: List[IdentitySpec] = []
     if not paths:
         specs = corpus.load_all()
@@ -123,7 +124,11 @@ def _collect_specs(paths: List[str], bounds: Optional[Tuple[int, ...]]) -> List[
                 text = f.read_text(encoding="utf-8")
             except UnicodeDecodeError as ex:
                 raise OSError("%s is not UTF-8 text (%s at byte %d)" % (f, ex.reason, ex.start)) from None
-            specs.extend(parse_file(text))
+            try:
+                specs.extend(parse_file(text))
+            except (ParseError, SemanticError) as ex:
+                ex.args = ("%s: %s" % (f, ex),)  # among several files, name the one that failed
+                raise
     if bounds is not None:
         specs = [dataclasses.replace(s, bounds=bounds) for s in specs]
     return specs

@@ -431,12 +431,12 @@ def _fixed(row: list, c: int, lin: list, d: int, t: int) -> int:
 
 def eval_product(spec: IdentitySpec, order) -> QSeries:
     """Exact truncated expansion of the product side (qrr.series._poch): one
-    in-place binomial step per factor 1 - x*b**k of a finite family and per
-    head factor of an infinite one, its first K = isqrt(n/m) for b = q**m
-    and n the scaled order, taken from the largest exponent down so that
-    each walks only the entries past the factors already applied.  The rest
-    of an infinite family, (y; b)_inf for y = x*b**K, is Euler's sum
-    1/(y; b)_inf = sum y**l/(b; b)_l or (y; b)_inf =
+    in-place binomial step per head factor 1 - x*b**k of a family, its first
+    K = max(1, isqrt(n/m)) for b = q**m and n the scaled order, taken from
+    the largest exponent down, and per factor of a finite family of at most
+    3K factors.  The rest of a family, (y; b)_inf for y = x*b**K, over
+    (x*b**N; b)_inf for a finite (x; b)_N whose x*b**N lies within the
+    order, is Euler's sum 1/(y; b)_inf = sum y**l/(b; b)_l or (y; b)_inf =
     sum (-1)**l b**(l(l-1)/2) y**l/(b; b)_l, folded by Horner's rule as the
     sum side folds (series._fold), one division per term; there is no
     series multiply or inverse.  It lives on the grid of the order and

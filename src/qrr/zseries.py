@@ -72,7 +72,7 @@ from typing import Dict, Optional
 from .errors import DivergentEmbedding, NegativeExponent
 from .gaussian import UNITS, GaussianInt, binom2, is_unit, unit_pow
 from .quadform import _interval
-from .series import Monomial, QSeries, _as_order, _fold, _grid, _rows, _spread, inv_poch_table
+from .series import Monomial, QSeries, _as_order, _fold, _grid, _rows, _spread, _times, inv_poch_table
 
 
 def _fit(s: QSeries, den: int, order: int) -> QSeries:
@@ -80,21 +80,6 @@ def _fit(s: QSeries, den: int, order: int) -> QSeries:
     which s's own order on that grid may not undercut."""
     s = s.rescale(den)
     return s if s.order == order else QSeries._of(den, order, s.val, s.re, s.im)
-
-
-def _unit_times(p: int, re: list, im: Optional[list]):
-    """(re + i*im) * i**p as a pair of lists (an im of None is zero): the
-    lists themselves, negated, or swapped with one side negated."""
-    if p == 0:
-        return re, im
-    if p == 2:
-        return [-x for x in re], None if im is None else [-y for y in im]
-    # i*(x + i*y) = -y + i*x and -i*(x + i*y) = y - i*x
-    if im is None:
-        nre = [0] * len(re)
-    else:
-        nre = [-y for y in im] if p == 1 else im
-    return nre, re if p == 1 else [-x for x in re]
 
 
 def _fit_slices(coeff: Dict[int, QSeries], den: int, order: int) -> Dict[int, QSeries]:
@@ -323,7 +308,8 @@ def _euler_z(c: Monomial, b: Monomial, eps: int, order) -> "ZSeries":
     coeff = {}
     for n, (v, s) in enumerate(zip(vals, table)):
         cut = (top - v) // be + 1
-        re, im = _unit_times((pc * n + pb * eps * binom2(n)) % 4, s.re[:cut], None if s.im is None else s.im[:cut])
+        unit = UNITS[(pc * n + pb * eps * binom2(n)) % 4]
+        re, im = _times(s.re[:cut], None if s.im is None else s.im[:cut], *unit)
         coeff[n] = QSeries._of(den, top, v, _spread(re, be), None if im is None else _spread(im, be))
     return ZSeries._fitted(coeff, den, top)
 

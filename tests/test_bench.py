@@ -26,6 +26,7 @@ SMALL_DIGESTS = {
     "rs_at 5 t=i*q^(1/2) @7": "68e1b5434a91bf77",
     "rogers_szego_def 5 @7": "35d9431b9f2a4542",
     "poch_infinite (q;q) @9": "f218f062b4260f65",
+    "poch_finite (q;q)_4 @9": "182b1c8c44d62ba5",
     "eval_product cao-wang-1-2-3 @11": "dd441af779d1f2ea",
     "z builders @6": "633d94a4a86a258a",
     "z product 1.8 @6": "1100a75fb40d59d5",
@@ -95,6 +96,7 @@ def _assert_every_row(rows):
         "eval_product rogers-mod5-1-4 @9",
         "eval_product double-mod5-1-4 @9",
         "poch_infinite (q;q) @9",
+        "poch_finite (q;q)_4 @9",
         "eval_product cao-wang-1-2-3 @11",
         "rogers_szego_def 5 @7",
     ]

@@ -93,6 +93,27 @@ def test_non_utf8_file_is_bad_input(command, tmp_path, capsys):
     assert capsys.readouterr().err == "error: %s is not UTF-8 text (invalid continuation byte at byte 2)\n" % p
 
 
+@pytest.mark.parametrize("command", ["verify", "table"])
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (
+            "exponent n^2;",
+            "exponent n^2 +;",
+            "line 6, col 19: expected polynomial factor, got ';' (expected INT, IDENT, binom, ()",
+        ),
+        ("indices n;", "indices q;", "index name 'q' is reserved"),
+    ],
+)
+def test_an_error_in_the_second_of_two_files_names_that_file(command, old, new, message, tmp_path, capsys):
+    good = corpus_path("rogers_mod5_1_4")
+    bad = tmp_path / "bad.id"
+    bad.write_text(Path(good).read_text().replace(old, new))
+    code, text = run([command, good, str(bad), "--order", "6"])
+    assert (code, text) == (EXIT_BAD_INPUT, "")
+    assert capsys.readouterr().err == "error: %s: %s\n" % (bad, message)
+
+
 def test_verify_directory_ordering(tmp_path):
     code, text = run(["verify", str(corpus.corpus_root()), "--order", "20"])
     assert code == EXIT_OK

@@ -260,7 +260,8 @@ def test_linform_error_points_at_the_form():
 
 def _rejected_at(text, line, col, message, tmp_path, capsys):
     """parse raises a ParseError at (line, col), and `qrr verify` on the
-    text exits 2 with that one-line error and no traceback."""
+    text exits 2 with that one-line error after the file's path, and no
+    traceback."""
     with pytest.raises(ParseError) as ei:
         parse(text)
     assert (ei.value.line, ei.value.col) == (line, col)
@@ -269,7 +270,7 @@ def _rejected_at(text, line, col, message, tmp_path, capsys):
     path.write_text(text)
     assert main(["verify", str(path)]) == EXIT_BAD_INPUT
     err = capsys.readouterr().err
-    assert err == "error: %s\n" % ei.value
+    assert err == "error: %s: %s\n" % (path, ei.value)
 
 
 @pytest.mark.parametrize("form", ["(%s)", "binom(%s,2)"])

@@ -23,6 +23,7 @@ from qrr.series import (
     _poch,
     _tail,
     _unit_div,
+    _unit_mul,
     inv_poch_table,
     poch_finite,
     poch_infinite,
@@ -437,7 +438,7 @@ def padded_division(s, unit, k):
     pad = [0] * (n - len(s.re))
     im = s.im if s.im is not None or not unit[1] else [0] * len(s.re)
     re, im = s.re + pad, None if im is None else im + pad
-    _divide(re, im, k, unit, 0)
+    _divide(re, im, k, unit)
     return QSeries._of(s.den, s.order, s.val, re, im)
 
 
@@ -515,6 +516,29 @@ def test_product_sides_expand_each_infinite_tail_by_eulers_sum(monkeypatch):
     assert len(seen) <= 100 and sum(seen) <= 150_000, (len(seen), sum(seen))
 
 
+def test_a_long_finite_family_ends_in_euler_tails(monkeypatch):
+    # (q; q)_2000 at 2000: its first 44 factors are binomial steps and the
+    # rest, (q^45; q)_inf over (q^2001; q)_inf, is one Euler tail, since
+    # q^2001 lies past the order; one binomial step per factor takes 2000
+    # `_unit_mul` calls over 999,000 entries
+    q = qmono(1)
+    want = poch_infinite(q, q, 2000)
+    divs, muls = [], []
+
+    def spy_unit_div(x, k, u, start=0):
+        divs.append(k)
+        return _unit_div(x, k, u, start)
+
+    def spy_unit_mul(re, im, k, unit):
+        muls.append(k)
+        return _unit_mul(re, im, k, unit)
+
+    monkeypatch.setattr("qrr.series._unit_div", spy_unit_div)
+    monkeypatch.setattr("qrr.series._unit_mul", spy_unit_mul)
+    assert poch_finite(q, q, 2000, 2000) == want
+    assert len(divs) <= 32 and len(muls) <= 44, (len(divs), len(muls))
+
+
 def forward_tail(re, im, e, unit, power, m):
     """The Euler tail (y; q**m)_inf**power, y = unit*q**e, as it was first
     taken, forward term by term: term l's lists are term l-1's cut to the
@@ -529,7 +553,7 @@ def forward_tail(re, im, e, unit, power, m):
         del pr[n - d :]
         if pi is not None:
             del pi[n - d :]
-        _divide(pr, pi, l * m, ONE, 0)
+        _divide(pr, pi, l * m, ONE)
         cr, ci = c
         if ci:  # (+-i)*(x + i*y) = -+y +- i*x
             re[d:] = map(sub if ci > 0 else add, re[d:], pi)
@@ -681,6 +705,28 @@ monomials = st.builds(
     Monomial(I, F(1, 4)),
     3,
 )
+# finite families past 3K factors, K = isqrt(n // m): K binomial steps, the
+# tail from x*b**K and, when x*b**N lies within the order, the tail from
+# there at the opposite power.  On grid 2 at 60 (n = 120, m = 2, 3K = 21):
+# the numerator (q; q)_30, whose x*b**N = q^31 is inside, and the divisor
+# (-q^(1/2); q)_70, whose q^(141/2) is past
+@example(
+    F(60),
+    [(qmono(1), qmono(1), 30, 1), (Monomial(MINUS_ONE, F(1, 2)), qmono(1), 70, -1)],
+    qmono(1),
+    0,
+)
+# units +-i: the divisor (i*q; q)_40 at 60, its x*b**N = i*q^41 inside, and
+# on grid 2 the numerator (-i*q^2; q^(1/2))_150 (3K = 30), past
+@example(
+    F(60),
+    [(Monomial(I, F(1)), qmono(1), 40, -1), (Monomial(MINUS_I, F(2)), qmono(F(1, 2)), 150, 1)],
+    qmono(1),
+    0,
+)
+# base q^3 at 60 (3K = 12): 13 factors of the numerator (q; q^3)_13, and
+# the divisor (q^12; q^3)_16, whose x*b**N = q^60 is the order itself
+@example(F(60), [(qmono(1), qmono(3), 13, 1), (qmono(12), qmono(3), 16, -1)], qmono(1), 0)
 def test_poch_and_tables_match_the_fraction_exponent_walk(order, factors, b, n_max):
     assert fields(_poch(order, factors)) == fields(fraction_walk(order, factors)[-1])
     table = fraction_walk(order, [(b, b, n_max, -1)])
