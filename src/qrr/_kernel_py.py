@@ -214,18 +214,16 @@ def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
 
 
 def _form(part: list):
-    """(key, e, L) for a real list with a nonzero entry: part = i**e * L, e
-    0 or 2, and L the list packed for the key.  The key and L are part's
-    content up to sign, its first nonzero entry > 0, as one tuple built in
-    C.  None for a list that is all zero."""
+    """(key, e) for a real list with a nonzero entry: part = i**e * key, e 0
+    or 2, the key being part's content up to sign, its first nonzero entry
+    > 0, as one tuple built in C; it is also the list packed for the key.
+    None for a list that is all zero."""
     first = next(filter(None, part), 0)
     if not first:
         return None
     if first > 0:
-        key = tuple(part)
-        return key, 0, key
-    key = tuple(map(neg, part))
-    return key, 2, key
+        return tuple(part), 0
+    return tuple(map(neg, part)), 2
 
 
 def _peak(cache: dict, key: int, x, n: int) -> tuple:
@@ -285,10 +283,10 @@ def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
             for part, u in ((re, 0),) if im is None else ((re, 0), (im, 1)):
                 kept = _form(part)
                 if kept:
-                    key, e, rep = kept
+                    key, e = kept
                     n = keys.setdefault(key, len(reps))
                     if n == len(reps):
-                        reps.append(rep)
+                        reps.append(key)
                     parts.append((n, u + e))
             f = formed[id(x)] = parts, v, im is not None
         return f

@@ -33,7 +33,7 @@ from .errors import (
     SemanticError,
 )
 from .gaussian import MINUS_ONE, ONE, GaussianInt, i_pow, sign_binom2
-from .quadform import _box, _interval, _minorant
+from .quadform import _interval, _minorant, certified_box
 from .series import Monomial, QSeries, _fold, _grid, _poch, inv_poch_table, qmono
 
 
@@ -188,8 +188,8 @@ class IdentitySpec:
         """Raise SemanticError unless the spec is well formed and its sum side
         finite: explicit nonnegative bounds, one per index, or else a positive
         definite minorant of the exponent's integer form on the orthant
-        (quadform._minorant, as auto_bounds uses; whether one exists does not
-        depend on the order)."""
+        (quadform._minorant, as certified_box uses; whether one exists does
+        not depend on the order, and no box is computed here)."""
         if self.den <= 0:
             raise SemanticError("%s: exponent denominator must be positive" % self.name)
         if len(set(self.indices)) != len(self.indices):
@@ -285,20 +285,9 @@ def _frac_str(x):
 
 def auto_bounds(spec: IdentitySpec, order) -> Tuple[int, ...]:
     """Per-index bounds so every excluded lattice point n >= 0 has exponent >
-    order: the box of the first positive definite minorant of the exponent on
-    the orthant (qrr.quadform._minorant), in integers."""
-    return _auto_box(spec.exponent.integer_form(spec.indices), Fraction(order))
-
-
-def _auto_box(form: tuple, order: Fraction) -> Tuple[int, ...]:
-    """auto_bounds from the exponent's integer form (L, Q, b, c): with d the
-    order's denominator, E <= order is 1/2 n.(dQ).n + (db).n <= d(L*order - c),
-    on which a target of 1 in q-units is L*d."""
-    scale, q, b, c = form
-    d = order.denominator
-    t = scale * order.numerator - c * d
-    m, beta, k = _minorant([[d * x for x in row] for row in q], [d * x for x in b], t, scale * d)
-    return _box(m, beta, k * t)
+    order: qrr.quadform.certified_box of the exponent's integer form, the
+    box that eval_sum enumerates, and at which it cuts explicit bounds."""
+    return certified_box(spec.exponent.integer_form(spec.indices), order)
 
 
 def eval_sum(spec: IdentitySpec, order) -> QSeries:
@@ -321,8 +310,10 @@ def eval_sum(spec: IdentitySpec, order) -> QSeries:
     a series in q^b and so on every (b * D)-th entry of the sum grid, with one
     extended slice straight into the int lists it folds, allocated once from
     its lowest kept exponent; a prefix with no kept point allocates nothing.
-    The outer indices run over the whole box: `bounds` when given, else
-    auto_bounds.
+    The outer indices run over the whole box: auto_bounds, or explicit
+    `bounds` cut at it, since every point outside it has E > order; a form
+    with no minorant runs over its explicit bounds, and its last index's
+    table stops at t = order/b, past which each entry equals the one before.
     """
     nest = _Nest(spec, Fraction(order))
     (start, re, _), *imag = nest.level(0, nest.const, nest.lin, nest.sconst, nest.slin, ()) or [(0, [], 0)]
@@ -336,12 +327,14 @@ class _Nest:
     U = 1/2 n.S.n + slin.n + sconst in integers (sign_poly), taken mod 4.  A
     prefix carries the values of L*E and U on its indices (c, sc) and the
     linear coefficients of the indices still to come (lin, slin).  Only the
-    last index has a 1/(b;b)_t table: one int list per t, the coefficients
-    of 1/(x;x)_t in x = q^b, which sit on every step-th entry of the sum
-    grid.  Every level returns int lists, never a QSeries: its sum as the
-    terms of `series._fold`, (start, re, 0) and, if any sign is imaginary,
-    (start, im, 1), the coefficients at scaled exponents start..n, or [] if
-    no point below it is kept."""
+    last index has a 1/(b;b)_t table: one int list per t up to order/b
+    (`cap`), the coefficients of 1/(x;x)_t in x = q^b, which sit on every
+    step-th entry of the sum grid.  The indices run over the certified box
+    (auto_bounds), explicit bounds being cut at it.  Every level returns int
+    lists, never a QSeries: its sum as the terms of `series._fold`,
+    (start, re, 0) and, if any sign is imaginary, (start, im, 1), the
+    coefficients at scaled exponents start..n, or [] if no point below it is
+    kept."""
 
     def __init__(self, spec: IdentitySpec, order: Fraction):
         form = spec.exponent.integer_form(spec.indices)
@@ -349,7 +342,11 @@ class _Nest:
         self.squad, self.slin, self.sconst = sign_poly(spec.sign, spec.indices)
         self.top = floor(order * self.scale)  # L*E <= top exactly when E <= order
         self.spec = spec
-        self.bounds = _auto_box(form, order) if spec.bounds is None else spec.bounds
+        try:  # explicit bounds stop at the box: every point past it has E > order
+            box = certified_box(form, order)
+            self.bounds = box if spec.bounds is None else tuple(map(min, spec.bounds, box))
+        except NotPositiveDefinite:  # validate admitted this form for its explicit bounds
+            self.bounds = spec.bounds
         base_of = dict(spec.denoms)
         self.bases = [base_of[x].exp for x in spec.indices]
         # the sum grid: the declared grid spec.den, which holds the sum's
@@ -359,7 +356,9 @@ class _Nest:
         # q^b_d is steps[d] entries of the sum grid; for the last base b,
         # 1/(q^b;q^b)_t is 1/(x;x)_t in x = q^b, a list on the integers
         self.steps = [int(b * self.den) for b in self.bases]
-        self.table = [t.re for t in inv_poch_table(qmono(1), self.bounds[-1], floor(order / self.bases[-1]))]
+        # entries past order/b equal the one before, so the table stops there
+        self.cap = min(self.bounds[-1], floor(order / self.bases[-1]))
+        self.table = [t.re for t in inv_poch_table(qmono(1), self.cap, floor(order / self.bases[-1]))]
         # the last index's t*t coefficients in L*E and U
         self.a, self.sa = self.quad[-1][-1] // 2, self.squad[-1][-1] // 2
 
@@ -396,6 +395,7 @@ class _Nest:
         sign's power of i mod 4.  Raises at the first point with a negative
         or off-grid exponent; allocates no window."""
         spec, scale, top, den, a, sa = self.spec, self.scale, self.top, self.den, self.a, self.sa
+        table, cap = self.table, self.cap
         if a > 0:
             lo, hi = _interval(a, b, c - top)
             ts = range(max(lo, 0), min(hi, self.bounds[-1]) + 1)
@@ -414,7 +414,7 @@ class _Nest:
                     "%s: exponent %s at %s not representable with den %d"
                     % (spec.name, Fraction(v, scale), point, spec.den)
                 )
-            kept.append((v * den // scale, self.table[t], ((sa * t + sb) * t + sc) % 4))
+            kept.append((v * den // scale, table[min(t, cap)], ((sa * t + sb) * t + sc) % 4))
         return kept
 
 

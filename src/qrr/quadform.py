@@ -1,10 +1,11 @@
-"""Positive-definiteness checks and exact enumeration bounds.
+"""Positive-definiteness checks and the certified enumeration box.
 
-Everything runs in integers: a rational form is first scaled by one common
-denominator, which changes no minor's sign and no ellipsoid.  Sylvester's
-leading minors decide positive definiteness (all principal minors
-semidefiniteness); minorant finds a positive definite form below the exponent
-on the orthant, and the bounding box of its ellipsoid 1/2 n.Q.n + b.n <= t is
+Sylvester's leading minors decide positive definiteness (all principal
+minors semidefiniteness), read exactly from the entries given, ints or
+Fractions.  certified_box, the one route from an exponent and an order to a
+box, runs in integers on the exponent's integer form: _minorant finds a
+positive definite form below the exponent on the orthant, and the bounding
+box of its ellipsoid 1/2 n.Q.n + b.n <= t is
 bound_i = (C_i + isqrt(S_i)) // det Q, with C = -adj(Q).b and
 S_i = (2 t det Q - b.C) * adj(Q)_ii; the integers where a quadratic with
 integer coefficients is <= 0 come from the integer square root of its
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt, lcm
+from math import isqrt
 from typing import Sequence, Tuple
 
 from .errors import NotPositiveDefinite
@@ -36,52 +37,44 @@ def is_symmetric(a: Matrix) -> bool:
     return all(a[i][j] == a[j][i] for i in range(n) for j in range(i + 1, n))
 
 
-def _scaled(q, b=(), target=0) -> tuple:
-    """(s, s*q, s*b, s*target) in integers, s the lcm of the denominators of
-    all their entries (ints included)."""
-    s = lcm(*(x.denominator for row in q for x in row), *(x.denominator for x in b), target.denominator)
-    return s, [[int(x * s) for x in row] for row in q], [int(x * s) for x in b], int(target * s)
-
-
-def _det(a) -> int:
-    """The determinant of a square integer matrix, by its first row (ranks
-    here are tiny)."""
+def _det(a):
+    """The determinant of a square matrix, by its first row (ranks here are
+    tiny): exact on ints and on Fractions."""
     if not a:
         return 1
     return sum((-1) ** j * x * _det([row[:j] + row[j + 1 :] for row in a[1:]]) for j, x in enumerate(a[0]) if x)
 
 
 def _definite(m) -> bool:
-    """Sylvester's criterion on a symmetric integer matrix."""
+    """Sylvester's criterion on a symmetric matrix."""
     return all(_det([row[:k] for row in m[:k]]) > 0 for k in range(1, len(m) + 1))
 
 
 def is_positive_definite(a: Matrix) -> bool:
     """Sylvester's criterion on the leading principal minors."""
-    a = as_matrix(a)
-    return is_symmetric(a) and _definite(_scaled(a)[1])
+    return is_symmetric(a) and _definite(a)
 
 
 def is_positive_semidefinite(a: Matrix) -> bool:
     """Every principal minor, not only the leading ones, is >= 0."""
-    m = _scaled(as_matrix(a))[1]
-    subsets = [s for k in range(len(m)) for s in combinations(range(len(m)), k + 1)]
-    return is_symmetric(m) and all(_det([[m[i][j] for j in s] for i in s]) >= 0 for s in subsets)
+    subsets = [s for k in range(len(a)) for s in combinations(range(len(a)), k + 1)]
+    return is_symmetric(a) and all(_det([[a[i][j] for j in s] for i in s]) >= 0 for s in subsets)
 
 
-def minorant(q: Matrix, b: Sequence, target) -> tuple:
-    """The first positive definite (M, beta) with 1/2 n.M.n + beta.n <= E(n) =
-    1/2 n.Q.n + b.n at each n >= 0 with E(n) <= target, so the box
-    index_bounds(M, beta, target) holds those n; Q itself when it is definite.
-    The candidates are those of `_minorant`, on Q, b and the target scaled to
-    integers; NotPositiveDefinite when none is definite."""
-    q = as_matrix(q)
-    b = [Fraction(x) for x in b]
-    s, qs, bs, t = _scaled(q, b, Fraction(target))
-    m, beta, k = _minorant(qs, bs, t, s)
-    if m is qs:
-        return q, b
-    return [[Fraction(x, s * k) for x in row] for row in m], [Fraction(x, s * k) for x in beta]
+def certified_box(form: tuple, order) -> Tuple[int, ...]:
+    """Per-index bounds such that every lattice point n >= 0 outside them
+    has exponent E > order, from E's integer form (L, Q, b, c) of
+    ExponentPoly.integer_form: the box of the first positive definite
+    minorant of E on the orthant (`_minorant`, `_box`).  With d the order's
+    denominator, E <= order is 1/2 n.(dQ).n + (db).n <= d(L*order - c), on
+    which a target of 1 in q-units is L*d.  NotPositiveDefinite when E has
+    no such minorant."""
+    scale, q, b, c = form
+    order = Fraction(order)
+    d = order.denominator
+    t = scale * order.numerator - c * d
+    m, beta, k = _minorant([[d * x for x in row] for row in q], [d * x for x in b], t, scale * d)
+    return _box(m, beta, k * t)
 
 
 def _minorant(q: list, b: list, t: int, unit: int) -> tuple:
@@ -105,17 +98,6 @@ def _minorant(q: list, b: list, t: int, unit: int) -> tuple:
         if _definite(lift):
             return lift, [0] * len(b), w
     raise NotPositiveDefinite("no positive definite form bounds the exponent below on n >= 0")
-
-
-def index_bounds(q: Matrix, b: Sequence, target) -> tuple:
-    """Per-index upper bounds of the ellipsoid 1/2 n.Q.n + b.n <= target:
-    every point with value <= target has n_i <= bound_i (see `_box`).  An
-    empty ellipsoid gives -1 for every index.  Raises NotPositiveDefinite
-    unless Q is positive definite."""
-    q = as_matrix(q)
-    if not is_positive_definite(q):
-        raise NotPositiveDefinite("matrix fails Sylvester's criterion")
-    return _box(*_scaled(q, [Fraction(x) for x in b], Fraction(target))[1:])
 
 
 def _box(q: list, b: list, t: int) -> tuple:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 from fractions import Fraction as F
+from itertools import permutations
 from itertools import product as iproduct
 
 import pytest
@@ -11,7 +12,7 @@ import qrr.identity
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from qrr import corpus
-from qrr.errors import NegativeExponent, SemanticError
+from qrr.errors import NegativeExponent, QrrError, SemanticError
 from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, UNITS
 from qrr.identity import (
     ExponentPoly,
@@ -366,6 +367,81 @@ def test_explicit_bounds_cut_the_last_index_interval():
         cut = eval_sum(dataclasses.replace(spec, bounds=bounds), order)
         assert cut == unpruned_sum(spec, bounds, order)
         assert cut != eval_sum(spec, order)
+
+
+def _two_index(exponent, bounds):
+    return parse(
+        'identity "t" { den 1; sum { indices m, n; exponent %s; denoms (q; m), (q; n); bounds %s; }'
+        " product { 1/poch(q, q) } }" % (exponent, bounds)
+    )
+
+
+def test_explicit_bounds_stop_at_what_the_order_reaches(monkeypatch):
+    # bounds far past the box do the box's work: the same `kept` calls on
+    # the same last-index table, of at most order/b + 1 entries; a form with
+    # no minorant runs over its bounds, but its table stops at order/b too
+    kept = qrr.identity._Nest.kept
+    tables = []  # the table length at each `kept` call
+
+    def spy(nest, *args):
+        tables.append(len(nest.table))
+        return kept(nest, *args)
+
+    def run(spec, order):
+        tables.clear()
+        return eval_sum(spec, order), list(tables)
+
+    monkeypatch.setattr(qrr.identity._Nest, "kept", spy)
+    for name, order in (("rogers_mod5_1_4", 10), ("double_mod10_2_8", 30), ("cao_wang_1_2_3", 24)):
+        spec = corpus.load(name)
+        box = auto_bounds(spec, order)
+        at_box, work = run(dataclasses.replace(spec, bounds=box), order)
+        far, far_work = run(dataclasses.replace(spec, bounds=(10**6,) * len(box)), order)
+        assert at_box == far == eval_sum(spec, order)
+        assert work == far_work, name
+        assert max(work) <= order / spec.denoms[-1][1].exp + 1, name
+    spec = _two_index("n^2 - m^2 + 5*m", "5, 1000000")  # indefinite: no minorant
+    out, work = run(spec, 10)
+    assert set(work) == {11}
+    assert out == unpruned_sum(spec, (5, 5), 10)
+
+
+@pytest.mark.parametrize(
+    "exponent, bounds, point",
+    [
+        ("m^2 - 3*m + n^2 - m*n", "100000, 100000", "exponent -2 at {'m': 1, 'n': 0}"),  # a minorant
+        ("m^2 - n^2 + 5*n", "30, 7", "exponent -6 at {'m': 0, 'n': 6}"),  # none
+    ],
+)
+def test_explicit_bounds_keep_the_first_bad_point(exponent, bounds, point):
+    with pytest.raises(NegativeExponent) as raised:
+        eval_sum(_two_index(exponent, bounds), 10)
+    assert str(raised.value) == "t: " + point
+
+
+def _sum_or_error(spec, order):
+    try:
+        return eval_sum(spec, order)
+    except QrrError as ex:
+        return type(ex)
+
+
+@pytest.mark.parametrize("order", [60, 120])
+def test_every_index_order_gives_the_same_sum(order):
+    # the sum does not depend on the index order, though the nest's table,
+    # folds and box do; the first bad point is defined in the declared order,
+    # so a sum that has one compares only the error type
+    specs = [*corpus.load_all(), _two_index("m^2 - 3*m + n^2 - m*n", "100000, 100000")]
+    for spec in specs:
+        want = _sum_or_error(spec, order)
+        for perm in permutations(range(len(spec.indices))):
+            permuted = dataclasses.replace(
+                spec,
+                indices=tuple(spec.indices[i] for i in perm),
+                bounds=None if spec.bounds is None else tuple(spec.bounds[i] for i in perm),
+            )
+            assert _sum_or_error(permuted, order) == want, (spec.name, perm)
+    assert want is NegativeExponent
 
 
 # sha256 of json.dumps(eval_sum(spec, order).to_json(), sort_keys=True), first

@@ -13,11 +13,10 @@ from qrr.gaussian import ONE
 from qrr.identity import ExponentPoly, IdentitySpec, auto_bounds, eval_sum
 from qrr.quadform import (
     as_matrix,
-    index_bounds,
+    certified_box,
     is_positive_definite,
     is_positive_semidefinite,
     is_symmetric,
-    minorant,
 )
 from qrr.series import qmono
 
@@ -47,6 +46,28 @@ def test_positive_definite():
     assert is_positive_definite(as_matrix([[2, 1], [1, 2]]))
     assert not is_positive_definite(as_matrix([[1, 1], [1, 1]]))  # singular
     assert not is_positive_definite(as_matrix([[-1]]))
+    assert not is_positive_definite([[1, 2], [0, 1]])  # leading minors 1, 1
+    # the minors are read exactly from the entries given, ints or Fractions
+    assert is_positive_definite([[1, F(999, 1000)], [F(999, 1000), 1]])
+    assert not is_positive_definite([[1, F(1001, 1000)], [F(1001, 1000), 1]])
+    assert is_positive_definite([[10**40, 10**40 - 1], [10**40 - 1, 10**40]])
+
+
+def _box(q, b, target):
+    """certified_box of 1/2 n.q.n + b.n <= target, q symmetric, on the
+    integer form that ExponentPoly builds, as the identity language does."""
+    names = "abcd"[: len(q)]
+    quad = {(x, y): F(q[i][j]) / (2 if i == j else 1) for i, x in enumerate(names) for j, y in enumerate(names) if i <= j}
+    return certified_box(ExponentPoly.make(quad, dict(zip(names, b))).integer_form(names), target)
+
+
+def _minorant(q, b, target):
+    """quadform._minorant on q, b and target scaled by the lcm s of their
+    denominators, as rationals: (M, beta)/(s*k)."""
+    s = math.lcm(*(F(x).denominator for row in q for x in row), *(F(x).denominator for x in b), F(target).denominator)
+    qs, bs = [[int(x * s) for x in row] for row in q], [int(x * s) for x in b]
+    m, beta, k = qrr.quadform._minorant(qs, bs, int(target * s), s)
+    return [[F(x, s * k) for x in row] for row in m], [F(x, s * k) for x in beta]
 
 
 def _twice_value(q, b, n):
@@ -68,42 +89,47 @@ def _lattice_maxima(q, b, target, radius):
 
 def test_index_bounds_rank1_negative_linear_term():
     # n^2 - 3n <= 4 exactly for -1 <= n <= 4; the centre is 3/2
-    assert index_bounds([[2]], [-3], 4) == (4,)
+    assert _box([[2]], [-3], 4) == (4,)
     assert _lattice_maxima([[2]], [-3], 4, 10) == (4,)
     # the minimum -9/4 lies between the lattice points 1 and 2, both at -2
-    assert index_bounds([[2]], [-3], -2) == (2,)
-    assert index_bounds([[2]], [-3], F(-9, 4)) == (1,)  # the real box is {3/2}
+    assert _box([[2]], [-3], -2) == (2,)
+    assert _box([[2]], [-3], F(-9, 4)) == (1,)  # the real box is {3/2}
+    for target in (4, -2, F(-9, 4)):
+        assert _box([[2]], [-3], target) == _rational_index_bounds([[F(2)]], [F(-3)], target)
 
 
 def test_index_bounds_target_below_minimum_is_empty():
-    assert index_bounds([[2]], [-3], -3) == (-1,)
-    assert index_bounds(as_matrix([[2, 1], [1, 2]]), [0, 0], F(-1, 7)) == (-1, -1)
+    assert _box([[2]], [-3], -3) == (-1,)
+    assert _box([[2, 1], [1, 2]], [0, 0], F(-1, 7)) == (-1, -1)
 
 
 def test_index_bounds_rational_entry_form():
     # andrews-uncu-mod6: i^2 + 3ij + 9/2 j^2 + i + 5/2 j
     q, b = as_matrix([[2, 3], [3, 9]]), [F(1), F(5, 2)]
-    assert index_bounds(q, b, 60) == (10, 4)
-    assert index_bounds(q, b, 240) == (21, 10)
+    assert _box(q, b, 60) == (10, 4)
+    assert _box(q, b, 240) == (21, 10)
     for target in (0, 7, 60):
-        got = index_bounds(q, b, target)
+        got = _box(q, b, target)
+        assert got == _rational_index_bounds(q, b, target)
         maxima = _lattice_maxima(q, b, target, 25)
         assert all(m <= g for m, g in zip(maxima, got))
     # double-mod10-2-8: 3/4 m^2 + 1/2 mn + 3/4 n^2; (6, 0) has exponent 27
-    assert index_bounds(as_matrix([[F(3, 2), F(1, 2)], [F(1, 2), F(3, 2)]]), [0, 0], 30) == (6, 6)
+    assert _box(as_matrix([[F(3, 2), F(1, 2)], [F(1, 2), F(3, 2)]]), [0, 0], 30) == (6, 6)
 
 
 def test_index_bounds_a3_form_is_tight():
     a3 = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
     # (Q^-1)_ii = 3/4, 1, 3/4: floor(sqrt(90)) = 9 and floor(sqrt(120)) = 10
-    assert index_bounds(a3, [0, 0, 0], 60) == (9, 10, 9)
+    assert _box(a3, [0, 0, 0], 60) == (9, 10, 9)
     assert _lattice_maxima(a3, [0, 0, 0], 60, 11) == (9, 10, 9)
 
 
 def test_index_bounds_rejects_non_positive_definite():
-    for q in ([[0]], [[-1]], [[1, 1], [1, 1]], [[1, 2], [0, 1]]):
+    # a form with no positive definite minorant on the orthant has no box;
+    # a singular one with a minorant, (m+n)^2/2, has one (see below)
+    for q in ([[0]], [[-1]]):
         with pytest.raises(NotPositiveDefinite):
-            index_bounds(q, [0] * len(q), 10)
+            _box(q, [0], 10)
 
 
 def test_positive_semidefinite_reads_every_principal_minor():
@@ -115,14 +141,18 @@ def test_positive_semidefinite_reads_every_principal_minor():
 
 
 def test_minorant_keeps_a_definite_form_and_drops_positive_off_diagonals():
-    q = as_matrix([[2, 1], [1, 2]])
-    assert minorant(q, [-1, 3], 10) == (q, [-1, 3])
+    q = [[2, 1], [1, 2]]
+    assert qrr.quadform._minorant(q, [-1, 3], 10, 1) == (q, [-1, 3], 1)
+    assert _box(q, [-1, 3], 10) == _rational_index_bounds(*_rational_minorant(as_matrix(q), [-1, 3], 10), 10)
     # singular; without its positive entries definite, and the -1 stays
     q = [[2, 2, -1], [2, 2, 0], [-1, 0, 2]]
-    assert minorant(q, [1, -1, 0], 10) == ([[2, 0, -1], [0, 2, 0], [-1, 0, 2]], [1, -1, 0])
+    dropped = [[2, 0, -1], [0, 2, 0], [-1, 0, 2]]
+    assert qrr.quadform._minorant(q, [1, -1, 0], 10, 1) == (dropped, [1, -1, 0], 1)
+    assert _rational_minorant(as_matrix(q), [1, -1, 0], 10) == (dropped, [1, -1, 0])
+    assert _box(q, [1, -1, 0], 10) == _rational_index_bounds(as_matrix(dropped), [1, -1, 0], 10)
     # (m+n)^2/2: its diagonal alone bounds each index
-    m, beta = minorant([[1, 1], [1, 1]], [0, 0], 240)
-    assert index_bounds(m, beta, 240) == _orthant_maxima([[1, 1], [1, 1]], [0, 0], 240, 25) == (21, 21)
+    assert _minorant([[1, 1], [1, 1]], [0, 0], 240) == ([[1, 0], [0, 1]], [0, 0])
+    assert _box([[1, 1], [1, 1]], [0, 0], 240) == _orthant_maxima([[1, 1], [1, 1]], [0, 0], 240, 25) == (21, 21)
 
 
 # Cao-Wang's i^2/2 + (i - 2j + 3k)^2/4 + i/2 + 3k: semidefinite, kernel (0, 3, 2)
@@ -141,12 +171,13 @@ def test_minorant_lifts_a_semidefinite_form_with_nonnegative_linear_part():
     # t = max(target, 1)
     for target, t in ((60, 60), (F(1, 2), 1), (0, 1), (-3, 1)):
         lift = [[CAO_Q[i][j] + 2 * CAO_B[i] * CAO_B[j] / F(t) for j in range(3)] for i in range(3)]
-        assert minorant(CAO_Q, CAO_B, target) == (lift, [0, 0, 0])
-    assert index_bounds(*minorant(CAO_Q, CAO_B, 60), 60) == (10, 31, 20)
-    assert index_bounds(*minorant(CAO_Q, CAO_B, 0), 0) == (0, 0, 0)
-    assert index_bounds(*minorant(CAO_Q, CAO_B, -3), -3) == (-1, -1, -1)
+        assert _minorant(CAO_Q, CAO_B, target) == _rational_minorant(CAO_Q, CAO_B, target) == (lift, [0, 0, 0])
+        assert _box(CAO_Q, CAO_B, target) == _rational_index_bounds(lift, [0, 0, 0], target)
+    assert _box(CAO_Q, CAO_B, 60) == (10, 31, 20)
+    assert _box(CAO_Q, CAO_B, 0) == (0, 0, 0)
+    assert _box(CAO_Q, CAO_B, -3) == (-1, -1, -1)
     for target in (F(1, 2), 4, 12):
-        got = index_bounds(*minorant(CAO_Q, CAO_B, target), target)
+        got = _box(CAO_Q, CAO_B, target)
         assert all(m <= g for m, g in zip(_orthant_maxima(CAO_Q, CAO_B, target, 12), got)), target
 
 
@@ -161,8 +192,11 @@ def test_minorant_lifts_a_semidefinite_form_with_nonnegative_linear_part():
 )
 def test_minorant_rejects_forms_with_no_candidate(q, b):
     for target in (0, 10):
+        assert _rational_minorant(as_matrix(q), [F(x) for x in b], target) is None
         with pytest.raises(NotPositiveDefinite):
-            minorant(q, b, target)
+            _minorant(q, b, target)
+        with pytest.raises(NotPositiveDefinite):
+            _box(q, b, target)
 
 
 def test_minorant_tests_semidefiniteness_only_after_both_forms_fail(monkeypatch):
@@ -267,9 +301,10 @@ def box_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(box_cases())
 def test_integer_box_equals_the_rational_rule(case):
-    # validate accepts exactly the forms with a rational minorant, and the
-    # box in integers is the rational rule's, through minorant and
-    # index_bounds and through auto_bounds from the exponent's integer form
+    # validate accepts exactly the forms with a rational minorant, the
+    # integer core finds that minorant, and the box in integers is the
+    # rational rule's, through certified_box and auto_bounds from the
+    # exponent's integer form
     q, b, const, target = case
     names = "abcd"[: len(q)]
     quad = {(x, y): q[i][j] / (2 if i == j else 1) for i, x in enumerate(names) for j, y in enumerate(names) if i <= j}
@@ -280,11 +315,12 @@ def test_integer_box_equals_the_rational_rule(case):
     except SemanticError:
         assert want is None
         with pytest.raises(NotPositiveDefinite):
-            minorant(q, b, target)
+            _minorant(q, b, target)
+        with pytest.raises(NotPositiveDefinite):
+            certified_box(exponent.integer_form(names), target + const)
         return
     assert want is not None
-    m, beta = minorant(q, b, target)
-    assert ([list(row) for row in m], beta) == want
+    assert _minorant(q, b, target) == want
     box = _rational_index_bounds(*want, target)
-    assert index_bounds(m, beta, target) == box
+    assert certified_box(exponent.integer_form(names), target + const) == box
     assert auto_bounds(spec, target + const) == box

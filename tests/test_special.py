@@ -7,9 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from qrr import _kernel_py, corpus, special, zseries
 from qrr.errors import NegativeExponent, NotPositiveDefinite
-from qrr.identity import ExponentPoly, IdentitySpec, eval_product
+from qrr.identity import ExponentPoly, IdentitySpec, auto_bounds, eval_product
 from qrr.oracle import unpruned_sum
-from qrr.quadform import index_bounds
 from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, UNITS, GaussianInt, unit_pow
 from qrr.series import Monomial, QSeries, _grid, inv_poch_table, poch_finite, poch_infinite, qmono
 from qrr.special import (
@@ -648,7 +647,8 @@ def test_nahm_matches_unpruned_oracle_property(data, order):
 @settings(max_examples=40, deadline=None)
 @given(nahm_data(), st.integers(0, 12))
 def test_index_bounds_cover_every_point_property(data, order):
-    bounds = index_bounds(data.a, data.b, order - data.c)
+    # A is definite, so the box holds every lattice point, not only n >= 0
+    bounds = auto_bounds(data.sum_spec(), order)
     r = isqrt(2 * order) + 1
     for n in iproduct(range(-r, r + 1), repeat=data.rank):
         if data.exponent(n) <= order:
