@@ -78,16 +78,10 @@ def i_pow(k: int) -> GaussianInt:
 
 
 def unit_pow(u: GaussianInt, k: int) -> GaussianInt:
-    """u**k for a unit u and any integer k."""
-    if u == ONE:
-        return ONE
-    if u == MINUS_ONE:
-        return ONE if k % 2 == 0 else MINUS_ONE
-    if u == I:
-        return i_pow(k)
-    if u == MINUS_I:
-        return i_pow(-k)
-    raise ValueError("not a unit of Z[i]: %r" % (u,))
+    """u**k for a unit u and any integer k: u = i**j gives i**(j*k)."""
+    if not is_unit(u):
+        raise ValueError("not a unit of Z[i]: %r" % (u,))
+    return UNITS[UNITS.index(u) * k % 4]
 
 
 def binom2(k: int) -> int:

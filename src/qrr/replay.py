@@ -30,7 +30,7 @@ from . import corpus
 from .gaussian import I, MINUS_I, MINUS_ONE, ONE
 from .identity import ExponentPoly, IdentitySpec, SignAtom, _frac_str, compare, eval_product, eval_sum
 from .parser import parse_poly
-from .series import Monomial, QSeries, _as_order, _fold, _grid, _lay, _mul_b, _spread, qmono
+from .series import Monomial, QSeries, _as_order, _fold, _grid, _lay, _spread, _unit_mul, qmono
 from .special import gaussian_binomial_row, rs_at
 from .zseries import ZSeries, euler_z_inverse, euler_z_product, theta_z
 
@@ -270,18 +270,22 @@ def replay_1_7(order) -> List[StepReport]:
 
     # step 2: the inner sums are H_n(-1; q^2): zero for odd n, (q^2;q^4)_{n/2}
     # for even n, and the telescoped total is the single sum over (q^4;q^4)_n.
-    # The closed forms are one running product: (q^2;q^4)_{n/2} is the one
-    # at n - 2 times 1 - q^(2n-2)
+    # The closed forms are one running product, one window-long list stepped
+    # in place: (q^2;q^4)_{n/2} is the one at n - 2 times 1 - q^(2n-2), and
+    # each comparison wraps a copy of the list
     minus_one = Monomial(MINUS_ONE, Fraction(0))
     q2 = qmono(2)
-    closed = QSeries.one(order)  # (q^2;q^4)_{n/2} at the last even n
+    den = _grid(order)
+    top = _as_order(order, den)
+    closed = [1] + [0] * top  # (q^2;q^4)_{n/2} at the last even n
     div = None
     for n, inner in enumerate(inners):
         if n and not n % 2:
-            closed = _mul_b(closed, ONE, (2 * n - 2) * closed.den)
+            _unit_mul(closed, None, (2 * n - 2) * den, ONE)
         d = inner.first_difference(rs_at(n, minus_one, q2, order), order)
         if d is None:
-            d = inner.first_difference(QSeries.zero(order) if n % 2 else closed, order)
+            want = QSeries.zero(order) if n % 2 else QSeries._of(den, top, 0, closed[:])
+            d = inner.first_difference(want, order)
         if d is not None:
             div = (n, d)
             break

@@ -35,29 +35,28 @@ point (qrr._kernel_py.conv_rows) and spreads the rows back onto the grid.
 
 A binomial factor never reaches the kernel, and its exponent is a whole
 number k of steps on a grid the caller works out once.  It acts in place on
-int lists: `_unit_mul` multiplies by 1 - u*q**k in one slice operation, and
-`_unit_div` divides by 1 - u*q**k (u = +-1) in min(k, n/k) slice operations
-on the n entries from a start below which the entries are read as 0, never
-one step per coefficient.  `_mul_b` and `_div_b` apply them to a QSeries.
-Past its dividend a quotient repeats with period k and sign u (period 2k
-and sign -1 for u = +-i, which first adds k entries), so `_div_b` divides
-only the dividend's entries and continues by whole blocks (`_repeat`); an
-exact division, such as each step of a Gaussian binomial row, ends in a
-zero block and stops at the polynomial's degree instead of the order.  Every product side is one
-Pochhammer walk (`_poch`) over one pair of lists on one grid, taking its
-factors from the largest exponent down.  A family (x; b)_inf, b = q**m,
-steps only its first K = max(1, isqrt(n // m)) factors, and so does a
-finite family (x; b)_N of more than 3K factors; the rest is the tail
-(y; b)_inf from y = x*b**K, for a finite family over the tail
-(x*b**N; b)_inf when x*b**N lies within the order.  Each tail is Euler's
-sum in y, 1/(y; b)_inf = sum y**l/(b; b)_l or (y; b)_inf =
-sum (-1)**l b**(l(l-1)/2) y**l/(b; b)_l (`_tail`): about sqrt(n/m)
-divisions per family in place of n/m.  Each such sum_t X_t/(x; x)_t, here,
-in the sum side's nest and in replay 1.7, is one Horner fold (`_fold`), and
-so is each slice sum_t X_t/((x; x)_t (x; x)_(t+k)) of the Euler pair.  A
-1/(b;b)_n table (`inv_poch_table`) keeps every entry, so it is a chain of
-`_div_b`, entry n being entry n - 1 over its factor, as the Gaussian
-binomial rows of qrr.special are chains of `_mul_b` and `_div_b`.
+int lists, and every chain of binomial factors is one pair of lists stepped
+by it: `_unit_mul` multiplies by 1 - u*q**k in one slice operation, and
+`_divide` divides by it (`_unit_div`, for u = +-1, in min(k, n/k) slice
+operations on the n entries from a start below which the entries are read as
+0, never one step per coefficient).  A list steps only the entries it holds,
+so a chain sizes its lists once: a power series to the whole window, a
+polynomial to its degree.  Every product side is one Pochhammer walk
+(`_poch`) over one pair of lists on one grid, taking its factors from the
+largest exponent down.  A family (x; b)_inf, b = q**m, steps only its first
+K = max(1, isqrt(n // m)) factors, and so does a finite family (x; b)_N of
+more than 3K factors; the rest is the tail (y; b)_inf from y = x*b**K, for a
+finite family over the tail (x*b**N; b)_inf when x*b**N lies within the
+order.  Each tail is Euler's sum in y, 1/(y; b)_inf = sum y**l/(b; b)_l or
+(y; b)_inf = sum (-1)**l b**(l(l-1)/2) y**l/(b; b)_l (`_tail`): about
+sqrt(n/m) divisions per family in place of n/m.  Each such
+sum_t X_t/(x; x)_t, here, in the sum side's nest and in replay 1.7, is one
+Horner fold (`_fold`), and so is each slice sum_t X_t/((x; x)_t (x; x)_(t+k))
+of the Euler pair.  A 1/(b;b)_n table (`inv_poch_table`) keeps every entry,
+so it is one pair of window-long lists, entry n being a copy of entry n - 1
+divided by its factor; each entry of a Gaussian binomial row of qrr.special
+is a copy of the last entry's lists, padded to its own degree, stepped by
+one `_unit_mul` and one `_divide`.
 """
 
 from __future__ import annotations
@@ -545,62 +544,7 @@ def _stride(g: int, re: list, im: Optional[list]) -> int:
     return g
 
 
-# -- binomial-factor helpers (O(order) each) --------------------------------
-
-
-def _mul_b(s: QSeries, unit, k: int) -> QSeries:
-    """s * (1 - unit*q**(k/s.den)) for k >= 0 grid steps."""
-    n = min(len(s.re) + k, s.order - s.val + 1)
-    re, im = _padded(s, unit, n)
-    _unit_mul(re, im, k, unit)
-    return QSeries._of(s.den, s.order, s.val, re, im)
-
-
-def _div_b(s: QSeries, unit, k: int) -> QSeries:
-    """s / (1 - unit*q**(k/s.den)) for k > 0 grid steps.  A k past the
-    window reaches no entry and returns s.
-
-    `_divide` walks only the m entries the dividend fills: its own, plus the
-    k that the factor 1 + unit*q**k of a unit +-i adds.  Past them the
-    dividend is 0, so the quotient continues by its period: x[e] = u*x[e - k]
-    for a real unit u, x[e] = -x[e - 2k] for +-i (`_repeat`).  An exact
-    division, such as each step of a Gaussian binomial row, ends in a zero
-    block and continues with zeros, so nothing past m is written; a
-    dividend that fills the window has nothing to continue."""
-    n = s.order - s.val + 1
-    if k >= n or not s.re:
-        return s
-    m = min(len(s.re) + (k if unit[1] else 0), n)
-    re, im = _padded(s, unit, m)
-    _divide(re, im, k, unit)
-    if m < n:
-        period, sign = (2 * k, -1) if unit[1] else (k, unit[0])
-        _repeat((re,) if im is None else (re, im), n, period, sign)
-    return QSeries._of(s.den, s.order, s.val, re, im)
-
-
-def _repeat(lists: tuple, n: int, period: int, sign: int) -> None:
-    """The lists, of one length, each continued in place to length n by
-    x[e] = sign*x[e - period], with x[e] read as 0 for e < 0, by whole
-    blocks: the last `period` entries (zero-padded when the list is
-    shorter), then that block times sign, times sign**2, ...  When every
-    block is zero the lists continue with zeros and are left as they are."""
-    pad = [0] * (period - len(lists[0]))
-    blocks = [x[-period:] + pad for x in lists]
-    if not any(map(any, blocks)):
-        return
-    for x, block in zip(lists, blocks):
-        x += pad
-        cycle = [-v for v in block] + block if sign < 0 else block
-        x += (cycle * -(-(n - len(x)) // len(cycle)))[: n - len(x)]
-
-
-def _padded(s: QSeries, unit, n: int):
-    """Fresh copies of s.re and s.im zero-padded to length n >= len(s.re);
-    im is None only if both s and unit are real."""
-    pad = [0] * (n - len(s.re))
-    im = s.im if s.im is not None or not unit[1] else [0] * len(s.re)
-    return s.re + pad, None if im is None else im + pad
+# -- binomial steps, in place on int lists ---------------------------------
 
 
 def _unit_mul(re: list, im: Optional[list], k: int, unit) -> None:
@@ -859,13 +803,21 @@ def _poch(order, factors: list) -> QSeries:
 def inv_poch_table(b: Monomial, n_max: int, order) -> list:
     """[1/(b;b)_n for n = 0..n_max], exact through `order`, on the grid that
     holds the order and b: entry n is entry n - 1 over 1 - u**n q**(n*e) for
-    b = u*q**e (any unit u), one `_div_b`, and an entry whose factor lies
-    past the order is the one before it."""
+    b = u*q**e (any unit u), and an entry whose factor lies past the order
+    is the one before it.  One pair of lists spans the window: each entry's
+    lists are a copy of the last, divided in place by one `_divide`."""
     if b.exp <= 0:
         raise ValueError("Pochhammer base must be a positive power of q")
     den = _grid(order, b.exp)
+    n = _as_order(order, den)
     step = int(b.exp * den)
-    table = [QSeries.one(order).rescale(den)]
+    re, im = [1] + [0] * n, [0] * (n + 1) if b.unit[1] else None
+    table = [QSeries._of(den, n, 0, [1])]
     for k in range(1, n_max + 1):
-        table.append(_div_b(table[-1], unit_pow(b.unit, k), k * step))
+        if k * step <= n:
+            re, im = re[:], None if im is None else im[:]
+            _divide(re, im, k * step, unit_pow(b.unit, k))
+            table.append(QSeries._of(den, n, 0, re, im))
+        else:
+            table.append(table[-1])
     return table

@@ -14,7 +14,7 @@ from .errors import NegativeExponent, NotPositiveDefinite
 from .gaussian import MINUS_ONE, unit_pow
 from .identity import ExponentPoly, IdentitySpec, eval_sum
 from .quadform import as_matrix, is_positive_definite, is_symmetric
-from .series import Monomial, QSeries, _as_order, _div_b, _grid, _mul_b, _poch, poch_infinite, qmono
+from .series import Monomial, QSeries, _as_order, _divide, _grid, _poch, _unit_mul, poch_infinite, qmono
 from .zseries import ZSeries, _euler_z_pair, theta_z
 
 
@@ -42,8 +42,9 @@ def gaussian_binomial_row(n: int, b: Monomial, order) -> list:
 
     One walk on the grid of b and the order: from [n 0] = 1, each
     [n k] = [n k-1] * (1 - b**(n-k+1)) / (1 - b**k) for k <= n/2 is one
-    `_mul_b` and one `_div_b` at integer exponents, and the other half is
-    the mirror image [n k] = [n n-k]."""
+    `_unit_mul` and one `_divide` at integer exponents on a copy of the
+    lists of [n k-1], padded to the length of the polynomial [n k]
+    (`_row_head`), and the other half is the mirror image [n k] = [n n-k]."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     row = _row_head(n, b, order, n // 2)
@@ -52,15 +53,28 @@ def gaussian_binomial_row(n: int, b: Monomial, order) -> list:
 
 def _row_head(n: int, b: Monomial, order, m: int) -> list:
     """[[n 0], ..., [n m]] for m <= n/2: gaussian_binomial_row's walk, cut
-    after m steps (none for m = 0)."""
+    after m steps (none for m = 0).
+
+    Step k copies the lists of [n k-1], pads them to the length of [n k],
+    its degree k*(n-k)*step plus one, or to the window, and steps them in
+    place: one `_unit_mul` and one `_divide`.  Each entry of a product or a
+    quotient depends only on the entries up to it, and [n k] has no entry
+    past the lists, so the division is exact on them, even for a unit +-i,
+    whose `_divide` first multiplies by 1 + u*q**(k*step)."""
     if b.exp <= 0:
         raise ValueError("Pochhammer base must be a positive power of q")
     den = _grid(order, b.exp)
+    top = _as_order(order, den)
     step = int(b.exp * den)
-    row = [QSeries.one(order).rescale(den)]
+    row = [QSeries._of(den, top, 0, [1])]
     for k in range(1, m + 1):
-        top = _mul_b(row[-1], unit_pow(b.unit, n - k + 1), (n - k + 1) * step)
-        row.append(_div_b(top, unit_pow(b.unit, k), k * step))
+        s, up, down = row[-1], unit_pow(b.unit, n - k + 1), unit_pow(b.unit, k)
+        pad = [0] * (min(k * (n - k) * step, top) + 1 - len(s.re))
+        re = s.re + pad
+        im = (s.im or [0] * len(s.re)) + pad if b.unit[1] else None
+        _unit_mul(re, im, (n - k + 1) * step, up)
+        _divide(re, im, k * step, down)
+        row.append(QSeries._of(den, top, 0, re, im))
     return row
 
 

@@ -1,3 +1,7 @@
+import re
+
+import pytest
+
 from qrr.gaussian import (
     I,
     MINUS_I,
@@ -50,6 +54,12 @@ def test_i_pow_cycle():
         assert unit_pow(MINUS_I, k) == i_pow(-k)
         assert unit_pow(MINUS_ONE, k) == (ONE if k % 2 == 0 else MINUS_ONE)
         assert unit_pow(ONE, k) == ONE
+
+
+@pytest.mark.parametrize("u", [GaussianInt(0, 0), GaussianInt(1, 1), GaussianInt(2, 0), GaussianInt(0, -2)])
+def test_unit_pow_names_a_non_unit(u):
+    with pytest.raises(ValueError, match=r"^not a unit of Z\[i\]: %s$" % re.escape(repr(u))):
+        unit_pow(u, 3)
 
 
 def test_binom2():

@@ -17,9 +17,7 @@ from qrr.special import gaussian_binomial, gaussian_binomial_row
 from qrr.series import (
     Monomial,
     QSeries,
-    _div_b,
     _divide,
-    _mul_b,
     _poch,
     _tail,
     _unit_div,
@@ -146,36 +144,57 @@ def test_euler_product_pentagonal_to_200():
 
 def lift(s, exp):
     """s on the grid g that holds the exponent exp, and exp as exp*g grid
-    steps: the operands of `_mul_b` and `_div_b`."""
+    steps."""
     exp = F(exp)
     g = lcm(s.den, exp.denominator)
     return s.rescale(g), int(exp * g)
 
 
+def padded(s, unit, k, step):
+    """s times or over 1 - unit*q**(k/s.den), for step `_unit_mul` or
+    `_divide`: the lists zero-padded to the whole window, then one step on
+    every entry, with nothing continued past them.  A k past the window
+    reaches no entry and returns s."""
+    n = s.order - s.val + 1
+    if k >= n or not s.re:
+        return s
+    pad = [0] * (n - len(s.re))
+    im = s.im if s.im is not None or not unit[1] else [0] * len(s.re)
+    re, im = s.re + pad, None if im is None else im + pad
+    step(re, im, k, unit)
+    return QSeries._of(s.den, s.order, s.val, re, im)
+
+
+def padded_division(s, unit, k):
+    return padded(s, unit, k, _divide)
+
+
 def mul_b(s, unit, exp):
     s, k = lift(s, exp)
-    return _mul_b(s, unit, k)
+    return padded(s, unit, k, _unit_mul)
 
 
 def div_b(s, unit, exp):
     s, k = lift(s, exp)
-    return _div_b(s, unit, k)
+    return padded_division(s, unit, k)
 
 
 def test_binomial_helpers_match_full_mul():
     s = poch_infinite(qmono(2), qmono(3), 30)
-    lin = QSeries.one(30) - QSeries.term(I, 4, 30)
-    assert mul_b(s, I, 4) == s.mul(lin)
-    assert div_b(s, I, 4).mul(lin) == s
+    for unit in UNITS:
+        lin = QSeries.one(30) - QSeries.term(unit, 4, 30)
+        assert mul_b(s, unit, 4) == s.mul(lin)
+        assert div_b(s, unit, 4).mul(lin) == s
 
 
 def test_poch_finite_recurrence():
     # (x;b)_{n+1} = (x;b)_n * (1 - x b^n)
-    x, b = qmono(1, MINUS_ONE), qmono(2)
-    for n in range(6):
-        lhs = poch_finite(x, b, n + 1, 40)
-        rhs = mul_b(poch_finite(x, b, n, 40), x.unit, x.exp + n * b.exp)
-        assert lhs == rhs
+    for unit in UNITS:
+        x, b = qmono(1, unit), qmono(2)
+        for n in range(6):
+            lhs = poch_finite(x, b, n + 1, 40)
+            rhs = mul_b(poch_finite(x, b, n, 40), x.unit, x.exp + n * b.exp)
+            assert lhs == rhs
 
 
 def test_poch_infinite_requires_positive_order():
@@ -428,75 +447,79 @@ def test_binomial_updates_match_the_scalar_recurrence(case):
     assert fields(mul_b(s, u, exp)) == fields(scalar_binomial(s, u, exp, 1))
 
 
-def padded_division(s, unit, k):
-    """s / (1 - unit*q**(k/s.den)), the reference for `_div_b`: the
-    dividend zero-padded to the whole window, then `_divide` on every
-    entry."""
-    n = s.order - s.val + 1
-    if k >= n or not s.re:
-        return s
-    pad = [0] * (n - len(s.re))
-    im = s.im if s.im is not None or not unit[1] else [0] * len(s.re)
-    re, im = s.re + pad, None if im is None else im + pad
-    _divide(re, im, k, unit)
-    return QSeries._of(s.den, s.order, s.val, re, im)
-
-
-@st.composite
-def division_by_period(draw):
-    """A dividend on grid 1 to 4, real or complex, with nonzero ends, a unit
-    and a step k below the window n: the dividend shorter than k, than 2k
-    (the period of a unit +-i), than the window, or filling it."""
-    rng = draw(st.randoms(use_true_random=False))
-    den = draw(st.integers(1, 4))
-    val = draw(st.integers(0, 10))
-    n = draw(st.integers(2, 120))
-    k = draw(st.integers(1, n - 1))
-    cap = draw(st.sampled_from([k, 2 * k, n - 1, n]))
-    length = draw(st.integers(1, min(cap, n)))
-    re = [rng.randint(-9, 9) for _ in range(length)]
-    re[0] = re[-1] = draw(st.sampled_from([-2, -1, 1, 3]))
-    im = [rng.randint(-9, 9) for _ in range(length)] if draw(st.booleans()) else None
-    return QSeries._of(den, val + n - 1, val, re, im), draw(st.sampled_from(UNITS)), k
+def padded_chains(b, order, n):
+    """inv_poch_table(b, n, order) and _row_head(n, b, order, n // 2) as
+    chains of the window-padded references: entry k of the table is entry
+    k - 1 over 1 - b**k, entry k of the row is entry k - 1 times
+    1 - b**(n-k+1) over 1 - b**k."""
+    den = lcm(F(order).denominator, b.exp.denominator)
+    step = int(b.exp * den)
+    one = QSeries.one(order).rescale(den)
+    table, row = [one], [one]
+    for k in range(1, n + 1):
+        table.append(padded_division(table[-1], unit_pow(b.unit, k), k * step))
+    for k in range(1, n // 2 + 1):
+        top = padded(row[-1], unit_pow(b.unit, n - k + 1), (n - k + 1) * step, _unit_mul)
+        row.append(padded_division(top, unit_pow(b.unit, k), k * step))
+    return table, row
 
 
 @settings(max_examples=300, deadline=None)
-@given(division_by_period())
-# 1/(1 - x), the first entry of inv_poch_table: one entry, shorter than k
-@example((QSeries._of(1, 30, 0, [1]), ONE, 1))
-@example((QSeries._of(2, 30, 0, [1]), MINUS_ONE, 3))
+@given(
+    st.builds(Monomial, st.sampled_from(UNITS), st.fractions(F(1, 4), 6, max_denominator=4)),
+    st.fractions(0, 60, max_denominator=4),
+    st.integers(0, 16),
+)
+# 1/(1 - x), the first entry of inv_poch_table: one entry, as long as k
+@example(qmono(1), F(30), 1)
+@example(Monomial(MINUS_ONE, F(3, 2)), F(15), 3)
 # a unit +-i whose period 2k passes the window, and one whose k does not
-@example((QSeries._of(4, 9, 2, [1, 0, 2]), I, 5))
-@example((QSeries._of(3, 40, 0, [1, 2], [0, 1]), MINUS_I, 7))
-# an exact division: (1 - q^3)(1 + q) / (1 - q^3)
-@example((QSeries._of(1, 50, 0, [1, 1, 0, -1, -1]), ONE, 3))
-def test_div_b_by_period_equals_the_padded_division(case):
-    s, unit, k = case
-    assert fields(_div_b(s, unit, k)) == fields(padded_division(s, unit, k))
+@example(Monomial(I, F(5, 4)), F(9, 4), 2)
+@example(Monomial(MINUS_I, F(7, 3)), F(40, 3), 5)
+# exact divisions: every row entry a polynomial far below the order, and
+# rows of a unit i that the order cuts
+@example(qmono(1), F(50), 6)
+@example(Monomial(I, F(1)), F(20), 12)
+def test_table_and_row_chains_equal_their_padded_divisions(b, order, n):
+    table, row = padded_chains(b, order, n)
+    assert [fields(s) for s in inv_poch_table(b, n, order)] == [fields(s) for s in table]
+    assert [fields(s) for s in special._row_head(n, b, order, n // 2)] == [fields(s) for s in row]
 
 
 @pytest.mark.parametrize("b", [qmono(1), Monomial(I, F(1))])
 def test_gaussian_row_divisions_walk_only_their_dividends(b, monkeypatch):
-    # [32 k] has degree k*(32 - k) <= 256, far below the order 417: each
-    # division hands `_unit_div` its dividend's entries, plus the k that the
-    # factor 1 + u*q**k of a unit u = +-i adds, never the 418 of the window
+    # [32 k] has degree k*(32 - k) <= 256, far below the order 417: division
+    # k hands `_unit_div` only the k*(32 - k) + 1 <= 257 entries of [32 k],
+    # never the 418 of the window: 16 calls over 2,872 entries at b = q, and
+    # with b = i*q each division steps re and im, 32 calls over 5,744
     want = [gaussian_binomial(32, k, b, 417) for k in range(33)]
-    reach, seen = [], []
-    div_b = special._div_b
-
-    def spy_div_b(s, unit, k):
-        reach.append(len(s.re) + (k if unit[1] else 0))
-        return div_b(s, unit, k)
+    seen = []
 
     def spy_unit_div(x, k, u, start=0):
-        seen.append((len(x), reach[-1]))
+        seen.append(len(x) - start)
         return _unit_div(x, k, u, start)
 
-    monkeypatch.setattr(special, "_div_b", spy_div_b)
     monkeypatch.setattr("qrr.series._unit_div", spy_unit_div)
     assert gaussian_binomial_row(32, b, 417) == want
-    assert len(reach) == 16 and seen
-    assert all(length <= limit for length, limit in seen), seen
+    calls = 32 if b.unit[1] else 16
+    limits = [k * (32 - k) + 1 for k in range(1, 17) for _ in range(calls // 16)]
+    assert len(seen) == calls and all(x <= limit for x, limit in zip(seen, limits)), seen
+
+
+def test_inv_poch_table_divides_each_entry_once(monkeypatch):
+    # 1/(q; q)_n for n <= 40 at 480: each entry is one division of the
+    # window's 481 entries, 19,240 in all
+    q = qmono(1)
+    table, _ = padded_chains(q, 480, 40)
+    seen = []
+
+    def spy_unit_div(x, k, u, start=0):
+        seen.append(len(x) - start)
+        return _unit_div(x, k, u, start)
+
+    monkeypatch.setattr("qrr.series._unit_div", spy_unit_div)
+    assert [fields(s) for s in inv_poch_table(q, 40, 480)] == [fields(s) for s in table]
+    assert len(seen) == 40 and sum(seen) <= 19_240, (len(seen), sum(seen))
 
 
 def test_product_sides_expand_each_infinite_tail_by_eulers_sum(monkeypatch):

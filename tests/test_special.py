@@ -480,14 +480,14 @@ def test_rs_at_minus_one_walks_no_binomial_row(monkeypatch):
     # never walked; a term with r = 2 needs the walk through c_2 only
     q2 = qmono(2)
     calls = []
-    div_b = special._div_b
+    divide = special._divide
 
-    def spy(s, unit, k):
+    def spy(re, im, k, unit):
         calls.append(k)
-        return div_b(s, unit, k)
+        return divide(re, im, k, unit)
 
     wants = [rogers_szego_bw(n, q2, 61).specialize(MINUS_ONE_T) for n in range(12)]
-    monkeypatch.setattr(special, "_div_b", spy)
+    monkeypatch.setattr(special, "_divide", spy)
     for n in range(12):
         assert rs_at(n, MINUS_ONE_T, q2, 61) == wants[n], n
     assert calls == []
