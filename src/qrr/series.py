@@ -37,11 +37,11 @@ A binomial factor never reaches the kernel, and its exponent is a whole
 number k of steps on a grid the caller works out once.  It acts in place on
 int lists, and every chain of binomial factors is one pair of lists stepped
 by it: `_unit_mul` multiplies by 1 - u*q**k in one slice operation, and
-`_divide` divides by it (`_unit_div`, for u = +-1, in min(k, n/k) slice
+`_divide` divides by it (`_unit_div`, for u = +-1, in k or about n/k slice
 operations on the n entries from a start below which the entries are read as
-0, never one step per coefficient).  A list steps only the entries it holds,
-so a chain sizes its lists once: a power series to the whole window, a
-polynomial to its degree.  Every product side is one Pochhammer walk
+0, by the path that costs less, never one step per coefficient).  A list
+steps only the entries it holds, so a chain sizes its lists once: a power
+series to the whole window, a polynomial to its degree.  Every product side is one Pochhammer walk
 (`_poch`) over one pair of lists on one grid, taking its factors from the
 largest exponent down.  A family (x; b)_inf, b = q**m, steps only its first
 K = max(1, isqrt(n // m)) factors, and so does a finite family (x; b)_N of
@@ -63,9 +63,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import floor, gcd, isqrt, lcm
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, or_, sub
 from typing import Iterator, Optional
 
 from . import _kernel_py
@@ -584,13 +584,17 @@ def _unit_div(x: list, k: int, u: int, start: int = 0) -> list:
     every entry below `start` were 0: x[e] += u*x[e - k] for e = start + k,
     start + k + 1, ... in turn.
 
-    With n = len(x) - start entries from start, a short stride (k*k <= n)
-    takes each residue class mod k in one go; a long one adds (or
-    subtracts) each block of k entries from the block before it.  Either way
-    it takes min(k, ceil(n/k)) rounds of slice operations, never one step
-    per entry."""
+    With m = len(x) - start entries from start, it takes k rounds of slice
+    operations, one per residue class mod k, or ceil(m/k) - 1, one per block
+    of k entries added to (or subtracted from) the block before it; never
+    one step per entry.  A class round costs more than a block round, so a
+    class pass pays only for a short stride: for u = +1 (one `accumulate`
+    per class) while k*k <= 4m, for u = -1 (an odd/even pass per class)
+    while 4*k*k <= m.  The crossovers measured in CPython sit near k = 2
+    sqrt(m) (1.6 sqrt(m) at m = 300, 3 sqrt(m) at 4000) and k = sqrt(m)/2."""
     n = len(x)
-    if k * k > n - start:
+    m = n - start
+    if (k * k > 4 * m) if u > 0 else (4 * k * k > m):
         op = add if u > 0 else sub
         for a in range(start + k, n, k):
             x[a : a + k] = map(op, x[a : a + k], x[a - k : a])
@@ -758,13 +762,19 @@ def _tail(re: list, im: Optional[list], e: int, unit, power: int, m: int) -> Non
     for the numerator.  The terms run while d_l < n: floor((n - 1)/e) of
     them for the inverse, those with l*e + m*l(l-1)/2 < n for the numerator.
     One `_fold` sums them by Horner's rule, level l dividing by
-    1 - q**(l*m) from d_l, and its lists replace re and im."""
+    1 - q**(l*m) from d_l, and its lists replace re and im.  Each level adds
+    G cut after its last nonzero entry, so a tail that acts on 1 (as the
+    first step of a product side often does) adds one entry per level, not n."""
     n = len(re)
+    end = n
+    if not (re[-1] or im is not None and im[-1]):
+        end = max(compress(range(1, n + 1), re if im is None else map(or_, re, im)), default=0)
+    gr, gi = re[:end], None if im is None else im[:end]
     k = UNITS.index(unit)  # unit = i**k
     groups, d, l = [], 0, 0
     while d < n:
         u = (k + 2 * (power > 0)) * l % 4  # c_l = i**u
-        groups.append([(d, re, u)] if im is None else [(d, re, u), (d, im, (u + 1) % 4)])
+        groups.append([(d, gr, u)] if gi is None else [(d, gr, u), (d, gi, (u + 1) % 4)])
         d += e + (m * l if power > 0 else 0)
         l += 1
     (_, out, _), *imag = _fold(groups, m, 1, n - 1)

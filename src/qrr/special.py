@@ -98,16 +98,18 @@ def rogers_szego_bw(n: int, b: Monomial, order) -> ZSeries:
     z-binomial is ever an operand.  Every window stays inside [0, n].
 
     The nest (`_nest`, shared with rs_at) never builds a ZSeries: its
-    z-slices stay packed from start to end, and each is unpacked once.  Its
-    digits hold C(n, n // 2), which bounds every coefficient of H_n: 3, 4
-    and 5 bytes at n = 24, 32 and 40.
+    z-slices stay packed from start to end, and each is unpacked once.  A
+    slice is one packed int when b's unit is +-1 (every b = q**e), a pair
+    (re, im) for a unit +-i.  Its digits hold C(n, n // 2), which bounds
+    every coefficient of H_n: 3, 4 and 5 bytes at n = 24, 32 and 40.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     # with no factor b**(2r-1) (n <= 1) the result lives on the grid of b**2
     den = _grid(order, b.exp if n > 1 else 2 * b.exp)
-    slices, wb, top = _nest(n, b, order, den, 0, n // 2, comb(n, n // 2))
-    return ZSeries._fitted({k: _read(x, den, top, wb) for k, x in enumerate(slices)}, den, top)
+    re, im, wb, top = _nest(n, b, order, den, 0, n // 2, comb(n, n // 2))
+    slices = {k: _read(x, 0 if im is None else im[k], den, top, wb) for k, x in enumerate(re)}
+    return ZSeries._fitted(slices, den, top)
 
 
 def rs_at(n: int, t: Monomial, b: Monomial, order) -> QSeries:
@@ -138,14 +140,14 @@ def rs_at(n: int, t: Monomial, b: Monomial, order) -> QSeries:
         return QSeries.zero(order)
     den = _grid(order, t.exp, b.exp)
     bound = sum(comb(n // 2, r) for r in range(r0, r1 + 1)) << (n + 1) // 2
-    slices, wb, top = _nest(n, b, order, den, r0, r1, bound)
+    xs, ys, wb, top = _nest(n, b, order, den, r0, r1, bound)
     w, step = 8 * wb, int(t.exp * den)
     re = im = 0
-    for k, (xr, xi) in enumerate(slices):  # z := t
+    for k, xr in enumerate(xs):  # z := t
         ur, ui = unit_pow(t.unit, k)
-        xr, xi = xr << w * k * step, xi << w * k * step
+        xr, xi = xr << w * k * step, 0 if ys is None else ys[k] << w * k * step
         re, im = re + ur * xr - ui * xi, im + ui * xr + ur * xi
-    return _read((re, im), den, top, wb)
+    return _read(re, im, den, top, wb)
 
 
 def _kept(n: int, t: Monomial, b: Monomial) -> tuple:
@@ -162,9 +164,10 @@ def _kept(n: int, t: Monomial, b: Monomial) -> tuple:
 
 
 def _nest(n: int, b: Monomial, order, den: int, r0: int, r1: int, bound: int) -> tuple:
-    """(slices, wb, top): the terms r0 <= r <= r1 of rogers_szego_bw's sum
+    """(re, im, wb, top): the terms r0 <= r <= r1 of rogers_szego_bw's sum
     H_n = sum_r c_r * z**r A_r * B_{U-r}, on grid `den`, which must hold b
-    and the order (top on that grid), at the digit width wb of `bound`.
+    and the order (top on that grid), at the digit width wb of `bound`;
+    re[k] + i*im[k] is its z**k slice, im None when b's unit is +-1.
 
     The terms meet in the middle, at m = (U - 1) // 2: those with r <= m run
     Horner's rule upwards, G_r = G_{r-1} * (1 + z*b**(2(U-r))) + c_r * z**r
@@ -177,15 +180,17 @@ def _nest(n: int, b: Monomial, order, den: int, r0: int, r1: int, bound: int) ->
     z*(z + b**(2s+1)) and its sum by the even ones 1 + z*b**(2s), the
     downward one the other way round.
 
-    Slice k, of z**k, is a pair of ints (re, im), its top + 1 coefficients
-    packed as by the convolution kernel (qrr._kernel_py._pack) at wb bytes
-    per digit for every slice.  A z-binomial step is one pass over the
-    window: b**k's shift and unit are taken once, and each new slice is a
-    slice plus or minus the shifted neighbour, with re and im swapped for a
-    unit +-i.  Each c_r times a window is one int multiply per part, with
-    c_r packed once, folded into the sum in one pass.  Every slice is masked
-    to its top + 1 digits, which changes it by a multiple of 2**(w*(top + 1))
-    that no later shift, product or sum brings below that digit.
+    Each slice packs its top + 1 coefficients as the convolution kernel
+    does (qrr._kernel_py._pack), at wb bytes per digit for every slice.  For
+    b of unit +-1 every factor and every c_r is real, and a slice is one
+    int; for a unit +-i it is a pair of ints (re, im).  A z-binomial step is
+    one pass over the window: b**k's shift and unit are taken once, and
+    each new slice is a slice plus or minus the shifted neighbour, with re
+    and im swapped for a unit +-i.  Each c_r times a window is one int
+    multiply per int of a slice, with c_r packed once, folded into the sum
+    in one pass.  Every slice is masked to its top + 1 digits, which
+    changes it by a multiple of 2**(w*(top + 1)) that no later shift,
+    product or sum brings below that digit.
 
     wb holds `bound` in a signed digit, and the caller passes a bound on
     every coefficient it reads.  The terms have nonnegative coefficients in
@@ -212,21 +217,30 @@ def _nest(n: int, b: Monomial, order, den: int, r0: int, r1: int, bound: int) ->
     wb = _width(bound)
     w = 8 * wb
     mask = (1 << w * (top + 1)) - 1
-    zero = (0, 0)
+    # a slice is one int for b of unit +-1, else a pair of ints (re, im)
+    pairs = bool(b.unit[1])
+    zero = (0, 0) if pairs else 0
+
+    def plus(xs: list, ys: list, c: int) -> list:  # xs + c*ys, slice by slice
+        if pairs:
+            return [((a + x * c) & mask, (e + y * c) & mask) for (a, e), (x, y) in zip(xs, ys)]
+        return [(a + x * c) & mask for a, x in zip(xs, ys)]
 
     def times(x: list, k: int) -> list:  # x * (z + b**k) for odd k, x * (1 + z*b**k) for even k
-        one, scaled = x + [zero], [zero] + x
+        same, scaled = x + [zero], [zero] + x
         if k & 1:
-            one, scaled = scaled, one
+            same, scaled = scaled, same
         if k * step > top:
-            return one
+            return same
         s = w * k * step
         ur, ui = unit_pow(b.unit, k)
         if ui:  # (c + i*d) * i*ui = -ui*d + i*ui*c
             f, g = (sub, add) if ui > 0 else (add, sub)
-            return [(f(a, d << s) & mask, g(e, c << s) & mask) for (a, e), (c, d) in zip(one, scaled)]
+            return [(f(a, d << s) & mask, g(e, c << s) & mask) for (a, e), (c, d) in zip(same, scaled)]
         f = add if ur > 0 else sub
-        return [(f(a, c << s) & mask, f(e, d << s) & mask) for (a, e), (c, d) in zip(one, scaled)]
+        if pairs:
+            return [(f(a, c << s) & mask, f(e, d << s) & mask) for (a, e), (c, d) in zip(same, scaled)]
+        return [f(a, c << s) & mask for a, c in zip(same, scaled)]
 
     def horner(odd: int, i0: int, i1: int) -> list:
         """Steps i = 0..U of the nest over the terms r = i0..i1 upwards
@@ -238,7 +252,7 @@ def _nest(n: int, b: Monomial, order, den: int, r0: int, r1: int, bound: int) ->
         the end."""
         if i0 > i1:
             return []
-        win, off, acc = [(1, 0)], 0, []
+        win, off, acc = [(1, 0) if pairs else 1], 0, []
         for i in range(i1 + 1):
             if i:
                 k = 2 * i - 2 + odd
@@ -250,7 +264,7 @@ def _nest(n: int, b: Monomial, order, den: int, r0: int, r1: int, bound: int) ->
                 c = packed[min(r := i if odd else upper - i, half - r)]
                 end = off + len(win)
                 acc += [zero] * (end - len(acc))
-                acc[off:end] = [((a + x * c) & mask, (e + y * c) & mask) for (a, e), (x, y) in zip(acc[off:end], win)]
+                acc[off:end] = plus(acc[off:end], win, c)
         rest = range(1 - odd, 2 * (upper - i1) - odd, 2)
         for k in rest:
             acc = times(acc, k)
@@ -261,16 +275,19 @@ def _nest(n: int, b: Monomial, order, den: int, r0: int, r1: int, bound: int) ->
     m = (upper - 1) // 2
     low, high = horner(1, r0, min(m, r1)), horner(0, upper - r1, upper - max(m + 1, r0))
     if low and high:  # the lower half ends at z**(U+m), the upper one at z**(U+r1)
-        high[: len(low)] = [((a + c) & mask, (e + d) & mask) for (a, e), (c, d) in zip(low, high)]
-    return high or low, wb, top
+        high[: len(low)] = plus(high, low, 1)
+    out = high or low
+    if pairs:
+        return [x for x, _ in out], [y for _, y in out], wb, top
+    return out, None, wb, top
 
 
-def _read(x: tuple, den: int, top: int, wb: int) -> QSeries:
-    """The series of a pair (re, im) of ints packed as by `_nest`, read
-    modulo 2**(w*(top + 1)) as signed, so that only the digits through the
-    last nonzero one, which the pair's size bounds, are unpacked."""
+def _read(re: int, im: int, den: int, top: int, wb: int) -> QSeries:
+    """The series re + i*im of two ints packed as by `_nest`, read modulo
+    2**(w*(top + 1)) as signed, so that only the digits through the last
+    nonzero one, which the ints' size bounds, are unpacked."""
     w, half = 8 * wb, 1 << 8 * wb * (top + 1) - 1
-    re, im = (((v + half) & (2 * half - 1)) - half for v in x)
+    re, im = (((v + half) & (2 * half - 1)) - half for v in (re, im))
     digits = min(top + 1, max(abs(re), abs(im)).bit_length() // w + 1)
     return QSeries._of(den, top, 0, _unpack(re, wb, digits), _unpack(im, wb, digits) if im else None)
 

@@ -24,6 +24,7 @@ ALLOWED = {
     "valuation": "QSeries' public lowest exponent",
     "same_through": "QSeries' and ZSeries' public comparison through an order",
     "is_real": "GaussianInt's and QSeries' public realness test",
+    "one": "QSeries' public constant 1, beside `zero` and `term`",
 }
 
 

@@ -539,6 +539,26 @@ def test_product_sides_expand_each_infinite_tail_by_eulers_sum(monkeypatch):
     assert len(seen) <= 100 and sum(seen) <= 150_000, (len(seen), sum(seen))
 
 
+def test_the_first_euler_tail_adds_one_entry_per_level(monkeypatch):
+    # the tail from q^104 comes first and acts on 1: each of its 20 levels
+    # (l*104 < 2001) adds the running lists cut after their last nonzero
+    # entry, one entry, where the uncut lists add all 2001; the tail from
+    # q^101 then acts on a full series
+    from qrr import series
+
+    want = eval_sum(corpus.load("rogers_mod5_1_4"), 2000)
+    fold, calls = series._fold, []
+
+    def spy_fold(groups, *args):
+        calls.append([len(content) for group in groups for _, content, _ in group])
+        return fold(groups, *args)
+
+    monkeypatch.setattr(series, "_fold", spy_fold)
+    assert eval_product(corpus.load("rogers_mod5_1_4"), 2000) == want
+    assert len(calls) == 2 and len(calls[0]) == 20 and set(calls[0]) == {1}, calls[0]
+    assert set(calls[1]) == {2001}
+
+
 def test_a_long_finite_family_ends_in_euler_tails(monkeypatch):
     # (q; q)_2000 at 2000: its first 44 factors are binomial steps and the
     # rest, (q^45; q)_inf over (q^2001; q)_inf, is one Euler tail, since
@@ -888,23 +908,31 @@ def test_poch_raises_at_the_first_bad_factor_in_declared_order(factors, error, m
 @st.composite
 def division_case(draw):
     """(x, k, u, start): an int list of up to 300 entries, any entries below
-    start, and a stride k with k*k at most the n - start entries from start
-    (the residue-class branch) or above it (the block branch)."""
+    start, and a stride k on either side of the unit's boundary for the
+    m = n - start entries from start: residue classes up to it, blocks past
+    it.  The boundary is k = 2 sqrt(m) for u = 1 (k*k <= 4m) and sqrt(m)/2
+    for u = -1 (4*k*k <= m); k is drawn below it, at it, just past it or
+    anywhere past it."""
     rng = draw(st.randoms(use_true_random=False))
     n = draw(st.integers(1, 300))
     start = draw(st.integers(0, n))
     x = [rng.randint(-9, 9) for _ in range(n)]
-    root = isqrt(n - start)
-    k = draw(st.integers(1, max(root, 1)) | st.integers(root + 1, n + 2))
-    return x, k, draw(st.sampled_from([1, -1])), start
+    u = draw(st.sampled_from([1, -1]))
+    edge = isqrt(4 * (n - start)) if u > 0 else isqrt((n - start) // 4)
+    k = draw(st.integers(1, max(edge, 1)) | st.sampled_from([max(edge, 1), edge + 1]) | st.integers(edge + 1, n + 2))
+    return x, k, u, start
 
 
 @settings(max_examples=200, deadline=None)
 @given(division_case())
-# residue classes from start 7: k*k = 9 <= 23 entries from start
-@example(([1] * 30, 3, -1, 7))
-# blocks from start 5: k*k = 16 > 15 entries from start
-@example(([2] * 20, 4, 1, 5))
+# u = -1 at its boundary from start 7: 4*k*k = 36 <= 36 entries, odd/even
+# classes; one stride more takes blocks
+@example(([1] * 43, 3, -1, 7))
+@example(([1] * 43, 4, -1, 7))
+# u = 1 at its boundary from start 5: k*k = 100 <= 4*25 entries, running
+# sums per class; one stride more takes blocks
+@example(([2] * 30, 10, 1, 5))
+@example(([2] * 30, 11, 1, 5))
 def test_unit_div_from_start_matches_the_scalar_recurrence(case):
     x, k, u, start = case
     # the entries below start are left alone and read as 0

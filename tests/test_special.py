@@ -245,6 +245,14 @@ orders = st.builds(F, st.integers(0, 90), st.integers(1, 4))
 @example(25, Monomial(MINUS_I, F(1, 2)), F(157, 2))
 @example(26, Monomial(MINUS_ONE, F(1)), F(170))
 @example(26, Monomial(I, F(1, 2)), F(85))
+# the benchmark's n and order, with both real units: one int per slice at
+# 3, 4 and 5-byte digits
+@example(24, qmono(1), F(420))
+@example(24, Monomial(MINUS_ONE, F(1)), F(420))
+@example(32, qmono(1), F(420))
+@example(32, Monomial(MINUS_ONE, F(1)), F(420))
+@example(40, qmono(1), F(420))
+@example(40, Monomial(MINUS_ONE, F(1)), F(420))
 @example(0, qmono(1), F(30))
 @example(1, Monomial(I, F(1, 2)), F(61, 2))
 @example(2, qmono(1), F(30))
@@ -310,20 +318,23 @@ class _Counted(int):
 
 def test_each_c_r_multiplies_its_shorter_window(monkeypatch):
     # the terms meet in the middle at m = (U - 1) // 2: c_r multiplies
-    # min(r, U - r) + 1 slices, two int products (re and im) each, where one
-    # upward nest took r + 1 (231, 153 and 91 slices at n = 40, 32 and 24);
-    # alpha_14 = 0 at t = -q^29 keeps r <= 14, past m = 9 (120 slices upwards)
-    q = qmono(1)
-    cases = [(n, None, slices) for n, slices in [(40, 121), (32, 81), (24, 49)]]
-    cases += [(40, Monomial(MINUS_ONE, F(29)), 100), (40, Monomial(I, F(1, 2)), 121)]
-    expected = [rogers_szego_def(n, q, 100) if t is None else _rs_at_per_term(n, t, q, 100) for n, t, _ in cases]
+    # min(r, U - r) + 1 slices, where one upward nest took r + 1 (231, 153
+    # and 91 slices at n = 40, 32 and 24); alpha_14 = 0 at t = -q^29 keeps
+    # r <= 14, past m = 9 (120 slices upwards).  A slice is one int for b of
+    # unit +-1, so one int product each; a base of unit +-i keeps re and im,
+    # two products each
+    q, qi = qmono(1), Monomial(I, F(1, 2))
+    cases = [(n, None, q, slices) for n, slices in [(40, 121), (32, 81), (24, 49)]]
+    cases += [(40, Monomial(MINUS_ONE, F(29)), q, 100), (40, qi, q, 121)]
+    cases += [(40, None, Monomial(MINUS_ONE, F(1)), 121), (40, None, qi, 121), (24, Monomial(MINUS_ONE), qi, 1)]
+    expected = [rogers_szego_def(n, b, 100) if t is None else _rs_at_per_term(n, t, b, 100) for n, t, b, _ in cases]
     pack = special._pack
     monkeypatch.setattr(special, "_pack", lambda xs, wb: _Counted(pack(xs, wb)))
-    for (n, t, slices), want in zip(cases, expected):
+    for (n, t, b, slices), want in zip(cases, expected):
         _Counted.products = 0
-        got = rogers_szego_bw(n, q, 100) if t is None else rs_at(n, t, q, 100)
-        assert got == want, (n, t)
-        assert _Counted.products == 2 * slices, (n, t)
+        got = rogers_szego_bw(n, b, 100) if t is None else rs_at(n, t, b, 100)
+        assert got == want, (n, t, b)
+        assert _Counted.products == (2 if b.unit[1] else 1) * slices, (n, t, b)
 
 
 def test_digit_widths_follow_the_kept_terms(monkeypatch):
@@ -336,9 +347,9 @@ def test_digit_widths_follow_the_kept_terms(monkeypatch):
     widths = []
     read = special._read
 
-    def spy(x, den, top, wb):
+    def spy(re, im, den, top, wb):
         widths.append(wb)
-        return read(x, den, top, wb)
+        return read(re, im, den, top, wb)
 
     monkeypatch.setattr(special, "_read", spy)
     for n, wb, want in zip((24, 32, 40), (3, 4, 5), expected):
