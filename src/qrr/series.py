@@ -24,8 +24,8 @@ included, goes through `_rows`; there is no shift-and-scale path.  Two
 products stay outside it.  The Horner nest of qrr.special (`_nest`), which
 serves both forms of the Rogers-Szego polynomials, rogers_szego_bw and
 rs_at, keeps its z-slices packed as the kernel packs them and multiplies the
-packed ints itself.  The Euler pair E(c*z)*E(c/z) of qrr.zseries
-(`_euler_z_pair`) makes each z-slice as one `_fold` of unit monomials.
+packed ints itself.  The triple product E(c*z)*E(c/z)*(b;b)_inf of
+qrr.zseries (`_triple_product`) makes each z-slice as one `_fold`.
 `_rows` pairs the operands' series in one walk, which also holds the one
 stride rule: it finds the largest g such that the nonzero
 coefficients of every series in use sit on a stride g from their valuations,
@@ -51,12 +51,12 @@ order.  Each tail is Euler's sum in y, 1/(y; b)_inf = sum y**l/(b; b)_l or
 (y; b)_inf = sum (-1)**l b**(l(l-1)/2) y**l/(b; b)_l (`_tail`): about
 sqrt(n/m) divisions per family in place of n/m.  Each such
 sum_t X_t/(x; x)_t, here, in the sum side's nest and in replay 1.7, is one
-Horner fold (`_fold`), and so is each slice sum_t X_t/((x; x)_t (x; x)_(t+k))
-of the Euler pair.  A 1/(b;b)_n table (`inv_poch_table`) keeps every entry,
-so it is one pair of window-long lists, entry n being a copy of entry n - 1
-divided by its factor; each entry of a Gaussian binomial row of qrr.special
-is a copy of the last entry's lists, padded to its own degree, stepped by
-one `_unit_mul` and one `_divide`.
+Horner fold (`_fold`), and so is each z-slice of the triple product.  A
+1/(b;b)_n table (`inv_poch_table`) keeps every entry, so it is one pair of
+window-long lists, entry n being a copy of entry n - 1 divided by its
+factor; each entry of a Gaussian binomial row of qrr.special is a copy of
+the last entry's lists, padded to its own degree, stepped by one
+`_unit_mul` and one `_divide`.
 """
 
 from __future__ import annotations
@@ -612,17 +612,15 @@ def _unit_div(x: list, k: int, u: int, start: int = 0) -> list:
     return x
 
 
-def _fold(groups: list, step: int, stride: int, n: int, k: Optional[int] = None):
+def _fold(groups: list, step: int, stride: int, n: int):
     """sum over t of X_t / (x; x)_t as terms, x = q**step and X_t the terms
     of groups[t], each (offset, content, u) adding i**u * content into every
     stride-th entry from its offset, up to offset n, with one extended slice.
     From the top, X_0 + (X_1 + (X_2 + ...)/(1 - x^2))/(1 - x), in place on
     lists allocated once from the lowest offset lo: each t below the top
-    costs one binomial division, only from the lowest entry written.  With
-    k >= 0 given, the sum is of X_t / ((x; x)_t (x; x)_(t+k)): each level
-    t >= 1 also divides by 1 - x^(t+k), and the sum closes with 1/(x; x)_k.
-    The terms are [(lo, re, 0)], with (lo, im, 1) if any u is odd; [] when
-    no group has a term."""
+    costs one binomial division, only from the lowest entry written.  The
+    terms are [(lo, re, 0)], with (lo, im, 1) if any u is odd; [] when no
+    group has a term."""
     while groups and not groups[-1]:  # nothing to divide above the top group
         groups.pop()
     if not groups:
@@ -645,13 +643,9 @@ def _fold(groups: list, step: int, stride: int, n: int, k: Optional[int] = None)
             at = slice(o, o + stride * len(content), stride)
             out[at] = map(sub if u > 1 else add, out[at], content)
         if t:
-            divisors = (t,) if k is None else (t, t + k)
-        else:
-            divisors = range(1, k + 1) if k else ()
-        for d in divisors:
-            _unit_div(re, d * step, 1, low)
+            _unit_div(re, t * step, 1, low)
             if im is not None:
-                _unit_div(im, d * step, 1, low)
+                _unit_div(im, t * step, 1, low)
     return [(lo, re, 0)] if im is None else [(lo, re, 0), (lo, im, 1)]
 
 

@@ -14,8 +14,8 @@ from .errors import NegativeExponent, NotPositiveDefinite
 from .gaussian import MINUS_ONE, unit_pow
 from .identity import ExponentPoly, IdentitySpec, eval_sum
 from .quadform import as_matrix, is_positive_definite, is_symmetric
-from .series import Monomial, QSeries, _as_order, _divide, _grid, _poch, _unit_mul, poch_infinite, qmono
-from .zseries import ZSeries, _euler_z_pair, theta_z
+from .series import Monomial, QSeries, _as_order, _divide, _grid, _poch, _unit_mul, qmono
+from .zseries import ZSeries, _triple_product, theta_z
 
 
 def gaussian_binomial(n: int, k: int, b: Monomial, order) -> QSeries:
@@ -302,14 +302,11 @@ def jtp_check(order) -> JtpReport:
     """Verify the triple product (q, z*q^(1/2), q^(1/2)/z; q)_inf against the
     bilateral sum sum_n (-1)^n q^(n^2/2) z^n, z-coefficientwise through `order`.
 
-    The Euler expansions of (z*q^(1/2); q)_inf and (q^(1/2)/z; q)_inf come
-    as their product, one Horner fold per z-power (zseries._euler_z_pair),
-    whose mirrored slices are one series; the one series product is that
-    window times (q;q)_inf."""
+    The left side takes no product (zseries._triple_product): z**k and
+    z**-k are one Horner fold over the Euler terms of (z*q^(1/2); q)_inf
+    (q^(1/2)/z; q)_inf, level n adding entry n + k of (q;q)_inf/(q;q)_m."""
     order = Fraction(order)
-    q = qmono(1)
-    half = Monomial(MINUS_ONE, Fraction(1, 2))
-    lhs = _euler_z_pair(half, q, order) * ZSeries.embed(poch_infinite(q, q, order))
+    lhs = _triple_product(Monomial(MINUS_ONE, Fraction(1, 2)), qmono(1), order)
     # n^2/2 = binom(n,2) + n/2
     rhs = theta_z(1, Fraction(1, 2), MINUS_ONE, 1, order)
     d = lhs.first_difference(rhs, order)

@@ -55,11 +55,11 @@ such as (z + c) is never an operand: it is a z-shift plus a scaled copy.
 Two z-window products stay outside this path.  One is the Horner nest of
 qrr.special (`_nest`), which serves rogers_szego_bw and rs_at alike: it
 builds no ZSeries, and keeps its slices packed (qrr._kernel_py._pack) from
-start to end.  The other is E(c*z)*E(c/z) of jtp_check (`_euler_z_pair`):
-its slice z**k, k >= 0, is one Horner fold of unit monomials
-(qrr.series._fold) on the slice's own stride, with no bignum product, and
-its slice z**-k is the same object.  Packing a whole window into one int
-(two-level Kronecker substitution) was measured and rejected: CPython
+start to end.  The other is jtp_check's left side E(c*z)*E(c/z)*(b;b)_inf
+(`_triple_product`): its slice z**k, k >= 0, is one Horner fold
+(qrr.series._fold) whose levels add entries of one chain (b;b)_inf/(b;b)_m,
+and its slice z**-k is the same object.  Packing a whole window into one
+int (two-level Kronecker substitution) was measured and rejected: CPython
 multiplies multi-megabit ints by Karatsuba, so it ran several times slower.
 """
 
@@ -70,9 +70,11 @@ from math import ceil, gcd, lcm
 from typing import Dict, Optional
 
 from .errors import DivergentEmbedding, NegativeExponent
-from .gaussian import UNITS, GaussianInt, binom2, is_unit, unit_pow
+from .gaussian import ONE, UNITS, GaussianInt, binom2, is_unit, unit_pow
 from .quadform import _interval
-from .series import Monomial, QSeries, _as_order, _fold, _grid, _rows, _spread, _times, inv_poch_table
+from .series import (
+    Monomial, QSeries, _as_order, _divide, _fold, _grid, _rows, _spread, _times, inv_poch_table, poch_infinite, qmono
+)
 
 
 def _fit(s: QSeries, den: int, order: int) -> QSeries:
@@ -324,30 +326,37 @@ def euler_z_product(c: Monomial, b: Monomial, order) -> "ZSeries":
     return _euler_z(c, b, 1, order)
 
 
-def _euler_z_pair(c: Monomial, b: Monomial, order) -> "ZSeries":
-    """E(c*z) * E(c/z) for E = euler_z_product and b of unit 1, field for
-    field euler_z_product(c, b, order) * its reflect(), built with no product.
+def _triple_product(c: Monomial, b: Monomial, order) -> "ZSeries":
+    """(-c*z; b)_inf (-c/z; b)_inf (b; b)_inf for b of unit 1, field for
+    field E(c*z) * E(c/z) * (b;b)_inf, E = euler_z_product, with no product.
 
-    Slice k >= 0 is sum_n c**(2n+k) b**(binom(n,2)+binom(n+k,2)) /
-    ((b;b)_n (b;b)_(n+k)), and slice -k is slice k, the same object, so a
-    product that follows plans one row for both.  Each is one
-    `series._fold` in x = q**b.exp: one unit monomial per level n, level
-    n >= 1 dividing by (1 - x**n)(1 - x**(n+k)), closed by 1/(x;x)_k.  The
-    fold runs on the slice's own stride, gcd(b, 2c) in steps of the grid of
-    `_euler_grid`, and is spread onto that grid once."""
+    With v_m the scaled exponent of c**m b**binom(m,2), slice k >= 0 is
+    sum_n c**(2n+k) q**(v_n + v_(n+k)) R_(n+k) / (b;b)_n in x = q**b.exp,
+    for the chain R_0 = (x;x)_inf, R_m = R_(m-1) / (1 - x**m), one `_divide`
+    per entry, cut to the powers of x that reach the order from v_m, the
+    lowest exponent it is laid at.  Slice -k is slice k, the same object.
+    Each is one `series._fold` over n on the slice's own stride, gcd(b, 2c)
+    in steps of the grid of `_euler_grid`, then spread onto that grid: level
+    n adds R_(n+k) and divides by 1 - x**n."""
     den, top, ce, be = _euler_grid(c, b, order)
     g = gcd(be, 2 * ce)
+    vals = []
+    while (v := len(vals) * ce + binom2(len(vals)) * be) <= top:
+        vals.append(v)
+    r = poch_infinite(qmono(1), qmono(1), top // be).re
+    chain = [r + [0] * (top // be + 1 - len(r))]
+    for m in range(1, len(vals)):
+        r = chain[-1][: (top - vals[m]) // be + 1]
+        _divide(r, None, m, ONE)
+        chain.append(r)
     pc = UNITS.index(c.unit)
     coeff = {}
-    k = 0
-    while (v := k * ce + binom2(k) * be) <= top:
-        groups, n, e = [], 0, v  # e: the scaled q-exponent of term n
-        while e <= top:
-            groups.append([((e - v) // g, [1], pc * (2 * n + k) % 4)])
+    for k, v in enumerate(vals):
+        groups, n = [], 0
+        while n + k < len(vals) and (e := vals[n] + vals[n + k]) <= top:
+            groups.append([((e - v) // g, chain[n + k], pc * (2 * n + k) % 4)])
             n += 1
-            e = (2 * n + k) * ce + (binom2(n) + binom2(n + k)) * be
-        (_, re, _), *imag = _fold(groups, be // g, 1, (top - v) // g, k)
+        (_, re, _), *imag = _fold(groups, be // g, be // g, (top - v) // g)
         im = _spread(imag[0][1], g) if imag else None
         coeff[k] = coeff[-k] = QSeries._of(den, top, v, _spread(re, g), im)
-        k += 1
     return ZSeries._fitted(coeff, den, top)

@@ -31,7 +31,7 @@ SMALL_DIGESTS = {
     "z builders @6": "633d94a4a86a258a",
     "z product 1.8 @6": "1100a75fb40d59d5",
     "z product jtp @8": "74a69d324d37df98",
-    "z pair jtp @8": "74a69d324d37df98",
+    "z pair jtp @8": "5e14d5529cbf6f98",
     "corpus.load_all": "b02a91116d3cb8cc",
 }
 
@@ -138,10 +138,10 @@ def test_bench_names_failing_z_product_rows_and_exits_1(small, tmp_path, monkeyp
     # a wrong status or digest is found outside the timed calls: every row
     # is still timed and written, and the failing ones are named on stderr
     jtp = bench.jtp_check
-    pair = bench._euler_z_pair
+    pair = bench._triple_product
     chain = bench.REPLAYS["1.7"]
     monkeypatch.setattr(bench, "jtp_check", lambda order: jtp(order)._replace(ok=False))
-    monkeypatch.setattr(bench, "_euler_z_pair", lambda c, b, order: -pair(c, b, order))
+    monkeypatch.setattr(bench, "_triple_product", lambda c, b, order: -pair(c, b, order))
     monkeypatch.setitem(bench.REPLAYS, "1.7", lambda order: [replace(s, status="fail") for s in chain(order)])
     path = tmp_path / "bench.json"
     lines = []

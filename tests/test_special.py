@@ -5,7 +5,7 @@ from math import comb, isqrt, lcm
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from qrr import _kernel_py, corpus, special, zseries
+from qrr import _kernel_py, corpus, series, special, zseries
 from qrr.errors import NegativeExponent, NotPositiveDefinite
 from qrr.identity import ExponentPoly, IdentitySpec, auto_bounds, eval_product
 from qrr.oracle import unpruned_sum
@@ -541,19 +541,33 @@ def test_jtp_check_passes():
     assert rep.ok and rep.first_divergence is None
 
 
-def test_jtp_check_makes_one_kernel_call(monkeypatch):
-    # E(z)*E(1/z) is one Horner fold per z-power (zseries._euler_z_pair), so
-    # the kernel's one call is that window times (q;q)_inf
-    conv_rows = _kernel_py.conv_rows
-    calls = []
+def test_jtp_check_makes_no_kernel_call(monkeypatch):
+    # the left side E(z)*E(1/z)*(q;q)_inf is one Horner fold per z-power
+    # (zseries._triple_product), and no product is formed
+    monkeypatch.setattr(_kernel_py, "conv_rows", lambda *args: pytest.fail("conv_rows called"))
+    assert jtp_check(120).ok
+
+
+@pytest.mark.parametrize("order", [F(7, 4), 40, 120])
+def test_jtp_check_divides_once_per_chain_entry_and_fold_level(order, monkeypatch):
+    # v_m = m^2/2 is the exponent of (-q^(1/2))^m q^binom(m,2): the chain
+    # (q;q)_inf/(q;q)_m takes one division per m >= 1 with v_m <= order,
+    # and level n >= 1 of slice k, at v_n + v_(n+k) <= order, one more
+    # beside whatever (q;q)_inf itself takes
+    unit_div, calls = series._unit_div, []
 
     def spy(*args):
         calls.append(args)
-        return conv_rows(*args)
+        return unit_div(*args)
 
-    monkeypatch.setattr(_kernel_py, "conv_rows", spy)
-    assert jtp_check(120).ok
-    assert len(calls) == 1
+    monkeypatch.setattr(series, "_unit_div", spy)
+    poch_infinite(qmono(1), qmono(1), order)
+    base = len(calls)
+    calls.clear()
+    assert jtp_check(order).ok
+    chain = sum(1 for m in range(1, 100) if m * m <= 2 * order)
+    levels = sum(1 for k in range(100) for n in range(1, 100) if n * n + (n + k) ** 2 <= 2 * order)
+    assert len(calls) == base + chain + levels
 
 
 def test_jtp_negative_control():

@@ -223,18 +223,20 @@ def test_theta_equals_the_per_term_recipe(alpha, beta, chi, s, order):
     st.sampled_from([F(1, 2), F(1), F(2), F(3)]),  # bases q^(1/2) to q^3
     _ORDERS,
 )
-@example(MINUS_ONE, F(1, 2), F(1), F(1, 3))  # c past the order: the window is 1
+@example(MINUS_ONE, F(1, 2), F(1), F(1, 3))  # c past the order: the window is (b;b)_inf
+@example(ONE, F(1, 4), F(1, 2), F(0))  # order 0: the window is 1
+@example(I, F(1, 4), F(1, 2), F(1, 3))  # three slices from a chain of two entries
 @example(I, F(3, 4), F(1, 2), F(61, 4))
 @example(MINUS_I, F(3, 2), F(3), F(40))
-@example(MINUS_ONE, F(1, 2), F(1), F(121))  # jtp_check's pair
+@example(MINUS_ONE, F(1, 2), F(1), F(121))  # jtp_check's left side
 def test_euler_pair_equals_the_product_of_the_windows(cu, ce, be, order):
-    # every field equal to the generic product E(cz)*E(c/z), and its
-    # mirrored slices one object, as the product's own are
+    # every field equal to the generic product E(cz)*E(c/z)*(b;b)_inf, and
+    # its mirrored slices one object
     c, b = Monomial(cu, ce), qmono(be)
     euler = euler_z_product(c, b, order)
-    pair = zseries._euler_z_pair(c, b, order)
-    assert _fields(pair) == _fields(euler * euler.reflect())
-    assert all(pair.coeff[k] is pair.coeff[-k] for k in pair.coeff)
+    left = zseries._triple_product(c, b, order)
+    assert _fields(left) == _fields(euler * euler.reflect() * ZSeries.embed(poch_infinite(b, b, order)))
+    assert all(left.coeff[k] is left.coeff[-k] for k in left.coeff)
 
 
 def test_jtp_z_slices():
