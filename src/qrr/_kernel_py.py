@@ -5,33 +5,33 @@ a[2]*2**(2w) + ..., with a digit width w wide enough that every output
 coefficient fits in a signed w-bit digit.  One bignum multiply then does the
 whole convolution, and the low digits of the product, read as signed digits,
 are c[k] = sum_{i+j=k} a[i]*b[j].  Each output row takes its own width,
-sized by what its terms can produce through the order (`_term`), and wide
+sized by what its terms can produce through the order (`_plan`), and wide
 enough for every digit packed for it; the cost of a bignum multiply grows
 with that width.
 
 Inputs are plain lists of Python ints of any size, and outputs are exact.
 
-`conv_rows` is the one entry point.  It multiplies two windows of lists (the
-z-slices of two z-series; a single product is a window of one list on each
-side) and sums the products of given pairs into each output row.  Only real
-lists are multiplied: each list is split once into its real part, of unit 1,
-and its imaginary part, of unit i, and a part that is all zero is dropped.
-Every call is planned per key pair, not per pair of lists: it keys every part
-once by its content up to sign, packs one list per key and digit width, and
-in each row sums the Gaussian weights of its pairs' part pairs, the products
-of the two parts' units, into terms (unordered key pair, shift).  Only then
-is a term looked at: one whose weights sum to 0 is not planned or multiplied,
-and the others are multiplied once, one real bignum product added to the
-row's real and imaginary sums with the two parts of their weight.  So the
-plan, and the products formed, depend on the lists' contents alone, never on
-which list objects a caller passes.  E(cz)*E(-cz), which holds each term
-twice in one row, plans and forms none of its odd rows and each product of
-its even rows once, and (a + i*b)*(b + i*a) forms a*a and b*b alone.  Rows
-with the same terms and weights are one plan entry that lists every row it
-serves, formed once, and each of those rows is its one result (the mirrored
-rows of E(z)*E(1/z), say).  Every entry is two accumulated bignums, unpacked
-once each (the imaginary one only for a row with a complex list).  A complex
-list times a complex list with no part in common takes four real products.
+`conv_terms` is the one entry point.  It takes real lists, each one key, and
+rows of weighted terms: a term is an unordered pair of keys at a position,
+and its weight a Gaussian integer, the sum of the units of the pairs of
+parts that meet there.  The caller (qrr.series._rows) splits each series
+into its real part, of unit 1, and its imaginary part, of unit i, keys each
+part by its content up to sign, and sums the units in its one walk over the
+pairs, so the kernel never sees a pair and has no loop over them.  Only
+then is a term looked at: one whose weight is 0 is not planned or
+multiplied, and each other is multiplied once, one real bignum product
+added to the row's real and imaginary sums with the two parts of its
+weight.  So the plan, and the products formed, depend on the lists'
+contents alone, never on which list objects a caller passes.  E(cz)*E(-cz),
+which holds each term twice in one row, plans and forms none of its odd rows
+and each product of its even rows once, and (a + i*b)*(b + i*a) forms a*a
+and b*b alone.  Rows with the same terms and weights are one plan entry
+that lists every row it serves, formed once, and each of those rows is its
+one result (the mirrored rows of E(z)*E(1/z), say).  Every entry is two
+accumulated bignums, unpacked once each, the imaginary one only for a row
+with a term of imaginary weight: the even rows of E(iz)*E(-iz), whose
+weights are all real, unpack one.  A complex list times a complex list with
+no part in common takes four real products.
 
 Digits move between lists and ints (`_pack`, `_unpack`) by one of two paths,
 chosen from the digit width wb and the list's length alone.  The per-digit
@@ -50,7 +50,6 @@ big-endian host, whose cells hold their bytes in the other order.
 import sys
 from array import array
 from itertools import accumulate
-from operator import neg
 
 
 def _width(bound: int) -> int:
@@ -142,174 +141,119 @@ def _unpack(c: int, wb: int, nout: int) -> list:
     return [int.from_bytes(buf[i : i + wb], "little") - half for i in range(0, n, wb)]
 
 
-def conv_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> dict:
-    """Rows of the product of two windows of coefficient lists.
+def conv_terms(lists: list, rows: dict, top: int, g: int) -> dict:
+    """Rows of weighted sums of products of real lists.
 
-    a[i] = (v, re, im) holds re[t] + i*im[t] at position v + g*t, v >= 0, with
-    im None for a real list; b likewise.  For each k in rows, row k is the sum over the
-    pairs (i, j) in rows[k] of the products a[i]*b[j], through position `top`;
-    the positions v_a + v_b of the pairs in one row must agree mod g.  Returns
-    {k: (v, re, im)} on the same stride (im None for a row of real lists),
-    without the rows that have no position <= top or whose terms all cancel.
+    lists[x] is a list of ints with a nonzero entry, on stride g: entry t
+    sits at offset g*t.  rows[k] = {(x, y, v): w}, x <= y, holds the terms of
+    row k: the product lists[x]*lists[y] placed at position v >= 0, with a
+    Gaussian weight w, an int or a complex number with integer parts.  Row k
+    is the sum of w times its terms, through position `top`; the positions
+    of one row's terms must agree mod g.  Returns {k: (v, re, im)} on the
+    same stride, im None for a row with no term of imaginary weight, without
+    the rows that have no position <= top or whose terms all add nothing.
 
-    Each list is the sum of its parts, re with unit 1 and im with unit i,
-    less a part that is all zero, and a pair's product is the sum of the
-    products of their parts.  Each part is keyed by its content up to sign
-    (`_form`), and one list is packed per key.  Each pair of parts is then a
-    term (unordered key pair, position v_a + v_b) with weight u_x*u_y, each
-    part being its unit times its key's packed list (`_plan_rows`).  A term
-    reaches n = (top - v_a - v_b)//g + 1 digits, and one with n <= 0, or
-    with a list that is empty or zero through n digits, adds nothing.  A row
-    sums the weights of its terms first, so a term whose weights sum to 0 is
-    not formed: E(cz)*E(-cz) forms none of its odd rows and each product of
-    its even rows once.  Each other term is one bignum product p, added to
-    the row as w_re*p + i*w_im*p.  Each row's digit width holds the sum over
-    its terms of |w_re| times the term's bound on its digits (`_term`: from
-    the largest entries of its two lists over the digits it reaches, and,
-    when the order cuts the product, over the first half of those of each
-    list it cuts short), the same sum of |w_im| times it, since the real and
-    the imaginary sums are unpacked apart, and every digit packed for the
-    row.  A key is packed once per width, as far as the terms of that width
-    reach, at the first plan entry that reads it, and dropped after the last
-    entry that forms a product of it, as is each entry; each operand longer
-    than its term's reach is masked to n digits (`_reach`): that changes it
-    by a multiple of 2**(w*n), which moves only digits at or past the row's
-    last.
+    A term reaches n = (top - v)//g + 1 digits, and one with weight 0 or n
+    <= 0, or with a list zero through n digits, adds nothing.  Each other
+    term is one bignum product p, added to the row as w_re*p + i*w_im*p.
+    Each row's digit width holds the sum over its terms of |w_re| times the
+    term's bound on its digits (`_plan`: from the largest entries of its two
+    lists over the digits it reaches, and, when the order cuts the product,
+    over the first half of those of each list it cuts short), the same sum
+    of |w_im| times it, since the real and the imaginary sums are unpacked
+    apart, and every digit packed for the row.  A list is packed once per
+    width, as far as the terms of that width reach, at the first plan entry
+    that reads it, and dropped after the last entry that forms a product of
+    it, as is each entry; each operand longer than its term's reach is
+    masked to n digits: that changes it by a multiple of 2**(w*n), which
+    moves only digits at or past the row's last.
 
     Two rows with the same terms and weights are equal: in one call the
     position fixes each term's reach, and so the row's base, length and width,
     and x*y = y*x exactly.  The planner makes them one entry that lists each
     row it serves, and the entry is formed and unpacked once and stored, one
     tuple, under each of its rows (the rows z**k and z**-k of E(z)*E(1/z),
-    say).  Lists are never changed while a window holds them.
+    say).  Lists are never changed.
     """
-    plan, reach, reps = _plan_rows(a, b, rows, top, g)
+    plan, reach = _plan(lists, rows, top, g)
     done = {}  # plan entry -> the packs no later entry forms a product of
     for key, (_, r) in reach.items():
         done.setdefault(r, []).append(key)
-    packs = {}
+    packs = {}  # width -> {key number: (its packed list, the digits packed)}
 
-    def operand(x, wb, n):
+    def pack(x, wb, held):
         m = reach[x, wb][0]
-        p = packs.get((x, wb))
-        if p is None:
-            p = packs[x, wb] = _pack(reps[x][:m], wb)
-        return _reach(p, m, wb, n)
+        p = held[x] = _pack(lists[x][:m], wb), m
+        return p
 
     out = {}
     for r in range(len(plan)):
         ks, base, nout, wb, complex_row, terms = plan[r]
         plan[r] = None  # the entry's terms are not read again
+        held = packs.get(wb) or packs.setdefault(wb, {})
+        w = 8 * wb
         rr = ii = 0
-        for x, y, v, n, _, _, wr, wi in terms:
-            p = operand(x, wb, n) * operand(y, wb, n) << 8 * wb * ((v - base) // g)
+        for x, y, v, n, _, _, _, wr, wi in terms:
+            px, mx = held.get(x) or pack(x, wb, held)
+            py, my = held.get(y) or pack(y, wb, held)
+            if mx > n or my > n:
+                mask = (1 << w * n) - 1
+                if mx > n:
+                    px &= mask
+                if my > n:
+                    py &= mask
+            p = px * py << w * ((v - base) // g)
             rr += wr * p
-            ii += wi * p
-        for key in done.pop(r, ()):
-            del packs[key]
+            if wi:
+                ii += wi * p
+        for x, wb in done.pop(r, ()):
+            del packs[wb][x]
         row = base, _unpack(rr, wb, nout), _unpack(ii, wb, nout) if complex_row else None
         for k in ks:
             out[k] = row
     return out
 
 
-def _form(part: list):
-    """(key, e) for a real list with a nonzero entry: part = i**e * key, e 0
-    or 2, the key being part's content up to sign, its first nonzero entry
-    > 0, as one tuple built in C; it is also the list packed for the key.
-    None for a list that is all zero."""
-    first = next(filter(None, part), 0)
-    if not first:
-        return None
-    if first > 0:
-        return tuple(part), 0
-    return tuple(map(neg, part)), 2
+def _plan(lists: list, rows: dict, top: int, g: int) -> tuple:
+    """conv_terms' plan: one entry per set of rows with the same terms and
+    weights, some term live, ([every k it serves], base position, digits
+    out, width, complex?, [(x, y, position, n, digits of x used, digits of y
+    used, bound, w_re, w_im)]) over its live terms; and for each (key
+    number, width) the digits to pack and the last entry that forms a
+    product of it.
 
+    A row whose weights repeat an earlier row's only adds its k to that
+    row's entry.  Each live term is read once for its reach, bound and peak,
+    from the largest |entry| of each list: a list used whole (n >= its
+    length) reads its peak, a list cut to n digits its running maxima, each
+    built once per list.  With a and b the largest |x| and |y| over the
+    digits used, la and lb, min(la, lb)*a*b bounds every digit.  When the
+    order cuts the product (n < la + lb - 1), so may the halves: digit d < n
+    is the sum of the products x[i]*y[d-i], of which at most ha = ceil(la/2)
+    have i < ha, at most hb = ceil(lb/2) have d - i < hb, and at most n - ha
+    - hb neither; so with a0 >= |x[i]| for i < ha and b0 >= |y[j]| for j <
+    hb, ha*a0*b + hb*a*b0 + (n - ha - hb)*a*b bounds it too, and the smaller
+    is taken.  A cut list reads a0 from its running maxima, and a whole list
+    takes a0 = a, so no bound costs a pass of its own.  Lists that grow, as
+    1/(q;q)_j does, have a0 and b0 far below a and b.  A whole product keeps
+    the first bound: with its la + lb - 1 digits in place of n, the halves'
+    bound is at least (min(la, lb) - 2)*a*b.
 
-def _peak(cache: dict, key: int, x, n: int) -> tuple:
-    """(the largest |x[t]| over t < n, and over t < ceil(n/2)), for 0 < n <=
-    len(x).  A list cut shorter reads both from its running maxima; a whole
-    list takes one max/min pass and gives its peak for both.  Either is
-    built once per key and kept in `cache`."""
-    if n < len(x):
-        m = cache.get(key)
-        if m is None:
-            m = cache[key] = list(accumulate(map(abs, x), max))
-        return m[n - 1], m[(n - 1) // 2]
-    m = cache.get((key, True))
-    if m is None:
-        m = max(max(x), -min(x))
-        m = cache[key, True] = m, m
-    return m
-
-
-# i**u for u = 0..3: the weight of a pair of parts whose units multiply to
-# i**u.  A term's weight is their sum, a complex number with integer parts no
-# larger than the number of pairs of parts, so every sum is exact
-_UNIT_WEIGHTS = (1, 1j, -1, -1j)
-
-
-def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
-    """conv_rows' plan: one entry per set of rows with the same terms and
-    weights, some weight not 0, ([every k it serves], base position, digits
-    out, width, complex?, [(key number x, key number y, position, n, digits
-    of x used, digits of y used, w_re, w_im)]), x <= y; for each (key
-    number, width), the digits to pack and the last entry that forms a
-    product of it; and the real list to pack for each key number.
-
-    Each list's parts, with their key numbers and units, and its position
-    are looked up once.  The real part has unit i**0 and the imaginary part
-    i**1, times the sign `_form` takes out, and a part that is all zero is
-    dropped.  In each row the pairs only sum the units of their pairs of
-    parts into the weight of their term, the unordered key pair at the
-    pair's position; each term whose weight is not 0 is then offered once
-    (`_term`) for its reach, bound and peak, and a row whose weights repeat
-    an earlier row's only adds its k to that row's entry.  A row is complex
-    when a list of its pairs is.  A row's width holds the sum of
-    |w_re|*bound over its terms, the sum of |w_im|*bound, and the largest
-    peak: a row whose digits all vanish may still pack a large one ([0, 0,
-    128, 1] times [0, 0, 1, 1] through the third digit).  The peaks are
-    dropped on return."""
-    keys = {}  # key -> key number
-    reps = []  # key number -> the real list packed for it
-    formed = {}  # id of a list -> its form: a list on both sides is keyed once
-
-    def form(x):
-        """([(key number, unit as a power of i)] of x's parts, v, complex?)"""
-        f = formed.get(id(x))
-        if f is None:
-            v, re, im = x
-            parts = []
-            for part, u in ((re, 0),) if im is None else ((re, 0), (im, 1)):
-                kept = _form(part)
-                if kept:
-                    key, e = kept
-                    n = keys.setdefault(key, len(reps))
-                    if n == len(reps):
-                        reps.append(key)
-                    parts.append((n, u + e))
-            f = formed[id(x)] = parts, v, im is not None
-        return f
-
-    a = {i: form(x) for i, x in a.items()}
-    b = {j: form(y) for j, y in b.items()}
-    peaks = {}  # (key number, whole?) -> _peak's maximum or running maxima
-    planned = {}  # a row's weights -> its plan entry, or None for a row with no term
+    A row is complex when a live term has an imaginary weight.  Its width
+    holds the sum of |w_re|*bound over its terms, the sum of |w_im|*bound,
+    and the largest peak: a row whose digits all vanish may still pack a
+    large one ([0, 0, 128, 1] times [0, 0, 1, 1] through the third digit).
+    The row ends at `top` or where its longest product ends."""
+    peaks = {}  # key number -> the largest |entry| of its list
+    runs = {}  # key number -> the running maxima of |entry| of its list
+    planned = {}  # a row's weights -> its plan entry, or None for a row with no live term
     plan = []
-    reach = {}  # (key number, width) -> digits to pack
-    for k, pairs in rows.items():
-        weights = {}  # (x, y, position), x <= y -> the sum of its pairs' units
-        complex_row = False
-        for i, j in pairs:
-            px, va, cx = a[i]
-            py, vb, cy = b[j]
-            complex_row = complex_row or cx or cy
-            v = va + vb
-            for x, ux in px:
-                for y, uy in py:
-                    t = (x, y, v) if x <= y else (y, x, v)
-                    weights[t] = weights.get(t, 0) + _UNIT_WEIGHTS[(ux + uy) % 4]
-        sig = frozenset(weights.items())
+    reach = {}  # (key number, width) -> (digits to pack, last entry)
+    for k, weights in rows.items():
+        terms = [t for t in weights.items() if t[1]]
+        if not terms:
+            continue
+        sig = frozenset(terms)
         if sig in planned:
             if planned[sig]:
                 planned[sig][0].append(k)
@@ -317,74 +261,52 @@ def _plan_rows(a: dict, b: dict, rows: dict, top: int, g: int) -> tuple:
         live = []
         base, last = top + 1, 0  # the lowest position and the last one a product reaches
         bound_re = bound_im = peak = 0
-        for t, w in weights.items():
-            if w:
-                term = _term(reps, peaks, *t, top, g)
-                if term:
-                    head, end, s, p = term
-                    wr, wi = int(w.real), int(w.imag)
-                    live.append(head + (wr, wi))
-                    if t[2] < base:
-                        base = t[2]
-                    if end > last:
-                        last = end
-                    if p > peak:
-                        peak = p
-                    bound_re += abs(wr) * s
-                    bound_im += abs(wi) * s
+        for (x, y, v), w in terms:
+            n = (top - v) // g + 1
+            if n <= 0:
+                continue
+            xs, ys = lists[x], lists[y]
+            la, lb = len(xs), len(ys)
+            if n < la:
+                m = runs.get(x) or runs.setdefault(x, list(accumulate(map(abs, xs), max)))
+                la, a, a0 = n, m[n - 1], m[(n - 1) // 2]
+            else:
+                a = a0 = peaks.get(x) or peaks.setdefault(x, max(max(xs), -min(xs)))
+            if n < lb:
+                m = runs.get(y) or runs.setdefault(y, list(accumulate(map(abs, ys), max)))
+                lb, b, b0 = n, m[n - 1], m[(n - 1) // 2]
+            else:
+                b = b0 = peaks.get(y) or peaks.setdefault(y, max(max(ys), -min(ys)))
+            if not (a and b):  # a list is zero as far as the term reaches
+                continue
+            ab = a * b
+            bound = (la if la < lb else lb) * ab
+            if n < la + lb - 1:  # the order cuts the product
+                ha, hb = (la + 1) // 2, (lb + 1) // 2
+                cut = ha * a0 * b + hb * a * b0
+                if n > ha + hb:
+                    cut += (n - ha - hb) * ab
+                if cut < bound:
+                    bound = cut
+            wr, wi = int(w.real), int(w.imag)
+            live.append((x, y, v, n, la, lb, bound, wr, wi))
+            if v < base:
+                base = v
+            if v + g * (la + lb - 2) > last:
+                last = v + g * (la + lb - 2)
+            if a > peak or b > peak:
+                peak = a if a > b else b
+            bound_re += abs(wr) * bound
+            if wi:
+                bound_im += abs(wi) * bound
         planned[sig] = None
         if not live:
             continue
-        # the row ends at `top` or where its longest product ends
         nout = (min(top, last) - base) // g + 1
         wb = _width(max(bound_re, bound_im, peak))
         for x, y, _, _, la, lb, *_ in live:  # this entry is plan[len(plan)]
             reach[x, wb] = max(reach.get((x, wb), (0,))[0], la), len(plan)
             reach[y, wb] = max(reach.get((y, wb), (0,))[0], lb), len(plan)
-        planned[sig] = [k], base, nout, wb, complex_row, live
+        planned[sig] = [k], base, nout, wb, bound_im > 0, live
         plan.append(planned[sig])
-    return plan, reach, reps
-
-
-def _term(reps: list, peaks: dict, x: int, y: int, v: int, top: int, g: int):
-    """The term of key numbers x and y at position v, as ((x, y, v, n, la,
-    lb), last position reached, bound, peak): a pair there reaches n =
-    (top - v)//g + 1 digits and uses la digits of x and lb of y; no digit
-    of its product below n is larger than `bound` in size, and no digit of
-    x or y packed for it larger than `peak`.  None when a list is empty or
-    zero as far as the pair reaches, since the term then adds nothing.
-
-    With a and b the largest |x| and |y| over those digits, min(la, lb)*a*b
-    bounds every digit.  When the order cuts the product (n < la + lb - 1),
-    so may the halves: digit d < n is the sum of the products x[i]*y[d-i],
-    of which at most ha = ceil(la/2) have i < ha, at most hb = ceil(lb/2)
-    have d - i < hb, and at most n - ha - hb neither; so with a0 >= |x[i]|
-    for i < ha and b0 >= |y[j]| for j < hb, ha*a0*b + hb*a*b0 +
-    (n - ha - hb)*a*b bounds it too, and the smaller is taken.  A list cut
-    to its reach reads a0 from the running maxima it keeps for a (`_peak`),
-    and a whole list takes a0 = a, so no bound costs a pass of its own.
-    Lists that grow, as 1/(q;q)_j does, have a0 and b0 far below a and b.
-    A whole product keeps the first bound: with its la + lb - 1 digits in
-    place of n, the halves' bound is at least (min(la, lb) - 2)*a*b."""
-    n = (top - v) // g + 1
-    xs, ys = reps[x], reps[y]
-    la = n if n < len(xs) else len(xs)
-    lb = n if n < len(ys) else len(ys)
-    if la <= 0 or lb <= 0:
-        return None
-    (a, a0), (b, b0) = _peak(peaks, x, xs, la), _peak(peaks, y, ys, lb)
-    if not (a and b):
-        return None
-    bound = (la if la < lb else lb) * a * b
-    if n < la + lb - 1:  # the order cuts the product
-        ha, hb = (la + 1) // 2, (lb + 1) // 2
-        cut = ha * a0 * b + hb * a * b0 + max(n - ha - hb, 0) * a * b
-        if cut < bound:
-            bound = cut
-    return (x, y, v, n, la, lb), v + g * (la + lb - 2), bound, a if a > b else b
-
-
-def _reach(p: int, m: int, wb: int, n: int) -> int:
-    """A list packed to m digits as p, masked to its low n digits when it
-    is longer."""
-    return p if m <= n else p & (1 << 8 * wb * n) - 1
+    return plan, reach

@@ -59,6 +59,8 @@ PRODUCT_ORDER = Fraction(2000)
 # cao_wang_1_2_3's product side alone: its sum side's bounds stop at 60
 CAO_WANG_PRODUCT_ORDER = Fraction(1000)
 REPLAY_ORDER = Fraction(80)
+# perfbench's replay_zseries runs replay 1.8, and so its z_plus * z_minus, here
+PAIR_ORDER = Fraction(120)
 JTP_ORDER = Fraction(300)
 # the costs that the rows above, kept at their first orders, do not reach
 LARGE_REPLAY_ORDER = Fraction(640)
@@ -93,6 +95,7 @@ DIGESTS = {
     "eval_product cao-wang-1-2-3 @1000": "11cbe7d5227ec5f6",
     "z builders @80": "96ac7263ee0bcec0",
     "z product 1.8 @80": "22bbc3113371c691",
+    "z product 1.8 @120": "ece4db3a74d0aa8b",
     "z product jtp @300": "aa5abab6d14c7872",
     "z pair jtp @300": "d44dfec8bb9832ec",
     "corpus.load_all": "b02a91116d3cb8cc",
@@ -103,9 +106,10 @@ def _digest(result) -> str:
     return hashlib.sha256(repr(result).encode()).hexdigest()[:16]
 
 
-def _pair(x, y, n):
-    """The whole product of two length-n lists: one row of one pair."""
-    return _kernel_py.conv_rows({0: x}, {0: y}, {0: [(0, 0)]}, 2 * n - 2, 1)
+def _pair(lists, terms, n):
+    """The whole product of length-n lists: one row of the weighted terms
+    {(x, y, 0): w} of the lists' products."""
+    return _kernel_py.conv_terms(lists, {0: terms}, 2 * n - 2, 1)
 
 
 def _matches(report) -> bool:
@@ -126,18 +130,19 @@ def _rows():
     for n in SIZES:
         a = [rng.randint(-9, 9) for _ in range(n)]
         b = [rng.randint(-9, 9) for _ in range(n)]
-        yield "kernel", "conv_real %d" % n, partial(_pair, (0, a, None), (0, b, None), n), REPEATS, None
-        yield "kernel", "conv_complex %d" % n, partial(_pair, (0, a, b), (0, b, a), n), REPEATS, None
+        yield "kernel", "conv_real %d" % n, partial(_pair, [a, b], {(0, 1, 0): 1}, n), REPEATS, None
+        # (a + ib)*(b + ia) = i*a*a + i*b*b: its cross terms a*b and i*i*b*a cancel
+        yield "kernel", "conv_complex %d" % n, partial(_pair, [a, b], {(0, 0, 0): 1j, (1, 1, 0): 1j}, n), REPEATS, None
     n, m = WIDE_SIZE, 1 << 40
     a = [rng.randint(-m, m) for _ in range(n)]
     b = [rng.randint(-m, m) for _ in range(n)]
-    yield "kernel", "conv_real %d wide" % n, partial(_pair, (0, a, None), (0, b, None), n), REPEATS, None
-    # (a + ib)*(b + ia) above holds a and b on both sides, which every call
-    # keys by content, so it cancels its cross terms; a generic complex
-    # product has four independent parts, drawn apart from the rows above
+    yield "kernel", "conv_real %d wide" % n, partial(_pair, [a, b], {(0, 1, 0): 1}, n), REPEATS, None
+    # a generic complex product (ar + i*ai)*(br + i*bi) has four independent
+    # parts, drawn apart from the rows above, and four products
     rng = random.Random(4)
-    ar, ai, br, bi = ([rng.randint(-9, 9) for _ in range(n)] for _ in range(4))
-    yield "kernel", "conv_complex %d generic" % n, partial(_pair, (0, ar, ai), (0, br, bi), n), REPEATS, None
+    parts = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(4)]
+    generic = {(0, 2, 0): 1, (0, 3, 0): 1j, (1, 2, 0): 1j, (1, 3, 0): -1}
+    yield "kernel", "conv_complex %d generic" % n, partial(_pair, parts, generic, n), REPEATS, None
 
     sums = ("cao_wang_1_2_3", SUM_ORDER), ("cao_wang_1_2_3", CAO_WANG_ORDER)
     for name, order in sums + (("double_mod10_2_8", VERIFY_ORDER), ("double_mod5_1_4", CORPUS_ORDER)):
@@ -182,9 +187,10 @@ def _rows():
         euler_z_inverse(Monomial(I, Fraction(3, 2)), qmono(2), REPLAY_ORDER),
         euler_z_product(Monomial(MINUS_ONE, Fraction(1, 2)), q, REPLAY_ORDER),
     ), 3, None
-    head = REPLAY_ORDER + Fraction(1, 4)  # replay 1.8 builds its windows through here
-    z_plus, z_minus = (euler_z_inverse(Monomial(u, Fraction(3, 2)), qmono(2), head) for u in (I, MINUS_I))
-    yield "zseries", "z product 1.8 @%s" % REPLAY_ORDER, partial(mul, z_plus, z_minus), 3, None
+    for order in (REPLAY_ORDER, PAIR_ORDER):
+        head = order + Fraction(1, 4)  # replay 1.8 builds its windows through here
+        z_plus, z_minus = (euler_z_inverse(Monomial(u, Fraction(3, 2)), qmono(2), head) for u in (I, MINUS_I))
+        yield "zseries", "z product 1.8 @%s" % order, partial(mul, z_plus, z_minus), 3, None
     # E(z)*E(1/z) of the triple product as the generic kernel workload, and
     # jtp_check's left side E(z)*E(1/z)*(q;q)_inf, one Horner fold per z-power
     half = Monomial(MINUS_ONE, Fraction(1, 2))

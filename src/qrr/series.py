@@ -26,12 +26,16 @@ serves both forms of the Rogers-Szego polynomials, rogers_szego_bw and
 rs_at, keeps its z-slices packed as the kernel packs them and multiplies the
 packed ints itself.  The triple product E(c*z)*E(c/z)*(b;b)_inf of
 qrr.zseries (`_triple_product`) makes each z-slice as one `_fold`.
-`_rows` pairs the operands' series in one walk, which also holds the one
-stride rule: it finds the largest g such that the nonzero
-coefficients of every series in use sit on a stride g from their valuations,
-and the pairs summed into one row differ in valuation by multiples of g; it
-hands every g-th entry to the Kronecker-substitution kernel's one entry
-point (qrr._kernel_py.conv_rows) and spreads the rows back onto the grid.
+`_rows` pairs the operands' series in one walk: it keys each list in use
+once, by its content up to sign at its own stride, and adds each pair's
+product of units into the weight of its term (key pair, position) in its
+row.  It also holds the one stride rule: the largest g such that the
+nonzero coefficients of every list in use sit on a stride g from their
+valuations (a one-term list imposes none), and the terms of one row differ
+in position by multiples of g.  It hands every key's g-th entries and the
+rows of weighted terms to the Kronecker-substitution kernel's one entry
+point (qrr._kernel_py.conv_terms), which has no loop over pairs, and
+spreads the rows back onto the grid.
 
 A binomial factor never reaches the kernel, and its exponent is a whole
 number k of steps on a grid the caller works out once.  It acts in place on
@@ -65,7 +69,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
 from math import floor, gcd, isqrt, lcm
-from operator import add, itemgetter, or_, sub
+from operator import add, itemgetter, neg, or_, sub
 from typing import Iterator, Optional
 
 from . import _kernel_py
@@ -466,6 +470,13 @@ class QSeries:
         }
 
 
+# i**u for u = 0..3, the unit of a part: the real part has unit i**0 and
+# the imaginary part i**1, times the sign `_key` takes out.  A term's weight
+# is a sum of products of two units, a complex number with integer parts no
+# larger than the number of pairs, so every sum is exact
+_UNITS = (1, 1j, -1, -1j)
+
+
 def _rows(a: dict, b: dict, den: int, top: int, row: Optional[int] = None) -> dict:
     """{k: the sum of a[i] * b[j] over i + j = k}, or only the row k = `row`
     when it is given, for windows {key: series} on grid `den`, each exact
@@ -474,44 +485,78 @@ def _rows(a: dict, b: dict, den: int, top: int, row: Optional[int] = None) -> di
     cancel in the kernel, is left out.  It is the one product path for series
     and z-windows, one-term operands included.
 
-    One walk pairs the series and holds the one stride rule: b's nonzero
-    series are sorted by valuation once, and each nonzero series of a is
-    paired with them in that order until the valuations sum past top, or
-    only with b[row - i].  It groups the pairs into rows, takes the gcd g of
-    the pairs' valuation differences within each row and records the series
-    in use, and `_stride` lowers g to divide their offsets of nonzero
-    coefficients.  Every row is one packed accumulation in the kernel
-    (qrr._kernel_py.conv_rows) on every g-th entry, spread back onto the
-    grid; a series on both sides, or at several keys, is one strided list
-    there.  The kernel plans by content up to a unit of Z[i], and rows that
-    it forms once become one shared series."""
+    A series is the sum of its parts, re of unit 1 and im of unit i, less a
+    part that is all zero.  Each list is keyed once (`_key`), the first time
+    a series in use holds it, by its content up to sign at its own stride,
+    so a list held by several series, or on both sides, is one key.  One
+    walk then pairs the parts: those of b's nonzero series are sorted by
+    valuation once, and each part of a nonzero series of a is paired with
+    them in that order until the valuations sum past top, or only with the
+    parts of b[row - i].  Each pair adds the product of its units into the
+    weight, in row i + j, of its term (unordered key pair, v_a + v_b).  The
+    stride g is the gcd of each row's position differences and of the
+    strides of the lists in use; a one-term list has none and imposes none.
+    The kernel (qrr._kernel_py.conv_terms) gets each key's list on every g-th
+    entry and the rows of weighted terms; it sums each row into one packed
+    accumulation, skips the terms whose weights cancel, and forms rows with
+    the same terms and weights once.  Its rows are spread back onto the
+    grid, and a row it shares stays one series."""
     a = {i: s for i, s in a.items() if s.re}
     b = {j: t for j, t in b.items() if t.re}
-    by_val = sorted(b, key=lambda j: b[j].val)
-    rows = {}  # k -> its pairs (i, j)
-    first = {}  # k -> the valuation sum of its first pair
-    ua, ub = {}, {}  # the series the pairs use
-    g = 0
-    for i, s in a.items():
-        for j in (by_val if row is None else b.keys() & {row - i}):
-            t = b[j]
-            v = s.val + t.val
-            if row is None and v > top:
-                break
-            rows.setdefault(i + j, []).append((i, j))
-            g = gcd(g, v - first.setdefault(i + j, v))
-            ua[i], ub[j] = s, t
-    if not rows:  # a zero operand, or no pair at z**row: nothing for the kernel
+    if not (a and b):
         return {}
-    used = {id(s): s for s in (*ua.values(), *ub.values())}
-    for s in used.values():
-        g = _stride(g, s.re, s.im)
+    keys = {}  # a list's key -> (key number, the sign of its first list)
+    lists = []  # key number -> the first list of that key
+    seen = {}  # id of a list -> (key number, e, stride), None for a zero list
+    g = 0
+
+    def parts(s):
+        """[(key number, unit)] of s's nonzero parts; lowers g to their strides."""
+        nonlocal g
+        out = []
+        for part, u in ((s.re, 0),) if s.im is None else ((s.re, 0), (s.im, 1)):
+            kept = seen.get(id(part), 0)
+            if kept == 0:
+                kept = seen[id(part)] = _key(keys, lists, part) if any(part) else None
+            if kept:
+                x, e, stride = kept
+                out.append((x, _UNITS[u + e]))
+                g = gcd(g, stride)
+        return out
+
+    if row is None:  # the series of b that pair with a's lowest valuation, and so are in use
+        low = top - min(s.val for s in a.values())
+        used = [j for j in sorted(b, key=lambda j: b[j].val) if b[j].val <= low]
+        walk = [(j, b[j].val, y, u) for j in used for y, u in parts(b[j])]
+    rows = {}  # k -> {(x, y, position), x <= y: the sum of its pairs' units}
+    for i, s in a.items():
+        va = s.val
+        if row is None:
+            if not walk or va + walk[0][1] > top:
+                continue
+            pairs = walk
+        elif row - i in b:
+            t = b[row - i]
+            pairs = [(row - i, t.val, y, u) for y, u in parts(t)]
+        else:
+            continue
+        for x, ux in parts(s):
+            for j, vb, y, uy in pairs:
+                v = va + vb
+                if v > top and row is None:
+                    break
+                weights = rows.get(i + j)
+                if weights is None:
+                    weights = rows[i + j] = {}
+                term = (x, y, v) if x <= y else (y, x, v)
+                weights[term] = weights.get(term, 0) + ux * uy
+    if not rows:  # no pair at z**row: nothing for the kernel
+        return {}
+    for weights in rows.values():
+        v0 = next(iter(weights))[2]
+        g = gcd(g, *[t[2] - v0 for t in weights])
     g = g or 1
-    # one strided (val, re, im) per series, whichever side and key holds it
-    views = {x: (s.val, s.re[::g], None if s.im is None else s.im[::g]) for x, s in used.items()}
-    packed = _kernel_py.conv_rows(
-        {i: views[id(s)] for i, s in ua.items()}, {j: views[id(s)] for j, s in ub.items()}, rows, top, g
-    )
+    packed = _kernel_py.conv_terms([x if g == 1 else x[::g] for x in lists], rows, top, g)
     made = {}  # id(kernel row) -> its series: rows the kernel shares stay shared
     for r in packed.values():
         if id(r) not in made:
@@ -520,28 +565,50 @@ def _rows(a: dict, b: dict, den: int, top: int, row: Optional[int] = None) -> di
     return {k: made[id(r)] for k, r in packed.items()}
 
 
-def _stride(g: int, re: list, im: Optional[list]) -> int:
-    """The gcd of g and every offset 0 < k < n = len(re) at which re[k] or
-    im[k] is nonzero (an im of None is zero); g = 0 stands for no offset yet.
+def _key(keys: dict, lists: list, part: list) -> tuple:
+    """(key number, e, stride) of a list with a nonzero entry: part is i**e
+    times the first list keyed as its key number, e 0 or 2, and its nonzero
+    entries sit at multiples of stride, 0 when only its first one is
+    nonzero.  The key is the stride, the length and the entries at multiples
+    of the stride, up to sign: two lists share a key exactly when they are
+    equal up to sign."""
+    stride = _stride(part)
+    content = part[::stride] if stride else part[:1]
+    sign = next(filter(None, content)) > 0
+    key = stride, len(part), tuple(content) if sign else tuple(map(neg, content))
+    kept = keys.get(key)
+    if kept is None:
+        kept = keys[key] = len(lists), sign
+        lists.append(part)
+    return kept[0], 0 if kept[1] == sign else 2, stride
 
-    The first nonzero offset below g (or n) is found by a short walk, so a
-    dense list returns at offset 1; the residues mod g are then checked one
-    slice at a time, and a nonzero residue j lowers g to gcd(g, j)."""
-    n = len(re)
+
+def _stride(x: list) -> int:
+    """The gcd of every offset 0 < k < len(x) at which x[k] is nonzero; 0
+    when there is none.
+
+    The first such offset k is found by a short walk, so a dense list
+    returns at offset 1.  When x holds as many nonzero entries on the
+    multiples of k as in all, k is the gcd; otherwise the residues mod k are
+    checked one slice at a time, and a nonzero residue j lowers it to
+    gcd(k, j)."""
+    n = len(x)
     k = 1
-    top = min(g, n) if g else n
-    while k < top and not (re[k] or im is not None and im[k]):
+    while k < n and not x[k]:
         k += 1
-    if k < top:
-        g = gcd(g, k)
+    if k == n:
+        return 0
+    on = x[::k]
+    if k == 1 or len(on) - on.count(0) == n - x.count(0):
+        return k
     j = 1
-    while j < g:
-        if any(re[j:n:g]) or im is not None and any(im[j:n:g]):
-            g = gcd(g, j)
+    while j < k:
+        if any(x[j::k]):
+            k = gcd(k, j)
             j = 1
         else:
             j += 1
-    return g
+    return k
 
 
 # -- binomial steps, in place on int lists ---------------------------------

@@ -34,24 +34,25 @@ Every other window is built from slices already on its grid and order, and
 
 Products.  Both operands' slices are fitted to one grid and order.  Every
 product, one-term slices included, takes the one packed path: series._rows
-drops the zero slices and pairs the others in one walk, in a full product
-only those whose valuations sum to at most the order, and hands the kernel
-(qrr._kernel_py.conv_rows) one row per output slice.  Every slice is
-packed into one int on the common stride of all slices, each output slice
-is the sum of its pairs' bignum products, each operand masked to the digits
-its pair can reach under the order and shifted by the pair's valuation, and
-it is unpacked once, on the product's grid and order, and enters the window
-as it is.  The kernel keys slices by content up to a unit of Z[i]
-and plans each product per key pair: slices that are unit multiples of one
-another (i**n*S_n and (-i)**n*S_n in E(iz) and E(-iz), or one slice on
-both sides) are packed once, and in each row the units of the pairs with
-the same product at the same shift are summed before that product is
-planned, once, or, when they cancel, not at all.  So z_plus * z_minus in
-replays 1.5, 1.6 and 1.8 plans and forms none of its odd slices, which are
-zero, and each product of its even slices once.  Output slices made of the
-same products with the same units are planned and formed once and share
-one series: the rows z**k and z**-k of E(z)*E(1/z) cost one.  A z-binomial
-such as (z + c) is never an operand: it is a z-shift plus a scaled copy.
+drops the zero slices and walks the pairs of the others once, in a full
+product only those whose valuations sum to at most the order.  It keys each
+slice's lists by content up to a unit of Z[i] as it first meets them, so
+slices that are unit multiples of one another (i**n*S_n and (-i)**n*S_n in
+E(iz) and E(-iz), or one slice on both sides) are one key, and adds each
+pair's product of units into the weight of its term (key pair, shift) in
+its output slice.  The kernel (qrr._kernel_py.conv_terms) gets one row of
+weighted terms per output slice: each key is packed into one int on the
+common stride of all slices, each output slice is the sum of its terms'
+bignum products, each operand masked to the digits its term can reach
+under the order and shifted by the term's valuation, and it is unpacked
+once, on the product's grid and order, and enters the window as it is.  A
+term whose units cancel is not formed.  So z_plus * z_minus in replays 1.5,
+1.6 and 1.8 plans and forms none of its odd slices, which are zero, and
+each product of its even slices once, and each even slice, whose weights
+are real, unpacks one int.  Output slices made of the same products with
+the same units are planned and formed once and share one series: the rows
+z**k and z**-k of E(z)*E(1/z) cost one.  A z-binomial such as (z + c) is
+never an operand: it is a z-shift plus a scaled copy.
 Two z-window products stay outside this path.  One is the Horner nest of
 qrr.special (`_nest`), which serves rogers_szego_bw and rs_at alike: it
 builds no ZSeries, and keeps its slices packed (qrr._kernel_py._pack) from

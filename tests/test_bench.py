@@ -30,6 +30,7 @@ SMALL_DIGESTS = {
     "eval_product cao-wang-1-2-3 @11": "dd441af779d1f2ea",
     "z builders @6": "633d94a4a86a258a",
     "z product 1.8 @6": "1100a75fb40d59d5",
+    "z product 1.8 @10": "e523ff0892d0f6a6",
     "z product jtp @8": "74a69d324d37df98",
     "z pair jtp @8": "5e14d5529cbf6f98",
     "corpus.load_all": "b02a91116d3cb8cc",
@@ -61,6 +62,7 @@ def small(monkeypatch):
     monkeypatch.setattr(bench, "PRODUCT_ORDER", Fraction(9))
     monkeypatch.setattr(bench, "CAO_WANG_PRODUCT_ORDER", Fraction(11))
     monkeypatch.setattr(bench, "REPLAY_ORDER", Fraction(6))
+    monkeypatch.setattr(bench, "PAIR_ORDER", Fraction(10))
     monkeypatch.setattr(bench, "JTP_ORDER", Fraction(8))
     monkeypatch.setattr(bench, "LARGE_REPLAY_ORDER", Fraction(10))
     monkeypatch.setattr(bench, "LARGE_JTP_ORDER", Fraction(12))
@@ -101,7 +103,7 @@ def _assert_every_row(rows):
         "rogers_szego_def 5 @7",
     ]
     assert list(rows["zseries"]) == (
-        ["z builders @6", "z product 1.8 @6", "z product jtp @8", "z pair jtp @8"]
+        ["z builders @6", "z product 1.8 @6", "z product 1.8 @10", "z product jtp @8", "z pair jtp @8"]
         + ["replay %s @6" % t for t in ("1.5", "1.6", "1.7", "1.8")]
         + ["jtp_check @8"]
     )
@@ -200,18 +202,18 @@ def test_every_row_has_a_digest_or_a_status_check(small, monkeypatch):
 
 
 def test_bench_names_a_perturbed_kernel_result_and_exits_1(small, tmp_path, monkeypatch, capsys):
-    # one more in the lowest digit of every row a one-pair kernel call makes:
+    # one more in the lowest digit of the row of every one-row kernel call:
     # each kernel row's digest fails, outside the timed calls, and the bench
     # names it and exits 1
-    conv_rows = _kernel_py.conv_rows
+    conv_terms = _kernel_py.conv_terms
 
-    def perturbed(a, b, rows, top, g):
-        out = conv_rows(a, b, rows, top, g)
-        if len(a) == len(b) == 1:
+    def perturbed(lists, rows, top, g):
+        out = conv_terms(lists, rows, top, g)
+        if len(rows) == 1:
             out = {k: (v, [re[0] + 1, *re[1:]], im) for k, (v, re, im) in out.items()}
         return out
 
-    monkeypatch.setattr(_kernel_py, "conv_rows", perturbed)
+    monkeypatch.setattr(_kernel_py, "conv_terms", perturbed)
     path = tmp_path / "bench.json"
     assert bench.main(["--json", str(path)], out=lambda line: None) == 1
     _assert_every_row(json.loads(path.read_text()))

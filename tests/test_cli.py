@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import shlex
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import jsonschema
 import pytest
 import qrr.cli
 import qrr.identity
+import qrr.parser
 from qrr import corpus
 from qrr.cli import (
     EXIT_BAD_INPUT,
@@ -112,6 +114,52 @@ def test_an_error_in_the_second_of_two_files_names_that_file(command, old, new, 
     code, text = run([command, good, str(bad), "--order", "6"])
     assert (code, text) == (EXIT_BAD_INPUT, "")
     assert capsys.readouterr().err == "error: %s: %s\n" % (bad, message)
+
+
+# IdentitySpec.validate's rejections of a spec the parser accepts: rogers_mod5_1_4
+# with one text edit each
+_REJECTED_TEXTS = [
+    ("denoms (q; n);", "denoms (q; n), (q; n);", "index n appears in more than one denominator"),
+    ("denoms (q; n);", "denoms (-q; n);", "denominator base for n must be a positive power of q"),
+    ("1/poch(q, q^5)", "1/poch(q, -q^5)", "product factor base must be a positive power of q"),
+    ("1/poch(q, q^5)", "1/poch(q^0, q^5)", "infinite product factor needs positive q-order argument"),
+    ("denoms (q; n);", "denoms (q; n); bounds 3, 4;", "one bound per index required"),
+]
+
+
+@pytest.mark.parametrize("old, new, message", _REJECTED_TEXTS, ids=[m for _, _, m in _REJECTED_TEXTS])
+def test_verify_names_a_rejected_spec_in_one_line(old, new, message, tmp_path, capsys):
+    bad = tmp_path / "bad.id"
+    bad.write_text(Path(corpus_path("rogers_mod5_1_4")).read_text().replace(old, new))
+    code, text = run(["verify", str(bad), "--order", "6"])
+    assert (code, text) == (EXIT_BAD_INPUT, "")
+    assert capsys.readouterr().err == "error: %s: rogers-mod5-1-4: %s\n" % (bad, message)
+
+
+def _power_two(spec):
+    return {**spec, "product": tuple(replace(f, power=2) for f in spec["product"])}
+
+
+def _negative_bound(spec):
+    return {**spec, "bounds": (-1,)}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(_power_two, "factor power must be +1 or -1"), (_negative_bound, "bounds must be nonnegative")],
+    ids=["factor power", "negative bound"],
+)
+def test_verify_names_a_spec_the_parser_cannot_write_in_one_line(edit, message, tmp_path, capsys, monkeypatch):
+    # the grammar has no text for a factor power other than +-1 or for a
+    # negative bound, so the spec is built in code: the parser's IdentitySpec
+    # gets rogers_mod5_1_4's fields with that one edit
+    spec = qrr.parser.IdentitySpec
+    monkeypatch.setattr(qrr.parser, "IdentitySpec", lambda **fields: spec(**edit(fields)))
+    bad = tmp_path / "bad.id"
+    bad.write_text(Path(corpus_path("rogers_mod5_1_4")).read_text())
+    code, text = run(["verify", str(bad), "--order", "6"])
+    assert (code, text) == (EXIT_BAD_INPUT, "")
+    assert capsys.readouterr().err == "error: %s: rogers-mod5-1-4: %s\n" % (bad, message)
 
 
 def test_verify_directory_ordering(tmp_path):

@@ -482,7 +482,7 @@ def test_eval_sum_json_is_unchanged_on_the_corpus():
 
 
 def test_eval_sum_makes_no_kernel_call(monkeypatch):
-    monkeypatch.setattr(qrr._kernel_py, "conv_rows", _kernel_call)
+    monkeypatch.setattr(qrr._kernel_py, "conv_terms", _kernel_call)
     for key, digest in EVAL_SUM_DIGESTS.items():
         name, order = key.split("@")
         if order == "60":

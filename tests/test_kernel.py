@@ -1,8 +1,11 @@
 """The Kronecker-substitution kernel against the schoolbook oracle, exactly.
 
-Every oracle case goes through the kernel's one entry point, `conv_rows`, as
-a one-row, one-pair call.  The digit I/O (`_pack`, `_unpack`) is checked
-against the per-digit loops below on both of its paths."""
+Every oracle case goes through the kernel's one entry point, `conv_terms`:
+windows of (v, re, im) lists and rows of pairs of them are keyed and
+weighted as `series._rows` keys and weights a product's series (`_weighted`),
+and a single product is one row of one pair.  The digit I/O (`_pack`,
+`_unpack`) is checked against the per-digit loops below on both of its
+paths."""
 
 import random
 from fractions import Fraction
@@ -12,11 +15,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from qrr import _kernel_py, special
-from qrr._kernel_py import _pack, _plan_rows, _reach, _term, _tops, _unpack, _width, conv_rows
+from qrr._kernel_py import _pack, _plan, _tops, _unpack, _width, conv_terms
 from qrr.gaussian import MINUS_ONE, ZERO, GaussianInt
 from qrr.oracle import dense_mul
 from qrr.replay import chain_passes, replay_1_5, replay_1_8
-from qrr.series import Monomial, qmono
+from qrr.series import _UNITS, Monomial, _key, qmono
 from qrr.special import jtp_check
 from qrr.zseries import euler_z_product
 
@@ -29,18 +32,62 @@ def _truncated(a, b, nout, zero=0):
     return (full + [zero] * nout)[:nout]
 
 
+def _weighted(a, b, rows):
+    """(lists, {k: terms}) for conv_terms, from windows {i: (v, re, im)} and
+    rows {k: [(i, j)]} of pairs: as series._rows builds them, each nonzero
+    part keyed once by its content up to sign (series._key), and each pair's
+    product of units summed into the weight of its term (x, y, v_a + v_b),
+    x <= y, in its row."""
+    keys, lists, seen = {}, [], {}
+
+    def parts(re, im):
+        out = []
+        for part, u in ((re, 0),) if im is None else ((re, 0), (im, 1)):
+            if any(part):
+                if id(part) not in seen:
+                    seen[id(part)] = _key(keys, lists, part)
+                x, e, _ = seen[id(part)]
+                out.append((x, _UNITS[u + e]))
+        return out
+
+    terms = {}
+    for k, pairs in rows.items():
+        weights = terms[k] = {}
+        for i, j in pairs:
+            (va, ar, ai), (vb, br, bi) = a[i], b[j]
+            for x, ux in parts(ar, ai):
+                for y, uy in parts(br, bi):
+                    t = (x, y, va + vb) if x <= y else (y, x, va + vb)
+                    weights[t] = weights.get(t, 0) + ux * uy
+    return lists, terms
+
+
+def conv_rows(a, b, rows, top):
+    """conv_terms on windows of (v, re, im) lists and rows of their pairs,
+    on stride 1."""
+    return conv_terms(*_weighted(a, b, rows), top, 1)
+
+
+def plan_rows(a, b, rows, top):
+    """(_plan's entries and reach, the keyed lists) for windows and rows of pairs."""
+    lists, terms = _weighted(a, b, rows)
+    return _plan(lists, terms, top, 1), lists
+
+
 def _conv(ar, br, nout, ai=None, bi=None):
     """(re, im) of (ar + i*ai) * (br + i*bi) through nout terms, from the
-    one-row, one-pair conv_rows call with top nout - 1, padded with zeros to
-    nout entries; im is None for a real product."""
-    row = conv_rows({0: (0, ar, ai)}, {0: (0, br, bi)}, {0: [(0, 0)]}, nout - 1, 1).get(0)
+    one-row, one-pair kernel call with top nout - 1, padded with zeros to
+    nout entries; im is None for a real product.  A row of a complex
+    product whose live terms all have real weights comes back real, and its
+    imaginary part is zeros."""
+    row = conv_rows({0: (0, ar, ai)}, {0: (0, br, bi)}, {0: [(0, 0)]}, nout - 1).get(0)
     real = ai is None and bi is None
     if row is None:  # no digit through top, or an operand empty or zero
         return [0] * nout, None if real else [0] * nout
     v, re, im = row
-    assert v == 0 and len(re) <= nout and (im is None) == real
+    assert v == 0 and len(re) <= nout and (im is None or not real)
     pad = [0] * (nout - len(re))
-    return re + pad, None if real else im + pad
+    return re + pad, None if real else (im or [0] * len(re)) + pad
 
 
 def conv_real(a, b, nout):
@@ -144,7 +191,7 @@ def test_conv_real_matches_oracle_across_eight_byte_digits():
                 for kind in ("random", "extreme"):
                     a, b = _vec(rng, la, bits_a, kind), _vec(rng, lb, bits_b, kind)
                     nout = la + lb - 1
-                    plan, _, _ = _plan_rows({0: (0, a, None)}, {0: (0, b, None)}, {0: [(0, 0)]}, nout - 1, 1)
+                    (plan, _), _ = plan_rows({0: (0, a, None)}, {0: (0, b, None)}, {0: [(0, 0)]}, nout - 1)
                     widths.add(plan[0][3])
                     for n in (nout, nout // 2 + 1):
                         assert conv_real(a, b, n) == _truncated(a, b, n), (bits_a, bits_b, la, lb, kind, n)
@@ -261,12 +308,12 @@ def test_width_bounds_only_the_digits_a_pair_reaches(complex_a):
         (2, 3, 3, 3 * 5 * 7, 3 * 1 * 7),  # b whole, b0 = 7: 2*5*7 + 2*5*7 is larger
         (5, 4, 3, 3 * big * 7, 3 * big * 7),
     ):
-        plan, _, reps = _plan_rows({0: (0, a, ai)}, {0: (0, b, None)}, {0: [(0, 0)]}, top, 1)
+        ((plan, _), _) = plan_rows({0: (0, a, ai)}, {0: (0, b, None)}, {0: [(0, 0)]}, top)
         ((_, _, _, wb, _, terms),) = plan
         bounds = [bound, bound_im] if complex_a else [bound]
         assert [t[4:6] for t in terms] == [(la, lb)] * len(bounds)
-        assert [t[6:] for t in terms] == [(1, 0), (0, 1)][: len(bounds)]
-        assert [_term(reps, {}, *t[:3], top, 1)[2] for t in terms] == bounds
+        assert [t[7:] for t in terms] == [(1, 0), (0, 1)][: len(bounds)]
+        assert [t[6] for t in terms] == bounds
         assert wb == _width(max(bounds))
         got = conv_complex(a, ai, b, None, top + 1) if complex_a else (conv_real(a, b, top + 1), None)
         want = _truncated(a, b, top + 1), ai and _truncated(ai, b, top + 1)
@@ -280,7 +327,7 @@ def _old_width(terms, reps):
     parts of complex lists this is the rule's width on the lists: once for
     a real or a real x complex row, doubled for complex x complex."""
     big = count_re = count_im = 0
-    for x, y, _, _, la, lb, wr, wi in terms:
+    for x, y, _, _, la, lb, _, wr, wi in terms:
         big = max(big, max(map(abs, reps[x][:la])) * max(map(abs, reps[y][:lb])))
         count_re += abs(wr) * min(la, lb)
         count_im += abs(wi) * min(la, lb)
@@ -375,26 +422,23 @@ def test_every_row_matches_the_oracle_and_every_packed_digit_fits(case, work):
     # (bignum products formed, keys planned) of the call
     a, b, rows, top = case
     packed = []
-    reached = []
+    products = []
+    counted = _counting_pack(products)
 
     def pack(digits, wb):
         packed.append(_fits(digits, wb))
-        return _pack(digits, wb)
+        return counted(digits, wb)
 
-    def reach(*args):  # called once for each operand of each product
-        reached.append(args)
-        return _reach(*args)
-
-    with mock.patch.object(_kernel_py, "_pack", pack), mock.patch.object(_kernel_py, "_reach", reach):
-        got = conv_rows(a, b, rows, top, 1)
+    with mock.patch.object(_kernel_py, "_pack", pack):
+        got = conv_rows(a, b, rows, top)
     assert all(packed)
     for k, pairs in rows.items():
         assert _row_terms(got.get(k)) == _schoolbook(a, b, pairs, top), k
-    plan, _, reps = _plan_rows(a, b, rows, top, 1)
+    (plan, _), lists = plan_rows(a, b, rows, top)
     for _, _, _, wb, _, terms in plan:
-        assert wb <= _old_width(terms, reps)
+        assert wb <= _old_width(terms, lists)
     if work is not None:
-        assert (len(reached) // 2, len(reps)) == work
+        assert (len(products), len(lists)) == work
 
 
 def _fresh(window):
@@ -402,17 +446,27 @@ def _fresh(window):
     return {i: (v, list(re), None if im is None else list(im)) for i, (v, re, im) in window.items()}
 
 
+def _counting_pack(products):
+    """A _pack whose packed ints append to `products` once for each bignum
+    product formed with one as its left operand, masked or not."""
+
+    class Packed(int):
+        def __and__(self, mask):
+            return Packed(int.__and__(self, mask))
+
+        def __mul__(self, other):
+            products.append(None)
+            return int.__mul__(self, other)
+
+    return lambda digits, wb: Packed(_pack(digits, wb))
+
+
 def _formed(a, b, rows, top):
-    """(conv_rows' rows, the bignum products it forms)."""
-    reached = []
-
-    def reach(*args):  # called once for each operand of each product
-        reached.append(args)
-        return _reach(*args)
-
-    with mock.patch.object(_kernel_py, "_reach", reach):
-        out = conv_rows(a, b, rows, top, 1)
-    return out, len(reached) // 2
+    """(the kernel's rows, the bignum products it forms)."""
+    products = []
+    with mock.patch.object(_kernel_py, "_pack", _counting_pack(products)):
+        out = conv_rows(a, b, rows, top)
+    return out, len(products)
 
 
 @settings(max_examples=200, deadline=None)
@@ -434,12 +488,12 @@ def test_no_row_of_the_triple_products_euler_pair_is_wider_than_8_bytes():
     euler = euler_z_product(Monomial(MINUS_ONE, Fraction(1, 2)), qmono(1), order)
     plans = []
 
-    def plan_rows(*args):
-        out = _plan_rows(*args)
-        plans.append([wb for _, _, _, wb, _, _ in out[0]])  # conv_rows clears each entry once formed
+    def plan(*args):
+        out = _plan(*args)
+        plans.append([wb for _, _, _, wb, _, _ in out[0]])  # conv_terms clears each entry once formed
         return out
 
-    with mock.patch.object(_kernel_py, "_plan_rows", plan_rows):
+    with mock.patch.object(_kernel_py, "_plan", plan):
         product = euler * euler.reflect()
     (widths,) = plans
     assert max(widths) <= 8 and len(widths) == 25
@@ -447,9 +501,9 @@ def test_no_row_of_the_triple_products_euler_pair_is_wider_than_8_bytes():
 
 
 def test_reach_cuts_an_operand_to_its_pairs_digits():
-    # conv_rows multiplies each packed list only as far as its pair can reach
-    # under the order: the low n digits, nonnegative and below 2**(w*n), equal
-    # to the packed list mod 2**(w*n)
+    # conv_terms multiplies each packed list only as far as its term can
+    # reach under the order: the low n digits, nonnegative and below
+    # 2**(w*n), equal to the packed list mod 2**(w*n)
     rng = random.Random(7)
     for wb in (1, 2, 3, 4, 5, 8, 9, 17):
         for length in (1, 2, 9):
@@ -458,12 +512,29 @@ def test_reach_cuts_an_operand_to_its_pairs_digits():
             for digits in (re, [-x for x in re]):
                 x = _pack(digits, wb)
                 for n in range(1, length + 3):
-                    y = _reach(x, length, wb, n)
+                    y = x if n >= length else x & (1 << 8 * wb * n) - 1
                     if n >= length:
                         assert y == x
                         continue
                     assert 0 <= y < 1 << 8 * wb * n
                     assert _unpack(y, wb, n) == digits[:n]
+    # in the kernel, a list of 9 one-byte digits is packed once, to the 9
+    # digits its term in row 0 reaches, and masked to the 4 that its term
+    # at position 5 in row 1 reaches; the shared list [1] is never masked
+    masks = []
+
+    class Packed(int):
+        def __and__(self, mask):
+            masks.append(mask.bit_length())
+            return int.__and__(self, mask)
+
+    long = [rng.randint(1, 99) * rng.choice([1, -1]) for _ in range(9)]
+    a, b, rows = {0: (0, long, None)}, {0: (0, [1], None), 1: (5, [1], None)}, {0: [(0, 0)], 1: [(0, 1)]}
+    with mock.patch.object(_kernel_py, "_pack", lambda digits, wb: Packed(_pack(digits, wb))):
+        got = conv_rows(a, b, rows, 8)
+    for k, pairs in rows.items():
+        assert _row_terms(got.get(k)) == _schoolbook(a, b, pairs, 8), k
+    assert masks == [8 * 4]
 
 
 def _operand(rng, kind, bits):
@@ -489,7 +560,7 @@ def _schoolbook(a, b, pairs, top):
 
 
 def _row_terms(row):
-    """{position: GaussianInt} of one conv_rows row, without zeros; {} for a missing row."""
+    """{position: GaussianInt} of one kernel row, without zeros; {} for a missing row."""
     v, re, im = row or (0, [], None)
     return {v + t: c for t, c in enumerate(_gauss(re, im or [0] * len(re))) if c != ZERO}
 
@@ -509,7 +580,7 @@ def test_imaginary_windows_match_oracle(bits):
         "every pair": [(i, j) for i in a for j in b],
     }
     for top in (0, 4, 9, 30):
-        got = conv_rows(a, b, rows, top, 1)
+        got = conv_rows(a, b, rows, top)
         for k, pairs in rows.items():
             assert _row_terms(got.get(k)) == _schoolbook(a, b, pairs, top), (k, top)
 
@@ -533,11 +604,11 @@ def test_a_window_times_its_z_to_minus_z_twist_forms_no_odd_row(c):
     a, b = window(c), window(-c)
     rows = {k: [(m, k - m) for m in a if k - m in b] for k in range(13)}
     top = 40
-    plan, _, _ = _plan_rows(a, b, rows, top, 1)
+    (plan, _), _ = plan_rows(a, b, rows, top)
     assert [ks for ks, *_ in plan] == [[k] for k in range(0, 13, 2)]
     for (k,), _, _, _, _, terms in plan:
         assert len(terms) == (len(rows[k]) + 1) // 2
-    got = conv_rows(a, b, rows, top, 1)
+    got = conv_rows(a, b, rows, top)
     assert set(got) == set(range(0, 13, 2))
     for k, pairs in rows.items():
         assert _row_terms(got.get(k)) == _schoolbook(a, b, pairs, top), k
@@ -556,20 +627,16 @@ def test_z_products_form_one_product_per_term_of_real_lists(monkeypatch, run, pr
     # every list these products pack is real once its unit of Z[i] is taken
     # out, so splitting lists into real parts adds no product: each call
     # forms as many bignum products as when a complex list was one key
-    conv_rows, reach = _kernel_py.conv_rows, _kernel_py._reach
-    reached, formed = [], []
-
-    def spy_reach(*args):  # called once for each operand of each product
-        reached.append(args)
-        return reach(*args)
+    conv = _kernel_py.conv_terms
+    made, formed = [], []
 
     def spy_rows(*args):
-        start = len(reached)
-        out = conv_rows(*args)
-        formed.append((len(reached) - start) // 2)
+        start = len(made)
+        out = conv(*args)
+        formed.append(len(made) - start)
         return out
 
-    monkeypatch.setattr(_kernel_py, "_reach", spy_reach)
-    monkeypatch.setattr(_kernel_py, "conv_rows", spy_rows)
+    monkeypatch.setattr(_kernel_py, "_pack", _counting_pack(made))
+    monkeypatch.setattr(_kernel_py, "conv_terms", spy_rows)
     assert run()
     assert formed == products

@@ -248,11 +248,11 @@ def test_regroup_makes_no_product_and_one_division_per_level(monkeypatch, order)
     # ones made inside the one `_fold` that qrr.replay calls, one by
     # 1 - q^(2(n+1)) for each n < n_max
     conv, folds, running, divisions = [], [], [], []
-    conv_rows, fold, unit_div = _kernel_py.conv_rows, replay_module._fold, series._unit_div
+    conv_terms, fold, unit_div = _kernel_py.conv_terms, replay_module._fold, series._unit_div
 
     def conv_spy(*args):
         conv.append(args)
-        return conv_rows(*args)
+        return conv_terms(*args)
 
     def fold_spy(groups, step, stride, n):
         folds.append(step)
@@ -266,7 +266,7 @@ def test_regroup_makes_no_product_and_one_division_per_level(monkeypatch, order)
             divisions.append((F(2 * k, running[-1]), u))
         return unit_div(x, k, u, start)
 
-    monkeypatch.setattr(_kernel_py, "conv_rows", conv_spy)
+    monkeypatch.setattr(_kernel_py, "conv_terms", conv_spy)
     monkeypatch.setattr(replay_module, "_fold", fold_spy)
     monkeypatch.setattr(series, "_unit_div", div_spy)
     inners, _ = replay_module._regroup(order)

@@ -1028,18 +1028,21 @@ def test_common_stride_convolves_every_gth_entry(monkeypatch):
     want = oracle_product(as_plain(a), as_plain(b), None)
     calls = []
 
-    def spy(x, y, rows, top, g):
-        out = real_conv(x, y, rows, top, g)
-        calls.append((x, y, rows, top, g, out))
+    def spy(lists, rows, top, g):
+        out = real_conv(lists, rows, top, g)
+        calls.append((lists, rows, top, g, out))
         return out
 
-    real_conv = _kernel_py.conv_rows
-    monkeypatch.setattr(_kernel_py, "conv_rows", spy)
+    real_conv = _kernel_py.conv_terms
+    monkeypatch.setattr(_kernel_py, "conv_terms", spy)
     assert as_plain(a.mul(b)) == want
-    ((x, y, rows, top, g, out),) = calls
-    ((va, xr, _),), ((vb, yr, _),) = x.values(), y.values()
-    assert (g, rows, va, vb) == (8, {0: [(0, 0)]}, a.val, b.val)
-    assert len(xr) <= -(-len(a.re) // 8) and len(yr) <= -(-len(b.re) // 8)
+    ((lists, rows, top, g, out),) = calls
+    ((terms,),) = [list(r) for r in rows.values()]
+    va, vb = a.val, b.val
+    assert (g, rows) == (8, {0: {terms: 1}}) and terms[2] == va + vb
+    # each list is cut to every 8th entry
+    assert sorted(lists) == sorted([a.re[::8], b.re[::8]])
+    assert sorted(map(len, lists)) == sorted([-(-len(a.re) // 8), -(-len(b.re) // 8)])
     # the one row ends at the last digit the pair reaches under the order
     assert len(out[0][1]) == (top - va - vb) // g + 1 == (a.order - a.val - b.val) // 8 + 1
 

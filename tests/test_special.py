@@ -294,7 +294,7 @@ def test_packed_bw_forms_no_z_product_and_calls_no_kernel(monkeypatch):
         raise AssertionError("the packed nest reached a product or the kernel")
 
     monkeypatch.setattr(zseries, "_product", fail)
-    monkeypatch.setattr(_kernel_py, "conv_rows", fail)
+    monkeypatch.setattr(_kernel_py, "conv_terms", fail)
     monkeypatch.setattr(QSeries, "mul", fail)
     assert rogers_szego_bw(12, q, 60) == expected
     assert [rs_at(12, t, q, 60) for t in points] == expected_at
@@ -544,7 +544,7 @@ def test_jtp_check_passes():
 def test_jtp_check_makes_no_kernel_call(monkeypatch):
     # the left side E(z)*E(1/z)*(q;q)_inf is one Horner fold per z-power
     # (zseries._triple_product), and no product is formed
-    monkeypatch.setattr(_kernel_py, "conv_rows", lambda *args: pytest.fail("conv_rows called"))
+    monkeypatch.setattr(_kernel_py, "conv_terms", lambda *args: pytest.fail("conv_terms called"))
     assert jtp_check(120).ok
 
 

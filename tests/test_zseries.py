@@ -5,11 +5,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from qrr import _kernel_py, zseries
+from qrr import _kernel_py, series, zseries
 from qrr.errors import DivergentEmbedding, NegativeExponent
 from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, GaussianInt, binom2, i_pow, unit_pow
 from qrr.oracle import dense_mul
 from qrr.series import Monomial, QSeries, inv_poch_table, poch_infinite, qmono
+from qrr.replay import replay_1_8
 from qrr.zseries import ZSeries, euler_z_inverse, euler_z_product, theta_z
 
 
@@ -410,6 +411,10 @@ def _reference(a: ZSeries, b: ZSeries) -> dict:
     ZSeries({0: QSeries(1, 9, {0: (1, 0), 1: (2, 0)}), 1: QSeries(1, 9, {7: (3, 0), 8: (1, 1)})}),
     ZSeries({0: QSeries(1, 5, {0: (1, 0), 2: (5, 0)}), -1: QSeries(1, 5, {1: (0, 1), 3: (2, 0)})}),
 )
+@example(  # one-term slices (a theta term, i/z) beside slices on strides 2 and 4
+    ZSeries({-1: QSeries(1, 12, {0: (0, 1)}), 0: QSeries(1, 12, {0: (1, 0), 2: (2, 0), 6: (-1, 0)}), 1: QSeries(1, 12, {3: (-1, 0)})}),
+    ZSeries({0: QSeries(1, 12, {0: (3, 0), 4: (1, 0)}), 1: QSeries(1, 12, {1: (0, -1), 5: (1, 0)}), 2: QSeries(1, 12, {2: (1, 0)})}),
+)
 def test_packed_product_matches_slice_by_slice_oracle(a, b):
     _assert_product(a, b)
 
@@ -511,6 +516,51 @@ def _slice_fields(z):
     return {k: (s.den, s.order, s.val, s.re, s.im) for k, s in z.coeff.items()}
 
 
+def _unsigned(x):
+    """(x times its sign as a tuple, whose first nonzero entry is > 0; that sign)."""
+    sign = 1 if next(filter(None, x)) > 0 else -1
+    return tuple(sign * c for c in x), sign
+
+
+def _pair_weights(x, y, rows, g):
+    """{k: {(unordered pair of lists up to sign, position): weight}} of the
+    pairs {k: [(i, j)]} of the fitted slices of x and y: each pair adds the
+    products of the units of its slices' nonzero parts on stride g, the
+    signs taken out of the parts included."""
+    den, order = zseries._min_order(x, y)
+    a, b = (zseries._fit_slices(z.coeff, den, order) for z in (x, y))
+
+    def parts(s):
+        out = []
+        for part, unit in ((s.re, 1), (s.im or [], 1j)):
+            if any(part):
+                content, sign = _unsigned(part[::g])
+                out.append((content, sign * unit))
+        return out
+
+    weights = {}
+    for k, pairs in rows.items():
+        w = weights[k] = {}
+        for i, j in pairs:
+            for cx, ux in parts(a[i]):
+                for cy, uy in parts(b[j]):
+                    t = tuple(sorted((cx, cy))), a[i].val + b[j].val
+                    w[t] = w.get(t, 0) + ux * uy
+    return weights
+
+
+def _term_weights(lists, rows):
+    """_pair_weights' map of the kernel's own lists and rows of weighted terms."""
+    weights = {}
+    for k, terms in rows.items():
+        w = weights[k] = {}
+        for (x, y, v), unit in terms.items():
+            (cx, sx), (cy, sy) = _unsigned(lists[x]), _unsigned(lists[y])
+            t = tuple(sorted((cx, cy))), v
+            w[t] = w.get(t, 0) + sx * sy * unit
+    return weights
+
+
 @settings(max_examples=100, deadline=None)
 @given(windows(), windows(), st.one_of(st.none(), st.integers(-9, 9)))
 @example(  # a slice past the other operand's order still pairs at z**0
@@ -520,29 +570,30 @@ def _slice_fields(z):
 )
 def test_rows_pair_the_slices_as_the_product_loops_did(x, y, row):
     # a full product (row None), a ct_mul, and one z**row slice inside or
-    # outside the window: the kernel gets the same rows, each pair set equal,
-    # and the same stride as before (and no call when there is no pair), and
-    # every output slice is field-identical to the schoolbook reference on
-    # the product's grid and order
-    conv_rows = _kernel_py.conv_rows
+    # outside the window: the kernel gets the same rows, each term's weight
+    # the sum over the same pairs of slices, and the same stride as before
+    # (and no call when there is no pair), and every output slice is
+    # field-identical to the schoolbook reference on the product's grid and
+    # order
+    conv_terms = _kernel_py.conv_terms
     calls = []
 
-    def spy(a, b, rows, top, g):
-        calls.append((rows, g))
-        return conv_rows(a, b, rows, top, g)
+    def spy(lists, rows, top, g):
+        calls.append((lists, rows, g))
+        return conv_terms(lists, rows, top, g)
 
     want = {k: s for k, s in _reference(x, y).items() if not s.is_zero()}
     den, order = zseries._min_order(x, y)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_kernel_py, "conv_rows", spy)
+        patch.setattr(_kernel_py, "conv_terms", spy)
         cases = [(row, zseries._product(x, y, row))]
         if row is None:
             cases.append((0, ZSeries._fitted({0: x.ct_mul(y)}, den, order)))
     for r, got in cases:
         want_rows, want_g = _parent_rows(x, y, r)
-        rows, g = calls.pop(0) if want_rows else ({}, want_g)  # no pair, no kernel call
-        assert {k: set(p) for k, p in rows.items()} == {k: set(p) for k, p in want_rows.items()}
-        assert sum(map(len, rows.values())) == sum(map(len, want_rows.values()))
+        lists, rows, g = calls.pop(0) if want_rows else ([], {}, want_g)  # no pair, no kernel call
+        assert set(rows) == set(want_rows)
+        assert _term_weights(lists, rows) == _pair_weights(x, y, want_rows, g)
         assert g == want_g
         assert (got.den, got.order) == (den, order)
         held = want if r is None else {k: s for k, s in want.items() if k == r}
@@ -558,14 +609,14 @@ def test_one_pair_products_with_nothing_to_form_are_zero(monkeypatch):
     s = QSeries(2, 9, {3: (1, 1), 5: (2, 0)})
     past = QSeries(3, 15, {12: (0, 1)})  # q^4: with s's q^(3/2), past q^(9/2)
     zero = QSeries.zero(F(10, 3))
-    conv_rows = _kernel_py.conv_rows
+    conv_terms = _kernel_py.conv_terms
     calls = []
 
     def spy(*args):
         calls.append(args)
-        return conv_rows(*args)
+        return conv_terms(*args)
 
-    monkeypatch.setattr(_kernel_py, "conv_rows", spy)
+    monkeypatch.setattr(_kernel_py, "conv_terms", spy)
     for x, y, den, order, kernel_calls in (
         (s, zero, 6, 20, 0),
         (zero, s, 6, 20, 0),
@@ -670,22 +721,23 @@ def test_conjugate_euler_windows_form_only_their_even_rows(monkeypatch):
     # z_minus (-i)**n * S_n, so the pairs (m, n) and (n, m) of an odd row
     # cancel and those of an even row are one product with weight 2.  The
     # odd rows are never formed, and each even row is formed and unpacked
-    # once per part (row 0 pairs the real slices 0 alone)
+    # once per part: every term of an even row has a real weight (i**n *
+    # (-i)**n = 1), so the row is real and unpacks one int
     z_plus = euler_z_inverse(Monomial(I, F(3, 2)), qmono(2), 30)
     z_minus = euler_z_inverse(Monomial(MINUS_I, F(3, 2)), qmono(2), 30)
     want = _reference(z_plus, z_minus)
-    conv_rows, unpack = _kernel_py.conv_rows, _kernel_py._unpack
+    conv_terms, unpack = _kernel_py.conv_terms, _kernel_py._unpack
     rows, calls = [], []
 
     def spy_rows(*args):
-        rows.append(conv_rows(*args))
+        rows.append(conv_terms(*args))
         return rows[-1]
 
     def spy_unpack(c, wb, nout):
         calls.append(nout)
         return unpack(c, wb, nout)
 
-    monkeypatch.setattr(_kernel_py, "conv_rows", spy_rows)
+    monkeypatch.setattr(_kernel_py, "conv_terms", spy_rows)
     monkeypatch.setattr(_kernel_py, "_unpack", spy_unpack)
     assert z_plus * z_minus == ZSeries(want)
     (out,) = rows
@@ -693,15 +745,16 @@ def test_conjugate_euler_windows_form_only_their_even_rows(monkeypatch):
     assert set(out) == {k for k, t in want.items() if not t.is_zero()} and not any(k % 2 for k in out)
     assert len({id(row) for row in out.values()}) == len(out)
     assert len(calls) == sum(1 if im is None else 2 for _, _, im in out.values())
+    assert all(im is None for _, _, im in out.values()) and len(calls) == len(out)
 
 
 @pytest.mark.parametrize("product", ["conjugate", "mirrored"])
 def test_each_term_is_offered_once(monkeypatch, product):
     # E(cz)*E(-cz) holds each term twice in one row, as the pairs (m, n) and
     # (n, m), and E(z)*E(1/z) once in each of the mirrored rows z**k and
-    # z**-k: the planner sums the pairs' units first and offers each (key
-    # pair, position) once, and rows with the same terms are one plan entry
-    # that lists every row it serves
+    # z**-k: series._rows sums the pairs' units first, so the kernel plans
+    # each (key pair, position) once, and rows with the same terms are one
+    # plan entry that lists every row it serves
     if product == "conjugate":
         x = euler_z_inverse(Monomial(I, F(3, 2)), qmono(2), 30)
         y = euler_z_inverse(Monomial(MINUS_I, F(3, 2)), qmono(2), 30)
@@ -709,38 +762,82 @@ def test_each_term_is_offered_once(monkeypatch, product):
         x = euler_z_product(Monomial(MINUS_ONE, F(1, 2)), qmono(1), 30)
         y = x.reflect()
     want = _reference(x, y)
-    term, plan_rows, conv_rows = _kernel_py._term, _kernel_py._plan_rows, _kernel_py.conv_rows
-    offers, plans, outs = [], [], []
+    plan, conv_terms = _kernel_py._plan, _kernel_py.conv_terms
+    plans, outs = [], []
 
-    def spy_term(reps, peaks, kx, ky, v, top, g):
-        offers.append((kx, ky, v))
-        return term(reps, peaks, kx, ky, v, top, g)
-
-    def spy_plan(a, b, rows, top, g):
-        out = plan_rows(a, b, rows, top, g)
-        plans.append((rows, [(entry[0], entry[5]) for entry in out[0]]))  # conv_rows clears each entry once formed
+    def spy_plan(lists, rows, top, g):
+        out = plan(lists, rows, top, g)
+        plans.append((rows, [(entry[0], entry[5]) for entry in out[0]]))  # conv_terms clears each entry once formed
         return out
 
     def spy_rows(*args):
-        outs.append(conv_rows(*args))
+        outs.append(conv_terms(*args))
         return outs[-1]
 
-    monkeypatch.setattr(_kernel_py, "_term", spy_term)
-    monkeypatch.setattr(_kernel_py, "_plan_rows", spy_plan)
-    monkeypatch.setattr(_kernel_py, "conv_rows", spy_rows)
+    monkeypatch.setattr(_kernel_py, "_plan", spy_plan)
+    monkeypatch.setattr(_kernel_py, "conv_terms", spy_rows)
     assert x * y == ZSeries(want)
     ((rows, entries),) = plans
     (out,) = outs
+    offers = [(k, t[:3]) for ks, held in entries for k in ks[:1] for t in held]
     assert len(offers) == len(set(offers)) == len({t[:3] for _, held in entries for t in held})
-    assert len(offers) == sum(len(held) for _, held in entries)
+    assert all(t[:3] in rows[ks[0]] for ks, held in entries for t in held)
     assert sorted(k for ks, _ in entries for k in ks) == sorted(out)
+    pairs, _ = _parent_rows(x, y, None)
     if product == "conjugate":  # the pairs (m, n) and (n, m) of an even row are one offer
         assert [ks for ks, _ in entries] == [[k] for k in rows if k % 2 == 0]
-        assert len(offers) == sum((len(rows[k]) + 1) // 2 for (k,), _ in entries)
+        assert len(offers) == sum((len(pairs[k]) + 1) // 2 for (k,), _ in entries)
     else:  # the rows z**k and z**-k are one entry, formed once
         assert len(entries) > 1
         assert all(sorted(ks) == sorted({ks[0], -ks[0]}) for ks, _ in entries)
         assert all(out[k] is out[-k] for k in out)
+
+
+def test_replay_1_8_products_keep_their_strides(monkeypatch):
+    # a one-term slice has no stride and imposes none: i/z * theta, all of
+    # whose slices are one term, is on stride 1, and z_plus * z_minus, whose
+    # slice 0 is the one term 1, stays on stride 8 (q**2 on the grid of
+    # q**(1/4)), as do the ct_muls of the pair and the collapsed window with
+    # theta on stride 4; letting a one-term slice lower g to 1 gives the same
+    # slices 3.4 times slower
+    conv_terms = _kernel_py.conv_terms
+    strides = []
+
+    def spy(lists, rows, top, g):
+        strides.append(g)
+        return conv_terms(lists, rows, top, g)
+
+    monkeypatch.setattr(_kernel_py, "conv_terms", spy)
+    replay_1_8(F(40))
+    assert strides == [1, 8, 4, 4]
+
+
+def test_a_list_held_by_several_slices_or_on_both_sides_is_keyed_once(monkeypatch):
+    # series._rows keys a list the first time a series in use holds it: one
+    # slice at three z-keys, a shifted series holding the same list, and
+    # the same window on both sides are one key, keyed once per product;
+    # (A + iB)*(B + iA) on shared lists keys A and B once each
+    key = series._key
+    keyed = []
+
+    def spy(keys, lists, part):
+        keyed.append(part)
+        return key(keys, lists, part)
+
+    monkeypatch.setattr(series, "_key", spy)
+    s = QSeries(2, 20, {1: (3, 0), 3: (-1, 0), 7: (2, 0)})
+    c = ZSeries({-1: s, 0: s, 2: s, 3: s.shift(1)})
+    assert all(t.re is s.re for t in c.coeff.values())
+    for x, y in [(c, c), (c, c.reflect())]:
+        keyed.clear()
+        assert x * y == ZSeries(_reference(x, y))
+        assert keyed == [s.re]
+    A, B = [3, -1, 0, 2], [1, 4, -5, 6]
+    x, y = QSeries._of(1, 10, 0, A, B), QSeries._of(1, 10, 0, B, A)
+    assert (x.re, x.im, y.re, y.im) == (A, B, B, A) and x.re is y.im and x.im is y.re
+    keyed.clear()
+    assert x * y == _reference(ZSeries.embed(x), ZSeries.embed(y))[0]
+    assert sorted(map(id, keyed)) == sorted([id(A), id(B)])
 
 
 _UNIT_LIST = [ONE, MINUS_ONE, I, MINUS_I]
@@ -775,14 +872,14 @@ def test_a_row_whose_terms_cancel_is_left_out(monkeypatch, unit):
     y = ZSeries({-1: s.scale(unit), 0: s.scale(-unit)})
     want = _reference(x, y)
     assert want[0].is_zero()
-    conv_rows = _kernel_py.conv_rows
+    conv_terms = _kernel_py.conv_terms
     rows = []
 
     def spy(*args):
-        rows.append(conv_rows(*args))
+        rows.append(conv_terms(*args))
         return rows[-1]
 
-    monkeypatch.setattr(_kernel_py, "conv_rows", spy)
+    monkeypatch.setattr(_kernel_py, "conv_terms", spy)
     got = x * y
     assert got == ZSeries(want) and 0 not in got.coeff and set(got.coeff) == {-1, 1}
     assert 0 not in rows[0] and set(rows[0]) == {-1, 1}
