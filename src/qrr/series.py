@@ -598,8 +598,10 @@ def _stride(x: list) -> int:
         k += 1
     if k == n:
         return 0
+    if k == 1:
+        return 1
     on = x[::k]
-    if k == 1 or len(on) - on.count(0) == n - x.count(0):
+    if len(on) - on.count(0) == n - x.count(0):
         return k
     j = 1
     while j < k:
