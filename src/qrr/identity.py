@@ -209,6 +209,8 @@ class IdentitySpec:
             )
         used = self.exponent.names()
         for a in self.sign:
+            if a.kind not in ("neg1", "neg1_binom", "i"):
+                raise SemanticError("%s: unknown sign atom kind %r" % (self.name, a.kind))
             if not a.form.is_integer_linear():
                 raise SemanticError("%s: sign atom exponent must be an integer linear form" % self.name)
             used |= a.form.names()

@@ -74,7 +74,7 @@ from typing import Iterator, Optional
 
 from . import _kernel_py
 from .errors import DivergentProduct, NegativeExponent, NonUnitConstantTerm
-from .gaussian import ONE, UNITS, ZERO, GaussianInt, is_unit, unit_pow
+from .gaussian import ONE, UNITS, ZERO, GaussianInt, is_unit
 
 
 @dataclass(frozen=True)
@@ -721,13 +721,19 @@ def _fold(groups: list, step: int, stride: int, n: int):
 # -- Pochhammer builders ----------------------------------------------------
 
 
+def _check_base(b: Monomial) -> None:
+    """The base rule of every builder that takes a Pochhammer base: every
+    base of the paper's objects is a positive power of q, of unit 1."""
+    if b.exp <= 0 or b.unit != ONE:
+        raise ValueError("Pochhammer base must be a positive power of q with unit 1")
+
+
 def poch_finite(x: Monomial, b: Monomial, n: int, order) -> QSeries:
     """(x; b)_n = prod_{k=0}^{n-1} (1 - x*b**k), exact through `order`;
     past 3K factors, its first K factors and then Euler tails (`_factors`)."""
     if n < 0:
         raise ValueError("finite Pochhammer length must be nonnegative")
-    if b.exp <= 0 or b.unit != ONE:
-        raise ValueError("Pochhammer base must be a positive power of q with unit 1")
+    _check_base(b)
     return _poch(order, [(x, b, n, 1)])
 
 
@@ -738,8 +744,7 @@ def poch_infinite(x: Monomial, b: Monomial, order) -> QSeries:
     max(1, isqrt(n // m)) factors are binomial steps and the rest,
     (y; b)_inf for y = x*b**K, is Euler's sum
     sum_l (-1)**l b**(l(l-1)/2) y**l/(b; b)_l (`_poch`, `_tail`)."""
-    if b.exp <= 0 or b.unit != ONE:
-        raise ValueError("Pochhammer base must be a positive power of q with unit 1")
+    _check_base(b)
     if x.exp <= 0:
         raise DivergentProduct("(x;b)_inf needs x of positive q-order, got %s" % x.exp)
     return _poch(order, [(x, b, None, 1)])
@@ -757,9 +762,9 @@ def _factors(order, factors: list):
     keeps its first K = max(1, isqrt(n // m)) factors as binomial steps,
     and the rest, from y = x*b**K on, is one tail step; a finite one adds
     the tail from x*b**N at the opposite power when x*b**N lies within n.
-    A family whose (K+1)-th factor lies past n, a shorter finite family,
-    and a base of unit other than 1 (only a direct call brings one) are all
-    binomial steps.
+    A family whose (K+1)-th factor lies past n and a shorter finite family
+    are all binomial steps.  Every base has unit 1 (`_check_base`), so each
+    step of a family has x's unit.
 
     A factor at a negative exponent raises NegativeExponent; a divisor at
     exponent 0 raises NonUnitConstantTerm, since 1 - unit is never a unit
@@ -769,10 +774,9 @@ def _factors(order, factors: list):
     n = _as_order(order, den)
     steps = []
     for x, b, count, power in factors:
-        e, step = int(x.exp * den), int(b.exp * den)
-        units = [x.unit * unit_pow(b.unit, j) for j in range(4)]  # b.unit**4 == 1
+        e, step, unit = int(x.exp * den), int(b.exp * den), x.unit
         head = None
-        if step > 0 and b.unit == ONE:
+        if step > 0:
             head = max(1, isqrt(n // step))
             if count is not None and count <= 3 * head:
                 head = None
@@ -782,7 +786,6 @@ def _factors(order, factors: list):
                 raise NegativeExponent(str(Fraction(e, den)))
             if e > n:
                 break
-            unit = units[k % 4]
             if k == head:
                 steps.append((e, unit, power, step))
                 # a finite family: (x; b)_N = (x; b)_inf / (x*b**N; b)_inf
@@ -863,7 +866,6 @@ def _poch(order, factors: list) -> QSeries:
     took 800 over 798,800."""
     den, n, steps = _factors(order, factors)
     re = [1] + [0] * n
-    # a family of base +-i has an imaginary unit at its first or second step
     im = [0] * (n + 1) if any(unit[1] for _, unit, _, _ in steps) else None
     for e, unit, power, m in sorted(steps, key=itemgetter(0), reverse=True):
         if m is None:
@@ -875,22 +877,21 @@ def _poch(order, factors: list) -> QSeries:
 
 def inv_poch_table(b: Monomial, n_max: int, order) -> list:
     """[1/(b;b)_n for n = 0..n_max], exact through `order`, on the grid that
-    holds the order and b: entry n is entry n - 1 over 1 - u**n q**(n*e) for
-    b = u*q**e (any unit u), and an entry whose factor lies past the order
-    is the one before it.  One pair of lists spans the window: each entry's
-    lists are a copy of the last, divided in place by one `_divide`."""
-    if b.exp <= 0:
-        raise ValueError("Pochhammer base must be a positive power of q")
+    holds the order and b: entry n is entry n - 1 over 1 - q**(n*e) for
+    b = q**e, and an entry whose factor lies past the order is the one
+    before it.  One list spans the window: each entry's list is a copy of
+    the last, divided in place by one `_divide`."""
+    _check_base(b)
     den = _grid(order, b.exp)
     n = _as_order(order, den)
     step = int(b.exp * den)
-    re, im = [1] + [0] * n, [0] * (n + 1) if b.unit[1] else None
+    re = [1] + [0] * n
     table = [QSeries._of(den, n, 0, [1])]
     for k in range(1, n_max + 1):
         if k * step <= n:
-            re, im = re[:], None if im is None else im[:]
-            _divide(re, im, k * step, unit_pow(b.unit, k))
-            table.append(QSeries._of(den, n, 0, re, im))
+            re = re[:]
+            _divide(re, None, k * step, ONE)
+            table.append(QSeries._of(den, n, 0, re))
         else:
             table.append(table[-1])
     return table

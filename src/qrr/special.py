@@ -6,15 +6,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
-from operator import add, sub
 from typing import NamedTuple, Optional
 
 from ._kernel_py import _pack, _unpack, _width
 from .errors import NegativeExponent, NotPositiveDefinite
-from .gaussian import MINUS_ONE, unit_pow
+from .gaussian import MINUS_ONE, ONE, unit_pow
 from .identity import ExponentPoly, IdentitySpec, eval_sum
 from .quadform import as_matrix, is_positive_definite, is_symmetric
-from .series import Monomial, QSeries, _as_order, _divide, _grid, _poch, _unit_mul, qmono
+from .series import Monomial, QSeries, _as_order, _check_base, _divide, _grid, _poch, _unit_mul, qmono
 from .zseries import ZSeries, _triple_product, theta_z
 
 
@@ -27,13 +26,11 @@ def gaussian_binomial(n: int, k: int, b: Monomial, order) -> QSeries:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if b.exp <= 0:
-        raise ValueError("Pochhammer base must be a positive power of q")
+    _check_base(b)
     if k < 0 or k > n:
         return QSeries.zero(order)
     # (b**(n-k+1); b)_k / (b; b)_k
-    top = Monomial(unit_pow(b.unit, n - k + 1), (n - k + 1) * b.exp)
-    return _poch(order, [(top, b, k, 1), (b, b, k, -1)])
+    return _poch(order, [(qmono((n - k + 1) * b.exp), b, k, 1), (b, b, k, -1)])
 
 
 def gaussian_binomial_row(n: int, b: Monomial, order) -> list:
@@ -47,6 +44,7 @@ def gaussian_binomial_row(n: int, b: Monomial, order) -> list:
     (`_row_head`), and the other half is the mirror image [n k] = [n n-k]."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    _check_base(b)
     row = _row_head(n, b, order, n // 2)
     return row + row[: n + 1 - len(row)][::-1]
 
@@ -59,22 +57,17 @@ def _row_head(n: int, b: Monomial, order, m: int) -> list:
     its degree k*(n-k)*step plus one, or to the window, and steps them in
     place: one `_unit_mul` and one `_divide`.  Each entry of a product or a
     quotient depends only on the entries up to it, and [n k] has no entry
-    past the lists, so the division is exact on them, even for a unit +-i,
-    whose `_divide` first multiplies by 1 + u*q**(k*step)."""
-    if b.exp <= 0:
-        raise ValueError("Pochhammer base must be a positive power of q")
+    past the lists, so the division is exact on them.  b is q**e, e > 0
+    (its callers check it), so every entry is real."""
     den = _grid(order, b.exp)
     top = _as_order(order, den)
     step = int(b.exp * den)
     row = [QSeries._of(den, top, 0, [1])]
     for k in range(1, m + 1):
-        s, up, down = row[-1], unit_pow(b.unit, n - k + 1), unit_pow(b.unit, k)
-        pad = [0] * (min(k * (n - k) * step, top) + 1 - len(s.re))
-        re = s.re + pad
-        im = (s.im or [0] * len(s.re)) + pad if b.unit[1] else None
-        _unit_mul(re, im, (n - k + 1) * step, up)
-        _divide(re, im, k * step, down)
-        row.append(QSeries._of(den, top, 0, re, im))
+        re = row[-1].re + [0] * (min(k * (n - k) * step, top) + 1 - len(row[-1].re))
+        _unit_mul(re, None, (n - k + 1) * step, ONE)
+        _divide(re, None, k * step, ONE)
+        row.append(QSeries._of(den, top, 0, re))
     return row
 
 
@@ -98,18 +91,17 @@ def rogers_szego_bw(n: int, b: Monomial, order) -> ZSeries:
     z-binomial is ever an operand.  Every window stays inside [0, n].
 
     The nest (`_nest`, shared with rs_at) never builds a ZSeries: its
-    z-slices stay packed from start to end, and each is unpacked once.  A
-    slice is one packed int when b's unit is +-1 (every b = q**e), a pair
-    (re, im) for a unit +-i.  Its digits hold C(n, n // 2), which bounds
-    every coefficient of H_n: 3, 4 and 5 bytes at n = 24, 32 and 40.
+    z-slices stay packed from start to end, one int each, and each is
+    unpacked once.  Its digits hold C(n, n // 2), which bounds every
+    coefficient of H_n: 3, 4 and 5 bytes at n = 24, 32 and 40.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    _check_base(b)
     # with no factor b**(2r-1) (n <= 1) the result lives on the grid of b**2
     den = _grid(order, b.exp if n > 1 else 2 * b.exp)
-    re, im, wb, top = _nest(n, b, order, den, 0, n // 2, comb(n, n // 2))
-    slices = {k: _read(x, 0 if im is None else im[k], den, top, wb) for k, x in enumerate(re)}
-    return ZSeries._fitted(slices, den, top)
+    xs, wb, top = _nest(n, b, order, den, 0, n // 2, comb(n, n // 2))
+    return ZSeries._fitted({k: _read(x, 0, den, top, wb) for k, x in enumerate(xs)}, den, top)
 
 
 def rs_at(n: int, t: Monomial, b: Monomial, order) -> QSeries:
@@ -120,19 +112,19 @@ def rs_at(n: int, t: Monomial, b: Monomial, order) -> QSeries:
     r0 <= r <= r1 only (r0 the largest U - s over the zero beta_s, else 0; r1
     the smallest s over the zero alpha_s, else h), and the result is zero
     when r0 > r1.  It runs on the grid of t, b and the order; z := t shifts
-    packed slice k by k times t's grid steps and turns it by t's unit**k, and
-    the masked sum is read once.  Its digits hold 2**U * sum_{r0 <= r <= r1}
-    C(h, r), which bounds every coefficient of the kept terms' sum: 2**n
-    when every term is kept, 2**U at t = -1 (3 bytes at n = 40).
+    packed slice k, one int, by k times t's grid steps and adds it into the
+    real or imaginary sum by t's unit**k, and the masked sums are read once.
+    Its digits hold 2**U * sum_{r0 <= r <= r1} C(h, r), which bounds every
+    coefficient of the kept terms' sum: 2**n when every term is kept, 2**U
+    at t = -1 (3 bytes at n = 40).
 
-    The base must have positive q-order, for every n and t.  A t of negative
-    q-order raises NegativeExponent for n >= 1, since H_n(t) then has
-    negative powers of q; H_0 = 1.
+    The base must be a positive power of q, for every n and t.  A t of
+    negative q-order raises NegativeExponent for n >= 1, since H_n(t) then
+    has negative powers of q; H_0 = 1.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if b.exp <= 0:
-        raise ValueError("Pochhammer base must be a positive power of q")
+    _check_base(b)
     if n and t.exp < 0:
         raise NegativeExponent("H_%d(t) at t = %s has negative powers of q" % (n, t))
     r0, r1 = _kept(n, t, b)
@@ -140,34 +132,34 @@ def rs_at(n: int, t: Monomial, b: Monomial, order) -> QSeries:
         return QSeries.zero(order)
     den = _grid(order, t.exp, b.exp)
     bound = sum(comb(n // 2, r) for r in range(r0, r1 + 1)) << (n + 1) // 2
-    xs, ys, wb, top = _nest(n, b, order, den, r0, r1, bound)
+    xs, wb, top = _nest(n, b, order, den, r0, r1, bound)
     w, step = 8 * wb, int(t.exp * den)
     re = im = 0
-    for k, xr in enumerate(xs):  # z := t
+    for k, x in enumerate(xs):  # z := t
         ur, ui = unit_pow(t.unit, k)
-        xr, xi = xr << w * k * step, 0 if ys is None else ys[k] << w * k * step
-        re, im = re + ur * xr - ui * xi, im + ui * xr + ur * xi
+        x <<= w * k * step
+        re, im = re + ur * x, im + ui * x
     return _read(re, im, den, top, wb)
 
 
 def _kept(n: int, t: Monomial, b: Monomial) -> tuple:
-    """rs_at's (r0, r1) for H_n(t; b), t of q-order >= 0 and b > 0.
+    """rs_at's (r0, r1) for H_n(t; b), t of q-order >= 0 and b = q**e, e > 0.
 
     beta_s = 0 needs t*b**(2s) = -1, so s = 0 and t = -1; alpha_s = 0 needs
-    t = -b**(1+2s): t.exp = (1+2s)*b.exp and t.unit = -(b.unit)**(1+2s)."""
+    t = -b**(1+2s): t.exp = (1+2s)*b.exp and t.unit = -1."""
     half, upper = n // 2, (n + 1) // 2
     r0 = upper if t == Monomial(MINUS_ONE) else 0
     r1, rest = divmod(t.exp / b.exp - 1, 2)
-    if rest or not 0 <= r1 < half or t.unit != -unit_pow(b.unit, 1 + 2 * r1):
+    if rest or not 0 <= r1 < half or t.unit != MINUS_ONE:
         r1 = half
     return r0, r1
 
 
 def _nest(n: int, b: Monomial, order, den: int, r0: int, r1: int, bound: int) -> tuple:
-    """(re, im, wb, top): the terms r0 <= r <= r1 of rogers_szego_bw's sum
+    """(xs, wb, top): the terms r0 <= r <= r1 of rogers_szego_bw's sum
     H_n = sum_r c_r * z**r A_r * B_{U-r}, on grid `den`, which must hold b
     and the order (top on that grid), at the digit width wb of `bound`;
-    re[k] + i*im[k] is its z**k slice, im None when b's unit is +-1.
+    xs[k] is its z**k slice, one packed int.
 
     The terms meet in the middle, at m = (U - 1) // 2: those with r <= m run
     Horner's rule upwards, G_r = G_{r-1} * (1 + z*b**(2(U-r))) + c_r * z**r
@@ -181,16 +173,15 @@ def _nest(n: int, b: Monomial, order, den: int, r0: int, r1: int, bound: int) ->
     downward one the other way round.
 
     Each slice packs its top + 1 coefficients as the convolution kernel
-    does (qrr._kernel_py._pack), at wb bytes per digit for every slice.  For
-    b of unit +-1 every factor and every c_r is real, and a slice is one
-    int; for a unit +-i it is a pair of ints (re, im).  A z-binomial step is
-    one pass over the window: b**k's shift and unit are taken once, and
-    each new slice is a slice plus or minus the shifted neighbour, with re
-    and im swapped for a unit +-i.  Each c_r times a window is one int
-    multiply per int of a slice, with c_r packed once, folded into the sum
-    in one pass.  Every slice is masked to its top + 1 digits, which
-    changes it by a multiple of 2**(w*(top + 1)) that no later shift,
-    product or sum brings below that digit.
+    does (qrr._kernel_py._pack), at wb bytes per digit for every slice.  b
+    is q**e, e > 0 (its callers check it), so every factor and every c_r is
+    real and a slice is one int.  A z-binomial step is one pass over the
+    window: b**k's shift is taken once, and each new slice is a slice plus
+    the shifted neighbour.  Each c_r times a window is one int multiply per
+    slice, with c_r packed once, folded into the sum in one pass.  Every
+    slice is masked to its top + 1 digits, which changes it by a multiple of
+    2**(w*(top + 1)) that no later shift, product or sum brings below that
+    digit.
 
     wb holds `bound` in a signed digit, and the caller passes a bound on
     every coefficient it reads.  The terms have nonnegative coefficients in
@@ -208,39 +199,26 @@ def _nest(n: int, b: Monomial, order, den: int, r0: int, r1: int, bound: int) ->
     call per digit, on every list past their length rules (every list when
     wb is 1, 2, 4 or 8)."""
     half, upper = n // 2, (n + 1) // 2
-    # each c_r is real, since the unit of b**2 is +-1; c_r = c_{h-r}, and
-    # the walk stops at the last one a kept term needs
+    # c_r = c_{h-r}, and the walk stops at the last one a kept term needs
     used = {min(r, half - r) for r in range(r0, r1 + 1)}
-    coeffs = _row_head(half, Monomial(unit_pow(b.unit, 2), 2 * b.exp), order, max(used))
+    coeffs = _row_head(half, qmono(2 * b.exp), order, max(used))
     top = _as_order(order, den)
     step = int(b.exp * den)
     wb = _width(bound)
     w = 8 * wb
     mask = (1 << w * (top + 1)) - 1
-    # a slice is one int for b of unit +-1, else a pair of ints (re, im)
-    pairs = bool(b.unit[1])
-    zero = (0, 0) if pairs else 0
 
     def plus(xs: list, ys: list, c: int) -> list:  # xs + c*ys, slice by slice
-        if pairs:
-            return [((a + x * c) & mask, (e + y * c) & mask) for (a, e), (x, y) in zip(xs, ys)]
         return [(a + x * c) & mask for a, x in zip(xs, ys)]
 
     def times(x: list, k: int) -> list:  # x * (z + b**k) for odd k, x * (1 + z*b**k) for even k
-        same, scaled = x + [zero], [zero] + x
+        same, scaled = x + [0], [0] + x
         if k & 1:
             same, scaled = scaled, same
         if k * step > top:
             return same
         s = w * k * step
-        ur, ui = unit_pow(b.unit, k)
-        if ui:  # (c + i*d) * i*ui = -ui*d + i*ui*c
-            f, g = (sub, add) if ui > 0 else (add, sub)
-            return [(f(a, d << s) & mask, g(e, c << s) & mask) for (a, e), (c, d) in zip(same, scaled)]
-        f = add if ur > 0 else sub
-        if pairs:
-            return [(f(a, c << s) & mask, f(e, d << s) & mask) for (a, e), (c, d) in zip(same, scaled)]
-        return [f(a, c << s) & mask for a, c in zip(same, scaled)]
+        return [(a + (c << s)) & mask for a, c in zip(same, scaled)]
 
     def horner(odd: int, i0: int, i1: int) -> list:
         """Steps i = 0..U of the nest over the terms r = i0..i1 upwards
@@ -252,23 +230,23 @@ def _nest(n: int, b: Monomial, order, den: int, r0: int, r1: int, bound: int) ->
         the end."""
         if i0 > i1:
             return []
-        win, off, acc = [(1, 0) if pairs else 1], 0, []
+        win, off, acc = [1], 0, []
         for i in range(i1 + 1):
             if i:
                 k = 2 * i - 2 + odd
                 win, off = times(win, k), off + (k & 1)
             if acc:
                 k = 2 * (upper - i) + 1 - odd
-                acc = [zero] * (k & 1) + times(acc, k)
+                acc = [0] * (k & 1) + times(acc, k)
             if i >= i0:
                 c = packed[min(r := i if odd else upper - i, half - r)]
                 end = off + len(win)
-                acc += [zero] * (end - len(acc))
+                acc += [0] * (end - len(acc))
                 acc[off:end] = plus(acc[off:end], win, c)
         rest = range(1 - odd, 2 * (upper - i1) - odd, 2)
         for k in rest:
             acc = times(acc, k)
-        return [zero] * (len(rest) * (1 - odd)) + acc
+        return [0] * (len(rest) * (1 - odd)) + acc
 
     # each c_r a kept term needs is packed once
     packed = {k: _pack(c.re, wb) << w * c.val for k, c in ((k, coeffs[k].rescale(den)) for k in used)}
@@ -276,10 +254,7 @@ def _nest(n: int, b: Monomial, order, den: int, r0: int, r1: int, bound: int) ->
     low, high = horner(1, r0, min(m, r1)), horner(0, upper - r1, upper - max(m + 1, r0))
     if low and high:  # the lower half ends at z**(U+m), the upper one at z**(U+r1)
         high[: len(low)] = plus(high, low, 1)
-    out = high or low
-    if pairs:
-        return [x for x, _ in out], [y for _, y in out], wb, top
-    return out, None, wb, top
+    return high or low, wb, top
 
 
 def _read(re: int, im: int, den: int, top: int, wb: int) -> QSeries:

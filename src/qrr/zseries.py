@@ -74,7 +74,8 @@ from .errors import DivergentEmbedding, NegativeExponent
 from .gaussian import ONE, UNITS, GaussianInt, binom2, is_unit, unit_pow
 from .quadform import _interval
 from .series import (
-    Monomial, QSeries, _as_order, _divide, _fold, _grid, _rows, _spread, _times, inv_poch_table, poch_infinite, qmono
+    Monomial, QSeries, _as_order, _check_base, _divide, _fold, _grid, _rows, _spread, _times, inv_poch_table,
+    poch_infinite, qmono
 )
 
 
@@ -297,22 +298,22 @@ def _euler_grid(c: Monomial, b: Monomial, order):
 def _euler_z(c: Monomial, b: Monomial, eps: int, order) -> "ZSeries":
     """sum_n c**n b**(eps*binom(n,2)) z**n / (b;b)_n through `order`, eps in {0, 1}.
 
-    Built on its final grid (`_euler_grid`).  The 1/(b;b)_n are one table
-    in x = q**b.exp, on the integers (series.inv_poch_table): slice n is
-    entry n cut to the powers of x that reach the order, times the unit
-    c**n b**(eps*binom(n,2)), spread at b.exp's stride on the grid and laid
-    at the exponent of c**n b**(eps*binom(n,2))."""
+    Built on its final grid (`_euler_grid`); b must be a positive power of
+    q (`series._check_base`).  The 1/(b;b)_n are one table in x = q**b.exp,
+    on the integers (series.inv_poch_table): slice n is entry n cut to the
+    powers of x that reach the order, times the unit c**n, spread at
+    b.exp's stride on the grid and laid at the exponent of
+    c**n b**(eps*binom(n,2))."""
     den, top, ce, be = _euler_grid(c, b, order)
+    _check_base(b)
     vals = []  # scaled q-exponents of c**n b**(eps*binom(n,2)) within the order
     while (v := len(vals) * ce + eps * binom2(len(vals)) * be) <= top:
         vals.append(v)
-    table = inv_poch_table(Monomial(b.unit, Fraction(1)), len(vals) - 1, top // be)
-    pc, pb = UNITS.index(c.unit), UNITS.index(b.unit)
+    table = inv_poch_table(qmono(1), len(vals) - 1, top // be)
+    pc = UNITS.index(c.unit)
     coeff = {}
     for n, (v, s) in enumerate(zip(vals, table)):
-        cut = (top - v) // be + 1
-        unit = UNITS[(pc * n + pb * eps * binom2(n)) % 4]
-        re, im = _times(s.re[:cut], None if s.im is None else s.im[:cut], *unit)
+        re, im = _times(s.re[: (top - v) // be + 1], None, *UNITS[pc * n % 4])
         coeff[n] = QSeries._of(den, top, v, _spread(re, be), None if im is None else _spread(im, be))
     return ZSeries._fitted(coeff, den, top)
 

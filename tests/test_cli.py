@@ -26,6 +26,7 @@ from qrr.errors import QrrError
 from qrr.gaussian import ZERO
 from qrr.identity import eval_product, eval_sum, verify
 from qrr.parser import parse
+from qrr.special import NahmData, nahm_series
 
 
 def run(argv):
@@ -263,6 +264,38 @@ def test_nahm_takes_negative_vectors_in_equals_form():
     assert text.split()[:2] == ["1/4", "1"]
 
 
+def test_nahm_json_is_the_series_json():
+    code, text = run(["nahm", "--A", "2,1;1,2", "--B", "0,1/2", "--order", "12", "--format", "json"])
+    assert code == EXIT_OK
+    data = NahmData(a=((F(2), F(1)), (F(1), F(2))), b=(F(0), F(1, 2)))
+    assert json.loads(text) == json.loads(json.dumps(nahm_series(data, F(12)).to_json()))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--order", "0"], "order must be positive, got 0"),
+        (["nahm", "--A", "2", "--order", "-1"], "order must be positive, got -1"),
+        (["verify", "--bounds", "x"], "bad bounds 'x'"),
+        (["table", "--bounds", "-1"], "bounds must be nonnegative"),
+    ],
+)
+def test_bad_orders_and_bounds_are_usage_errors(argv, message, capsys):
+    with pytest.raises(SystemExit) as ex:
+        run(argv)
+    assert ex.value.code == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "table"])
+def test_a_directory_with_no_identity_files_is_bad_input(command, tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("no identities here")
+    code, text = run([command, str(tmp_path)])
+    assert (code, text) == (EXIT_BAD_INPUT, "")
+    assert capsys.readouterr().err == "error: no .id files in directory %s\n" % tmp_path
+
+
 def test_nahm_rejects_non_pd():
     code, _ = run(["nahm", "--A", "-1", "--order", "10"])
     assert code == EXIT_BAD_INPUT
@@ -303,6 +336,14 @@ def test_rejected_input_is_error_status(monkeypatch):
     code, text = run(["verify", corpus_path("rogers_mod5_1_4"), "--order", "10", "--format", "json"])
     assert code == EXIT_BAD_INPUT
     assert json.loads(text)[0]["status"] == "error"
+
+
+def test_an_error_report_ends_its_text_line_with_kind_and_message(monkeypatch):
+    monkeypatch.setattr(qrr.identity, "eval_product", _raise(QrrError("bad")))
+    code, text = run(["verify", corpus_path("rogers_mod5_1_4"), "--order", "10"])
+    assert code == EXIT_BAD_INPUT
+    assert text.split()[:2] == ["rogers-mod5-1-4", "error"]
+    assert text.endswith(" ms  (QrrError: bad)\n")
 
 
 def test_replay_rejected_input_exits_bad_input(monkeypatch, capsys):

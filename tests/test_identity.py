@@ -177,6 +177,16 @@ def test_sign_atom_form_must_be_integer_linear(form):
         dataclasses.replace(spec, sign=(SignAtom("i", form),))
 
 
+@pytest.mark.parametrize("kind", ["neg2", "I", ""])
+def test_sign_atom_kind_must_be_known(kind):
+    # the grammar writes only neg1, neg1_binom and i; a spec built in code
+    # with any other kind is refused by validate, where verify would have
+    # raised a KeyError from sign_poly
+    spec = corpus.load("rogers_mod5_1_4")
+    with pytest.raises(SemanticError, match="^rogers-mod5-1-4: unknown sign atom kind %r$" % kind):
+        dataclasses.replace(spec, sign=(SignAtom(kind, ExponentPoly.make({}, {"n": 1})),))
+
+
 def test_mutated_product_mismatch():
     text = (corpus.corpus_root() / "rogers_mod5_1_4.id").read_text()
     bad = parse(text.replace("poch(q^4, q^5)", "poch(q^3, q^5)"))

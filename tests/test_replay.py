@@ -290,6 +290,42 @@ def test_claim_failing_at_exponent_zero_reports_it():
     assert [s.status for s in chain.steps] == ["fail", "fail", "pass"]
 
 
+def test_a_wrong_inner_sum_fails_chain_1_7_step_2(monkeypatch):
+    # H_4(-1; q^2) with q^6 added: step 2 names the inner sum and the
+    # exponent, and `qrr replay 1.7` prints where it diverges and exits 1
+    rs_at = replay_module.rs_at
+
+    def wrong(n, t, b, order):
+        h = rs_at(n, t, b, order)
+        return h + QSeries.term(ONE, 6, order) if n == 4 else h
+
+    monkeypatch.setattr(replay_module, "rs_at", wrong)
+    steps = replay_1_7(20)
+    assert [s.status for s in steps] == ["pass", "fail", "pass"]
+    assert steps[1].first_divergence == (4, F(6))
+    out = io.StringIO()
+    assert main(["replay", "1.7", "--order", "20"], out=out) == 1
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 3
+    assert lines[1].startswith("1.7 step 2/3 fail inner sums collapse: ")
+    assert lines[1].endswith("  [diverges: (4, Fraction(6, 1))]")
+
+
+def test_a_wrong_single_sum_fails_chain_1_7_step_2_in_total(monkeypatch):
+    # every inner sum holds, but the sum over (q^4;q^4)_n has q^5 added: the
+    # regrouped total differs there, and so does step 3, which closes on it
+    single = replay_module._single_sum
+
+    def wrong(quad, lin, base, order):
+        s = single(quad, lin, base, order)
+        return s + QSeries.term(ONE, 5, order) if base == qmono(4) else s
+
+    monkeypatch.setattr(replay_module, "_single_sum", wrong)
+    steps = replay_1_7(20)
+    assert [s.status for s in steps] == ["pass", "fail", "fail"]
+    assert steps[1].first_divergence == ("total", F(5))
+
+
 def test_wrong_theta_fails_chain_1_8_without_raising(monkeypatch):
     # beta + 1/4 instead of the reindexed 1/4: exponents j(j+1)/4 stay >= 0,
     # so the wrong theta builds, and both constant-term steps must fail

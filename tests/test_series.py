@@ -466,32 +466,32 @@ def padded_chains(b, order, n):
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.builds(Monomial, st.sampled_from(UNITS), st.fractions(F(1, 4), 6, max_denominator=4)),
+    st.builds(qmono, st.fractions(F(1, 4), 6, max_denominator=4)),
     st.fractions(0, 60, max_denominator=4),
     st.integers(0, 16),
 )
 # 1/(1 - x), the first entry of inv_poch_table: one entry, as long as k
 @example(qmono(1), F(30), 1)
-@example(Monomial(MINUS_ONE, F(3, 2)), F(15), 3)
-# a unit +-i whose period 2k passes the window, and one whose k does not
-@example(Monomial(I, F(5, 4)), F(9, 4), 2)
-@example(Monomial(MINUS_I, F(7, 3)), F(40, 3), 5)
+@example(qmono(F(3, 2)), F(15), 3)
+# a stride 2k past the window, and one whose k is not
+@example(qmono(F(5, 4)), F(9, 4), 2)
+@example(qmono(F(7, 3)), F(40, 3), 5)
 # exact divisions: every row entry a polynomial far below the order, and
-# rows of a unit i that the order cuts
+# rows that the order cuts
 @example(qmono(1), F(50), 6)
-@example(Monomial(I, F(1)), F(20), 12)
+@example(qmono(1), F(20), 12)
 def test_table_and_row_chains_equal_their_padded_divisions(b, order, n):
     table, row = padded_chains(b, order, n)
     assert [fields(s) for s in inv_poch_table(b, n, order)] == [fields(s) for s in table]
     assert [fields(s) for s in special._row_head(n, b, order, n // 2)] == [fields(s) for s in row]
 
 
-@pytest.mark.parametrize("b", [qmono(1), Monomial(I, F(1))])
+@pytest.mark.parametrize("b", [qmono(1), qmono(F(1, 2))])
 def test_gaussian_row_divisions_walk_only_their_dividends(b, monkeypatch):
-    # [32 k] has degree k*(32 - k) <= 256, far below the order 417: division
-    # k hands `_unit_div` only the k*(32 - k) + 1 <= 257 entries of [32 k],
-    # never the 418 of the window: 16 calls over 2,872 entries at b = q, and
-    # with b = i*q each division steps re and im, 32 calls over 5,744
+    # [32 k] has degree k*(32 - k) <= 256 steps of b, far below the order 417
+    # (418 or 835 steps): division k hands `_unit_div` only the
+    # k*(32 - k) + 1 <= 257 entries of [32 k], never the window's: 16 calls
+    # over 2,872 entries
     want = [gaussian_binomial(32, k, b, 417) for k in range(33)]
     seen = []
 
@@ -501,9 +501,8 @@ def test_gaussian_row_divisions_walk_only_their_dividends(b, monkeypatch):
 
     monkeypatch.setattr("qrr.series._unit_div", spy_unit_div)
     assert gaussian_binomial_row(32, b, 417) == want
-    calls = 32 if b.unit[1] else 16
-    limits = [k * (32 - k) + 1 for k in range(1, 17) for _ in range(calls // 16)]
-    assert len(seen) == calls and all(x <= limit for x, limit in zip(seen, limits)), seen
+    limits = [k * (32 - k) + 1 for k in range(1, 17)]
+    assert len(seen) == 16 and all(x <= limit for x, limit in zip(seen, limits)), seen
 
 
 def test_inv_poch_table_divides_each_entry_once(monkeypatch):
@@ -705,47 +704,47 @@ def fraction_walk(order, factors):
 monomials = st.builds(
     Monomial, st.sampled_from(UNITS), st.fractions(F(1, 4), 6, max_denominator=4)
 )
+powers = st.builds(qmono, st.fractions(F(1, 4), 6, max_denominator=4))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.fractions(0, 60, max_denominator=4),
     st.lists(
-        st.tuples(monomials, monomials, st.none() | st.integers(0, 12), st.sampled_from([1, -1])),
+        st.tuples(monomials, powers, st.none() | st.integers(0, 12), st.sampled_from([1, -1])),
         max_size=3,
     ),
-    monomials,
+    powers,
     st.integers(0, 20),
 )
 # tables whose n_max runs past the order, whose b lies past the order, and
-# whose b carries the unit i or -i
+# whose b is off the order's grid
 @example(F(5), [], qmono(1), 12)
 @example(F(3, 2), [], qmono(2), 4)
-@example(F(21, 2), [(qmono(1), Monomial(I, F(1, 2)), None, -1)], Monomial(I, F(1, 2)), 20)
-@example(F(47, 4), [], Monomial(MINUS_I, F(3, 4)), 20)
+@example(F(21, 2), [(qmono(1), qmono(F(1, 2)), None, -1)], qmono(F(1, 2)), 20)
+@example(F(47, 4), [], qmono(F(3, 4)), 20)
 # Euler tails from the (K+1)-th factor, K = isqrt(n // m): at order 20 a
 # divisor family's tail starts at E = 20 = n, one level, and a numerator's
 # would start at 21 = n + 1, so it has none
 @example(F(20), [(qmono(10), qmono(5), None, -1), (qmono(11), qmono(5), None, 1)], qmono(1), 0)
 # grid 4: +-i on x, a divisor tail at 10/4 and a numerator tail at 8/4;
-# then the same families of base +-i, which take no tail: every factor of a
-# base unit other than 1 is a binomial step
+# then the same arguments with the bases swapped
 @example(
     F(47, 4),
     [
         (Monomial(I, F(1, 4)), qmono(F(3, 4)), None, -1),
         (Monomial(MINUS_I, F(1, 2)), qmono(F(1, 4)), None, 1),
     ],
-    Monomial(I, F(1, 4)),
+    qmono(F(1, 4)),
     3,
 )
 @example(
     F(47, 4),
     [
-        (Monomial(I, F(1, 4)), Monomial(MINUS_I, F(3, 4)), None, -1),
-        (Monomial(MINUS_I, F(1, 2)), Monomial(I, F(1, 4)), None, 1),
+        (Monomial(I, F(1, 4)), qmono(F(1, 4)), None, -1),
+        (Monomial(MINUS_I, F(1, 2)), qmono(F(3, 4)), None, 1),
     ],
-    Monomial(I, F(1, 4)),
+    qmono(F(1, 4)),
     3,
 )
 # finite families past 3K factors, K = isqrt(n // m): K binomial steps, the
@@ -783,7 +782,7 @@ numerators = st.builds(
     Monomial, st.sampled_from(UNITS), st.just(F(0)) | st.fractions(F(1, 2), 40, max_denominator=2)
 )
 divisors = st.builds(Monomial, st.sampled_from(UNITS), st.fractions(F(1, 2), 40, max_denominator=2))
-bases = st.builds(Monomial, st.sampled_from(UNITS), st.fractions(1, 20, max_denominator=2))
+bases = st.builds(qmono, st.fractions(1, 20, max_denominator=2))
 
 
 @settings(max_examples=30, deadline=None)
@@ -809,8 +808,7 @@ bases = st.builds(Monomial, st.sampled_from(UNITS), st.fractions(1, 20, max_deno
 )
 # a numerator tail from E = 20 = n, one level, beside a divisor family
 # whose tail would start at 21 = n + 1, and a tail of base q^6 from i*q^8
-# after one head factor i*q^2 (K = 1); then a family of base i*q^6, which
-# takes no tail
+# after one head factor i*q^2 (K = 1); then that family from q^2
 @example(
     F(20),
     [
@@ -824,10 +822,10 @@ bases = st.builds(Monomial, st.sampled_from(UNITS), st.fractions(1, 20, max_deno
     [
         (qmono(10), qmono(5), None, 1),
         (qmono(11), qmono(5), None, -1),
-        (qmono(2), Monomial(I, F(6)), None, -1),
+        (qmono(2), qmono(6), None, -1),
     ],
 )
-# grid 2: +-i on x, tails at 16/2 and 12/2; then bases i and -1, no tails
+# grid 2: +-i on x, tails at 16/2 and 12/2; then the bases swapped
 @example(
     F(81, 2),
     [
@@ -838,8 +836,8 @@ bases = st.builds(Monomial, st.sampled_from(UNITS), st.fractions(1, 20, max_deno
 @example(
     F(81, 2),
     [
-        (Monomial(MINUS_I, F(1, 2)), Monomial(I, F(3, 2)), None, 1),
-        (Monomial(I, F(3, 2)), Monomial(MINUS_ONE, F(1, 2)), None, -1),
+        (Monomial(MINUS_I, F(1, 2)), qmono(F(1, 2)), None, 1),
+        (Monomial(I, F(3, 2)), qmono(F(3, 2)), None, -1),
     ],
 )
 # (-1; q)_inf: a scalar head 2 at exponent 0 and a tail from 5, with a

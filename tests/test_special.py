@@ -9,7 +9,7 @@ from qrr import _kernel_py, corpus, series, special, zseries
 from qrr.errors import NegativeExponent, NotPositiveDefinite
 from qrr.identity import ExponentPoly, IdentitySpec, auto_bounds, eval_product
 from qrr.oracle import unpruned_sum
-from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, UNITS, GaussianInt, unit_pow
+from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, UNITS, unit_pow
 from qrr.series import Monomial, QSeries, _grid, inv_poch_table, poch_finite, poch_infinite, qmono
 from qrr.special import (
     JtpReport,
@@ -25,6 +25,7 @@ from qrr.special import (
 from qrr.zseries import ZSeries, euler_z_inverse, euler_z_product, theta_z
 
 MINUS_ONE_T = Monomial(MINUS_ONE, F(0))  # t := -1
+BASE_RULE = "Pochhammer base must be a positive power of q"
 
 
 def test_gaussian_binomial_values():
@@ -59,7 +60,12 @@ def test_gaussian_binomial_rows_match_gaussian_binomial(unit, exp, order_den):
     # order 40 holds every polynomial through n = 8 and cuts the middle of
     # the longer ones (at exponent 2, [12 6] reaches q^72), so the mirrored
     # half is cut too; an order just past 5, off the base's grid for
-    # order_den > 1, cuts most of them
+    # order_den > 1, cuts most of them.  A base of unit -1 or +-i is refused.
+    if unit != ONE:
+        for build in (lambda: gaussian_binomial_row(4, b, 40), lambda: gaussian_binomial(4, 2, b, 40)):
+            with pytest.raises(ValueError, match=BASE_RULE):
+                build()
+        return
     for order in (F(40), 5 + F(1, order_den)):
         pascal = _q_pascal_rows(b, order)
         for n in range(13):
@@ -79,7 +85,7 @@ def _q_pascal_rows(b, order):
         nxt = [one]
         for k in range(1, len(row)):
             if k * b.exp <= one.order_q:
-                nxt.append(row[k - 1] + row[k].shift(k * b.exp).scale(unit_pow(b.unit, k)))
+                nxt.append(row[k - 1] + row[k].shift(k * b.exp))
             else:
                 nxt.append(row[k - 1])  # b**k * [n-1 k] lies beyond the order
         nxt.append(one)
@@ -103,27 +109,49 @@ def test_gaussian_binomial_rows_need_a_base_of_positive_order(unit, exp):
             *(lambda n=n, k=k: gaussian_binomial(n, k, b, 10) for k in {0, 1, n}),
         ]
     for build in builds:
-        with pytest.raises(ValueError, match="Pochhammer base must be a positive power of q"):
+        with pytest.raises(ValueError, match=BASE_RULE):
             build()
 
 
-def test_gaussian_binomial_is_a_polynomial_in_the_base():
-    # [2 1]_b = 1 + b and [3 1]_b = 1 + b + b^2, for b = -q and b = i*q
-    for unit in (MINUS_ONE, GaussianInt(0, 1)):
+def test_every_builder_refuses_a_base_of_unit_other_than_one():
+    # every Pochhammer base of the paper is a positive power of q; the
+    # check comes before any work, so rs_at refuses i*q even where t = -1
+    # would leave no term (H_1(-1) = 0)
+    for unit in (MINUS_ONE, I, MINUS_I):
         b = Monomial(unit, F(1))
-        one, bq = QSeries.one(10), QSeries.term(unit, 1, 10)
-        b2 = QSeries.term(unit * unit, 2, 10)
+        builds = [
+            lambda: gaussian_binomial(4, 2, b, 10),
+            lambda: gaussian_binomial(4, 5, b, 10),
+            lambda: gaussian_binomial_row(4, b, 10),
+            lambda: rogers_szego_def(4, b, 10),
+            lambda: rogers_szego_bw(4, b, 10),
+            lambda: rs_at(4, qmono(1), b, 10),
+            lambda: rs_at(1, MINUS_ONE_T, b, 10),
+            lambda: euler_z_inverse(qmono(1), b, 10),
+            lambda: euler_z_product(qmono(1), b, 10),
+            lambda: inv_poch_table(b, 3, 10),
+        ]
+        for build in builds:
+            with pytest.raises(ValueError, match="^Pochhammer base must be a positive power of q with unit 1$"):
+                build()
+
+
+def test_gaussian_binomial_is_a_polynomial_in_the_base():
+    # [2 1]_b = 1 + b and [3 1]_b = 1 + b + b^2, for b = q and b = q^(3/2)
+    for e in (F(1), F(3, 2)):
+        b = qmono(e)
+        one, bq, b2 = QSeries.one(10), QSeries.term(ONE, e, 10), QSeries.term(ONE, 2 * e, 10)
         assert gaussian_binomial(2, 1, b, 10) == one + bq
         assert gaussian_binomial(3, 1, b, 10) == one + bq + b2
         assert gaussian_binomial_row(3, b, 10)[2] == one + bq + b2
 
 
 def test_rogers_szego_representations_agree():
-    # base q, and bases -q, i*q, -i*q whose powers carry powers of the unit
-    for unit in UNITS:
-        b = Monomial(unit, F(1))
+    # bases q, q^2, q^(1/2) and q^(3/4)
+    for e in (F(1), F(2), F(1, 2), F(3, 4)):
+        b = qmono(e)
         for n in range(9):
-            assert rogers_szego_def(n, b, 60).same_through(rogers_szego_bw(n, b, 60)), (unit, n)
+            assert rogers_szego_def(n, b, 60).same_through(rogers_szego_bw(n, b, 60)), (e, n)
 
 
 def test_rogers_szego_recurrence():
@@ -153,16 +181,15 @@ def test_rs_at_minus_one_closed_forms():
 @pytest.mark.parametrize("b_exp", [1, 2, F(1, 2), F(1, 4), F(3, 4)])
 def test_rs_at_is_the_specialized_bw_polynomial(order_den, b_exp):
     # z := t substituted before multiplying equals the factored polynomial
-    # specialized afterwards, for every unit of b and t and zero factors too,
+    # specialized afterwards, for every unit of t and zero factors too,
     # through an order on the base's grid or off it
     order = 20 + F(1, order_den)
+    b = qmono(b_exp)
     for n in range(13):
-        for bu in UNITS:
-            b = Monomial(bu, F(b_exp))
-            bw = rogers_szego_bw(n, b, order)
-            for tu, te in iproduct(UNITS, (F(0), F(1, 2), F(1))):
-                t = Monomial(tu, te)
-                assert rs_at(n, t, b, order) == bw.specialize(t), (n, b, t)
+        bw = rogers_szego_bw(n, b, order)
+        for tu, te in iproduct(UNITS, (F(0), F(1, 2), F(1))):
+            t = Monomial(tu, te)
+            assert rs_at(n, t, b, order) == bw.specialize(t), (n, b, t)
 
 
 def _times_z(w):
@@ -224,42 +251,42 @@ units = st.sampled_from(UNITS)
 # exponents and orders on grids 1 to 4: an order such as 7/2 lies off the
 # grid of b = q^(2/3) and on that of b = q^(1/2)
 fractions = st.builds(F, st.integers(0, 12), st.integers(1, 4))
-bases = st.builds(Monomial, units, fractions.filter(lambda e: e > 0))
+bases = st.builds(qmono, fractions.filter(lambda e: e > 0))
 orders = st.builds(F, st.integers(0, 90), st.integers(1, 4))
 
 
 # the edges of the split at m = (U - 1) // 2: at n = 0 the one term runs
 # downwards and at n = 1 upwards, at n = 2 and 3 one term runs each way, then
 # U = 3 and 4 at odd and at even n; then the digit widths' edges, where
-# C(n, n // 2) needs one byte more (at n = 10, 18 and 26), with b real and
-# b = +-i*q^(1/2), at orders past the degree floor(n^2/4) of H_n in b
+# C(n, n // 2) needs one byte more (at n = 10, 18 and 26), with b = q and
+# b = q^(1/2), at orders past the degree floor(n^2/4) of H_n in b
 @example(9, qmono(1), F(21))
-@example(9, Monomial(MINUS_I, F(1, 2)), F(21, 2))
-@example(10, Monomial(MINUS_ONE, F(1)), F(26))
-@example(10, Monomial(I, F(1, 2)), F(13))
+@example(9, qmono(F(1, 2)), F(21, 2))
+@example(10, qmono(1), F(26))
+@example(10, qmono(F(1, 2)), F(13))
 @example(17, qmono(1), F(73))
-@example(17, Monomial(I, F(1, 2)), F(73, 2))
-@example(18, Monomial(MINUS_ONE, F(1)), F(82))
-@example(18, Monomial(MINUS_I, F(1, 2)), F(41))
+@example(17, qmono(F(1, 2)), F(73, 2))
+@example(18, qmono(1), F(82))
+@example(18, qmono(F(1, 2)), F(41))
 @example(25, qmono(1), F(157))
-@example(25, Monomial(MINUS_I, F(1, 2)), F(157, 2))
-@example(26, Monomial(MINUS_ONE, F(1)), F(170))
-@example(26, Monomial(I, F(1, 2)), F(85))
-# the benchmark's n and order, with both real units: one int per slice at
-# 3, 4 and 5-byte digits
+@example(25, qmono(F(1, 2)), F(157, 2))
+@example(26, qmono(1), F(170))
+@example(26, qmono(F(1, 2)), F(85))
+# the benchmark's n and order, and the same polynomials in b = q^(1/2):
+# one int per slice at 3, 4 and 5-byte digits
 @example(24, qmono(1), F(420))
-@example(24, Monomial(MINUS_ONE, F(1)), F(420))
+@example(24, qmono(F(1, 2)), F(210))
 @example(32, qmono(1), F(420))
-@example(32, Monomial(MINUS_ONE, F(1)), F(420))
+@example(32, qmono(F(1, 2)), F(210))
 @example(40, qmono(1), F(420))
-@example(40, Monomial(MINUS_ONE, F(1)), F(420))
+@example(40, qmono(F(1, 2)), F(210))
 @example(0, qmono(1), F(30))
-@example(1, Monomial(I, F(1, 2)), F(61, 2))
+@example(1, qmono(F(1, 2)), F(61, 2))
 @example(2, qmono(1), F(30))
-@example(3, Monomial(MINUS_ONE, F(2, 3)), F(30))
+@example(3, qmono(F(2, 3)), F(30))
 @example(5, qmono(1), F(40))
-@example(6, Monomial(I, F(1, 2)), F(81, 2))
-@example(7, Monomial(MINUS_ONE, F(1)), F(40))
+@example(6, qmono(F(1, 2)), F(81, 2))
+@example(7, qmono(1), F(40))
 @example(8, qmono(1), F(40))
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 16), bases, orders)
@@ -275,8 +302,14 @@ def test_nested_bw_equals_the_per_term_sum(n, b, order):
 def test_packed_bw_equals_the_sum_at_wide_digits(unit, exp):
     # C(n, n // 2) needs 9-byte digits at n = 67 and 68, 10-byte ones at
     # n = 75, past the 8-byte cells of the kernel's byte path; the
-    # Hypothesis gate above draws n <= 16, at most 2-byte digits
+    # Hypothesis gate above draws n <= 16, at most 2-byte digits.  A base of
+    # unit -1 or +-i is refused.
     b = Monomial(unit, exp)
+    if unit != ONE:
+        for build in (rogers_szego_bw, rogers_szego_def):
+            with pytest.raises(ValueError, match=BASE_RULE):
+                build(67, b, F(25, 2))
+        return
     for n in (67, 68, 75):
         bw, defining = rogers_szego_bw(n, b, F(25, 2)), rogers_szego_def(n, b, F(25, 2))
         assert bw == defining, n
@@ -320,13 +353,12 @@ def test_each_c_r_multiplies_its_shorter_window(monkeypatch):
     # the terms meet in the middle at m = (U - 1) // 2: c_r multiplies
     # min(r, U - r) + 1 slices, where one upward nest took r + 1 (231, 153
     # and 91 slices at n = 40, 32 and 24); alpha_14 = 0 at t = -q^29 keeps
-    # r <= 14, past m = 9 (120 slices upwards).  A slice is one int for b of
-    # unit +-1, so one int product each; a base of unit +-i keeps re and im,
-    # two products each
-    q, qi = qmono(1), Monomial(I, F(1, 2))
+    # r <= 14, past m = 9 (120 slices upwards).  A slice is one int, so one
+    # int product each
+    q, qh, qi = qmono(1), qmono(F(1, 2)), Monomial(I, F(1, 2))
     cases = [(n, None, q, slices) for n, slices in [(40, 121), (32, 81), (24, 49)]]
     cases += [(40, Monomial(MINUS_ONE, F(29)), q, 100), (40, qi, q, 121)]
-    cases += [(40, None, Monomial(MINUS_ONE, F(1)), 121), (40, None, qi, 121), (24, Monomial(MINUS_ONE), qi, 1)]
+    cases += [(40, None, qmono(2), 121), (40, None, qh, 121), (24, Monomial(MINUS_ONE), qh, 1)]
     expected = [rogers_szego_def(n, b, 100) if t is None else _rs_at_per_term(n, t, b, 100) for n, t, b, _ in cases]
     pack = special._pack
     monkeypatch.setattr(special, "_pack", lambda xs, wb: _Counted(pack(xs, wb)))
@@ -334,7 +366,7 @@ def test_each_c_r_multiplies_its_shorter_window(monkeypatch):
         _Counted.products = 0
         got = rogers_szego_bw(n, b, 100) if t is None else rs_at(n, t, b, 100)
         assert got == want, (n, t, b)
-        assert _Counted.products == (2 if b.unit[1] else 1) * slices, (n, t, b)
+        assert _Counted.products == slices, (n, t, b)
 
 
 def test_digit_widths_follow_the_kept_terms(monkeypatch):
@@ -399,7 +431,7 @@ def rs_points(draw):
         t = MINUS_ONE_T
     else:
         s = draw(st.integers(0, n // 2))
-        t = Monomial(-unit_pow(b.unit, 1 + 2 * s), (1 + 2 * s) * b.exp)
+        t = Monomial(MINUS_ONE, (1 + 2 * s) * b.exp)
     return n, t, b
 
 
@@ -408,15 +440,15 @@ def rs_points(draw):
 # t = i*q^(1/2) keeps every term
 @example((12, MINUS_ONE_T, qmono(1)), F(60))
 @example((12, Monomial(MINUS_ONE, F(3)), qmono(1)), F(60))
-@example((12, Monomial(I, F(3, 2)), Monomial(I, F(1, 2))), F(60))
+@example((12, Monomial(MINUS_ONE, F(3, 2)), qmono(F(1, 2))), F(60))
 @example((16, Monomial(MINUS_ONE, F(9)), qmono(1)), F(90))
 @example((12, Monomial(I, F(1, 2)), qmono(1)), F(121, 2))
 # t = -1 where 2**U needs one byte more, at n = 14 and 30, at orders past
 # the degree (n/2)**2 of H_n(-1) in b
-@example((12, MINUS_ONE_T, Monomial(MINUS_I, F(1, 2))), F(37, 2))
-@example((14, MINUS_ONE_T, Monomial(I, F(1, 2))), F(25))
+@example((12, MINUS_ONE_T, qmono(F(1, 2))), F(37, 2))
+@example((14, MINUS_ONE_T, qmono(F(1, 2))), F(25))
 @example((28, MINUS_ONE_T, qmono(1)), F(197))
-@example((30, MINUS_ONE_T, Monomial(MINUS_ONE, F(1))), F(226))
+@example((30, MINUS_ONE_T, qmono(1)), F(226))
 @settings(max_examples=300, deadline=None)
 @given(rs_points(), orders)
 def test_nested_rs_at_equals_the_per_term_sum(point, order):
@@ -471,11 +503,11 @@ def _kept_by_search(n, t, b):
 
 
 def test_kept_terms_equal_the_factor_search():
-    # every n <= 11, every unit of t and b, t on the quarter grid through 6
+    # every n <= 11, every unit of t, t on the quarter grid through 6
     # (alpha_s = 0 for s up to 5, 5, 2 and 1 on the first four bases), and
     # b on and off that grid
     ts = [Monomial(u, F(e, 4)) for u in UNITS for e in range(25)]
-    bs = [Monomial(u, e) for u in UNITS for e in (F(1, 4), F(1, 2), F(1), F(3, 2), F(2, 3))]
+    bs = [qmono(e) for e in (F(1, 4), F(1, 2), F(1), F(3, 2), F(2, 3))]
     pruned = 0
     for n in range(12):
         for b in bs:
@@ -483,7 +515,7 @@ def test_kept_terms_equal_the_factor_search():
                 got = special._kept(n, t, b)
                 assert got == _kept_by_search(n, t, b), (n, t, b)
                 pruned += got != (0, n // 2)
-    assert pruned > 600
+    assert pruned > 150
 
 
 def test_rs_at_minus_one_walks_no_binomial_row(monkeypatch):
@@ -726,11 +758,11 @@ def test_tables_and_product_sides_are_order_honest(n, step, unit, be, xe, k, nam
 
     def build(order):
         return [
-            *inv_poch_table(Monomial(unit, be), k, order),
+            *inv_poch_table(b, k, order),
             poch_finite(x, b, k, order),
             poch_infinite(x, b, order),
             eval_product(spec, order),
-            *gaussian_binomial_row(k, Monomial(unit, be), order),
+            *gaussian_binomial_row(k, b, order),
             rs_at(k, x, b, order),
         ]
 
