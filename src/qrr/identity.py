@@ -50,9 +50,7 @@ class SignAtom:
             return MINUS_ONE if v % 2 else ONE
         if self.kind == "neg1_binom":
             return sign_binom2(v)
-        if self.kind == "i":
-            return i_pow(v)
-        raise ValueError("unknown sign atom kind %r" % self.kind)
+        return i_pow(v)  # "i", validate admitting only the kinds of _SIGN_KINDS
 
 
 def eval_sign(atoms, point: Dict[str, int]) -> GaussianInt:
@@ -62,15 +60,19 @@ def eval_sign(atoms, point: Dict[str, int]) -> GaussianInt:
     return u
 
 
+# the sign atom kinds, each with the U(v) that makes its value i**U(v): v for
+# i^v, v + v for (-1)^v and v*v - v for (-1)^binom(v,2), since
+# binom(v,2) = (v*v - v)/2
+_SIGN_KINDS = {"neg1": lambda v: v + v, "neg1_binom": lambda v: v * v - v, "i": lambda v: v}
+
+
 def sign_poly(atoms, indices) -> Tuple[list, list, int]:
     """(S, s, s0) in integers with eval_sign(atoms, n) = i**U(n) for
     U(n) = 1/2 n.S.n + s.n + s0 over the indices in order: U is the sum over
-    the atoms of v for i^v, v + v for (-1)^v and v*v - v for (-1)^binom(v,2),
-    since binom(v,2) = (v*v - v)/2."""
+    the atoms of _SIGN_KINDS[kind](v)."""
     u = ExponentPoly.make({}, {})
     for a in atoms:
-        v = a.form
-        u += {"i": v, "neg1": v + v, "neg1_binom": v * v - v}[a.kind]
+        u += _SIGN_KINDS[a.kind](a.form)
     _, S, s, s0 = u.integer_form(indices)  # L = 1, the forms being integer-linear
     return S, s, s0
 
@@ -209,7 +211,7 @@ class IdentitySpec:
             )
         used = self.exponent.names()
         for a in self.sign:
-            if a.kind not in ("neg1", "neg1_binom", "i"):
+            if a.kind not in _SIGN_KINDS:
                 raise SemanticError("%s: unknown sign atom kind %r" % (self.name, a.kind))
             if not a.form.is_integer_linear():
                 raise SemanticError("%s: sign atom exponent must be an integer linear form" % self.name)

