@@ -242,8 +242,8 @@ def cmd_replay(args, out) -> int:
             line = "%s step %d/%d %-4s %s" % (
                 s.theorem, s.step, len(steps), s.status, s.description,
             )
-            if s.first_divergence is not None:
-                line += "  [diverges: %s]" % (s.first_divergence,)
+            if s.divergence is not None:
+                line += "  [diverges: %s]" % s.divergence
             print(line, file=out)
     return EXIT_OK if chain_passes(steps) else EXIT_MISMATCH
 

@@ -34,7 +34,7 @@ from .errors import (
 )
 from .gaussian import MINUS_ONE, ONE, GaussianInt, i_pow, sign_binom2
 from .quadform import _interval, _minorant, certified_box
-from .series import Monomial, QSeries, _fold, _grid, _poch, inv_poch_table, qmono
+from .series import Monomial, QSeries, _chain, _fold, _grid, _poch
 
 
 @dataclass(frozen=True)
@@ -361,8 +361,9 @@ class _Nest:
         # 1/(q^b;q^b)_t is 1/(x;x)_t in x = q^b, a list on the integers
         self.steps = [int(b * self.den) for b in self.bases]
         # entries past order/b equal the one before, so the table stops there
-        self.cap = min(self.bounds[-1], floor(order / self.bases[-1]))
-        self.table = [t.re for t in inv_poch_table(qmono(1), self.cap, floor(order / self.bases[-1]))]
+        last = floor(order / self.bases[-1])
+        self.cap = min(self.bounds[-1], last)
+        self.table = _chain([1], [last + 1] * self.cap)
         # the last index's t*t coefficients in L*E and U
         self.a, self.sa = self.quad[-1][-1] // 2, self.squad[-1][-1] // 2
 

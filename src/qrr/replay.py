@@ -48,6 +48,15 @@ class StepReport:
     def ok(self) -> bool:
         return self.status == "pass"
 
+    @property
+    def divergence(self) -> Optional[str]:
+        """first_divergence as the text and the JSON report give it: each
+        exponent or z-power as `_frac_str` renders it, a tuple as (4, 6)."""
+        d = self.first_divergence
+        if isinstance(d, tuple):
+            return "(%s)" % ", ".join(x if isinstance(x, str) else str(_frac_str(x)) for x in d)
+        return d if d is None or isinstance(d, str) else str(_frac_str(d))
+
     def to_json(self) -> dict:
         return {
             "theorem": self.theorem,
@@ -55,9 +64,7 @@ class StepReport:
             "description": self.description,
             "status": self.status,
             "order": _frac_str(self.order),
-            "first_divergence": None
-            if self.first_divergence is None
-            else str(self.first_divergence),
+            "first_divergence": self.divergence,
         }
 
 

@@ -55,12 +55,13 @@ order.  Each tail is Euler's sum in y, 1/(y; b)_inf = sum y**l/(b; b)_l or
 (y; b)_inf = sum (-1)**l b**(l(l-1)/2) y**l/(b; b)_l (`_tail`): about
 sqrt(n/m) divisions per family in place of n/m.  Each such
 sum_t X_t/(x; x)_t, here, in the sum side's nest and in replay 1.7, is one
-Horner fold (`_fold`), and so is each z-slice of the triple product.  A
-1/(b;b)_n table (`inv_poch_table`) keeps every entry, so it is one pair of
-window-long lists, entry n being a copy of entry n - 1 divided by its
-factor; each entry of a Gaussian binomial row of qrr.special is a copy of
-the last entry's lists, padded to its own degree, stepped by one
-`_unit_mul` and one `_divide`.
+Horner fold (`_fold`), and so is each z-slice of the triple product.  The
+chains 1/(x; x)_m of the sum side's table and of qrr.zseries' Euler
+windows, and (x; x)_inf/(x; x)_m of its triple product, are one builder
+(`_chain`) of int lists in x: entry m is a copy of entry m - 1, cut or
+padded to its own length, divided by its factor; each entry of a Gaussian
+binomial row of qrr.special is a copy of the last entry's lists, padded to
+its own degree, stepped by one `_unit_mul` and one `_divide`.
 """
 
 from __future__ import annotations
@@ -875,23 +876,18 @@ def _poch(order, factors: list) -> QSeries:
     return QSeries._of(den, n, 0, re, im)
 
 
-def inv_poch_table(b: Monomial, n_max: int, order) -> list:
-    """[1/(b;b)_n for n = 0..n_max], exact through `order`, on the grid that
-    holds the order and b: entry n is entry n - 1 over 1 - q**(n*e) for
-    b = q**e, and an entry whose factor lies past the order is the one
-    before it.  One list spans the window: each entry's list is a copy of
-    the last, divided in place by one `_divide`."""
-    _check_base(b)
-    den = _grid(order, b.exp)
-    n = _as_order(order, den)
-    step = int(b.exp * den)
-    re = [1] + [0] * n
-    table = [QSeries._of(den, n, 0, [1])]
-    for k in range(1, n_max + 1):
-        if k * step <= n:
-            re = re[:]
-            _divide(re, None, k * step, ONE)
-            table.append(QSeries._of(den, n, 0, re))
-        else:
-            table.append(table[-1])
-    return table
+def _chain(first: list, ends: list) -> list:
+    """The chain of int lists in x whose entry 0 is `first` and whose entry
+    m is entry m - 1 cut, or padded with zeros, to ends[m - 1] entries, then
+    divided in place by 1 - x**m (`_divide`), unless m is past the entry's
+    last index, where the factor changes nothing.  Every entry after the
+    first is a new list.  With first [1], entry m is 1/(x; x)_m; with first
+    the list of (x; x)_inf, it is (x; x)_inf/(x; x)_m."""
+    chain = [first]
+    for m, end in enumerate(ends, 1):
+        x = chain[-1][:end]
+        x += [0] * (end - len(x))
+        if m < end:
+            _divide(x, None, m, ONE)
+        chain.append(x)
+    return chain

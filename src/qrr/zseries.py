@@ -21,11 +21,11 @@ Builders.  theta_z and the Euler windows (euler_z_inverse, euler_z_product)
 make every slice as int lists on the window's final grid and order, and
 build the window with one `ZSeries._fitted`: no Fraction per slice, and no
 slice normalized more than once.  A theta slice is one unit at an integer
-exponent.  The 1/(b;b)_n of an Euler window are one table
-(series.inv_poch_table) in x = q**b.exp on the integers; slice n is entry n
-cut to the powers of x that reach the order, times its unit (a negation of
-the lists or a swap of re and im), spread at b.exp's stride and laid at its
-exponent.
+exponent.  The 1/(b;b)_n of an Euler window are one chain (series._chain)
+in x = q**b.exp on the integers, entry n cut to the powers of x that reach
+the order from its exponent before it is divided; slice n is entry n times
+its unit (a negation of the lists or a swap of re and im), spread at
+b.exp's stride and laid at its exponent.
 
 Slices are fitted to a window's grid and order (`_fit`) only where they may
 be off it: in the constructor, in a sum, and for the operands of a product.
@@ -71,11 +71,10 @@ from math import ceil, gcd, lcm
 from typing import Dict, Optional
 
 from .errors import DivergentEmbedding, NegativeExponent
-from .gaussian import ONE, UNITS, GaussianInt, binom2, is_unit, unit_pow
+from .gaussian import UNITS, GaussianInt, binom2, is_unit, unit_pow
 from .quadform import _interval
 from .series import (
-    Monomial, QSeries, _as_order, _check_base, _divide, _fold, _grid, _rows, _spread, _times, inv_poch_table,
-    poch_infinite, qmono
+    Monomial, QSeries, _as_order, _chain, _check_base, _fold, _grid, _rows, _spread, _times, poch_infinite, qmono
 )
 
 
@@ -279,41 +278,42 @@ def theta_z(alpha, beta, chi: GaussianInt, s: int, order) -> "ZSeries":
     return ZSeries._fitted(coeff, d, n)
 
 
-def _euler_grid(c: Monomial, b: Monomial, order):
-    """(den, top, ce, be) of an Euler window: its grid, the one that holds
-    the order and the exponents of b and of c (of b alone when c lies past
-    the order and the window is 1), and on it the scaled order and the
-    exponents of c and b."""
+def _euler_grid(c: Monomial, b: Monomial, eps: int, order):
+    """(den, top, ce, be, vals) of an Euler window: its grid, the one that
+    holds the order and the exponents of b and of c (of b alone when c lies
+    past the order and the window is 1), and on it the scaled order, the
+    exponents of c and b and the v_n within the order (`_euler_z`)."""
     order = Fraction(order)
     if c.exp <= 0:
         raise DivergentEmbedding("embedding monomial needs positive q-order, got %s" % c.exp)
     if b.exp <= 0:
         raise DivergentEmbedding("Euler base needs positive q-order, got %s" % b.exp)
+    _check_base(b)
     # c past the order leaves the window 1, on the grid of the order and b alone;
     # off its grid c.exp is rounded up, and so stays past the order
     den = _grid(order, b.exp) if c.exp > order else _grid(order, c.exp, b.exp)
-    return den, int(order * den), ceil(c.exp * den), int(b.exp * den)
+    top, ce, be = int(order * den), ceil(c.exp * den), int(b.exp * den)
+    vals = []
+    while (v := len(vals) * ce + eps * binom2(len(vals)) * be) <= top:
+        vals.append(v)
+    return den, top, ce, be, vals
 
 
 def _euler_z(c: Monomial, b: Monomial, eps: int, order) -> "ZSeries":
     """sum_n c**n b**(eps*binom(n,2)) z**n / (b;b)_n through `order`, eps in {0, 1}.
 
     Built on its final grid (`_euler_grid`); b must be a positive power of
-    q (`series._check_base`).  The 1/(b;b)_n are one table in x = q**b.exp,
-    on the integers (series.inv_poch_table): slice n is entry n cut to the
-    powers of x that reach the order, times the unit c**n, spread at
-    b.exp's stride on the grid and laid at the exponent of
-    c**n b**(eps*binom(n,2))."""
-    den, top, ce, be = _euler_grid(c, b, order)
-    _check_base(b)
-    vals = []  # scaled q-exponents of c**n b**(eps*binom(n,2)) within the order
-    while (v := len(vals) * ce + eps * binom2(len(vals)) * be) <= top:
-        vals.append(v)
-    table = inv_poch_table(qmono(1), len(vals) - 1, top // be)
+    q (`series._check_base`).  The 1/(b;b)_n are one chain in x = q**b.exp
+    on the integers (series._chain), entry n cut to the powers of x that
+    reach the order from v_n, the exponent of c**n b**(eps*binom(n,2)),
+    before it is divided: slice n is entry n times the unit c**n, spread at
+    b.exp's stride on the grid and laid at v_n."""
+    den, top, _, be, vals = _euler_grid(c, b, eps, order)
+    chain = _chain([1], [(top - v) // be + 1 for v in vals[1:]])
     pc = UNITS.index(c.unit)
     coeff = {}
-    for n, (v, s) in enumerate(zip(vals, table)):
-        re, im = _times(s.re[: (top - v) // be + 1], None, *UNITS[pc * n % 4])
+    for n, (v, x) in enumerate(zip(vals, chain)):
+        re, im = _times(x, None, *UNITS[pc * n % 4])
         coeff[n] = QSeries._of(den, top, v, _spread(re, be), None if im is None else _spread(im, be))
     return ZSeries._fitted(coeff, den, top)
 
@@ -334,23 +334,16 @@ def _triple_product(c: Monomial, b: Monomial, order) -> "ZSeries":
 
     With v_m the scaled exponent of c**m b**binom(m,2), slice k >= 0 is
     sum_n c**(2n+k) q**(v_n + v_(n+k)) R_(n+k) / (b;b)_n in x = q**b.exp,
-    for the chain R_0 = (x;x)_inf, R_m = R_(m-1) / (1 - x**m), one `_divide`
-    per entry, cut to the powers of x that reach the order from v_m, the
+    for the chain R_0 = (x;x)_inf, R_m = R_(m-1) / (1 - x**m) (series._chain),
+    each entry cut to the powers of x that reach the order from v_m, the
     lowest exponent it is laid at.  Slice -k is slice k, the same object.
     Each is one `series._fold` over n on the slice's own stride, gcd(b, 2c)
     in steps of the grid of `_euler_grid`, then spread onto that grid: level
     n adds R_(n+k) and divides by 1 - x**n."""
-    den, top, ce, be = _euler_grid(c, b, order)
+    den, top, ce, be, vals = _euler_grid(c, b, 1, order)
     g = gcd(be, 2 * ce)
-    vals = []
-    while (v := len(vals) * ce + binom2(len(vals)) * be) <= top:
-        vals.append(v)
     r = poch_infinite(qmono(1), qmono(1), top // be).re
-    chain = [r + [0] * (top // be + 1 - len(r))]
-    for m in range(1, len(vals)):
-        r = chain[-1][: (top - vals[m]) // be + 1]
-        _divide(r, None, m, ONE)
-        chain.append(r)
+    chain = _chain(r, [(top - v) // be + 1 for v in vals[1:]])
     pc = UNITS.index(c.unit)
     coeff = {}
     for k, v in enumerate(vals):

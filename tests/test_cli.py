@@ -379,6 +379,12 @@ def test_nahm_malformed_matrix_is_bad_input():
     assert code == EXIT_BAD_INPUT
 
 
+def test_nahm_vector_of_the_wrong_length_is_one_error_line(capsys):
+    code, out = run(["nahm", "--A", "2,1;1,2", "--B", "1"])
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert capsys.readouterr().err == "error: linear vector length must match the matrix rank\n"
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

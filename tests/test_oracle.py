@@ -7,11 +7,11 @@ import pytest
 import qrr.oracle
 from qrr import corpus
 from qrr.errors import NegativeExponent, SemanticError
-from qrr.gaussian import GaussianInt
-from qrr.identity import eval_product, eval_sum
+from qrr.gaussian import MINUS_ONE, ONE, GaussianInt
+from qrr.identity import ProductFactor, eval_product, eval_sum
 from qrr.oracle import PartSpec, dense_mul, partition_count, unpruned_sum
 from qrr.parser import parse
-from qrr.series import QSeries
+from qrr.series import Monomial, QSeries, poch_infinite, qmono
 
 
 def test_partition_count_examples():
@@ -41,6 +41,26 @@ def test_partition_counts_match_products():
         for n in range(41):
             c = prod.coeff(n)
             assert c.im == 0 and c.re == counts[n], (name, n)
+
+
+def test_numerator_readings_match_the_product_walk():
+    # (q;q)_inf reads as distinct parts, each counted -1, and (-q;q)_inf as
+    # distinct parts, each counted +1
+    for unit in (ONE, MINUS_ONE):
+        x = Monomial(unit, F(1))
+        ps = PartSpec.from_product([ProductFactor(x, qmono(1))], 60)
+        want = poch_infinite(x, qmono(1), 60)
+        assert [GaussianInt(c, 0) for c in ps.counts(60)] == [want.coeff(n) for n in range(61)]
+
+
+def test_partition_readings_refuse_what_has_none():
+    q = qmono(1)
+    with pytest.raises(ValueError, match="^finite Pochhammer factors have no partition reading$"):
+        PartSpec.from_product([ProductFactor(q, q, -1, 5)], 10)
+    with pytest.raises(ValueError, match="^partition reading needs positive integer exponents$"):
+        PartSpec.from_product([ProductFactor(qmono(F(1, 2)), q, -1)], 10)
+    with pytest.raises(ValueError, match="^n must be nonnegative$"):
+        partition_count(PartSpec((1,), ()), -1)
 
 
 def test_signed_product_has_no_partition_reading():

@@ -23,9 +23,9 @@ from qrr.replay import (
     replay_1_7,
     replay_1_8,
 )
-from qrr.series import QSeries, inv_poch_table, qmono
+from qrr.series import QSeries, _poch, qmono
 from qrr.special import gaussian_binomial_row, jtp_check
-from qrr.zseries import euler_z_product, theta_z
+from qrr.zseries import ZSeries, euler_z_product, theta_z
 
 # the package exports the function replay() under the module's name
 replay_module = import_module("qrr.replay")
@@ -216,9 +216,8 @@ def test_each_shipped_identity_is_parsed_once_per_process(monkeypatch):
 def _regroup_by_products(order):
     """Step 1 of 1.7 as the chain first took it: each inner sum one QSeries
     add or negation per row entry, and each term q^(n^2/4) inner_n times
-    the table entry 1/(q^2;q^2)_n, one series product."""
+    1/(q^2;q^2)_n, one series product."""
     n_max = math.isqrt(math.floor(4 * order))
-    table = inv_poch_table(qmono(2), n_max, order)
     regrouped = QSeries.zero(order)
     inners = []
     for n in range(n_max + 1):
@@ -226,7 +225,7 @@ def _regroup_by_products(order):
         for m, gb in enumerate(gaussian_binomial_row(n, qmono(2), order)):
             inner = inner + (gb if m % 2 == 0 else -gb)
         inners.append(inner)
-        regrouped = regrouped + inner.shift(F(n * n, 4)).mul(table[n])
+        regrouped = regrouped + inner.shift(F(n * n, 4)).mul(_poch(order, [(qmono(2), qmono(2), n, -1)]))
     return inners, regrouped
 
 
@@ -282,12 +281,17 @@ def test_jtp_report_matches_recorded_digest():
 
 
 def test_claim_failing_at_exponent_zero_reports_it():
+    # and a closure's side with its exponent, and an exponent, rendered
+    # alike as text and in JSON
     chain = _Chain("t", F(10))
     chain.claim("fails at q^0", False, F(0))
     chain.claim("fails without a place", False)
     chain.claim("holds", True, F(3))
-    assert [s.to_json()["first_divergence"] for s in chain.steps] == ["0", "claim failed", None]
-    assert [s.status for s in chain.steps] == ["fail", "fail", "pass"]
+    chain.claim("fails in the sum", False, ("sum", F(7, 2)))
+    chain.claim("fails at q^(-1/4)", False, F(-1, 4))
+    want = ["0", "claim failed", None, "(sum, 7/2)", "-1/4"]
+    assert [s.to_json()["first_divergence"] for s in chain.steps] == [s.divergence for s in chain.steps] == want
+    assert [s.status for s in chain.steps] == ["fail", "fail", "pass", "fail", "fail"]
 
 
 def test_a_wrong_inner_sum_fails_chain_1_7_step_2(monkeypatch):
@@ -307,8 +311,13 @@ def test_a_wrong_inner_sum_fails_chain_1_7_step_2(monkeypatch):
     assert main(["replay", "1.7", "--order", "20"], out=out) == 1
     lines = out.getvalue().splitlines()
     assert len(lines) == 3
-    assert lines[1].startswith("1.7 step 2/3 fail inner sums collapse: ")
-    assert "  [diverges: " in lines[1]
+    assert lines[1] == (
+        "1.7 step 2/3 fail inner sums collapse: H_n(-1;q^2) vanishes for odd n and telescopes the"
+        " even terms to the single sum over (q^4;q^4)_n  [diverges: (4, 6)]"
+    )
+    out = io.StringIO()
+    assert main(["replay", "1.7", "--order", "20", "--format", "json"], out=out) == 1
+    assert json.loads(out.getvalue())[1]["first_divergence"] == "(4, 6)"
 
 
 def test_a_wrong_single_sum_fails_chain_1_7_step_2_in_total(monkeypatch):
@@ -324,6 +333,31 @@ def test_a_wrong_single_sum_fails_chain_1_7_step_2_in_total(monkeypatch):
     steps = replay_1_7(20)
     assert [s.status for s in steps] == ["pass", "fail", "fail"]
     assert steps[1].first_divergence == ("total", F(5))
+    assert steps[1].to_json()["first_divergence"] == "(total, 5)"
+
+
+def test_a_wrong_z_window_fails_chain_1_5_step_4(monkeypatch):
+    # the paired Euler window with q^(5/4) z added: step 4 compares two
+    # z-windows and names the z-power and the exponent, q^(5/4) z^2 after
+    # z -> z^2, as text and in JSON alike
+    build = replay_module.euler_z_product
+
+    def wrong(c, b, order):
+        w = build(c, b, order)
+        return w + ZSeries({1: QSeries.term(ONE, F(5, 4), order)}) if b == qmono(2) else w
+
+    monkeypatch.setattr(replay_module, "euler_z_product", wrong)
+    steps = replay_1_5(20)
+    assert steps[3].first_divergence == (2, F(5, 4))
+    out = io.StringIO()
+    assert main(["replay", "1.5", "--order", "20"], out=out) == 1
+    assert out.getvalue().splitlines()[3] == (
+        "1.5 step 4/6 fail Euler pairing: the two factors multiply to the z^2 Euler product"
+        " with base q^2  [diverges: (2, 5/4)]"
+    )
+    out = io.StringIO()
+    assert main(["replay", "1.5", "--order", "20", "--format", "json"], out=out) == 1
+    assert json.loads(out.getvalue())[3]["first_divergence"] == "(2, 5/4)"
 
 
 def test_wrong_theta_fails_chain_1_8_without_raising(monkeypatch):

@@ -17,12 +17,13 @@ from qrr.special import gaussian_binomial, gaussian_binomial_row
 from qrr.series import (
     Monomial,
     QSeries,
+    _chain,
     _divide,
     _poch,
+    _spread,
     _tail,
     _unit_div,
     _unit_mul,
-    inv_poch_table,
     poch_finite,
     poch_infinite,
     qmono,
@@ -202,11 +203,12 @@ def test_poch_infinite_requires_positive_order():
         poch_infinite(qmono(0), qmono(1), 10)
 
 
-def test_inv_poch_table_matches_direct_inversion():
-    table = inv_poch_table(qmono(1), 5, 25)
+def test_chain_matches_direct_inversion():
+    # entry n of the chain from [1] is 1/(q; q)_n
+    table = _chain([1], [26] * 5)
     for n in range(6):
         direct = poch_finite(qmono(1), qmono(1), n, 25).invert_unit()
-        assert table[n] == direct
+        assert QSeries._of(1, 25, 0, table[n]) == direct
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +449,19 @@ def test_binomial_updates_match_the_scalar_recurrence(case):
     assert fields(mul_b(s, u, exp)) == fields(scalar_binomial(s, u, exp, 1))
 
 
+def chain_entries(b, order, n):
+    """_chain's 1/(x; x)_k in x = b for k <= n, each entry as long as the
+    powers of x within the order, read on b's stride as series on the grid
+    of the order and b."""
+    den = lcm(F(order).denominator, b.exp.denominator)
+    top, step = int(order * den), int(b.exp * den)
+    return [QSeries._of(den, top, 0, _spread(x, step)) for x in _chain([1], [top // step + 1] * n)]
+
+
 def padded_chains(b, order, n):
-    """inv_poch_table(b, n, order) and _row_head(n, b, order, n // 2) as
-    chains of the window-padded references: entry k of the table is entry
-    k - 1 over 1 - b**k, entry k of the row is entry k - 1 times
+    """The chain 1/(b; b)_k for k <= n and _row_head(n, b, order, n // 2)
+    as chains of the window-padded references: entry k of the table is
+    entry k - 1 over 1 - b**k, entry k of the row is entry k - 1 times
     1 - b**(n-k+1) over 1 - b**k."""
     den = lcm(F(order).denominator, b.exp.denominator)
     step = int(b.exp * den)
@@ -470,7 +481,7 @@ def padded_chains(b, order, n):
     st.fractions(0, 60, max_denominator=4),
     st.integers(0, 16),
 )
-# 1/(1 - x), the first entry of inv_poch_table: one entry, as long as k
+# 1/(1 - x), the first entry of the chain: one entry, as long as k
 @example(qmono(1), F(30), 1)
 @example(qmono(F(3, 2)), F(15), 3)
 # a stride 2k past the window, and one whose k is not
@@ -482,7 +493,7 @@ def padded_chains(b, order, n):
 @example(qmono(1), F(20), 12)
 def test_table_and_row_chains_equal_their_padded_divisions(b, order, n):
     table, row = padded_chains(b, order, n)
-    assert [fields(s) for s in inv_poch_table(b, n, order)] == [fields(s) for s in table]
+    assert [fields(s) for s in chain_entries(b, order, n)] == [fields(s) for s in table]
     assert [fields(s) for s in special._row_head(n, b, order, n // 2)] == [fields(s) for s in row]
 
 
@@ -505,7 +516,7 @@ def test_gaussian_row_divisions_walk_only_their_dividends(b, monkeypatch):
     assert len(seen) == 16 and all(x <= limit for x, limit in zip(seen, limits)), seen
 
 
-def test_inv_poch_table_divides_each_entry_once(monkeypatch):
+def test_chain_divides_each_entry_once(monkeypatch):
     # 1/(q; q)_n for n <= 40 at 480: each entry is one division of the
     # window's 481 entries, 19,240 in all
     q = qmono(1)
@@ -517,7 +528,7 @@ def test_inv_poch_table_divides_each_entry_once(monkeypatch):
         return _unit_div(x, k, u, start)
 
     monkeypatch.setattr("qrr.series._unit_div", spy_unit_div)
-    assert [fields(s) for s in inv_poch_table(q, 40, 480)] == [fields(s) for s in table]
+    assert [fields(s) for s in chain_entries(q, 480, 40)] == [fields(s) for s in table]
     assert len(seen) == 40 and sum(seen) <= 19_240, (len(seen), sum(seen))
 
 
@@ -686,8 +697,8 @@ def test_only_divide_and_the_fold_call_unit_div():
 def fraction_walk(order, factors):
     """Every running product of the factors in declared order, stepped with
     Fraction exponents and the scalar recurrence: the last is `_poch`'s
-    product, and for the one factor (b, b, n, -1) they are the entries of
-    `inv_poch_table` up to the order."""
+    product, and for the one factor (b, b, n, -1) they are 1/(b; b)_k for
+    each k whose factor lies within the order."""
     den = lcm(F(order).denominator, *(m.exp.denominator for x, b, _, _ in factors for m in (x, b)))
     s = QSeries.one(order).rescale(den)
     out = [s]
@@ -773,7 +784,7 @@ def test_poch_and_tables_match_the_fraction_exponent_walk(order, factors, b, n_m
     assert fields(_poch(order, factors)) == fields(fraction_walk(order, factors)[-1])
     table = fraction_walk(order, [(b, b, n_max, -1)])
     table += table[-1:] * (n_max + 1 - len(table))
-    assert [fields(s) for s in inv_poch_table(b, n_max, order)] == [fields(s) for s in table]
+    assert [fields(_poch(order, [(b, b, n, -1)])) for n in range(n_max + 1)] == [fields(s) for s in table]
 
 
 # a numerator may sit at exponent 0: (u; b)_n starts with the scalar 1 - u,
@@ -1020,8 +1031,8 @@ def test_one_term_operand_is_a_shift_and_scale():
 
 def test_common_stride_convolves_every_gth_entry(monkeypatch):
     # 1/(q^2;q^2)_n on the den-4 grid: a nonzero at every 8th entry only
-    table = [t.rescale(4) for t in inv_poch_table(qmono(2), 12, 60)]
-    a, b = table[12], table[7].shift(F(1, 2)).truncate(60)
+    a, b = (_poch(60, [(qmono(2), qmono(2), n, -1)]).rescale(4) for n in (12, 7))
+    b = b.shift(F(1, 2)).truncate(60)
     assert a.den == b.den == 4 and len(a.re) > 200
     want = oracle_product(as_plain(a), as_plain(b), None)
     calls = []

@@ -10,7 +10,7 @@ from qrr.errors import NegativeExponent, NotPositiveDefinite
 from qrr.identity import ExponentPoly, IdentitySpec, auto_bounds, eval_product
 from qrr.oracle import unpruned_sum
 from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, UNITS, unit_pow
-from qrr.series import Monomial, QSeries, _grid, inv_poch_table, poch_finite, poch_infinite, qmono
+from qrr.series import Monomial, QSeries, _grid, _poch, poch_finite, poch_infinite, qmono
 from qrr.special import (
     JtpReport,
     NahmData,
@@ -129,7 +129,6 @@ def test_every_builder_refuses_a_base_of_unit_other_than_one():
             lambda: rs_at(1, MINUS_ONE_T, b, 10),
             lambda: euler_z_inverse(qmono(1), b, 10),
             lambda: euler_z_product(qmono(1), b, 10),
-            lambda: inv_poch_table(b, 3, 10),
         ]
         for build in builds:
             with pytest.raises(ValueError, match="^Pochhammer base must be a positive power of q with unit 1$"):
@@ -583,9 +582,11 @@ def test_jtp_check_makes_no_kernel_call(monkeypatch):
 @pytest.mark.parametrize("order", [F(7, 4), 40, 120])
 def test_jtp_check_divides_once_per_chain_entry_and_fold_level(order, monkeypatch):
     # v_m = m^2/2 is the exponent of (-q^(1/2))^m q^binom(m,2): the chain
-    # (q;q)_inf/(q;q)_m takes one division per m >= 1 with v_m <= order,
-    # and level n >= 1 of slice k, at v_n + v_(n+k) <= order, one more
-    # beside whatever (q;q)_inf itself takes
+    # (q;q)_inf/(q;q)_m cuts entry m to the powers of q within order - v_m
+    # and takes one division per m >= 1 whose factor q^m lies among them,
+    # m + m^2/2 <= order (at 120, m <= 14 of the 15 with v_m <= order), and
+    # level n >= 1 of slice k, at v_n + v_(n+k) <= order, one more beside
+    # whatever (q;q)_inf itself takes
     unit_div, calls = series._unit_div, []
 
     def spy(*args):
@@ -597,7 +598,7 @@ def test_jtp_check_divides_once_per_chain_entry_and_fold_level(order, monkeypatc
     base = len(calls)
     calls.clear()
     assert jtp_check(order).ok
-    chain = sum(1 for m in range(1, 100) if m * m <= 2 * order)
+    chain = sum(1 for m in range(1, 100) if m * m + 2 * m <= 2 * order)
     levels = sum(1 for k in range(100) for n in range(1, 100) if n * n + (n + k) ** 2 <= 2 * order)
     assert len(calls) == base + chain + levels
 
@@ -647,7 +648,7 @@ def test_nahm_rank2():
     assert s.coeff(0).re == 1
     assert s.coeff(1).re == 2  # lattice points (1,0) and (0,1)
     # cross-check fully against literal expansion
-    table = inv_poch_table(qmono(1), 6, 15)
+    table = [_poch(15, [(qmono(1), qmono(1), n, -1)]) for n in range(7)]
     acc = QSeries.zero(15)
     for m in range(7):
         for n in range(7):
@@ -724,7 +725,7 @@ def test_no_constructor_or_builder_claims_less_than_its_order(order):
         ZSeries.zero(order),
         poch_finite(qmono(F(1, 4)), b, 3, order),
         poch_infinite(qmono(F(3, 4)), b, order),
-        *inv_poch_table(qmono(F(3, 4)), 4, order),
+        *(_poch(order, [(qmono(F(3, 4)), qmono(F(3, 4)), n, -1)]) for n in range(5)),
         gaussian_binomial(5, 2, b, order),
         *(x for n in range(4) for x in gaussian_binomial_row(n, b, order)),
         *gaussian_binomial_row(4, b, order),
@@ -758,7 +759,7 @@ def test_tables_and_product_sides_are_order_honest(n, step, unit, be, xe, k, nam
 
     def build(order):
         return [
-            *inv_poch_table(b, k, order),
+            *(_poch(order, [(b, b, j, -1)]) for j in range(k + 1)),
             poch_finite(x, b, k, order),
             poch_infinite(x, b, order),
             eval_product(spec, order),
