@@ -4,7 +4,16 @@ Truncated q-series with exact Gaussian-integer coefficients and rational
 exponents, a finite z-Laurent layer for constant-term arguments, a small
 identity description language with a shipped corpus, machine-checked
 derivation chains, and brute-force oracles for testing.
+
+`import qrr` loads only `qrr.errors`.  Every other public name loads the
+module that defines it the first time it is read (PEP 562), so a job that
+only verifies identities or expands Nahm sums never loads the z-Laurent
+layer (`special`, `zseries`) or the derivation chains (`replay`).
 """
+
+import sys
+from importlib import import_module
+from types import ModuleType
 
 from .errors import (
     DivergentEmbedding,
@@ -16,31 +25,28 @@ from .errors import (
     QrrError,
     SemanticError,
 )
-from .gaussian import GaussianInt
-from .identity import (
-    IdentitySpec,
-    VerifyReport,
-    eval_product,
-    eval_sum,
-    verify,
-)
-from .parser import parse, parse_file, parse_poly
-from .replay import REPLAYS, StepReport, chain_passes, replay
-from .series import Monomial, QSeries, poch_finite, poch_infinite, qmono
-from .special import (
-    JtpReport,
-    NahmData,
-    gaussian_binomial,
-    gaussian_binomial_row,
-    jtp_check,
-    nahm_series,
-    rogers_szego_bw,
-    rogers_szego_def,
-    rs_at,
-)
-from .zseries import ZSeries, euler_z_inverse, euler_z_product, theta_z
 
 __version__ = "1.0.0"
+
+#: each module's public names, loaded on first read
+_LAZY = {
+    "gaussian": ("GaussianInt",),
+    "series": ("Monomial", "QSeries", "qmono", "poch_finite", "poch_infinite"),
+    "zseries": ("ZSeries", "theta_z", "euler_z_inverse", "euler_z_product"),
+    "special": (
+        "gaussian_binomial",
+        "gaussian_binomial_row",
+        "rogers_szego_def",
+        "rogers_szego_bw",
+        "rs_at",
+        "jtp_check",
+        "JtpReport",
+    ),
+    "identity": ("NahmData", "nahm_series", "IdentitySpec", "VerifyReport", "eval_sum", "eval_product", "verify"),
+    "parser": ("parse", "parse_file", "parse_poly"),
+    "replay": ("REPLAYS", "StepReport", "chain_passes"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 __all__ = [
     "QrrError",
@@ -51,35 +57,36 @@ __all__ = [
     "NotPositiveDefinite",
     "ParseError",
     "SemanticError",
-    "GaussianInt",
-    "Monomial",
-    "QSeries",
-    "qmono",
-    "poch_finite",
-    "poch_infinite",
-    "ZSeries",
-    "theta_z",
-    "euler_z_inverse",
-    "euler_z_product",
-    "gaussian_binomial",
-    "gaussian_binomial_row",
-    "rogers_szego_def",
-    "rogers_szego_bw",
-    "rs_at",
-    "jtp_check",
-    "JtpReport",
-    "NahmData",
-    "nahm_series",
-    "IdentitySpec",
-    "VerifyReport",
-    "eval_sum",
-    "eval_product",
-    "verify",
-    "parse",
-    "parse_file",
-    "parse_poly",
-    "REPLAYS",
-    "StepReport",
+    *_HOME,
     "replay",
-    "chain_passes",
 ]
+
+
+def replay(theorem: str, order):
+    """Run one derivation chain by id ("1.5" through "1.8"): qrr.replay.replay,
+    whose module loads on the first call."""
+    return import_module(".replay", __name__).replay(theorem, order)
+
+
+def __getattr__(name):
+    # not cached here, so that a name rebound in its module (by a tracer or a
+    # test) reads the same through the package
+    if name not in _HOME:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    return getattr(import_module("." + _HOME[name], __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(ModuleType):
+    """Importing a submodule binds it on its package; the submodule
+    `qrr.replay` must not replace the public function `replay`."""
+
+    def __setattr__(self, name, value):
+        if not (isinstance(value, ModuleType) and name in __all__):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -3,7 +3,8 @@
 Run as `python -m qrr.bench`.  `_rows()` lists the rows in order, in seven
 sections: the convolution kernel (`kernel`), the sum side (`sum`), one
 end-to-end `verify`, the single-factor updates (`updates`), the z-product
-layer (`zseries`), corpus loading (`setup`) and the sizes that cost (`large`).
+layer (`zseries`), corpus loading and a fresh `import qrr` with one `verify`
+(`setup`), and the sizes that cost (`large`).
 Each row is timed as the best of its repeats and printed as its label and
 time, under one header per section.  `--json PATH` also writes the rows to
 PATH as {section: {row: seconds}}.
@@ -11,10 +12,11 @@ PATH as {section: {row: seconds}}.
 Each row checks its result outside the timed calls: a `verify` row that its
 status is "match", an `eval_product` row at PRODUCT_ORDER that it equals
 `eval_sum` (the sum side shares only `_unit_div` with the product walk), a
-replay row
-`chain_passes`, a `jtp_check` row `.ok`, and every other row the sha256 of its
-repr against DIGESTS.  Each digest was recorded on the code before the change
-its row gates.  A failing row, or one with no digest, is still timed and
+replay row `chain_passes`, a `jtp_check` row `.ok`, the fresh interpreter's
+row that it printed "match" and loaded none of `qrr.special`, `qrr.zseries`
+and `qrr.replay`, and every other row the sha256 of its repr against
+DIGESTS.  Each digest was recorded on the code before the change its row
+gates.  A failing row, or one with no digest, is still timed and
 written; the bench then names each failing row on stderr by its section and
 label, as in `wrong result in row 'verify: double-mod10-2-8 @120'`, since
 two sections may hold one label, and exits 1.
@@ -26,11 +28,13 @@ import argparse
 import hashlib
 import json
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
 from functools import partial
 from operator import attrgetter, mul
+from pathlib import Path
 
 from . import _kernel_py, corpus
 from .identity import auto_bounds, eval_product, eval_sum, verify
@@ -66,6 +70,18 @@ JTP_ORDER = Fraction(300)
 LARGE_REPLAY_ORDER = Fraction(640)
 LARGE_JTP_ORDER = Fraction(1200)
 LARGE_VERIFY_ORDER = Fraction(1000)
+# a fresh interpreter that imports qrr and verifies one corpus identity at
+# FRESH_ORDER; it prints the status and each module of the z-layer or the
+# chains that it loaded, which a sum-side job must not
+FRESH_ORDER = Fraction(20)
+FRESH_VERIFY = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import qrr
+from qrr import corpus
+print(qrr.verify(corpus.load("rogers_mod5_1_4"), sys.argv[2]).status)
+print(*(m for m in ("qrr.special", "qrr.zseries", "qrr.replay") if m in sys.modules))
+"""
 # the first 16 hex digits of sha256(repr(result)) of each row with no status
 # check, at the sizes and orders above
 DIGESTS = {
@@ -114,6 +130,13 @@ def _pair(lists, terms, n):
 
 def _matches(report) -> bool:
     return report.status == "match"
+
+
+def _fresh_verify() -> list:
+    """The words that FRESH_VERIFY prints in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent)
+    argv = [sys.executable, "-c", FRESH_VERIFY, src, str(FRESH_ORDER)]
+    return subprocess.run(argv, capture_output=True, text=True, check=True).stdout.split()
 
 
 def _sum_side(spec):
@@ -202,6 +225,8 @@ def _rows():
     yield "zseries", "jtp_check @%s" % JTP_ORDER, partial(jtp_check, JTP_ORDER), 3, attrgetter("ok")
 
     yield "setup", "corpus.load_all", corpus.load_all, REPEATS, None
+    label = "fresh verify rogers-mod5-1-4 @%s" % FRESH_ORDER
+    yield "setup", label, _fresh_verify, REPEATS, lambda words: words == ["match"]
 
     for theorem in ("1.5", "1.7", "1.8"):
         label = "replay %s @%s" % (theorem, LARGE_REPLAY_ORDER)

@@ -23,12 +23,10 @@ from typing import List, Optional, Tuple
 
 from . import corpus
 from .errors import ParseError, QrrError, SemanticError
-from .identity import IdentitySpec, VerifyReport, eval_product, eval_sum, verify
+from .identity import IdentitySpec, NahmData, VerifyReport, eval_product, eval_sum, nahm_series, verify
 from .parser import parse_file
 from .quadform import as_matrix
-from .replay import REPLAYS, chain_passes
 from .series import QSeries
-from .special import NahmData, nahm_series
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -225,6 +223,9 @@ def cmd_table(args, out) -> int:
 
 
 def cmd_replay(args, out) -> int:
+    # the chains and the z-layer they run on load only for this command
+    from .replay import REPLAYS, chain_passes
+
     fn = REPLAYS.get(args.theorem)
     if fn is None:
         print(

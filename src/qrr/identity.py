@@ -5,7 +5,9 @@ indices, a sign rule built from unit-valued atoms, a rational quadratic
 exponent polynomial, one Pochhammer denominator per index, and a list of
 infinite/finite product factors.  eval_sum and eval_product expand both sides
 exactly through a truncation order; verify compares them coefficient by
-coefficient.
+coefficient.  A Nahm sum f_{A,B,C} (NahmData, nahm_series) is the sum side
+of an identity with no product factors: NahmData.sum_spec() evaluated by
+eval_sum.
 
 eval_sum evaluates the sum side as nested partial sums over the declared index
 order, with the exponent and the sign's power of i as integer polynomials and
@@ -33,8 +35,8 @@ from .errors import (
     SemanticError,
 )
 from .gaussian import MINUS_ONE, ONE, GaussianInt, i_pow, sign_binom2
-from .quadform import _interval, _minorant, certified_box
-from .series import Monomial, QSeries, _chain, _fold, _grid, _poch
+from .quadform import _interval, _minorant, as_matrix, certified_box, is_positive_definite, is_symmetric
+from .series import Monomial, QSeries, _chain, _fold, _grid, _poch, qmono
 
 
 @dataclass(frozen=True)
@@ -484,3 +486,65 @@ def compare(spec: IdentitySpec, order, lhs: QSeries, rhs: QSeries) -> VerifyRepo
         report.fractional_residue = [e for e in diff.fractional_support() if e <= order]
         report.imaginary_residue = [e for e in diff.imaginary_support() if e <= order]
     return report
+
+
+# -- Nahm sums ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class NahmData:
+    """Rank, quadratic matrix, linear vector, and constant of a Nahm sum."""
+
+    a: tuple
+    b: tuple
+    c: Fraction = Fraction(0)
+    rank: int = field(init=False)
+
+    def __post_init__(self):
+        a = as_matrix(self.a)
+        b = tuple(Fraction(x) for x in self.b)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", Fraction(self.c))
+        object.__setattr__(self, "rank", len(a))
+        if len(b) != len(a):
+            raise ValueError("linear vector length must match the matrix rank")
+        if not is_symmetric(a):
+            raise NotPositiveDefinite("matrix must be symmetric")
+        if not is_positive_definite(a):
+            raise NotPositiveDefinite("matrix must be positive definite")
+
+    def exponent(self, n: tuple) -> Fraction:
+        r = self.rank
+        quad = sum(
+            self.a[i][j] * n[i] * n[j] for i in range(r) for j in range(r)
+        )
+        return quad / 2 + sum(self.b[i] * n[i] for i in range(r)) + self.c
+
+    def sum_spec(self) -> IdentitySpec:
+        """The Nahm sum as the sum side of an identity with no product factors.
+
+        A_ii/2 n^2 + B_i n = A_ii binom(n, 2) + (A_ii/2 + B_i) n, so every
+        exponent lies on the grid lcm(den A_ij, den(A_ii/2 + B_i), den C).
+        """
+        r = self.rank
+        names = tuple("n%d" % i for i in range(r))
+        quad = {
+            (names[i], names[j]): self.a[i][j] / (2 if i == j else 1)
+            for i in range(r)
+            for j in range(i, r)
+        }
+        den = lcm(
+            self.c.denominator,
+            *(x.denominator for row in self.a for x in row),
+            *((self.a[i][i] / 2 + self.b[i]).denominator for i in range(r)),
+        )
+        exponent = ExponentPoly.make(quad, dict(zip(names, self.b)), self.c)
+        denoms = tuple((x, qmono(1)) for x in names)
+        return IdentitySpec("nahm", den, names, (), exponent, denoms, ())
+
+
+def nahm_series(data: NahmData, order) -> QSeries:
+    """The Nahm sum q^(n.A.n/2 + n.B + C) / prod (q;q)_{n_i}, exact through
+    `order`, including the global q^C prefactor."""
+    return eval_sum(data.sum_spec(), order)

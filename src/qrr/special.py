@@ -1,18 +1,16 @@
 """Named special objects: Gaussian binomials, Rogers-Szego polynomials (both
-representations), the Jacobi triple product check, and Nahm sums."""
+representations) and the Jacobi triple product check.  Nahm sums are sum
+sides of identities and live in qrr.identity (NahmData, nahm_series)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from math import comb
 from typing import NamedTuple, Optional
 
 from ._kernel_py import _pack, _unpack, _width
-from .errors import NegativeExponent, NotPositiveDefinite
+from .errors import NegativeExponent
 from .gaussian import MINUS_ONE, ONE, unit_pow
-from .identity import ExponentPoly, IdentitySpec, eval_sum
-from .quadform import as_matrix, is_positive_definite, is_symmetric
 from .series import Monomial, QSeries, _as_order, _check_base, _divide, _grid, _poch, _unit_mul, qmono
 from .zseries import ZSeries, _triple_product, theta_z
 
@@ -286,63 +284,3 @@ def jtp_check(order) -> JtpReport:
     rhs = theta_z(1, Fraction(1, 2), MINUS_ONE, 1, order)
     d = lhs.first_difference(rhs, order)
     return JtpReport(d is None, order, d)
-
-
-@dataclass(frozen=True)
-class NahmData:
-    """Rank, quadratic matrix, linear vector, and constant of a Nahm sum."""
-
-    a: tuple
-    b: tuple
-    c: Fraction = Fraction(0)
-    rank: int = field(init=False)
-
-    def __post_init__(self):
-        a = as_matrix(self.a)
-        b = tuple(Fraction(x) for x in self.b)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", Fraction(self.c))
-        object.__setattr__(self, "rank", len(a))
-        if len(b) != len(a):
-            raise ValueError("linear vector length must match the matrix rank")
-        if not is_symmetric(a):
-            raise NotPositiveDefinite("matrix must be symmetric")
-        if not is_positive_definite(a):
-            raise NotPositiveDefinite("matrix must be positive definite")
-
-    def exponent(self, n: tuple) -> Fraction:
-        r = self.rank
-        quad = sum(
-            self.a[i][j] * n[i] * n[j] for i in range(r) for j in range(r)
-        )
-        return quad / 2 + sum(self.b[i] * n[i] for i in range(r)) + self.c
-
-    def sum_spec(self) -> IdentitySpec:
-        """The Nahm sum as the sum side of an identity with no product factors.
-
-        A_ii/2 n^2 + B_i n = A_ii binom(n, 2) + (A_ii/2 + B_i) n, so every
-        exponent lies on the grid lcm(den A_ij, den(A_ii/2 + B_i), den C).
-        """
-        r = self.rank
-        names = tuple("n%d" % i for i in range(r))
-        quad = {
-            (names[i], names[j]): self.a[i][j] / (2 if i == j else 1)
-            for i in range(r)
-            for j in range(i, r)
-        }
-        den = lcm(
-            self.c.denominator,
-            *(x.denominator for row in self.a for x in row),
-            *((self.a[i][i] / 2 + self.b[i]).denominator for i in range(r)),
-        )
-        exponent = ExponentPoly.make(quad, dict(zip(names, self.b)), self.c)
-        denoms = tuple((x, qmono(1)) for x in names)
-        return IdentitySpec("nahm", den, names, (), exponent, denoms, ())
-
-
-def nahm_series(data: NahmData, order) -> QSeries:
-    """The Nahm sum q^(n.A.n/2 + n.B + C) / prod (q;q)_{n_i}, exact through
-    `order`, including the global q^C prefactor."""
-    return eval_sum(data.sum_spec(), order)
-

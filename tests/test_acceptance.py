@@ -10,15 +10,13 @@ from fractions import Fraction as F
 
 from qrr import corpus
 from qrr.gaussian import GaussianInt, MINUS_ONE, i_pow, sign_binom2
-from qrr.identity import eval_product, eval_sum, verify
+from qrr.identity import NahmData, eval_product, eval_sum, nahm_series, verify
 from qrr.oracle import PartSpec, dense_mul, unpruned_sum
 from qrr.parser import parse
 from qrr.replay import replay_1_5, replay_1_6, replay_1_7, replay_1_8, chain_passes
 from qrr.series import Monomial, QSeries, poch_finite, qmono
 from qrr.special import (
-    NahmData,
     jtp_check,
-    nahm_series,
     rogers_szego_bw,
     rogers_szego_def,
     rs_at,

@@ -107,7 +107,7 @@ def _assert_every_row(rows):
         + ["replay %s @6" % t for t in ("1.5", "1.6", "1.7", "1.8")]
         + ["jtp_check @8"]
     )
-    assert list(rows["setup"]) == ["corpus.load_all"]
+    assert list(rows["setup"]) == ["corpus.load_all", "fresh verify rogers-mod5-1-4 @20"]
     assert list(rows["large"]) == [
         "replay 1.5 @10",
         "replay 1.7 @10",
@@ -185,6 +185,27 @@ def test_bench_names_failing_product_and_verify_rows_and_exits_1(small, tmp_path
             "updates: eval_product cao-wang-1-2-3 @11",
             "large: verify cao-wang-1-2-3 @11",
         )
+    ]
+
+
+def _load_first(module):
+    """FRESH_VERIFY with `module` imported right after qrr."""
+    return bench.FRESH_VERIFY.replace("import qrr\n", "import qrr\nimport %s\n" % module)
+
+
+@pytest.mark.parametrize("module", ["qrr.special", "qrr.zseries", "qrr.replay"])
+def test_the_fresh_verify_row_fails_if_its_child_loads_the_z_layer(small, monkeypatch, module):
+    (call, check), = [(call, check) for _, label, call, _, check in bench._rows() if label.startswith("fresh verify")]
+    assert check(call())
+    monkeypatch.setattr(bench, "FRESH_VERIFY", _load_first(module))
+    assert not check(call())
+
+
+def test_bench_names_the_fresh_verify_row_and_exits_1(small, monkeypatch, capsys):
+    monkeypatch.setattr(bench, "FRESH_VERIFY", _load_first("qrr.zseries"))
+    assert bench.main(out=[].append) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "python -m qrr.bench: wrong result in row 'setup: fresh verify rogers-mod5-1-4 @20'"
     ]
 
 

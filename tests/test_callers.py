@@ -50,8 +50,9 @@ def _references(tree):
     """(refs, own): the names a tree refers to, and for each function in it
     the names its own body refers to.  A bare name counts where it is read
     and not bound in an enclosing function, so a local variable calls
-    nothing; an attribute, an imported name and a string of `__all__`
-    always count."""
+    nothing; an attribute, an imported name and a string of `__all__` or of
+    the package's table of lazily loaded public names (`_LAZY`) always
+    count."""
     refs, own = Counter(), {}
 
     def visit(node, bound, counters):
@@ -67,7 +68,7 @@ def _references(tree):
             names = (node.attr,)
         elif isinstance(node, ast.alias):
             names = (node.name.split(".")[-1],)
-        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) in ("__all__", "_LAZY") for t in node.targets):
             names = [c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant) and isinstance(c.value, str)]
         for counter in counters:
             counter.update(names)

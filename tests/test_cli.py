@@ -4,6 +4,7 @@ import json
 import shlex
 from dataclasses import replace
 from fractions import Fraction as F
+from importlib import import_module
 from pathlib import Path
 
 import jsonschema
@@ -24,9 +25,11 @@ from qrr.cli import (
 )
 from qrr.errors import QrrError
 from qrr.gaussian import ZERO
-from qrr.identity import eval_product, eval_sum, verify
+from qrr.identity import NahmData, eval_product, eval_sum, nahm_series, verify
 from qrr.parser import parse
-from qrr.special import NahmData, nahm_series
+
+# the module, not the function the package exports under the same name
+replay_module = import_module("qrr.replay")
 
 
 def run(argv):
@@ -347,7 +350,7 @@ def test_an_error_report_ends_its_text_line_with_kind_and_message(monkeypatch):
 
 
 def test_replay_rejected_input_exits_bad_input(monkeypatch, capsys):
-    monkeypatch.setitem(qrr.cli.REPLAYS, "1.5", _raise(QrrError("bad order")))
+    monkeypatch.setitem(replay_module.REPLAYS, "1.5", _raise(QrrError("bad order")))
     code, _ = run(["replay", "1.5", "--order", "10"])
     assert code == EXIT_BAD_INPUT
     assert "bad order" in capsys.readouterr().err
@@ -366,7 +369,7 @@ def test_replay_rejected_input_exits_bad_input(monkeypatch, capsys):
 def test_engine_fault_exits_invariant_in_every_command(monkeypatch, capsys, target, argv, exc):
     fault = _raise(exc("engine bug"))
     if target == "REPLAYS":
-        monkeypatch.setitem(qrr.cli.REPLAYS, "1.5", fault)
+        monkeypatch.setitem(replay_module.REPLAYS, "1.5", fault)
     else:
         monkeypatch.setattr(qrr.cli, target, fault)
     code, _ = run(argv)

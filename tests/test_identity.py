@@ -17,12 +17,14 @@ from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, UNITS
 from qrr.identity import (
     ExponentPoly,
     IdentitySpec,
+    NahmData,
     ProductFactor,
     SignAtom,
     auto_bounds,
     eval_product,
     eval_sign,
     eval_sum,
+    nahm_series,
     sign_poly,
     verify,
 )
@@ -30,7 +32,6 @@ from qrr.oracle import unpruned_sum
 from qrr.parser import parse
 from qrr.quadform import is_positive_definite
 from qrr.series import Monomial, QSeries, poch_finite, poch_infinite, qmono
-from qrr.special import NahmData, nahm_series
 
 
 def test_corpus_loads_completely():

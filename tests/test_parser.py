@@ -148,6 +148,12 @@ def test_parse_poly_binom_expansion():
     assert p == q
 
 
+def test_a_constant_sign_and_a_first_power_read_as_written():
+    spec = parse(GOOD.replace("exponent n^2;", "sign (-1)^3; exponent n^1*n;"))
+    assert spec.exponent == parse(GOOD).exponent
+    assert [atom.form.eval({"n": 5}) for atom in spec.sign] == [3]
+
+
 def test_parse_poly_rejects_trailing():
     with pytest.raises(ParseError):
         parse_poly("n^2 n")
@@ -288,6 +294,51 @@ def test_an_over_long_integer_literal_is_a_parse_error(tmp_path, capsys):
     # 5000 digits are past int()'s limit on a decimal string
     text = TEMPLATE % ("(-1)^k", "1" * 5000 + "*m^2 + " + SQUARES)
     _rejected_at(text, 7, 14, "integer literal of 5000 digits is too long", tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "old, new, line, col, message",
+    [
+        ("den 1;", "den x;", 4, 7, "line 4, col 7: expected integer, got 'x' (expected INT)"),
+        ("poch(q, q^5)", "poch(q, q^5/0)", 10, 28, "line 10, col 28: zero denominator, got ')'"),
+        ("exponent n^2;", "exponent binom(n,3);", 7, 23, "line 7, col 23: only binom(..., 2) is supported, got ')'"),
+        ("indices n;", "indices 1;", 6, 13, "line 6, col 13: expected identifier, got '1' (expected IDENT)"),
+        ('identity "demo"', "identity demo", 3, 10, "line 3, col 10: expected quoted string, got 'demo' (expected STRING)"),
+        ('identity "demo"', 'idem "demo"', 3, 1, "line 3, col 1: expected 'identity', got 'idem' (expected identity)"),
+        (
+            "exponent n^2;",
+            "sign q; exponent n^2;",
+            7,
+            10,
+            "line 7, col 10: expected sign atom '(-1)^...' or 'i^...', got 'q' (expected (-1)^, i^)",
+        ),
+        ("exponent n^2;", "sign (-1)^+; exponent n^2;", 7, 15, "line 7, col 15: expected linear term, got '+' (expected INT, IDENT)"),
+        ("den 1;", "den 1 @;", 4, 9, "line 4, col 9: unexpected character '@'"),
+    ],
+    ids=[
+        "expected-integer",
+        "zero-denominator",
+        "binom-not-2",
+        "expected-identifier",
+        "expected-string",
+        "expected-identity",
+        "expected-sign-atom",
+        "expected-linear-term",
+        "unexpected-character",
+    ],
+)
+def test_each_token_error_names_its_line_and_column(old, new, line, col, message, tmp_path, capsys):
+    # each error is reported at the token after the one that broke the rule
+    _rejected_at(GOOD.replace(old, new, 1), line, col, message, tmp_path, capsys)
+
+
+def test_a_text_with_no_identity_is_a_parse_error(tmp_path, capsys):
+    _rejected_at("# no identity\n", 2, 1, "line 2, col 1: expected at least one identity, got 'end of file'", tmp_path, capsys)
+
+
+def test_parse_takes_exactly_one_identity():
+    with pytest.raises(SemanticError, match="^expected exactly one identity, found 2$"):
+        parse(GOOD + GOOD)
 
 
 # -- grammar fuzz ------------------------------------------------------------

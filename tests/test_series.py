@@ -1074,3 +1074,33 @@ def test_theta_exponent_decomposition():
     # n^2/2 = binom(n,2) + n/2 for all n, the split used by theta builders
     for n in range(-10, 11):
         assert F(n * n, 2) == binom2(n) + F(n, 2)
+
+
+def test_poch_finite_refuses_a_negative_length():
+    with pytest.raises(ValueError, match="^finite Pochhammer length must be nonnegative$"):
+        poch_finite(qmono(1), qmono(1), -1, 10)
+
+
+def test_a_series_is_unequal_to_a_non_series_or_one_of_another_order():
+    s = QSeries.one(5)
+    for other in (1, ONE, None, [1], QSeries.one(6)):
+        assert not s == other
+        assert s != other
+
+
+def test_series_constructors_and_maps_refuse_bad_arguments():
+    half = QSeries.term(ONE, F(1, 2), 5)
+    refused = [
+        (lambda: QSeries(0, 5, {}), ValueError, "denominator must be positive"),
+        (lambda: QSeries(1, -1, {}), ValueError, "scaled order must be nonnegative"),
+        (lambda: QSeries(1, 5, {-1: ONE}), NegativeExponent, "exponent -1/1"),
+        (lambda: QSeries.one(-1), ValueError, "truncation order must be nonnegative"),
+        (lambda: QSeries.term(ONE, -1, 5), NegativeExponent, "-1"),
+        (lambda: half.rescale(3), ValueError, "new denominator must be a multiple"),
+        (lambda: half.shift(-6), NegativeExponent, "shift by -6 empties the series window"),
+        (lambda: half.substitute_power(0), ValueError, "substitution power must be positive"),
+        (lambda: Monomial(GaussianInt(2, 0)), ValueError, r"monomial unit must be one of \+-1, \+-i"),
+    ]
+    for build, error, text in refused:
+        with pytest.raises(error, match="^%s$" % text):
+            build()

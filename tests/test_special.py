@@ -7,17 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from qrr import _kernel_py, corpus, series, special, zseries
 from qrr.errors import NegativeExponent, NotPositiveDefinite
-from qrr.identity import ExponentPoly, IdentitySpec, auto_bounds, eval_product
+from qrr.identity import ExponentPoly, IdentitySpec, NahmData, auto_bounds, eval_product, nahm_series
 from qrr.oracle import unpruned_sum
 from qrr.gaussian import I, MINUS_I, MINUS_ONE, ONE, UNITS, unit_pow
 from qrr.series import Monomial, QSeries, _grid, _poch, poch_finite, poch_infinite, qmono
 from qrr.special import (
     JtpReport,
-    NahmData,
     gaussian_binomial,
     gaussian_binomial_row,
     jtp_check,
-    nahm_series,
     rogers_szego_bw,
     rogers_szego_def,
     rs_at,
@@ -769,3 +767,16 @@ def test_tables_and_product_sides_are_order_honest(n, step, unit, be, xe, k, nam
 
     for lo, hi in zip(build(n), build(n + step)):
         assert lo == hi.rescale(lcm(hi.den, n.denominator)).truncate(n) and lo.order_q == n
+
+
+def test_every_builder_refuses_a_negative_n():
+    q = qmono(1)
+    builds = [
+        lambda: gaussian_binomial(-1, 0, q, 10),
+        lambda: gaussian_binomial_row(-1, q, 10),
+        lambda: rogers_szego_bw(-1, q, 10),
+        lambda: rs_at(-1, MINUS_ONE_T, q, 10),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError, match="^n must be nonnegative$"):
+            build()

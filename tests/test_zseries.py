@@ -925,3 +925,11 @@ def test_a_row_whose_terms_cancel_is_left_out(monkeypatch, unit):
     for ct in (x.ct_mul(y), y.ct_mul(x)):
         assert ct.is_zero() and (ct.den, ct.order) == (2, 9)
     assert all(0 not in out for out in rows[1:])
+
+
+def test_a_z_series_is_unequal_to_a_non_z_series_or_one_of_other_slices():
+    z = ZSeries({0: QSeries.one(5)})
+    others = (QSeries.one(5), {0: QSeries.one(5)}, 1, None, ZSeries({0: QSeries.one(6)}), ZSeries({1: QSeries.one(5)}))
+    for other in others:
+        assert not z == other
+        assert z != other
