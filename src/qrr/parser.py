@@ -69,9 +69,6 @@ class _Token:
         self.line = line
         self.col = col
 
-    def __repr__(self):
-        return "%s(%r)" % (self.kind, self.text)
-
 
 def _tokenize(text: str) -> List[_Token]:
     out = []

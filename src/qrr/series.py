@@ -55,13 +55,13 @@ order.  Each tail is Euler's sum in y, 1/(y; b)_inf = sum y**l/(b; b)_l or
 (y; b)_inf = sum (-1)**l b**(l(l-1)/2) y**l/(b; b)_l (`_tail`): about
 sqrt(n/m) divisions per family in place of n/m.  Each such
 sum_t X_t/(x; x)_t, here, in the sum side's nest and in replay 1.7, is one
-Horner fold (`_fold`), and so is each z-slice of the triple product.  The
+Horner fold (`_fold`), and so is each z-slice of the triple product.  Every
+chain of binomial factors is one builder (`_chain`) of int lists in x: the
 chains 1/(x; x)_m of the sum side's table and of qrr.zseries' Euler
-windows, and (x; x)_inf/(x; x)_m of its triple product, are one builder
-(`_chain`) of int lists in x: entry m is a copy of entry m - 1, cut or
-padded to its own length, divided by its factor; each entry of a Gaussian
-binomial row of qrr.special is a copy of the last entry's lists, padded to
-its own degree, stepped by one `_unit_mul` and one `_divide`.
+windows, (x; x)_inf/(x; x)_m of its triple product, and the Gaussian
+binomial rows [n m] of qrr.special.  Entry m is a copy of entry m - 1, cut
+or padded to its own length, for a row multiplied by 1 - x**(n - m + 1)
+(`_unit_mul`), then divided by 1 - x**m (`_divide`).
 """
 
 from __future__ import annotations
@@ -336,8 +336,6 @@ class QSeries:
         return self + (-other)
 
     def scale(self, c: GaussianInt) -> "QSeries":
-        if not isinstance(c, GaussianInt):
-            c = GaussianInt(*c)
         if c == ONE:
             return self
         return QSeries._of(self.den, self.order, self.val, *_times(self.re, self.im, *c))
@@ -619,8 +617,8 @@ def _stride(x: list) -> int:
 
 def _unit_mul(re: list, im: Optional[list], k: int, unit) -> None:
     """(re + i*im) * (1 - unit*q**k) in place: each entry e >= k less unit
-    times entry e - k, read before any is written.  An im of None is zero and
-    needs a real unit."""
+    times entry e - k, read before any is written, so at k = 0 the scalar
+    1 - unit.  An im of None is zero and needs a real unit."""
     n = len(re)
     if k >= n:
         return
@@ -802,21 +800,6 @@ def _factors(order, factors: list):
     return den, n, steps
 
 
-def _step(re: list, im: Optional[list], e: int, unit, power: int) -> None:
-    """(re + i*im) * (1 - unit*q**e) for power 1, else divided by it, in
-    place.  At e = 0 the factor 1 - unit is a scalar."""
-    ur, ui = unit
-    if not e:
-        tr, ti = _times(re, im, 1 - ur, -ui)
-        re[:] = tr
-        if im is not None:
-            im[:] = ti
-    elif power == 1:
-        _unit_mul(re, im, e, unit)
-    else:
-        _divide(re, im, e, unit)
-
-
 def _tail(re: list, im: Optional[list], e: int, unit, power: int, m: int) -> None:
     """(re + i*im) times (y; b)_inf**power in place, for y = unit*q**e and
     b = q**m with e, m > 0, by Euler's two sums:
@@ -857,8 +840,9 @@ def _poch(order, factors: list) -> QSeries:
 
     The factors are expanded and checked in declared order (`_factors`),
     then applied in place to one pair of int lists, which start as 1, from
-    the largest exponent down: the one in-place walk, one `_step` per
-    binomial factor.  A numerator at exponent 0, a scalar, comes last.  The
+    the largest exponent down: the one in-place walk, one `_unit_mul` or
+    `_divide` per binomial factor.  A numerator at exponent 0, the scalar
+    1 - unit (`_unit_mul` at k = 0), comes last.  The
     tail (y; b)_inf of a long family, from its (K+1)-th factor y on, and a
     finite family's (x*b**N; b)_inf, are one step each at y's exponent:
     Euler's sum in y folded by Horner's rule (`_tail`), about sqrt(n/m)
@@ -869,24 +853,30 @@ def _poch(order, factors: list) -> QSeries:
     re = [1] + [0] * n
     im = [0] * (n + 1) if any(unit[1] for _, unit, _, _ in steps) else None
     for e, unit, power, m in sorted(steps, key=itemgetter(0), reverse=True):
-        if m is None:
-            _step(re, im, e, unit, power)
-        else:
+        if m is not None:
             _tail(re, im, e, unit, power, m)
+        elif power == 1:
+            _unit_mul(re, im, e, unit)
+        else:
+            _divide(re, im, e, unit)
     return QSeries._of(den, n, 0, re, im)
 
 
-def _chain(first: list, ends: list) -> list:
+def _chain(first: list, ends: list, n: Optional[int] = None) -> list:
     """The chain of int lists in x whose entry 0 is `first` and whose entry
-    m is entry m - 1 cut, or padded with zeros, to ends[m - 1] entries, then
+    m is entry m - 1 cut, or padded with zeros, to ends[m - 1] entries, then,
+    for an n, multiplied in place by 1 - x**(n - m + 1) (`_unit_mul`), then
     divided in place by 1 - x**m (`_divide`), unless m is past the entry's
     last index, where the factor changes nothing.  Every entry after the
-    first is a new list.  With first [1], entry m is 1/(x; x)_m; with first
-    the list of (x; x)_inf, it is (x; x)_inf/(x; x)_m."""
+    first is a new list.  With first [1], entry m is 1/(x; x)_m, or for an n
+    the Gaussian binomial [n m] in x; with first the list of (x; x)_inf, it
+    is (x; x)_inf/(x; x)_m."""
     chain = [first]
     for m, end in enumerate(ends, 1):
         x = chain[-1][:end]
         x += [0] * (end - len(x))
+        if n is not None:
+            _unit_mul(x, None, n - m + 1, ONE)
         if m < end:
             _divide(x, None, m, ONE)
         chain.append(x)

@@ -10,8 +10,8 @@ from typing import NamedTuple, Optional
 
 from ._kernel_py import _pack, _unpack, _width
 from .errors import NegativeExponent
-from .gaussian import MINUS_ONE, ONE, unit_pow
-from .series import Monomial, QSeries, _as_order, _check_base, _divide, _grid, _poch, _unit_mul, qmono
+from .gaussian import MINUS_ONE, unit_pow
+from .series import Monomial, QSeries, _as_order, _chain, _check_base, _grid, _poch, _spread, qmono
 from .zseries import ZSeries, _triple_product, theta_z
 
 
@@ -35,38 +35,29 @@ def gaussian_binomial_row(n: int, b: Monomial, order) -> list:
     """[[n 0], ..., [n n]] in base b, exact through `order`; entry k equals
     gaussian_binomial(n, k, b, order).
 
-    One walk on the grid of b and the order: from [n 0] = 1, each
-    [n k] = [n k-1] * (1 - b**(n-k+1)) / (1 - b**k) for k <= n/2 is one
-    `_unit_mul` and one `_divide` at integer exponents on a copy of the
-    lists of [n k-1], padded to the length of the polynomial [n k]
-    (`_row_head`), and the other half is the mirror image [n k] = [n n-k]."""
+    The entries k <= n/2 are one chain of int lists in x = b (`_row_head`),
+    each spread onto the grid of b and the order once, and the other half is
+    the mirror image [n k] = [n n-k]."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     _check_base(b)
-    row = _row_head(n, b, order, n // 2)
+    den = _grid(order, b.exp)
+    top, step = _as_order(order, den), int(b.exp * den)
+    row = [QSeries._of(den, top, 0, _spread(x, step)) for x in _row_head(n, top // step, n // 2)]
     return row + row[: n + 1 - len(row)][::-1]
 
 
-def _row_head(n: int, b: Monomial, order, m: int) -> list:
-    """[[n 0], ..., [n m]] for m <= n/2: gaussian_binomial_row's walk, cut
-    after m steps (none for m = 0).
+def _row_head(n: int, last: int, m: int) -> list:
+    """[[n 0], ..., [n m]] for m <= n/2 as int lists in x through x**last:
+    the Gaussian row of `series._chain`, cut after m entries (none past
+    [n 0] for m = 0).  For the row in base b through `order`, x = b and
+    last = floor(order / b).
 
-    Step k copies the lists of [n k-1], pads them to the length of [n k],
-    its degree k*(n-k)*step plus one, or to the window, and steps them in
-    place: one `_unit_mul` and one `_divide`.  Each entry of a product or a
+    Entry k is as long as [n k], degree k*(n-k) in x, or as the powers of x
+    through x**last, whichever is shorter.  Each entry of a product or a
     quotient depends only on the entries up to it, and [n k] has no entry
-    past the lists, so the division is exact on them.  b is q**e, e > 0
-    (its callers check it), so every entry is real."""
-    den = _grid(order, b.exp)
-    top = _as_order(order, den)
-    step = int(b.exp * den)
-    row = [QSeries._of(den, top, 0, [1])]
-    for k in range(1, m + 1):
-        re = row[-1].re + [0] * (min(k * (n - k) * step, top) + 1 - len(row[-1].re))
-        _unit_mul(re, None, (n - k + 1) * step, ONE)
-        _divide(re, None, k * step, ONE)
-        row.append(QSeries._of(den, top, 0, re))
-    return row
+    past the lists, so the division is exact on them."""
+    return _chain([1], [min(k * (n - k), last) + 1 for k in range(1, m + 1)], n)
 
 
 def rogers_szego_def(n: int, b: Monomial, order) -> ZSeries:
@@ -199,9 +190,12 @@ def _nest(n: int, b: Monomial, order, den: int, r0: int, r1: int, bound: int) ->
     half, upper = n // 2, (n + 1) // 2
     # c_r = c_{h-r}, and the walk stops at the last one a kept term needs
     used = {min(r, half - r) for r in range(r0, r1 + 1)}
-    coeffs = _row_head(half, qmono(2 * b.exp), order, max(used))
     top = _as_order(order, den)
     step = int(b.exp * den)
+    # c_r = [h r] in x = b**2 (on the grid of b**2 itself for n <= 1, where b
+    # is not on it)
+    step2 = int(2 * b.exp * den)
+    coeffs = _row_head(half, top // step2, max(used))
     wb = _width(bound)
     w = 8 * wb
     mask = (1 << w * (top + 1)) - 1
@@ -246,8 +240,8 @@ def _nest(n: int, b: Monomial, order, den: int, r0: int, r1: int, bound: int) ->
             acc = times(acc, k)
         return [0] * (len(rest) * (1 - odd)) + acc
 
-    # each c_r a kept term needs is packed once
-    packed = {k: _pack(c.re, wb) << w * c.val for k, c in ((k, coeffs[k].rescale(den)) for k in used)}
+    # each c_r a kept term needs is packed once, its list spread onto the grid
+    packed = {k: _pack(_spread(coeffs[k], step2), wb) for k in used}
     m = (upper - 1) // 2
     low, high = horner(1, r0, min(m, r1)), horner(0, upper - r1, upper - max(m + 1, r0))
     if low and high:  # the lower half ends at z**(U+m), the upper one at z**(U+r1)

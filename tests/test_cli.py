@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction as F
 from importlib import import_module
@@ -21,11 +24,12 @@ from qrr.cli import (
     EXIT_OK,
     REPORT_SCHEMA,
     STEP_SCHEMA,
+    _report_exit,
     main,
 )
 from qrr.errors import QrrError
 from qrr.gaussian import ZERO
-from qrr.identity import NahmData, eval_product, eval_sum, nahm_series, verify
+from qrr.identity import NahmData, VerifyReport, eval_product, eval_sum, nahm_series, verify
 from qrr.parser import parse
 
 # the module, not the function the package exports under the same name
@@ -426,6 +430,35 @@ def test_closed_stdout_is_not_an_engine_fault(capsys, argv):
     assert main(argv, out=_ClosedPipe()) == EXIT_BROKEN_PIPE
     err = capsys.readouterr().err
     assert "Traceback" not in err and "internal error" not in err
+
+
+def test_a_closed_real_stdout_exits_141_with_nothing_on_stderr(tmp_path):
+    # the reader goes away after one line of a table far longer than the
+    # pipe holds: the next flush raises, and main sends the interpreter's
+    # last flush to the null device, so no "Exception ignored" line follows
+    src = str(Path(qrr.cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with open(tmp_path / "err", "wb") as err:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "qrr.cli", "table", "--order", "200"], stdout=subprocess.PIPE, stderr=err, env=env
+        )
+        assert child.stdout.readline()
+        child.stdout.close()
+        assert child.wait(timeout=120) == EXIT_BROKEN_PIPE
+    assert (tmp_path / "err").read_bytes() == b""
+
+
+@pytest.mark.parametrize(
+    "residue",
+    [{"fractional_residue": [F(1, 2)]}, {"imaginary_residue": [F(3)]}],
+)
+def test_a_match_that_carries_a_residue_is_an_engine_fault(residue):
+    # only an engine fault leaves a fractional or imaginary coefficient on
+    # two sides that agree; a mismatch beside it does not hide it
+    match = VerifyReport("x", "match", F(10), **residue)
+    assert _report_exit([match]) == EXIT_INVARIANT
+    assert _report_exit([VerifyReport("y", "mismatch", F(10)), match]) == EXIT_INVARIANT
+    assert _report_exit([VerifyReport("x", "match", F(10))]) == EXIT_OK
 
 
 @pytest.mark.parametrize(

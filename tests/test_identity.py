@@ -52,6 +52,14 @@ def test_corpus_loads_completely():
     }
 
 
+def test_a_corpus_file_holds_one_identity(tmp_path, monkeypatch):
+    text = (corpus.corpus_root() / "rogers_mod5_1_4.id").read_text()
+    (tmp_path / "twice.id").write_text(text + text.replace("rogers-mod5-1-4", "again"))
+    monkeypatch.setattr(corpus, "corpus_root", lambda: tmp_path)
+    with pytest.raises(ValueError, match="^corpus file twice holds 2 identities$"):
+        corpus.load("twice")
+
+
 def test_single_sum_frozen_coefficients():
     spec = corpus.load("rogers_mod5_1_4")
     s = eval_sum(spec, 6)

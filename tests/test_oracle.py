@@ -106,6 +106,11 @@ def test_unpruned_sum_detects_short_box():
     assert diff == 9  # first missing contribution is the n=3 term q^9
 
 
+def test_unpruned_sum_needs_one_bound_per_index():
+    with pytest.raises(ValueError, match="^one box bound per index required$"):
+        unpruned_sum(corpus.load("double_mod5_1_4"), [14], 30)
+
+
 def test_unpruned_sum_quarter_grid():
     spec = corpus.load("double_mod10_2_8")
     assert unpruned_sum(spec, [10, 10], 20).same_through(eval_sum(spec, 20), F(20))

@@ -62,6 +62,13 @@ def test_constructors_and_views():
     assert QSeries.zero(4).is_zero()
 
 
+def test_scale_by_a_pair_equals_scale_by_its_gaussian_int():
+    s = QSeries.term(I, 2, 9) + QSeries.term(MINUS_ONE, 5, 9)
+    assert s.scale((2, 0)) == s.scale(GaussianInt(2, 0))
+    assert s.scale((0, -1)) == s.scale(MINUS_I)
+    assert s.scale((1, 0)) is s
+
+
 def test_rescale_reduce_roundtrip():
     s = QSeries.term(ONE, 2, 9) + QSeries.term(MINUS_ONE, 5, 9)
     r = s.rescale(6)
@@ -458,11 +465,20 @@ def chain_entries(b, order, n):
     return [QSeries._of(den, top, 0, _spread(x, step)) for x in _chain([1], [top // step + 1] * n)]
 
 
+def row_entries(b, order, n):
+    """_chain's Gaussian row [n k] in x = b for k <= n/2, as
+    special._row_head cuts it, read on b's stride as series on the grid of
+    the order and b."""
+    den = lcm(F(order).denominator, b.exp.denominator)
+    top, step = int(order * den), int(b.exp * den)
+    return [QSeries._of(den, top, 0, _spread(x, step)) for x in special._row_head(n, top // step, n // 2)]
+
+
 def padded_chains(b, order, n):
-    """The chain 1/(b; b)_k for k <= n and _row_head(n, b, order, n // 2)
-    as chains of the window-padded references: entry k of the table is
-    entry k - 1 over 1 - b**k, entry k of the row is entry k - 1 times
-    1 - b**(n-k+1) over 1 - b**k."""
+    """The chain 1/(b; b)_k for k <= n and the Gaussian row [n k] for
+    k <= n/2 as chains of the window-padded references: entry k of the
+    table is entry k - 1 over 1 - b**k, entry k of the row is entry k - 1
+    times 1 - b**(n-k+1) over 1 - b**k."""
     den = lcm(F(order).denominator, b.exp.denominator)
     step = int(b.exp * den)
     one = QSeries.one(order).rescale(den)
@@ -494,7 +510,7 @@ def padded_chains(b, order, n):
 def test_table_and_row_chains_equal_their_padded_divisions(b, order, n):
     table, row = padded_chains(b, order, n)
     assert [fields(s) for s in chain_entries(b, order, n)] == [fields(s) for s in table]
-    assert [fields(s) for s in special._row_head(n, b, order, n // 2)] == [fields(s) for s in row]
+    assert [fields(s) for s in row_entries(b, order, n)] == [fields(s) for s in row]
 
 
 @pytest.mark.parametrize("b", [qmono(1), qmono(F(1, 2))])
@@ -514,6 +530,25 @@ def test_gaussian_row_divisions_walk_only_their_dividends(b, monkeypatch):
     assert gaussian_binomial_row(32, b, 417) == want
     limits = [k * (32 - k) + 1 for k in range(1, 17)]
     assert len(seen) == 16 and all(x <= limit for x, limit in zip(seen, limits)), seen
+
+
+def test_gaussian_row_of_a_coarse_base_divides_lists_in_x(monkeypatch):
+    # b = q^2 is two steps of the row's grid: [20 k] has degree k*(20 - k)
+    # <= 100 in x = b, far below the order 401 (200 powers of x), so
+    # division k hands `_unit_div` the k*(20 - k) + 1 entries of its list
+    # in x, 10 calls over 725 entries, where lists on the grid would hold
+    # 2k(20 - k) + 1
+    b = qmono(2)
+    want = [gaussian_binomial(20, k, b, 401) for k in range(21)]
+    seen = []
+
+    def spy_unit_div(x, k, u, start=0):
+        seen.append(len(x) - start)
+        return _unit_div(x, k, u, start)
+
+    monkeypatch.setattr("qrr.series._unit_div", spy_unit_div)
+    assert gaussian_binomial_row(20, b, 401) == want
+    assert seen == [k * (20 - k) + 1 for k in range(1, 11)], seen
 
 
 def test_chain_divides_each_entry_once(monkeypatch):
@@ -681,17 +716,24 @@ def test_product_sides_by_the_fold_equal_the_forward_tails(order, factors, monke
 
 def test_only_divide_and_the_fold_call_unit_div():
     # `_fold` is the one Horner fold: no other function of the package names
-    # `_unit_div`, so none divides by 1 - q**k in a loop of its own
-    def names(node):
-        return any("_unit_div" in (getattr(x, "id", None), getattr(x, "attr", None)) for x in ast.walk(node))
+    # `_unit_div`, so none divides by 1 - q**k in a loop of its own; and
+    # `_chain` is the one chain builder: beside the product side's walk, no
+    # other function names `_divide`, and `_unit_mul` only in the running
+    # product of replay 1.7 step 2
+    def users(name):
+        def names(node):
+            return any(name in (getattr(x, "id", None), getattr(x, "attr", None)) for x in ast.walk(node))
 
-    users = {
-        (path.stem, f.name)
-        for path in Path(special.__file__).parent.glob("*.py")
-        for f in ast.walk(ast.parse(path.read_text()))
-        if isinstance(f, ast.FunctionDef) and names(f)
-    }
-    assert users == {("series", "_divide"), ("series", "_fold")}
+        return {
+            (path.stem, f.name)
+            for path in Path(special.__file__).parent.glob("*.py")
+            for f in ast.walk(ast.parse(path.read_text()))
+            if isinstance(f, ast.FunctionDef) and names(f)
+        }
+
+    assert users("_unit_div") == {("series", "_divide"), ("series", "_fold")}
+    assert users("_divide") == {("series", "_poch"), ("series", "_chain")}
+    assert users("_unit_mul") == {("series", "_divide"), ("series", "_poch"), ("series", "_chain"), ("replay", "replay_1_7")}
 
 
 def fraction_walk(order, factors):
@@ -906,8 +948,8 @@ def test_poch_from_the_largest_exponent_down_matches_the_scalar_walk(order, fact
 def test_poch_raises_at_the_first_bad_factor_in_declared_order(factors, error, message, monkeypatch):
     # the error comes before any factor is applied
     applied = []
-    monkeypatch.setattr("qrr.series._step", lambda *args: applied.append(args))
-    monkeypatch.setattr("qrr.series._tail", lambda *args: applied.append(args))
+    for step in ("_unit_mul", "_divide", "_tail"):
+        monkeypatch.setattr("qrr.series." + step, lambda *args: applied.append(args))
     with pytest.raises(error) as raised:
         _poch(20, factors)
     assert str(raised.value) == message

@@ -520,14 +520,14 @@ def test_rs_at_minus_one_walks_no_binomial_row(monkeypatch):
     # never walked; a term with r = 2 needs the walk through c_2 only
     q2 = qmono(2)
     calls = []
-    divide = special._divide
+    divide = series._divide
 
     def spy(re, im, k, unit):
         calls.append(k)
         return divide(re, im, k, unit)
 
     wants = [rogers_szego_bw(n, q2, 61).specialize(MINUS_ONE_T) for n in range(12)]
-    monkeypatch.setattr(special, "_divide", spy)
+    monkeypatch.setattr(series, "_divide", spy)
     for n in range(12):
         assert rs_at(n, MINUS_ONE_T, q2, 61) == wants[n], n
     assert calls == []

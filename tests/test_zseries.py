@@ -39,6 +39,10 @@ def test_mul_is_z_convolution():
         assert p.slice(k).same_through(naive, 8), k
 
 
+def test_an_empty_window_prints_as_zero():
+    assert str(ZSeries({})) == repr(ZSeries({})) == "0"
+
+
 def test_reflect_stretch_scale():
     a = ZSeries({1: QSeries.one(6), 3: QSeries.term(ONE, 2, 6)})
     assert a.reflect().window == (-3, -1)
